@@ -86,3 +86,44 @@ func TestFullStackRoundAllocationFree(t *testing.T) {
 		})
 	}
 }
+
+// TestFacadeStepAllocationBound carries the guard across the public facade,
+// where the per-round observers live: tracker → Oracle.Measure, the event
+// emitter and a subscriber. A steady-state Step(1) may allocate a small
+// constant (the per-round Metrics and RoundEvent maps, amortized history
+// growth) but nothing that scales with the population — the count must be
+// identical at 1 000 and 4 000 nodes, so per-node garbage cannot hide
+// behind the engine-level guards above again.
+func TestFacadeStepAllocationBound(t *testing.T) {
+	const maxAllocs = 32
+	measure := func(nodes int) float64 {
+		sys, err := New(eval.RingOfRingsDSL(4), WithNodes(nodes), WithSeed(1), WithWorkers(1), WithRunToEnd())
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := 0
+		sys.Subscribe(func(RoundEvent) { events++ })
+		if _, err := sys.Step(30); err != nil {
+			t.Fatal(err)
+		}
+		const rounds = 20
+		sys.Engine().Meter().Reserve(rounds + 1)
+		avg := testing.AllocsPerRun(rounds, func() {
+			if _, err := sys.Step(1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if events != 30+rounds+1 {
+			t.Fatalf("subscriber saw %d events, want %d", events, 30+rounds+1)
+		}
+		return avg
+	}
+	small, large := measure(1000), measure(4000)
+	t.Logf("allocs/round: %v at 1000 nodes, %v at 4000", small, large)
+	if small > maxAllocs {
+		t.Fatalf("steady-state Step(1) allocates %v objects/round at 1000 nodes, want <= %d", small, maxAllocs)
+	}
+	if large != small {
+		t.Fatalf("Step(1) allocations scale with the population: %v/round at 1000 nodes, %v/round at 4000", small, large)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sosf/internal/graph"
 	"sosf/internal/shapes"
 	"sosf/internal/sim"
+	"sosf/internal/spec"
 	"sosf/internal/view"
 )
 
@@ -78,6 +79,36 @@ type Oracle struct {
 	members [][]*sim.Node // compMembers scratch, reused per Measure
 	slots   []int         // alive-slot scratch
 	sorter  memberSorter
+
+	// edges caches every component's target edge list. A list depends only
+	// on the component's shape and member count, so it is rebuilt when the
+	// count changes, and the whole cache is dropped when the topology does
+	// (reconfiguration bumps the epoch, restore swaps the topology).
+	edges     []edgeList
+	edgeEpoch uint32
+	edgeTopo  *spec.Topology
+}
+
+// edgeList is one component's cached shapes.TargetEdges(shape, n).
+type edgeList struct {
+	n     int
+	edges [][2]int
+}
+
+// targetEdges returns the target edges of component c at n members. In
+// steady state this is a cache hit, which keeps Measure from rebuilding a
+// map, a slice and a sort per component every round.
+func (o *Oracle) targetEdges(c view.ComponentID, n int) [][2]int {
+	a := o.sys.alloc
+	if o.edgeEpoch != a.Epoch() || o.edgeTopo != a.Topology() {
+		o.edges = make([]edgeList, a.Components())
+		o.edgeEpoch, o.edgeTopo = a.Epoch(), a.Topology()
+	}
+	el := &o.edges[c]
+	if el.n != n {
+		*el = edgeList{n: n, edges: shapes.TargetEdges(a.Shape(c), n)}
+	}
+	return el.edges
 }
 
 // compMembers returns the alive, current-epoch members of every component,
@@ -168,8 +199,7 @@ func (o *Oracle) elementary(members [][]*sim.Node) float64 {
 		if len(ms) < 2 {
 			continue
 		}
-		shape := s.alloc.Shape(view.ComponentID(c))
-		for _, e := range shapes.TargetEdges(shape, len(ms)) {
+		for _, e := range o.targetEdges(view.ComponentID(c), len(ms)) {
 			u, v := ms[e[0]], ms[e[1]]
 			total++
 			if s.core.View(u.Slot).Contains(v.ID) || s.core.View(v.Slot).Contains(u.ID) ||
@@ -315,9 +345,8 @@ func (o *Oracle) StuckComponents() []string {
 		if len(ms) < 2 {
 			continue
 		}
-		shape := s.alloc.Shape(view.ComponentID(c))
 		realized := true
-		for _, e := range shapes.TargetEdges(shape, len(ms)) {
+		for _, e := range o.targetEdges(view.ComponentID(c), len(ms)) {
 			u, v := ms[e[0]], ms[e[1]]
 			if !s.core.View(u.Slot).Contains(v.ID) && !s.core.View(v.Slot).Contains(u.ID) &&
 				!s.uo1.View(u.Slot).Contains(v.ID) && !s.uo1.View(v.Slot).Contains(u.ID) {

@@ -37,7 +37,9 @@ type PortConnect struct {
 
 	// states holds the per-slot belief tables as dense struct-of-arrays
 	// state: headers in one contiguous slice, belief rows carved from a
-	// shared arena.
+	// shared arena by the serial InitNode only. The parallel phases never
+	// touch the arena: a row that turns out too narrow (reconfiguration,
+	// restore) is replaced by a private heap copy.
 	states []connState
 	arena  []PortRecord
 }
@@ -83,6 +85,12 @@ func (p *PortConnect) ensureSlot(slot int) {
 func (p *PortConnect) InitNode(e *sim.Engine, slot int) {
 	p.ensureSlot(slot)
 	st := &p.states[slot]
+	// One belief per link side of the node's component; the profile is
+	// assigned before InitNode runs, so the row is carved here, at the
+	// serial barrier, like every other protocol's per-slot storage.
+	if nsides := len(p.alloc.SidesOf(e.Node(slot).Profile.Comp)); cap(st.remotes) < nsides {
+		st.remotes = sim.Carve(&p.arena, nsides)
+	}
 	// Fresh-join semantics: desync the state so the next Refresh re-syncs
 	// it against the node's (possibly new) profile. Belief storage is kept.
 	st.epoch = ^uint32(0)
@@ -142,12 +150,15 @@ func (p *PortConnect) Remote(slot int, side int) PortRecord {
 	return invalidRecord()
 }
 
+// reset re-syncs a belief table with the node's profile. It is reached from
+// the parallel Refresh phase, so it must not grow the shared arena: a row
+// wider than InitNode carved is a private heap copy.
 func (p *PortConnect) reset(n *sim.Node, st *connState) {
 	st.epoch = n.Profile.Epoch
 	st.comp = n.Profile.Comp
 	nsides := len(p.alloc.SidesOf(n.Profile.Comp))
 	if cap(st.remotes) < nsides {
-		st.remotes = sim.Carve(&p.arena, nsides)
+		st.remotes = make([]PortRecord, nsides)
 	}
 	st.remotes = st.remotes[:nsides]
 	for i := range st.remotes {

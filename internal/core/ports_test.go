@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
+	"sosf/internal/spec"
 	"sosf/internal/view"
 )
 
@@ -158,5 +160,58 @@ func TestSameComponentLink(t *testing.T) {
 	final := tr.History[len(tr.History)-1]
 	if !final.Converged(SubPortConnect) {
 		t.Fatalf("same-component link did not converge: %f", final.Fraction[SubPortConnect])
+	}
+}
+
+// chordedRingsTopo is ringsTopo(k) plus a chord from every ring to the ring
+// two places on, so each component carries four link sides instead of two.
+func chordedRingsTopo(k int) *spec.Topology {
+	t := ringsTopo(k)
+	for i := range t.Components {
+		t.Components[i].Ports = append(t.Components[i].Ports, "up", "down")
+	}
+	for i := 0; i < k; i++ {
+		t.Links = append(t.Links, spec.Link{
+			A: spec.PortRef{Component: compName(i), Port: "up"},
+			B: spec.PortRef{Component: compName((i + 2) % k), Port: "down"},
+		})
+	}
+	return t
+}
+
+// TestPortConnectFirstSyncParallel drives the three ways a belief table is
+// (re)sized from the parallel Refresh phase — the first sync of a fresh
+// population, a flash join, and a reconfiguration that widens every
+// component's row — at four workers, and requires the run to match its
+// serial twin round by round and in the final snapshot. Under -race it also
+// proves no slot's sync touches shared storage.
+func TestPortConnectFirstSyncParallel(t *testing.T) {
+	run := func(workers int) ([]string, []byte) {
+		sys, err := NewSystem(Config{Topology: ringsTopo(6), Nodes: 600, Seed: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := traceRounds(t, sys, 4)
+		sys.AddNodes(300)
+		trace = append(trace, traceRounds(t, sys, 4)...)
+		if err := sys.Reconfigure(chordedRingsTopo(6)); err != nil {
+			t.Fatal(err)
+		}
+		trace = append(trace, traceRounds(t, sys, 8)...)
+		var snapshot bytes.Buffer
+		if err := sys.Snapshot(&snapshot); err != nil {
+			t.Fatal(err)
+		}
+		return trace, snapshot.Bytes()
+	}
+	serial, serialSnap := run(1)
+	pooled, pooledSnap := run(4)
+	for i := range serial {
+		if pooled[i] != serial[i] {
+			t.Fatalf("round %d diverges at workers=4:\n  serial: %s\n  pooled: %s", i+1, serial[i], pooled[i])
+		}
+	}
+	if !bytes.Equal(pooledSnap, serialSnap) {
+		t.Fatal("final snapshots differ between workers=1 and workers=4")
 	}
 }

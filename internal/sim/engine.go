@@ -144,15 +144,19 @@ type Pad struct {
 	// Send and Reply hold the two in-flight gossip payloads of an
 	// exchange (active request, passive response).
 	Send, Reply []view.Descriptor
-	// Sample is for intermediate descriptor selections (random samples,
-	// rank-filtered candidate lists).
+	// Sample is for intermediate descriptor selections (random samples).
 	Sample []view.Descriptor
 	// Same is for filtered contact lists (same-component candidates,
 	// members of a remote component).
 	Same []view.Descriptor
+	// Keys is for ranked candidate selection: an overlay ranks a merged
+	// pool once into one compact key per rankable candidate, sorts the
+	// keys, and gathers only the descriptors it keeps.
+	Keys []view.RankKey
 	// IDs is for node-ID work lists (e.g. Cyclon's replaceable set).
 	IDs []view.NodeID
-	// Merger is the shared descriptor-merge scratch.
+	// Merger is the shared descriptor-merge scratch (output buffer plus
+	// generation-stamped dedup table; Result is valid until the next Begin).
 	Merger view.Merger
 	// Sampler is the shared partial-permutation scratch.
 	Sampler view.Sampler

@@ -14,7 +14,10 @@
 package vicinity
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"sosf/internal/peersampling"
 	"sosf/internal/sim"
@@ -232,13 +235,16 @@ func (p *Protocol) Refresh(ctx *sim.Ctx) {
 	// Capacity can change across reconfigurations (role differentiation).
 	v.SetCap(p.ranker.Capacity(self.Profile))
 	v.AgeAll()
-	p.purge(self.Profile, v)
 
 	// Free local injection: fold the sampling service's view and any
 	// stacked feeds into ours. No bandwidth — the candidates are already
-	// on this node.
+	// on this node. The sampling-view fold applies purge's age/rank
+	// predicate to the merged pool, so the separate purge pass only runs
+	// when that fold does not.
 	if !p.opts.NoRandomFeed && p.rps != nil {
 		p.applyView(ctx.Pad(), self, v, p.rps.View(slot))
+	} else {
+		p.purge(self.Profile, v)
 	}
 	for _, f := range p.feeds {
 		if vs, ok := f.(ViewSource); ok {
@@ -361,32 +367,22 @@ func (p *Protocol) selectFor(ctx *sim.Ctx, slot int, owner view.Profile, ownerID
 		}
 	}
 	pool := m.Result()
-	ranked := pad.Sample[:0]
-	for _, d := range pool {
-		if d.ID == ownerID {
-			continue
-		}
-		if p.ranker.Rank(owner, d.Profile) < view.RankInf {
-			ranked = append(ranked, d)
-		}
-	}
-	pad.Sample = ranked
-	sortByRank(p.ranker, owner, ranked)
+	keys := p.rankPool(pad, owner, pool, math.MaxUint16)
 	out := append(dst, self.Descriptor())
-	for _, d := range ranked {
+	for _, k := range keys {
 		if len(out) >= p.opts.Gossip {
 			break
 		}
-		out = append(out, d)
+		out = append(out, pool[k.Idx])
 	}
 	// Payload diversity: once views saturate, every peer would keep
 	// sending the owner the same top-ranked candidates, and pairs outside
 	// that set could only meet through the sampling service — a long
 	// geometric tail for dense shapes like cliques. Reserving one slot
 	// for a uniformly random rankable candidate closes that tail.
-	if !p.opts.NoRandomFeed && len(ranked) >= len(out) {
-		spare := ranked[len(out)-1:]
-		out[len(out)-1] = spare[ctx.Rand().Intn(len(spare))]
+	if !p.opts.NoRandomFeed && len(keys) >= len(out) {
+		spare := keys[len(out)-1:]
+		out[len(out)-1] = pool[spare[ctx.Rand().Intn(len(spare))].Idx]
 	}
 	return out
 }
@@ -398,7 +394,7 @@ func (p *Protocol) apply(pad *sim.Pad, n *sim.Node, v *view.View, incoming []vie
 	m.Begin(n.ID)
 	m.AddView(v)
 	m.AddSlice(incoming)
-	p.applyMerged(m, n, v)
+	p.applyMerged(pad, n, v)
 }
 
 // applyView is apply for candidates that live in another layer's view, read
@@ -411,21 +407,15 @@ func (p *Protocol) applyView(pad *sim.Pad, n *sim.Node, v *view.View, inView *vi
 	if inView != nil {
 		m.AddView(inView)
 	}
-	p.applyMerged(m, n, v)
+	p.applyMerged(pad, n, v)
 }
 
-// applyMerged finishes an apply: filter the merged pool in place, re-rank,
-// and replace the view's contents with the best `capacity` entries.
-func (p *Protocol) applyMerged(m *view.Merger, n *sim.Node, v *view.View) {
-	buf := m.Result()
-	kept := buf[:0]
-	for _, d := range buf {
-		if int(d.Age) <= p.opts.MaxAge && p.ranker.Rank(n.Profile, d.Profile) < view.RankInf {
-			kept = append(kept, d)
-		}
-	}
-	sortByRank(p.ranker, n.Profile, kept)
-	v.ReplaceAll(kept)
+// applyMerged finishes an apply: rank the merged pool, and replace the
+// view's contents with the best `capacity` entries that neither aged out
+// nor are unrankable.
+func (p *Protocol) applyMerged(pad *sim.Pad, n *sim.Node, v *view.View) {
+	pool := pad.Merger.Result()
+	v.ReplaceRanked(pool, p.rankPool(pad, n.Profile, pool, p.opts.MaxAge))
 }
 
 // purge drops entries that aged out or became unrankable (stale epoch,
@@ -436,39 +426,37 @@ func (p *Protocol) purge(owner view.Profile, v *view.View) {
 	})
 }
 
-// sortByRank orders descriptors by (rank, age, id), in place. The
-// comparator is a total order (IDs are unique within a buffer), so the
-// sorted result is unique regardless of sorting algorithm. It is a plain
-// binary-insertion sort: stateless (parallel plan shards sort
-// concurrently), allocation-free, and the buffers are gossip-sized, so
-// the quadratic move cost never bites.
-func sortByRank(ranker Ranker, owner view.Profile, ds []view.Descriptor) {
-	for i := 1; i < len(ds); i++ {
-		d := ds[i]
-		rd := ranker.Rank(owner, d.Profile)
-		lo, hi := 0, i
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if rankLess(ranker, owner, rd, d, ds[mid]) {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
+// rankPool ranks every candidate of pool for owner exactly once and returns
+// the keys of those the owner can rank and that are no older than maxAge,
+// best first. The keys live on the worker pad and index into pool, so the
+// caller gathers only the descriptors it keeps.
+func (p *Protocol) rankPool(pad *sim.Pad, owner view.Profile, pool []view.Descriptor, maxAge int) []view.RankKey {
+	keys := pad.Keys[:0]
+	for i, d := range pool {
+		if int(d.Age) > maxAge {
+			continue
 		}
-		copy(ds[lo+1:i+1], ds[lo:i])
-		ds[lo] = d
+		if r := p.ranker.Rank(owner, d.Profile); r < view.RankInf {
+			keys = append(keys, view.RankKey{Rank: r, ID: d.ID, Age: d.Age, Idx: int32(i)})
+		}
 	}
+	pad.Keys = keys
+	slices.SortFunc(keys, byRank)
+	return keys
 }
 
-// rankLess reports whether d (with precomputed rank rd) orders strictly
-// before other under (rank, age, id).
-func rankLess(ranker Ranker, owner view.Profile, rd float64, d, other view.Descriptor) bool {
-	ro := ranker.Rank(owner, other.Profile)
-	if rd != ro {
-		return rd < ro
+// byRank orders keys by (rank, age, id). IDs are unique within a pool, so
+// this is a total order and the sorted result does not depend on the
+// sorting algorithm.
+func byRank(a, b view.RankKey) int {
+	if a.Rank != b.Rank {
+		if a.Rank < b.Rank {
+			return -1
+		}
+		return 1
 	}
-	if d.Age != other.Age {
-		return d.Age < other.Age
+	if a.Age != b.Age {
+		return int(a.Age) - int(b.Age)
 	}
-	return d.ID < other.ID
+	return cmp.Compare(a.ID, b.ID)
 }

@@ -3,10 +3,12 @@ package view
 // Tests pinning the edge cases the scratch-buffer refactor must preserve:
 // the RandomSample guards, draw-for-draw equivalence of the *Into APIs with
 // their copying wrappers, ForceAdd/Penalize boundary behavior, and the
-// MergeInto ≡ MergeBuffers property on random inputs.
+// MergeInto ≡ MergeBuffers ≡ map-based reference property on random inputs,
+// and the Merger's table growth and generation wrap-around.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -187,6 +189,21 @@ func TestReplaceAllTruncatesToCapacity(t *testing.T) {
 	}
 }
 
+func TestReplaceRankedGathersInKeyOrder(t *testing.T) {
+	pool := []Descriptor{desc(7, 1), desc(8, 2), desc(9, 3), desc(6, 4)}
+	keys := []RankKey{{Idx: 2}, {Idx: 0}, {Idx: 3}}
+	v := New(2)
+	v.Add(desc(1, 0))
+	v.ReplaceRanked(pool, keys)
+	if v.Len() != 2 || v.At(0) != pool[2] || v.At(1) != pool[0] {
+		t.Fatalf("ReplaceRanked kept %v, want the first two keys' entries", v.Entries())
+	}
+	v.ReplaceRanked(pool, nil)
+	if v.Len() != 0 {
+		t.Fatalf("ReplaceRanked with no keys left %d entries", v.Len())
+	}
+}
+
 // quickBuffers derives a deterministic set of descriptor buffers from
 // fuzz-style raw inputs: IDs collide often (int8 domain) so the
 // freshest-wins dedup paths are exercised heavily.
@@ -215,27 +232,133 @@ func quickBuffers(ids []int8, ages []uint16, epochs []uint8, cuts []uint8) [][]D
 	return out
 }
 
-// Property: MergeInto through a (reused) Merger produces exactly what the
-// copying MergeBuffers produces, buffer for buffer, on random inputs.
+// referenceMerge is the map-based merge the Merger's open-addressed table
+// replaced, kept here as the test oracle (MergeBuffers wraps MergeInto, so
+// comparing those two would compare the code with itself): drop self and
+// InvalidNode, first occurrence fixes the position, freshest copy wins.
+func referenceMerge(self NodeID, buffers ...[]Descriptor) []Descriptor {
+	var out []Descriptor
+	pos := map[NodeID]int{}
+	for _, b := range buffers {
+		for _, d := range b {
+			if d.ID == self || d.ID == InvalidNode {
+				continue
+			}
+			if i, seen := pos[d.ID]; !seen {
+				pos[d.ID] = len(out)
+				out = append(out, d)
+			} else if d.Fresher(out[i]) {
+				out[i] = d
+			}
+		}
+	}
+	return out
+}
+
+// Property: MergeInto through a (reused) Merger, and the copying
+// MergeBuffers wrapper, produce exactly what the map-based reference
+// produces, buffer for buffer, on random inputs.
 func TestMergeIntoEquivalentToMergeBuffers(t *testing.T) {
 	var shared Merger // deliberately reused across every check
 	f := func(ids []int8, ages []uint16, epochs []uint8, cuts []uint8, selfRaw int8) bool {
 		buffers := quickBuffers(ids, ages, epochs, cuts)
 		self := NodeID(selfRaw)
-		want := MergeBuffers(self, buffers...)
-		got := MergeInto(&shared, self, buffers...)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		want := referenceMerge(self, buffers...)
+		return slices.Equal(MergeInto(&shared, self, buffers...), want) &&
+			slices.Equal(MergeBuffers(self, buffers...), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// starHubPool is a pool far beyond the initial table: a 600-entry star-hub
+// view plus a gossip buffer that half overlaps it with fresher copies and
+// carries the two IDs a merge must drop.
+func starHubPool(self NodeID) (hub *View, incoming []Descriptor) {
+	hub = New(600)
+	for i := 0; i < 600; i++ {
+		hub.Add(desc(NodeID(1000+7*i), uint16(i%9+1)))
+	}
+	incoming = []Descriptor{desc(self, 0), desc(InvalidNode, 0)}
+	for i := 0; i < 40; i++ {
+		incoming = append(incoming, desc(NodeID(1000+7*(580+i)), 0))
+	}
+	return hub, incoming
+}
+
+// TestMergerGrowsPastInitialTable merges the star-hub pool through a fresh
+// Merger (repeated ×2 growth mid-merge, entries re-indexed each time) and
+// again through the grown one, via both AddView and AddSlice.
+func TestMergerGrowsPastInitialTable(t *testing.T) {
+	const self = NodeID(1000 + 7*3)
+	hub, incoming := starHubPool(self)
+	want := referenceMerge(self, hub.Entries(), incoming)
+	if len(want) != 599+20 {
+		t.Fatalf("reference merge has %d entries, want 619", len(want))
+	}
+	var m Merger
+	for lap := 0; lap < 2; lap++ {
+		m.Begin(self)
+		m.AddView(hub)
+		m.AddSlice(incoming)
+		if !slices.Equal(m.Result(), want) {
+			t.Fatalf("lap %d: merge through AddView diverges from the reference", lap)
+		}
+	}
+	if len(m.tab) < 2*len(want) || len(m.tab)&(len(m.tab)-1) != 0 {
+		t.Fatalf("table has %d cells for %d entries: want a power of two at load <= 1/2", len(m.tab), len(want))
+	}
+	// A small merge right after a large one must not see its leftovers.
+	small := []Descriptor{desc(1000, 3), desc(5, 1), desc(1000, 2)}
+	if got := MergeInto(&m, self, small); !slices.Equal(got, referenceMerge(self, small)) {
+		t.Fatalf("merge after growth = %v", got)
+	}
+}
+
+// TestMergerGenerationWrap forces the generation counter over its maximum:
+// Begin must clear the table and restart at 1, so a cell stamped in the
+// previous cycle with the very generation the new cycle reuses (here ID 77
+// at position 4 of the first merge) never reads as current.
+func TestMergerGenerationWrap(t *testing.T) {
+	const self = NodeID(2)
+	a := []Descriptor{desc(1, 4), desc(2, 0), desc(3, 1), desc(InvalidNode, 0)}
+	b := []Descriptor{desc(3, 0), desc(9, 9), desc(1, 7)}
+	var m Merger
+	MergeInto(&m, self, []Descriptor{desc(10, 0), desc(11, 0), desc(12, 0), desc(13, 0), desc(77, 0)})
+	if m.gen != 1 {
+		t.Fatalf("first merge of a zero Merger ran at generation %d, want 1", m.gen)
+	}
+	m.gen = ^uint32(0) - 1
+	for i, in := range [][][]Descriptor{
+		{a, b},             // the last generation before the wrap
+		{{desc(77, 1)}, a}, // generation 1 again
+		{b},
+	} {
+		if got, want := MergeInto(&m, self, in...), referenceMerge(self, in...); !slices.Equal(got, want) {
+			t.Fatalf("merge %d across the wrap (generation %d) = %v, want %v", i, m.gen, got, want)
+		}
+	}
+	if m.gen != 2 {
+		t.Fatalf("generation after the wrap = %d, want 2 (restart at 1, never 0)", m.gen)
+	}
+}
+
+// TestWarmedMergerAllocationFree: once the table and output buffer have
+// grown, merging allocates nothing — gossip-sized or hub-sized.
+func TestWarmedMergerAllocationFree(t *testing.T) {
+	const self = NodeID(1000 + 7*3)
+	hub, incoming := starHubPool(self)
+	var m Merger
+	merge := func() {
+		m.Begin(self)
+		m.AddView(hub)
+		m.AddSlice(incoming)
+		MergeInto(&m, self, incoming, incoming[:10])
+	}
+	merge()
+	if allocs := testing.AllocsPerRun(100, merge); allocs != 0 {
+		t.Fatalf("warmed Merger allocates %v objects per merge, want 0", allocs)
 	}
 }
 

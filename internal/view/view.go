@@ -1,6 +1,7 @@
 package view
 
 import (
+	"math/bits"
 	"sort"
 )
 
@@ -315,6 +316,31 @@ func (v *View) ReplaceAll(ds []Descriptor) {
 	v.entries = append(v.entries[:0], ds...)
 }
 
+// RankKey is the compact sort key of one ranked candidate: the rank its
+// owner gave it, the age and ID that break rank ties, and its position in
+// the candidate pool it was ranked from. Overlays rank a pool once into a
+// scratch []RankKey, sort the keys instead of the (twice as large)
+// descriptors, and gather only the entries they keep.
+type RankKey struct {
+	Rank float64
+	ID   NodeID
+	Age  uint16
+	Idx  int32
+}
+
+// ReplaceRanked replaces the view's contents with pool[k.Idx] for the first
+// `capacity` keys, in key order. Like ReplaceAll it performs no checks of
+// its own; pool must not alias the view's storage.
+func (v *View) ReplaceRanked(pool []Descriptor, keys []RankKey) {
+	if len(keys) > v.capacity {
+		keys = keys[:v.capacity]
+	}
+	v.entries = v.entries[:0]
+	for _, k := range keys {
+		v.entries = append(v.entries, pool[k.Idx])
+	}
+}
+
 // Merge folds the given descriptors into a deduplicated buffer together
 // with the current entries, then keeps the `capacity` freshest, preferring
 // existing entries on ties. self is excluded.
@@ -335,29 +361,48 @@ func (v *View) Merge(self NodeID, incoming []Descriptor) {
 // steady-state merges allocate nothing. The zero value is ready to use.
 // A Merger is not safe for concurrent use; the parallel engine keeps one
 // per worker (inside each sim.Pad), never sharing a merger across shards.
+//
+// The index is an open-addressed table (linear probing, power-of-two size,
+// load at most ½) of positions into out, each cell stamped with the
+// generation of the merge that wrote it: a cell whose stamp is not the
+// current generation is empty, so Begin empties the table by bumping the
+// generation instead of clearing it.
 type Merger struct {
 	self NodeID
 	out  []Descriptor
-	pos  map[NodeID]int
+	tab  []mergeCell
+	gen  uint32
 }
+
+// mergeCell maps the ID of out[pos] to pos for the merge stamped gen.
+type mergeCell struct {
+	gen uint32
+	pos int32
+}
+
+// mergerMinTable is the initial table size: room for a 32-entry pool, which
+// covers a gossip-sized merge without growing.
+const mergerMinTable = 64
 
 // Begin resets the merger for a new merge that excludes self (and
 // InvalidNode) from its output.
 func (m *Merger) Begin(self NodeID) {
 	m.self = self
 	m.out = m.out[:0]
-	if m.pos == nil {
-		m.pos = make(map[NodeID]int, 64)
-	} else {
-		clear(m.pos)
+	m.gen++
+	if m.gen == 0 {
+		// The generation wrapped (a long run does reach 2³² merges):
+		// cells stamped by the previous cycle would read as current.
+		clear(m.tab)
+		m.gen = 1
 	}
 }
 
 // AddSlice folds a descriptor buffer into the merge: first occurrence fixes
 // the output position, later duplicates keep the freshest copy.
 func (m *Merger) AddSlice(ds []Descriptor) {
-	for _, d := range ds {
-		m.add(d)
+	for i := range ds {
+		m.add(&ds[i])
 	}
 }
 
@@ -365,22 +410,48 @@ func (m *Merger) AddSlice(ds []Descriptor) {
 // first — the allocation-free equivalent of AddSlice(v.Entries()).
 func (m *Merger) AddView(v *View) {
 	for i := range v.entries {
-		m.add(v.entries[i])
+		m.add(&v.entries[i])
 	}
 }
 
-func (m *Merger) add(d Descriptor) {
+func (m *Merger) add(d *Descriptor) {
 	if d.ID == m.self || d.ID == InvalidNode {
 		return
 	}
-	if i, seen := m.pos[d.ID]; seen {
-		if d.Fresher(m.out[i]) {
-			m.out[i] = d
+	if 2*len(m.out) >= len(m.tab) {
+		m.grow()
+	}
+	c := m.cell(d.ID)
+	if c.gen == m.gen {
+		if d.Fresher(m.out[c.pos]) {
+			m.out[c.pos] = *d
 		}
 		return
 	}
-	m.pos[d.ID] = len(m.out)
-	m.out = append(m.out, d)
+	*c = mergeCell{gen: m.gen, pos: int32(len(m.out))}
+	m.out = append(m.out, *d)
+}
+
+// cell returns the table cell holding id, or the empty cell where id
+// belongs. The table is never more than half full, so the probe ends.
+func (m *Merger) cell(id NodeID) *mergeCell {
+	mask := uint64(len(m.tab) - 1)
+	// Fibonacci hashing: the top bits of the product spread the
+	// sequential IDs of a simulation evenly over the table.
+	for i := uint64(id) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(mask); ; i = (i + 1) & mask {
+		c := &m.tab[i]
+		if c.gen != m.gen || m.out[c.pos].ID == id {
+			return c
+		}
+	}
+}
+
+// grow doubles the table and re-indexes the entries merged so far.
+func (m *Merger) grow() {
+	m.tab = make([]mergeCell, max(mergerMinTable, 2*len(m.tab)))
+	for pos, d := range m.out {
+		*m.cell(d.ID) = mergeCell{gen: m.gen, pos: int32(pos)}
+	}
 }
 
 // Result returns the merged buffer: deduplicated (freshest copy wins), in
