@@ -11,7 +11,9 @@ package sosf
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"sosf/internal/core"
 	"sosf/internal/eval"
@@ -126,4 +128,35 @@ func TestFacadeStepAllocationBound(t *testing.T) {
 	if large != small {
 		t.Fatalf("Step(1) allocations scale with the population: %v/round at 1000 nodes, %v/round at 4000", small, large)
 	}
+}
+
+// TestMillionNodeRound is the scale smoke: a full-stack million-node
+// population (BenchmarkRound's configuration) must build and complete
+// steady-state rounds. One warm round has already carved every per-slot
+// arena the steady state touches, so the measured round must be
+// allocation-free modulo runtime noise (ReadMemStats counts background
+// allocations too). One warm plus one measured round keeps it affordable in
+// the unshortened test run; -short skips it entirely.
+func TestMillionNodeRound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("million-node round smoke skipped in -short mode")
+	}
+	sys := roundSystem(t, 1_000_000, runtime.GOMAXPROCS(0))
+	if _, err := sys.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	sys.Engine().Meter().Reserve(2)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	if _, err := sys.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(t0)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs > 100 {
+		t.Fatalf("measured round made %d allocations; the hot path should be allocation-free", allocs)
+	}
+	t.Logf("1M-node round: %v (workers=%d)", elapsed.Round(time.Millisecond), sys.Engine().Workers())
 }

@@ -11,8 +11,7 @@ import (
 // --- functional options ---------------------------------------------------
 
 // TestSeedZeroIsRepresentable is the regression test for the zero-value
-// wart: the legacy Options struct could not express seed 0 (it silently
-// became the default 1); WithSeed(0) must honor it.
+// wart: WithSeed(0) must run seed 0, not silently become the default 1.
 func TestSeedZeroIsRepresentable(t *testing.T) {
 	seed0a, err := Run(pairSrc, WithSeed(0), WithRounds(40), WithRunToEnd())
 	if err != nil {
@@ -32,18 +31,10 @@ func TestSeedZeroIsRepresentable(t *testing.T) {
 	if reflect.DeepEqual(seed0a, seed1) {
 		t.Fatal("WithSeed(0) must run seed 0, not fall back to the default seed 1")
 	}
-	// The legacy struct keeps its legacy semantics: Seed 0 means default.
-	legacy, err := Run(pairSrc, Options{Seed: 0, Rounds: 40, RunToEnd: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, seed1) {
-		t.Fatal("Options{Seed: 0} must keep meaning the default seed 1")
-	}
 }
 
 // TestRoundsZeroIsRepresentable: WithRounds(0) builds the system and
-// simulates nothing — also unrepresentable with the legacy struct.
+// simulates nothing.
 func TestRoundsZeroIsRepresentable(t *testing.T) {
 	rep, err := Run(pairSrc, WithRounds(0), WithSeed(2))
 	if err != nil {
@@ -54,14 +45,6 @@ func TestRoundsZeroIsRepresentable(t *testing.T) {
 	}
 	if rep.Nodes != 120 {
 		t.Fatalf("system must still be built: %d nodes", rep.Nodes)
-	}
-	// Legacy struct: Rounds 0 means the default cap.
-	legacy, err := Run(pairSrc, Options{Rounds: 0, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Rounds == 0 {
-		t.Fatal("Options{Rounds: 0} must keep meaning the default cap")
 	}
 }
 
@@ -78,20 +61,6 @@ func TestOptionValidation(t *testing.T) {
 		if _, err := New(pairSrc, opts...); err == nil {
 			t.Fatalf("case %d: invalid option accepted", i)
 		}
-	}
-}
-
-func TestLegacyOptionsShimMatchesFunctionalOptions(t *testing.T) {
-	a, err := Run(pairSrc, Options{Seed: 9, Rounds: 60, LossRate: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(pairSrc, WithSeed(9), WithRounds(60), WithLoss(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("shim and functional options diverge:\n%v\nvs\n%v", a, b)
 	}
 }
 

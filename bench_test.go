@@ -31,8 +31,7 @@ func cmpOpts(seed int64, parallelism int) eval.Options {
 }
 
 // BenchmarkFig2Sequential / BenchmarkFig2Parallel regenerate Figure 2's
-// sweep with the legacy sequential path and with a GOMAXPROCS-wide worker
-// pool. The outputs are byte-identical (see TestParallelSweepDeterministic);
+// sweep with a pool of one and with a GOMAXPROCS-wide worker pool. The outputs are byte-identical (see TestParallelSweepDeterministic);
 // on an N-core machine the parallel variant's wall clock is the speedup
 // headline of eval.Options.Parallelism.
 func BenchmarkFig2Sequential(b *testing.B) {
@@ -185,9 +184,9 @@ func BenchmarkAblationRandomness(b *testing.B) {
 // BenchmarkRound measures one steady-state simulated round of the full
 // runtime stack (peer sampling, UO1, UO2, core overlay, port selection,
 // port connection) across a population sweep. It is the population-scaling
-// headline of the allocation-free hot path: run with -benchmem and compare
-// allocs/op across PRs (BENCH_PR3.json and BENCH_PR4.json record the
-// trajectory).
+// headline of the allocation-free hot path: run with -benchmem to read
+// allocs/op (`-bench 'BenchmarkRound/n=1M' -benchtime 3x` is the
+// million-node command).
 //
 // The system is warmed past convergence before the timer starts, so the
 // measured rounds are steady-state gossip — the regime a long-lived
@@ -222,8 +221,10 @@ func BenchmarkRoundWorkers(b *testing.B) {
 	}
 }
 
-func benchRound(b *testing.B, nodes, workers int) {
-	b.Helper()
+// roundSystem builds the full-stack ring of rings (20 components) that
+// BenchmarkRound and TestMillionNodeRound step.
+func roundSystem(tb testing.TB, nodes, workers int) *core.System {
+	tb.Helper()
 	sys, err := core.NewSystem(core.Config{
 		Topology: eval.MustTopology(eval.RingOfRingsDSL(20)),
 		Nodes:    nodes,
@@ -231,8 +232,14 @@ func benchRound(b *testing.B, nodes, workers int) {
 		Workers:  workers,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return sys
+}
+
+func benchRound(b *testing.B, nodes, workers int) {
+	b.Helper()
+	sys := roundSystem(b, nodes, workers)
 	if _, err := sys.Run(10); err != nil {
 		b.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 # (snapshot at round 75, resume to 150) must be invisible in the stream.
 # Workers dial with a 15s retry window, so launch order is free.
 set -euo pipefail
+. "$(dirname "$0")/need-multicore.sh"
 
 ADDR="127.0.0.1:${DIST_PORT:-18099}"
 GOLDEN=testdata/golden/playdemo.events.jsonl

@@ -4,6 +4,7 @@
 # serially and with the round sharded across 4 workers (the worker count
 # must be invisible in the result).
 set -euo pipefail
+. "$(dirname "$0")/need-multicore.sh"
 
 GOLDEN=testdata/golden/playdemo.events.jsonl
 

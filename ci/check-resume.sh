@@ -5,6 +5,7 @@
 # and with rounds sharded across 4 workers. A checkpoint cycle must be
 # invisible.
 set -euo pipefail
+. "$(dirname "$0")/need-multicore.sh"
 
 GOLDEN=testdata/golden/playdemo.events.jsonl
 

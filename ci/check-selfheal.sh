@@ -2,14 +2,8 @@
 # Self-healing smoke: the same campaign with the generator's trailing
 # repair reconfiguration stripped must still find zero violations — bare
 # kill/churn timelines reconverge on the runtime's index re-densification
-# alone. The legacy gap stays reproducible behind -no-heal: that campaign
-# must keep failing, and its pinned reproducer is committed in
-# testdata/corpus.
+# alone. (That they stay stuck without it is internal/core's
+# TestDisabledHealingStaysStuck.)
 set -euo pipefail
 
 go run ./cmd/sos fuzz -seed 1 -runs 6 -no-repair
-if go run ./cmd/sos fuzz -seed 1 -runs 6 -no-repair -no-heal > /tmp/noheal.log 2>&1; then
-  echo "-no-heal campaign found no violations; the legacy index-hole gap pin is gone" >&2
-  exit 1
-fi
-grep -q 'reconverge' /tmp/noheal.log

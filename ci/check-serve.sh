@@ -2,8 +2,8 @@
 # Serve smoke: boot `sos serve`, submit the playdemo scenario over HTTP,
 # collect its SSE event stream, and byte-compare against the same golden
 # fixture the play and resume gates use — the service layer must be
-# invisible in the stream. Then check /metrics exposes the run and drive
-# the sosbench serve client against the live instance.
+# invisible in the stream. Then check /metrics exposes the run. (Load on the
+# service is the benchmark's serve_jobs workload; see ci/check-bench.sh.)
 set -euo pipefail
 
 ADDR="127.0.0.1:${SERVE_PORT:-18080}"
@@ -24,7 +24,5 @@ curl -sfN "http://$ADDR/jobs/$ID/events" \
 cmp /tmp/serve-events.jsonl testdata/golden/playdemo.events.jsonl
 curl -sf "http://$ADDR/metrics" | grep -q '^sosf_serve_rounds_total 150$'
 curl -sf "http://$ADDR/metrics" | grep -q '^sosf_serve_protocol_bytes_total{protocol='
-go run ./cmd/sosbench -serve "http://$ADDR" \
-  -serve-jobs 4 -serve-concurrency 2 -serve-rounds 10 -benchjson /tmp/serve-bench.json
 kill -INT $SERVE_PID
 wait $SERVE_PID

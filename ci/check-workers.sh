@@ -9,10 +9,7 @@
 # gate refuses to run there instead of passing silently.
 set -euo pipefail
 
-if [ "$(nproc)" -lt 2 ]; then
-  echo "check-workers: nproc is $(nproc); worker-pool determinism cannot be checked on one CPU" >&2
-  exit 1
-fi
+. "$(dirname "$0")/need-multicore.sh"
 
 go test -race -count=1 -run 'WorkerCountInvariant|ResumeEquivalence|Golden' .
 go test -count=5 -run WorkerCountInvariant .

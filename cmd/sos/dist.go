@@ -41,7 +41,6 @@ func distCmd(args []string) error {
 	seed := fs.Int64("seed", sosf.DefaultSeed, "random seed")
 	churn := fs.Float64("churn", 0, "fraction of nodes replaced per round")
 	loss := fs.Float64("loss", 0, "probability that an exchange is lost")
-	noHeal := fs.Bool("no-heal", false, "disable the self-healing layer")
 	workers := fs.Int("workers", 1, "threads sharding each process's round phases (0 = GOMAXPROCS; output identical for any value)")
 	events := fs.String("events", "jsonl", "coordinator event stream format: jsonl or csv")
 	snapFile := fs.String("snap", "", "coordinator: write a checkpoint here after the run")
@@ -82,14 +81,9 @@ func distCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	var sink func(sosf.RoundEvent)
-	switch *events {
-	case "jsonl":
-		sink = sosf.JSONLSink(os.Stdout)
-	case "csv":
-		sink = sosf.CSVSink(os.Stdout)
-	default:
-		return fmt.Errorf("dist: unknown -events format %q (want jsonl or csv)", *events)
+	sink, err := eventSink(*events)
+	if err != nil {
+		return err
 	}
 	cfg := dist.Config{
 		Source: string(src),
@@ -103,9 +97,6 @@ func distCmd(args []string) error {
 		Events:     []func(sosf.RoundEvent){sink},
 		SnapPath:   *snapFile,
 		ResumePath: *resumeFile,
-	}
-	if *noHeal {
-		cfg.Healing, cfg.HealingSet = false, true
 	}
 
 	var sys *sosf.System

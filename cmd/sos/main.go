@@ -67,12 +67,8 @@
 //	-pop-floor F   require the population to stay above F of its initial
 //	               size — deliberately strict, for seeding failures
 //	-no-repair     sample kill blasts without replacement joins or the
-//	               trailing rebalance (with self-healing on these timelines
-//	               reconverge on their own; add -no-heal to expose the
-//	               legacy index-hole gap)
-//	-no-heal       disable the self-healing layer for every generated run
-//	               (pins `option heal 0` in each spec, so reproducers
-//	               replay the legacy behavior flag-free)
+//	               trailing rebalance (these timelines must reconverge on
+//	               the runtime's self-healing alone)
 //	-no-resume     skip the per-run resume-equivalence check
 //	-corpus DIR    write each finding as a NAME.in/NAME.out reproducer
 //	               pair under DIR (see testdata/corpus)
@@ -90,9 +86,6 @@
 //	-seed N        random seed (default 1)
 //	-churn F       replace F of the population per round (e.g. 0.01)
 //	-loss F        drop each exchange with probability F
-//	-no-heal       disable the self-healing layer (legacy behavior: index
-//	               holes from unreplaced deaths persist until a
-//	               `reconfigure`); the file's `option heal 0` does the same
 //	-to-end        keep running after convergence (play always does)
 //	-snap FILE     (snapshot, resume) checkpoint file to write / read
 //	-json          (run, play, snapshot, resume) print the final report as
@@ -151,7 +144,6 @@ func run(args []string) error {
 	seed := fs.Int64("seed", sosf.DefaultSeed, "random seed")
 	churn := fs.Float64("churn", 0, "fraction of nodes replaced per round")
 	loss := fs.Float64("loss", 0, "probability that an exchange is lost")
-	noHeal := fs.Bool("no-heal", false, "disable the self-healing layer (legacy index-hole behavior)")
 	toEnd := fs.Bool("to-end", false, "keep running after convergence")
 	workers := fs.Int("workers", 1, "workers sharding each round (0 = GOMAXPROCS; output identical for any value)")
 	asJSON := fs.Bool("json", false, "machine-readable final report (run, play, snapshot, resume)")
@@ -185,9 +177,6 @@ func run(args []string) error {
 	if explicit["seed"] {
 		opts = append(opts, sosf.WithSeed(*seed))
 	}
-	if *noHeal {
-		opts = append(opts, sosf.WithHealing(false))
-	}
 	if *toEnd {
 		opts = append(opts, sosf.WithRunToEnd())
 	}
@@ -206,11 +195,15 @@ func run(args []string) error {
 		}
 		return printReport(os.Stdout, rep, *asJSON)
 	case "play":
-		return play(string(src), opts, *events, *asJSON)
-	case "snapshot":
-		return snapshot(string(src), opts, *events, *asJSON, *snapFile)
-	case "resume":
-		return resume(string(src), opts, *events, *asJSON, *snapFile)
+		return play(string(src), opts, *events, *asJSON, "", "", true)
+	case "snapshot", "resume":
+		if *snapFile == "" {
+			return fmt.Errorf("%s: -snap FILE is required", cmd)
+		}
+		if cmd == "snapshot" {
+			return play(string(src), opts, *events, *asJSON, "", *snapFile, false)
+		}
+		return play(string(src), opts, *events, *asJSON, *snapFile, "", true)
 	case "dot":
 		sys, err := sosf.New(string(src), opts...)
 		if err != nil {
@@ -290,7 +283,6 @@ func fuzz(args []string) error {
 	bandwidth := fs.Float64("bandwidth", 12288, "per-node per-round byte ceiling")
 	popFloor := fs.Float64("pop-floor", 0, "population floor as a fraction of the initial size (0 = off; strict values seed failures)")
 	noRepair := fs.Bool("no-repair", false, "sample kills without replacement joins or the trailing rebalance")
-	noHeal := fs.Bool("no-heal", false, "disable the self-healing layer in every generated run (pins option heal 0)")
 	noResume := fs.Bool("no-resume", false, "skip the per-run resume-equivalence check")
 	corpusDir := fs.String("corpus", "", "write each finding as a NAME.in/NAME.out pair under this directory")
 	workers := fs.Int("workers", 1, "workers sharding each round (0 = GOMAXPROCS; results identical for any value)")
@@ -308,7 +300,6 @@ func fuzz(args []string) error {
 		BandwidthCeiling: *bandwidth,
 		PopulationFloor:  *popFloor,
 		NoRepair:         *noRepair,
-		NoHeal:           *noHeal,
 		SkipResumeCheck:  *noResume,
 		Workers:          *workers,
 		Log:              os.Stderr,
@@ -334,69 +325,58 @@ func fuzz(args []string) error {
 	return nil
 }
 
-// subscribeEvents attaches the chosen event sink to stdout.
-func subscribeEvents(sys *sosf.System, format string) error {
+// eventSink returns the chosen event sink over stdout.
+func eventSink(format string) (func(sosf.RoundEvent), error) {
 	switch format {
 	case "jsonl":
-		sys.Subscribe(sosf.JSONLSink(os.Stdout))
+		return sosf.JSONLSink(os.Stdout), nil
 	case "csv":
-		sys.Subscribe(sosf.CSVSink(os.Stdout))
+		return sosf.CSVSink(os.Stdout), nil
 	default:
-		return fmt.Errorf("unknown -events format %q (want jsonl or csv)", format)
+		return nil, fmt.Errorf("unknown -events format %q (want jsonl or csv)", format)
 	}
-	return nil
 }
 
-// snapshot plays exactly `rounds` rounds (no horizon extension: the
-// checkpoint round must land where asked), streams the rounds' events to
-// stdout, then writes the checkpoint. Together with resume it splits one
-// run in two: the two commands' concatenated event streams are
-// byte-identical to an uninterrupted `sos play` of the same file.
-func snapshot(src string, opts []sosf.Option, format string, asJSON bool, snapFile string) error {
-	if snapFile == "" {
-		return fmt.Errorf("snapshot: -snap FILE is required")
-	}
-	sys, err := sosf.New(src, append(opts, sosf.WithRunToEnd())...)
+// play is the one path behind play, snapshot and resume: build the system
+// (restoring the checkpoint restoreFrom if set), stream one round event per
+// round to stdout, step to the target round, write the checkpoint writeTo if
+// set, and print the final report to stderr. The run never stops at
+// convergence — a timeline only makes sense played to the end. The target
+// is the absolute round budget; toHorizon extends it to the scenario horizon
+// so the last scheduled action always fires, which `snapshot` declines
+// because its checkpoint must land on the round asked for. Splitting one run
+// with snapshot + resume is invisible: the two streams concatenated are
+// byte-identical to an uninterrupted play of the same file. A SIGINT is
+// caught at the next round boundary and turned into a final
+// interrupted.sosnap checkpoint.
+func play(src string, opts []sosf.Option, format string, asJSON bool, restoreFrom, writeTo string, toHorizon bool) error {
+	sink, err := eventSink(format)
 	if err != nil {
 		return err
 	}
-	if err := subscribeEvents(sys, format); err != nil {
-		return err
+	opts = append(opts, sosf.WithRunToEnd())
+	if restoreFrom != "" {
+		opts = append(opts, sosf.WithRestoreFrom(restoreFrom))
 	}
-	if _, err := sys.Step(sys.RoundBudget()); err != nil {
-		return err
-	}
-	if err := sys.WriteSnapshot(snapFile); err != nil {
-		return err
-	}
-	return printReport(os.Stderr, sys.Report(), asJSON)
-}
-
-// resume restores the run state from the checkpoint and continues to the
-// absolute round `rounds` (extended to the scenario horizon, like play),
-// streaming the resumed rounds' events to stdout. A SIGINT is caught at the
-// next round boundary and turned into a final interrupted.sosnap checkpoint,
-// like play.
-func resume(src string, opts []sosf.Option, format string, asJSON bool, snapFile string) error {
-	if snapFile == "" {
-		return fmt.Errorf("resume: -snap FILE is required")
-	}
-	sys, err := sosf.New(src, append(opts, sosf.WithRunToEnd(), sosf.WithRestoreFrom(snapFile))...)
+	sys, err := sosf.New(src, opts...)
 	if err != nil {
 		return err
 	}
-	if err := subscribeEvents(sys, format); err != nil {
+	sys.Subscribe(sink)
+	target := sys.RoundBudget()
+	if toHorizon {
+		target = sys.PlayHorizon()
+	}
+	if target < sys.Round() {
+		return fmt.Errorf("resume: checkpoint is at round %d, past the -rounds %d target", sys.Round(), target)
+	}
+	if err := stepInterruptible(sys, target-sys.Round()); err != nil {
 		return err
 	}
-	rounds := sys.RoundBudget()
-	if h := sys.ScenarioHorizon(); h > rounds {
-		rounds = h
-	}
-	if rounds < sys.Round() {
-		return fmt.Errorf("resume: checkpoint is at round %d, past the -rounds %d target", sys.Round(), rounds)
-	}
-	if err := stepInterruptible(sys, rounds-sys.Round()); err != nil {
-		return err
+	if writeTo != "" {
+		if err := sys.WriteSnapshot(writeTo); err != nil {
+			return err
+		}
 	}
 	return printReport(os.Stderr, sys.Report(), asJSON)
 }
@@ -424,35 +404,6 @@ func stepInterruptible(sys *sosf.System, n int) error {
 			sys.Round(), interruptSnapshot, interruptSnapshot)
 	}
 	return err
-}
-
-// play executes the file's scenario timeline (plus any -churn/-loss flags),
-// streaming one round event per round to stdout and a final report to
-// stderr. The run never stops at convergence — a timeline only makes sense
-// played to the end — and -rounds is extended to the scenario horizon so
-// the last scheduled action always fires. A SIGINT is caught at the next
-// round boundary and turned into a final interrupted.sosnap checkpoint.
-func play(src string, opts []sosf.Option, format string, asJSON bool) error {
-	sys, err := sosf.New(src, append(opts, sosf.WithRunToEnd())...)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "jsonl":
-		sys.Subscribe(sosf.JSONLSink(os.Stdout))
-	case "csv":
-		sys.Subscribe(sosf.CSVSink(os.Stdout))
-	default:
-		return fmt.Errorf("play: unknown -events format %q (want jsonl or csv)", format)
-	}
-	rounds := sys.RoundBudget()
-	if h := sys.ScenarioHorizon(); h > rounds {
-		rounds = h
-	}
-	if err := stepInterruptible(sys, rounds); err != nil {
-		return err
-	}
-	return printReport(os.Stderr, sys.Report(), asJSON)
 }
 
 func printReport(w *os.File, rep *sosf.Report, asJSON bool) error {

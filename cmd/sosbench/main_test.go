@@ -3,7 +3,6 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -85,145 +84,5 @@ func TestWriterTableFiles(t *testing.T) {
 	}
 	if !strings.Contains(string(txt), "1") {
 		t.Fatalf("table file:\n%s", txt)
-	}
-}
-
-// TestMillionNodeRound is the scale smoke behind `sosbench -nodes 1000000`:
-// a full-stack million-node population must build and complete steady-state
-// rounds. One warm round plus one measured round keeps it affordable in the
-// unshortened CI test job; -short skips it entirely.
-func TestMillionNodeRound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("million-node round smoke skipped in -short mode")
-	}
-	m, err := measureRound(1_000_000, 1, 1, runtime.GOMAXPROCS(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Nodes != 1_000_000 || m.NSPerRound <= 0 {
-		t.Fatalf("metric = %+v, want a positive round cost at 1M nodes", m)
-	}
-	// One warm round has already carved every per-slot arena the steady
-	// state touches, so the measured round must be allocation-free modulo
-	// runtime noise (ReadMemStats counts background allocations too).
-	if m.AllocsPerRound > 100 {
-		t.Fatalf("measured round made %.0f allocations; the hot path should be allocation-free", m.AllocsPerRound)
-	}
-	t.Logf("1M-node round: %.1f ms (workers=%d)", m.NSPerRound/1e6, m.Workers)
-}
-
-// TestMeasureDist smokes the dist_scaling measurement end to end: the
-// subtraction timing must produce a positive per-round cost through the
-// real coordinator/worker path.
-func TestMeasureDist(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dist measurement smoke skipped in -short mode")
-	}
-	m, err := measureDist(200, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Shards != 2 || m.Nodes != 200 || m.NSPerRound <= 0 {
-		t.Fatalf("metric = %+v, want a positive 2-shard round cost", m)
-	}
-}
-
-// validRecord builds a minimal record that passes the sosf-bench/2 schema
-// check; the failure cases below each break exactly one field.
-func validRecord() benchRecord {
-	round := roundMetric{Nodes: 1000, Workers: 1, Rounds: 50, NSPerRound: 1e6}
-	return benchRecord{
-		Schema:       benchSchema,
-		Go:           "go1.22.0",
-		GOOS:         "linux",
-		GOARCH:       "amd64",
-		CPUs:         1,
-		EngineRounds: []roundMetric{round},
-		WorkerScaling: []roundMetric{
-			round,
-			{Nodes: 1000, Workers: 4, Rounds: 50, NSPerRound: 5e5},
-		},
-		DistScaling: []distMetric{
-			{Shards: 1, Nodes: 1000, Rounds: 50, NSPerRound: 1.1e6},
-			{Shards: 2, Nodes: 1000, Rounds: 50, NSPerRound: 9e5},
-		},
-		Drivers:     []driverMetric{{Name: "fig2", WallMS: 12.5}},
-		TotalWallMS: 100,
-	}
-}
-
-func TestValidateBenchRecordAcceptsValid(t *testing.T) {
-	rec := validRecord()
-	if err := validateBenchRecord(&rec); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateBenchRecordRejectsFlatScalingOnMultiCore(t *testing.T) {
-	rec := validRecord()
-	rec.CPUs = 4
-	rec.WorkerScaling = []roundMetric{
-		{Nodes: 10000, Workers: 1, Rounds: 10, NSPerRound: 290e6},
-		{Nodes: 10000, Workers: 2, Rounds: 10, NSPerRound: 289e6},
-		{Nodes: 10000, Workers: 4, Rounds: 10, NSPerRound: 291e6},
-	}
-	err := validateBenchRecord(&rec)
-	if err == nil || !strings.Contains(err.Error(), "flat") {
-		t.Fatalf("err = %v, want a flat worker_scaling rejection", err)
-	}
-}
-
-func TestValidateBenchRecordAcceptsFlatScalingOnSingleCPU(t *testing.T) {
-	// On one CPU flat scaling is the only honest shape — the gate is about
-	// records claiming multi-core hardware.
-	rec := validRecord()
-	rec.CPUs = 1
-	rec.WorkerScaling = []roundMetric{
-		{Nodes: 10000, Workers: 1, Rounds: 10, NSPerRound: 290e6},
-		{Nodes: 10000, Workers: 4, Rounds: 10, NSPerRound: 290e6},
-	}
-	if err := validateBenchRecord(&rec); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateBenchRecordAcceptsRealScaling(t *testing.T) {
-	rec := validRecord()
-	rec.CPUs = 4
-	rec.WorkerScaling = []roundMetric{
-		{Nodes: 10000, Workers: 1, Rounds: 10, NSPerRound: 290e6},
-		{Nodes: 10000, Workers: 2, Rounds: 10, NSPerRound: 160e6},
-		{Nodes: 10000, Workers: 4, Rounds: 10, NSPerRound: 90e6},
-	}
-	if err := validateBenchRecord(&rec); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateBenchRecordRejectsMalformed(t *testing.T) {
-	cases := []struct {
-		name   string
-		break_ func(*benchRecord)
-	}{
-		{"wrong schema", func(r *benchRecord) { r.Schema = "sosf-bench/1" }},
-		{"missing go version", func(r *benchRecord) { r.Go = "" }},
-		{"zero cpus", func(r *benchRecord) { r.CPUs = 0 }},
-		{"no engine rounds", func(r *benchRecord) { r.EngineRounds = nil }},
-		{"zero-node round", func(r *benchRecord) { r.EngineRounds[0].Nodes = 0 }},
-		{"negative ns", func(r *benchRecord) { r.WorkerScaling[1].NSPerRound = -1 }},
-		{"no dist scaling", func(r *benchRecord) { r.DistScaling = nil }},
-		{"zero-shard dist entry", func(r *benchRecord) { r.DistScaling[0].Shards = 0 }},
-		{"zero-ns dist entry", func(r *benchRecord) { r.DistScaling[1].NSPerRound = 0 }},
-		{"no drivers", func(r *benchRecord) { r.Drivers = nil }},
-		{"unnamed driver", func(r *benchRecord) { r.Drivers[0].Name = "" }},
-		{"zero driver wall", func(r *benchRecord) { r.Drivers[0].WallMS = 0 }},
-		{"zero total", func(r *benchRecord) { r.TotalWallMS = 0 }},
-	}
-	for _, tc := range cases {
-		rec := validRecord()
-		tc.break_(&rec)
-		if err := validateBenchRecord(&rec); err == nil {
-			t.Errorf("%s: malformed record passed validation", tc.name)
-		}
 	}
 }

@@ -35,11 +35,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sys, err := sosf.New(string(src), sosf.Options{
-		Nodes:  *nodes,
-		Rounds: *rounds,
-		Seed:   *seed,
-	})
+	sys, err := sosf.New(string(src), sosf.WithNodes(*nodes), sosf.WithRounds(*rounds), sosf.WithSeed(*seed))
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,7 @@ func main() {
 // run executes the example, narrating to w. Extra options are applied
 // last, which is how the smoke test injects a tiny population.
 func run(w io.Writer, extra ...sosf.Option) error {
-	opts := append([]sosf.Option{sosf.Options{Seed: 1}}, extra...)
+	opts := append([]sosf.Option{sosf.WithSeed(1)}, extra...)
 
 	// One call: compile the DSL, allocate the nodes across the two rings,
 	// run the gossip stack until every layer converged.

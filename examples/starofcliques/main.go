@@ -49,7 +49,7 @@ func main() {
 // run executes the example, narrating to w. Extra options are applied
 // last, which is how the smoke test injects a tiny population.
 func run(w io.Writer, extra ...sosf.Option) error {
-	opts := append([]sosf.Option{sosf.Options{Seed: 11}}, extra...)
+	opts := append([]sosf.Option{sosf.WithSeed(11)}, extra...)
 	sys, err := sosf.New(src, opts...)
 	if err != nil {
 		return err

@@ -4,14 +4,15 @@ package sosf
 // replacement joins — leaves index holes in every surviving component, and
 // the runtime repair layer (dense alive-rank translation plus threshold
 // re-densification) must carry the system back to accuracy 1.0 on its own.
-// These tests pin that end-to-end across structurally different shapes,
-// prove the legacy `-no-heal` gap is still reproducible, and hold the heal
-// path to the same determinism bar as everything else: byte-identical
-// streams across worker counts and across a snapshot/restore cycle taken
-// mid-heal.
+// These tests pin that end-to-end across structurally different shapes and
+// hold the heal path to the same determinism bar as everything else:
+// byte-identical streams across worker counts and across a snapshot/restore
+// cycle taken mid-heal. (That the reconvergence is the repair's doing, not
+// slack in the budget, is internal/core's TestDisabledHealingStaysStuck.)
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -100,66 +101,17 @@ func TestBareKillReconverges(t *testing.T) {
 	}
 }
 
-// TestNoHealStaysStuck proves the reconvergence above is the repair's
-// doing, not slack in the budget: with healing disabled the same timelines
-// never reconverge and never heal. The gap is pinned on the shapes where
-// index holes reliably break the gradient: tree and grid at every seed,
-// star-hub when the blast reaches the low indices. (The torus shapes are
-// deliberately absent — the cyclic metric keeps every surviving cell's wrap
-// edges rank-1 at any size, so the sparse-index gap does not reliably
-// manifest there.)
-func TestNoHealStaysStuck(t *testing.T) {
-	cases := []struct {
-		shape string
-		seed  int64
-	}{
-		{"tree", 5},
-		{"grid", 5},
-		{"star-hub", 7},
+// TestHealOptionRejected: the `option heal` knob is gone, and a source that
+// still carries it must fail New and Validate with the named error instead
+// of silently running with healing on — a different simulation than the
+// file pinned.
+func TestHealOptionRejected(t *testing.T) {
+	src := strings.Replace(healSource(healShapes[0].clause), "nodes 96", "nodes 96\n  option heal 0", 1)
+	if _, err := New(src); !errors.Is(err, ErrHealOptionRemoved) {
+		t.Fatalf("New(option heal 0) = %v, want ErrHealOptionRemoved", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.shape, func(t *testing.T) {
-			var clause string
-			for _, sh := range healShapes {
-				if sh.name == tc.shape {
-					clause = sh.clause
-				}
-			}
-			events := runHeal(t, healSource(clause), WithHealing(false), WithSeed(tc.seed))
-			for _, ev := range events {
-				if ev.Heals != 0 {
-					t.Fatalf("WithHealing(false) run still healed at round %d", ev.Round)
-				}
-				if ev.Round > healKillRound && ev.Converged {
-					t.Fatalf("WithHealing(false) run converged at round %d; the legacy gap is gone", ev.Round)
-				}
-			}
-		})
-	}
-}
-
-// TestHealOptionPrecedence pins the knob plumbing: `option heal 0` in the
-// topology source disables healing, and an explicit WithHealing option
-// overrides the file either way.
-func TestHealOptionPrecedence(t *testing.T) {
-	src := healSource(healShapes[0].clause)
-	noHealSrc := strings.Replace(src, "nodes 96", "nodes 96\n  option heal 0", 1)
-
-	countHeals := func(events []RoundEvent) int {
-		n := 0
-		for _, ev := range events {
-			n += ev.Heals
-		}
-		return n
-	}
-	if n := countHeals(runHeal(t, noHealSrc)); n != 0 {
-		t.Fatalf("option heal 0 source healed %d times", n)
-	}
-	if n := countHeals(runHeal(t, noHealSrc, WithHealing(true))); n == 0 {
-		t.Fatal("WithHealing(true) did not override option heal 0")
-	}
-	if n := countHeals(runHeal(t, src, WithHealing(false))); n != 0 {
-		t.Fatalf("WithHealing(false) did not override the default; healed %d times", n)
+	if err := Validate(src); !errors.Is(err, ErrHealOptionRemoved) {
+		t.Fatalf("Validate(option heal 0) = %v, want ErrHealOptionRemoved", err)
 	}
 }
 

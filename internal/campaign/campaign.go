@@ -58,19 +58,11 @@ type Config struct {
 	// NoRepair disables the repair events the generator adds by default:
 	// a replacement join a few rounds after every kill blast, and a single
 	// weight-preserving rebalance (Reconfigure with unchanged weights) at
-	// the end of every timeline. Historically this exposed the index-hole
-	// gap: the greedy gradient steered by the sparse index a node was
-	// assigned while the oracle re-ranked survivors densely, so a single
-	// unreplaced death pinned Elementary Topology below 1.0 until a
-	// reconfiguration. With the self-healing layer (dense alive-ranks plus
-	// threshold re-densify) bare kill timelines reconverge on their own, so
-	// a NoRepair campaign is now expected to run clean; combine it with
-	// NoHeal to reproduce the legacy gap, which the committed corpus pins.
+	// the end of every timeline. Bare kill timelines reconverge on the
+	// runtime's self-healing alone (dense alive-ranks plus threshold
+	// re-densify), so a NoRepair campaign is expected to run clean — it is
+	// the positive gate on that layer.
 	NoRepair bool
-	// NoHeal disables the self-healing layer in every generated run by
-	// pinning `option heal 0` in the spec, so emitted reproducers replay
-	// the legacy no-healing behavior with no flags.
-	NoHeal bool
 	// SkipResumeCheck disables the per-run resume-equivalence check
 	// (snapshot at mid-run, restore into a fresh system, require the
 	// resumed event stream to be byte-identical).
@@ -259,9 +251,6 @@ func (c *Campaign) buildRun(id RunID) (*spec.Topology, error) {
 	topo.SetOption("nodes", int64(id.Population))
 	topo.SetOption("seed", id.Seed)
 	topo.SetOption("rounds", int64(c.cfg.Horizon+c.cfg.ReconvergeWithin))
-	if c.cfg.NoHeal {
-		topo.SetOption("heal", 0)
-	}
 	topo.Scenario = generateTimeline(timelineRand(id.Seed), topo, c.cfg, id.Population)
 	if err := topo.Validate(); err != nil {
 		return nil, fmt.Errorf("generated run %d (%s): %w", id.Index, base.Name, err)

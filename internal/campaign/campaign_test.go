@@ -78,32 +78,6 @@ func TestSeededFindingByteIdentical(t *testing.T) {
 	}
 }
 
-// TestNoRepairExposesIndexHoleGap pins the campaign's second seeded
-// failure in its legacy form: with the runtime's self-healing disabled
-// (NoHeal) and no repair events generated, a single unreplaced death
-// leaves a permanent index hole that index-structured shapes cannot
-// re-form around, and the Reconverge invariant catches it. The violation
-// detail must name the stuck layer so reproducer headers stay actionable.
-func TestNoRepairExposesIndexHoleGap(t *testing.T) {
-	findings, err := New(Config{Seed: 1, Runs: 6, NoRepair: true, NoHeal: true}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reconverge int
-	for _, f := range findings {
-		if f.Violation.Invariant != InvReconverge {
-			continue
-		}
-		reconverge++
-		if !strings.Contains(f.Violation.Detail, "stuck") {
-			t.Errorf("reconverge detail does not diagnose the stuck layer: %q", f.Violation.Detail)
-		}
-	}
-	if reconverge == 0 {
-		t.Fatalf("NoHeal+NoRepair campaign found no reconverge violation (findings: %d) — either the index-hole gap reproduction is gone or the knob is broken", len(findings))
-	}
-}
-
 // TestNoRepairHealsClean pins the tentpole from the campaign's side:
 // the very timelines that exposed the index-hole gap are clean once the
 // runtime's self-healing is left on — bare faults reconverge without a
@@ -175,6 +149,11 @@ func TestInvariantChecks(t *testing.T) {
 		v := Reconverge{Within: 10}.Check(mkRun(20, 5, 0))
 		if v == nil || v.Round != 15 {
 			t.Fatalf("want violation at round 15, got %v", v)
+		}
+		// The detail must name the stuck layer so reproducer headers stay
+		// actionable.
+		if !strings.Contains(v.Detail, "Elementary Topology stuck since round 1") {
+			t.Fatalf("reconverge detail does not diagnose the stuck layer: %q", v.Detail)
 		}
 	})
 	t.Run("reconverge satisfied", func(t *testing.T) {

@@ -23,11 +23,7 @@ func Replay(src string, w io.Writer) (*sosf.Report, error) {
 		return nil, err
 	}
 	sys.Subscribe(sosf.JSONLSink(w))
-	rounds := sys.RoundBudget()
-	if h := sys.ScenarioHorizon(); h > rounds {
-		rounds = h
-	}
-	if _, err := sys.Step(rounds); err != nil {
+	if _, err := sys.Step(sys.PlayHorizon()); err != nil {
 		return nil, err
 	}
 	return sys.Report(), nil

@@ -144,8 +144,8 @@ func (s *System) restoreBody(sr *snap.Reader) error {
 // embedded configuration and active topology boot the stack, then the
 // snapshot state replaces the bootstrapped population. workers overrides the
 // intra-round worker count (0 keeps rounds serial; it never changes
-// results). This is what warm-start tooling (`sosbench -resume`) uses when
-// no DSL source is around.
+// results). This is how a `sosbench -checkpoints` cell is reloaded when no
+// DSL source is around.
 func RestoreSystem(r io.Reader, workers int) (*System, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

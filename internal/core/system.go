@@ -59,8 +59,9 @@ type Config struct {
 	// DisableHealing turns off the self-healing layer: gradient rankers
 	// fall back to comparing sparse Profile.Index values and the allocator
 	// never re-densifies on vacancy buildup, so an unreplaced death pins
-	// index-structured shapes below accuracy 1.0 until a Reconfigure (the
-	// legacy behavior, kept as an escape hatch and for regression pins).
+	// index-structured shapes below accuracy 1.0 until a Reconfigure. No
+	// CLI, DSL or sosf option reaches it: it is the negative control that
+	// shows reconvergence is the repair's doing (and a snapshot field).
 	DisableHealing bool
 }
 

@@ -340,3 +340,58 @@ func TestMessageLossStillConverges(t *testing.T) {
 		t.Fatal("system should converge under 20% message loss")
 	}
 }
+
+// TestDisabledHealingStaysStuck is the negative control behind the root
+// package's TestBareKillReconverges: with DisableHealing the same bare 50%
+// blast never heals and never reconverges inside the same 40-round budget,
+// so the reconvergence there is the repair's doing, not slack in the
+// budget. Pinned on the shapes where index holes reliably break the
+// gradient: tree and grid, and star-hub at a seed whose blast reaches the
+// low indices (a torus keeps its wrap edges rank-1 at any size, so the gap
+// does not reliably show there).
+func TestDisabledHealingStaysStuck(t *testing.T) {
+	const killRound, budget = 25, 40
+	cases := []struct {
+		shape  string
+		params map[string]int64
+		seed   int64
+	}{
+		{"tree", map[string]int64{"arity": 2}, 5},
+		{"grid", map[string]int64{"width": 8}, 5},
+		{"star", map[string]int64{"hubs": 2}, 7},
+	}
+	for _, tc := range cases {
+		t.Run(tc.shape, func(t *testing.T) {
+			topo := &spec.Topology{
+				Name: "healcase",
+				Components: []spec.Component{
+					{Name: "main", Shape: tc.shape, Params: tc.params, Weight: 2, Ports: []string{"p"}},
+					{Name: "aux", Shape: "line", Weight: 1, Ports: []string{"q"}},
+				},
+				Links: []spec.Link{{
+					A: spec.PortRef{Component: "main", Port: "p"},
+					B: spec.PortRef{Component: "aux", Port: "q"},
+				}},
+			}
+			s, err := NewSystem(Config{Topology: topo, Nodes: 96, Seed: tc.seed, DisableHealing: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(killRound); err != nil {
+				t.Fatal(err)
+			}
+			s.Kill(0.5)
+			for r := killRound + 1; r <= killRound+budget; r++ {
+				if _, err := s.Run(1); err != nil {
+					t.Fatal(err)
+				}
+				if s.Oracle().Measure().AllConverged() {
+					t.Fatalf("converged at round %d with healing disabled; the index-hole gap is gone", r)
+				}
+			}
+			if n := s.Allocator().HealsTotal(); n != 0 {
+				t.Fatalf("healed %d times with healing disabled", n)
+			}
+		})
+	}
+}

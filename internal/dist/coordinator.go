@@ -27,9 +27,6 @@ type Config struct {
 	// Loss and Churn are forwarded as-is (0 = off).
 	Loss  float64
 	Churn float64
-	// Healing applies only when HealingSet.
-	Healing    bool
-	HealingSet bool
 	// Rounds is the absolute target round, applied only when RoundsSet;
 	// otherwise the source's `option rounds` / DefaultRounds applies. Either
 	// way the budget extends to the scenario horizon, like `sos play`.
@@ -62,9 +59,6 @@ func helloOptions(h *hello, threads int) []sosf.Option {
 	}
 	if h.SeedSet {
 		opts = append(opts, sosf.WithSeed(h.Seed))
-	}
-	if h.HealingSet {
-		opts = append(opts, sosf.WithHealing(h.Healing))
 	}
 	if h.RunToEnd {
 		opts = append(opts, sosf.WithRunToEnd())
@@ -104,13 +98,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("dist: need at least 1 shard, got %d", cfg.Shards)
 	}
 	h := hello{
-		Seed:       cfg.Seed,
-		SeedSet:    cfg.SeedSet,
-		Nodes:      cfg.Nodes,
-		Loss:       cfg.Loss,
-		Churn:      cfg.Churn,
-		Healing:    cfg.Healing,
-		HealingSet: cfg.HealingSet,
+		Seed:    cfg.Seed,
+		SeedSet: cfg.SeedSet,
+		Nodes:   cfg.Nodes,
+		Loss:    cfg.Loss,
+		Churn:   cfg.Churn,
 		// Distributed runs are play-like: the stream only makes sense run
 		// to the end, and a convergence stop would have to be coordinated.
 		RunToEnd: true,
@@ -131,12 +123,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	// Round window: explicit -rounds is the absolute target (resume
 	// semantics), the source's budget otherwise, extended to the scenario
 	// horizon so the last scheduled action always fires — play semantics.
-	total := sys.RoundBudget()
+	total := sys.PlayHorizon()
 	if cfg.RoundsSet {
-		total = cfg.Rounds
-	}
-	if hz := sys.ScenarioHorizon(); hz > total {
-		total = hz
+		total = max(cfg.Rounds, sys.ScenarioHorizon())
 	}
 	h.StartRound = sys.Round()
 	h.TotalRounds = total

@@ -12,7 +12,7 @@ import (
 // wireVersion is the barrier-protocol version, independent of the snapshot
 // format version (which snap.Header checks underneath). Bump it for any
 // change to the frame sequence or payload layouts.
-const wireVersion = 1
+const wireVersion = 2
 
 // Frame kinds of the barrier protocol, in lifecycle order.
 const (
@@ -52,8 +52,6 @@ type hello struct {
 	Nodes       int
 	Loss        float64
 	Churn       float64
-	Healing     bool
-	HealingSet  bool
 	RunToEnd    bool
 	Shard       int
 	Shards      int
@@ -79,8 +77,6 @@ func (h *hello) digest() uint64 {
 	sw.Int(h.Nodes)
 	sw.F64(h.Loss)
 	sw.F64(h.Churn)
-	sw.Bool(h.Healing)
-	sw.Bool(h.HealingSet)
 	sw.Bool(h.RunToEnd)
 	sw.Int(h.Shards)
 	sw.Int(h.StartRound)
@@ -98,8 +94,6 @@ func encodeHello(h *hello) []byte {
 	w.Int(h.Nodes)
 	w.F64(h.Loss)
 	w.F64(h.Churn)
-	w.Bool(h.Healing)
-	w.Bool(h.HealingSet)
 	w.Bool(h.RunToEnd)
 	w.Int(h.Shard)
 	w.Int(h.Shards)
@@ -125,8 +119,6 @@ func decodeHello(p []byte) (*hello, uint64, error) {
 		Nodes:       r.Int(),
 		Loss:        r.F64(),
 		Churn:       r.F64(),
-		Healing:     r.Bool(),
-		HealingSet:  r.Bool(),
 		RunToEnd:    r.Bool(),
 		Shard:       r.Int(),
 		Shards:      r.Int(),

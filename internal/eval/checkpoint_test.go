@@ -10,8 +10,7 @@ import (
 
 // TestRunOnceCheckpointWritesRestorableState: a sweep cell's checkpoint
 // must reload into a runnable system positioned exactly where the cell
-// finished — the warm-start contract behind Options.CheckpointDir and
-// `sosbench -resume`.
+// finished — the warm-start contract behind Options.CheckpointDir.
 func TestRunOnceCheckpointWritesRestorableState(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cell.sosnap")

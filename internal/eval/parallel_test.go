@@ -30,7 +30,7 @@ func seqAndPar[T any](t *testing.T, driver func(Options) (T, error), base Option
 }
 
 // TestParallelFiguresDeterministic is the tentpole guarantee: for a fixed
-// seed, a figure produced by the legacy sequential path and by an 8-worker
+// seed, a figure produced by a pool of one and by an 8-worker
 // pool must be identical down to every float bit — parallelism only changes
 // scheduling, never results.
 func TestParallelFiguresDeterministic(t *testing.T) {

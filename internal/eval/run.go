@@ -37,19 +37,18 @@ type Options struct {
 	// Parallelism bounds the worker pool that fans independent
 	// (sweep point, run) simulations across goroutines. Every cell of the
 	// grid owns its engine and derives its seed from (Seed, point, run)
-	// exactly as in sequential mode, and drivers gather results into
-	// index-addressed storage before aggregating in index order — so any
-	// Parallelism value produces byte-identical figures and tables.
-	// 0 (the default) means runtime.GOMAXPROCS(0); 1 is the legacy
-	// sequential path.
+	// alone, and drivers gather results into index-addressed storage
+	// before aggregating in index order — so any Parallelism value
+	// produces byte-identical figures and tables. 0 (the default) means
+	// runtime.GOMAXPROCS(0); 1 is a pool of one, running the cells
+	// sequentially in index order.
 	Parallelism int
 	// CheckpointDir, when set, makes the figure-sweep drivers write a
 	// snapshot of every cell's final system state into the directory
 	// (<driver>-<cell>-run<r>.sosnap). A sweep then doubles as a warm-state
 	// factory: any configuration's converged state can be reloaded with
-	// core.RestoreSystem (or `sosbench -resume`) and continued, branched
-	// into new scenarios, or re-measured — without re-simulating the
-	// convergence prefix.
+	// core.RestoreSystem and continued, branched into new scenarios, or
+	// re-measured — without re-simulating the convergence prefix.
 	CheckpointDir string
 }
 
@@ -75,13 +74,13 @@ func (o Options) withDefaults() Options {
 
 // runGrid executes cell(point, run) for every pair of the
 // [0, points) × [0, o.Runs) grid and returns the results addressed as
-// out[point][run]. With Parallelism > 1 cells are claimed from a shared
-// counter by a bounded pool of workers; because each cell is a fully
-// independent simulation (own engine, own seed) and results land in their
-// grid slot rather than a completion-ordered append, callers that fold
-// out[...] in index order produce output byte-identical to the sequential
-// path. On error the pool drains without starting new cells and the error
-// of the lowest-indexed failed cell is returned.
+// out[point][run]. Cells are claimed in index order from a shared counter by
+// a pool of o.Parallelism workers; because each cell is a fully independent
+// simulation (own engine, own seed) and results land in their grid slot
+// rather than a completion-ordered append, callers that fold out[...] in
+// index order produce byte-identical output at every pool size. On error the
+// pool drains without starting new cells and the error of the
+// lowest-indexed failed cell is returned.
 func runGrid[T any](o Options, points int, cell func(point, run int) (T, error)) ([][]T, error) {
 	out := make([][]T, points)
 	for p := range out {
@@ -91,20 +90,6 @@ func runGrid[T any](o Options, points int, cell func(point, run int) (T, error))
 	workers := o.Parallelism
 	if workers > total {
 		workers = total
-	}
-	if workers <= 1 {
-		// Legacy sequential mode: the historical execution order, with no
-		// goroutine or scheduling overhead.
-		for p := 0; p < points; p++ {
-			for r := 0; r < o.Runs; r++ {
-				v, err := cell(p, r)
-				if err != nil {
-					return nil, err
-				}
-				out[p][r] = v
-			}
-		}
-		return out, nil
 	}
 	errs := make([]error, total)
 	var next atomic.Int64
@@ -208,7 +193,7 @@ func RunOnce(cfg core.Config, maxRounds int, stopWhenDone bool) (*RunResult, err
 
 // RunOnceCheckpoint is RunOnce plus an optional checkpoint: when snapPath
 // is non-empty, the cell's final system state is written there, ready for
-// core.RestoreSystem / `sosbench -resume` warm starts.
+// core.RestoreSystem warm starts.
 func RunOnceCheckpoint(cfg core.Config, maxRounds int, stopWhenDone bool, snapPath string) (*RunResult, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {

@@ -8,8 +8,8 @@
 // (see internal/sim), the (sweep point, run) grid behind every figure is
 // embarrassingly parallel. Options.Parallelism bounds a worker pool that
 // fans those independent engine instances across goroutines (default
-// runtime.GOMAXPROCS(0); 1 selects the legacy sequential path). Per-run
-// seeds are derived from (Seed, point, run) identically in both modes and
+// runtime.GOMAXPROCS(0); 1 runs the cells sequentially). Per-run
+// seeds are derived from (Seed, point, run) at any pool size and
 // drivers aggregate index-addressed results in index order, so figures and
 // tables are byte-identical at any parallelism — only the wall clock
 // changes.

@@ -88,11 +88,7 @@ func (j *Job) buildLocked(restore bool) error {
 		sink(ev)
 		j.srv.noteRound(j, sys, names, ev)
 	})
-	budget := sys.RoundBudget()
-	if h := sys.ScenarioHorizon(); h > budget {
-		budget = h
-	}
-	j.sys, j.budget, j.round = sys, budget, sys.Round()
+	j.sys, j.budget, j.round = sys, sys.PlayHorizon(), sys.Round()
 	return nil
 }
 

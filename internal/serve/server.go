@@ -17,7 +17,7 @@ import (
 )
 
 // Metric family names exported on /metrics. They are stable API: the CI
-// smoke test and sosbench scrape them by name.
+// smoke test and the benchmark's serve_jobs workload scrape them by name.
 const (
 	metricJobs          = "sosf_serve_jobs"
 	metricSubmitted     = "sosf_serve_jobs_submitted_total"
@@ -112,7 +112,7 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Stats exposes the server's registry (sosbench and tests read it).
+// Stats exposes the server's registry (tests read it).
 func (s *Server) Stats() *Registry { return s.stats }
 
 // tickLRU advances the eviction clock; each lifecycle access stamps its job.

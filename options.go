@@ -4,8 +4,7 @@ import "fmt"
 
 // Default values used when the corresponding option is absent. They are
 // applied by New and Run, not baked into the option constructors, so
-// WithRounds(0) and WithSeed(0) mean literally zero — the representability
-// the legacy Options struct lacked.
+// WithRounds(0) and WithSeed(0) mean literally zero.
 const (
 	// DefaultRounds caps a run when WithRounds is not given.
 	DefaultRounds = 150
@@ -14,8 +13,7 @@ const (
 )
 
 // Option configures New and Run. Options are built by the With*
-// constructors; the deprecated Options struct also satisfies Option, so
-// legacy call sites keep compiling.
+// constructors.
 type Option interface {
 	apply(*config)
 }
@@ -37,8 +35,6 @@ type config struct {
 	workers     int
 	lossRate    float64
 	churnRate   float64
-	healing     bool
-	healingSet  bool
 	scenario    Scenario
 	events      []func(RoundEvent)
 	restorePath string
@@ -86,9 +82,8 @@ func WithNodes(n int) Option {
 	})
 }
 
-// WithRounds caps the simulation length. Unlike the deprecated
-// Options.Rounds, zero is honored: WithRounds(0) builds a system and runs
-// no rounds at all.
+// WithRounds caps the simulation length. Zero is honored: WithRounds(0)
+// builds a system and runs no rounds at all.
 func WithRounds(n int) Option {
 	return optionFunc(func(c *config) {
 		if n < 0 {
@@ -99,9 +94,8 @@ func WithRounds(n int) Option {
 	})
 }
 
-// WithSeed seeds all randomness of the run. Unlike the deprecated
-// Options.Seed, every value is honored — WithSeed(0) is the seed 0, not
-// "use the default".
+// WithSeed seeds all randomness of the run. Every value is honored —
+// WithSeed(0) is the seed 0, not "use the default".
 func WithSeed(seed int64) Option {
 	return optionFunc(func(c *config) { c.seed, c.seedSet = seed, true })
 }
@@ -153,18 +147,6 @@ func WithChurn(rate float64) Option {
 		}
 		c.churnRate = rate
 	})
-}
-
-// WithHealing turns the self-healing layer on or off. On (the default),
-// gradient rankers compare dense alive-ranks and the allocator re-densifies
-// a component's index space when deaths leave too many holes, so bare
-// kill/churn timelines reconverge to accuracy 1.0 without a reconfiguration.
-// WithHealing(false) preserves the legacy behavior — an unreplaced death
-// pins index-structured shapes below 1.0 until a `reconfigure` — which is
-// what the regression pins and `sos fuzz -no-heal` use. An explicit
-// WithHealing always wins over the source's `option heal`.
-func WithHealing(on bool) Option {
-	return optionFunc(func(c *config) { c.healing, c.healingSet = on, true })
 }
 
 // WithScenario schedules a declarative fault/reconfiguration timeline (see
@@ -221,53 +203,4 @@ func WithEvents(fn func(RoundEvent)) Option {
 			c.events = append(c.events, fn)
 		}
 	})
-}
-
-// Options is the legacy all-in-one configuration struct. Zero values mean
-// "use the default", which makes seed 0 and rounds 0 unrepresentable — the
-// wart the functional options fix.
-//
-// Deprecated: an Options value still works anywhere an Option is accepted
-// (New(src, Options{...}) keeps compiling), but new code should use
-// WithNodes, WithRounds, WithSeed, WithChurn, WithLoss, WithRunToEnd,
-// WithScenario, and WithEvents.
-type Options struct {
-	// Nodes is the population size; falls back to the topology's
-	// `nodes` option (one of the two must be set).
-	Nodes int
-	// Rounds caps the simulation length (default 150).
-	Rounds int
-	// Seed drives all randomness (default 1).
-	Seed int64
-	// RunToEnd keeps simulating even after every layer converged
-	// (by default runs stop at convergence).
-	RunToEnd bool
-	// LossRate drops each gossip exchange with this probability.
-	LossRate float64
-	// ChurnRate replaces this fraction of nodes with fresh joins after
-	// every round.
-	ChurnRate float64
-}
-
-// apply makes Options satisfy Option, preserving the legacy zero-value
-// semantics exactly: zero fields leave the defaults in place.
-func (o Options) apply(c *config) {
-	if o.Nodes > 0 {
-		c.nodes = o.Nodes
-	}
-	if o.Rounds > 0 {
-		c.rounds, c.roundsSet = o.Rounds, true
-	}
-	if o.Seed != 0 {
-		c.seed, c.seedSet = o.Seed, true
-	}
-	if o.RunToEnd {
-		c.runToEnd, c.runToEndSet = true, true
-	}
-	if o.LossRate > 0 {
-		c.lossRate = o.LossRate
-	}
-	if o.ChurnRate > 0 {
-		c.churnRate = o.ChurnRate
-	}
 }

@@ -3,6 +3,7 @@ package sosf
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -12,6 +13,7 @@ import (
 	"sosf/internal/dsl"
 	"sosf/internal/scenario"
 	"sosf/internal/sim"
+	"sosf/internal/spec"
 	"sosf/internal/view"
 )
 
@@ -73,8 +75,25 @@ func (r *Report) String() string {
 
 // Validate parses and validates DSL source without running anything.
 func Validate(src string) error {
-	_, err := dsl.ParseTopology(src)
+	_, err := parseSource(src)
 	return err
+}
+
+// ErrHealOptionRemoved is what New and Validate return for a source that
+// still carries `option heal`: the knob is gone, and running the file with
+// healing on would silently simulate something other than what it pinned.
+var ErrHealOptionRemoved = errors.New("sosf: option heal was removed; self-healing is always on")
+
+// parseSource compiles the DSL source a run is built from.
+func parseSource(src string) (*spec.Topology, error) {
+	topo, err := dsl.ParseTopology(src)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := topo.Options["heal"]; ok {
+		return nil, ErrHealOptionRemoved
+	}
+	return topo, nil
 }
 
 // Run builds the system described by the DSL source, simulates it, and
@@ -121,15 +140,12 @@ type System struct {
 // fresh node population.
 //
 //	sys, err := sosf.New(src, sosf.WithNodes(500), sosf.WithChurn(0.01))
-//
-// The deprecated Options struct still satisfies Option, so legacy
-// New(src, Options{...}) calls keep compiling.
 func New(src string, opts ...Option) (*System, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	topo, err := dsl.ParseTopology(src)
+	topo, err := parseSource(src)
 	if err != nil {
 		return nil, err
 	}
@@ -139,12 +155,6 @@ func New(src string, opts ...Option) (*System, error) {
 		// WithSeed always wins; the DefaultSeed applies only when neither
 		// the caller nor the file says anything.
 		cfg.seed = topo.Option("seed", cfg.seed)
-	}
-	if !cfg.healingSet {
-		// Same precedence for the self-healing layer: a committed
-		// reproducer can pin `option heal 0` to replay the legacy
-		// no-healing behavior with no flags. Healing defaults to on.
-		cfg.healing = topo.Option("heal", 1) != 0
 	}
 	if len(cfg.scenario) > 0 {
 		// A programmatic scenario composes with (runs alongside) any
@@ -159,12 +169,11 @@ func New(src string, opts ...Option) (*System, error) {
 		}
 	}
 	sys, err := core.NewSystem(core.Config{
-		Topology:       topo,
-		Nodes:          cfg.nodes,
-		Seed:           cfg.seed,
-		Workers:        cfg.workers,
-		LossRate:       cfg.lossRate,
-		DisableHealing: !cfg.healing,
+		Topology: topo,
+		Nodes:    cfg.nodes,
+		Seed:     cfg.seed,
+		Workers:  cfg.workers,
+		LossRate: cfg.lossRate,
 	})
 	if err != nil {
 		return nil, err
@@ -297,6 +306,12 @@ func (s *System) RoundBudget() int {
 	}
 	return DefaultRounds
 }
+
+// PlayHorizon returns the round a played run ends at: the round budget,
+// extended to the scenario horizon so the last scheduled action always
+// fires. `sos play` and `resume`, served jobs, corpus replays, and `sos
+// dist` without an explicit target all run to it.
+func (s *System) PlayHorizon() int { return max(s.RoundBudget(), s.horizon) }
 
 // ScenarioHorizon returns the last round the system's scenario timeline
 // touches (0 when no scenario is scheduled) — the minimum number of rounds

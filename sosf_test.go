@@ -32,7 +32,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	rep, err := Run(pairSrc, Options{Seed: 3})
+	rep, err := Run(pairSrc, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,26 +60,26 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run("topology t { component c ring }", Options{}); err == nil {
+	if _, err := Run("topology t { component c ring }"); err == nil {
 		t.Fatal("missing population should fail")
 	}
-	if _, err := Run("not a topology", Options{Nodes: 10}); err == nil {
+	if _, err := Run("not a topology", WithNodes(10)); err == nil {
 		t.Fatal("parse error should surface")
 	}
 }
 
 func TestNodesOptionOverride(t *testing.T) {
-	rep, err := Run(pairSrc, Options{Nodes: 60, Seed: 4})
+	rep, err := Run(pairSrc, WithNodes(60), WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Nodes != 60 {
-		t.Fatalf("Options.Nodes should win over the DSL value: %d", rep.Nodes)
+		t.Fatalf("WithNodes should win over the DSL value: %d", rep.Nodes)
 	}
 }
 
 func TestSystemReconfigure(t *testing.T) {
-	sys, err := New(pairSrc, Options{Seed: 5})
+	sys, err := New(pairSrc, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSystemReconfigure(t *testing.T) {
 }
 
 func TestSystemKillAndRecover(t *testing.T) {
-	sys, err := New(pairSrc, Options{Seed: 6})
+	sys, err := New(pairSrc, WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSystemKillAndRecover(t *testing.T) {
 }
 
 func TestChurnOption(t *testing.T) {
-	sys, err := New(pairSrc, Options{Seed: 7, ChurnRate: 0.02, RunToEnd: true})
+	sys, err := New(pairSrc, WithSeed(7), WithChurn(0.02), WithRunToEnd())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestChurnOption(t *testing.T) {
 }
 
 func TestDOT(t *testing.T) {
-	sys, err := New(pairSrc, Options{Seed: 8})
+	sys, err := New(pairSrc, WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDOT(t *testing.T) {
 }
 
 func TestLossOption(t *testing.T) {
-	rep, err := Run(pairSrc, Options{Seed: 9, LossRate: 0.15, Rounds: 200})
+	rep, err := Run(pairSrc, WithSeed(9), WithLoss(0.15), WithRounds(200))
 	if err != nil {
 		t.Fatal(err)
 	}

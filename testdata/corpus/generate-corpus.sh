@@ -12,14 +12,11 @@
 # The corpus has been regenerated exactly once, when the runtime gained
 # self-healing index re-densification: round events grew a "heals" field
 # and the bare-fault recovery trajectories changed, so every committed
-# .out stream shifted in that one sweep. The reconverge entry also moved
-# from `-no-repair` alone to `-no-repair -no-heal` — with healing on,
-# bare-fault timelines reconverge and that campaign is clean (the third
-# invocation below pins exactly that).
+# .out stream shifted in that one sweep.
 #
 # `sos fuzz` exits non-zero when it finds violations — which is what the
-# first two seeded campaigns are for — so those invocations are expected
-# to "fail".
+# seeded pop-floor campaign is for — so that invocation is expected to
+# "fail".
 set -u
 cd "$(dirname "$0")/../.."
 dir=testdata/corpus
@@ -31,21 +28,11 @@ go run ./cmd/sos fuzz -seed 3 -runs 3 -pop-floor 0.95 -corpus "$dir" && {
     exit 1
 }
 
-# The legacy index-hole gap, preserved behind the -no-heal escape hatch:
-# with self-healing disabled and no repair events generated, a single
-# unreplaced death pins Elementary Topology below 1.0 on index-structured
-# shapes (see internal/campaign and README.md). The reproducer carries
-# `option heal 0`, so replays reproduce the stuck state without flags.
-go run ./cmd/sos fuzz -seed 1 -runs 6 -no-repair -no-heal -corpus "$dir" && {
-    echo "generate-corpus: expected the no-heal campaign to find violations" >&2
-    exit 1
-}
-
-# The self-healing contract: the same campaign with healing on (the
-# default) must be clean — bare kill/churn timelines reconverge with no
-# reconfiguration. A violation here means the repair layer regressed.
+# The self-healing contract: a campaign without repair events must be
+# clean — bare kill/churn timelines reconverge with no reconfiguration. A
+# violation here means the repair layer regressed.
 go run ./cmd/sos fuzz -seed 1 -runs 6 -no-repair || {
-    echo "generate-corpus: the no-repair campaign must be clean with healing on" >&2
+    echo "generate-corpus: the no-repair campaign must be clean" >&2
     exit 1
 }
 
