@@ -25,18 +25,16 @@
 //	                               many simulations concurrently, stream
 //	                               round events over SSE, and scrape
 //	                               /metrics (see internal/serve)
-//	sos dist [flags] file.sos      run ONE simulation sharded across
-//	                               processes: a coordinator partitions the
-//	                               slot space into -shards contiguous
-//	                               shards, workers plan their shard and
-//	                               exchange planned records at each round
-//	                               barrier, and the coordinator's event
-//	                               stream is byte-identical to `sos play`
-//	                               at any shard count. Without -listen the
-//	                               workers run in-process over pipes; with
-//	                               -listen ADDR external `sos dist -connect
-//	                               ADDR` workers join over TCP or a Unix
-//	                               socket (ADDR with a slash)
+//	sos dist [flags] file.sos      check shard equivalence: play the file
+//	                               with the Plan phase of every round split
+//	                               over -shards replicas in this process
+//	                               (in-process pipes, one barrier per
+//	                               protocol per round); the event stream and
+//	                               -snap checkpoint are byte-identical to
+//	                               `sos play` at any shard count, and the
+//	                               run is slower than play, not faster.
+//	                               Takes the run flags below plus -shards N
+//	                               and -resume FILE
 //	sos fuzz [flags]               run a deterministic generative campaign:
 //	                               sample randomized fault timelines over a
 //	                               seed × topology × population matrix,
@@ -74,24 +72,26 @@
 //	               pair under DIR (see testdata/corpus)
 //	-workers N     shard each simulated round (default 1; 0 = GOMAXPROCS)
 //
-// Flags for run, play, snapshot, resume, and dot:
+// Flags for run, play, snapshot, resume, and dot (dist takes all but
+// -to-end; it always plays to the end):
 //
 //	-nodes N       population size (default: the file's `nodes` option)
 //	-workers N     shard each simulation round across N workers (default 1;
 //	               0 = GOMAXPROCS). Output is byte-identical for every
 //	               worker count — workers only change the wall clock
-//	-rounds N      maximum rounds to simulate (default 150; play extends
-//	               this to the scenario horizon; for resume it is the
-//	               absolute target round, counted from round 0)
+//	-rounds N      maximum rounds to simulate (default 150; play and dist
+//	               extend this to the scenario horizon; for resume and
+//	               dist it is the absolute target round, counted from 0)
 //	-seed N        random seed (default 1)
 //	-churn F       replace F of the population per round (e.g. 0.01)
 //	-loss F        drop each exchange with probability F
 //	-to-end        keep running after convergence (play always does)
-//	-snap FILE     (snapshot, resume) checkpoint file to write / read
-//	-json          (run, play, snapshot, resume) print the final report as
+//	-snap FILE     (snapshot, resume) checkpoint file to write / read;
+//	               (dist) checkpoint to write after the run
+//	-json          (run, play, snapshot, resume, dist) print the final report as
 //	               JSON with stable field names; where an event stream owns
 //	               stdout it goes to stderr
-//	-events FORMAT (play, snapshot, resume) event stream format:
+//	-events FORMAT (play, snapshot, resume, dist) event stream format:
 //	               jsonl (default) or csv
 package main
 
@@ -120,9 +120,13 @@ func main() {
 	}
 }
 
+// commands is the one list both the usage line and the unknown-command
+// error print.
+const commands = "check|run|play|snapshot|resume|dot|serve|dist|fuzz"
+
 func run(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: sos <check|run|play|snapshot|resume|dot> [flags] file.sos")
+		return fmt.Errorf("usage: sos <%s> [flags] [file.sos]", commands)
 	}
 	cmd, rest := args[0], args[1:]
 	if cmd == "fuzz" {
@@ -134,21 +138,14 @@ func run(args []string) error {
 		return serveCmd(rest)
 	}
 	if cmd == "dist" {
-		// dist has its own flag set (its worker mode can even run fileless).
+		// dist adds -shards and -resume to the run flags and always plays to
+		// the end.
 		return distCmd(rest)
 	}
 
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	nodes := fs.Int("nodes", 0, "population size (default: the file's nodes option)")
-	rounds := fs.Int("rounds", sosf.DefaultRounds, "maximum rounds to simulate")
-	seed := fs.Int64("seed", sosf.DefaultSeed, "random seed")
-	churn := fs.Float64("churn", 0, "fraction of nodes replaced per round")
-	loss := fs.Float64("loss", 0, "probability that an exchange is lost")
+	f := addRunFlags(fs)
 	toEnd := fs.Bool("to-end", false, "keep running after convergence")
-	workers := fs.Int("workers", 1, "workers sharding each round (0 = GOMAXPROCS; output identical for any value)")
-	asJSON := fs.Bool("json", false, "machine-readable final report (run, play, snapshot, resume)")
-	events := fs.String("events", "jsonl", "play/snapshot/resume: event stream format, jsonl or csv")
-	snapFile := fs.String("snap", "", "snapshot/resume: checkpoint file to write/read")
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
@@ -159,23 +156,17 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// -rounds and -seed are only forwarded when the user actually typed
-	// them: left alone, the file's own `option rounds` / `option seed`
-	// apply (and the usual defaults after that), so a self-contained .sos
-	// reproducer replays its exact run with no flags at all.
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	opts := []sosf.Option{
-		sosf.WithNodes(*nodes),
-		sosf.WithChurn(*churn),
-		sosf.WithLoss(*loss),
-		sosf.WithWorkers(*workers),
+		sosf.WithNodes(*f.nodes),
+		sosf.WithChurn(*f.churn),
+		sosf.WithLoss(*f.loss),
+		sosf.WithWorkers(*f.workers),
 	}
-	if explicit["rounds"] {
-		opts = append(opts, sosf.WithRounds(*rounds))
+	if f.explicit("rounds") {
+		opts = append(opts, sosf.WithRounds(*f.rounds))
 	}
-	if explicit["seed"] {
-		opts = append(opts, sosf.WithSeed(*seed))
+	if f.explicit("seed") {
+		opts = append(opts, sosf.WithSeed(*f.seed))
 	}
 	if *toEnd {
 		opts = append(opts, sosf.WithRunToEnd())
@@ -193,17 +184,17 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return printReport(os.Stdout, rep, *asJSON)
+		return printReport(os.Stdout, rep, *f.json)
 	case "play":
-		return play(string(src), opts, *events, *asJSON, "", "", true)
+		return play(string(src), opts, *f.events, *f.json, "", "", true)
 	case "snapshot", "resume":
-		if *snapFile == "" {
+		if *f.snap == "" {
 			return fmt.Errorf("%s: -snap FILE is required", cmd)
 		}
 		if cmd == "snapshot" {
-			return play(string(src), opts, *events, *asJSON, "", *snapFile, false)
+			return play(string(src), opts, *f.events, *f.json, "", *f.snap, false)
 		}
-		return play(string(src), opts, *events, *asJSON, *snapFile, "", true)
+		return play(string(src), opts, *f.events, *f.json, *f.snap, "", true)
 	case "dot":
 		sys, err := sosf.New(string(src), opts...)
 		if err != nil {
@@ -215,8 +206,44 @@ func run(args []string) error {
 		fmt.Print(sys.DOT())
 		return nil
 	default:
-		return fmt.Errorf("unknown command %q (want check, run, play, snapshot, resume, dot, serve, or fuzz)", cmd)
+		return fmt.Errorf("unknown command %q (want one of %s)", cmd, commands)
 	}
+}
+
+// runFlags are the flags every simulating command takes; `sos dist` adds
+// its own two on top of the same set.
+type runFlags struct {
+	fs                     *flag.FlagSet
+	nodes, rounds, workers *int
+	seed                   *int64
+	churn, loss            *float64
+	events, snap           *string
+	json                   *bool
+}
+
+func addRunFlags(fs *flag.FlagSet) *runFlags {
+	return &runFlags{
+		fs:      fs,
+		nodes:   fs.Int("nodes", 0, "population size (default: the file's nodes option)"),
+		rounds:  fs.Int("rounds", sosf.DefaultRounds, "maximum rounds to simulate (resume, dist: the absolute target round)"),
+		seed:    fs.Int64("seed", sosf.DefaultSeed, "random seed"),
+		churn:   fs.Float64("churn", 0, "fraction of nodes replaced per round"),
+		loss:    fs.Float64("loss", 0, "probability that an exchange is lost"),
+		workers: fs.Int("workers", 1, "workers sharding each round (0 = GOMAXPROCS; output identical for any value)"),
+		json:    fs.Bool("json", false, "machine-readable final report (run, play, snapshot, resume, dist)"),
+		events:  fs.String("events", "jsonl", "play/snapshot/resume/dist: event stream format, jsonl or csv"),
+		snap:    fs.String("snap", "", "snapshot/resume: checkpoint file to write/read; dist: write one after the run"),
+	}
+}
+
+// explicit reports whether the user typed the flag. -rounds and -seed are
+// only forwarded when they did: left alone, the file's own `option rounds`
+// / `option seed` apply (and the usual defaults after that), so a
+// self-contained .sos reproducer replays its exact run with no flags at all.
+func (f *runFlags) explicit(name string) bool {
+	set := false
+	f.fs.Visit(func(fl *flag.Flag) { set = set || fl.Name == name })
+	return set
 }
 
 // serveCmd runs the HTTP job service until SIGINT, then drains: in-flight

@@ -247,6 +247,27 @@ func TestSnapshotResumeSplitMatchesPlay(t *testing.T) {
 	}
 }
 
+// TestDistMatchesGolden: `sos dist` at 3 shards streams the same bytes as
+// the uninterrupted golden play — the CI dist-equivalence gate in process.
+func TestDistMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full 150-round playdemo replay on four replicas")
+	}
+	out, err := capture(t, func() error {
+		return run([]string{"dist", "-shards", "3", playdemoTopo})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("../../testdata/golden/playdemo.events.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(golden) {
+		t.Fatal("dist -shards 3 stream differs from the golden play stream")
+	}
+}
+
 func TestSnapshotRequiresSnapFlag(t *testing.T) {
 	if err := run([]string{"snapshot", "-rounds", "5", playdemoTopo}); err == nil {
 		t.Fatal("snapshot without -snap should fail")

@@ -25,9 +25,6 @@
 //	             report its parallel-vs-sequential speedup, and fail
 //	             if the outputs differ (doubles the total runtime)
 //	-out DIR     also write <id>.dat, <id>.svg and <id>.txt files
-//	-checkpoints DIR
-//	             also write every figure-sweep cell's final system state
-//	             as a .sosnap checkpoint (read back by core.RestoreSystem)
 //
 // Profiling:
 //
@@ -87,8 +84,6 @@ func run() error {
 	compare := flag.Bool("compare", false,
 		"run each experiment sequentially too, report the speedup, and check outputs match")
 	out := flag.String("out", "", "directory for .dat/.svg/.txt outputs")
-	checkpoints := flag.String("checkpoints", "",
-		"directory for per-cell system checkpoints from the figure sweeps")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	flag.Parse()
@@ -120,17 +115,11 @@ func run() error {
 	}
 
 	o := eval.Options{
-		Runs:          *runs,
-		Seed:          *seed,
-		Full:          *full,
-		Parallelism:   *parallel,
-		RoundWorkers:  *roundWorkers,
-		CheckpointDir: *checkpoints,
-	}
-	if *checkpoints != "" {
-		if err := os.MkdirAll(*checkpoints, 0o755); err != nil {
-			return err
-		}
+		Runs:         *runs,
+		Seed:         *seed,
+		Full:         *full,
+		Parallelism:  *parallel,
+		RoundWorkers: *roundWorkers,
 	}
 	workers := *parallel
 	if workers <= 0 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -138,54 +137,6 @@ func (s *System) restoreBody(sr *snap.Reader) error {
 		return err
 	}
 	return s.eng.RestoreState(sr)
-}
-
-// RestoreSystem builds a fresh system directly from a Snapshot stream: the
-// embedded configuration and active topology boot the stack, then the
-// snapshot state replaces the bootstrapped population. workers overrides the
-// intra-round worker count (0 keeps rounds serial; it never changes
-// results). This is how a `sosbench -checkpoints` cell is reloaded when no
-// DSL source is around.
-func RestoreSystem(r io.Reader, workers int) (*System, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	sr := snap.NewReader(bytes.NewReader(data))
-	sr.Header(systemSnapKind)
-	var snapCfg snapConfig
-	if err := json.Unmarshal(sr.Bytes(), &snapCfg); err != nil {
-		return nil, fmt.Errorf("core: restore config: %w", err)
-	}
-	topo := new(spec.Topology)
-	if err := json.Unmarshal(sr.Bytes(), topo); err != nil {
-		return nil, fmt.Errorf("core: restore topology: %w", err)
-	}
-	if err := sr.Err(); err != nil {
-		return nil, err
-	}
-	sys, err := NewSystem(Config{
-		Topology:       topo,
-		Nodes:          snapCfg.Nodes,
-		Seed:           snapCfg.Seed,
-		Workers:        workers,
-		RPS:            snapCfg.RPS,
-		UO1Capacity:    snapCfg.UO1Capacity,
-		OverlayGossip:  snapCfg.OverlayGossip,
-		OverlayMaxAge:  snapCfg.OverlayMaxAge,
-		UO2MaxAge:      snapCfg.UO2MaxAge,
-		PortTTL:        snapCfg.PortTTL,
-		DisableUO2:     snapCfg.DisableUO2,
-		PureGreedy:     snapCfg.PureGreedy,
-		DisableHealing: snapCfg.NoHeal,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.Restore(bytes.NewReader(data)); err != nil {
-		return nil, err
-	}
-	return sys, nil
 }
 
 // snapshot serializes the allocator's mutable bookkeeping. The structural

@@ -63,7 +63,7 @@ func snapSystem(t *testing.T, seed int64, workers int) *System {
 }
 
 // TestSystemSnapshotResumeEquivalence: run 25 + 15 rounds with mid-run
-// damage; snapshot at 25; restore into a fresh system and onto RestoreSystem;
+// damage; snapshot at 25; restore into a fresh system at 1 and at 4 workers;
 // both must replay the last 15 rounds identically to the uninterrupted run.
 func TestSystemSnapshotResumeEquivalence(t *testing.T) {
 	ref := snapSystem(t, 42, 1)
@@ -97,14 +97,14 @@ func TestSystemSnapshotResumeEquivalence(t *testing.T) {
 		t.Fatalf("restored run diverged:\n got %v\nwant %v", got, want)
 	}
 
-	// RestoreSystem boots entirely from the snapshot, sharded across 4
-	// workers — the worker count must stay invisible.
-	warm, err := RestoreSystem(bytes.NewReader(snapBytes), 4)
-	if err != nil {
+	// The same bytes into a system sharded across 4 workers — the worker
+	// count must stay invisible across a restore.
+	warm := snapSystem(t, 7, 4)
+	if err := warm.Restore(bytes.NewReader(snapBytes)); err != nil {
 		t.Fatal(err)
 	}
 	if got := traceRounds(t, warm, 15); !equalTrace(got, want) {
-		t.Fatalf("RestoreSystem run diverged:\n got %v\nwant %v", got, want)
+		t.Fatalf("4-worker restored run diverged:\n got %v\nwant %v", got, want)
 	}
 }
 

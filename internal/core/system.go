@@ -201,14 +201,8 @@ func (s *System) Oracle() *Oracle { return s.oracle }
 // RPS exposes the peer-sampling layer.
 func (s *System) RPS() *peersampling.Protocol { return s.rps }
 
-// UO1 exposes the same-component overlay.
-func (s *System) UO1() *vicinity.Protocol { return s.uo1 }
-
 // UO2 exposes the distant-component overlay (nil when disabled).
 func (s *System) UO2() *UO2 { return s.uo2 }
-
-// CoreOverlay exposes the per-component shape overlay.
-func (s *System) CoreOverlay() *vicinity.Protocol { return s.core }
 
 // Ports exposes the port-selection protocol.
 func (s *System) Ports() *PortSelect { return s.ports }

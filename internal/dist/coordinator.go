@@ -16,8 +16,8 @@ import (
 type Config struct {
 	// Source is the DSL source text; the handshake ships it to workers.
 	Source string
-	// Shards is the number of worker processes (each owns one contiguous
-	// slot shard; the coordinator owns none).
+	// Shards is the number of workers (each owns one contiguous slot
+	// shard; the coordinator owns none).
 	Shards int
 	// Seed applies only when SeedSet (so seed 0 stays representable).
 	Seed    int64
@@ -32,7 +32,7 @@ type Config struct {
 	// way the budget extends to the scenario horizon, like `sos play`.
 	Rounds    int
 	RoundsSet bool
-	// Threads shards each process's round phases across OS threads
+	// Threads shards each replica's round phases across OS threads
 	// (sosf.WithWorkers), invisible in the output like everywhere else.
 	Threads int
 	// Events are subscribed on the coordinator's replica only — the one
@@ -83,7 +83,7 @@ func buildReplica(h *hello, threads int) (*sosf.System, error) {
 
 // Coordinator owns a distributed run: it builds the reference replica,
 // hands each worker its shard, relays plan records at every barrier, and
-// is the only process whose event stream and checkpoints are observed.
+// is the only replica whose event stream and checkpoints are observed.
 type Coordinator struct {
 	cfg   Config
 	hello hello // template; Shard is stamped per worker
@@ -151,10 +151,6 @@ func (c *Coordinator) TotalRounds() int { return c.hello.TotalRounds }
 // a single dead peer fails the run within one barrier instead of hanging
 // it. Run closes the connections in every case.
 func (c *Coordinator) Run(conns []Conn) error {
-	if len(conns) != c.cfg.Shards {
-		return fmt.Errorf("dist: %d connections for %d shards", len(conns), c.cfg.Shards)
-	}
-	c.conns = conns
 	abort := func(err error) error {
 		for _, conn := range conns {
 			sendFault(conn, err)
@@ -162,6 +158,10 @@ func (c *Coordinator) Run(conns []Conn) error {
 		}
 		return err
 	}
+	if len(conns) != c.cfg.Shards {
+		return abort(fmt.Errorf("dist: %d connections for %d shards", len(conns), c.cfg.Shards))
+	}
+	c.conns = conns
 	for i, conn := range conns {
 		if err := c.handshake(i, conn); err != nil {
 			return abort(err)

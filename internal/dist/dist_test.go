@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -193,6 +194,31 @@ func TestPlaydemoGolden(t *testing.T) {
 	stream, _ := distRun(t, Config{Source: string(src), Threads: 1}, 2)
 	if !bytes.Equal(stream, want) {
 		t.Error("2-shard playdemo stream diverges from testdata/golden/playdemo.events.jsonl")
+	}
+}
+
+// TestRunClosesConnsOnMiscount hands a 3-shard coordinator two pipes: Run
+// must refuse, and still close what it was given, so both workers parked
+// on their hello read return instead of waiting forever.
+func TestRunClosesConnsOnMiscount(t *testing.T) {
+	c, err := NewCoordinator(Config{Source: testSource, Shards: 3, Rounds: 3, RoundsSet: true, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make([]Conn, 2)
+	workerErrs := make(chan error, len(conns))
+	for i := range conns {
+		co, wk := net.Pipe()
+		conns[i] = co
+		go func() { workerErrs <- RunWorker(wk, 1, "") }()
+	}
+	if err := within(t, "coordinator run", func() error { return c.Run(conns) }); err == nil {
+		t.Fatal("Run accepted 2 connections for 3 shards")
+	}
+	for range conns {
+		if err := within(t, "worker", func() error { return <-workerErrs }); err == nil {
+			t.Error("worker returned nil from a run that never started")
+		}
 	}
 }
 

@@ -1,28 +1,32 @@
-// Package dist runs one simulation sharded across processes: a coordinator
-// and N workers each hold a full replica of the system and split only the
-// Plan phase of the exchange-routing protocols, trading planned records at
-// each protocol's Deliver barrier. The event stream and every snapshot are
-// byte-identical to a serial run at any shard count — sharding, like thread
-// workers, only changes the wall clock.
+// Package dist is a shard-equivalence checker: it replays one simulation
+// with a coordinator and N workers inside one process, each holding a full
+// replica of the system and splitting only the Plan phase of the
+// exchange-routing protocols, trading planned records over in-process
+// net.Pipe ends at each protocol's Deliver barrier. The event stream and
+// every snapshot are byte-identical to a serial run at any shard count;
+// proving that a slot plans the same exchange no matter which replica runs
+// it is all the package is for. It is not a scaling mode: N+1 replicas cost
+// N+1 times the memory and about twice the wall clock of `sos play`
+// (README, "Distributed runs").
 //
 // # Topology
 //
-// Every process builds the identical system from the same DSL source, seed,
-// and behavior configuration (the handshake ships all three, so workers
-// cannot drift). Worker k owns the contiguous slot shard
+// Every replica is built from the same DSL source, seed, and behavior
+// configuration (the handshake ships all three, so workers cannot drift).
+// Worker k owns the contiguous slot shard
 //
 //	[k·size/N, (k+1)·size/N)
 //
 // recomputed from the replicated population size at every round, so the
 // partition rebalances itself under churn and joins with no messages. The
 // coordinator owns the empty shard: it plans nothing, relays everything,
-// and is the only process with event subscribers — which is why it is also
-// the only process that needs the stream.
+// and is the only replica with event subscribers.
 //
 // # Barrier protocol
 //
 // A round crosses one barrier per sharded protocol, in the fixed protocol
-// order every replica computes from the stack (Engine.ShardedProtocols).
+// order every replica computes from the stack: the inbox owners that
+// implement sim.PlanCodec, as Engine.RunRoundSharded walks them.
 // Per barrier, per connection, the frame sequence is strict:
 //
 //	worker                          coordinator
@@ -51,14 +55,14 @@
 //
 // There is no end-of-run message: the stop decision (round budget,
 // scenario horizon) is computed by the replicated observers, so every
-// process leaves the loop at the same round on its own.
+// replica leaves the loop at the same round on its own.
 //
 // # Determinism
 //
 // Byte-identity at any shard count falls out of the same discipline that
 // makes thread sharding invisible: every in-round draw comes from a
 // counter-based per-(node, round, protocol, phase) stream, so a slot plans
-// the same exchange no matter which process runs it; the Deliver merge
+// the same exchange no matter which replica runs it; the Deliver merge
 // scans senders in ascending slot order no matter which lanes were pushed
 // locally and which were imported; and the serial RNG only advances in the
 // between-round observers, which every replica runs against identical
@@ -66,15 +70,14 @@
 // accounting stays global on every replica and snapshots match bit for bit.
 //
 // Scenario timelines run replicated too, which means a scheduled
-// `snapshot` action writes its checkpoint on every process — the same
-// bytes, atomically renamed, so co-located processes overwrite each other
-// harmlessly.
+// `snapshot` action writes its checkpoint from every replica — the same
+// bytes, atomically renamed, so they overwrite each other harmlessly.
 //
 // # Checkpoint and resume
 //
-// The coordinator owns checkpointing: it restores a -resume file before the
-// handshake and ships the blob to every worker inside fkHello, and it
-// writes the -snap checkpoint after the run from its own replica. A resumed
+// The coordinator owns checkpointing: it restores Config.ResumePath before
+// the handshake and ships the blob to every worker inside fkHello, and it
+// writes Config.SnapPath after the run from its own replica. A resumed
 // distributed run continues the stream byte-for-byte, at any shard count on
 // either side of the cut.
 package dist

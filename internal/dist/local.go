@@ -8,13 +8,10 @@ import (
 	"sosf"
 )
 
-// RunLocal runs one distributed simulation entirely inside this process:
-// the coordinator on the calling goroutine and Shards workers as
-// goroutines, connected by synchronous in-process pipes. This is what
-// `sos dist` without -listen uses, what the equivalence tests exercise,
-// and the cheapest way to validate a sharded run before spreading it
-// across machines — the barrier protocol on the pipes is byte-for-byte
-// the one TCP carries.
+// RunLocal runs one sharded simulation: the coordinator on the calling
+// goroutine and Shards workers as goroutines, connected by synchronous
+// in-process pipes. It is all of `sos dist` and what the equivalence tests
+// exercise.
 //
 // It returns the coordinator's replica (events already emitted to
 // cfg.Events subscribers) for reports and snapshots. A worker failure that

@@ -5,9 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 
 	"sosf/internal/snap"
 )
+
+// Conn is one coordinator↔worker byte stream. Frames (internal/snap) are
+// the only thing written to it, so any io.ReadWriteCloser works; RunLocal
+// and the tests hand in the two ends of an in-process net.Pipe.
+type Conn = io.ReadWriteCloser
 
 // wireVersion is the barrier-protocol version, independent of the snapshot
 // format version (which snap.Header checks underneath). Bump it for any

@@ -28,10 +28,11 @@ type workerRun struct {
 // RunWorker executes one worker over an established coordinator
 // connection: handshake, replica build (and restore, for resumed runs),
 // then the round loop planning this worker's shard. localSource, when
-// non-empty, is the DSL source the operator launched the worker with; it
-// must match the run's or the handshake fails with ErrTopologyMismatch
-// (the empty string trusts the coordinator's source outright). Threads
-// shards this process's phases across OS threads, invisible in the output.
+// non-empty, is a DSL source the caller expects the run to be of; it must
+// match the hello's or the handshake fails with ErrTopologyMismatch (the
+// empty string, which is all RunLocal passes, trusts the coordinator's
+// source outright). Threads shards this replica's phases across OS
+// threads, invisible in the output.
 // RunWorker closes the connection in every case; on a local failure it
 // best-effort reports the cause to the coordinator first, so the run fails
 // with a named error on both ends.

@@ -2,8 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,13 +41,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 is a pool of one, running the cells
 	// sequentially in index order.
 	Parallelism int
-	// CheckpointDir, when set, makes the figure-sweep drivers write a
-	// snapshot of every cell's final system state into the directory
-	// (<driver>-<cell>-run<r>.sosnap). A sweep then doubles as a warm-state
-	// factory: any configuration's converged state can be reloaded with
-	// core.RestoreSystem and continued, branched into new scenarios, or
-	// re-measured — without re-simulating the convergence prefix.
-	CheckpointDir string
 }
 
 func (o Options) withDefaults() Options {
@@ -188,13 +179,6 @@ type RunResult struct {
 // itself appends without reallocating — repeated across a sweep grid, the
 // growth-chain garbage the drivers used to shed is gone.
 func RunOnce(cfg core.Config, maxRounds int, stopWhenDone bool) (*RunResult, error) {
-	return RunOnceCheckpoint(cfg, maxRounds, stopWhenDone, "")
-}
-
-// RunOnceCheckpoint is RunOnce plus an optional checkpoint: when snapPath
-// is non-empty, the cell's final system state is written there, ready for
-// core.RestoreSystem warm starts.
-func RunOnceCheckpoint(cfg core.Config, maxRounds int, stopWhenDone bool, snapPath string) (*RunResult, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
@@ -206,37 +190,7 @@ func RunOnceCheckpoint(cfg core.Config, maxRounds int, stopWhenDone bool, snapPa
 	if err != nil {
 		return nil, err
 	}
-	if snapPath != "" {
-		// Temp-and-rename so an interrupted sweep never leaves a partial
-		// checkpoint behind under the final name.
-		f, err := os.CreateTemp(filepath.Dir(snapPath), filepath.Base(snapPath)+".tmp-*")
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.Snapshot(f); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return nil, fmt.Errorf("checkpoint %s: %w", snapPath, err)
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(f.Name())
-			return nil, err
-		}
-		if err := os.Rename(f.Name(), snapPath); err != nil {
-			os.Remove(f.Name())
-			return nil, err
-		}
-	}
 	return collect(sys, tracker, rounds), nil
-}
-
-// checkpointPath names a sweep cell's checkpoint file, or "" when
-// checkpointing is off.
-func (o Options) checkpointPath(driver, cell string, run int) string {
-	if o.CheckpointDir == "" {
-		return ""
-	}
-	return filepath.Join(o.CheckpointDir, fmt.Sprintf("%s-%s-run%d.sosnap", driver, cell, run))
 }
 
 // collect assembles a RunResult from a finished (or mid-flight) system.

@@ -105,23 +105,6 @@ func sliceSlots(slots []int, lo, hi int) []int {
 	return slots[i:j]
 }
 
-// ShardedProtocols returns the indices of registered protocols whose Plan
-// phase a distributed round shards: inbox owners implementing PlanCodec.
-// The list is a pure function of the registered stack, so every replica of
-// a run computes the same one — it defines the per-round barrier sequence.
-func (e *Engine) ShardedProtocols() []int {
-	var out []int
-	for pi, p := range e.protocols {
-		if len(e.inboxes[pi]) == 0 {
-			continue
-		}
-		if _, ok := p.(PlanCodec); ok {
-			out = append(out, pi)
-		}
-	}
-	return out
-}
-
 // PlanBytes returns the bytes protocol pi metered into the per-worker
 // shards since the last round barrier — during a distributed round, the
 // local shard's Plan-phase count for pi, because Plan is the only metered

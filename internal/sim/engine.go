@@ -94,7 +94,7 @@ type Engine struct {
 	partition []int // group per slot; nil when the network is whole
 
 	// aliveSlots caches the slots of alive nodes in slot order. It is
-	// invalidated by every liveness mutation (AddNodes, Kill, Revive, and
+	// invalidated by every liveness mutation (AddNodes, Kill, and
 	// through them KillFraction) and rebuilt lazily into the same backing
 	// array, so steady-state rounds neither scan nor allocate.
 	aliveSlots []int
@@ -315,13 +315,6 @@ func (e *Engine) Register(p Protocol) int {
 	return len(e.protocols) - 1
 }
 
-// Protocols returns the registered protocol stack.
-func (e *Engine) Protocols() []Protocol {
-	out := make([]Protocol, len(e.protocols))
-	copy(out, e.protocols)
-	return out
-}
-
 // Observe appends a per-round observer.
 func (e *Engine) Observe(o Observer) { e.observers = append(e.observers, o) }
 
@@ -381,7 +374,7 @@ func (e *Engine) IsAlive(id view.NodeID) bool {
 // alive returns the cached alive-slot list (slot order), rebuilding it into
 // the reused backing array if a liveness mutation invalidated it. The
 // returned slice is engine-owned scratch: callers must not retain or mutate
-// it, and any Kill/Revive/AddNodes invalidates it.
+// it, and any Kill/AddNodes invalidates it.
 func (e *Engine) alive() []int {
 	if !e.aliveOK {
 		e.aliveSlots = e.aliveSlots[:0]
@@ -447,15 +440,6 @@ func (e *Engine) RandomAlive(exclude int) *Node {
 // exchanges; their descriptors decay out of peers' views.
 func (e *Engine) Kill(slot int) {
 	e.nodes[slot].Alive = false
-	e.aliveOK = false
-}
-
-// Revive brings a dead node back (fresh join semantics: the caller must
-// re-assign a profile and re-run InitNode).
-func (e *Engine) Revive(slot int) {
-	n := &e.nodes[slot]
-	n.Alive = true
-	n.Joined = e.round
 	e.aliveOK = false
 }
 

@@ -209,48 +209,6 @@ func TestMeterHistory(t *testing.T) {
 	}
 }
 
-func TestChurnReplacesNodes(t *testing.T) {
-	e, _ := newTestEngine(t, 100)
-	joined := 0
-	e.Observe(&Churn{
-		Rate: 0.1,
-		Join: func(e *Engine, slots []int) {
-			joined += len(slots)
-			for _, s := range slots {
-				e.InitNode(s)
-			}
-		},
-	})
-	if _, err := e.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	if e.AliveCount() != 100 {
-		t.Fatalf("population drifted: alive = %d, want 100", e.AliveCount())
-	}
-	if joined != 50 {
-		t.Fatalf("joined = %d, want 50 (10%% of 100 over 5 rounds)", joined)
-	}
-}
-
-func TestChurnWindow(t *testing.T) {
-	e, _ := newTestEngine(t, 50)
-	e.Observe(&Churn{
-		Rate: 0.1, From: 2, Until: 3,
-		Join: func(e *Engine, slots []int) {
-			for _, s := range slots {
-				e.InitNode(s)
-			}
-		},
-	})
-	if _, err := e.Run(6); err != nil {
-		t.Fatal(err)
-	}
-	// Churn only in rounds 2 and 3: 2 × 5 nodes replaced.
-	if e.Size() != 60 {
-		t.Fatalf("total slots = %d, want 60", e.Size())
-	}
-}
-
 func TestWireSizes(t *testing.T) {
 	if got := DescriptorPayload(0); got != HeaderBytes {
 		t.Fatalf("empty payload = %d, want header only (%d)", got, HeaderBytes)

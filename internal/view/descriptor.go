@@ -24,10 +24,6 @@ const InvalidNode NodeID = -1
 // the target topology.
 type ComponentID int32
 
-// NoComponent marks a node that has not (yet) been assigned to a component
-// by the role allocator.
-const NoComponent ComponentID = -1
-
 // RankInf is returned by rankers to reject a candidate outright: the
 // candidate is never kept in the view, regardless of available capacity.
 const RankInf = math.MaxFloat64
@@ -46,12 +42,6 @@ type Profile struct {
 	Size  int32
 	Key   uint64
 	Epoch uint32
-}
-
-// SameComponent reports whether both profiles belong to the same component
-// of the same configuration epoch.
-func (p Profile) SameComponent(q Profile) bool {
-	return p.Comp == q.Comp && p.Epoch == q.Epoch
 }
 
 // String implements fmt.Stringer for debugging output.
