@@ -10,8 +10,12 @@ package sosf
 // into a failure instead of a slow creep across PRs.
 
 import (
+	"bufio"
 	"fmt"
+	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,6 +134,74 @@ func TestFacadeStepAllocationBound(t *testing.T) {
 	}
 }
 
+// bytesPerNodeBound caps the live heap one node of BenchmarkRound's
+// ring of 20 rings may hold at 10 000 nodes after 16 rounds: views, plan
+// buffers, contact and election tables, inbox lanes and the engine's node
+// table, divided by the population. It measures 5 514 B on amd64 with
+// go1.24; the README's "Struct-of-arrays hot state" section breaks it down
+// by structure.
+const bytesPerNodeBound = 6000
+
+// liveBytesPerNode builds BenchmarkRound's ring of 20 rings at the given
+// population on one worker, steps it the given rounds, and returns the live
+// heap the system holds (HeapAlloc after a forced GC, minus the same before
+// the build) divided by the population.
+func liveBytesPerNode(t *testing.T, nodes, rounds int) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sys := roundSystem(t, nodes, 1)
+	if _, err := sys.Run(rounds); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sys)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(nodes)
+}
+
+// TestBytesPerNodeBound pins the resident state of a node the way
+// TestFacadeStepAllocationBound pins per-round allocations: a field added
+// to a hot struct or a per-slot buffer that grows shows here as bytes per
+// node long before a large population stops fitting the machine.
+func TestBytesPerNodeBound(t *testing.T) {
+	perNode := liveBytesPerNode(t, 10_000, 16)
+	t.Logf("live heap: %.0f B/node at 10 000 nodes after 16 rounds (bound %d)", perNode, bytesPerNodeBound)
+	if perNode > bytesPerNodeBound {
+		t.Fatalf("live heap is %.0f B/node at 10 000 nodes, want <= %d", perNode, bytesPerNodeBound)
+	}
+}
+
+// millionNodeHeadroom is how much more memory than its live heap a
+// million-node build and round may touch: the Go heap grows past the live
+// set before each collection, and the runtime keeps freed spans for reuse.
+// The ratio shrinks as the population grows: peak RSS of the same build and
+// two rounds measured 1.21× the live heap at 100 000 nodes and 1.14× at
+// 200 000, and at 1 000 000 nodes 5.82 GB, 1.06× the 10 000-node estimate
+// (5 514 B × 10⁶; go1.24, 2 vCPU / 8 GB). 1.1 covers that with room for
+// the rest of the box, without skipping a box that runs the round.
+const millionNodeHeadroom = 1.1
+
+// memAvailable returns the kernel's MemAvailable estimate in bytes, or
+// false where /proc/meminfo is absent or unreadable.
+func memAvailable() (uint64, bool) {
+	f, err := os.Open("/proc/meminfo")
+	if err != nil {
+		return 0, false
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 3 && fields[0] == "MemAvailable:" && fields[2] == "kB" {
+			kb, err := strconv.ParseUint(fields[1], 10, 64)
+			return kb << 10, err == nil
+		}
+	}
+	return 0, false
+}
+
 // TestMillionNodeRound is the scale smoke: a full-stack million-node
 // population (BenchmarkRound's configuration) must build and complete
 // steady-state rounds. One warm round has already carved every per-slot
@@ -137,11 +209,22 @@ func TestFacadeStepAllocationBound(t *testing.T) {
 // allocation-free modulo runtime noise (ReadMemStats counts background
 // allocations too). One warm plus one measured round keeps it affordable in
 // the unshortened test run; -short skips it entirely.
+//
+// Before building, it sizes itself: the live heap per node of the 10 000-
+// node system, times a million, times millionNodeHeadroom. A box whose
+// MemAvailable falls short skips with both numbers instead of having the
+// kernel kill the whole test binary.
 func TestMillionNodeRound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-node round smoke skipped in -short mode")
 	}
-	sys := roundSystem(t, 1_000_000, runtime.GOMAXPROCS(0))
+	const nodes = 1_000_000
+	need := uint64(liveBytesPerNode(t, 10_000, 16) * nodes * millionNodeHeadroom)
+	if avail, ok := memAvailable(); ok && avail < need {
+		t.Skipf("insufficient memory: a %d-node round needs ~%.2f GB (10 000-node live heap per node × %d × headroom %.1f), MemAvailable is %.2f GB",
+			nodes, float64(need)/1e9, nodes, millionNodeHeadroom, float64(avail)/1e9)
+	}
+	sys := roundSystem(t, nodes, runtime.GOMAXPROCS(0))
 	if _, err := sys.Run(1); err != nil {
 		t.Fatal(err)
 	}

@@ -19,20 +19,21 @@ var (
 	_ sim.PlanCodec = (*PortSelect)(nil)
 )
 
-// EncodePlans implements sim.PlanCodec.
+// EncodePlans implements sim.PlanCodec. Every record carries the slot's
+// published table, whatever its kind: a remote initiator that picked this
+// slot reads its reply from there.
 func (u *UO2) EncodePlans(w *snap.Writer, slots []int) {
 	w.Len(len(slots))
 	for _, slot := range slots {
 		pl := &u.plans[slot]
 		w.Int(slot)
 		w.Int(pl.kind)
+		snap.WriteDescriptors(w, pl.send)
 		switch pl.kind {
 		case uo2Timeout:
 			snap.WriteDescriptor(w, pl.partner)
 		case uo2Delivered:
 			w.Int(pl.targetSlot)
-			snap.WriteDescriptors(w, pl.send)
-			snap.WriteDescriptors(w, pl.reply)
 		}
 	}
 }
@@ -52,14 +53,13 @@ func (u *UO2) DecodePlans(e *sim.Engine, r *snap.Reader) error {
 		}
 		pl := &u.plans[slot]
 		pl.kind = kind
+		pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
 		switch kind {
 		case uo2None:
 		case uo2Timeout:
 			pl.partner = snap.ReadDescriptor(r)
 		case uo2Delivered:
 			pl.targetSlot = r.Int()
-			pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
-			pl.reply = snap.ReadDescriptorsInto(r, pl.reply[:0])
 			if err := r.Err(); err != nil {
 				return err
 			}
@@ -77,19 +77,18 @@ func (u *UO2) DecodePlans(e *sim.Engine, r *snap.Reader) error {
 	return r.Err()
 }
 
-// EncodePlans implements sim.PlanCodec. portSent plans carry no payload:
-// nobody absorbs them (the request was metered but lost), so the kind alone
-// reproduces the remote state.
+// EncodePlans implements sim.PlanCodec. Every record carries the slot's
+// published records, whatever its kind: a remote initiator that picked
+// this slot reads its reply from there.
 func (p *PortSelect) EncodePlans(w *snap.Writer, slots []int) {
 	w.Len(len(slots))
 	for _, slot := range slots {
 		pl := &p.plans[slot]
 		w.Int(slot)
 		w.Int(pl.kind)
+		writeRecords(w, pl.send)
 		if pl.kind == portDelivered {
 			w.Int(pl.targetSlot)
-			writeRecords(w, pl.send)
-			writeRecords(w, pl.reply)
 		}
 	}
 }
@@ -109,12 +108,11 @@ func (p *PortSelect) DecodePlans(e *sim.Engine, r *snap.Reader) error {
 		}
 		pl := &p.plans[slot]
 		pl.kind = kind
+		pl.send = readRecordsInto(r, pl.send[:0])
 		switch kind {
 		case portNone, portSent:
 		case portDelivered:
 			pl.targetSlot = r.Int()
-			pl.send = readRecordsInto(r, pl.send[:0])
-			pl.reply = readRecordsInto(r, pl.reply[:0])
 			if err := r.Err(); err != nil {
 				return err
 			}

@@ -75,9 +75,11 @@ type portState struct {
 	records []PortRecord // indexed by port
 }
 
-// portPlan is one node's planned record exchange. Both directions are
-// snapshotted at plan time (the live tables mutate concurrently during
-// Absorb), into per-slot retained buffers.
+// portPlan is one node's planned record exchange. send snapshots the
+// node's post-refresh records at plan time (the live tables mutate during
+// Absorb) into a per-slot retained buffer. Every alive slot's Plan
+// publishes it, so an initiator reads its partner's reply from the
+// partner's own plan record instead of copying it.
 const (
 	portNone      = iota
 	portSent      // request metered, but lost or answered by a foreign node
@@ -88,7 +90,6 @@ type portPlan struct {
 	kind       int
 	targetSlot int
 	send       []PortRecord // snapshot of this node's post-refresh records
-	reply      []PortRecord // snapshot of the partner's post-refresh records
 }
 
 var (
@@ -122,10 +123,7 @@ func (p *PortSelect) SetMeterIndex(i int) { p.meter = i }
 // restore path from the serialized record width.
 func (p *PortSelect) ensureSlot(slot, width int) {
 	for len(p.states) <= slot {
-		p.plans = append(p.plans, portPlan{
-			send:  sim.Carve(&p.arena, width),
-			reply: sim.Carve(&p.arena, width),
-		})
+		p.plans = append(p.plans, portPlan{send: sim.Carve(&p.arena, width)})
 		p.states = append(p.states, portState{epoch: ^uint32(0), records: sim.Carve(&p.arena, width)})
 	}
 	p.inbox.Grow(slot + 1)
@@ -269,9 +267,10 @@ func (p *PortSelect) Refresh(ctx *sim.Ctx) {
 	}
 }
 
-// Plan implements sim.Protocol: pick a same-component partner and snapshot
-// both sides' records for the merge. Every node refreshed (and re-synced)
-// before any plan runs, so the partner's table is read post-reset.
+// Plan implements sim.Protocol: publish the slot's records and pick a
+// same-component partner. Every node refreshed (and re-synced) before any
+// plan runs, so the partner's published records are post-reset; Absorb
+// reads them as the reply.
 func (p *PortSelect) Plan(ctx *sim.Ctx) {
 	slot := ctx.Slot()
 	self := ctx.Node()
@@ -279,6 +278,7 @@ func (p *PortSelect) Plan(ctx *sim.Ctx) {
 	st := &p.states[slot]
 	pl := &p.plans[slot]
 	pl.kind = portNone
+	pl.send = append(pl.send[:0], st.records...)
 	if len(st.records) == 0 {
 		return
 	}
@@ -293,7 +293,6 @@ func (p *PortSelect) Plan(ctx *sim.Ctx) {
 		return
 	}
 	pl.kind = portSent
-	pl.send = append(pl.send[:0], st.records...)
 	// The request bytes are spent even when the exchange is lost or
 	// answered by a mismatched node; metered into the worker's shard.
 	ctx.Count(p.meter, sim.PortRecordPayload(len(pl.send)))
@@ -306,8 +305,7 @@ func (p *PortSelect) Plan(ctx *sim.Ctx) {
 	}
 	pl.kind = portDelivered
 	pl.targetSlot = target.Slot
-	pl.reply = append(pl.reply[:0], p.states[target.Slot].records...)
-	ctx.Count(p.meter, sim.PortRecordPayload(len(pl.reply)))
+	ctx.Count(p.meter, sim.PortRecordPayload(len(p.states[target.Slot].records)))
 	p.inbox.Push(pl.targetSlot, slot)
 }
 
@@ -320,7 +318,7 @@ func (p *PortSelect) Absorb(ctx *sim.Ctx) {
 	now := ctx.Round()
 	pl := &p.plans[slot]
 	if pl.kind == portDelivered {
-		mergeRecords(st.records, pl.reply, now, p.ttl)
+		mergeRecords(st.records, p.plans[pl.targetSlot].send, now, p.ttl)
 	}
 	for sender := p.inbox.First(slot); sender >= 0; sender = p.inbox.Next(sender) {
 		mergeRecords(st.records, p.plans[sender].send, now, p.ttl)

@@ -49,21 +49,31 @@ type uo2State struct {
 	count   int        // number of valid entries
 }
 
+// uo2Entry is one row of a contact table. An empty row holds
+// view.InvalidNode as its descriptor's ID (see emptyEntry), so the row
+// needs no separate valid flag.
 type uo2Entry struct {
-	d     view.Descriptor
-	born  int // engine round the descriptor was (age-adjusted) created
-	valid bool
+	d    view.Descriptor
+	born int // engine round the descriptor was (age-adjusted) created
 }
 
-// uo2Plan is one node's planned table swap for the current round. The send
-// and reply buffers are retained per slot so steady-state planning
-// allocates nothing.
+// emptyEntry is the value of an empty contact-table row.
+var emptyEntry = uo2Entry{d: view.Descriptor{ID: view.InvalidNode}}
+
+// valid reports whether the row holds a contact.
+func (e *uo2Entry) valid() bool { return e.d.ID != view.InvalidNode }
+
+// uo2Plan is one node's planned table swap for the current round. send is
+// the node's own serialized table, published by every alive slot's Plan
+// whether or not it starts a swap: it is both what the node pushes to its
+// partner and the reply any initiator that picked this node reads in
+// Absorb, once the Plan barrier has frozen it. The buffer is retained per
+// slot so steady-state planning allocates nothing.
 type uo2Plan struct {
 	kind       int
 	partner    view.Descriptor // kept whole: the timeout path needs the component
 	targetSlot int
 	send       []view.Descriptor
-	reply      []view.Descriptor
 }
 
 // plan kinds (shared shape with the other protocols).
@@ -78,14 +88,14 @@ const (
 // map-based table's behavior across reconfigurations.
 func (t *uo2State) ensure(n int) {
 	for len(t.entries) < n {
-		t.entries = append(t.entries, uo2Entry{})
+		t.entries = append(t.entries, emptyEntry)
 	}
 }
 
 // reset empties the table, keeping its storage.
 func (t *uo2State) reset() {
 	for i := range t.entries {
-		t.entries[i] = uo2Entry{}
+		t.entries[i] = emptyEntry
 	}
 	t.count = 0
 }
@@ -120,15 +130,12 @@ func (u *UO2) SetMeterIndex(i int) { u.meter = i }
 // any table. Shared by InitNode and the restore path.
 func (u *UO2) ensureSlot(slot int) {
 	for len(u.states) <= slot {
-		// A table swap carries at most one descriptor per component plus
-		// the sender's own; carve that capacity up front (a reconfigure
-		// that adds components falls back to a private heap copy). The
-		// contact table itself is carved one row per component.
+		// A published table carries at most one descriptor per component
+		// plus the sender's own; carve that capacity up front (a
+		// reconfigure that adds components falls back to a private heap
+		// copy). The contact table itself is carved one row per component.
 		width := u.alloc.Components() + 1
-		u.plans = append(u.plans, uo2Plan{
-			send:  sim.Carve(&u.arena, width),
-			reply: sim.Carve(&u.arena, width),
-		})
+		u.plans = append(u.plans, uo2Plan{send: sim.Carve(&u.arena, width)})
 		u.states = append(u.states, uo2State{entries: sim.Carve(&u.entryArena, width-1)})
 	}
 	u.inbox.Grow(slot + 1)
@@ -150,8 +157,8 @@ func (u *UO2) SnapshotState(w *snap.Writer) {
 		w.Len(len(t.entries))
 		for ci := range t.entries {
 			entry := &t.entries[ci]
-			w.Bool(entry.valid)
-			if entry.valid {
+			w.Bool(entry.valid())
+			if entry.valid() {
 				snap.WriteDescriptor(w, entry.d)
 				w.Int(entry.born)
 			}
@@ -184,10 +191,9 @@ func (u *UO2) RestoreState(e *sim.Engine, r *snap.Reader) error {
 		st.entries = st.entries[:width]
 		for ci := 0; ci < width; ci++ {
 			if r.Bool() {
-				st.entries[ci] = uo2Entry{
-					d:     snap.ReadDescriptor(r),
-					born:  r.Int(),
-					valid: true,
+				st.entries[ci] = uo2Entry{d: snap.ReadDescriptor(r), born: r.Int()}
+				if r.Err() == nil && !st.entries[ci].valid() {
+					return fmt.Errorf("uo2: slot %d holds a contact with no node ID", slot)
 				}
 				st.count++
 			}
@@ -205,7 +211,7 @@ func (u *UO2) Contacts(slot int) []view.Descriptor {
 	t := &u.states[slot]
 	out := make([]view.Descriptor, 0, t.count)
 	for ci := range t.entries {
-		if t.entries[ci].valid {
+		if t.entries[ci].valid() {
 			out = append(out, t.entries[ci].d)
 		}
 	}
@@ -215,7 +221,7 @@ func (u *UO2) Contacts(slot int) []view.Descriptor {
 // Contact returns the node's contact inside the given component, if any.
 func (u *UO2) Contact(slot int, comp view.ComponentID) (view.Descriptor, bool) {
 	t := &u.states[slot]
-	if comp < 0 || int(comp) >= len(t.entries) || !t.entries[comp].valid {
+	if comp < 0 || int(comp) >= len(t.entries) || !t.entries[comp].valid() {
 		return view.Descriptor{}, false
 	}
 	return t.entries[comp].d, true
@@ -242,38 +248,36 @@ func (u *UO2) Refresh(ctx *sim.Ctx) {
 	}
 }
 
-// Plan implements sim.Protocol: pick a partner and serialize both tables
-// against the frozen post-refresh state.
+// Plan implements sim.Protocol: publish the slot's post-refresh table, then
+// pick a partner. The partner's reply is its own published table, read in
+// Absorb; here it is only metered.
 func (u *UO2) Plan(ctx *sim.Ctx) {
 	slot := ctx.Slot()
-	self := ctx.Node()
 	e := ctx.Engine()
 	t := &u.states[slot]
-	now := ctx.Round()
 	pl := &u.plans[slot]
 	pl.kind = uo2None
+	pl.send = u.tableToSend(ctx.Node(), t, ctx.Round(), pl.send[:0])
 
 	partner, ok := u.pickPartner(ctx, slot, t)
 	if !ok {
 		return
 	}
 	pl.partner = partner
-	pl.send = u.tableToSend(self, t, now, pl.send[:0])
-
-	target := e.Lookup(partner.ID)
-	if target == nil || !target.Alive || !ctx.Deliver(target.Slot) {
-		pl.kind = uo2Timeout
-		ctx.Count(u.meter, sim.DescriptorPayload(len(pl.send)))
-		return
-	}
-	pl.kind = uo2Delivered
-	pl.targetSlot = target.Slot
-	pl.reply = u.tableToSend(target, &u.states[target.Slot], now, pl.reply[:0])
 
 	// Meter into the worker's shard and route via the sender's inbox lane;
 	// the engine's Deliver phase merges lanes per destination shard.
 	ctx.Count(u.meter, sim.DescriptorPayload(len(pl.send)))
-	ctx.Count(u.meter, sim.DescriptorPayload(len(pl.reply)))
+	target := e.Lookup(partner.ID)
+	if target == nil || !target.Alive || !ctx.Deliver(target.Slot) {
+		pl.kind = uo2Timeout
+		return
+	}
+	pl.kind = uo2Delivered
+	pl.targetSlot = target.Slot
+	// The reply is the target's table plus its own descriptor, exactly
+	// what the target's Plan publishes.
+	ctx.Count(u.meter, sim.DescriptorPayload(1+u.states[target.Slot].count))
 	u.inbox.Push(pl.targetSlot, slot)
 }
 
@@ -292,12 +296,12 @@ func (u *UO2) Absorb(ctx *sim.Ctx) {
 		// contacts expire quickly while contacts behind a lossy link
 		// survive (a fresher descriptor restores them).
 		if c := pl.partner.Profile.Comp; c >= 0 && int(c) < len(t.entries) {
-			if entry := &t.entries[c]; entry.valid && entry.d.ID == pl.partner.ID {
+			if entry := &t.entries[c]; entry.valid() && entry.d.ID == pl.partner.ID {
 				entry.born -= u.maxAge/4 + 1
 			}
 		}
 	case uo2Delivered:
-		for _, d := range pl.reply {
+		for _, d := range u.plans[pl.targetSlot].send {
 			u.offer(self, t, d, now)
 		}
 	}
@@ -313,14 +317,14 @@ func (u *UO2) prune(self *sim.Node, t *uo2State, now int) {
 	epoch := u.alloc.Epoch()
 	for ci := range t.entries {
 		entry := &t.entries[ci]
-		if !entry.valid {
+		if !entry.valid() {
 			continue
 		}
 		c := view.ComponentID(ci)
 		if now-entry.born > u.maxAge || entry.d.Profile.Epoch != epoch ||
 			entry.d.Profile.Comp != c || int(c) >= u.alloc.Components() ||
 			c == self.Profile.Comp {
-			*entry = uo2Entry{}
+			*entry = emptyEntry
 			t.count--
 		}
 	}
@@ -331,19 +335,19 @@ func (u *UO2) prune(self *sim.Node, t *uo2State, now int) {
 // or holds an older birth.
 func (u *UO2) offer(self *sim.Node, t *uo2State, d view.Descriptor, now int) {
 	born := now - int(d.Age)
-	if d.ID == self.ID || d.Profile.Comp == self.Profile.Comp ||
+	if d.ID == self.ID || d.ID == view.InvalidNode || d.Profile.Comp == self.Profile.Comp ||
 		d.Profile.Comp < 0 || int(d.Profile.Comp) >= u.alloc.Components() ||
 		d.Profile.Epoch != u.alloc.Epoch() || now-born > u.maxAge {
 		return
 	}
 	t.ensure(int(d.Profile.Comp) + 1)
 	cur := &t.entries[d.Profile.Comp]
-	if !cur.valid || born > cur.born ||
+	if !cur.valid() || born > cur.born ||
 		(d.ID == cur.d.ID && d.Profile.Epoch > cur.d.Profile.Epoch) {
-		if !cur.valid {
+		if !cur.valid() {
 			t.count++
 		}
-		*cur = uo2Entry{d: d, born: born, valid: true}
+		*cur = uo2Entry{d: d, born: born}
 	}
 }
 
@@ -353,7 +357,7 @@ func (u *UO2) tableToSend(n *sim.Node, t *uo2State, now int, dst []view.Descript
 	dst = append(dst, n.Descriptor())
 	for ci := range t.entries {
 		entry := &t.entries[ci]
-		if !entry.valid {
+		if !entry.valid() {
 			continue
 		}
 		d := entry.d
@@ -389,7 +393,7 @@ func (u *UO2) pickPartner(ctx *sim.Ctx, slot int, t *uo2State) (view.Descriptor,
 	// draw the sorted-keys map implementation made.
 	pick := rng.Intn(t.count)
 	for ci := range t.entries {
-		if !t.entries[ci].valid {
+		if !t.entries[ci].valid() {
 			continue
 		}
 		if pick == 0 {

@@ -1,12 +1,43 @@
 package core
 
 import (
+	"bytes"
 	"testing"
+	"unsafe"
 
 	"sosf/internal/peersampling"
 	"sosf/internal/sim"
+	"sosf/internal/snap"
 	"sosf/internal/view"
 )
+
+// TestUO2EntrySizeof pins a contact-table row at a descriptor plus its
+// birth round: an empty row is marked by view.InvalidNode, not a flag that
+// would pad the row to 56 bytes.
+func TestUO2EntrySizeof(t *testing.T) {
+	if got := unsafe.Sizeof(uo2Entry{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(uo2Entry{}) = %d, want 48", got)
+	}
+}
+
+// TestUO2RestoreRejectsContactWithoutNode feeds RestoreState a row flagged
+// valid whose descriptor carries view.InvalidNode: the table marks empty
+// rows with that ID, so such a row would be counted yet read as empty.
+func TestUO2RestoreRejectsContactWithoutNode(t *testing.T) {
+	e, _, u := buildUO2(t, 1, 2, 2, 0)
+	var buf bytes.Buffer
+	w := snap.NewWriter(&buf)
+	w.Len(e.Size())
+	for slot := 0; slot < e.Size(); slot++ {
+		w.Len(1)
+		w.Bool(true)
+		snap.WriteDescriptor(w, view.Descriptor{ID: view.InvalidNode})
+		w.Int(0)
+	}
+	if err := u.RestoreState(e, snap.NewReader(&buf)); err == nil {
+		t.Fatal("RestoreState accepted a valid row with no node ID")
+	}
+}
 
 // buildUO2 wires an engine with peer sampling + UO2 only, over an
 // allocator with k ring components.

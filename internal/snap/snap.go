@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"sosf/internal/view"
 )
@@ -38,6 +39,12 @@ const Version = 1
 // of very large populations split state across many fields, so a larger
 // length is always corruption, not scale.
 const maxChunk = 64 << 20
+
+// readChunk bounds how far Reader.Bytes allocates ahead of the bytes it has
+// actually read: a declared length is trusted only as far as the stream
+// backs it, so a ten-byte input claiming maxChunk costs one readChunk, not
+// 64 MiB.
+const readChunk = 64 << 10
 
 // ErrCorrupt is wrapped by decode errors caused by a malformed stream.
 var ErrCorrupt = errors.New("snap: corrupt snapshot")
@@ -280,16 +287,22 @@ func (r *Reader) Len() int {
 	return int(v)
 }
 
-// Bytes reads a length-prefixed byte field.
+// Bytes reads a length-prefixed byte field, growing the result in
+// readChunk steps as the bytes arrive.
 func (r *Reader) Bytes() []byte {
 	n := r.Len()
 	if r.err != nil {
 		return nil
 	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r.full, p); err != nil {
-		r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
-		return nil
+	p := make([]byte, 0, min(n, readChunk))
+	for len(p) < n {
+		start := len(p)
+		end := start + min(n-start, readChunk)
+		p = slices.Grow(p, end-start)[:end]
+		if _, err := io.ReadFull(r.full, p[start:]); err != nil {
+			r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
+			return nil
+		}
 	}
 	return p
 }

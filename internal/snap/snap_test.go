@@ -2,6 +2,8 @@ package snap
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -103,6 +105,54 @@ func TestTruncatedStreamIsCorrupt(t *testing.T) {
 	_ = r.U64()
 	if r.Err() == nil {
 		t.Fatal("truncated stream decoded without error")
+	}
+}
+
+// TestBytesAllocatesOnlyWhatArrives feeds Bytes a field that declares the
+// largest legal length but carries five bytes: it must fail as corrupt
+// after allocating about one read chunk, not the declared 64 MiB.
+func TestBytesAllocatesOnlyWhatArrives(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Len(maxChunk)
+	w.write([]byte("short"))
+	input := buf.Bytes()
+	if len(input) > 10 {
+		t.Fatalf("input is %d bytes, want at most 10", len(input))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewReader(bytes.NewReader(input))
+	got := r.Bytes()
+	runtime.ReadMemStats(&after)
+	if got != nil {
+		t.Fatalf("Bytes = %d bytes, want nil", len(got))
+	}
+	if err := r.Err(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	const bound = 4 * readChunk
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+		t.Fatalf("a %d-byte input allocated %d bytes, want <= %d", len(input), grew, bound)
+	}
+}
+
+// TestBytesSpanningChunks round-trips a field several read chunks long.
+func TestBytesSpanningChunks(t *testing.T) {
+	want := make([]byte, 3*readChunk+17)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Bytes(want)
+	r := NewReader(&buf)
+	if got := r.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("Bytes returned %d bytes, want the %d written", len(got), len(want))
+	}
+	r.ExpectEOF()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

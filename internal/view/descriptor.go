@@ -36,11 +36,15 @@ const RankInf = math.MaxFloat64
 // derive virtual coordinates (position on a ring, grid cell, tree slot).
 // Size is the component size at assignment time. Epoch is the configuration
 // epoch: descriptors from older epochs are stale and evicted on contact.
+//
+// Fields are ordered widest first so the struct packs into 24 bytes with no
+// padding; the codecs write them by name, so the order is memory layout
+// only.
 type Profile struct {
+	Key   uint64
 	Comp  ComponentID
 	Index int32
 	Size  int32
-	Key   uint64
 	Epoch uint32
 }
 
@@ -50,10 +54,12 @@ func (p Profile) String() string {
 }
 
 // Descriptor is one gossip-able entry: who, what role, and how stale.
+// Age sits last so its padding is the only waste: 40 bytes, pinned by
+// TestDescriptorSizeof.
 type Descriptor struct {
 	ID      NodeID
-	Age     uint16
 	Profile Profile
+	Age     uint16
 }
 
 // Fresher reports whether d is strictly fresher than other, considering

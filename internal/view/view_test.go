@@ -4,10 +4,24 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func desc(id NodeID, age uint16) Descriptor {
 	return Descriptor{ID: id, Age: age}
+}
+
+// TestDescriptorSizeof pins the in-memory size of the unit every view,
+// plan buffer and contact table stores: fields ordered widest first leave
+// only Age's padding. The arenas hold millions of these, so a field added
+// or reordered shows here before it shows in the heap.
+func TestDescriptorSizeof(t *testing.T) {
+	if got := unsafe.Sizeof(Profile{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Profile{}) = %d, want 24", got)
+	}
+	if got := unsafe.Sizeof(Descriptor{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Descriptor{}) = %d, want 40", got)
+	}
 }
 
 func TestNewClampsCapacity(t *testing.T) {
