@@ -75,6 +75,9 @@ func TestDotCommand(t *testing.T) {
 	if !strings.Contains(out, "graph \"ringpair\"") || !strings.Contains(out, " -- ") {
 		t.Fatalf("dot output:\n%.300s", out)
 	}
+	if !strings.Contains(out, "shape=box") {
+		t.Fatal("port managers should render as boxes")
+	}
 }
 
 func TestUsageErrors(t *testing.T) {

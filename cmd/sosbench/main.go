@@ -21,9 +21,6 @@
 //	             (default 1; 0 = GOMAXPROCS). Per-node RNG streams keep
 //	             every figure and table byte-identical for any value;
 //	             use it to speed up single large runs
-//	-compare     additionally rerun each experiment sequentially,
-//	             report its parallel-vs-sequential speedup, and fail
-//	             if the outputs differ (doubles the total runtime)
 //	-out DIR     also write <id>.dat, <id>.svg and <id>.txt files
 //
 // Profiling:
@@ -46,7 +43,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"time"
@@ -81,8 +77,6 @@ func run() error {
 		"worker goroutines fanning independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	roundWorkers := flag.Int("workers", 1,
 		"workers sharding each simulation round (0 = GOMAXPROCS; output identical for any value)")
-	compare := flag.Bool("compare", false,
-		"run each experiment sequentially too, report the speedup, and check outputs match")
 	out := flag.String("out", "", "directory for .dat/.svg/.txt outputs")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -133,7 +127,7 @@ func run() error {
 	}
 
 	// Every driver is presented uniformly as a Result producer so timing
-	// and speedup reporting treat figures and tables alike.
+	// and output treat figures and tables alike.
 	wrap := func(f func(eval.Options) (*eval.Figure, error)) func(eval.Options) (*eval.Result, error) {
 		return func(o eval.Options) (*eval.Result, error) {
 			fig, err := f(o)
@@ -186,25 +180,7 @@ func run() error {
 				return err
 			}
 		}
-		if *compare {
-			seqOpts := o
-			seqOpts.Parallelism = 1
-			t1 := time.Now()
-			seqRes, err := d.run(seqOpts)
-			if err != nil {
-				return err
-			}
-			seqElapsed := time.Since(t1)
-			if !reflect.DeepEqual(res, seqRes) {
-				return fmt.Errorf("%s: parallel output differs from sequential (determinism bug)", d.name)
-			}
-			fmt.Printf("[%s: %v with %d workers, %v sequential — %.2fx speedup, outputs identical]\n\n",
-				d.name, elapsed.Round(time.Millisecond), workers,
-				seqElapsed.Round(time.Millisecond),
-				float64(seqElapsed)/float64(elapsed))
-		} else {
-			fmt.Printf("[%s: %v]\n\n", d.name, elapsed.Round(time.Millisecond))
-		}
+		fmt.Printf("[%s: %v]\n\n", d.name, elapsed.Round(time.Millisecond))
 	}
 	if !any {
 		flag.Usage()

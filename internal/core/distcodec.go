@@ -4,7 +4,9 @@ package core
 // swaps and PortSelect's record exchanges cross process boundaries the same
 // way the shape protocols' plans do. PortConnect plans are deliberately
 // absent — it owns no inbox (its Plan mutates only its own slot's beliefs),
-// so a distributed round plans it replicated on every process.
+// so a distributed round plans it replicated on every process. The engine
+// owns the record frame (sim.EncodePlans / Engine.DecodePlans); these
+// codecs write and read one record's body.
 
 import (
 	"fmt"
@@ -19,115 +21,65 @@ var (
 	_ sim.PlanCodec = (*PortSelect)(nil)
 )
 
-// EncodePlans implements sim.PlanCodec. Every record carries the slot's
+// EncodePlan implements sim.PlanCodec. Every record carries the slot's
 // published table, whatever its kind: a remote initiator that picked this
 // slot reads its reply from there.
-func (u *UO2) EncodePlans(w *snap.Writer, slots []int) {
-	w.Len(len(slots))
-	for _, slot := range slots {
-		pl := &u.plans[slot]
-		w.Int(slot)
-		w.Int(pl.kind)
-		snap.WriteDescriptors(w, pl.send)
-		switch pl.kind {
-		case uo2Timeout:
-			snap.WriteDescriptor(w, pl.partner)
-		case uo2Delivered:
-			w.Int(pl.targetSlot)
-		}
+func (u *UO2) EncodePlan(w *snap.Writer, slot int) {
+	pl := &u.plans[slot]
+	w.Int(pl.kind)
+	snap.WriteDescriptors(w, pl.send)
+	switch pl.kind {
+	case uo2Timeout:
+		snap.WriteDescriptor(w, pl.partner)
+	case uo2Delivered:
+		w.Int(pl.targetSlot)
 	}
 }
 
-// DecodePlans implements sim.PlanCodec.
-func (u *UO2) DecodePlans(e *sim.Engine, r *snap.Reader) error {
-	n := r.Len()
-	size := e.Size()
-	for i := 0; i < n; i++ {
-		slot := r.Int()
-		kind := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if slot < 0 || slot >= size || slot >= len(u.plans) {
-			return fmt.Errorf("uo2: plan slot %d out of range [0,%d)", slot, size)
-		}
-		pl := &u.plans[slot]
-		pl.kind = kind
-		pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
-		switch kind {
-		case uo2None:
-		case uo2Timeout:
-			pl.partner = snap.ReadDescriptor(r)
-		case uo2Delivered:
-			pl.targetSlot = r.Int()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if pl.targetSlot < 0 || pl.targetSlot >= size {
-				return fmt.Errorf("uo2: plan target %d out of range [0,%d)", pl.targetSlot, size)
-			}
-			u.inbox.Push(pl.targetSlot, slot)
-		default:
-			return fmt.Errorf("uo2: unknown plan kind %d", kind)
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
+// DecodePlan implements sim.PlanCodec.
+func (u *UO2) DecodePlan(r *snap.Reader, slot int) (int, bool, error) {
+	pl := &u.plans[slot]
+	pl.kind = r.Int()
+	pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
+	switch pl.kind {
+	case uo2None:
+	case uo2Timeout:
+		pl.partner = snap.ReadDescriptor(r)
+	case uo2Delivered:
+		pl.targetSlot = r.Int()
+		return pl.targetSlot, true, nil
+	default:
+		return 0, false, fmt.Errorf("uo2: unknown plan kind %d", pl.kind)
 	}
-	return r.Err()
+	return 0, false, nil
 }
 
-// EncodePlans implements sim.PlanCodec. Every record carries the slot's
+// EncodePlan implements sim.PlanCodec. Every record carries the slot's
 // published records, whatever its kind: a remote initiator that picked
 // this slot reads its reply from there.
-func (p *PortSelect) EncodePlans(w *snap.Writer, slots []int) {
-	w.Len(len(slots))
-	for _, slot := range slots {
-		pl := &p.plans[slot]
-		w.Int(slot)
-		w.Int(pl.kind)
-		writeRecords(w, pl.send)
-		if pl.kind == portDelivered {
-			w.Int(pl.targetSlot)
-		}
+func (p *PortSelect) EncodePlan(w *snap.Writer, slot int) {
+	pl := &p.plans[slot]
+	w.Int(pl.kind)
+	writeRecords(w, pl.send)
+	if pl.kind == portDelivered {
+		w.Int(pl.targetSlot)
 	}
 }
 
-// DecodePlans implements sim.PlanCodec.
-func (p *PortSelect) DecodePlans(e *sim.Engine, r *snap.Reader) error {
-	n := r.Len()
-	size := e.Size()
-	for i := 0; i < n; i++ {
-		slot := r.Int()
-		kind := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if slot < 0 || slot >= size || slot >= len(p.plans) {
-			return fmt.Errorf("portselect: plan slot %d out of range [0,%d)", slot, size)
-		}
-		pl := &p.plans[slot]
-		pl.kind = kind
-		pl.send = readRecordsInto(r, pl.send[:0])
-		switch kind {
-		case portNone, portSent:
-		case portDelivered:
-			pl.targetSlot = r.Int()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if pl.targetSlot < 0 || pl.targetSlot >= size {
-				return fmt.Errorf("portselect: plan target %d out of range [0,%d)", pl.targetSlot, size)
-			}
-			p.inbox.Push(pl.targetSlot, slot)
-		default:
-			return fmt.Errorf("portselect: unknown plan kind %d", kind)
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
+// DecodePlan implements sim.PlanCodec.
+func (p *PortSelect) DecodePlan(r *snap.Reader, slot int) (int, bool, error) {
+	pl := &p.plans[slot]
+	pl.kind = r.Int()
+	pl.send = readRecordsInto(r, pl.send[:0])
+	switch pl.kind {
+	case portNone, portSent:
+	case portDelivered:
+		pl.targetSlot = r.Int()
+		return pl.targetSlot, true, nil
+	default:
+		return 0, false, fmt.Errorf("portselect: unknown plan kind %d", pl.kind)
 	}
-	return r.Err()
+	return 0, false, nil
 }
 
 // readRecordsInto decodes a writeRecords slice appending into dst — the

@@ -286,15 +286,10 @@ func (s *System) KillComponent(name string) int {
 	return killed
 }
 
-// ChurnObserver returns an observer that, after every round in
-// [from, until] (until = 0 means forever), replaces rate × population with
-// fresh joins, wired through the allocator.
-func (s *System) ChurnObserver(rate float64, from, until int) sim.Observer {
-	return sim.ObserverFunc(func(e *sim.Engine) bool {
-		round := e.Round() - 1
-		if round < from || (until > 0 && round > until) {
-			return false
-		}
+// ChurnObserver returns an observer that, after every round, replaces
+// rate × population with fresh joins, wired through the allocator.
+func (s *System) ChurnObserver(rate float64) sim.Observer {
+	return sim.ObserverFunc(func(*sim.Engine) bool {
 		killed := s.Kill(rate)
 		if len(killed) > 0 {
 			s.AddNodes(len(killed))

@@ -195,7 +195,7 @@ func TestReconfigureRejectsInvalid(t *testing.T) {
 
 func TestChurnSteadyState(t *testing.T) {
 	s := newRingOfRings(t, 2, 200, 7)
-	s.Engine().Observe(s.ChurnObserver(0.01, 0, 0))
+	s.Engine().Observe(s.ChurnObserver(0.01))
 	tr := NewTracker(s, false)
 	if _, err := s.Run(60); err != nil {
 		t.Fatal(err)

@@ -254,13 +254,22 @@ func (c *Coordinator) exchange(pi int, codec sim.PlanCodec, _ []int) error {
 			return fmt.Errorf("%w: shard %d/%d at round %d barrier %d: %v", ErrWorkerDead, i, n, round, pi, err)
 		}
 	}
-	eng := c.sys.Engine()
-	for i := range msgs {
-		r := snap.NewReader(bytes.NewReader(msgs[i].Records))
-		if err := codec.DecodePlans(eng, r); err != nil {
+	return importShards(c.sys.Engine(), codec, round, pi, msgs, -1)
+}
+
+// importShards decodes every shard's plan records except own's (-1 imports
+// them all) into eng and credits their Plan-phase meter deltas — the
+// import half of a barrier, identical on the coordinator and every worker.
+func importShards(eng *sim.Engine, codec sim.PlanCodec, round, pi int, shards []plansMsg, own int) error {
+	for i := range shards {
+		if i == own {
+			continue
+		}
+		r := snap.NewReader(bytes.NewReader(shards[i].Records))
+		if err := eng.DecodePlans(codec, r); err != nil {
 			return fmt.Errorf("dist: importing shard %d round %d protocol %d: %w", i, round, pi, err)
 		}
-		eng.AddPlanBytes(pi, msgs[i].Meter)
+		eng.AddPlanBytes(pi, shards[i].Meter)
 	}
 	return nil
 }

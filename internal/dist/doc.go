@@ -46,6 +46,15 @@
 // frame is length-prefixed and CRC-32C checksummed (internal/snap), so a
 // flipped bit fails loudly instead of desynchronizing the stream.
 //
+// An fkPlans frame's Records field is the shard's plan-record frame. The
+// engine owns that framing — sim.EncodePlans writes the record count and
+// each record's slot, Engine.DecodePlans range-checks every slot and
+// delivered target and pushes the inbox lanes — and a protocol's
+// sim.PlanCodec owns only each record's body (its kind and the fields
+// Absorb reads). A malformed record fails the import with an error
+// wrapping sim.ErrBadPlan; both ends import through one helper,
+// importShards.
+//
 // The full connection lifecycle:
 //
 //	CONNECTED --fkHello--> HANDSHAKING --fkHelloAck--> RUNNING

@@ -109,7 +109,7 @@ func (w *workerRun) exchange(pi int, codec sim.PlanCodec, shard []int) error {
 	round := w.sys.Round()
 	var buf bytes.Buffer
 	sw := snap.NewWriter(&buf)
-	codec.EncodePlans(sw, shard)
+	sim.EncodePlans(codec, sw, shard)
 	if err := sw.Err(); err != nil {
 		return err
 	}
@@ -135,15 +135,5 @@ func (w *workerRun) exchange(pi int, codec sim.PlanCodec, shard []int) error {
 		return fmt.Errorf("%w: aggregate for round %d protocol %d over %d shards, want round %d protocol %d over %d",
 			ErrProtocol, aggRound, aggPI, len(shards), round, pi, w.h.Shards)
 	}
-	for i := range shards {
-		if i == w.h.Shard {
-			continue
-		}
-		r := snap.NewReader(bytes.NewReader(shards[i].Records))
-		if err := codec.DecodePlans(eng, r); err != nil {
-			return fmt.Errorf("dist: importing shard %d round %d protocol %d: %w", i, round, pi, err)
-		}
-		eng.AddPlanBytes(pi, shards[i].Meter)
-	}
-	return nil
+	return importShards(eng, codec, round, pi, shards, w.h.Shard)
 }

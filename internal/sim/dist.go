@@ -24,24 +24,94 @@ package sim
 // global. Inbox-owning protocols opt into sharding by implementing
 // PlanCodec; an inbox owner without a codec also falls back to replicated
 // planning, which keeps the round correct (merely unsharded).
+//
+// # The plan-record frame
+//
+// The engine owns the framing of a shard's records and a codec owns only
+// each record's body. EncodePlans writes
+//
+//	Len(records) { Int(slot) body }*
+//
+// and Engine.DecodePlans reads it back: it range-checks every slot and
+// every delivered target against the slot space, and pushes the inbox lane
+// of every delivered record, so no codec repeats those checks. A malformed
+// frame fails with an error wrapping ErrBadPlan.
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"sosf/internal/snap"
 )
 
 // PlanCodec is implemented by inbox-owning protocols whose Plan phase a
-// distributed round shards across processes. EncodePlans serializes the
-// plan records of the given slots (a shard of the alive population, in
-// ascending slot order); DecodePlans applies records encoded by a remote
-// shard — restoring the per-slot plan record and re-pushing the inbox lane
-// of every delivered exchange, exactly as the remote Plan did. Decode runs
-// between the Plan and Deliver phases of the owning protocol, so pushed
-// lanes are merged by the engine's own Deliver pass.
+// distributed round shards across processes. A codec owns exactly one
+// inbox (RunRoundSharded refuses a round otherwise). EncodePlan writes the
+// body of one slot's plan record: its kind and the fields that kind's
+// Absorb reads. DecodePlan reads one body back into the slot's plan record
+// and reports the exchange's target slot when the record is a delivered
+// exchange; the frame range-checks that target and pushes the lane.
+// DecodePlan may index its per-slot records by slot unchecked: the frame
+// passes only slots below Size(), and every such slot has been through
+// InitNode or RestoreState, which grow the records to cover it.
 type PlanCodec interface {
-	EncodePlans(w *snap.Writer, slots []int)
-	DecodePlans(e *Engine, r *snap.Reader) error
+	InboxOwner
+	EncodePlan(w *snap.Writer, slot int)
+	DecodePlan(r *snap.Reader, slot int) (target int, delivered bool, err error)
+}
+
+// ErrBadPlan is wrapped by every error DecodePlans returns for a malformed
+// plan-record frame: a slot or target outside the slot space, an unknown
+// record kind, or a truncated body.
+var ErrBadPlan = errors.New("sim: malformed plan record")
+
+// EncodePlans writes the plan-record frame of the given slots (a shard of
+// the alive population, in ascending slot order).
+func EncodePlans(codec PlanCodec, w *snap.Writer, slots []int) {
+	w.Len(len(slots))
+	for _, slot := range slots {
+		w.Int(slot)
+		codec.EncodePlan(w, slot)
+	}
+}
+
+// DecodePlans applies a frame encoded by a remote shard: it restores every
+// record's plan and re-pushes the inbox lane of every delivered exchange,
+// exactly as the remote Plan did. It runs between the Plan and Deliver
+// phases of the owning protocol, so pushed lanes are merged by the engine's
+// own Deliver pass.
+func (e *Engine) DecodePlans(codec PlanCodec, r *snap.Reader) error {
+	inbox := codec.Inboxes()[0]
+	size := len(e.nodes)
+	n := r.Len()
+	for i := 0; i < n; i++ {
+		slot := r.Int()
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("%w: record %d of %d: %w", ErrBadPlan, i, n, err)
+		}
+		if slot < 0 || slot >= size {
+			return fmt.Errorf("%w: slot %d out of range [0,%d)", ErrBadPlan, slot, size)
+		}
+		target, delivered, err := codec.DecodePlan(r, slot)
+		if err == nil {
+			err = r.Err()
+		}
+		if err != nil {
+			return fmt.Errorf("%w: slot %d: %w", ErrBadPlan, slot, err)
+		}
+		if !delivered {
+			continue
+		}
+		if target < 0 || target >= size {
+			return fmt.Errorf("%w: slot %d target %d out of range [0,%d)", ErrBadPlan, slot, target, size)
+		}
+		inbox.Push(target, slot)
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadPlan, err)
+	}
+	return nil
 }
 
 // ShardExchange is the per-protocol barrier hook of a distributed round.
@@ -61,10 +131,6 @@ type ShardExchange func(pi int, codec PlanCodec, shard []int) error
 // participant's. A nil exch runs a plain full round. On error the round is
 // abandoned mid-flight and the engine must not be stepped again.
 func (e *Engine) RunRoundSharded(lo, hi int, exch ShardExchange) (stop bool, err error) {
-	return e.runRoundSharded(lo, hi, exch)
-}
-
-func (e *Engine) runRoundSharded(lo, hi int, exch ShardExchange) (stop bool, err error) {
 	alive := e.alive()
 	e.ensureCtxs()
 	for pi, p := range e.protocols {
@@ -75,6 +141,9 @@ func (e *Engine) runRoundSharded(lo, hi int, exch ShardExchange) (stop bool, err
 			codec, _ = p.(PlanCodec)
 		}
 		if codec != nil {
+			if len(e.inboxes[pi]) != 1 {
+				return false, fmt.Errorf("sim: plan codec %s owns %d inboxes, want 1", p.Name(), len(e.inboxes[pi]))
+			}
 			shard := sliceSlots(alive, lo, hi)
 			e.runPhase(p, base+phasePlan, phasePlan, shard)
 			if err := exch(pi, codec, shard); err != nil {

@@ -462,16 +462,6 @@ func (e *Engine) KillFraction(f float64) []int {
 	return killed
 }
 
-// DeliverExchange applies the configured loss rate to one request/response
-// exchange, returning false if the exchange is lost in transit. It draws
-// from the engine's serial source; in-round code uses Ctx.Deliver instead.
-func (e *Engine) DeliverExchange() bool {
-	if e.lossRate <= 0 {
-		return true
-	}
-	return e.rng.Float64() >= e.lossRate
-}
-
 // Partition splits the alive population into the given number of groups;
 // exchanges between nodes of different groups are dropped until Heal.
 // Group assignment is balanced and drawn from the engine's random source,
@@ -513,17 +503,6 @@ func (e *Engine) SameSide(a, b int) bool {
 	return ga < 0 || gb < 0 || ga == gb
 }
 
-// DeliverBetween decides whether one request/response exchange between two
-// slots goes through: the partition (if any) is consulted first, then the
-// loss rate. It draws from the engine's serial source; in-round code uses
-// Ctx.Deliver instead.
-func (e *Engine) DeliverBetween(from, to int) bool {
-	if !e.SameSide(from, to) {
-		return false
-	}
-	return e.DeliverExchange()
-}
-
 // Phase identifiers, used to salt the per-node streams so a protocol's
 // phases draw from independent streams. The engine-driven Deliver merge
 // draws no randomness, so it needs no salt — the constants (and with them
@@ -539,35 +518,38 @@ const (
 // phaseJob is one shard of a parallel phase, handed to a pool worker. The
 // job carries everything the worker needs so parked workers hold no engine
 // reference (which would keep a finalized engine alive forever). A job is
-// either a phase shard (p non-nil: run slots through one protocol phase)
-// or a Deliver merge shard (boxes non-nil: link planned exchanges whose
-// target falls in [lo, hi)).
+// either a phase shard (p non-nil: run alive[lo:hi] through one protocol
+// phase) or a Deliver merge shard (boxes non-nil: link the planned
+// exchanges of the alive senders whose target falls in [lo, hi)).
 type phaseJob struct {
 	ctx   *Ctx
 	p     Protocol
 	salt  uint64
 	phase int
-	slots []int
+	boxes []*Inbox
 
-	boxes  []*Inbox
-	nodes  []Node
 	alive  []int
 	lo, hi int
 
 	done chan<- struct{}
 }
 
+// run executes the job's shard on the calling goroutine.
+func (j *phaseJob) run() {
+	if j.boxes != nil {
+		for _, b := range j.boxes {
+			b.merge(j.ctx.e.nodes, j.alive, j.lo, j.hi)
+		}
+		return
+	}
+	runShard(j.ctx, j.p, j.salt, j.phase, j.alive[j.lo:j.hi])
+}
+
 // poolWorker executes phase and merge shards until the jobs channel closes
 // (when the owning engine is garbage-collected).
 func poolWorker(jobs <-chan phaseJob) {
 	for j := range jobs {
-		if j.boxes != nil {
-			for _, b := range j.boxes {
-				b.merge(j.nodes, j.alive, j.lo, j.hi)
-			}
-		} else {
-			runShard(j.ctx, j.p, j.salt, j.phase, j.slots)
-		}
+		j.run()
 		j.done <- struct{}{}
 	}
 }
@@ -657,44 +639,9 @@ func (e *Engine) ensurePool() {
 }
 
 // runPhase executes one parallel phase of one protocol over the alive
-// slots: serially in-place for a single worker (or a population too small
-// to shard), otherwise fanned out over the pool in contiguous shards.
+// slots, sharded into contiguous runs of the slot list.
 func (e *Engine) runPhase(p Protocol, salt uint64, phase int, alive []int) {
-	w := e.workers
-	if max := len(alive) / minShardSlots; w > max {
-		// Floor division: every dispatched shard carries at least
-		// minShardSlots slots (max 0 collapses to the serial path).
-		w = max
-	}
-	if w <= 1 {
-		runShard(&e.ctxs[0], p, salt, phase, alive)
-		return
-	}
-	e.ensurePool()
-	chunk := (len(alive) + w - 1) / w
-	sent := 0
-	for i := 0; i < w; i++ {
-		lo := i * chunk
-		if lo >= len(alive) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(alive) {
-			hi = len(alive)
-		}
-		e.jobs <- phaseJob{
-			ctx:   &e.ctxs[i],
-			p:     p,
-			salt:  salt,
-			phase: phase,
-			slots: alive[lo:hi],
-			done:  e.done,
-		}
-		sent++
-	}
-	for ; sent > 0; sent-- {
-		<-e.done
-	}
+	e.fanOut(phaseJob{p: p, salt: salt, phase: phase, alive: alive}, len(alive))
 }
 
 // deliver runs one protocol's Deliver phase: merge the exchanges planned
@@ -704,41 +651,37 @@ func (e *Engine) runPhase(p Protocol, salt uint64, phase int, alive []int) {
 // delivery of the pre-sharded engine — at any worker count. Protocols
 // without inboxes (pure-lookup layers) skip the phase entirely.
 func (e *Engine) deliver(pi int, alive []int) {
-	boxes := e.inboxes[pi]
-	if len(boxes) == 0 {
-		return
+	if boxes := e.inboxes[pi]; len(boxes) > 0 {
+		e.fanOut(phaseJob{boxes: boxes, alive: alive}, len(e.nodes))
 	}
+}
+
+// fanOut splits [0, n) into contiguous shards, one per worker, and runs
+// job over each: serially in-place for a single worker (or a population
+// too small to shard), otherwise over the pool, returning once every
+// shard is done. A phase job shards the alive list (n = len(alive)), a
+// merge job the slot space (n = Size()); either way the worker count is
+// capped by the alive population.
+func (e *Engine) fanOut(job phaseJob, n int) {
 	w := e.workers
-	if max := len(alive) / minShardSlots; w > max {
+	if max := len(job.alive) / minShardSlots; w > max {
+		// Floor division: every dispatched shard covers at least
+		// minShardSlots alive slots' worth of work (max 0 collapses to
+		// the serial path).
 		w = max
 	}
-	size := len(e.nodes)
 	if w <= 1 {
-		for _, b := range boxes {
-			b.merge(e.nodes, alive, 0, size)
-		}
+		job.ctx, job.lo, job.hi = &e.ctxs[0], 0, n
+		job.run()
 		return
 	}
 	e.ensurePool()
-	chunk := (size + w - 1) / w
+	job.done = e.done
+	chunk := (n + w - 1) / w
 	sent := 0
-	for i := 0; i < w; i++ {
-		lo := i * chunk
-		if lo >= size {
-			break
-		}
-		hi := lo + chunk
-		if hi > size {
-			hi = size
-		}
-		e.jobs <- phaseJob{
-			boxes: boxes,
-			nodes: e.nodes,
-			alive: alive,
-			lo:    lo,
-			hi:    hi,
-			done:  e.done,
-		}
+	for lo := 0; lo < n; lo += chunk {
+		job.ctx, job.lo, job.hi = &e.ctxs[sent], lo, min(lo+chunk, n)
+		e.jobs <- job
 		sent++
 	}
 	for ; sent > 0; sent-- {
@@ -753,7 +696,7 @@ func (e *Engine) deliver(pi int, alive []int) {
 // runs observers. The result is byte-identical for every worker count. It
 // reports whether any observer requested a stop.
 func (e *Engine) RunRound() (stop bool) {
-	stop, _ = e.runRoundSharded(0, len(e.nodes), nil)
+	stop, _ = e.RunRoundSharded(0, len(e.nodes), nil)
 	return stop
 }
 

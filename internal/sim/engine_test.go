@@ -224,14 +224,21 @@ func TestWireSizes(t *testing.T) {
 	}
 }
 
+// slotCtx returns a phase context for slot, drawing from the slot's
+// stream as a Plan would.
+func slotCtx(e *Engine, slot int) *Ctx {
+	return &Ctx{e: e, slot: slot, rng: NewStream(e.seed, e.nodes[slot].ID, e.round, phasePlan)}
+}
+
 func TestDeliverExchangeLoss(t *testing.T) {
 	e := New(3)
+	e.AddNodes(2)
 	e.SetLossRate(1.0)
-	if e.DeliverExchange() {
+	if slotCtx(e, 0).Deliver(1) {
 		t.Fatal("loss rate 1.0 must drop every exchange")
 	}
 	e.SetLossRate(0)
-	if !e.DeliverExchange() {
+	if !slotCtx(e, 0).Deliver(1) {
 		t.Fatal("loss rate 0 must deliver every exchange")
 	}
 }
@@ -248,8 +255,8 @@ func TestPartitionBlocksCrossGroupExchanges(t *testing.T) {
 		for b := a + 1; b < 10; b++ {
 			same := e.SameSide(a, b)
 			sides[same]++
-			if e.DeliverBetween(a, b) != same {
-				t.Fatalf("DeliverBetween(%d, %d) disagrees with SameSide", a, b)
+			if slotCtx(e, a).Deliver(b) != same {
+				t.Fatalf("Deliver(%d -> %d) disagrees with SameSide", a, b)
 			}
 		}
 	}

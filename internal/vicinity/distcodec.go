@@ -2,7 +2,8 @@ package vicinity
 
 // Distributed plan codec: ships one shard's vicinityPlan records across
 // processes. Each overlay instance (uo1, core) is its own protocol with its
-// own inbox, so each encodes and decodes independently.
+// own inbox, so each encodes and decodes independently. The engine owns
+// the record frame; this codec writes and reads one record's body.
 
 import (
 	"fmt"
@@ -14,62 +15,37 @@ import (
 
 var _ sim.PlanCodec = (*Protocol)(nil)
 
-// EncodePlans implements sim.PlanCodec.
-func (p *Protocol) EncodePlans(w *snap.Writer, slots []int) {
-	w.Len(len(slots))
-	for _, slot := range slots {
-		pl := &p.plans[slot]
-		w.Int(slot)
-		w.Int(pl.kind)
-		switch pl.kind {
-		case planTimeout:
-			w.Varint(int64(pl.partner))
-		case planDelivered:
-			w.Varint(int64(pl.partner))
-			w.Int(pl.targetSlot)
-			snap.WriteDescriptors(w, pl.send)
-			snap.WriteDescriptors(w, pl.reply)
-		}
+// EncodePlan implements sim.PlanCodec.
+func (p *Protocol) EncodePlan(w *snap.Writer, slot int) {
+	pl := &p.plans[slot]
+	w.Int(pl.kind)
+	switch pl.kind {
+	case planTimeout:
+		w.Varint(int64(pl.partner))
+	case planDelivered:
+		w.Varint(int64(pl.partner))
+		w.Int(pl.targetSlot)
+		snap.WriteDescriptors(w, pl.send)
+		snap.WriteDescriptors(w, pl.reply)
 	}
 }
 
-// DecodePlans implements sim.PlanCodec.
-func (p *Protocol) DecodePlans(e *sim.Engine, r *snap.Reader) error {
-	n := r.Len()
-	size := e.Size()
-	for i := 0; i < n; i++ {
-		slot := r.Int()
-		kind := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if slot < 0 || slot >= size || slot >= len(p.plans) {
-			return fmt.Errorf("vicinity %s: plan slot %d out of range [0,%d)", p.name, slot, size)
-		}
-		pl := &p.plans[slot]
-		pl.kind = kind
-		switch kind {
-		case planNone:
-		case planTimeout:
-			pl.partner = view.NodeID(r.Varint())
-		case planDelivered:
-			pl.partner = view.NodeID(r.Varint())
-			pl.targetSlot = r.Int()
-			pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
-			pl.reply = snap.ReadDescriptorsInto(r, pl.reply[:0])
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if pl.targetSlot < 0 || pl.targetSlot >= size {
-				return fmt.Errorf("vicinity %s: plan target %d out of range [0,%d)", p.name, pl.targetSlot, size)
-			}
-			p.inbox.Push(pl.targetSlot, slot)
-		default:
-			return fmt.Errorf("vicinity %s: unknown plan kind %d", p.name, kind)
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
+// DecodePlan implements sim.PlanCodec.
+func (p *Protocol) DecodePlan(r *snap.Reader, slot int) (int, bool, error) {
+	pl := &p.plans[slot]
+	pl.kind = r.Int()
+	switch pl.kind {
+	case planNone:
+	case planTimeout:
+		pl.partner = view.NodeID(r.Varint())
+	case planDelivered:
+		pl.partner = view.NodeID(r.Varint())
+		pl.targetSlot = r.Int()
+		pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
+		pl.reply = snap.ReadDescriptorsInto(r, pl.reply[:0])
+		return pl.targetSlot, true, nil
+	default:
+		return 0, false, fmt.Errorf("vicinity %s: unknown plan kind %d", p.name, pl.kind)
 	}
-	return r.Err()
+	return 0, false, nil
 }

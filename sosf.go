@@ -198,7 +198,7 @@ func New(src string, opts ...Option) (*System, error) {
 		}
 	}
 	if cfg.churnRate > 0 {
-		sys.Engine().Observe(sys.ChurnObserver(cfg.churnRate, 0, 0))
+		sys.Engine().Observe(sys.ChurnObserver(cfg.churnRate))
 	}
 	s.tracker = core.NewTracker(sys, !cfg.runToEnd)
 	if s.bound != nil {
@@ -249,15 +249,23 @@ func (s *System) Step(n int) (int, error) {
 // mid-round death.
 func (s *System) StepContext(ctx context.Context, n int) (int, error) {
 	executed, err := s.sys.RunContext(ctx, n)
-	if s.bound != nil {
-		if serr := s.bound.Err(); serr != nil {
-			return executed, serr
-		}
-	}
-	if s.snapErr != nil {
-		return executed, s.snapErr
+	if rerr := s.roundErr(); rerr != nil {
+		return executed, rerr
 	}
 	return executed, err
+}
+
+// roundErr reports the first failure an observer recorded during the
+// rounds just run: a scenario action's error, then a periodic snapshot's.
+// Step and DistRound both surface it, so a distributed loop observes the
+// same failures a serial run would.
+func (s *System) roundErr() error {
+	if s.bound != nil {
+		if err := s.bound.Err(); err != nil {
+			return err
+		}
+	}
+	return s.snapErr
 }
 
 // Engine returns the underlying round engine. sim is an internal package,
@@ -282,15 +290,7 @@ func (s *System) DistRound(lo, hi int, exch sim.ShardExchange) (stop bool, err e
 	if err != nil {
 		return stop, err
 	}
-	if s.bound != nil {
-		if serr := s.bound.Err(); serr != nil {
-			return stop, serr
-		}
-	}
-	if s.snapErr != nil {
-		return stop, s.snapErr
-	}
-	return stop, nil
+	return stop, s.roundErr()
 }
 
 // RoundBudget resolves the run's round budget: an explicit WithRounds wins,
