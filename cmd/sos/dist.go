@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 
 	"sosf"
@@ -18,39 +17,36 @@ import (
 // -snap writes a checkpoint after the run and -resume restores one before
 // it, at any shard count on either side of the cut.
 func distCmd(args []string) error {
-	fs := flag.NewFlagSet("dist", flag.ContinueOnError)
-	f := addRunFlags(fs)
-	shards := fs.Int("shards", 2, "replicas the Plan phase is split over; each owns one contiguous slot shard")
-	resumeFile := fs.String("resume", "", "restore this checkpoint before the run")
-	if err := fs.Parse(args); err != nil {
+	f := addRunFlags(flag.NewFlagSet("dist", flag.ContinueOnError))
+	shards := f.fs.Int("shards", 2, "replicas the Plan phase is split over; each owns one contiguous slot shard")
+	resumeFile := f.fs.String("resume", "", "restore this checkpoint before the run")
+	if err := f.parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("dist: expected exactly one DSL file")
-	}
-	src, err := os.ReadFile(fs.Arg(0))
+	sink, err := eventSink(f.events)
 	if err != nil {
 		return err
 	}
-	sink, err := eventSink(*f.events)
-	if err != nil {
-		return err
-	}
-	sys, err := dist.RunLocal(dist.Config{
-		Source: string(src),
-		Shards: *shards,
-		Seed:   *f.seed, SeedSet: f.explicit("seed"),
-		Nodes:  *f.nodes,
-		Loss:   *f.loss,
-		Churn:  *f.churn,
-		Rounds: *f.rounds, RoundsSet: f.explicit("rounds"),
-		Threads:    *f.workers,
+	cfg := dist.Config{
+		Source:     f.spec.Source,
+		Shards:     *shards,
+		Nodes:      f.spec.Nodes,
+		Loss:       f.spec.Loss,
+		Churn:      f.spec.Churn,
+		Threads:    f.spec.Workers,
 		Events:     []func(sosf.RoundEvent){sink},
-		SnapPath:   *f.snap,
+		SnapPath:   f.snap,
 		ResumePath: *resumeFile,
-	})
+	}
+	if f.spec.Seed != nil {
+		cfg.Seed, cfg.SeedSet = *f.spec.Seed, true
+	}
+	if f.spec.Rounds != nil {
+		cfg.Rounds, cfg.RoundsSet = *f.spec.Rounds, true
+	}
+	sys, err := dist.RunLocal(cfg)
 	if err != nil {
 		return err
 	}
-	return printReport(os.Stderr, sys.Report(), *f.json)
+	return printReport(os.Stderr, sys.Report(), f.json)
 }

@@ -43,6 +43,9 @@
 //	                               shrink every violation to a minimal .sos
 //	                               reproducer; exits non-zero on findings
 //
+// Every -workers N below follows one rule (default 1): 1 runs serially, 0
+// selects GOMAXPROCS, N > 1 pins N workers, and a negative N is refused.
+//
 // Flags for serve (it takes no file argument):
 //
 //	-addr HOST:PORT  listen address (default 127.0.0.1:8080)
@@ -50,8 +53,8 @@
 //	                 sos-serve-data)
 //	-max-resident N  memory budget: evict least-recently-used paused jobs
 //	                 to snapshots beyond N resident jobs (default 0 = off)
-//	-workers N       default round-sharding for jobs that don't set their
-//	                 own (default 1; output identical for any value)
+//	-workers N       round-sharding for jobs that don't set their own
+//	                 (output identical for any value)
 //
 // Flags for fuzz (it takes no file argument):
 //
@@ -70,15 +73,15 @@
 //	-no-resume     skip the per-run resume-equivalence check
 //	-corpus DIR    write each finding as a NAME.in/NAME.out reproducer
 //	               pair under DIR (see testdata/corpus)
-//	-workers N     shard each simulated round (default 1; 0 = GOMAXPROCS)
+//	-workers N     shard each simulated round (results identical)
 //
 // Flags for run, play, snapshot, resume, and dot (dist takes all but
 // -to-end; it always plays to the end):
 //
 //	-nodes N       population size (default: the file's `nodes` option)
-//	-workers N     shard each simulation round across N workers (default 1;
-//	               0 = GOMAXPROCS). Output is byte-identical for every
-//	               worker count — workers only change the wall clock
+//	-workers N     shard each simulation round across N workers. Output is
+//	               byte-identical for every worker count — workers only
+//	               change the wall clock
 //	-rounds N      maximum rounds to simulate (default 150; play and dist
 //	               extend this to the scenario horizon; for resume and
 //	               dist it is the absolute target round, counted from 0)
@@ -143,60 +146,41 @@ func run(args []string) error {
 		return distCmd(rest)
 	}
 
-	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	f := addRunFlags(fs)
-	toEnd := fs.Bool("to-end", false, "keep running after convergence")
-	if err := fs.Parse(rest); err != nil {
+	f := addRunFlags(flag.NewFlagSet(cmd, flag.ContinueOnError))
+	toEnd := f.fs.Bool("to-end", false, "keep running after convergence")
+	if err := f.parse(rest); err != nil {
 		return err
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("%s: expected exactly one DSL file", cmd)
-	}
-	src, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	opts := []sosf.Option{
-		sosf.WithNodes(*f.nodes),
-		sosf.WithChurn(*f.churn),
-		sosf.WithLoss(*f.loss),
-		sosf.WithWorkers(*f.workers),
-	}
-	if f.explicit("rounds") {
-		opts = append(opts, sosf.WithRounds(*f.rounds))
-	}
-	if f.explicit("seed") {
-		opts = append(opts, sosf.WithSeed(*f.seed))
-	}
+	var extra []sosf.Option
 	if *toEnd {
-		opts = append(opts, sosf.WithRunToEnd())
+		extra = append(extra, sosf.WithRunToEnd())
 	}
 
 	switch cmd {
 	case "check":
-		if err := sosf.Validate(string(src)); err != nil {
+		if err := sosf.Validate(f.spec.Source); err != nil {
 			return err
 		}
 		fmt.Println("ok")
 		return nil
 	case "run":
-		rep, err := sosf.Run(string(src), opts...)
+		rep, err := sosf.Run(f.spec.Source, f.spec.Options(extra...)...)
 		if err != nil {
 			return err
 		}
-		return printReport(os.Stdout, rep, *f.json)
+		return printReport(os.Stdout, rep, f.json)
 	case "play":
-		return play(string(src), opts, *f.events, *f.json, "", "", true)
+		return play(f, "", "", true)
 	case "snapshot", "resume":
-		if *f.snap == "" {
+		if f.snap == "" {
 			return fmt.Errorf("%s: -snap FILE is required", cmd)
 		}
 		if cmd == "snapshot" {
-			return play(string(src), opts, *f.events, *f.json, "", *f.snap, false)
+			return play(f, "", f.snap, false)
 		}
-		return play(string(src), opts, *f.events, *f.json, *f.snap, "", true)
+		return play(f, f.snap, "", true)
 	case "dot":
-		sys, err := sosf.New(string(src), opts...)
+		sys, err := sosf.New(f.spec.Source, f.spec.Options(extra...)...)
 		if err != nil {
 			return err
 		}
@@ -210,40 +194,71 @@ func run(args []string) error {
 	}
 }
 
-// runFlags are the flags every simulating command takes; `sos dist` adds
-// its own two on top of the same set.
+// runFlags are the flags every simulating command takes, parsed into one
+// sosf.RunSpec; `sos dist` adds its own two on top of the same set.
 type runFlags struct {
-	fs                     *flag.FlagSet
-	nodes, rounds, workers *int
-	seed                   *int64
-	churn, loss            *float64
-	events, snap           *string
-	json                   *bool
+	fs              *flag.FlagSet
+	spec            sosf.RunSpec
+	rounds, workers int
+	seed            int64
+	events, snap    string
+	json            bool
 }
 
 func addRunFlags(fs *flag.FlagSet) *runFlags {
-	return &runFlags{
-		fs:      fs,
-		nodes:   fs.Int("nodes", 0, "population size (default: the file's nodes option)"),
-		rounds:  fs.Int("rounds", sosf.DefaultRounds, "maximum rounds to simulate (resume, dist: the absolute target round)"),
-		seed:    fs.Int64("seed", sosf.DefaultSeed, "random seed"),
-		churn:   fs.Float64("churn", 0, "fraction of nodes replaced per round"),
-		loss:    fs.Float64("loss", 0, "probability that an exchange is lost"),
-		workers: fs.Int("workers", 1, "workers sharding each round (0 = GOMAXPROCS; output identical for any value)"),
-		json:    fs.Bool("json", false, "machine-readable final report (run, play, snapshot, resume, dist)"),
-		events:  fs.String("events", "jsonl", "play/snapshot/resume/dist: event stream format, jsonl or csv"),
-		snap:    fs.String("snap", "", "snapshot/resume: checkpoint file to write/read; dist: write one after the run"),
-	}
+	f := &runFlags{fs: fs}
+	fs.IntVar(&f.spec.Nodes, "nodes", 0, "population size (default: the file's nodes option)")
+	fs.IntVar(&f.rounds, "rounds", sosf.DefaultRounds, "maximum rounds to simulate (resume, dist: the absolute target round)")
+	fs.Int64Var(&f.seed, "seed", sosf.DefaultSeed, "random seed")
+	fs.Float64Var(&f.spec.Churn, "churn", 0, "fraction of nodes replaced per round")
+	fs.Float64Var(&f.spec.Loss, "loss", 0, "probability that an exchange is lost")
+	fs.IntVar(&f.workers, "workers", 1, "workers sharding each round (0 = GOMAXPROCS; output identical for any value)")
+	fs.BoolVar(&f.json, "json", false, "machine-readable final report (run, play, snapshot, resume, dist)")
+	fs.StringVar(&f.events, "events", "jsonl", "play/snapshot/resume/dist: event stream format, jsonl or csv")
+	fs.StringVar(&f.snap, "snap", "", "snapshot/resume: checkpoint file to write/read; dist: write one after the run")
+	return f
 }
 
-// explicit reports whether the user typed the flag. -rounds and -seed are
-// only forwarded when they did: left alone, the file's own `option rounds`
-// / `option seed` apply (and the usual defaults after that), so a
-// self-contained .sos reproducer replays its exact run with no flags at all.
-func (f *runFlags) explicit(name string) bool {
-	set := false
-	f.fs.Visit(func(fl *flag.Flag) { set = set || fl.Name == name })
-	return set
+// parse parses args, which must name exactly one DSL file, into the spec.
+// -rounds and -seed are only forwarded when the user typed them: left
+// alone, the file's own `option rounds` / `option seed` apply (and the
+// usual defaults after that), so a self-contained .sos reproducer replays
+// its exact run with no flags at all.
+func (f *runFlags) parse(args []string) error {
+	if err := f.fs.Parse(args); err != nil {
+		return err
+	}
+	if f.fs.NArg() != 1 {
+		return fmt.Errorf("%s: expected exactly one DSL file", f.fs.Name())
+	}
+	f.fs.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "rounds":
+			f.spec.Rounds = &f.rounds
+		case "seed":
+			f.spec.Seed = &f.seed
+		}
+	})
+	workers, err := workerCount(f.workers)
+	if err != nil {
+		return err
+	}
+	src, err := os.ReadFile(f.fs.Arg(0))
+	f.spec.Source, f.spec.Workers = string(src), workers
+	return err
+}
+
+// workerCount turns a -workers flag into the library's worker rule (0 or 1
+// serial, negative GOMAXPROCS): the flag's documented 0 = GOMAXPROCS
+// becomes -1, and a negative flag value is refused.
+func workerCount(n int) (int, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("-workers must be >= 0, got %d", n)
+	}
+	if n == 0 {
+		return -1, nil
+	}
+	return n, nil
 }
 
 // serveCmd runs the HTTP job service until SIGINT, then drains: in-flight
@@ -261,11 +276,15 @@ func serveCmd(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("serve: unexpected argument %q (submit topologies over HTTP)", fs.Arg(0))
 	}
+	defWorkers, err := workerCount(*workers)
+	if err != nil {
+		return err
+	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	srv, err := serve.NewServer(serve.Config{
 		Dir:            *dir,
 		MaxResident:    *maxResident,
-		DefaultWorkers: *workers,
+		DefaultWorkers: defWorkers,
 		Log:            logger,
 	})
 	if err != nil {
@@ -319,6 +338,10 @@ func fuzz(args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("fuzz: unexpected argument %q (the campaign generates its own topologies)", fs.Arg(0))
 	}
+	roundWorkers, err := workerCount(*workers)
+	if err != nil {
+		return err
+	}
 	findings, err := campaign.New(campaign.Config{
 		Seed:             *seed,
 		Runs:             *runs,
@@ -328,7 +351,7 @@ func fuzz(args []string) error {
 		PopulationFloor:  *popFloor,
 		NoRepair:         *noRepair,
 		SkipResumeCheck:  *noResume,
-		Workers:          *workers,
+		Workers:          roundWorkers,
 		Log:              os.Stderr,
 	}).Run()
 	if err != nil {
@@ -376,16 +399,16 @@ func eventSink(format string) (func(sosf.RoundEvent), error) {
 // byte-identical to an uninterrupted play of the same file. A SIGINT is
 // caught at the next round boundary and turned into a final
 // interrupted.sosnap checkpoint.
-func play(src string, opts []sosf.Option, format string, asJSON bool, restoreFrom, writeTo string, toHorizon bool) error {
-	sink, err := eventSink(format)
+func play(f *runFlags, restoreFrom, writeTo string, toHorizon bool) error {
+	sink, err := eventSink(f.events)
 	if err != nil {
 		return err
 	}
-	opts = append(opts, sosf.WithRunToEnd())
+	opts := []sosf.Option{sosf.WithRunToEnd()}
 	if restoreFrom != "" {
 		opts = append(opts, sosf.WithRestoreFrom(restoreFrom))
 	}
-	sys, err := sosf.New(src, opts...)
+	sys, err := sosf.New(f.spec.Source, f.spec.Options(opts...)...)
 	if err != nil {
 		return err
 	}
@@ -405,7 +428,7 @@ func play(src string, opts []sosf.Option, format string, asJSON bool, restoreFro
 			return err
 		}
 	}
-	return printReport(os.Stderr, sys.Report(), asJSON)
+	return printReport(os.Stderr, sys.Report(), f.json)
 }
 
 // interruptSnapshot is where a SIGINT-interrupted play/resume saves its

@@ -2,11 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+
+	"sosf"
 )
 
 const testTopo = "../../testdata/ringpair.sos"
@@ -386,5 +391,45 @@ func TestFuzzSeededViolationWritesCorpus(t *testing.T) {
 func TestFuzzRejectsFileArgument(t *testing.T) {
 	if err := run([]string{"fuzz", testTopo}); err == nil {
 		t.Fatal("fuzz with a file argument should fail")
+	}
+}
+
+// TestWorkersFlagRule: every command's -workers flag goes through
+// workerCount, so `-workers 0` reaches the engine as GOMAXPROCS, other
+// non-negative values pass through, and a negative value is refused before
+// anything runs.
+func TestWorkersFlagRule(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	for _, tc := range []struct{ flag, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{1, 1},
+		{3, 3},
+	} {
+		for _, cmd := range []string{"run", "play", "snapshot", "resume", "dot", "dist"} {
+			f := addRunFlags(flag.NewFlagSet(cmd, flag.ContinueOnError))
+			if err := f.parse([]string{"-workers", strconv.Itoa(tc.flag), testTopo}); err != nil {
+				t.Fatal(err)
+			}
+			sys, err := sosf.New(f.spec.Source, f.spec.Options()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sys.Engine().Workers(); got != tc.want {
+				t.Errorf("%s -workers %d: engine runs %d workers, want %d", cmd, tc.flag, got, tc.want)
+			}
+		}
+	}
+	for _, args := range [][]string{
+		{"play", "-workers", "-1", testTopo},
+		{"dist", "-workers", "-1", testTopo},
+		{"serve", "-workers", "-1"},
+		{"fuzz", "-workers", "-1"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-workers must be >= 0") {
+			t.Errorf("run(%v) = %v, want the -workers refusal", args, err)
+		}
 	}
 }

@@ -18,9 +18,10 @@
 //	             (default GOMAXPROCS; 1 = sequential; output is
 //	             byte-identical either way)
 //	-workers N   shard each simulation round across N workers
-//	             (default 1; 0 = GOMAXPROCS). Per-node RNG streams keep
-//	             every figure and table byte-identical for any value;
-//	             use it to speed up single large runs
+//	             (default 1 = serial; 0 = GOMAXPROCS; negative refused).
+//	             Per-node RNG streams keep every figure and table
+//	             byte-identical for any value; use it to speed up single
+//	             large runs
 //	-out DIR     also write <id>.dat, <id>.svg and <id>.txt files
 //
 // Profiling:
@@ -108,12 +109,16 @@ func run() error {
 		}()
 	}
 
+	rw, err := workerCount(*roundWorkers)
+	if err != nil {
+		return err
+	}
 	o := eval.Options{
 		Runs:         *runs,
 		Seed:         *seed,
 		Full:         *full,
 		Parallelism:  *parallel,
-		RoundWorkers: *roundWorkers,
+		RoundWorkers: rw,
 	}
 	workers := *parallel
 	if workers <= 0 {
@@ -189,6 +194,19 @@ func run() error {
 	fmt.Printf("total wall-clock %v (parallelism %d)\n",
 		time.Since(start).Round(time.Millisecond), workers)
 	return nil
+}
+
+// workerCount turns the -workers flag into eval.Options.RoundWorkers' rule
+// (0 serial, negative GOMAXPROCS): the flag's documented 0 = GOMAXPROCS
+// becomes -1, and a negative flag value is refused.
+func workerCount(n int) (int, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("-workers must be >= 0, got %d", n)
+	}
+	if n == 0 {
+		return -1, nil
+	}
+	return n, nil
 }
 
 // writer renders results to stdout and, optionally, to files.

@@ -86,3 +86,17 @@ func TestWriterTableFiles(t *testing.T) {
 		t.Fatalf("table file:\n%s", txt)
 	}
 }
+
+// TestWorkerCount: -workers keeps its documented meaning (0 = GOMAXPROCS)
+// by mapping onto eval.Options.RoundWorkers' rule, where 0 is serial and a
+// negative value selects GOMAXPROCS.
+func TestWorkerCount(t *testing.T) {
+	for flag, want := range map[int]int{0: -1, 1: 1, 4: 4} {
+		if got, err := workerCount(flag); err != nil || got != want {
+			t.Errorf("workerCount(%d) = %d, %v; want %d", flag, got, err, want)
+		}
+	}
+	if _, err := workerCount(-1); err == nil {
+		t.Error("workerCount(-1) accepted a negative -workers")
+	}
+}

@@ -70,7 +70,8 @@ type Config struct {
 	// SnapshotEvery is the cadence of the in-memory checkpoints the
 	// shrinker resumes candidate runs from (default 10 rounds).
 	SnapshotEvery int
-	// Workers shards each simulation round (default 1). Results are
+	// Workers shards each simulation round with sosf.RunSpec's rule: 0 or
+	// 1 runs serially, a negative value selects GOMAXPROCS. Results are
 	// byte-identical at any value; this only changes the wall clock.
 	Workers int
 	// Invariants appends extra invariants after the default set.
@@ -112,9 +113,6 @@ func New(cfg Config) *Campaign {
 	}
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 10
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	invs := []Invariant{
 		Reconverge{Within: cfg.ReconvergeWithin},
@@ -354,10 +352,8 @@ func (c *Campaign) execute(topo *spec.Topology, eo execOpts) (*Run, error) {
 		InitialNodes: int(topo.Option("nodes", 0)),
 		LastFault:    lastFaultRound(topo.Scenario),
 	}
-	sys, err := sosf.New(src,
-		sosf.WithWorkers(c.cfg.Workers),
-		sosf.WithRunToEnd(),
-		sosf.WithEvents(collectInto(&r.Events, &r.Lines)))
+	sys, err := sosf.New(src, sosf.RunSpec{Workers: c.cfg.Workers}.Options(
+		sosf.WithRunToEnd(), sosf.WithEvents(collectInto(&r.Events, &r.Lines)))...)
 	if err != nil {
 		return nil, err
 	}
@@ -412,10 +408,8 @@ func (c *Campaign) execute(topo *spec.Topology, eo execOpts) (*Run, error) {
 func (c *Campaign) resumeCheck(r *Run, mid int, snap []byte) error {
 	var events []sosf.RoundEvent
 	var lines [][]byte
-	sys, err := sosf.New(r.Source,
-		sosf.WithWorkers(c.cfg.Workers),
-		sosf.WithRunToEnd(),
-		sosf.WithEvents(collectInto(&events, &lines)))
+	sys, err := sosf.New(r.Source, sosf.RunSpec{Workers: c.cfg.Workers}.Options(
+		sosf.WithRunToEnd(), sosf.WithEvents(collectInto(&events, &lines)))...)
 	if err != nil {
 		return err
 	}

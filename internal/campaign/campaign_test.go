@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -264,5 +265,31 @@ func TestDeriveSeed(t *testing.T) {
 	}
 	if deriveSeed(1, 7) != deriveSeed(1, 7) {
 		t.Fatal("deriveSeed is not a pure function")
+	}
+}
+
+// TestWorkersRule: `sos fuzz -workers 0` hands the campaign Workers -1, and
+// its runs shard across GOMAXPROCS workers; Workers 0 runs serially.
+func TestWorkersRule(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	for _, tc := range []struct{ workers, want int }{
+		{-1, runtime.GOMAXPROCS(0)},
+		{0, 1},
+	} {
+		c := New(Config{Seed: 1, Runs: 1, Populations: []int{48}, Workers: tc.workers})
+		topo, err := c.buildRun(c.runID(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.execute(topo, execOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Sys.Engine().Workers(); got != tc.want {
+			t.Errorf("Config.Workers %d: engine runs %d workers, want %d", tc.workers, got, tc.want)
+		}
 	}
 }

@@ -32,8 +32,9 @@ type Config struct {
 	// way the budget extends to the scenario horizon, like `sos play`.
 	Rounds    int
 	RoundsSet bool
-	// Threads shards each replica's round phases across OS threads
-	// (sosf.WithWorkers), invisible in the output like everywhere else.
+	// Threads shards each replica's round phases across OS threads with
+	// sosf.RunSpec's worker rule (0 or 1 serial, negative GOMAXPROCS),
+	// invisible in the output like everywhere else.
 	Threads int
 	// Events are subscribed on the coordinator's replica only — the one
 	// system whose stream is observed.
@@ -46,30 +47,26 @@ type Config struct {
 	ResumePath string
 }
 
-// helloOptions maps a handshake message to the sosf options both sides
-// build their replica with. One shared constructor is the determinism
-// contract's foundation: a worker cannot configure its system differently
-// from the coordinator, because both feed the same hello through this.
-func helloOptions(h *hello, threads int) []sosf.Option {
-	opts := []sosf.Option{
-		sosf.WithNodes(h.Nodes),
-		sosf.WithChurn(h.Churn),
-		sosf.WithLoss(h.Loss),
-		sosf.WithWorkers(threads),
-	}
+// spec is the run description a hello carries. The coordinator and every
+// worker build their replica from it through buildReplica, so a worker
+// cannot configure its system differently from the coordinator: that
+// shared constructor is the determinism contract's foundation.
+func (h *hello) spec(threads int) sosf.RunSpec {
+	rs := sosf.RunSpec{Source: h.Source, Nodes: h.Nodes, Churn: h.Churn, Loss: h.Loss, Workers: threads}
 	if h.SeedSet {
-		opts = append(opts, sosf.WithSeed(h.Seed))
+		rs.Seed = &h.Seed
 	}
-	if h.RunToEnd {
-		opts = append(opts, sosf.WithRunToEnd())
-	}
-	return opts
+	return rs
 }
 
 // buildReplica constructs and (for resumed runs) restores one replica from
 // a hello — the identical path on the coordinator and every worker.
 func buildReplica(h *hello, threads int) (*sosf.System, error) {
-	sys, err := sosf.New(h.Source, helloOptions(h, threads)...)
+	var extra []sosf.Option
+	if h.RunToEnd {
+		extra = append(extra, sosf.WithRunToEnd())
+	}
+	sys, err := sosf.New(h.Source, h.spec(threads).Options(extra...)...)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sosf"
@@ -241,6 +242,28 @@ func TestShardRange(t *testing.T) {
 			if prev != size {
 				t.Fatalf("size=%d n=%d: shards cover [0,%d), want [0,%d)", size, n, prev, size)
 			}
+		}
+	}
+}
+
+// TestThreadsRule: `sos dist -workers 0` hands dist Threads -1, and the
+// replica shards its rounds across GOMAXPROCS workers; Threads 0 runs
+// serially.
+func TestThreadsRule(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	for _, tc := range []struct{ threads, want int }{
+		{-1, runtime.GOMAXPROCS(0)},
+		{0, 1},
+	} {
+		c, err := NewCoordinator(Config{Source: testSource, Shards: 1, Threads: tc.threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.System().Engine().Workers(); got != tc.want {
+			t.Errorf("Threads %d: replica runs %d workers, want %d", tc.threads, got, tc.want)
 		}
 	}
 }

@@ -31,8 +31,8 @@ type workerRun struct {
 // non-empty, is a DSL source the caller expects the run to be of; it must
 // match the hello's or the handshake fails with ErrTopologyMismatch (the
 // empty string, which is all RunLocal passes, trusts the coordinator's
-// source outright). Threads shards this replica's phases across OS
-// threads, invisible in the output.
+// source outright). threads shards this replica's phases across OS
+// threads under Config.Threads' rule, invisible in the output.
 // RunWorker closes the connection in every case; on a local failure it
 // best-effort reports the cause to the coordinator first, so the run fails
 // with a named error on both ends.

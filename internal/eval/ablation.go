@@ -28,13 +28,9 @@ func AblationUO2(o Options) (*Figure, error) {
 	// (sweep point, variant, run) simulation is an independent cell.
 	grid, err := runGrid(o, 2*len(compSweep), func(p, run int) (float64, error) {
 		pi, variant := p/2, p%2
-		res, err := RunOnce(core.Config{
-			Topology:   topos[pi],
-			Nodes:      nodes,
-			Seed:       seedFor(o.Seed, 800+pi, run),
-			Workers:    o.RoundWorkers,
-			DisableUO2: variant == 1,
-		}, o.MaxRounds, true)
+		cfg := o.config(topos[pi], nodes, seedFor(o.Seed, 800+pi, run))
+		cfg.DisableUO2 = variant == 1
+		res, err := RunOnce(cfg, o.MaxRounds, true)
 		if err != nil {
 			return 0, fmt.Errorf("ablation-uo2 comps=%d: %w", compSweep[pi], err)
 		}
@@ -81,13 +77,9 @@ func AblationRandomness(o Options) (*Figure, error) {
 
 	grid, err := runGrid(o, 2*len(nodesSweep), func(p, run int) (float64, error) {
 		pi, variant := p/2, p%2
-		res, err := RunOnce(core.Config{
-			Topology:   topo,
-			Nodes:      nodesSweep[pi],
-			Seed:       seedFor(o.Seed, 900+pi, run),
-			Workers:    o.RoundWorkers,
-			PureGreedy: variant == 1,
-		}, o.MaxRounds, true)
+		cfg := o.config(topo, nodesSweep[pi], seedFor(o.Seed, 900+pi, run))
+		cfg.PureGreedy = variant == 1
+		res, err := RunOnce(cfg, o.MaxRounds, true)
 		if err != nil {
 			return 0, fmt.Errorf("ablation-randomness n=%d: %w", nodesSweep[pi], err)
 		}
@@ -134,13 +126,9 @@ func AblationGossip(o Options) (*Figure, error) {
 	sweep := []int{2, 3, 5, 8, 12}
 
 	grid, err := runGrid(o, len(sweep), func(pi, run int) (*RunResult, error) {
-		res, err := RunOnce(core.Config{
-			Topology:      topo,
-			Nodes:         nodes,
-			Seed:          seedFor(o.Seed, 1000+pi, run),
-			Workers:       o.RoundWorkers,
-			OverlayGossip: sweep[pi],
-		}, o.MaxRounds, true)
+		cfg := o.config(topo, nodes, seedFor(o.Seed, 1000+pi, run))
+		cfg.OverlayGossip = sweep[pi]
+		res, err := RunOnce(cfg, o.MaxRounds, true)
 		if err != nil {
 			return nil, fmt.Errorf("ablation-gossip g=%d: %w", sweep[pi], err)
 		}
@@ -189,13 +177,9 @@ func AblationViewSize(o Options) (*Figure, error) {
 	sweep := []int{3, 5, 8, 12, 16}
 
 	grid, err := runGrid(o, len(sweep), func(pi, run int) (*RunResult, error) {
-		res, err := RunOnce(core.Config{
-			Topology:    topo,
-			Nodes:       nodes,
-			Seed:        seedFor(o.Seed, 1100+pi, run),
-			Workers:     o.RoundWorkers,
-			UO1Capacity: sweep[pi],
-		}, o.MaxRounds, true)
+		cfg := o.config(topo, nodes, seedFor(o.Seed, 1100+pi, run))
+		cfg.UO1Capacity = sweep[pi]
+		res, err := RunOnce(cfg, o.MaxRounds, true)
 		if err != nil {
 			return nil, fmt.Errorf("ablation-viewsize k=%d: %w", sweep[pi], err)
 		}

@@ -35,7 +35,7 @@ func Baseline(o Options) (*Result, error) {
 		var out baselineRun
 
 		// Composed framework.
-		sys, err := core.NewSystem(core.Config{Topology: topo, Nodes: nodes, Seed: seed, Workers: o.RoundWorkers})
+		sys, err := core.NewSystem(o.config(topo, nodes, seed))
 		if err != nil {
 			return out, fmt.Errorf("baseline composed run=%d: %w", run, err)
 		}

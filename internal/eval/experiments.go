@@ -29,12 +29,7 @@ func Gallery(o Options) (*Result, error) {
 		connected        bool
 	}
 	grid, err := runGrid(o, len(entries), func(gi, run int) (galleryRun, error) {
-		sys, err := core.NewSystem(core.Config{
-			Topology: topos[gi],
-			Nodes:    nodes,
-			Seed:     seedFor(o.Seed, 300+gi, run),
-			Workers:  o.RoundWorkers,
-		})
+		sys, err := core.NewSystem(o.config(topos[gi], nodes, seedFor(o.Seed, 300+gi, run)))
 		if err != nil {
 			return galleryRun{}, fmt.Errorf("gallery %s: %w", entries[gi].Name, err)
 		}
@@ -97,12 +92,7 @@ func Curves(o Options) (*Figure, error) {
 	topo := MustTopology(RingOfRingsDSL(comps))
 
 	results, err := runRuns(o, func(run int) (*RunResult, error) {
-		res, err := RunOnce(core.Config{
-			Topology: topo,
-			Nodes:    nodes,
-			Seed:     seedFor(o.Seed, 400, run),
-			Workers:  o.RoundWorkers,
-		}, rounds, false)
+		res, err := RunOnce(o.config(topo, nodes, seedFor(o.Seed, 400, run)), rounds, false)
 		if err != nil {
 			return nil, fmt.Errorf("curves run=%d: %w", run, err)
 		}
@@ -162,12 +152,7 @@ func Reconfig(o Options) (*Result, error) {
 		Reconfigure: after,
 	}})
 	results, err := runRuns(o, func(run int) (reconfigRun, error) {
-		sys, err := core.NewSystem(core.Config{
-			Topology: before,
-			Nodes:    nodes,
-			Seed:     seedFor(o.Seed, 500, run),
-			Workers:  o.RoundWorkers,
-		})
+		sys, err := core.NewSystem(o.config(before, nodes, seedFor(o.Seed, 500, run)))
 		if err != nil {
 			return reconfigRun{}, fmt.Errorf("reconfig run=%d: %w", run, err)
 		}
@@ -280,12 +265,7 @@ func Churn(o Options) (*Figure, error) {
 		e, u, p []float64
 	}
 	grid, err := runGrid(o, len(rates), func(pi, run int) (churnRun, error) {
-		sys, err := core.NewSystem(core.Config{
-			Topology: topo,
-			Nodes:    nodes,
-			Seed:     seedFor(o.Seed, 600+pi, run),
-			Workers:  o.RoundWorkers,
-		})
+		sys, err := core.NewSystem(o.config(topo, nodes, seedFor(o.Seed, 600+pi, run)))
 		if err != nil {
 			return churnRun{}, fmt.Errorf("churn rate=%f run=%d: %w", rates[pi], run, err)
 		}
@@ -355,12 +335,7 @@ func Catastrophe(o Options) (*Result, error) {
 	}
 	grid, err := runGrid(o, len(fractions), func(pi, run int) (catastropheRun, error) {
 		f := fractions[pi]
-		sys, err := core.NewSystem(core.Config{
-			Topology: topo,
-			Nodes:    nodes,
-			Seed:     seedFor(o.Seed, 700+pi, run),
-			Workers:  o.RoundWorkers,
-		})
+		sys, err := core.NewSystem(o.config(topo, nodes, seedFor(o.Seed, 700+pi, run)))
 		if err != nil {
 			return catastropheRun{}, fmt.Errorf("catastrophe f=%f run=%d: %w", f, run, err)
 		}

@@ -21,12 +21,7 @@ func Fig2(o Options) (*Figure, error) {
 	topo := MustTopology(RingOfRingsDSL(components))
 
 	grid, err := runGrid(o, len(nodesSweep), func(pi, run int) (*RunResult, error) {
-		res, err := RunOnce(core.Config{
-			Topology: topo,
-			Nodes:    nodesSweep[pi],
-			Seed:     seedFor(o.Seed, pi, run),
-			Workers:  o.RoundWorkers,
-		}, o.MaxRounds, true)
+		res, err := RunOnce(o.config(topo, nodesSweep[pi], seedFor(o.Seed, pi, run)), o.MaxRounds, true)
 		if err != nil {
 			return nil, fmt.Errorf("fig2 n=%d run=%d: %w", nodesSweep[pi], run, err)
 		}
@@ -80,12 +75,7 @@ func Fig3(o Options) (*Figure, error) {
 		topos[pi] = MustTopology(RingOfRingsDSL(comps))
 	}
 	grid, err := runGrid(o, len(compSweep), func(pi, run int) (*RunResult, error) {
-		res, err := RunOnce(core.Config{
-			Topology: topos[pi],
-			Nodes:    nodes,
-			Seed:     seedFor(o.Seed, 100+pi, run),
-			Workers:  o.RoundWorkers,
-		}, o.MaxRounds, true)
+		res, err := RunOnce(o.config(topos[pi], nodes, seedFor(o.Seed, 100+pi, run)), o.MaxRounds, true)
 		if err != nil {
 			return nil, fmt.Errorf("fig3 comps=%d run=%d: %w", compSweep[pi], run, err)
 		}
@@ -136,12 +126,7 @@ func Fig4(o Options) (*Figure, error) {
 	topo := MustTopology(RingOfRingsDSL(comps))
 
 	results, err := runRuns(o, func(run int) (*RunResult, error) {
-		res, err := RunOnce(core.Config{
-			Topology: topo,
-			Nodes:    nodes,
-			Seed:     seedFor(o.Seed, 200, run),
-			Workers:  o.RoundWorkers,
-		}, rounds, false)
+		res, err := RunOnce(o.config(topo, nodes, seedFor(o.Seed, 200, run)), rounds, false)
 		if err != nil {
 			return nil, fmt.Errorf("fig4 run=%d: %w", run, err)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"sosf/internal/core"
 	"sosf/internal/metrics"
+	"sosf/internal/spec"
 )
 
 // Options scale the experiment harness.
@@ -41,6 +42,12 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 is a pool of one, running the cells
 	// sequentially in index order.
 	Parallelism int
+}
+
+// config is the one place an experiment's simulations take their worker count
+// from: topology, population and seed vary per cell, RoundWorkers does not.
+func (o Options) config(topo *spec.Topology, nodes int, seed int64) core.Config {
+	return core.Config{Topology: topo, Nodes: nodes, Seed: seed, Workers: o.RoundWorkers}
 }
 
 func (o Options) withDefaults() Options {

@@ -28,9 +28,9 @@
 //		                         done / failed
 //
 //	  - pending: submitted, never started; no simulation state exists yet.
-//	  - running: a runner goroutine steps one round at a time through
-//	    System.StepContext; pause/stop cancel the context and take effect at
-//	    the next round boundary, never mid-round.
+//	  - running: a runner goroutine steps the rest of the budget in one
+//	    System.StepContext call; pause/stop cancel the context and take
+//	    effect at the next round boundary, never mid-round.
 //	  - paused: parked between rounds, system resident in memory.
 //	  - evicted: paused, but the full run state has been checkpointed to
 //	    <dir>/<id>.sosnap and the in-memory system released. Eviction is

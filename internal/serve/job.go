@@ -35,19 +35,20 @@ type errConflict struct{ msg string }
 
 func (e errConflict) Error() string { return e.msg }
 
-// Job is one simulation run managed by the server. All fields behind mu;
-// the runner goroutine steps the system one round at a time so pause and
-// stop always land on a round boundary.
+// Job is one simulation run managed by the server. The mutable fields are
+// behind mu; the runner goroutine steps the system under a cancellable
+// context, so pause and stop always land on a round boundary.
 type Job struct {
-	id  string
-	srv *Server
-	cfg *jobConfig
+	id   string
+	srv  *Server
+	name string
+	spec sosf.RunSpec // the retained build recipe (see parseJobSpec)
 
 	mu       sync.Mutex
 	state    State
 	sys      *sosf.System // resident run state (nil when pending/evicted/terminal)
 	budget   int          // total rounds, play semantics (set at first build)
-	round    int          // completed rounds
+	round    int          // completed rounds, kept current by the event sink
 	err      error        // terminal failure
 	report   *sosf.Report // final report, captured at completion
 	spool    *spool
@@ -69,16 +70,17 @@ func (j *Job) setStateLocked(s State) {
 	j.changed = make(chan struct{})
 }
 
-// buildLocked constructs the job's sosf.System from its retained recipe —
+// buildLocked constructs the job's sosf.System from its retained spec —
 // fresh for a first start, from the eviction checkpoint when restore is
 // set — and wires the event sink: every round appends the canonical JSONL
-// line to the spool and feeds the server's stats registry.
+// line to the spool, advances the job's round and feeds the server's stats
+// registry.
 func (j *Job) buildLocked(restore bool) error {
-	var extra []sosf.Option
+	extra := []sosf.Option{sosf.WithRunToEnd()}
 	if restore {
 		extra = append(extra, sosf.WithRestoreFrom(j.snapPath))
 	}
-	sys, err := sosf.New(j.cfg.source, j.cfg.options(extra...)...)
+	sys, err := sosf.New(j.spec.Source, j.spec.Options(extra...)...)
 	if err != nil {
 		return err
 	}
@@ -128,53 +130,41 @@ func (j *Job) start() error {
 	j.cancel = cancel
 	j.runDone = make(chan struct{})
 	j.setStateLocked(StateRunning)
-	go j.runLoop(ctx, j.sys, j.budget, j.runDone)
+	go j.run(ctx, j.sys, j.budget-j.round, j.runDone)
 	j.mu.Unlock()
 	j.srv.maybeEvict()
 	return nil
 }
 
-// runLoop steps the system one round at a time until the budget is
-// exhausted, the run fails, or the controlling context is cancelled by
-// pause/stop/delete. Rounds never split: cancellation lands on boundaries.
-func (j *Job) runLoop(ctx context.Context, sys *sosf.System, budget int, done chan struct{}) {
+// run steps the system through the rest of its budget in one StepContext
+// call, as `sos play` does. Pause, stop and delete cancel ctx, which the
+// engine checks at every round boundary, so rounds never split; a
+// cancelled run leaves the state to whoever cancelled it. A run that
+// completes while a pause is parking it stays paused at its budget, and
+// the next start finishes it.
+func (j *Job) run(ctx context.Context, sys *sosf.System, n int, done chan struct{}) {
 	defer close(done)
-	for {
-		j.mu.Lock()
-		if j.state != StateRunning {
-			j.mu.Unlock()
-			return
-		}
-		if j.round >= budget {
-			j.finishLocked(nil)
-			j.mu.Unlock()
-			return
-		}
-		j.mu.Unlock()
-		if _, err := sys.StepContext(ctx, 1); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return // pause/stop/delete owns the state now
-			}
-			j.mu.Lock()
-			j.finishLocked(err)
-			j.mu.Unlock()
-			return
-		}
-		j.mu.Lock()
-		j.round = sys.Round()
-		j.mu.Unlock()
+	_, err := sys.StepContext(ctx, n)
+	if errors.Is(err, context.Canceled) {
+		return
 	}
+	j.mu.Lock()
+	if err != nil || j.state == StateRunning {
+		j.finishLocked(err)
+	}
+	j.mu.Unlock()
 }
 
-// noteHeals tracks heal-to-reconvergence latency: the round of every
-// self-healing repair queues up until the system next reports full
-// convergence, at which point each waiting heal contributes
-// (converged round − heal round) to the /metrics latency summary. Called
-// from the event sink on the runner goroutine, which never holds j.mu
-// while stepping.
-func (j *Job) noteHeals(ev sosf.RoundEvent) {
+// noteRound records a completed round from the event sink: it advances
+// the job's round and tracks heal-to-reconvergence latency — the round of
+// every self-healing repair queues up until the system next reports full
+// convergence, at which point each waiting heal contributes (converged
+// round − heal round) to the /metrics latency summary. Called on the runner
+// goroutine, which never holds j.mu while stepping.
+func (j *Job) noteRound(ev sosf.RoundEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.round = ev.Round
 	for i := 0; i < ev.Heals; i++ {
 		j.pendingHeals = append(j.pendingHeals, ev.Round)
 	}
@@ -298,7 +288,7 @@ func (j *Job) evict() (bool, error) {
 	if j.state != StatePaused || j.sys == nil {
 		return false, nil
 	}
-	path := filepath.Join(j.srv.dir, j.id+".sosnap")
+	path := filepath.Join(j.srv.cfg.Dir, j.id+".sosnap")
 	if err := j.sys.WriteSnapshot(path); err != nil {
 		return false, fmt.Errorf("evict %s: %w", j.id, err)
 	}
@@ -370,7 +360,7 @@ func (j *Job) status() Status {
 	defer j.mu.Unlock()
 	st := Status{
 		ID:     j.id,
-		Name:   j.cfg.name,
+		Name:   j.name,
 		State:  j.state,
 		Round:  j.round,
 		Budget: j.budget,

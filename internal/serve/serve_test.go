@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -265,7 +266,7 @@ func TestEvictionRestoreMidStream(t *testing.T) {
 	if st.Round != pausedAt {
 		t.Errorf("eviction moved the round: %d -> %d", pausedAt, st.Round)
 	}
-	snap := filepath.Join(srv.dir, a.ID+".sosnap")
+	snap := filepath.Join(srv.cfg.Dir, a.ID+".sosnap")
 	if _, err := os.Stat(snap); err != nil {
 		t.Errorf("evicted job has no checkpoint: %v", err)
 	}
@@ -503,5 +504,41 @@ func TestStopEndsStreamEarly(t *testing.T) {
 	}
 	if st.Report == nil {
 		t.Errorf("stopped job has no final report")
+	}
+}
+
+// TestDefaultWorkersGOMAXPROCS: `sos serve -workers 0` hands the server
+// DefaultWorkers -1, so a job that leaves workers to the server shards its
+// rounds across GOMAXPROCS workers, while a job that pins its own count
+// keeps it.
+func TestDefaultWorkersGOMAXPROCS(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	srv, _ := newTestServer(t, Config{DefaultWorkers: -1})
+	rounds := 1 << 20 // still running when paused
+	for _, tc := range []struct{ workers, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{3, 3},
+	} {
+		body, _ := json.Marshal(JobSpec{Source: specTestDSL, Rounds: &rounds, Workers: tc.workers})
+		j, err := srv.Submit(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.pause(); err != nil {
+			t.Fatal(err)
+		}
+		j.mu.Lock()
+		got := j.sys.Engine().Workers()
+		j.mu.Unlock()
+		if got != tc.want {
+			t.Errorf("spec workers %d: engine runs %d workers, want %d", tc.workers, got, tc.want)
+		}
+		j.stop()
 	}
 }

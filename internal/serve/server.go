@@ -52,7 +52,8 @@ type Config struct {
 	// means unlimited (eviction off).
 	MaxResident int
 	// DefaultWorkers shards rounds of jobs that do not set workers
-	// themselves (0 = serial). Any value is byte-identical.
+	// themselves, with sosf.RunSpec's rule: 0 or 1 runs serially, a
+	// negative value selects GOMAXPROCS. Any value is byte-identical.
 	DefaultWorkers int
 	// Log receives operational messages; nil discards them.
 	Log *log.Logger
@@ -61,13 +62,10 @@ type Config struct {
 // Server manages a population of simulation jobs over HTTP. See doc.go for
 // the job lifecycle and the API surface.
 type Server struct {
-	dir         string
-	maxResident int
-	defWorkers  int
-	logger      *log.Logger
-	stats       *Registry
-	started     time.Time
-	lruClock    atomic.Int64
+	cfg      Config // as given, Log defaulted
+	stats    *Registry
+	started  time.Time
+	lruClock atomic.Int64
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -83,18 +81,14 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	logger := cfg.Log
-	if logger == nil {
-		logger = log.New(io.Discard, "", 0)
+	if cfg.Log == nil {
+		cfg.Log = log.New(io.Discard, "", 0)
 	}
 	s := &Server{
-		dir:         cfg.Dir,
-		maxResident: cfg.MaxResident,
-		defWorkers:  cfg.DefaultWorkers,
-		logger:      logger,
-		stats:       NewRegistry(),
-		started:     time.Now(),
-		jobs:        make(map[string]*Job),
+		cfg:     cfg,
+		stats:   NewRegistry(),
+		started: time.Now(),
+		jobs:    make(map[string]*Job),
 	}
 	s.stats.Gauge(metricJobs, "Jobs currently in each lifecycle state.")
 	s.stats.Counter(metricSubmitted, "Total jobs ever submitted.")
@@ -132,7 +126,7 @@ func (s *Server) noteRound(j *Job, sys *sosf.System, names []string, ev sosf.Rou
 	if ev.Heals > 0 {
 		s.stats.Add(metricHeals, float64(ev.Heals))
 	}
-	j.noteHeals(ev)
+	j.noteRound(ev)
 }
 
 // noteRestore records a timed eviction restore.
@@ -144,25 +138,26 @@ func (s *Server) noteRestore(d time.Duration) {
 
 // Submit registers a new pending job from a POST /jobs body.
 func (s *Server) Submit(body []byte) (*Job, error) {
-	cfg, err := parseJobSpec(body)
+	name, spec, err := parseJobSpec(body)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.workers == 0 {
-		cfg.workers = s.defWorkers
+	if spec.Workers == 0 {
+		spec.Workers = s.cfg.DefaultWorkers
 	}
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
 	s.mu.Unlock()
-	sp, err := newSpool(filepath.Join(s.dir, id+".events.jsonl"))
+	sp, err := newSpool(filepath.Join(s.cfg.Dir, id+".events.jsonl"))
 	if err != nil {
 		return nil, err
 	}
 	j := &Job{
 		id:      id,
 		srv:     s,
-		cfg:     cfg,
+		name:    name,
+		spec:    spec,
 		state:   StatePending,
 		spool:   sp,
 		touch:   s.tickLRU(),
@@ -173,7 +168,7 @@ func (s *Server) Submit(body []byte) (*Job, error) {
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 	s.stats.Add(metricSubmitted, 1)
-	s.logger.Printf("serve: submitted %s (%s)", id, cfg.name)
+	s.cfg.Log.Printf("serve: submitted %s (%s)", id, name)
 	return j, nil
 }
 
@@ -215,7 +210,7 @@ func (s *Server) delete(id string) bool {
 		return false
 	}
 	j.remove()
-	s.logger.Printf("serve: deleted %s", id)
+	s.cfg.Log.Printf("serve: deleted %s", id)
 	return true
 }
 
@@ -224,7 +219,7 @@ func (s *Server) delete(id string) bool {
 // checkpointed to disk. Running jobs are never evicted (they would just
 // thrash), so a budget fully occupied by running jobs is allowed to stand.
 func (s *Server) maybeEvict() {
-	if s.maxResident <= 0 {
+	if s.cfg.MaxResident <= 0 {
 		return
 	}
 	for {
@@ -241,20 +236,20 @@ func (s *Server) maybeEvict() {
 			}
 			j.mu.Unlock()
 		}
-		if resident <= s.maxResident || victim == nil {
+		if resident <= s.cfg.MaxResident || victim == nil {
 			return
 		}
 		ok, err := victim.evict()
 		if err != nil {
 			// The job stays resident; over budget beats losing run state.
-			s.logger.Printf("serve: %v", err)
+			s.cfg.Log.Printf("serve: %v", err)
 			return
 		}
 		if !ok {
 			return // the victim moved on concurrently; re-counting would spin
 		}
 		s.stats.Add(metricEvictions, 1)
-		s.logger.Printf("serve: evicted %s (resident %d > budget %d)", victim.id, resident, s.maxResident)
+		s.cfg.Log.Printf("serve: evicted %s (resident %d > budget %d)", victim.id, resident, s.cfg.MaxResident)
 	}
 }
 

@@ -33,111 +33,78 @@ type JobSpec struct {
 	// Seed pins the run's randomness; nil follows the file's
 	// `option seed`, then the library default.
 	Seed *int64 `json:"seed,omitempty"`
-	// Workers shards each simulation round (0 = serial). Any value
+	// Workers pins the worker count sharding each simulation round; 0
+	// takes the server's default (`sos serve -workers`). Any value
 	// produces byte-identical event streams.
 	Workers int `json:"workers,omitempty"`
 }
 
-// jobConfig is a submitted spec resolved to the exact build recipe of a
-// job's sosf.System. It is retained for the job's whole life: an eviction
-// restore must rebuild with byte-identical options.
-type jobConfig struct {
-	name    string
-	source  string // canonical DSL
-	nodes   int
-	rounds  *int
-	seed    *int64
-	workers int
-}
-
-// options renders the recipe as sosf build options, mirroring the CLI's
-// explicit-flag forwarding: unset fields stay unset so the file's own
-// `option rounds` / `option seed` (and the usual defaults) apply.
-func (c *jobConfig) options(extra ...sosf.Option) []sosf.Option {
-	opts := []sosf.Option{sosf.WithNodes(c.nodes), sosf.WithRunToEnd()}
-	if c.rounds != nil {
-		opts = append(opts, sosf.WithRounds(*c.rounds))
-	}
-	if c.seed != nil {
-		opts = append(opts, sosf.WithSeed(*c.seed))
-	}
-	if c.workers > 0 {
-		opts = append(opts, sosf.WithWorkers(c.workers))
-	}
-	return append(opts, extra...)
-}
-
 // parseJobSpec turns a POST /jobs body — raw .sos DSL or a JSON JobSpec —
-// into a validated build recipe.
-func parseJobSpec(body []byte) (*jobConfig, error) {
+// into the job's name and its validated run description. The description
+// is retained for the job's whole life: an eviction restore must rebuild
+// with byte-identical options. Workers stays 0 when the spec leaves it to
+// the server's default, which Submit fills in.
+func parseJobSpec(body []byte) (string, sosf.RunSpec, error) {
+	var rs sosf.RunSpec
 	trimmed := bytes.TrimSpace(body)
 	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("empty job spec")
+		return "", rs, fmt.Errorf("empty job spec")
 	}
 	if trimmed[0] != '{' {
 		// Raw DSL: validate now so submission (not start) reports the
 		// syntax error, and name the job after its topology.
 		topo, err := dsl.ParseTopologyBytes(trimmed)
 		if err != nil {
-			return nil, err
+			return "", rs, err
 		}
-		return &jobConfig{name: topo.Name, source: string(trimmed)}, nil
+		rs.Source = string(trimmed)
+		return topo.Name, rs, nil
 	}
 
 	var js JobSpec
 	dec := json.NewDecoder(bytes.NewReader(trimmed))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&js); err != nil {
-		return nil, fmt.Errorf("job spec JSON: %w", err)
+		return "", rs, fmt.Errorf("job spec JSON: %w", err)
 	}
 	if js.Source != "" && js.Topology != nil {
-		return nil, fmt.Errorf("job spec sets both source and topology; pick one")
+		return "", rs, fmt.Errorf("job spec sets both source and topology; pick one")
 	}
-	cfg := &jobConfig{
-		name:    js.Name,
-		nodes:   js.Nodes,
-		rounds:  js.Rounds,
-		seed:    js.Seed,
-		workers: js.Workers,
-	}
+	name := js.Name
+	rs = sosf.RunSpec{Nodes: js.Nodes, Rounds: js.Rounds, Seed: js.Seed, Workers: js.Workers}
 	switch {
 	case js.Source != "":
 		topo, err := dsl.ParseTopologyBytes([]byte(js.Source))
 		if err != nil {
-			return nil, err
+			return "", rs, err
 		}
-		cfg.source = js.Source
-		if cfg.name == "" {
-			cfg.name = topo.Name
+		rs.Source = js.Source
+		if name == "" {
+			name = topo.Name
 		}
 	case js.Topology != nil:
 		if err := js.Topology.Validate(); err != nil {
-			return nil, err
+			return "", rs, err
 		}
 		if err := js.Topology.ValidateScenario(); err != nil {
-			return nil, err
+			return "", rs, err
 		}
 		// Normalize to canonical DSL: Emit is the identity under the
 		// compiler, so the emitted source IS the submitted topology.
 		src, err := dsl.Emit(js.Topology)
 		if err != nil {
-			return nil, fmt.Errorf("job spec topology has no DSL form: %w", err)
+			return "", rs, fmt.Errorf("job spec topology has no DSL form: %w", err)
 		}
-		cfg.source = src
-		if cfg.name == "" {
-			cfg.name = js.Topology.Name
+		rs.Source = src
+		if name == "" {
+			name = js.Topology.Name
 		}
 	default:
-		return nil, fmt.Errorf("job spec needs source (inline .sos DSL) or topology")
+		return "", rs, fmt.Errorf("job spec needs source (inline .sos DSL) or topology")
 	}
-	if cfg.nodes < 0 {
-		return nil, fmt.Errorf("job spec nodes must be >= 0, got %d", cfg.nodes)
+	// The wire's workers takes WithWorkers' range (>= 0), not the spec's.
+	if err := rs.Check(sosf.WithWorkers(js.Workers)); err != nil {
+		return "", rs, fmt.Errorf("job spec: %w", err)
 	}
-	if cfg.rounds != nil && *cfg.rounds < 0 {
-		return nil, fmt.Errorf("job spec rounds must be >= 0, got %d", *cfg.rounds)
-	}
-	if cfg.workers < 0 {
-		return nil, fmt.Errorf("job spec workers must be >= 0, got %d", cfg.workers)
-	}
-	return cfg, nil
+	return name, rs, nil
 }

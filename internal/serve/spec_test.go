@@ -20,29 +20,29 @@ const specTestDSL = `topology demo {
 }`
 
 func TestParseJobSpecRawDSL(t *testing.T) {
-	cfg, err := parseJobSpec([]byte(specTestDSL))
+	name, rs, err := parseJobSpec([]byte(specTestDSL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.name != "demo" {
-		t.Errorf("name = %q, want demo (the topology name)", cfg.name)
+	if name != "demo" {
+		t.Errorf("name = %q, want demo (the topology name)", name)
 	}
-	if cfg.source != specTestDSL {
+	if rs.Source != specTestDSL {
 		t.Errorf("raw DSL submission must retain the source verbatim")
 	}
-	if cfg.rounds != nil || cfg.seed != nil {
-		t.Errorf("unset rounds/seed must stay unset, got %v/%v", cfg.rounds, cfg.seed)
+	if rs.Rounds != nil || rs.Seed != nil {
+		t.Errorf("unset rounds/seed must stay unset, got %v/%v", rs.Rounds, rs.Seed)
 	}
 }
 
 func TestParseJobSpecJSONSource(t *testing.T) {
 	body, _ := json.Marshal(JobSpec{Name: "mine", Source: specTestDSL, Nodes: 80, Workers: 2})
-	cfg, err := parseJobSpec(body)
+	name, rs, err := parseJobSpec(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.name != "mine" || cfg.nodes != 80 || cfg.workers != 2 {
-		t.Errorf("cfg = %+v, want name=mine nodes=80 workers=2", cfg)
+	if name != "mine" || rs.Nodes != 80 || rs.Workers != 2 {
+		t.Errorf("name = %q, spec = %+v, want name=mine nodes=80 workers=2", name, rs)
 	}
 }
 
@@ -53,19 +53,19 @@ func TestParseJobSpecJSONTopology(t *testing.T) {
 	}
 	rounds := 7
 	body, _ := json.Marshal(JobSpec{Topology: topo, Rounds: &rounds})
-	cfg, err := parseJobSpec(body)
+	name, rs, err := parseJobSpec(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.name != "demo" {
-		t.Errorf("name = %q, want demo", cfg.name)
+	if name != "demo" {
+		t.Errorf("name = %q, want demo", name)
 	}
-	if cfg.rounds == nil || *cfg.rounds != 7 {
-		t.Errorf("rounds = %v, want 7", cfg.rounds)
+	if rs.Rounds == nil || *rs.Rounds != 7 {
+		t.Errorf("rounds = %v, want 7", rs.Rounds)
 	}
 	// The topology normalizes to canonical DSL that compiles back to the
 	// same topology — the single rebuild path eviction restores rely on.
-	back, err := dsl.ParseTopology(cfg.source)
+	back, err := dsl.ParseTopology(rs.Source)
 	if err != nil {
 		t.Fatalf("normalized source does not compile: %v", err)
 	}
@@ -73,8 +73,8 @@ func TestParseJobSpecJSONTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src2 != cfg.source {
-		t.Errorf("normalized DSL is not a fixed point of emit∘compile:\n%s\nvs\n%s", cfg.source, src2)
+	if src2 != rs.Source {
+		t.Errorf("normalized DSL is not a fixed point of emit∘compile:\n%s\nvs\n%s", rs.Source, src2)
 	}
 }
 
@@ -87,6 +87,7 @@ func TestParseJobSpecRejects(t *testing.T) {
 	neg := -1
 	negRounds, _ := json.Marshal(JobSpec{Source: specTestDSL, Rounds: &neg})
 	negNodes, _ := json.Marshal(JobSpec{Source: specTestDSL, Nodes: -5})
+	negWorkers, _ := json.Marshal(JobSpec{Source: specTestDSL, Workers: -2})
 	cases := []struct {
 		name, body, wantErr string
 	}{
@@ -98,9 +99,10 @@ func TestParseJobSpecRejects(t *testing.T) {
 		{"neither", `{"name": "x"}`, "needs source"},
 		{"negative nodes", string(negNodes), "nodes must be >= 0"},
 		{"negative rounds", string(negRounds), "rounds must be >= 0"},
+		{"negative workers", string(negWorkers), "workers must be >= 0"},
 	}
 	for _, tc := range cases {
-		_, err := parseJobSpec([]byte(tc.body))
+		_, _, err := parseJobSpec([]byte(tc.body))
 		if err == nil {
 			t.Errorf("%s: expected error", tc.name)
 			continue

@@ -75,7 +75,7 @@ func buildConfig(opts []Option) (*config, error) {
 func WithNodes(n int) Option {
 	return optionFunc(func(c *config) {
 		if n < 0 {
-			c.fail("sosf.WithNodes: population must be >= 0, got %d", n)
+			c.fail("sosf.WithNodes: nodes must be >= 0, got %d", n)
 			return
 		}
 		c.nodes = n
