@@ -59,14 +59,8 @@ func (s *System) emit(e *sim.Engine) bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	// The tracker measured this round already; reuse its snapshot rather
-	// than paying for a second oracle pass.
-	var m core.Metrics
-	if n := len(s.tracker.History); n > 0 && s.tracker.History[n-1].Round == e.Round() {
-		m = s.tracker.History[n-1]
-	} else {
-		m = s.sys.Oracle().Measure()
-	}
+	// The tracker, registered before emit, measured this round already.
+	m := s.tracker.Last
 	ev := RoundEvent{
 		Round:     e.Round(),
 		Nodes:     e.AliveCount(),

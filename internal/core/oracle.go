@@ -14,18 +14,21 @@ import (
 // of the paper's Figures 2 and 3.
 type Sub int
 
-// The five measured sub-procedures.
+// The five measured sub-procedures, numbered from 0 in presentation order
+// so that a Sub indexes the per-sub-procedure arrays below.
 const (
-	SubElementary  Sub = iota + 1 // the component shapes themselves
-	SubUO1                        // same-component overlay
-	SubUO2                        // distant-component overlay
-	SubPortSelect                 // port -> manager election
-	SubPortConnect                // manager <-> manager links
+	SubElementary  Sub = iota // the component shapes themselves
+	SubUO1                    // same-component overlay
+	SubUO2                    // distant-component overlay
+	SubPortSelect             // port -> manager election
+	SubPortConnect            // manager <-> manager links
+
+	NumSubs = 5 // how many sub-procedures are measured
 )
 
 // Subs lists the sub-procedures in presentation order.
-func Subs() []Sub {
-	return []Sub{SubElementary, SubUO1, SubUO2, SubPortSelect, SubPortConnect}
+func Subs() [NumSubs]Sub {
+	return [NumSubs]Sub{SubElementary, SubUO1, SubUO2, SubPortSelect, SubPortConnect}
 }
 
 // String implements fmt.Stringer with the paper's series labels.
@@ -50,7 +53,7 @@ func (s Sub) String() string {
 // [0, 1] where 1 means fully converged.
 type Metrics struct {
 	Round    int
-	Fraction map[Sub]float64
+	Fraction [NumSubs]float64 // indexed by Sub
 }
 
 // Converged reports whether the given sub-procedure is at 1.0.
@@ -58,8 +61,8 @@ func (m Metrics) Converged(s Sub) bool { return m.Fraction[s] >= 1.0 }
 
 // AllConverged reports whether every sub-procedure is at 1.0.
 func (m Metrics) AllConverged() bool {
-	for _, s := range Subs() {
-		if !m.Converged(s) {
+	for _, f := range m.Fraction {
+		if f < 1.0 {
 			return false
 		}
 	}
@@ -176,10 +179,7 @@ func (o *Oracle) Winner(members []*sim.Node, comp view.ComponentID, port int32) 
 // Measure computes the five accuracy fractions for the current round.
 func (o *Oracle) Measure() Metrics {
 	members := o.compMembers()
-	m := Metrics{
-		Round:    o.sys.eng.Round(),
-		Fraction: make(map[Sub]float64, 5),
-	}
+	m := Metrics{Round: o.sys.eng.Round()}
 	m.Fraction[SubElementary] = o.elementary(members)
 	m.Fraction[SubUO1] = o.uo1(members)
 	m.Fraction[SubUO2] = o.uo2(members)
@@ -263,10 +263,9 @@ func (o *Oracle) uo2(members [][]*sim.Node) float64 {
 			populated++
 		}
 	}
+	want := populated - 1
 	total, ok := 0, 0
-	for c, ms := range members {
-		want := populated - 1
-		_ = c
+	for _, ms := range members {
 		for _, n := range ms {
 			total++
 			if s.uo2.Coverage(n.Slot) >= want {
@@ -392,64 +391,50 @@ func (o *Oracle) RealizedGraph() *graph.Graph {
 	return g
 }
 
-// Tracker observes a run, recording per-round metrics and the first round
-// at which each sub-procedure converged. With StopWhenDone it halts the
-// engine once every sub-procedure has converged.
+// Tracker observes a run, keeping the latest round's metrics and the
+// first round at which each sub-procedure converged. With StopWhenDone it
+// halts the engine once every sub-procedure has converged. Observers
+// registered after it read this round's metrics from Last instead of
+// measuring again.
 type Tracker struct {
 	Oracle       *Oracle
 	StopWhenDone bool
-	History      []Metrics
-	FirstDone    map[Sub]int
+	// Last is the most recently measured round.
+	Last Metrics
+	// FirstDone is the first round each sub-procedure converged, indexed
+	// by Sub, or -1 while it has not.
+	FirstDone [NumSubs]int
 }
 
 var _ sim.Observer = (*Tracker)(nil)
 
 // NewTracker attaches a fresh tracker to the system's engine.
 func NewTracker(s *System, stopWhenDone bool) *Tracker {
-	t := &Tracker{
-		Oracle:       s.Oracle(),
-		StopWhenDone: stopWhenDone,
-		FirstDone:    make(map[Sub]int),
-	}
+	t := &Tracker{Oracle: s.Oracle(), StopWhenDone: stopWhenDone}
+	t.Reset()
 	s.Engine().Observe(t)
 	return t
 }
 
 // AfterRound implements sim.Observer.
 func (t *Tracker) AfterRound(e *sim.Engine) bool {
-	m := t.Oracle.Measure()
-	t.History = append(t.History, m)
-	for _, s := range Subs() {
-		if _, done := t.FirstDone[s]; !done && m.Converged(s) {
-			t.FirstDone[s] = m.Round
+	t.Last = t.Oracle.Measure()
+	for s, round := range t.FirstDone {
+		if round < 0 && t.Last.Converged(Sub(s)) {
+			t.FirstDone[s] = t.Last.Round
 		}
 	}
-	return t.StopWhenDone && m.AllConverged()
+	return t.StopWhenDone && t.Last.AllConverged()
 }
 
 // ConvergenceRound returns the first round the sub-procedure converged,
 // or -1 if it never did.
-func (t *Tracker) ConvergenceRound(s Sub) int {
-	if r, ok := t.FirstDone[s]; ok {
-		return r
-	}
-	return -1
-}
+func (t *Tracker) ConvergenceRound(s Sub) int { return t.FirstDone[s] }
 
-// Reserve pre-allocates history storage for at least n further rounds, so
-// a tracked run of known length appends its per-round metrics without
-// reallocating the history spine.
-func (t *Tracker) Reserve(n int) {
-	if need := len(t.History) + n; need > cap(t.History) {
-		h := make([]Metrics, len(t.History), need)
-		copy(h, t.History)
-		t.History = h
-	}
-}
-
-// Reset clears history and convergence marks (used around mid-run events
-// such as reconfigurations, to measure re-convergence).
+// Reset clears the convergence marks (used around mid-run events such as
+// reconfigurations, to measure re-convergence).
 func (t *Tracker) Reset() {
-	t.History = nil
-	t.FirstDone = make(map[Sub]int)
+	for s := range t.FirstDone {
+		t.FirstDone[s] = -1
+	}
 }

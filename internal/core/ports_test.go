@@ -127,7 +127,7 @@ func TestPortSelectConvergesToOracleWinner(t *testing.T) {
 	if _, err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.History[len(tr.History)-1].Converged(SubPortSelect) {
+	if !tr.Last.Converged(SubPortSelect) {
 		t.Fatal("port selection did not converge")
 	}
 	// The elected manager is deterministic: lowest election score of the
@@ -157,7 +157,7 @@ func TestSameComponentLink(t *testing.T) {
 	if _, err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	final := tr.History[len(tr.History)-1]
+	final := tr.Last
 	if !final.Converged(SubPortConnect) {
 		t.Fatalf("same-component link did not converge: %f", final.Fraction[SubPortConnect])
 	}

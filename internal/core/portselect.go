@@ -196,15 +196,19 @@ func readRecords(r *snap.Reader) ([]PortRecord, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	records := make([]PortRecord, n)
-	for i := range records {
-		records[i] = PortRecord{
+	records := make([]PortRecord, 0, min(n, 64)) // grown as records arrive
+	for i := 0; i < n; i++ {
+		rec := PortRecord{
 			Score: r.U64(),
 			ID:    view.NodeID(r.Varint()),
 			Stamp: r.Int(),
 		}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		records = append(records, rec)
 	}
-	return records, r.Err()
+	return records, nil
 }
 
 // Belief returns the node's current best-known record for the given port

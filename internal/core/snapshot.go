@@ -183,9 +183,13 @@ func (a *Allocator) restore(r *snap.Reader, topo *spec.Topology) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		free := make([]int32, nfree)
-		for i := range free {
-			free[i] = int32(r.Varint())
+		free := make([]int32, 0, min(nfree, 64)) // grown as indices arrive
+		for i := 0; i < nfree; i++ {
+			idx := int32(r.Varint())
+			if err := r.Err(); err != nil {
+				return err
+			}
+			free = append(free, idx)
 		}
 		a.freeIndex[c] = free
 		a.refreshRanksComp(c)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"sosf/internal/sim"
 	"sosf/internal/spec"
 	"sosf/internal/view"
 )
@@ -15,6 +16,23 @@ func newRingOfRings(t *testing.T, rings, nodes int, seed int64) *System {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// trackedRun is a tracker plus the metrics of every round it measured,
+// for tests that inspect more than the latest round.
+type trackedRun struct {
+	*Tracker
+	History []Metrics
+}
+
+// trackHistory attaches a tracker to s and records its measurements.
+func trackHistory(s *System, stopWhenDone bool) *trackedRun {
+	tr := &trackedRun{Tracker: NewTracker(s, stopWhenDone)}
+	s.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
+		tr.History = append(tr.History, tr.Last)
+		return false
+	}))
+	return tr
 }
 
 func TestNewSystemValidation(t *testing.T) {
@@ -46,7 +64,7 @@ func TestRingOfRingsConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := tr.History[len(tr.History)-1]
+	final := tr.Last
 	if !final.AllConverged() {
 		t.Fatalf("not converged after %d rounds: %+v", rounds, final.Fraction)
 	}
@@ -68,12 +86,12 @@ func TestRingOfRingsConverges(t *testing.T) {
 func TestMetricsMonotoneEnough(t *testing.T) {
 	// Accuracy curves are stochastic but must rise from ~0 to 1.
 	s := newRingOfRings(t, 3, 150, 2)
-	tr := NewTracker(s, true)
+	tr := trackHistory(s, true)
 	if _, err := s.Run(80); err != nil {
 		t.Fatal(err)
 	}
 	first := tr.History[0]
-	last := tr.History[len(tr.History)-1]
+	last := tr.Last
 	if first.Fraction[SubElementary] >= 1.0 {
 		t.Fatal("round 1 should not already be fully converged")
 	}
@@ -89,7 +107,7 @@ func TestMetricsMonotoneEnough(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() []Metrics {
 		s := newRingOfRings(t, 3, 120, 99)
-		tr := NewTracker(s, false)
+		tr := trackHistory(s, false)
 		if _, err := s.Run(15); err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +163,7 @@ func TestManagerFailover(t *testing.T) {
 	if _, err := s.Run(3 * s.Config().PortTTL); err != nil {
 		t.Fatal(err)
 	}
-	final := tr2.History[len(tr2.History)-1]
+	final := tr2.Last
 	if !final.Converged(SubPortSelect) {
 		t.Fatalf("port selection did not re-elect after manager death: %f",
 			final.Fraction[SubPortSelect])
@@ -178,7 +196,7 @@ func TestReconfigureRingCountReconverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.History[len(tr.History)-1].AllConverged() {
+	if !tr.Last.AllConverged() {
 		t.Fatalf("did not re-converge within %d rounds after reconfiguration", rounds)
 	}
 }
@@ -196,7 +214,7 @@ func TestReconfigureRejectsInvalid(t *testing.T) {
 func TestChurnSteadyState(t *testing.T) {
 	s := newRingOfRings(t, 2, 200, 7)
 	s.Engine().Observe(s.ChurnObserver(0.01))
-	tr := NewTracker(s, false)
+	tr := trackHistory(s, false)
 	if _, err := s.Run(60); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +272,7 @@ func TestCatastrophicFailureRecovery(t *testing.T) {
 	if _, err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	final := tr.History[len(tr.History)-1]
+	final := tr.Last
 	for _, sub := range []Sub{SubPortSelect, SubPortConnect} {
 		if !final.Converged(sub) {
 			t.Fatalf("%s did not recover after catastrophe: %f", sub, final.Fraction[sub])
@@ -273,9 +291,9 @@ func TestCatastrophicFailureRecovery(t *testing.T) {
 	if _, err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if !tr2.History[len(tr2.History)-1].AllConverged() {
+	if !tr2.Last.AllConverged() {
 		t.Fatalf("full recovery after re-allocation failed: %+v",
-			tr2.History[len(tr2.History)-1].Fraction)
+			tr2.Last.Fraction)
 	}
 }
 
@@ -305,7 +323,7 @@ func TestDisableUO2Ablation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Port connection must still work through the RPS fallback (slower).
-	final := tr.History[len(tr.History)-1]
+	final := tr.Last
 	if !final.Converged(SubPortConnect) {
 		t.Fatalf("port connection never converged without UO2: %f",
 			final.Fraction[SubPortConnect])
@@ -314,16 +332,20 @@ func TestDisableUO2Ablation(t *testing.T) {
 
 func TestTrackerReset(t *testing.T) {
 	s := newRingOfRings(t, 2, 80, 11)
-	tr := NewTracker(s, false)
-	if _, err := s.Run(5); err != nil {
+	tr := NewTracker(s, true)
+	rounds, err := s.Run(80)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.History) != 5 {
-		t.Fatalf("history = %d, want 5", len(tr.History))
+	if tr.Last.Round != rounds || tr.ConvergenceRound(SubUO1) < 1 {
+		t.Fatalf("last measured round %d, UO1 converged at %d, after %d rounds",
+			tr.Last.Round, tr.ConvergenceRound(SubUO1), rounds)
 	}
 	tr.Reset()
-	if len(tr.History) != 0 || tr.ConvergenceRound(SubUO1) != -1 {
-		t.Fatal("reset did not clear state")
+	for _, sub := range Subs() {
+		if tr.ConvergenceRound(sub) != -1 {
+			t.Fatalf("reset did not clear the %s mark", sub)
+		}
 	}
 }
 
@@ -336,7 +358,7 @@ func TestMessageLossStillConverges(t *testing.T) {
 	if _, err := s.Run(150); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.History[len(tr.History)-1].AllConverged() {
+	if !tr.Last.AllConverged() {
 		t.Fatal("system should converge under 20% message loss")
 	}
 }

@@ -185,21 +185,23 @@ func (u *UO2) RestoreState(e *sim.Engine, r *snap.Reader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
+		// Rows are appended as they arrive, so a corrupt width costs
+		// nothing until its rows are really there.
 		st := &u.states[slot]
-		st.reset()
-		st.ensure(width)
-		st.entries = st.entries[:width]
+		st.entries, st.count = st.entries[:0], 0
 		for ci := 0; ci < width; ci++ {
+			row := emptyEntry
 			if r.Bool() {
-				st.entries[ci] = uo2Entry{d: snap.ReadDescriptor(r), born: r.Int()}
-				if r.Err() == nil && !st.entries[ci].valid() {
+				row = uo2Entry{d: snap.ReadDescriptor(r), born: r.Int()}
+				if r.Err() == nil && !row.valid() {
 					return fmt.Errorf("uo2: slot %d holds a contact with no node ID", slot)
 				}
 				st.count++
 			}
-		}
-		if err := r.Err(); err != nil {
-			return err
+			if err := r.Err(); err != nil {
+				return err
+			}
+			st.entries = append(st.entries, row)
 		}
 	}
 	return r.Err()

@@ -86,7 +86,7 @@ func TestLexNumberUnderscores(t *testing.T) {
 }
 
 func TestLexErrors(t *testing.T) {
-	for _, src := range []string{`"unterminated`, "@", `"bad \x escape"`} {
+	for _, src := range []string{`"unterminated`, "@", `"bad \x escape"`, "\"raw \x01 byte\""} {
 		if _, err := lex(src); err == nil {
 			t.Fatalf("lex(%q) should fail", src)
 		}

@@ -153,6 +153,11 @@ func (l *lexer) scanString(pos Pos) (Token, error) {
 			}
 			continue
 		}
+		// Emit has no spelling for other control bytes, so a string that
+		// holds one could not be written back as source.
+		if (c < 0x20 && c != '\t') || c == 0x7f {
+			return Token{}, errf(pos, "control character %#x in string", c)
+		}
 		b.WriteByte(c)
 	}
 }

@@ -38,11 +38,10 @@ func Gallery(o Options) (*Result, error) {
 		if err != nil {
 			return galleryRun{}, fmt.Errorf("gallery %s: %w", entries[gi].Name, err)
 		}
-		final := tracker.History[len(tracker.History)-1]
 		g := sys.Oracle().RealizedGraph()
 		return galleryRun{
 			rounds:    float64(executed),
-			accuracy:  final.Fraction[core.SubElementary],
+			accuracy:  tracker.Last.Fraction[core.SubElementary],
 			connected: g.ConnectedOver(sys.Engine().AliveSlots()),
 		}, nil
 	})
@@ -101,7 +100,7 @@ func Curves(o Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	perSub := make(map[core.Sub][][]float64, 5)
+	var perSub [core.NumSubs][][]float64
 	for _, res := range results {
 		for _, sub := range core.Subs() {
 			perSub[sub] = append(perSub[sub], res.Curves[sub])
@@ -118,7 +117,7 @@ func Curves(o Options) (*Figure, error) {
 		Title:  fmt.Sprintf("Exp (ii): sub-procedure accuracy over time (ring of %d rings)", comps),
 		XLabel: "Round",
 		YLabel: "accuracy (fraction converged)",
-		Series: orderedSeries(series),
+		Series: series[:],
 		Notes:  []string{describeScale(o, "%d nodes, %d components", nodes, comps)},
 	}, nil
 }
@@ -156,7 +155,7 @@ func Reconfig(o Options) (*Result, error) {
 		if err != nil {
 			return reconfigRun{}, fmt.Errorf("reconfig run=%d: %w", run, err)
 		}
-		tracker := core.NewTracker(sys, false)
+		rec := newRecorder(sys, false, switchRound+phase2)
 		bound, err := timeline.Bind(sys)
 		if err != nil {
 			return reconfigRun{}, fmt.Errorf("reconfig run=%d: %w", run, err)
@@ -168,26 +167,24 @@ func Reconfig(o Options) (*Result, error) {
 			return reconfigRun{}, err
 		}
 		// Re-convergence is measured from the switch; reset the marks but
-		// keep accumulating the full curves.
-		preHistory := append([]core.Metrics(nil), tracker.History...)
-		tracker.Reset()
-		tracker.StopWhenDone = true
-		if _, err := sys.Run(phase2); err != nil {
+		// keep recording the full curves.
+		rec.tracker.Reset()
+		rec.tracker.StopWhenDone = true
+		reconvAt, err := sys.Run(phase2)
+		if err != nil {
 			return reconfigRun{}, err
 		}
-		fullHistory := append(preHistory, tracker.History...)
 
 		out := reconfigRun{
-			elem: make([]float64, 0, len(fullHistory)),
-			conn: make([]float64, 0, len(fullHistory)),
+			elem: make([]float64, 0, len(rec.history)),
+			conn: make([]float64, 0, len(rec.history)),
 		}
-		for _, m := range fullHistory {
+		for _, m := range rec.history {
 			out.elem = append(out.elem, m.Fraction[core.SubElementary])
 			out.conn = append(out.conn, m.Fraction[core.SubPortConnect])
 		}
-		last := tracker.History[len(tracker.History)-1]
-		out.reconverged = last.AllConverged()
-		out.reconvAt = float64(len(tracker.History))
+		out.reconverged = rec.tracker.Last.AllConverged()
+		out.reconvAt = float64(reconvAt)
 		return out, nil
 	})
 	if err != nil {
@@ -272,12 +269,12 @@ func Churn(o Options) (*Figure, error) {
 		if _, err := timelines[pi].Bind(sys); err != nil {
 			return churnRun{}, fmt.Errorf("churn rate=%f run=%d: %w", rates[pi], run, err)
 		}
-		tracker := core.NewTracker(sys, false)
+		rec := newRecorder(sys, false, warm+window)
 		if _, err := sys.Run(warm + window); err != nil {
 			return churnRun{}, err
 		}
 		var out churnRun
-		for _, m := range tracker.History[warm:] {
+		for _, m := range rec.history[warm:] {
 			out.e = append(out.e, m.Fraction[core.SubElementary])
 			out.u = append(out.u, m.Fraction[core.SubUO1])
 			out.p = append(out.p, m.Fraction[core.SubPortSelect])
@@ -339,7 +336,7 @@ func Catastrophe(o Options) (*Result, error) {
 		if err != nil {
 			return catastropheRun{}, fmt.Errorf("catastrophe f=%f run=%d: %w", f, run, err)
 		}
-		core.NewTracker(sys, true)
+		tracker := core.NewTracker(sys, true)
 		if _, err := sys.Run(o.MaxRounds); err != nil {
 			return catastropheRun{}, err
 		}
@@ -352,13 +349,13 @@ func Catastrophe(o Options) (*Result, error) {
 			if _, err := sys.Run(1); err != nil {
 				return catastropheRun{}, err
 			}
-			if sys.Oracle().Measure().Fraction[core.SubElementary] >= 0.95 {
+			if tracker.Last.Fraction[core.SubElementary] >= 0.95 {
 				recovered = r + 1
 				break
 			}
 		}
 		out.healRounds = float64(recovered)
-		out.healed = sys.Oracle().Measure().Fraction[core.SubElementary]
+		out.healed = tracker.Last.Fraction[core.SubElementary]
 		return out, nil
 	})
 	if err != nil {

@@ -32,17 +32,14 @@ func Fig2(o Options) (*Figure, error) {
 	}
 	series := subSeries(len(nodesSweep))
 	for pi, n := range nodesSweep {
-		accs := make(map[core.Sub]*metrics.Accumulator, 5)
-		for _, sub := range core.Subs() {
-			accs[sub] = &metrics.Accumulator{}
-		}
+		var accs [core.NumSubs]metrics.Accumulator
 		for _, res := range grid[pi] {
 			for _, sub := range core.Subs() {
 				accs[sub].Add(convergedOrCap(res, sub, o.MaxRounds))
 			}
 		}
 		for _, sub := range core.Subs() {
-			series[sub].Append(float64(n), metrics.Summarize(accs[sub]))
+			series[sub].Append(float64(n), metrics.Summarize(&accs[sub]))
 		}
 	}
 	return &Figure{
@@ -51,7 +48,7 @@ func Fig2(o Options) (*Figure, error) {
 		XLabel: "# of Nodes",
 		YLabel: "# of rounds to converge",
 		LogX:   true,
-		Series: orderedSeries(series),
+		Series: series[:],
 		Notes: []string{
 			describeScale(o, "ring-of-rings, %d components, %d..%d nodes",
 				components, nodesSweep[0], nodesSweep[len(nodesSweep)-1]),
@@ -86,17 +83,14 @@ func Fig3(o Options) (*Figure, error) {
 	}
 	series := subSeries(len(compSweep))
 	for pi, comps := range compSweep {
-		accs := make(map[core.Sub]*metrics.Accumulator, 5)
-		for _, sub := range core.Subs() {
-			accs[sub] = &metrics.Accumulator{}
-		}
+		var accs [core.NumSubs]metrics.Accumulator
 		for _, res := range grid[pi] {
 			for _, sub := range core.Subs() {
 				accs[sub].Add(convergedOrCap(res, sub, o.MaxRounds))
 			}
 		}
 		for _, sub := range core.Subs() {
-			series[sub].Append(float64(comps), metrics.Summarize(accs[sub]))
+			series[sub].Append(float64(comps), metrics.Summarize(&accs[sub]))
 		}
 	}
 	return &Figure{
@@ -104,7 +98,7 @@ func Fig3(o Options) (*Figure, error) {
 		Title:  fmt.Sprintf("Fig 3: convergence time vs. number of components (%d nodes)", nodes),
 		XLabel: "# of Components",
 		YLabel: "# of rounds to converge",
-		Series: orderedSeries(series),
+		Series: series[:],
 		Notes: []string{
 			describeScale(o, "ring-of-rings, %d nodes, %d..%d components",
 				nodes, compSweep[0], compSweep[len(compSweep)-1]),

@@ -8,6 +8,7 @@ import (
 
 	"sosf/internal/core"
 	"sosf/internal/metrics"
+	"sosf/internal/sim"
 	"sosf/internal/spec"
 )
 
@@ -167,17 +168,39 @@ type Result struct {
 type RunResult struct {
 	// Rounds executed.
 	Rounds int
-	// ConvergedAt maps each sub-procedure to the first round it reached
+	// ConvergedAt holds, per sub-procedure, the first round it reached
 	// accuracy 1.0, or -1 if it never did.
-	ConvergedAt map[core.Sub]int
+	ConvergedAt [core.NumSubs]int
 	// Curves holds the per-round accuracy of each sub-procedure.
-	Curves map[core.Sub][]float64
+	Curves [core.NumSubs][]float64
 	// BaselinePerNode and OverheadPerNode are bytes per node per round
 	// for the two bandwidth classes of Figure 4.
 	BaselinePerNode []float64
 	OverheadPerNode []float64
 	// Final is the last measured metrics snapshot.
 	Final core.Metrics
+}
+
+// recorder is a convergence tracker plus the metrics of every round it
+// measured: the per-round accuracy curves the figures plot.
+type recorder struct {
+	tracker *core.Tracker
+	history []core.Metrics
+}
+
+// newRecorder attaches a tracker to sys and, right behind it, an observer
+// that appends the tracker's latest metrics to the history. The history is
+// pre-sized for rounds rounds.
+func newRecorder(sys *core.System, stopWhenDone bool, rounds int) *recorder {
+	r := &recorder{
+		tracker: core.NewTracker(sys, stopWhenDone),
+		history: make([]core.Metrics, 0, rounds),
+	}
+	sys.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
+		r.history = append(r.history, r.tracker.Last)
+		return false
+	}))
+	return r
 }
 
 // RunOnce builds a system from cfg and runs it for at most maxRounds,
@@ -190,33 +213,28 @@ func RunOnce(cfg core.Config, maxRounds int, stopWhenDone bool) (*RunResult, err
 	if err != nil {
 		return nil, err
 	}
-	tracker := core.NewTracker(sys, stopWhenDone)
-	tracker.Reserve(maxRounds)
+	rec := newRecorder(sys, stopWhenDone, maxRounds)
 	sys.Engine().Meter().Reserve(maxRounds)
 	rounds, err := sys.Run(maxRounds)
 	if err != nil {
 		return nil, err
 	}
-	return collect(sys, tracker, rounds), nil
+	return collect(sys, rec, rounds), nil
 }
 
 // collect assembles a RunResult from a finished (or mid-flight) system.
-func collect(sys *core.System, tracker *core.Tracker, rounds int) *RunResult {
+func collect(sys *core.System, rec *recorder, rounds int) *RunResult {
 	res := &RunResult{
 		Rounds:      rounds,
-		ConvergedAt: make(map[core.Sub]int, 5),
-		Curves:      make(map[core.Sub][]float64, 5),
+		ConvergedAt: rec.tracker.FirstDone,
+		Final:       rec.tracker.Last,
 	}
-	for _, sub := range core.Subs() {
-		res.ConvergedAt[sub] = tracker.ConvergenceRound(sub)
-		curve := make([]float64, 0, len(tracker.History))
-		for _, m := range tracker.History {
+	for sub := range res.Curves {
+		curve := make([]float64, 0, len(rec.history))
+		for _, m := range rec.history {
 			curve = append(curve, m.Fraction[sub])
 		}
 		res.Curves[sub] = curve
-	}
-	if len(tracker.History) > 0 {
-		res.Final = tracker.History[len(tracker.History)-1]
 	}
 	n := float64(sys.Engine().AliveCount())
 	if n == 0 {
@@ -243,23 +261,13 @@ func convergedOrCap(r *RunResult, sub core.Sub, cap int) float64 {
 	return float64(cap)
 }
 
-// subSeries allocates one series per sub-procedure, keyed in presentation
-// order, pre-sized for the given number of points.
-func subSeries(points int) map[core.Sub]*metrics.Series {
-	out := make(map[core.Sub]*metrics.Series, 5)
+// subSeries allocates one series per sub-procedure, indexed by Sub,
+// pre-sized for the given number of points.
+func subSeries(points int) [core.NumSubs]*metrics.Series {
+	var out [core.NumSubs]*metrics.Series
 	for _, sub := range core.Subs() {
-		s := &metrics.Series{Name: sub.String()}
-		s.Reserve(points)
-		out[sub] = s
-	}
-	return out
-}
-
-// orderedSeries flattens a sub-series map into presentation order.
-func orderedSeries(m map[core.Sub]*metrics.Series) []*metrics.Series {
-	out := make([]*metrics.Series, 0, len(m))
-	for _, sub := range core.Subs() {
-		out = append(out, m[sub])
+		out[sub] = &metrics.Series{Name: sub.String()}
+		out[sub].Reserve(points)
 	}
 	return out
 }

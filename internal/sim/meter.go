@@ -45,16 +45,21 @@ func (m *Meter) Count(protocol int, bytes int) {
 // EndRound snapshots the current round's totals into the history and resets
 // the per-round counters.
 func (m *Meter) EndRound() {
-	np := len(m.current)
+	m.appendRow(m.current)
+	for i := range m.current {
+		m.current[i] = 0
+	}
+}
+
+// appendRow copies one round's per-protocol totals into the history.
+func (m *Meter) appendRow(row []int64) {
+	np := len(row)
 	if cap(m.arena)-len(m.arena) < np {
 		m.arena = make([]int64, 0, max(arenaRounds*np, np))
 	}
 	start := len(m.arena)
-	m.arena = append(m.arena, m.current...)
+	m.arena = append(m.arena, row...)
 	m.history = append(m.history, m.arena[start:len(m.arena):len(m.arena)])
-	for i := range m.current {
-		m.current[i] = 0
-	}
 }
 
 // Reserve pre-allocates history storage for at least n further rounds, so

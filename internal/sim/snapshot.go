@@ -194,11 +194,10 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		return fmt.Errorf("snap: serial RNG draw count %d exceeds the %d replay bound (corrupt snapshot?)", draws, uint64(maxSerialDraws))
 	}
 
-	nodes := make([]Node, 0, nodeCount)
-	slotOfID := make([]int, nodeCount)
-	for i := range slotOfID {
-		slotOfID[i] = -1
-	}
+	// The node table and partition grow as their records arrive: a few
+	// bytes that claim a huge count fail at the first missing record
+	// instead of reserving memory for the count.
+	var nodes []Node
 	for slot := 0; slot < nodeCount; slot++ {
 		id := r.Varint()
 		alive := r.Bool()
@@ -207,10 +206,9 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if id < 0 || id >= nextID || slotOfID[id] >= 0 {
-			return fmt.Errorf("snap: invalid or duplicate node ID %d", id)
+		if id < 0 || id >= nextID {
+			return fmt.Errorf("snap: invalid node ID %d", id)
 		}
-		slotOfID[id] = slot
 		nodes = append(nodes, Node{
 			Slot:    slot,
 			ID:      view.NodeID(id),
@@ -219,6 +217,17 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 			Profile: profile,
 		})
 	}
+	slotOfID := make([]int, nodeCount)
+	for i := range slotOfID {
+		slotOfID[i] = -1
+	}
+	for slot := range nodes {
+		id := nodes[slot].ID
+		if slotOfID[id] >= 0 {
+			return fmt.Errorf("snap: duplicate node ID %d", id)
+		}
+		slotOfID[id] = slot
+	}
 
 	var partition []int
 	if r.Bool() {
@@ -226,9 +235,13 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		partition = make([]int, n)
-		for i := range partition {
-			partition[i] = r.Int()
+		partition = []int{}
+		for i := 0; i < n; i++ {
+			g := r.Int()
+			if err := r.Err(); err != nil {
+				return err
+			}
+			partition = append(partition, g)
 		}
 	}
 	if err := r.Err(); err != nil {
@@ -324,15 +337,18 @@ func (m *Meter) restore(r *snap.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	np := len(m.names)
-	m.history = m.history[:0]
-	m.arena = make([]int64, 0, rounds*np)
+	// The history grows as rows arrive, in the arena blocks a live run
+	// would use.
+	m.history, m.arena = nil, nil
+	row := make([]int64, len(m.names))
 	for i := 0; i < rounds; i++ {
-		start := len(m.arena)
-		for j := 0; j < np; j++ {
-			m.arena = append(m.arena, r.Varint())
+		for j := range row {
+			row[j] = r.Varint()
 		}
-		m.history = append(m.history, m.arena[start:len(m.arena):len(m.arena)])
+		if err := r.Err(); err != nil {
+			return err
+		}
+		m.appendRow(row)
 	}
-	return r.Err()
+	return nil
 }

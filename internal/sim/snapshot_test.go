@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -208,6 +210,64 @@ func TestRestoreRejectsAbsurdDrawCount(t *testing.T) {
 	err := e.Restore(bytes.NewReader(buf.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), "replay bound") {
 		t.Fatalf("err = %v, want draw-count bound rejection", err)
+	}
+}
+
+// TestRestoreAllocatesOnlyWhatArrives feeds Restore engine bodies that
+// declare a million nodes, partition groups or meter rows and then end:
+// each must fail as corrupt after allocating a small constant, not memory
+// for the declared count.
+func TestRestoreAllocatesOnlyWhatArrives(t *testing.T) {
+	const huge = 1 << 20
+	prefix := func(w *snap.Writer, nodes int) {
+		w.Header("engine")
+		w.I64(1)               // seed
+		w.Uvarint(0)           // draws
+		w.Int(1)               // round
+		w.Varint(int64(nodes)) // nextID
+		w.F64(0)               // loss rate
+		w.Len(nodes)           // node count
+	}
+	cases := []struct {
+		name  string
+		write func(w *snap.Writer)
+	}{
+		{"nodes", func(w *snap.Writer) { prefix(w, huge) }},
+		{"partition", func(w *snap.Writer) {
+			prefix(w, 0)
+			w.Bool(true)
+			w.Len(huge)
+		}},
+		{"meter rows", func(w *snap.Writer) {
+			prefix(w, 0)
+			w.Bool(false) // no partition
+			w.Len(1)
+			w.String("probe")
+			w.Varint(0) // in-flight count
+			w.Len(huge)
+		}},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		w := snap.NewWriter(&buf)
+		tc.write(w)
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		e := New(1)
+		e.Register(&snapProbe{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := e.Restore(bytes.NewReader(buf.Bytes()))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, snap.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+		const bound = 64 << 10
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+			t.Fatalf("%s: a %d-byte body declaring %d records allocated %d bytes, want <= %d",
+				tc.name, buf.Len(), huge, grew, bound)
+		}
 	}
 }
 

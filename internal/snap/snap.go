@@ -33,7 +33,7 @@ const magic = "SOSFSNAP"
 
 // Version is the current snapshot format version. Bump it for any change
 // to the byte layout; Reader.Header rejects versions it does not know.
-const Version = 1
+const Version = 2
 
 // maxChunk bounds a single length-prefixed byte field (64 MiB). Snapshots
 // of very large populations split state across many fields, so a larger
@@ -369,7 +369,9 @@ func WriteView(w *Writer, v *view.View) {
 	}
 }
 
-// ReadView decodes a view written by WriteView.
+// ReadView decodes a view written by WriteView. Entry storage is sized by
+// the entries that arrive, not the declared capacity: a corrupt capacity
+// must not reserve memory, and a view that is not full grows on demand.
 func ReadView(r *Reader) *view.View {
 	capacity := r.Len()
 	n := r.Len()
@@ -380,7 +382,8 @@ func ReadView(r *Reader) *view.View {
 		r.failf("view holds %d entries over capacity %d", n, capacity)
 		return nil
 	}
-	v := view.New(capacity)
+	v := view.New(n)
+	v.SetCap(capacity)
 	for i := 0; i < n; i++ {
 		d := ReadDescriptor(r)
 		if r.err != nil {
@@ -397,7 +400,7 @@ func ReadView(r *Reader) *view.View {
 // ReadViewInto decodes a view written by WriteView into the table's slot,
 // carving entry storage from the table's arena instead of allocating a
 // standalone view — the restore path of the struct-of-arrays protocol
-// state. Byte layout and validation are identical to ReadView.
+// state. Byte layout, validation and sizing are identical to ReadView.
 func ReadViewInto(r *Reader, t *view.Table, slot int) {
 	capacity := r.Len()
 	n := r.Len()
@@ -408,7 +411,8 @@ func ReadViewInto(r *Reader, t *view.Table, slot int) {
 		r.failf("view holds %d entries over capacity %d", n, capacity)
 		return
 	}
-	v := t.Init(slot, capacity)
+	v := t.Init(slot, n)
+	v.SetCap(capacity)
 	for i := 0; i < n; i++ {
 		d := ReadDescriptor(r)
 		if r.err != nil {

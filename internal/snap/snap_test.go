@@ -190,3 +190,36 @@ func TestViewRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestReadViewAllocatesOnlyWhatArrives decodes a view that declares the
+// largest legal capacity and holds one entry: storage must be sized by the
+// entry, with the capacity kept as the view's growth limit.
+func TestReadViewAllocatesOnlyWhatArrives(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Len(maxChunk) // capacity
+	w.Len(1)        // entries
+	WriteDescriptor(w, view.Descriptor{ID: 5})
+	input := buf.Bytes()
+
+	var table view.Table
+	table.Grow(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	standalone := ReadView(NewReader(bytes.NewReader(input)))
+	r := NewReader(bytes.NewReader(input))
+	ReadViewInto(r, &table, 0)
+	runtime.ReadMemStats(&after)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*view.View{standalone, table.At(0)} {
+		if v.Cap() != maxChunk || v.Len() != 1 || v.At(0).ID != 5 {
+			t.Fatalf("cap/len = %d/%d, want %d/1 holding node 5", v.Cap(), v.Len(), maxChunk)
+		}
+	}
+	const bound = 64 << 10
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+		t.Fatalf("a %d-byte view declaring capacity %d allocated %d bytes, want <= %d", len(input), maxChunk, grew, bound)
+	}
+}

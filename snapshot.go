@@ -15,10 +15,10 @@ import (
 // Snapshot writes a checkpoint of the complete run state: the engine
 // (population, round counter, RNG position, partition/loss state, bandwidth
 // history), every protocol layer's per-node state, the allocator and the
-// *active* topology, the convergence tracker, and any in-flight scenario
-// window state. Restoring it and stepping M more rounds replays rounds
-// N+1..N+M of the uninterrupted run byte for byte — events, figures, and
-// reports — at any worker count.
+// *active* topology, the round each sub-procedure first converged, and any
+// in-flight scenario window state. Restoring it and stepping M more rounds
+// replays rounds N+1..N+M of the uninterrupted run byte for byte — events,
+// figures, and reports — at any worker count.
 //
 // Call Snapshot between Steps only (the engine cannot checkpoint
 // mid-round). The format is versioned; see the README's "Checkpoint &
@@ -28,23 +28,13 @@ func (s *System) Snapshot(w io.Writer) error {
 		return err
 	}
 	// The sosf trailer rides behind the core snapshot in the same stream:
-	// convergence-tracker state (so resumed reports carry the same
-	// converged_at rounds) and the scenario timeline's window bookkeeping.
+	// the first-converged round of every sub-procedure (so resumed reports
+	// carry the same converged_at rounds) and the scenario timeline's
+	// window bookkeeping.
 	sw := snap.NewWriter(w)
 	sw.String("sosf-trailer")
-	sw.Len(len(s.tracker.FirstDone))
-	for _, sub := range core.Subs() {
-		if round, ok := s.tracker.FirstDone[sub]; ok {
-			sw.Int(int(sub))
-			sw.Int(round)
-		}
-	}
-	sw.Len(len(s.tracker.History))
-	for _, m := range s.tracker.History {
-		sw.Int(m.Round)
-		for _, sub := range core.Subs() {
-			sw.F64(m.Fraction[sub])
-		}
+	for _, round := range s.tracker.FirstDone {
+		sw.Int(round)
 	}
 	sw.Bool(s.bound != nil)
 	if s.bound != nil {
@@ -105,27 +95,12 @@ func (s *System) Restore(r io.Reader) error {
 	if tag := sr.String(); sr.Err() == nil && tag != "sosf-trailer" {
 		return fmt.Errorf("sosf: snapshot trailer is %q, want \"sosf-trailer\"", tag)
 	}
-	nDone := sr.Len()
-	if err := sr.Err(); err != nil {
-		return err
-	}
-	s.tracker.FirstDone = make(map[core.Sub]int, nDone)
-	for i := 0; i < nDone; i++ {
-		sub := core.Sub(sr.Int())
+	for sub := range s.tracker.FirstDone {
 		round := sr.Int()
-		s.tracker.FirstDone[sub] = round
-	}
-	nHist := sr.Len()
-	if err := sr.Err(); err != nil {
-		return err
-	}
-	s.tracker.History = make([]core.Metrics, 0, nHist)
-	for i := 0; i < nHist; i++ {
-		m := core.Metrics{Round: sr.Int(), Fraction: make(map[core.Sub]float64, 5)}
-		for _, sub := range core.Subs() {
-			m.Fraction[sub] = sr.F64()
+		if sr.Err() == nil && (round < -1 || round > s.Round()) {
+			return fmt.Errorf("sosf: snapshot's %v convergence round %d is outside [-1, %d]", core.Sub(sub), round, s.Round())
 		}
-		s.tracker.History = append(s.tracker.History, m)
+		s.tracker.FirstDone[sub] = round
 	}
 	hasBound := sr.Bool()
 	if err := sr.Err(); err != nil {

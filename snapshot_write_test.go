@@ -15,7 +15,7 @@ import (
 )
 
 // tinySystem builds a small converged-ish system for checkpoint tests.
-func tinySystem(t *testing.T) *System {
+func tinySystem(t testing.TB) *System {
 	t.Helper()
 	src, err := os.ReadFile("testdata/ringpair.sos")
 	if err != nil {
