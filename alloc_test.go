@@ -3,8 +3,8 @@ package sosf
 // Allocation-regression guard for the gossip hot path: a steady-state
 // round must not touch the heap — at any worker count. Protocol phases run
 // entirely on per-worker scratch pads (sim.Pad), per-slot retained plan
-// records, intrusive inbox lists (sim.Inbox), the alive-slot cache, and the
-// meter's arena; the worker pool parks its goroutines between phases
+// records, the engine's intrusive route tables, the alive-slot cache, and
+// the meter's arena; the worker pool parks its goroutines between phases
 // instead of respawning them. Once buffers have grown to their working size
 // the only way a round allocates is a regression — which this test turns
 // into a failure instead of a slow creep across PRs.
@@ -136,8 +136,8 @@ func TestFacadeStepAllocationBound(t *testing.T) {
 
 // bytesPerNodeBound caps the live heap one node of BenchmarkRound's
 // ring of 20 rings may hold at 10 000 nodes after 16 rounds: views, plan
-// buffers, contact and election tables, inbox lanes and the engine's node
-// table, divided by the population. It measures 5 514 B on amd64 with
+// buffers, contact and election tables, the engine's route tables and node
+// table, divided by the population. It measures 5 475 B on amd64 with
 // go1.24; the README's "Struct-of-arrays hot state" section breaks it down
 // by structure.
 const bytesPerNodeBound = 6000

@@ -3,10 +3,10 @@ package core
 // Distributed plan codecs for the runtime-layer protocols: UO2's table
 // swaps and PortSelect's record exchanges cross process boundaries the same
 // way the shape protocols' plans do. PortConnect plans are deliberately
-// absent — it owns no inbox (its Plan mutates only its own slot's beliefs),
-// so a distributed round plans it replicated on every process. The engine
-// owns the record frame (sim.EncodePlans / Engine.DecodePlans); these
-// codecs write and read one record's body.
+// absent — it routes nothing (its Plan mutates only its own slot's
+// beliefs), so a distributed round plans it replicated on every process.
+// The engine owns the record frame and the route lane (Engine.EncodePlans
+// / Engine.DecodePlans); these codecs write and read one record's body.
 
 import (
 	"fmt"
@@ -28,30 +28,24 @@ func (u *UO2) EncodePlan(w *snap.Writer, slot int) {
 	pl := &u.plans[slot]
 	w.Int(pl.kind)
 	snap.WriteDescriptors(w, pl.send)
-	switch pl.kind {
-	case uo2Timeout:
+	if pl.kind == uo2Timeout {
 		snap.WriteDescriptor(w, pl.partner)
-	case uo2Delivered:
-		w.Int(pl.targetSlot)
 	}
 }
 
 // DecodePlan implements sim.PlanCodec.
-func (u *UO2) DecodePlan(r *snap.Reader, slot int) (int, bool, error) {
+func (u *UO2) DecodePlan(r *snap.Reader, slot int) error {
 	pl := &u.plans[slot]
 	pl.kind = r.Int()
 	pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
 	switch pl.kind {
-	case uo2None:
+	case uo2None, uo2Delivered:
 	case uo2Timeout:
 		pl.partner = snap.ReadDescriptor(r)
-	case uo2Delivered:
-		pl.targetSlot = r.Int()
-		return pl.targetSlot, true, nil
 	default:
-		return 0, false, fmt.Errorf("uo2: unknown plan kind %d", pl.kind)
+		return fmt.Errorf("uo2: unknown plan kind %d", pl.kind)
 	}
-	return 0, false, nil
+	return nil
 }
 
 // EncodePlan implements sim.PlanCodec. Every record carries the slot's
@@ -61,25 +55,19 @@ func (p *PortSelect) EncodePlan(w *snap.Writer, slot int) {
 	pl := &p.plans[slot]
 	w.Int(pl.kind)
 	writeRecords(w, pl.send)
-	if pl.kind == portDelivered {
-		w.Int(pl.targetSlot)
-	}
 }
 
 // DecodePlan implements sim.PlanCodec.
-func (p *PortSelect) DecodePlan(r *snap.Reader, slot int) (int, bool, error) {
+func (p *PortSelect) DecodePlan(r *snap.Reader, slot int) error {
 	pl := &p.plans[slot]
 	pl.kind = r.Int()
 	pl.send = readRecordsInto(r, pl.send[:0])
 	switch pl.kind {
-	case portNone, portSent:
-	case portDelivered:
-		pl.targetSlot = r.Int()
-		return pl.targetSlot, true, nil
+	case portNone, portSent, portDelivered:
 	default:
-		return 0, false, fmt.Errorf("portselect: unknown plan kind %d", pl.kind)
+		return fmt.Errorf("portselect: unknown plan kind %d", pl.kind)
 	}
-	return 0, false, nil
+	return nil
 }
 
 // readRecordsInto decodes a writeRecords slice appending into dst — the

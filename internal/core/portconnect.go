@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"sosf/internal/arena"
 	"sosf/internal/peersampling"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
@@ -25,8 +26,8 @@ import (
 // PortConnect is a pure lookup protocol: it reads the (frozen) state of the
 // layers below and mutates only its own per-slot beliefs, so the whole
 // resolution — bytes metered into the worker's shard included — runs in the
-// parallel plan phase; it routes nothing, so it has no inbox and no Deliver
-// work at all.
+// parallel plan phase; it routes nothing, so it has no plan codec, the
+// engine keeps no route table for it, and it has no Deliver work at all.
 type PortConnect struct {
 	alloc *Allocator
 	ports *PortSelect
@@ -59,11 +60,8 @@ var (
 // NewPortConnect creates the port-connection protocol. uo2 may be nil (the
 // ablation experiment disables it; resolution then falls back to the
 // peer-sampling service and gets much slower — which is the point of the
-// ablation). ttl defaults to 20 when <= 0.
+// ablation). ttl bounds how long a remote manager belief is kept.
 func NewPortConnect(alloc *Allocator, ports *PortSelect, uo2 *UO2, rps *peersampling.Protocol, ttl int) *PortConnect {
-	if ttl <= 0 {
-		ttl = 20
-	}
 	return &PortConnect{alloc: alloc, ports: ports, uo2: uo2, rps: rps, ttl: ttl, meter: -1}
 }
 
@@ -89,7 +87,7 @@ func (p *PortConnect) InitNode(e *sim.Engine, slot int) {
 	// assigned before InitNode runs, so the row is carved here, at the
 	// serial barrier, like every other protocol's per-slot storage.
 	if nsides := len(p.alloc.SidesOf(e.Node(slot).Profile.Comp)); cap(st.remotes) < nsides {
-		st.remotes = sim.Carve(&p.arena, nsides)
+		st.remotes = arena.Carve(&p.arena, nsides)
 	}
 	// Fresh-join semantics: desync the state so the next Refresh re-syncs
 	// it against the node's (possibly new) profile. Belief storage is kept.

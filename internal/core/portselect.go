@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"sosf/internal/arena"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
 	"sosf/internal/vicinity"
@@ -65,7 +66,6 @@ type PortSelect struct {
 	// shared arena.
 	states []portState
 	plans  []portPlan
-	inbox  sim.Inbox
 	arena  []PortRecord
 }
 
@@ -87,33 +87,24 @@ const (
 )
 
 type portPlan struct {
-	kind       int
-	targetSlot int
-	send       []PortRecord // snapshot of this node's post-refresh records
+	kind int
+	send []PortRecord // snapshot of this node's post-refresh records
 }
 
 var (
 	_ sim.Protocol    = (*PortSelect)(nil)
-	_ sim.InboxOwner  = (*PortSelect)(nil)
 	_ sim.MeterAware  = (*PortSelect)(nil)
 	_ sim.Snapshotter = (*PortSelect)(nil)
 )
 
 // NewPortSelect creates the port-selection protocol. ttl bounds manager
-// failover latency (default 20 rounds when <= 0).
+// failover latency in rounds.
 func NewPortSelect(alloc *Allocator, uo1, core *vicinity.Protocol, ttl int) *PortSelect {
-	if ttl <= 0 {
-		ttl = 20
-	}
 	return &PortSelect{alloc: alloc, uo1: uo1, core: core, ttl: ttl, meter: -1}
 }
 
 // Name implements sim.Protocol.
 func (p *PortSelect) Name() string { return "portselect" }
-
-// Inboxes implements sim.InboxOwner: the engine drives the Deliver-phase
-// merge of the record-exchange routing.
-func (p *PortSelect) Inboxes() []*sim.Inbox { return []*sim.Inbox{&p.inbox} }
 
 // SetMeterIndex implements sim.MeterAware.
 func (p *PortSelect) SetMeterIndex(i int) { p.meter = i }
@@ -123,10 +114,9 @@ func (p *PortSelect) SetMeterIndex(i int) { p.meter = i }
 // restore path from the serialized record width.
 func (p *PortSelect) ensureSlot(slot, width int) {
 	for len(p.states) <= slot {
-		p.plans = append(p.plans, portPlan{send: sim.Carve(&p.arena, width)})
-		p.states = append(p.states, portState{epoch: ^uint32(0), records: sim.Carve(&p.arena, width)})
+		p.plans = append(p.plans, portPlan{send: arena.Carve(&p.arena, width)})
+		p.states = append(p.states, portState{epoch: ^uint32(0), records: arena.Carve(&p.arena, width)})
 	}
-	p.inbox.Grow(slot + 1)
 }
 
 // InitNode implements sim.Protocol.
@@ -247,7 +237,6 @@ func (p *PortSelect) Refresh(ctx *sim.Ctx) {
 	slot := ctx.Slot()
 	self := ctx.Node()
 	st := &p.states[slot]
-	p.inbox.Reset(slot)
 	if st.epoch != self.Profile.Epoch || st.comp != self.Profile.Comp {
 		p.reset(self, st)
 	}
@@ -308,23 +297,22 @@ func (p *PortSelect) Plan(ctx *sim.Ctx) {
 		return // raced with a reconfiguration; nothing to merge
 	}
 	pl.kind = portDelivered
-	pl.targetSlot = target.Slot
 	ctx.Count(p.meter, sim.PortRecordPayload(len(p.states[target.Slot].records)))
-	p.inbox.Push(pl.targetSlot, slot)
+	ctx.Route(target.Slot)
 }
 
 // Absorb implements sim.Protocol: fold the snapshots received this round
 // into the slot's live records — the partner's reply first, then every
-// record set that reached it as the passive side, in inbox order.
+// record set that reached it as the passive side, in sender order. The
+// reply is read from the slot the exchange was routed to, which is set
+// exactly when the exchange was delivered.
 func (p *PortSelect) Absorb(ctx *sim.Ctx) {
-	slot := ctx.Slot()
-	st := &p.states[slot]
+	st := &p.states[ctx.Slot()]
 	now := ctx.Round()
-	pl := &p.plans[slot]
-	if pl.kind == portDelivered {
-		mergeRecords(st.records, p.plans[pl.targetSlot].send, now, p.ttl)
+	if target := ctx.Target(); target >= 0 {
+		mergeRecords(st.records, p.plans[target].send, now, p.ttl)
 	}
-	for sender := p.inbox.First(slot); sender >= 0; sender = p.inbox.Next(sender) {
+	for sender := ctx.FirstSender(); sender >= 0; sender = ctx.NextSender(sender) {
 		mergeRecords(st.records, p.plans[sender].send, now, p.ttl)
 	}
 }

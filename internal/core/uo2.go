@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"sosf/internal/arena"
 	"sosf/internal/peersampling"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
@@ -35,7 +36,6 @@ type UO2 struct {
 	states     []uo2State
 	entryArena []uo2Entry
 	plans      []uo2Plan
-	inbox      sim.Inbox
 	arena      []view.Descriptor
 }
 
@@ -70,10 +70,9 @@ func (e *uo2Entry) valid() bool { return e.d.ID != view.InvalidNode }
 // Absorb, once the Plan barrier has frozen it. The buffer is retained per
 // slot so steady-state planning allocates nothing.
 type uo2Plan struct {
-	kind       int
-	partner    view.Descriptor // kept whole: the timeout path needs the component
-	targetSlot int
-	send       []view.Descriptor
+	kind    int
+	partner view.Descriptor // kept whole: the timeout path needs the component
+	send    []view.Descriptor
 }
 
 // plan kinds (shared shape with the other protocols).
@@ -102,26 +101,18 @@ func (t *uo2State) reset() {
 
 var (
 	_ sim.Protocol    = (*UO2)(nil)
-	_ sim.InboxOwner  = (*UO2)(nil)
 	_ sim.MeterAware  = (*UO2)(nil)
 	_ sim.Snapshotter = (*UO2)(nil)
 )
 
 // NewUO2 creates the distant-component overlay. maxAge bounds how long a
-// dead contact can linger (default 20 when <= 0).
+// dead contact can linger.
 func NewUO2(alloc *Allocator, rps *peersampling.Protocol, maxAge int) *UO2 {
-	if maxAge <= 0 {
-		maxAge = 20
-	}
 	return &UO2{alloc: alloc, rps: rps, maxAge: maxAge, meter: -1}
 }
 
 // Name implements sim.Protocol.
 func (u *UO2) Name() string { return "uo2" }
-
-// Inboxes implements sim.InboxOwner: the engine drives the Deliver-phase
-// merge of the swap routing.
-func (u *UO2) Inboxes() []*sim.Inbox { return []*sim.Inbox{&u.inbox} }
 
 // SetMeterIndex implements sim.MeterAware.
 func (u *UO2) SetMeterIndex(i int) { u.meter = i }
@@ -135,10 +126,9 @@ func (u *UO2) ensureSlot(slot int) {
 		// reconfigure that adds components falls back to a private heap
 		// copy). The contact table itself is carved one row per component.
 		width := u.alloc.Components() + 1
-		u.plans = append(u.plans, uo2Plan{send: sim.Carve(&u.arena, width)})
-		u.states = append(u.states, uo2State{entries: sim.Carve(&u.entryArena, width-1)})
+		u.plans = append(u.plans, uo2Plan{send: arena.Carve(&u.arena, width)})
+		u.states = append(u.states, uo2State{entries: arena.Carve(&u.entryArena, width-1)})
 	}
-	u.inbox.Grow(slot + 1)
 }
 
 // InitNode implements sim.Protocol.
@@ -240,7 +230,6 @@ func (u *UO2) Refresh(ctx *sim.Ctx) {
 	self := ctx.Node()
 	t := &u.states[slot]
 	now := ctx.Round()
-	u.inbox.Reset(slot)
 
 	u.prune(self, t, now)
 
@@ -267,8 +256,8 @@ func (u *UO2) Plan(ctx *sim.Ctx) {
 	}
 	pl.partner = partner
 
-	// Meter into the worker's shard and route via the sender's inbox lane;
-	// the engine's Deliver phase merges lanes per destination shard.
+	// Meter into the worker's shard and route via the sender's lane; the
+	// engine's Deliver phase merges lanes per destination shard.
 	ctx.Count(u.meter, sim.DescriptorPayload(len(pl.send)))
 	target := e.Lookup(partner.ID)
 	if target == nil || !target.Alive || !ctx.Deliver(target.Slot) {
@@ -276,24 +265,24 @@ func (u *UO2) Plan(ctx *sim.Ctx) {
 		return
 	}
 	pl.kind = uo2Delivered
-	pl.targetSlot = target.Slot
 	// The reply is the target's table plus its own descriptor, exactly
 	// what the target's Plan publishes.
 	ctx.Count(u.meter, sim.DescriptorPayload(1+u.states[target.Slot].count))
-	u.inbox.Push(pl.targetSlot, slot)
+	ctx.Route(target.Slot)
 }
 
 // Absorb implements sim.Protocol: fold the received tables into the slot's
 // own — the reply to its own swap (or the timeout suspicion), then every
-// table that reached it as the passive side, in inbox order.
+// table that reached it as the passive side, in sender order. The reply is
+// read from the slot the swap was routed to: the route lane, set exactly
+// when the swap was delivered, is the one record of the partner's slot.
 func (u *UO2) Absorb(ctx *sim.Ctx) {
 	slot := ctx.Slot()
 	self := ctx.Node()
 	t := &u.states[slot]
 	now := ctx.Round()
 	pl := &u.plans[slot]
-	switch pl.kind {
-	case uo2Timeout:
+	if pl.kind == uo2Timeout {
 		// Suspect the contact: push its birth into the past so dead
 		// contacts expire quickly while contacts behind a lossy link
 		// survive (a fresher descriptor restores them).
@@ -302,12 +291,13 @@ func (u *UO2) Absorb(ctx *sim.Ctx) {
 				entry.born -= u.maxAge/4 + 1
 			}
 		}
-	case uo2Delivered:
-		for _, d := range u.plans[pl.targetSlot].send {
+	}
+	if target := ctx.Target(); target >= 0 {
+		for _, d := range u.plans[target].send {
 			u.offer(self, t, d, now)
 		}
 	}
-	for sender := u.inbox.First(slot); sender >= 0; sender = u.inbox.Next(sender) {
+	for sender := ctx.FirstSender(); sender >= 0; sender = ctx.NextSender(sender) {
 		for _, d := range u.plans[sender].send {
 			u.offer(self, t, d, now)
 		}

@@ -24,7 +24,7 @@ func TestUO2EntrySizeof(t *testing.T) {
 // valid whose descriptor carries view.InvalidNode: the table marks empty
 // rows with that ID, so such a row would be counted yet read as empty.
 func TestUO2RestoreRejectsContactWithoutNode(t *testing.T) {
-	e, _, u := buildUO2(t, 1, 2, 2, 0)
+	e, _, u := buildUO2(t, 1, 2, 2, 20)
 	var buf bytes.Buffer
 	w := snap.NewWriter(&buf)
 	w.Len(e.Size())
@@ -64,7 +64,7 @@ func buildUO2(t *testing.T, seed int64, nodes, comps, maxAge int) (*sim.Engine, 
 }
 
 func TestUO2FullCoverage(t *testing.T) {
-	e, _, u := buildUO2(t, 1, 300, 6, 0)
+	e, _, u := buildUO2(t, 1, 300, 6, 20)
 	if _, err := e.Run(15); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestUO2FullCoverage(t *testing.T) {
 }
 
 func TestUO2ContactLookup(t *testing.T) {
-	e, _, u := buildUO2(t, 2, 200, 4, 0)
+	e, _, u := buildUO2(t, 2, 200, 4, 20)
 	if _, err := e.Run(15); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestUO2DeadContactsExpire(t *testing.T) {
 }
 
 func TestUO2StaleEpochPurged(t *testing.T) {
-	e, alloc, u := buildUO2(t, 4, 200, 4, 0)
+	e, alloc, u := buildUO2(t, 4, 200, 4, 20)
 	if _, err := e.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestUO2StaleEpochPurged(t *testing.T) {
 }
 
 func TestUO2BandwidthMetered(t *testing.T) {
-	e, _, _ := buildUO2(t, 5, 100, 3, 0)
+	e, _, _ := buildUO2(t, 5, 100, 3, 20)
 	if _, err := e.Run(5); err != nil {
 		t.Fatal(err)
 	}

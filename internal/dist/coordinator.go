@@ -219,7 +219,7 @@ func (c *Coordinator) handshake(i int, conn Conn) error {
 // within the barrier), broadcast the aggregate, then import all shards
 // into the local replica. The coordinator's own shard is empty, so it
 // encodes nothing and imports everything.
-func (c *Coordinator) exchange(pi int, codec sim.PlanCodec, _ []int) error {
+func (c *Coordinator) exchange(pi int, _ sim.PlanCodec, _ []int) error {
 	round := c.sys.Round()
 	n := len(c.conns)
 	msgs := make([]plansMsg, n)
@@ -251,19 +251,19 @@ func (c *Coordinator) exchange(pi int, codec sim.PlanCodec, _ []int) error {
 			return fmt.Errorf("%w: shard %d/%d at round %d barrier %d: %v", ErrWorkerDead, i, n, round, pi, err)
 		}
 	}
-	return importShards(c.sys.Engine(), codec, round, pi, msgs, -1)
+	return importShards(c.sys.Engine(), round, pi, msgs, -1)
 }
 
 // importShards decodes every shard's plan records except own's (-1 imports
 // them all) into eng and credits their Plan-phase meter deltas — the
 // import half of a barrier, identical on the coordinator and every worker.
-func importShards(eng *sim.Engine, codec sim.PlanCodec, round, pi int, shards []plansMsg, own int) error {
+func importShards(eng *sim.Engine, round, pi int, shards []plansMsg, own int) error {
 	for i := range shards {
 		if i == own {
 			continue
 		}
 		r := snap.NewReader(bytes.NewReader(shards[i].Records))
-		if err := eng.DecodePlans(codec, r); err != nil {
+		if err := eng.DecodePlans(pi, r); err != nil {
 			return fmt.Errorf("dist: importing shard %d round %d protocol %d: %w", i, round, pi, err)
 		}
 		eng.AddPlanBytes(pi, shards[i].Meter)

@@ -25,8 +25,9 @@
 // # Barrier protocol
 //
 // A round crosses one barrier per sharded protocol, in the fixed protocol
-// order every replica computes from the stack: the inbox owners that
-// implement sim.PlanCodec, as Engine.RunRoundSharded walks them.
+// order every replica computes from the stack: the routing protocols, which
+// are the ones that implement sim.PlanCodec, as Engine.RunRoundSharded
+// walks them.
 // Per barrier, per connection, the frame sequence is strict:
 //
 //	worker                          coordinator
@@ -46,14 +47,17 @@
 // frame is length-prefixed and CRC-32C checksummed (internal/snap), so a
 // flipped bit fails loudly instead of desynchronizing the stream.
 //
-// An fkPlans frame's Records field is the shard's plan-record frame. The
-// engine owns that framing — sim.EncodePlans writes the record count and
-// each record's slot, Engine.DecodePlans range-checks every slot and
-// delivered target and pushes the inbox lanes — and a protocol's
-// sim.PlanCodec owns only each record's body (its kind and the fields
-// Absorb reads). A malformed record fails the import with an error
-// wrapping sim.ErrBadPlan; both ends import through one helper,
-// importShards.
+// An fkPlans frame's Records field is the shard's plan-record frame,
+//
+//	Len(records) { Int(slot) Int(lane) body }*
+//
+// The engine owns that framing — Engine.EncodePlans writes the record
+// count and each record's slot and route lane (the slot its Plan routed
+// to, or -1), Engine.DecodePlans range-checks every slot and lane and sets
+// the lanes — and a protocol's sim.PlanCodec owns only each record's body
+// (its kind and the fields Absorb reads). A malformed record fails the
+// import with an error wrapping sim.ErrBadPlan; both ends import through
+// one helper, importShards.
 //
 // The full connection lifecycle:
 //

@@ -104,12 +104,12 @@ func workerHandshake(conn Conn, threads int, localSource string) (*workerRun, er
 // exchange is the worker's side of one barrier: encode and send the local
 // shard's plan records with their meter delta, await the coordinator's
 // aggregate, and import every other shard's records into the replica.
-func (w *workerRun) exchange(pi int, codec sim.PlanCodec, shard []int) error {
+func (w *workerRun) exchange(pi int, _ sim.PlanCodec, shard []int) error {
 	eng := w.sys.Engine()
 	round := w.sys.Round()
 	var buf bytes.Buffer
 	sw := snap.NewWriter(&buf)
-	sim.EncodePlans(codec, sw, shard)
+	eng.EncodePlans(pi, sw, shard)
 	if err := sw.Err(); err != nil {
 		return err
 	}
@@ -135,5 +135,5 @@ func (w *workerRun) exchange(pi int, codec sim.PlanCodec, shard []int) error {
 		return fmt.Errorf("%w: aggregate for round %d protocol %d over %d shards, want round %d protocol %d over %d",
 			ErrProtocol, aggRound, aggPI, len(shards), round, pi, w.h.Shards)
 	}
-	return importShards(eng, codec, round, pi, shards, w.h.Shard)
+	return importShards(eng, round, pi, shards, w.h.Shard)
 }

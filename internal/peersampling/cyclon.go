@@ -17,6 +17,7 @@ package peersampling
 import (
 	"fmt"
 
+	"sosf/internal/arena"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
 	"sosf/internal/view"
@@ -63,12 +64,11 @@ const (
 // reply buffers are retained per slot, so steady-state planning allocates
 // nothing.
 type cyclonPlan struct {
-	kind       int
-	partner    view.NodeID
-	targetSlot int
-	boot       view.Descriptor
-	send       []view.Descriptor // what this node sends (self first)
-	reply      []view.Descriptor // what the partner answers with
+	kind    int
+	partner view.NodeID
+	boot    view.Descriptor
+	send    []view.Descriptor // what this node sends (self first)
+	reply   []view.Descriptor // what the partner answers with
 }
 
 // Protocol is the peer-sampling service. Create it with New, register it
@@ -81,13 +81,11 @@ type Protocol struct {
 	// state (headers and entries in contiguous arena-backed arrays).
 	states view.Table
 	plans  []cyclonPlan // per engine slot
-	inbox  sim.Inbox    // passive-side routing, Plan -> Absorb
 	arena  []view.Descriptor
 }
 
 var (
 	_ sim.Protocol    = (*Protocol)(nil)
-	_ sim.InboxOwner  = (*Protocol)(nil)
 	_ sim.MeterAware  = (*Protocol)(nil)
 	_ sim.Snapshotter = (*Protocol)(nil)
 )
@@ -107,12 +105,8 @@ func (p *Protocol) SetMeterIndex(i int) { p.meter = i }
 // live protocol state: callers must treat it as read-only.
 func (p *Protocol) View(slot int) *view.View { return p.states.At(slot) }
 
-// Inboxes implements sim.InboxOwner: the engine drives the Deliver-phase
-// merge of the shuffle routing.
-func (p *Protocol) Inboxes() []*sim.Inbox { return []*sim.Inbox{&p.inbox} }
-
-// ensureSlot grows the per-slot storage (plan records, state table, inbox)
-// to cover slot. It draws no randomness, so both InitNode and the restore
+// ensureSlot grows the per-slot storage (plan records, state table) to
+// cover slot. It draws no randomness, so both InitNode and the restore
 // path share it.
 func (p *Protocol) ensureSlot(slot int) {
 	for len(p.plans) <= slot {
@@ -121,12 +115,11 @@ func (p *Protocol) ensureSlot(slot int) {
 		// allocation per few hundred slots instead of two lazy ones per
 		// slot on its first exchange.
 		p.plans = append(p.plans, cyclonPlan{
-			send:  sim.Carve(&p.arena, p.opts.Gossip),
-			reply: sim.Carve(&p.arena, p.opts.Gossip),
+			send:  arena.Carve(&p.arena, p.opts.Gossip),
+			reply: arena.Carve(&p.arena, p.opts.Gossip),
 		})
 	}
 	p.states.Grow(slot + 1)
-	p.inbox.Grow(slot + 1)
 }
 
 // InitNode implements sim.Protocol: it allocates the node's view and seeds
@@ -145,7 +138,7 @@ func (p *Protocol) InitNode(e *sim.Engine, slot int) {
 }
 
 // SnapshotState implements sim.Snapshotter: the only inter-round state is
-// the per-slot partial view (plans and inboxes live inside one round).
+// the per-slot partial view (plans and routing live inside one round).
 func (p *Protocol) SnapshotState(w *snap.Writer) {
 	w.Len(p.states.Len())
 	for slot := 0; slot < p.states.Len(); slot++ {
@@ -173,11 +166,9 @@ func (p *Protocol) RestoreState(e *sim.Engine, r *snap.Reader) error {
 	return r.Err()
 }
 
-// Refresh implements sim.Protocol: age the view and reset the inbox.
+// Refresh implements sim.Protocol: age the view.
 func (p *Protocol) Refresh(ctx *sim.Ctx) {
-	slot := ctx.Slot()
-	p.states.At(slot).AgeAll()
-	p.inbox.Reset(slot)
+	p.states.At(ctx.Slot()).AgeAll()
 }
 
 // Plan implements sim.Protocol: compute one active Cyclon shuffle against a
@@ -235,20 +226,19 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 	// Passive side: the partner answers with a random sample of its own
 	// (still frozen) view. All draws come from the active node's stream.
 	pl.kind = planDelivered
-	pl.targetSlot = target.Slot
 	pl.reply = p.states.At(target.Slot).RandomSampleInto(ctx.Rand(), p.opts.Gossip, pl.reply[:0], &pad.Sampler)
 
 	// Route and meter here at the end of Plan: bytes land in the worker's
-	// meter shard, the routing in the sender's inbox lane, and the engine
-	// merges lanes per destination shard in the Deliver phase.
+	// meter shard, the routing in the sender's lane, and the engine merges
+	// lanes per destination shard in the Deliver phase.
 	ctx.Count(p.meter, sim.DescriptorPayload(len(pl.send)))
 	ctx.Count(p.meter, sim.DescriptorPayload(len(pl.reply)))
-	p.inbox.Push(pl.targetSlot, slot)
+	ctx.Route(target.Slot)
 }
 
 // Absorb implements sim.Protocol: fold the round's traffic into the slot's
 // view — first the node's own exchange (partner purged, reply merged), then
-// every shuffle that reached it as the passive side, in inbox order.
+// every shuffle that reached it as the passive side, in sender order.
 func (p *Protocol) Absorb(ctx *sim.Ctx) {
 	slot := ctx.Slot()
 	self := ctx.Node()
@@ -264,7 +254,7 @@ func (p *Protocol) Absorb(ctx *sim.Ctx) {
 		v.Remove(pl.partner)
 		mergeCyclon(v, self.ID, pl.reply, pl.send, &pad.IDs)
 	}
-	for sender := p.inbox.First(slot); sender >= 0; sender = p.inbox.Next(sender) {
+	for sender := ctx.FirstSender(); sender >= 0; sender = ctx.NextSender(sender) {
 		spl := &p.plans[sender]
 		mergeCyclon(v, self.ID, spl.send, spl.reply, &pad.IDs)
 	}

@@ -4,7 +4,7 @@ package peersampling
 // processes so a remote replica can absorb this shard's shuffles exactly as
 // if it had planned them locally. The engine owns the record frame; this
 // codec writes and reads one record's body, and only the fields each kind's
-// Absorb path (active side and, via the inbox, passive side) reads.
+// Absorb path (active side and, via the routing, passive side) reads.
 
 import (
 	"fmt"
@@ -27,14 +27,13 @@ func (p *Protocol) EncodePlan(w *snap.Writer, slot int) {
 		w.Varint(int64(pl.partner))
 	case planDelivered:
 		w.Varint(int64(pl.partner))
-		w.Int(pl.targetSlot)
 		snap.WriteDescriptors(w, pl.send)
 		snap.WriteDescriptors(w, pl.reply)
 	}
 }
 
 // DecodePlan implements sim.PlanCodec.
-func (p *Protocol) DecodePlan(r *snap.Reader, slot int) (int, bool, error) {
+func (p *Protocol) DecodePlan(r *snap.Reader, slot int) error {
 	pl := &p.plans[slot]
 	pl.kind = r.Int()
 	switch pl.kind {
@@ -45,12 +44,10 @@ func (p *Protocol) DecodePlan(r *snap.Reader, slot int) (int, bool, error) {
 		pl.partner = view.NodeID(r.Varint())
 	case planDelivered:
 		pl.partner = view.NodeID(r.Varint())
-		pl.targetSlot = r.Int()
 		pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
 		pl.reply = snap.ReadDescriptorsInto(r, pl.reply[:0])
-		return pl.targetSlot, true, nil
 	default:
-		return 0, false, fmt.Errorf("peersampling: unknown plan kind %d", pl.kind)
+		return fmt.Errorf("peersampling: unknown plan kind %d", pl.kind)
 	}
-	return 0, false, nil
+	return nil
 }

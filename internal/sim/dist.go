@@ -5,7 +5,7 @@ package sim
 // only the Plan phase of the exchange-routing protocols: each process plans
 // the slots of its contiguous shard, the planned records cross the wire at
 // that protocol's Deliver barrier, and every process then imports the
-// remote shards' records — rebuilding plan records and re-pushing inbox
+// remote shards' records — rebuilding plan records and setting their route
 // lanes — before running the (replicated) Deliver merge and Absorb phases
 // over the whole population.
 //
@@ -14,28 +14,27 @@ package sim
 // counter-based per-(node, round, protocol, phase) stream, so a slot's Plan
 // produces the same record no matter which process executes it, and the
 // engine-driven Deliver merge scans senders in ascending slot order no
-// matter which lanes were pushed locally and which were imported. The
+// matter which lanes were routed locally and which were imported. The
 // serial RNG only moves between rounds, where every process replays the
 // identical observer sequence against identical state.
 //
-// Protocols whose Plan phase mutates only their own slot's state and routes
-// nothing (no InboxOwner) are planned replicated — every process runs them
-// over all slots — so they need no codec and their meter counts are already
-// global. Inbox-owning protocols opt into sharding by implementing
-// PlanCodec; an inbox owner without a codec also falls back to replicated
-// planning, which keeps the round correct (merely unsharded).
+// A protocol routes exchanges if and only if it implements PlanCodec, and
+// exactly those protocols are sharded. The others mutate only their own
+// slot's state in Plan, so they are planned replicated — every process
+// runs them over all slots — and their meter counts are already global.
 //
 // # The plan-record frame
 //
 // The engine owns the framing of a shard's records and a codec owns only
-// each record's body. EncodePlans writes
+// each record's body. Engine.EncodePlans writes
 //
-//	Len(records) { Int(slot) body }*
+//	Len(records) { Int(slot) Int(lane) body }*
 //
-// and Engine.DecodePlans reads it back: it range-checks every slot and
-// every delivered target against the slot space, and pushes the inbox lane
-// of every delivered record, so no codec repeats those checks. A malformed
-// frame fails with an error wrapping ErrBadPlan.
+// where lane is the slot's route lane (the target its Plan routed to, or
+// -1). Engine.DecodePlans reads it back: it range-checks every slot and
+// every lane against the slot space and sets the lane, so no codec repeats
+// those checks or carries the target itself. A malformed frame fails with
+// an error wrapping ErrBadPlan.
 
 import (
 	"errors"
@@ -45,68 +44,63 @@ import (
 	"sosf/internal/snap"
 )
 
-// PlanCodec is implemented by inbox-owning protocols whose Plan phase a
-// distributed round shards across processes. A codec owns exactly one
-// inbox (RunRoundSharded refuses a round otherwise). EncodePlan writes the
-// body of one slot's plan record: its kind and the fields that kind's
-// Absorb reads. DecodePlan reads one body back into the slot's plan record
-// and reports the exchange's target slot when the record is a delivered
-// exchange; the frame range-checks that target and pushes the lane.
-// DecodePlan may index its per-slot records by slot unchecked: the frame
-// passes only slots below Size(), and every such slot has been through
-// InitNode or RestoreState, which grow the records to cover it.
+// PlanCodec is implemented by the protocols that route exchanges; the
+// engine keeps a route table for each, and a distributed round shards
+// their Plan phase across processes. EncodePlan writes the body of one
+// slot's plan record: its kind and the fields that kind's Absorb reads.
+// DecodePlan reads one body back into the slot's plan record. DecodePlan
+// may index its per-slot records by slot unchecked: the frame passes only
+// slots below Size(), and every such slot has been through InitNode or
+// RestoreState, which grow the records to cover it.
 type PlanCodec interface {
-	InboxOwner
 	EncodePlan(w *snap.Writer, slot int)
-	DecodePlan(r *snap.Reader, slot int) (target int, delivered bool, err error)
+	DecodePlan(r *snap.Reader, slot int) error
 }
 
 // ErrBadPlan is wrapped by every error DecodePlans returns for a malformed
-// plan-record frame: a slot or target outside the slot space, an unknown
+// plan-record frame: a slot or lane outside the slot space, an unknown
 // record kind, or a truncated body.
 var ErrBadPlan = errors.New("sim: malformed plan record")
 
-// EncodePlans writes the plan-record frame of the given slots (a shard of
-// the alive population, in ascending slot order).
-func EncodePlans(codec PlanCodec, w *snap.Writer, slots []int) {
+// EncodePlans writes the plan-record frame of routing protocol pi for the
+// given slots (a shard of the alive population, in ascending slot order).
+func (e *Engine) EncodePlans(pi int, w *snap.Writer, slots []int) {
+	codec, box := e.protocols[pi].(PlanCodec), e.inboxes[pi]
 	w.Len(len(slots))
 	for _, slot := range slots {
 		w.Int(slot)
+		w.Int(int(box.planned[slot]))
 		codec.EncodePlan(w, slot)
 	}
 }
 
-// DecodePlans applies a frame encoded by a remote shard: it restores every
-// record's plan and re-pushes the inbox lane of every delivered exchange,
-// exactly as the remote Plan did. It runs between the Plan and Deliver
-// phases of the owning protocol, so pushed lanes are merged by the engine's
-// own Deliver pass.
-func (e *Engine) DecodePlans(codec PlanCodec, r *snap.Reader) error {
-	inbox := codec.Inboxes()[0]
+// DecodePlans applies a frame of routing protocol pi encoded by a remote
+// shard: it restores every record's plan and sets its route lane, exactly
+// as the remote Plan did. It runs between the Plan and Deliver phases of
+// pi, so the lanes are merged by the engine's own Deliver pass.
+func (e *Engine) DecodePlans(pi int, r *snap.Reader) error {
+	codec, box := e.protocols[pi].(PlanCodec), e.inboxes[pi]
 	size := len(e.nodes)
 	n := r.Len()
 	for i := 0; i < n; i++ {
-		slot := r.Int()
+		slot, lane := r.Int(), r.Int()
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("%w: record %d of %d: %w", ErrBadPlan, i, n, err)
 		}
 		if slot < 0 || slot >= size {
 			return fmt.Errorf("%w: slot %d out of range [0,%d)", ErrBadPlan, slot, size)
 		}
-		target, delivered, err := codec.DecodePlan(r, slot)
+		if lane < -1 || lane >= size {
+			return fmt.Errorf("%w: slot %d lane %d out of range [-1,%d)", ErrBadPlan, slot, lane, size)
+		}
+		err := codec.DecodePlan(r, slot)
 		if err == nil {
 			err = r.Err()
 		}
 		if err != nil {
 			return fmt.Errorf("%w: slot %d: %w", ErrBadPlan, slot, err)
 		}
-		if !delivered {
-			continue
-		}
-		if target < 0 || target >= size {
-			return fmt.Errorf("%w: slot %d target %d out of range [0,%d)", ErrBadPlan, slot, target, size)
-		}
-		inbox.Push(target, slot)
+		box.planned[slot] = int32(lane)
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadPlan, err)
@@ -115,45 +109,37 @@ func (e *Engine) DecodePlans(codec PlanCodec, r *snap.Reader) error {
 }
 
 // ShardExchange is the per-protocol barrier hook of a distributed round.
-// The engine calls it after planning the local shard of protocol pi and
-// before pi's Deliver merge; the implementation must ship the local shard's
-// records to the other participants (EncodePlans), import every remote
-// shard's records (DecodePlans), and exchange the protocol's Plan-phase
-// meter delta (PlanBytes / AddPlanBytes) so every replica's meter stays
-// global. An error aborts the round immediately.
+// The engine calls it after planning the local shard of routing protocol
+// pi and before pi's Deliver merge; the implementation must ship the local
+// shard's records to the other participants (EncodePlans), import every
+// remote shard's records (DecodePlans), and exchange the protocol's
+// Plan-phase meter delta (PlanBytes / AddPlanBytes) so every replica's
+// meter stays global. An error aborts the round immediately.
 type ShardExchange func(pi int, codec PlanCodec, shard []int) error
 
-// RunRoundSharded executes one round with the Plan phase of every
-// codec-capable inbox-owning protocol restricted to the alive slots in
-// [lo, hi), invoking exch at each such protocol's Deliver barrier. All
-// other phases (and the Plan of codec-less protocols) run over the whole
-// alive population, so the caller must hold state identical to every other
-// participant's. A nil exch runs a plain full round. On error the round is
-// abandoned mid-flight and the engine must not be stepped again.
+// RunRoundSharded executes one round with the Plan phase of every routing
+// protocol restricted to the alive slots in [lo, hi), invoking exch at
+// each such protocol's Deliver barrier. All other phases (and the Plan of
+// protocols that route nothing) run over the whole alive population, so
+// the caller must hold state identical to every other participant's. A nil
+// exch runs a plain full round. On error the round is abandoned
+// mid-flight and the engine must not be stepped again.
 func (e *Engine) RunRoundSharded(lo, hi int, exch ShardExchange) (stop bool, err error) {
 	alive := e.alive()
 	e.ensureCtxs()
 	for pi, p := range e.protocols {
-		base := uint64(pi) * phaseCount
-		e.runPhase(p, base+phaseRefresh, phaseRefresh, alive)
-		var codec PlanCodec
-		if exch != nil && len(e.inboxes[pi]) > 0 {
-			codec, _ = p.(PlanCodec)
-		}
-		if codec != nil {
-			if len(e.inboxes[pi]) != 1 {
-				return false, fmt.Errorf("sim: plan codec %s owns %d inboxes, want 1", p.Name(), len(e.inboxes[pi]))
-			}
+		e.runPhase(pi, phaseRefresh, alive)
+		if codec, ok := p.(PlanCodec); ok && exch != nil {
 			shard := sliceSlots(alive, lo, hi)
-			e.runPhase(p, base+phasePlan, phasePlan, shard)
+			e.runPhase(pi, phasePlan, shard)
 			if err := exch(pi, codec, shard); err != nil {
 				return false, err
 			}
 		} else {
-			e.runPhase(p, base+phasePlan, phasePlan, alive)
+			e.runPhase(pi, phasePlan, alive)
 		}
 		e.deliver(pi, alive)
-		e.runPhase(p, base+phaseAbsorb, phaseAbsorb, alive)
+		e.runPhase(pi, phaseAbsorb, alive)
 	}
 	e.foldMeters()
 	e.meter.EndRound()

@@ -18,21 +18,24 @@
 // trivially cheap, so nothing in a round is serialized over the population:
 //
 //  1. Refresh — parallel over alive slots. Local state maintenance (aging,
-//     pruning, inbox Reset, folding in candidates from lower layers).
+//     pruning, folding in candidates from lower layers). For a routing
+//     protocol (one that implements PlanCodec) the engine first clears the
+//     slot's route lane and receive list in its route table.
 //  2. Plan — parallel over alive slots. Compute the slot's gossip exchange
 //     (partner choice, payloads, delivery outcome) into protocol-owned
 //     per-slot plan records, meter the bytes put on the wire via Ctx.Count
-//     (a per-worker shard), and route the exchange with Inbox.Push (a
-//     sender-owned lane).
+//     (a per-worker shard), and route the exchange with Ctx.Route (a
+//     sender-owned lane in the engine's route table).
 //  3. Deliver — parallel over destination shards, engine-driven. The
 //     engine splits the slot space into contiguous target ranges, one per
-//     worker, and merges every registered inbox's planned lanes into
-//     per-target receive lists. Every worker scans senders in ascending
-//     slot order, so a target's list is identical to a serial slot-order
-//     delivery at any worker count. Protocols do not implement this phase.
+//     worker, and merges the protocol's route lanes into per-target
+//     receive lists. Every worker scans senders in ascending slot order,
+//     so a target's list is identical to a serial slot-order delivery at
+//     any worker count. Protocols do not implement this phase.
 //  4. Absorb — parallel over alive slots. Fold everything the slot
-//     received (its own exchange's reply, plus each inbox sender's
-//     payload, in inbox order) into its local state.
+//     received (its own exchange's reply, read from the slot Ctx.Target
+//     names, plus each sender's payload, walked in ascending slot order
+//     with Ctx.FirstSender / NextSender) into its local state.
 //  5. Round barrier — serial, O(workers × protocols). Fold the per-worker
 //     meter shards into the shared Meter (int64 addition, so totals are
 //     exact and order-independent), snapshot the round's bandwidth, and
@@ -42,7 +45,7 @@
 // ctx.Slot() only, and may read other protocols' state for ctx.Slot()
 // only. A Plan must treat every view and table as read-only — other
 // workers are reading them too — but may write state no other slot's Plan
-// reads (its own plan record, its own inbox lane). Plan records of other
+// reads (its own plan record, its own route lane). Plan records of other
 // slots are frozen by Absorb time and safe to read.
 //
 // One caveat from metering at Plan time: if a hook kills a node between
@@ -59,7 +62,7 @@
 // the engine's node table is one contiguous []Node; per-slot view headers
 // live in view.Table's dense array with their descriptor entries carved
 // from a shared chunked arena (internal/arena); plan payloads and record
-// tables are likewise carved via sim.Carve. A million-node population is a
+// tables are likewise carved via arena.Carve. A million-node population is a
 // handful of large arrays that phases stream through in slot order, not
 // millions of scattered heap objects — which is also what keeps the
 // garbage collector out of steady-state rounds entirely (0 allocs/round).

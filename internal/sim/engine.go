@@ -14,9 +14,11 @@ import (
 // InitNode when a node joins (or re-joins after a reconfiguration) and then
 // drives each round as phases per protocol, in registration order — see the
 // package documentation for the five-phase round contract. The Deliver
-// phase is engine-driven (the per-destination-shard inbox merge); protocols
-// that route exchanges implement InboxOwner instead of a Deliver method,
-// meter at Plan time via Ctx.Count, and Push at the end of Plan.
+// phase is engine-driven (the per-destination-shard inbox merge): a
+// protocol routes exchanges if and only if it implements PlanCodec, and it
+// then meters at Plan time via Ctx.Count, routes with Ctx.Route, and reads
+// what it received in Absorb through Ctx.Target, FirstSender and
+// NextSender.
 type Protocol interface {
 	// Name identifies the protocol in bandwidth reports and traces.
 	Name() string
@@ -28,15 +30,6 @@ type Protocol interface {
 	Plan(ctx *Ctx)
 	// Absorb folds received payloads into the slot's state (phase 4).
 	Absorb(ctx *Ctx)
-}
-
-// InboxOwner is implemented by protocols that route planned exchanges
-// through one or more Inboxes. Register collects the inboxes once; the
-// engine then drives the parallel Deliver phase — merging each inbox's
-// planned lanes into per-target receive lists, one worker per destination
-// shard — between every Plan and Absorb.
-type InboxOwner interface {
-	Inboxes() []*Inbox
 }
 
 // Observer is invoked after every completed round; returning stop=true ends
@@ -82,10 +75,10 @@ type Engine struct {
 	nodes     []Node
 	slotOfID  []int // dense NodeID -> slot index (IDs are monotonic, never reused)
 	protocols []Protocol
-	// inboxes[pi] caches protocol pi's registered inboxes (nil for
-	// protocols that don't route exchanges); the engine merges them in the
-	// Deliver phase.
-	inboxes   [][]*Inbox
+	// inboxes[pi] is protocol pi's route table (nil for protocols that
+	// route nothing); the engine grows it with the node table, resets a
+	// slot's entry in Refresh and merges it in the Deliver phase.
+	inboxes   []*inbox
 	observers []Observer
 	meter     *Meter
 	round     int
@@ -141,9 +134,6 @@ func New(seed int64) *Engine {
 // phase calls — anything that outlives the slot's turn belongs in the
 // protocol's per-slot plan records.
 type Pad struct {
-	// Send and Reply hold the two in-flight gossip payloads of an
-	// exchange (active request, passive response).
-	Send, Reply []view.Descriptor
 	// Sample is for intermediate descriptor selections (random samples).
 	Sample []view.Descriptor
 	// Same is for filtered contact lists (same-component candidates,
@@ -171,6 +161,9 @@ type Ctx struct {
 	slot int
 	rng  Stream
 	pad  Pad
+	// box is the route table of the protocol whose phase is running (nil
+	// when it routes nothing).
+	box *inbox
 	// counts is the worker's per-protocol meter shard: Plan-time byte
 	// counts accumulate here race-free and fold into the shared Meter at
 	// the round barrier.
@@ -209,6 +202,26 @@ func (c *Ctx) Count(protocol, bytes int) {
 		c.counts[protocol] += int64(bytes)
 	}
 }
+
+// Route sends the slot's exchange of this round to target: the engine's
+// Deliver phase puts the slot on target's receive list. Call from Plan of
+// a protocol that implements PlanCodec; a later Route in the same Plan
+// replaces the earlier one. Safe from the parallel Plan phase: a sender
+// writes only its own lane.
+func (c *Ctx) Route(target int) { c.box.planned[c.slot] = int32(target) }
+
+// Target returns the slot this slot's exchange was routed to this round,
+// or -1 when it routed none.
+func (c *Ctx) Target() int { return int(c.box.planned[c.slot]) }
+
+// FirstSender returns the first slot whose exchange was routed to this
+// slot this round, or -1 when none was. Senders come in ascending slot
+// order; walk them with NextSender. Call from Absorb.
+func (c *Ctx) FirstSender() int { return int(c.box.head[c.slot]) }
+
+// NextSender returns the sender after the given one on this slot's
+// receive list, or -1 at the end.
+func (c *Ctx) NextSender(sender int) int { return int(c.box.next[sender]) }
 
 // Deliver decides whether one request/response exchange from the current
 // slot to the given slot goes through: the partition (if any) is consulted
@@ -299,15 +312,16 @@ type MeterAware interface {
 
 // Register appends a protocol to the stack. Protocols step in registration
 // order within each round, mirroring a PeerSim cycle-driven protocol stack
-// (every protocol's phases complete before the next protocol starts).
-// Register must be called before AddNodes.
+// (every protocol's phases complete before the next protocol starts). A
+// protocol that implements PlanCodec routes exchanges, and the engine keeps
+// a route table for it. Register must be called before AddNodes.
 func (e *Engine) Register(p Protocol) int {
 	e.protocols = append(e.protocols, p)
-	if io, ok := p.(InboxOwner); ok {
-		e.inboxes = append(e.inboxes, io.Inboxes())
-	} else {
-		e.inboxes = append(e.inboxes, nil)
+	var box *inbox
+	if _, ok := p.(PlanCodec); ok {
+		box = &inbox{}
 	}
+	e.inboxes = append(e.inboxes, box)
 	idx := e.meter.AddProtocol(p.Name())
 	if ma, ok := p.(MeterAware); ok {
 		ma.SetMeterIndex(idx)
@@ -336,8 +350,18 @@ func (e *Engine) AddNodes(n int) []int {
 		e.slotOfID = append(e.slotOfID, slot)
 		slots = append(slots, slot)
 	}
+	e.growInboxes()
 	e.aliveOK = false
 	return slots
+}
+
+// growInboxes extends every route table to cover the node table.
+func (e *Engine) growInboxes() {
+	for _, b := range e.inboxes {
+		if b != nil {
+			b.grow(len(e.nodes))
+		}
+	}
 }
 
 // InitNode runs every protocol's InitNode for the given slot. Call after
@@ -519,14 +543,15 @@ const (
 // job carries everything the worker needs so parked workers hold no engine
 // reference (which would keep a finalized engine alive forever). A job is
 // either a phase shard (p non-nil: run alive[lo:hi] through one protocol
-// phase) or a Deliver merge shard (boxes non-nil: link the planned
-// exchanges of the alive senders whose target falls in [lo, hi)).
+// phase, with box as the protocol's route table) or a Deliver merge shard
+// (p nil: link the planned exchanges in box of the alive senders whose
+// target falls in [lo, hi)).
 type phaseJob struct {
 	ctx   *Ctx
 	p     Protocol
+	box   *inbox
 	salt  uint64
 	phase int
-	boxes []*Inbox
 
 	alive  []int
 	lo, hi int
@@ -536,12 +561,11 @@ type phaseJob struct {
 
 // run executes the job's shard on the calling goroutine.
 func (j *phaseJob) run() {
-	if j.boxes != nil {
-		for _, b := range j.boxes {
-			b.merge(j.ctx.e.nodes, j.alive, j.lo, j.hi)
-		}
+	if j.p == nil {
+		j.box.merge(j.ctx.e.nodes, j.alive, j.lo, j.hi)
 		return
 	}
+	j.ctx.box = j.box
 	runShard(j.ctx, j.p, j.salt, j.phase, j.alive[j.lo:j.hi])
 }
 
@@ -570,6 +594,9 @@ func runShard(ctx *Ctx, p Protocol, salt uint64, phase int, slots []int) {
 		ctx.rng = NewStream(e.seed, n.ID, e.round, salt)
 		switch phase {
 		case phaseRefresh:
+			if ctx.box != nil {
+				ctx.box.reset(slot)
+			}
 			p.Refresh(ctx)
 		case phasePlan:
 			p.Plan(ctx)
@@ -638,21 +665,23 @@ func (e *Engine) ensurePool() {
 	}
 }
 
-// runPhase executes one parallel phase of one protocol over the alive
-// slots, sharded into contiguous runs of the slot list.
-func (e *Engine) runPhase(p Protocol, salt uint64, phase int, alive []int) {
-	e.fanOut(phaseJob{p: p, salt: salt, phase: phase, alive: alive}, len(alive))
+// runPhase executes one parallel phase of protocol pi over the given
+// slots, sharded into contiguous runs of the slot list. The phase's
+// streams are salted by (protocol, phase).
+func (e *Engine) runPhase(pi, phase int, slots []int) {
+	salt := uint64(pi)*phaseCount + uint64(phase)
+	e.fanOut(phaseJob{p: e.protocols[pi], box: e.inboxes[pi], salt: salt, phase: phase, alive: slots}, len(slots))
 }
 
-// deliver runs one protocol's Deliver phase: merge the exchanges planned
-// into its inboxes into per-target receive lists, one worker per
-// contiguous destination shard. Every worker scans senders in ascending
-// slot order, so each target's list is identical to the serial slot-order
-// delivery of the pre-sharded engine — at any worker count. Protocols
-// without inboxes (pure-lookup layers) skip the phase entirely.
+// deliver runs protocol pi's Deliver phase: merge the exchanges routed
+// into its inbox into per-target receive lists, one worker per contiguous
+// destination shard. Every worker scans senders in ascending slot order,
+// so each target's list is identical to the serial slot-order delivery of
+// the pre-sharded engine — at any worker count. Protocols that route
+// nothing (pure-lookup layers) skip the phase entirely.
 func (e *Engine) deliver(pi int, alive []int) {
-	if boxes := e.inboxes[pi]; len(boxes) > 0 {
-		e.fanOut(phaseJob{boxes: boxes, alive: alive}, len(e.nodes))
+	if box := e.inboxes[pi]; box != nil {
+		e.fanOut(phaseJob{box: box, alive: alive}, len(e.nodes))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sosf/internal/snap"
 	"sosf/internal/view"
 )
 
@@ -362,6 +363,73 @@ func TestShardedDeliverAllocationFree(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("engine round allocated %.1f times per round; the sharded Deliver path must stay allocation-free", allocs)
+			}
+		})
+	}
+}
+
+// flipRouter routes every slot's exchange to its right neighbour in even
+// rounds and routes nothing in odd rounds, recording what each slot's
+// Absorb sees: its own lane and its sender list.
+type flipRouter struct {
+	targets []int
+	senders [][]int
+}
+
+func (p *flipRouter) Name() string { return "flip" }
+func (p *flipRouter) InitNode(e *Engine, slot int) {
+	for len(p.targets) <= slot {
+		p.targets = append(p.targets, 0)
+		p.senders = append(p.senders, nil)
+	}
+}
+func (p *flipRouter) Refresh(ctx *Ctx) {}
+func (p *flipRouter) Plan(ctx *Ctx) {
+	if ctx.Round()%2 == 0 {
+		ctx.Route((ctx.Slot() + 1) % ctx.Engine().Size())
+	}
+}
+func (p *flipRouter) Absorb(ctx *Ctx) {
+	slot := ctx.Slot()
+	p.targets[slot] = ctx.Target()
+	p.senders[slot] = p.senders[slot][:0]
+	// The walk is capped so a list corrupted into a cycle fails the test
+	// instead of growing without bound.
+	for s := ctx.FirstSender(); s >= 0 && len(p.senders[slot]) <= ctx.Engine().Size(); s = ctx.NextSender(s) {
+		p.senders[slot] = append(p.senders[slot], s)
+	}
+}
+func (p *flipRouter) EncodePlan(w *snap.Writer, slot int)       {}
+func (p *flipRouter) DecodePlan(r *snap.Reader, slot int) error { return nil }
+
+// TestEngineResetsRoutesEachRound routes in one round and not in the next:
+// the second round must see no lane and no sender anywhere, which holds
+// only if the engine clears every slot's lane and receive list before the
+// protocol's Plan.
+func TestEngineResetsRoutesEachRound(t *testing.T) {
+	const size = 200
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(5)
+			e.SetWorkers(workers)
+			p := &flipRouter{}
+			e.Register(p)
+			for _, s := range e.AddNodes(size) {
+				e.InitNode(s)
+			}
+			e.RunRound()
+			for slot := 0; slot < size; slot++ {
+				left := (slot + size - 1) % size
+				if p.targets[slot] != (slot+1)%size || len(p.senders[slot]) != 1 || p.senders[slot][0] != left {
+					t.Fatalf("routing round: slot %d saw lane %d senders %v, want lane %d senders [%d]",
+						slot, p.targets[slot], p.senders[slot], (slot+1)%size, left)
+				}
+			}
+			e.RunRound()
+			for slot := 0; slot < size; slot++ {
+				if p.targets[slot] != -1 || len(p.senders[slot]) != 0 {
+					t.Fatalf("silent round: slot %d saw lane %d senders %v, want none", slot, p.targets[slot], p.senders[slot])
+				}
 			}
 		})
 	}

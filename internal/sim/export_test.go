@@ -1,5 +1,6 @@
 package sim
 
-// PlannedLane exposes an inbox's planned-target lane of sender (-1 when
-// the sender planned no exchange) to the package's external tests.
-func PlannedLane(b *Inbox, sender int) int { return int(b.planned[sender]) }
+// PlannedLane exposes the route lane of sender in protocol pi's route
+// table (-1 when the sender routed no exchange) to the package's external
+// tests.
+func PlannedLane(e *Engine, pi, sender int) int { return int(e.inboxes[pi].planned[sender]) }

@@ -1,29 +1,32 @@
 package sim
 
-// Inbox routes planned exchanges from active senders to their passive
-// receivers between a round's Plan and Absorb phases. It is an intrusive
-// singly-linked list over dense slot-indexed arrays: each sender plans at
-// most one exchange per protocol per round, so one planned-target lane and
-// one next-pointer per slot are enough, and a steady-state round allocates
-// nothing — unlike per-slot append buffers, whose capacities keep growing
-// as new per-round fan-in maxima appear.
+// inbox is one routing protocol's route table: it carries planned
+// exchanges from active senders to their passive receivers between a
+// round's Plan and Absorb phases. It is an intrusive singly-linked list
+// over dense slot-indexed arrays: each sender plans at most one exchange
+// per protocol per round, so one planned-target lane and one next-pointer
+// per slot are enough, and a steady-state round allocates nothing — unlike
+// per-slot append buffers, whose capacities keep growing as new per-round
+// fan-in maxima appear.
 //
-// The phases divide the work exactly like the protocols themselves:
-// Reset runs in the parallel Refresh phase (slot-local), Push in the
-// parallel Plan phase (each sender writes only its own lane), merge in the
-// parallel Deliver phase (one worker per destination shard, every worker
-// scanning senders in ascending slot order), and First/Next iterate in the
+// The engine owns one inbox per protocol that implements PlanCodec and
+// drives it through the phases: reset in the parallel Refresh phase
+// (slot-local), the sender's own lane written by Ctx.Route in the parallel
+// Plan phase, merge in the parallel Deliver phase (one worker per
+// destination shard, every worker scanning senders in ascending slot
+// order), and read through Ctx.Target / FirstSender / NextSender in the
 // parallel Absorb phase (read-only).
-type Inbox struct {
+type inbox struct {
 	head, tail, next []int32
 	// planned[s] is the target slot sender s planned an exchange to this
-	// round, or -1. It is the sender-owned lane that makes Push safe from
-	// the parallel Plan phase; merge turns the lanes into per-target lists.
+	// round, or -1. It is the sender-owned lane that makes routing safe
+	// from the parallel Plan phase; merge turns the lanes into per-target
+	// lists.
 	planned []int32
 }
 
-// Grow extends the inbox to cover at least n slots. Call from InitNode.
-func (b *Inbox) Grow(n int) {
+// grow extends the inbox to cover at least n slots.
+func (b *inbox) grow(n int) {
 	for len(b.head) < n {
 		b.head = append(b.head, -1)
 		b.tail = append(b.tail, -1)
@@ -32,17 +35,11 @@ func (b *Inbox) Grow(n int) {
 	}
 }
 
-// Reset empties the given slot's list and clears its planned lane. Call
-// from Refresh for every alive slot, before any Push of the round.
-func (b *Inbox) Reset(slot int) {
+// reset empties the given slot's list and clears its planned lane.
+func (b *inbox) reset(slot int) {
 	b.head[slot] = -1
 	b.planned[slot] = -1
 }
-
-// Push records that sender plans an exchange to target this round. Safe
-// from the parallel Plan phase: a sender writes only its own lane. The
-// per-target receive lists materialize in the engine-driven Deliver merge.
-func (b *Inbox) Push(target, sender int) { b.planned[sender] = int32(target) }
 
 // merge is the Deliver phase: link every planned exchange whose target
 // falls in [lo, hi) into that target's intrusive list. Senders are scanned
@@ -52,7 +49,7 @@ func (b *Inbox) Push(target, sender int) { b.planned[sender] = int32(target) }
 // delivery. Disjoint target ranges make concurrent merges race-free: a
 // target's head/tail and its senders' next-pointers are written only by
 // the worker owning the target's range.
-func (b *Inbox) merge(nodes []Node, alive []int, lo, hi int) {
+func (b *inbox) merge(nodes []Node, alive []int, lo, hi int) {
 	for _, s := range alive {
 		t := b.planned[s]
 		if int(t) < lo || int(t) >= hi || !nodes[s].Alive {
@@ -70,9 +67,3 @@ func (b *Inbox) merge(nodes []Node, alive []int, lo, hi int) {
 		b.tail[t] = sn
 	}
 }
-
-// First returns the first sender in slot's list, or -1 when empty.
-func (b *Inbox) First(slot int) int { return int(b.head[slot]) }
-
-// Next returns the sender after the given one, or -1 at the end.
-func (b *Inbox) Next(sender int) int { return int(b.next[sender]) }

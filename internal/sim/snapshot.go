@@ -16,7 +16,7 @@ import (
 // the uninterrupted one byte for byte.
 //
 // SnapshotState and RestoreState are called between rounds only, so plan
-// records, inboxes, and scratch pads — state that lives strictly inside one
+// records, route lanes, and scratch pads — state that lives strictly inside one
 // round — are never serialized. RestoreState must rebuild per-slot storage
 // for exactly the engine's (already restored) population without drawing
 // from any random source: the engine's serial RNG is part of the snapshot,
@@ -262,6 +262,7 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 	e.slotOfID = slotOfID
 	e.partition = partition
 	e.aliveOK = false
+	e.growInboxes()
 
 	if err := e.meter.restore(r); err != nil {
 		return err

@@ -38,11 +38,11 @@ func TestCountedSourceReplay(t *testing.T) {
 	}
 }
 
-// snapProbe is a minimal protocol with per-slot state and random draws in
-// every phase, to exercise engine snapshot/restore without the full stack.
+// snapProbe is a minimal routing protocol with per-slot state and random
+// draws in every phase, to exercise engine snapshot/restore without the
+// full stack.
 type snapProbe struct {
 	marks []uint64
-	inbox Inbox
 }
 
 func (p *snapProbe) Name() string { return "probe" }
@@ -50,14 +50,14 @@ func (p *snapProbe) InitNode(e *Engine, slot int) {
 	for len(p.marks) <= slot {
 		p.marks = append(p.marks, 0)
 	}
-	p.inbox.Grow(slot + 1)
 }
-func (p *snapProbe) Refresh(ctx *Ctx) { p.inbox.Reset(ctx.Slot()) }
+func (p *snapProbe) Refresh(ctx *Ctx) {}
 func (p *snapProbe) Plan(ctx *Ctx) {
 	p.marks[ctx.Slot()] = p.marks[ctx.Slot()]*31 + ctx.Rand().Uint64()
 }
-func (p *snapProbe) Inboxes() []*Inbox { return []*Inbox{&p.inbox} }
-func (p *snapProbe) Absorb(ctx *Ctx)   {}
+func (p *snapProbe) Absorb(ctx *Ctx)                           {}
+func (p *snapProbe) EncodePlan(w *snap.Writer, slot int)       {}
+func (p *snapProbe) DecodePlan(r *snap.Reader, slot int) error { return nil }
 
 func (p *snapProbe) SnapshotState(w *snap.Writer) {
 	w.Len(len(p.marks))
@@ -74,7 +74,6 @@ func (p *snapProbe) RestoreState(e *Engine, r *snap.Reader) error {
 	p.marks = p.marks[:0]
 	for i := 0; i < n; i++ {
 		p.marks = append(p.marks, r.U64())
-		p.inbox.Grow(i + 1)
 	}
 	return r.Err()
 }

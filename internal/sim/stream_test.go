@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sosf/internal/snap"
 	"sosf/internal/view"
 )
 
@@ -117,28 +118,28 @@ func TestStreamSatisfiesViewRand(t *testing.T) {
 
 func TestInboxOrderAndReset(t *testing.T) {
 	const size = 6
-	var b Inbox
-	b.Grow(size)
+	var b inbox
+	b.grow(size)
 	nodes := make([]Node, size)
 	alive := make([]int, 0, size)
 	for slot := 0; slot < size; slot++ {
 		nodes[slot] = Node{Slot: slot, Alive: true}
 		alive = append(alive, slot)
-		b.Reset(slot)
+		b.reset(slot)
 	}
-	// Push records planned lanes; the lists materialize in the merge,
-	// which scans senders in ascending slot order.
-	b.Push(3, 5)
-	b.Push(3, 0)
-	b.Push(3, 2)
-	b.Push(1, 4)
+	// Senders write their planned lanes; the lists materialize in the
+	// merge, which scans senders in ascending slot order.
+	b.planned[5] = 3
+	b.planned[0] = 3
+	b.planned[2] = 3
+	b.planned[4] = 1
 	// Merge in two target shards to prove sharding is invisible: the
 	// per-target order must still be global ascending sender order.
 	b.merge(nodes, alive, 0, 3)
 	b.merge(nodes, alive, 3, size)
 	var got []int
-	for s := b.First(3); s >= 0; s = b.Next(s) {
-		got = append(got, s)
+	for s := b.head[3]; s >= 0; s = b.next[s] {
+		got = append(got, int(s))
 	}
 	want := []int{0, 2, 5}
 	if len(got) != len(want) {
@@ -149,50 +150,49 @@ func TestInboxOrderAndReset(t *testing.T) {
 			t.Fatalf("inbox(3) = %v, want %v", got, want)
 		}
 	}
-	if b.First(1) != 4 || b.Next(4) != -1 {
+	if b.head[1] != 4 || b.next[4] != -1 {
 		t.Fatal("inbox(1) should hold exactly sender 4")
 	}
-	if b.First(0) != -1 {
+	if b.head[0] != -1 {
 		t.Fatal("untouched slot should be empty")
 	}
-	b.Reset(3)
-	if b.First(3) != -1 {
-		t.Fatal("reset slot should be empty")
+	b.reset(3)
+	if b.head[3] != -1 || b.planned[3] != -1 {
+		t.Fatal("reset slot should be empty and route nothing")
 	}
 }
 
 func TestInboxMergeSkipsDeadAndRerouted(t *testing.T) {
-	var b Inbox
-	b.Grow(4)
+	var b inbox
+	b.grow(4)
 	nodes := make([]Node, 4)
 	for slot := range nodes {
 		nodes[slot] = Node{Slot: slot, Alive: true}
-		b.Reset(slot)
+		b.reset(slot)
 	}
-	b.Push(2, 0)
-	b.Push(2, 1)
-	b.Push(0, 1) // re-push: only the last planned target counts
+	b.planned[0] = 2
+	b.planned[1] = 2
+	b.planned[1] = 0 // re-route: only the last planned target counts
 	nodes[0].Alive = false
 	// Sender 0 died between Plan and Deliver: its exchange is dropped.
 	b.merge(nodes, []int{0, 1, 2, 3}, 0, 4)
-	if b.First(2) != -1 {
-		t.Fatalf("inbox(2) should be empty, got sender %d", b.First(2))
+	if b.head[2] != -1 {
+		t.Fatalf("inbox(2) should be empty, got sender %d", b.head[2])
 	}
-	if b.First(0) != 1 || b.Next(1) != -1 {
+	if b.head[0] != 1 || b.next[1] != -1 {
 		t.Fatal("inbox(0) should hold exactly sender 1")
 	}
 }
 
 // TestEngineWorkerCountInvariant pins the invariant at the engine level
 // with a protocol that uses every phase facility: per-slot plans drawn
-// from ctx.Rand, inbox routing, metering, and absorb-time merging. The
+// from ctx.Rand, engine routing, metering, and absorb-time merging. The
 // meter history (which hashes the whole exchange pattern) must match
 // across worker counts.
 type probeProtocol struct {
 	meterIdx int
 	picks    []int // per-slot planned target
 	sums     []uint64
-	inbox    Inbox
 }
 
 func (p *probeProtocol) Name() string { return "probe" }
@@ -202,12 +202,9 @@ func (p *probeProtocol) InitNode(e *Engine, slot int) {
 		p.picks = append(p.picks, -1)
 		p.sums = append(p.sums, 0)
 	}
-	p.inbox.Grow(slot + 1)
 }
 
-func (p *probeProtocol) Refresh(ctx *Ctx) { p.inbox.Reset(ctx.Slot()) }
-
-func (p *probeProtocol) Inboxes() []*Inbox { return []*Inbox{&p.inbox} }
+func (p *probeProtocol) Refresh(ctx *Ctx) {}
 
 func (p *probeProtocol) Plan(ctx *Ctx) {
 	slot := ctx.Slot()
@@ -215,13 +212,18 @@ func (p *probeProtocol) Plan(ctx *Ctx) {
 	if n := ctx.RandomAlive(slot); n != nil && ctx.Deliver(n.Slot) {
 		p.picks[slot] = n.Slot
 		ctx.Count(0, slot+1)
-		p.inbox.Push(n.Slot, slot)
+		ctx.Route(n.Slot)
 	}
 }
 
+// EncodePlan and DecodePlan make the probe a routing protocol; the route
+// lane is its whole plan, and the frame carries that.
+func (p *probeProtocol) EncodePlan(w *snap.Writer, slot int)       {}
+func (p *probeProtocol) DecodePlan(r *snap.Reader, slot int) error { return nil }
+
 func (p *probeProtocol) Absorb(ctx *Ctx) {
 	slot := ctx.Slot()
-	for s := p.inbox.First(slot); s >= 0; s = p.inbox.Next(s) {
+	for s := ctx.FirstSender(); s >= 0; s = ctx.NextSender(s) {
 		// Order-sensitive fold: catches any deviation in inbox ordering.
 		p.sums[slot] = p.sums[slot]*31 + uint64(s) + 1
 	}

@@ -1,8 +1,8 @@
 package vicinity
 
 // Distributed plan codec: ships one shard's vicinityPlan records across
-// processes. Each overlay instance (uo1, core) is its own protocol with its
-// own inbox, so each encodes and decodes independently. The engine owns
+// processes. Each overlay instance (uo1, core) is its own routing protocol,
+// so each encodes and decodes independently. The engine owns
 // the record frame; this codec writes and reads one record's body.
 
 import (
@@ -24,14 +24,13 @@ func (p *Protocol) EncodePlan(w *snap.Writer, slot int) {
 		w.Varint(int64(pl.partner))
 	case planDelivered:
 		w.Varint(int64(pl.partner))
-		w.Int(pl.targetSlot)
 		snap.WriteDescriptors(w, pl.send)
 		snap.WriteDescriptors(w, pl.reply)
 	}
 }
 
 // DecodePlan implements sim.PlanCodec.
-func (p *Protocol) DecodePlan(r *snap.Reader, slot int) (int, bool, error) {
+func (p *Protocol) DecodePlan(r *snap.Reader, slot int) error {
 	pl := &p.plans[slot]
 	pl.kind = r.Int()
 	switch pl.kind {
@@ -40,12 +39,10 @@ func (p *Protocol) DecodePlan(r *snap.Reader, slot int) (int, bool, error) {
 		pl.partner = view.NodeID(r.Varint())
 	case planDelivered:
 		pl.partner = view.NodeID(r.Varint())
-		pl.targetSlot = r.Int()
 		pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
 		pl.reply = snap.ReadDescriptorsInto(r, pl.reply[:0])
-		return pl.targetSlot, true, nil
 	default:
-		return 0, false, fmt.Errorf("vicinity %s: unknown plan kind %d", p.name, pl.kind)
+		return fmt.Errorf("vicinity %s: unknown plan kind %d", p.name, pl.kind)
 	}
-	return 0, false, nil
+	return nil
 }

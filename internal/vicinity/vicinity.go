@@ -19,6 +19,7 @@ import (
 	"math"
 	"slices"
 
+	"sosf/internal/arena"
 	"sosf/internal/peersampling"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
@@ -68,21 +69,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// CandidateSource supplies free local candidate descriptors for a node —
-// descriptors already present on the node in another layer's state, so
-// folding them in costs no bandwidth. The runtime stacks overlays this way:
-// the component core protocol feeds off the same-component overlay (UO1).
-type CandidateSource interface {
-	Candidates(slot int) []view.Descriptor
-}
-
-// ViewSource is optionally implemented by candidate sources whose
-// candidates live in a View. The merge path then reads the view in place
-// instead of copying Candidates out, keeping the hot path allocation-free.
-type ViewSource interface {
-	SourceView(slot int) *view.View
-}
-
 // plan kinds.
 const (
 	planNone      = iota // no partner this round
@@ -94,11 +80,10 @@ const (
 // plan phase against frozen views and consumed by Deliver/Absorb. Buffers
 // are retained per slot so steady-state planning allocates nothing.
 type vicinityPlan struct {
-	kind       int
-	partner    view.NodeID
-	targetSlot int
-	send       []view.Descriptor // payload for the partner (self first)
-	reply      []view.Descriptor // partner's payload for this node
+	kind    int
+	partner view.NodeID
+	send    []view.Descriptor // payload for the partner (self first)
+	reply   []view.Descriptor // partner's payload for this node
 }
 
 // Protocol is one self-organizing overlay instance.
@@ -107,29 +92,28 @@ type Protocol struct {
 	ranker Ranker
 	opts   Options
 	rps    *peersampling.Protocol
-	feeds  []CandidateSource
-	meter  int
+	// feeds are stacked overlays whose views this overlay folds in as
+	// free local candidates, read in place: the runtime's component core
+	// protocol feeds off the same-component overlay (UO1) this way.
+	feeds []*Protocol
+	meter int
 	// states holds the per-slot overlay views as dense struct-of-arrays
 	// state (headers and entries in contiguous arena-backed arrays).
 	states view.Table
 	plans  []vicinityPlan
-	inbox  sim.Inbox
 	arena  []view.Descriptor
 }
 
 var (
 	_ sim.Protocol    = (*Protocol)(nil)
-	_ sim.InboxOwner  = (*Protocol)(nil)
 	_ sim.MeterAware  = (*Protocol)(nil)
 	_ sim.Snapshotter = (*Protocol)(nil)
-	_ CandidateSource = (*Protocol)(nil)
-	_ ViewSource      = (*Protocol)(nil)
 )
 
 // New creates an overlay named name, ranked by ranker, drawing random
 // candidates from rps (may be nil only if opts.NoRandomFeed is set) and,
-// optionally, from additional local candidate feeds.
-func New(name string, ranker Ranker, rps *peersampling.Protocol, opts Options, feeds ...CandidateSource) *Protocol {
+// optionally, from the views of stacked overlays (feeds).
+func New(name string, ranker Ranker, rps *peersampling.Protocol, opts Options, feeds ...*Protocol) *Protocol {
 	return &Protocol{
 		name:   name,
 		ranker: ranker,
@@ -140,17 +124,9 @@ func New(name string, ranker Ranker, rps *peersampling.Protocol, opts Options, f
 	}
 }
 
-// Candidates implements CandidateSource, so overlays can feed each other.
-func (p *Protocol) Candidates(slot int) []view.Descriptor {
-	if v := p.SourceView(slot); v != nil {
-		return v.Entries()
-	}
-	return nil
-}
-
-// SourceView implements ViewSource: the overlay's own view is its candidate
-// feed, readable in place by stacked overlays.
-func (p *Protocol) SourceView(slot int) *view.View {
+// sourceView returns the overlay's view at slot as a candidate feed for
+// stacked overlays, or nil when the slot is not covered yet.
+func (p *Protocol) sourceView(slot int) *view.View {
 	if slot >= p.states.Len() {
 		return nil
 	}
@@ -166,12 +142,8 @@ func (p *Protocol) SetMeterIndex(i int) { p.meter = i }
 // View returns the overlay view of the node at slot (treat as read-only).
 func (p *Protocol) View(slot int) *view.View { return p.states.At(slot) }
 
-// Inboxes implements sim.InboxOwner: the engine drives the Deliver-phase
-// merge of the exchange routing.
-func (p *Protocol) Inboxes() []*sim.Inbox { return []*sim.Inbox{&p.inbox} }
-
-// ensureSlot grows the per-slot storage (plan records, state table, inbox)
-// to cover slot, without touching any view. Shared by InitNode and the
+// ensureSlot grows the per-slot storage (plan records, state table) to
+// cover slot, without touching any view. Shared by InitNode and the
 // restore path (which must not draw randomness or consult profiles).
 func (p *Protocol) ensureSlot(slot int) {
 	for len(p.plans) <= slot {
@@ -179,12 +151,11 @@ func (p *Protocol) ensureSlot(slot int) {
 		// from a chunked arena makes population setup two allocations
 		// per few hundred slots instead of two per slot.
 		p.plans = append(p.plans, vicinityPlan{
-			send:  sim.Carve(&p.arena, p.opts.Gossip),
-			reply: sim.Carve(&p.arena, p.opts.Gossip),
+			send:  arena.Carve(&p.arena, p.opts.Gossip),
+			reply: arena.Carve(&p.arena, p.opts.Gossip),
 		})
 	}
 	p.states.Grow(slot + 1)
-	p.inbox.Grow(slot + 1)
 }
 
 // InitNode implements sim.Protocol.
@@ -231,7 +202,6 @@ func (p *Protocol) Refresh(ctx *sim.Ctx) {
 	slot := ctx.Slot()
 	self := ctx.Node()
 	v := p.states.At(slot)
-	p.inbox.Reset(slot)
 	// Capacity can change across reconfigurations (role differentiation).
 	v.SetCap(p.ranker.Capacity(self.Profile))
 	v.AgeAll()
@@ -247,11 +217,7 @@ func (p *Protocol) Refresh(ctx *sim.Ctx) {
 		p.purge(self.Profile, v)
 	}
 	for _, f := range p.feeds {
-		if vs, ok := f.(ViewSource); ok {
-			p.applyView(ctx.Pad(), self, v, vs.SourceView(slot))
-		} else {
-			p.apply(ctx.Pad(), self, v, f.Candidates(slot))
-		}
+		p.applyView(ctx.Pad(), self, v, f.sourceView(slot))
 	}
 }
 
@@ -287,19 +253,18 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 	// Passive side replies with its best candidates for us, drawn from its
 	// frozen views with the active node's stream.
 	pl.kind = planDelivered
-	pl.targetSlot = target.Slot
 	pl.reply = p.selectFor(ctx, target.Slot, self.Profile, self.ID, pl.reply[:0])
 
-	// Meter into the worker's shard and route via the sender's inbox lane;
-	// the engine's Deliver phase merges lanes per destination shard.
+	// Meter into the worker's shard and route via the sender's lane; the
+	// engine's Deliver phase merges lanes per destination shard.
 	ctx.Count(p.meter, sim.DescriptorPayload(len(pl.send)))
 	ctx.Count(p.meter, sim.DescriptorPayload(len(pl.reply)))
-	p.inbox.Push(pl.targetSlot, slot)
+	ctx.Route(target.Slot)
 }
 
 // Absorb implements sim.Protocol: fold the round's incoming payloads into
 // the slot's view — the reply to its own exchange (or the timeout penalty),
-// then every payload that reached it as the passive side, in inbox order.
+// then every payload that reached it as the passive side, in sender order.
 func (p *Protocol) Absorb(ctx *sim.Ctx) {
 	slot := ctx.Slot()
 	self := ctx.Node()
@@ -312,7 +277,7 @@ func (p *Protocol) Absorb(ctx *sim.Ctx) {
 	case planDelivered:
 		p.apply(pad, self, v, pl.reply)
 	}
-	for sender := p.inbox.First(slot); sender >= 0; sender = p.inbox.Next(sender) {
+	for sender := ctx.FirstSender(); sender >= 0; sender = ctx.NextSender(sender) {
 		p.apply(pad, self, v, p.plans[sender].send)
 	}
 }
@@ -358,12 +323,8 @@ func (p *Protocol) selectFor(ctx *sim.Ctx, slot int, owner view.Profile, ownerID
 		m.AddView(p.rps.View(slot))
 	}
 	for _, f := range p.feeds {
-		if vs, ok := f.(ViewSource); ok {
-			if sv := vs.SourceView(slot); sv != nil {
-				m.AddView(sv)
-			}
-		} else {
-			m.AddSlice(f.Candidates(slot))
+		if sv := f.sourceView(slot); sv != nil {
+			m.AddView(sv)
 		}
 	}
 	pool := m.Result()
