@@ -98,11 +98,12 @@
 // (different scenarios, different worker counts), which makes long runs
 // branchable and regressions bisectable by round.
 //
-// Protocol implementations participate through the sim.Snapshotter hook:
-// a protocol serializes its complete inter-round per-slot state in
-// SnapshotState and rebuilds it — without drawing randomness — in
-// RestoreState. Every protocol in the engine must implement the hook for a
-// snapshot to be taken; partial checkpoints are refused rather than
+// Protocol implementations participate through the per-slot
+// sim.Snapshotter hook: a protocol serializes one slot's complete
+// inter-round state in SnapshotSlot and rebuilds it — without drawing
+// randomness — in RestoreSlot, while the engine frames the slots and
+// checks their count. Every protocol in the engine must implement the hook
+// for a snapshot to be taken; partial checkpoints are refused rather than
 // silently written. The counter-based per-node RNG streams are what make
 // the contract cheap: in-round randomness is keyed by
 // (seed, node, round, protocol, phase) and needs no serialization at all,

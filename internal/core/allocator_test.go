@@ -47,6 +47,7 @@ func newPopulation(t *testing.T, n int, seed int64) *sim.Engine {
 type nopProtocol struct{}
 
 func (*nopProtocol) Name() string                  { return "nop" }
+func (*nopProtocol) Resize(n int)                  {}
 func (*nopProtocol) InitNode(e *sim.Engine, s int) {}
 func (*nopProtocol) Refresh(ctx *sim.Ctx)          {}
 func (*nopProtocol) Plan(ctx *sim.Ctx)             {}

@@ -9,8 +9,6 @@ package core
 // / Engine.DecodePlans); these codecs write and read one record's body.
 
 import (
-	"fmt"
-
 	"sosf/internal/sim"
 	"sosf/internal/snap"
 	"sosf/internal/view"
@@ -21,14 +19,14 @@ var (
 	_ sim.PlanCodec = (*PortSelect)(nil)
 )
 
-// EncodePlan implements sim.PlanCodec. Every record carries the slot's
-// published table, whatever its kind: a remote initiator that picked this
-// slot reads its reply from there.
+// EncodePlan implements sim.PlanCodec: the timeout flag, the slot's
+// published table (a remote initiator that picked this slot reads its
+// reply from there) and, after a timeout, the suspected partner.
 func (u *UO2) EncodePlan(w *snap.Writer, slot int) {
 	pl := &u.plans[slot]
-	w.Int(pl.kind)
+	w.Bool(pl.timeout)
 	snap.WriteDescriptors(w, pl.send)
-	if pl.kind == uo2Timeout {
+	if pl.timeout {
 		snap.WriteDescriptor(w, pl.partner)
 	}
 }
@@ -36,37 +34,23 @@ func (u *UO2) EncodePlan(w *snap.Writer, slot int) {
 // DecodePlan implements sim.PlanCodec.
 func (u *UO2) DecodePlan(r *snap.Reader, slot int) error {
 	pl := &u.plans[slot]
-	pl.kind = r.Int()
+	pl.timeout = r.Bool()
 	pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
-	switch pl.kind {
-	case uo2None, uo2Delivered:
-	case uo2Timeout:
+	if pl.timeout {
 		pl.partner = snap.ReadDescriptor(r)
-	default:
-		return fmt.Errorf("uo2: unknown plan kind %d", pl.kind)
 	}
 	return nil
 }
 
-// EncodePlan implements sim.PlanCodec. Every record carries the slot's
-// published records, whatever its kind: a remote initiator that picked
-// this slot reads its reply from there.
+// EncodePlan implements sim.PlanCodec: the slot's published records, which
+// a remote initiator that picked this slot reads as its reply.
 func (p *PortSelect) EncodePlan(w *snap.Writer, slot int) {
-	pl := &p.plans[slot]
-	w.Int(pl.kind)
-	writeRecords(w, pl.send)
+	writeRecords(w, p.published[slot])
 }
 
 // DecodePlan implements sim.PlanCodec.
 func (p *PortSelect) DecodePlan(r *snap.Reader, slot int) error {
-	pl := &p.plans[slot]
-	pl.kind = r.Int()
-	pl.send = readRecordsInto(r, pl.send[:0])
-	switch pl.kind {
-	case portNone, portSent, portDelivered:
-	default:
-		return fmt.Errorf("portselect: unknown plan kind %d", pl.kind)
-	}
+	p.published[slot] = readRecordsInto(r, p.published[slot][:0])
 	return nil
 }
 

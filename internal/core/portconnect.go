@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"sosf/internal/arena"
 	"sosf/internal/peersampling"
 	"sosf/internal/sim"
@@ -34,7 +32,6 @@ type PortConnect struct {
 	uo2   *UO2
 	rps   *peersampling.Protocol
 	ttl   int
-	meter int
 
 	// states holds the per-slot belief tables as dense struct-of-arrays
 	// state: headers in one contiguous slice, belief rows carved from a
@@ -53,7 +50,6 @@ type connState struct {
 
 var (
 	_ sim.Protocol    = (*PortConnect)(nil)
-	_ sim.MeterAware  = (*PortConnect)(nil)
 	_ sim.Snapshotter = (*PortConnect)(nil)
 )
 
@@ -62,26 +58,24 @@ var (
 // peer-sampling service and gets much slower — which is the point of the
 // ablation). ttl bounds how long a remote manager belief is kept.
 func NewPortConnect(alloc *Allocator, ports *PortSelect, uo2 *UO2, rps *peersampling.Protocol, ttl int) *PortConnect {
-	return &PortConnect{alloc: alloc, ports: ports, uo2: uo2, rps: rps, ttl: ttl, meter: -1}
+	return &PortConnect{alloc: alloc, ports: ports, uo2: uo2, rps: rps, ttl: ttl}
 }
 
 // Name implements sim.Protocol.
 func (p *PortConnect) Name() string { return "portconnect" }
 
-// SetMeterIndex implements sim.MeterAware.
-func (p *PortConnect) SetMeterIndex(i int) { p.meter = i }
-
-// ensureSlot grows the per-slot storage to cover slot. Shared by InitNode
-// and the restore path.
-func (p *PortConnect) ensureSlot(slot int) {
-	for len(p.states) <= slot {
+// Resize implements sim.Protocol: it sizes the per-slot storage to n
+// slots. The belief rows depend on the node's component, so InitNode
+// carves them.
+func (p *PortConnect) Resize(n int) {
+	for len(p.states) < n {
 		p.states = append(p.states, connState{epoch: ^uint32(0)})
 	}
+	p.states = p.states[:n]
 }
 
 // InitNode implements sim.Protocol.
 func (p *PortConnect) InitNode(e *sim.Engine, slot int) {
-	p.ensureSlot(slot)
 	st := &p.states[slot]
 	// One belief per link side of the node's component; the profile is
 	// assigned before InitNode runs, so the row is carved here, at the
@@ -96,41 +90,25 @@ func (p *PortConnect) InitNode(e *sim.Engine, slot int) {
 	st.remotes = st.remotes[:0]
 }
 
-// SnapshotState implements sim.Snapshotter: per slot, the belief-table sync
-// key (epoch, component) and the remote-manager beliefs per link side.
-func (p *PortConnect) SnapshotState(w *snap.Writer) {
-	w.Len(len(p.states))
-	for si := range p.states {
-		st := &p.states[si]
-		w.U32(st.epoch)
-		w.Varint(int64(st.comp))
-		writeRecords(w, st.remotes)
-	}
+// SnapshotSlot implements sim.Snapshotter: the slot's belief-table sync
+// key (epoch, component) and its remote-manager beliefs per link side.
+func (p *PortConnect) SnapshotSlot(w *snap.Writer, slot int) {
+	st := &p.states[slot]
+	w.U32(st.epoch)
+	w.Varint(int64(st.comp))
+	writeRecords(w, st.remotes)
 }
 
-// RestoreState implements sim.Snapshotter.
-func (p *PortConnect) RestoreState(e *sim.Engine, r *snap.Reader) error {
-	n := r.Len()
-	if err := r.Err(); err != nil {
+// RestoreSlot implements sim.Snapshotter.
+func (p *PortConnect) RestoreSlot(r *snap.Reader, slot int) error {
+	epoch := r.U32()
+	comp := view.ComponentID(r.Varint())
+	remotes, err := readRecords(r)
+	if err != nil {
 		return err
 	}
-	if n != e.Size() {
-		return fmt.Errorf("portconnect: snapshot covers %d slots, engine has %d", n, e.Size())
-	}
-	if n > 0 {
-		p.ensureSlot(n - 1)
-	}
-	p.states = p.states[:n]
-	for slot := 0; slot < n; slot++ {
-		epoch := r.U32()
-		comp := view.ComponentID(r.Varint())
-		remotes, err := readRecords(r)
-		if err != nil {
-			return err
-		}
-		p.states[slot] = connState{epoch: epoch, comp: comp, remotes: remotes}
-	}
-	return r.Err()
+	p.states[slot] = connState{epoch: epoch, comp: comp, remotes: remotes}
+	return nil
 }
 
 // Remote returns the node's belief about the far-end manager of the given
@@ -224,7 +202,7 @@ func (p *PortConnect) resolve(ctx *sim.Ctx, slot int, self *sim.Node, side LinkS
 	if !ok {
 		return
 	}
-	ctx.Count(p.meter, sim.PortQueryPayload())
+	ctx.Count(sim.PortQueryPayload())
 	target := e.Lookup(contact.ID)
 	if target == nil || !target.Alive || !ctx.Deliver(target.Slot) {
 		return
@@ -238,7 +216,7 @@ func (p *PortConnect) resolve(ctx *sim.Ctx, slot int, self *sim.Node, side LinkS
 	if !answer.Valid() || ctx.Round()-answer.Stamp > p.ttl {
 		return
 	}
-	ctx.Count(p.meter, sim.PortRecordPayload(1))
+	ctx.Count(sim.PortRecordPayload(1))
 	adoptBelief(r, answer)
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"sosf/internal/arena"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
@@ -59,14 +57,19 @@ type PortSelect struct {
 	uo1   *vicinity.Protocol
 	core  *vicinity.Protocol
 	ttl   int
-	meter int
 
 	// states holds the per-slot election state as dense struct-of-arrays
 	// state: headers in one contiguous slice, record rows carved from the
 	// shared arena.
 	states []portState
-	plans  []portPlan
-	arena  []PortRecord
+	// published[slot] snapshots the slot's post-refresh records at plan
+	// time (the live tables mutate during Absorb) into a per-slot
+	// retained buffer. Every alive slot's Plan publishes it, so an
+	// initiator reads its partner's reply from the partner's own row
+	// instead of copying it, and the route lane alone records whether the
+	// exchange was delivered.
+	published [][]PortRecord
+	arena     []PortRecord
 }
 
 type portState struct {
@@ -75,58 +78,47 @@ type portState struct {
 	records []PortRecord // indexed by port
 }
 
-// portPlan is one node's planned record exchange. send snapshots the
-// node's post-refresh records at plan time (the live tables mutate during
-// Absorb) into a per-slot retained buffer. Every alive slot's Plan
-// publishes it, so an initiator reads its partner's reply from the
-// partner's own plan record instead of copying it.
-const (
-	portNone      = iota
-	portSent      // request metered, but lost or answered by a foreign node
-	portDelivered // records merged both ways
-)
-
-type portPlan struct {
-	kind int
-	send []PortRecord // snapshot of this node's post-refresh records
-}
-
 var (
 	_ sim.Protocol    = (*PortSelect)(nil)
-	_ sim.MeterAware  = (*PortSelect)(nil)
 	_ sim.Snapshotter = (*PortSelect)(nil)
 )
 
 // NewPortSelect creates the port-selection protocol. ttl bounds manager
 // failover latency in rounds.
 func NewPortSelect(alloc *Allocator, uo1, core *vicinity.Protocol, ttl int) *PortSelect {
-	return &PortSelect{alloc: alloc, uo1: uo1, core: core, ttl: ttl, meter: -1}
+	return &PortSelect{alloc: alloc, uo1: uo1, core: core, ttl: ttl}
 }
 
 // Name implements sim.Protocol.
 func (p *PortSelect) Name() string { return "portselect" }
 
-// SetMeterIndex implements sim.MeterAware.
-func (p *PortSelect) SetMeterIndex(i int) { p.meter = i }
-
-// ensureSlot grows the per-slot storage to cover slot. width bounds the
-// carved plan buffers; InitNode derives it from the node's port count, the
-// restore path from the serialized record width.
-func (p *PortSelect) ensureSlot(slot, width int) {
-	for len(p.states) <= slot {
-		p.plans = append(p.plans, portPlan{send: arena.Carve(&p.arena, width)})
-		p.states = append(p.states, portState{epoch: ^uint32(0), records: arena.Carve(&p.arena, width)})
+// Resize implements sim.Protocol: it sizes the per-slot storage to n
+// slots. The rows themselves depend on the node's port count, so InitNode
+// and RestoreSlot carve them.
+func (p *PortSelect) Resize(n int) {
+	for len(p.states) < n {
+		p.states = append(p.states, portState{epoch: ^uint32(0)})
+		p.published = append(p.published, nil)
 	}
+	p.states = p.states[:n]
+	p.published = p.published[:n]
 }
 
 // InitNode implements sim.Protocol.
 func (p *PortSelect) InitNode(e *sim.Engine, slot int) {
-	// Record snapshots are bounded by the node's port count; carve
-	// them from a chunked arena (profile is assigned before InitNode
-	// runs, so the component is known; a reconfiguration that adds
-	// ports falls back to a private heap copy).
-	p.ensureSlot(slot, int(p.alloc.Ports(e.Node(slot).Profile.Comp)))
+	// The record row and its published snapshot are bounded by the
+	// node's port count; carve them from a chunked arena here, at the
+	// serial barrier (profile is assigned before InitNode runs, so the
+	// component is known; a reconfiguration that adds ports falls back
+	// to a private heap copy).
 	st := &p.states[slot]
+	width := int(p.alloc.Ports(e.Node(slot).Profile.Comp))
+	if cap(p.published[slot]) < width {
+		p.published[slot] = arena.Carve(&p.arena, width)
+	}
+	if cap(st.records) < width {
+		st.records = arena.Carve(&p.arena, width)
+	}
 	// Fresh-join semantics: desync the state so the next Refresh re-syncs
 	// it against the node's (possibly new) profile. Record storage is kept.
 	st.epoch = ^uint32(0)
@@ -134,40 +126,29 @@ func (p *PortSelect) InitNode(e *sim.Engine, slot int) {
 	st.records = st.records[:0]
 }
 
-// SnapshotState implements sim.Snapshotter: per slot, the election-state
-// sync key (epoch, component) and the per-port best-known records.
-func (p *PortSelect) SnapshotState(w *snap.Writer) {
-	w.Len(len(p.states))
-	for si := range p.states {
-		st := &p.states[si]
-		w.U32(st.epoch)
-		w.Varint(int64(st.comp))
-		writeRecords(w, st.records)
-	}
+// SnapshotSlot implements sim.Snapshotter: the slot's election-state sync
+// key (epoch, component) and its per-port best-known records.
+func (p *PortSelect) SnapshotSlot(w *snap.Writer, slot int) {
+	st := &p.states[slot]
+	w.U32(st.epoch)
+	w.Varint(int64(st.comp))
+	writeRecords(w, st.records)
 }
 
-// RestoreState implements sim.Snapshotter.
-func (p *PortSelect) RestoreState(e *sim.Engine, r *snap.Reader) error {
-	n := r.Len()
-	if err := r.Err(); err != nil {
+// RestoreSlot implements sim.Snapshotter. The published row is carved to
+// the restored record width, as InitNode carves it to the port count.
+func (p *PortSelect) RestoreSlot(r *snap.Reader, slot int) error {
+	epoch := r.U32()
+	comp := view.ComponentID(r.Varint())
+	records, err := readRecords(r)
+	if err != nil {
 		return err
 	}
-	if n != e.Size() {
-		return fmt.Errorf("portselect: snapshot covers %d slots, engine has %d", n, e.Size())
+	if cap(p.published[slot]) < len(records) {
+		p.published[slot] = arena.Carve(&p.arena, len(records))
 	}
-	for slot := 0; slot < n; slot++ {
-		epoch := r.U32()
-		comp := view.ComponentID(r.Varint())
-		records, err := readRecords(r)
-		if err != nil {
-			return err
-		}
-		p.ensureSlot(slot, len(records))
-		p.states[slot] = portState{epoch: epoch, comp: comp, records: records}
-	}
-	p.states = p.states[:n]
-	p.plans = p.plans[:n]
-	return r.Err()
+	p.states[slot] = portState{epoch: epoch, comp: comp, records: records}
+	return nil
 }
 
 // writeRecords encodes a PortRecord slice (shared with PortConnect).
@@ -269,9 +250,7 @@ func (p *PortSelect) Plan(ctx *sim.Ctx) {
 	self := ctx.Node()
 	e := ctx.Engine()
 	st := &p.states[slot]
-	pl := &p.plans[slot]
-	pl.kind = portNone
-	pl.send = append(pl.send[:0], st.records...)
+	p.published[slot] = append(p.published[slot][:0], st.records...)
 	if len(st.records) == 0 {
 		return
 	}
@@ -285,10 +264,9 @@ func (p *PortSelect) Plan(ctx *sim.Ctx) {
 	if !ok {
 		return
 	}
-	pl.kind = portSent
 	// The request bytes are spent even when the exchange is lost or
 	// answered by a mismatched node; metered into the worker's shard.
-	ctx.Count(p.meter, sim.PortRecordPayload(len(pl.send)))
+	ctx.Count(sim.PortRecordPayload(len(st.records)))
 	target := e.Lookup(partner.ID)
 	if target == nil || !target.Alive || !ctx.Deliver(target.Slot) {
 		return
@@ -296,8 +274,7 @@ func (p *PortSelect) Plan(ctx *sim.Ctx) {
 	if target.Profile.Comp != self.Profile.Comp || target.Profile.Epoch != self.Profile.Epoch {
 		return // raced with a reconfiguration; nothing to merge
 	}
-	pl.kind = portDelivered
-	ctx.Count(p.meter, sim.PortRecordPayload(len(p.states[target.Slot].records)))
+	ctx.Count(sim.PortRecordPayload(len(p.states[target.Slot].records)))
 	ctx.Route(target.Slot)
 }
 
@@ -310,10 +287,10 @@ func (p *PortSelect) Absorb(ctx *sim.Ctx) {
 	st := &p.states[ctx.Slot()]
 	now := ctx.Round()
 	if target := ctx.Target(); target >= 0 {
-		mergeRecords(st.records, p.plans[target].send, now, p.ttl)
+		mergeRecords(st.records, p.published[target], now, p.ttl)
 	}
 	for sender := ctx.FirstSender(); sender >= 0; sender = ctx.NextSender(sender) {
-		mergeRecords(st.records, p.plans[sender].send, now, p.ttl)
+		mergeRecords(st.records, p.published[sender], now, p.ttl)
 	}
 }
 

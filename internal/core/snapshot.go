@@ -102,15 +102,6 @@ func (s *System) Snapshot(w io.Writer) error {
 func (s *System) Restore(r io.Reader) error {
 	sr := snap.NewReader(r)
 	sr.Header(systemSnapKind)
-	if err := s.restoreBody(sr); err != nil {
-		return err
-	}
-	return sr.Err()
-}
-
-// restoreBody decodes everything after the header (shared with the sosf
-// layer, which appends its own trailer to the same stream).
-func (s *System) restoreBody(sr *snap.Reader) error {
 	cfgJSON := sr.Bytes()
 	topoJSON := sr.Bytes()
 	if err := sr.Err(); err != nil {
@@ -136,7 +127,10 @@ func (s *System) restoreBody(sr *snap.Reader) error {
 	if err := s.alloc.restore(sr, topo); err != nil {
 		return err
 	}
-	return s.eng.RestoreState(sr)
+	if err := s.eng.RestoreState(sr); err != nil {
+		return err
+	}
+	return s.alloc.restoreRanks(s.eng.Size())
 }
 
 // snapshot serializes the allocator's mutable bookkeeping. The structural
@@ -157,10 +151,11 @@ func (a *Allocator) snapshot(w *snap.Writer) {
 }
 
 // restore installs the active topology and rebuilds the allocator's
-// bookkeeping from a snapshot. The dense-rank tables are derived state, so
-// they are rebuilt from the restored freeIndex lists rather than carried
-// in the stream — this is what keeps resume-equivalence byte-identical
-// even for a snapshot taken mid-heal.
+// bookkeeping from a snapshot. The dense-rank tables are derived state:
+// restoreRanks rebuilds them from the restored freeIndex lists once the
+// engine is restored, rather than carrying them in the stream — this is
+// what keeps resume-equivalence byte-identical even for a snapshot taken
+// mid-heal.
 func (a *Allocator) restore(r *snap.Reader, topo *spec.Topology) error {
 	epoch := r.U32()
 	heals := r.U64()
@@ -169,7 +164,7 @@ func (a *Allocator) restore(r *snap.Reader, topo *spec.Topology) error {
 		return err
 	}
 	if ncomps != len(topo.Components) {
-		return fmt.Errorf("core: allocator snapshot covers %d components, topology has %d", ncomps, len(topo.Components))
+		return fmt.Errorf("core: allocator snapshot has %d components, topology has %d", ncomps, len(topo.Components))
 	}
 	if err := a.install(topo); err != nil {
 		return err
@@ -183,16 +178,35 @@ func (a *Allocator) restore(r *snap.Reader, topo *spec.Topology) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
+		if a.nextIndex[c] < 0 || a.sizes[c] < 0 {
+			return fmt.Errorf("core: allocator component %d has next index %d and size %d", c, a.nextIndex[c], a.sizes[c])
+		}
 		free := make([]int32, 0, min(nfree, 64)) // grown as indices arrive
 		for i := 0; i < nfree; i++ {
 			idx := int32(r.Varint())
 			if err := r.Err(); err != nil {
 				return err
 			}
+			if idx < 0 {
+				return fmt.Errorf("core: allocator component %d frees index %d", c, idx)
+			}
 			free = append(free, idx)
 		}
 		a.freeIndex[c] = free
-		a.refreshRanksComp(c)
 	}
 	return r.Err()
+}
+
+// restoreRanks rebuilds every component's dense-rank table after a
+// restore, against the restored engine's slot count: a component cannot
+// have handed out more indices than there are slots, so a larger next
+// index is corruption, rejected before it sizes a table.
+func (a *Allocator) restoreRanks(slots int) error {
+	for c, next := range a.nextIndex {
+		if int(next) > slots {
+			return fmt.Errorf("core: allocator component %d has next index %d beyond %d slots", c, next, slots)
+		}
+		a.refreshRanksComp(c)
+	}
+	return nil
 }

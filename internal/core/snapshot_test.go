@@ -2,10 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"sosf/internal/sim"
+	"sosf/internal/snap"
 	"sosf/internal/spec"
 )
 
@@ -177,6 +182,67 @@ func TestRestoreRejectsMismatchedKnobs(t *testing.T) {
 		t.Fatal("restore under different UO1Capacity succeeded")
 	} else if !strings.Contains(err.Error(), "configuration") {
 		t.Fatalf("err = %v, want configuration mismatch", err)
+	}
+}
+
+// TestRestoreRejectsProtocolSlotCount edits one protocol body's slot count
+// in a real system checkpoint, one protocol at a time: the restore must
+// fail with the engine's slot-count error naming that protocol.
+func TestRestoreRejectsProtocolSlotCount(t *testing.T) {
+	ref := snapSystem(t, 1, 1)
+	if _, err := ref.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ref.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	size := ref.Engine().Size()
+	if size >= 128 {
+		t.Fatalf("%d slots: the count must be one varint byte for the in-place edit", size)
+	}
+	for _, name := range ref.Engine().Meter().Names() {
+		t.Run(name, func(t *testing.T) {
+			// The body is the last field named name: its byte length, then
+			// the slot count as its first field.
+			var field bytes.Buffer
+			snap.NewWriter(&field).String(name)
+			cp := bytes.Clone(buf.Bytes())
+			at := bytes.LastIndex(cp, field.Bytes()) + field.Len()
+			_, n := binary.Uvarint(cp[at:])
+			if n <= 0 || cp[at+n] != byte(size) {
+				t.Fatalf("no %d-slot body after the last %q", size, name)
+			}
+			cp[at+n]--
+			err := snapSystem(t, 1, 1).Restore(bytes.NewReader(cp))
+			if !errors.Is(err, sim.ErrSlotCount) || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+				t.Fatalf("err = %v, want sim.ErrSlotCount naming %q", err, name)
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsNextIndexPastSlots restores a checkpoint whose
+// allocator claims a component handed out 2^26 indices on 80 slots: the
+// restore must refuse it by name before it sizes a 256 MiB rank table.
+func TestRestoreRejectsNextIndexPastSlots(t *testing.T) {
+	ref := snapSystem(t, 1, 1)
+	ref.alloc.nextIndex[0] = 1 << 26
+	var buf bytes.Buffer
+	if err := ref.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sys := snapSystem(t, 1, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := sys.Restore(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "next index") {
+		t.Fatalf("err = %v, want the next-index rejection", err)
+	}
+	const bound = 32 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+		t.Fatalf("restore allocated %d bytes, want <= %d", grew, bound)
 	}
 }
 

@@ -29,7 +29,6 @@ type UO2 struct {
 	alloc  *Allocator
 	rps    *peersampling.Protocol
 	maxAge int
-	meter  int
 	// states holds the per-slot contact tables as dense struct-of-arrays
 	// state: headers in one contiguous slice, entry rows carved from a
 	// shared arena.
@@ -68,19 +67,13 @@ func (e *uo2Entry) valid() bool { return e.d.ID != view.InvalidNode }
 // whether or not it starts a swap: it is both what the node pushes to its
 // partner and the reply any initiator that picked this node reads in
 // Absorb, once the Plan barrier has frozen it. The buffer is retained per
-// slot so steady-state planning allocates nothing.
+// slot so steady-state planning allocates nothing. A delivered swap is
+// recorded by its route lane alone; the plan records only a timed-out one.
 type uo2Plan struct {
-	kind    int
-	partner view.Descriptor // kept whole: the timeout path needs the component
+	timeout bool
+	partner view.Descriptor // the timed-out partner, whole: Absorb needs its component
 	send    []view.Descriptor
 }
-
-// plan kinds (shared shape with the other protocols).
-const (
-	uo2None = iota
-	uo2Timeout
-	uo2Delivered
-)
 
 // ensure grows the table to cover at least n components. It never shrinks:
 // out-of-range entries must survive until prune drops them, mirroring the
@@ -101,26 +94,22 @@ func (t *uo2State) reset() {
 
 var (
 	_ sim.Protocol    = (*UO2)(nil)
-	_ sim.MeterAware  = (*UO2)(nil)
 	_ sim.Snapshotter = (*UO2)(nil)
 )
 
 // NewUO2 creates the distant-component overlay. maxAge bounds how long a
 // dead contact can linger.
 func NewUO2(alloc *Allocator, rps *peersampling.Protocol, maxAge int) *UO2 {
-	return &UO2{alloc: alloc, rps: rps, maxAge: maxAge, meter: -1}
+	return &UO2{alloc: alloc, rps: rps, maxAge: maxAge}
 }
 
 // Name implements sim.Protocol.
 func (u *UO2) Name() string { return "uo2" }
 
-// SetMeterIndex implements sim.MeterAware.
-func (u *UO2) SetMeterIndex(i int) { u.meter = i }
-
-// ensureSlot grows the per-slot storage to cover slot without resetting
-// any table. Shared by InitNode and the restore path.
-func (u *UO2) ensureSlot(slot int) {
-	for len(u.states) <= slot {
+// Resize implements sim.Protocol: it sizes the per-slot storage to n slots
+// without resetting any table.
+func (u *UO2) Resize(n int) {
+	for len(u.states) < n {
 		// A published table carries at most one descriptor per component
 		// plus the sender's own; carve that capacity up front (a
 		// reconfigure that adds components falls back to a private heap
@@ -129,72 +118,53 @@ func (u *UO2) ensureSlot(slot int) {
 		u.plans = append(u.plans, uo2Plan{send: arena.Carve(&u.arena, width)})
 		u.states = append(u.states, uo2State{entries: arena.Carve(&u.entryArena, width-1)})
 	}
+	u.states = u.states[:n]
+	u.plans = u.plans[:n]
 }
 
 // InitNode implements sim.Protocol.
 func (u *UO2) InitNode(e *sim.Engine, slot int) {
-	u.ensureSlot(slot)
 	u.states[slot].reset()
 }
 
-// SnapshotState implements sim.Snapshotter: per slot, the dense contact
-// table — valid flags, descriptors, and absolute birth rounds (which can go
+// SnapshotSlot implements sim.Snapshotter: the slot's dense contact table
+// — valid flags, descriptors, and absolute birth rounds (which can go
 // negative under timeout suspicion, hence the signed encoding).
-func (u *UO2) SnapshotState(w *snap.Writer) {
-	w.Len(len(u.states))
-	for si := range u.states {
-		t := &u.states[si]
-		w.Len(len(t.entries))
-		for ci := range t.entries {
-			entry := &t.entries[ci]
-			w.Bool(entry.valid())
-			if entry.valid() {
-				snap.WriteDescriptor(w, entry.d)
-				w.Int(entry.born)
-			}
+func (u *UO2) SnapshotSlot(w *snap.Writer, slot int) {
+	t := &u.states[slot]
+	w.Len(len(t.entries))
+	for ci := range t.entries {
+		entry := &t.entries[ci]
+		w.Bool(entry.valid())
+		if entry.valid() {
+			snap.WriteDescriptor(w, entry.d)
+			w.Int(entry.born)
 		}
 	}
 }
 
-// RestoreState implements sim.Snapshotter.
-func (u *UO2) RestoreState(e *sim.Engine, r *snap.Reader) error {
-	n := r.Len()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != e.Size() {
-		return fmt.Errorf("uo2: snapshot covers %d slots, engine has %d", n, e.Size())
-	}
-	if n > 0 {
-		u.ensureSlot(n - 1)
-	}
-	u.states = u.states[:n]
-	u.plans = u.plans[:n]
-	for slot := 0; slot < n; slot++ {
-		width := r.Len()
+// RestoreSlot implements sim.Snapshotter.
+func (u *UO2) RestoreSlot(r *snap.Reader, slot int) error {
+	width := r.Len()
+	// Rows are appended as they arrive, so a corrupt width costs nothing
+	// until its rows are really there.
+	st := &u.states[slot]
+	st.entries, st.count = st.entries[:0], 0
+	for ci := 0; ci < width; ci++ {
+		row := emptyEntry
+		if r.Bool() {
+			row = uo2Entry{d: snap.ReadDescriptor(r), born: r.Int()}
+			if r.Err() == nil && !row.valid() {
+				return fmt.Errorf("uo2: slot %d holds a contact with no node ID", slot)
+			}
+			st.count++
+		}
 		if err := r.Err(); err != nil {
 			return err
 		}
-		// Rows are appended as they arrive, so a corrupt width costs
-		// nothing until its rows are really there.
-		st := &u.states[slot]
-		st.entries, st.count = st.entries[:0], 0
-		for ci := 0; ci < width; ci++ {
-			row := emptyEntry
-			if r.Bool() {
-				row = uo2Entry{d: snap.ReadDescriptor(r), born: r.Int()}
-				if r.Err() == nil && !row.valid() {
-					return fmt.Errorf("uo2: slot %d holds a contact with no node ID", slot)
-				}
-				st.count++
-			}
-			if err := r.Err(); err != nil {
-				return err
-			}
-			st.entries = append(st.entries, row)
-		}
+		st.entries = append(st.entries, row)
 	}
-	return r.Err()
+	return nil
 }
 
 // Contacts returns the node's current foreign-component contact table as a
@@ -247,27 +217,25 @@ func (u *UO2) Plan(ctx *sim.Ctx) {
 	e := ctx.Engine()
 	t := &u.states[slot]
 	pl := &u.plans[slot]
-	pl.kind = uo2None
+	pl.timeout = false
 	pl.send = u.tableToSend(ctx.Node(), t, ctx.Round(), pl.send[:0])
 
 	partner, ok := u.pickPartner(ctx, slot, t)
 	if !ok {
 		return
 	}
-	pl.partner = partner
 
 	// Meter into the worker's shard and route via the sender's lane; the
 	// engine's Deliver phase merges lanes per destination shard.
-	ctx.Count(u.meter, sim.DescriptorPayload(len(pl.send)))
+	ctx.Count(sim.DescriptorPayload(len(pl.send)))
 	target := e.Lookup(partner.ID)
 	if target == nil || !target.Alive || !ctx.Deliver(target.Slot) {
-		pl.kind = uo2Timeout
+		pl.timeout, pl.partner = true, partner
 		return
 	}
-	pl.kind = uo2Delivered
 	// The reply is the target's table plus its own descriptor, exactly
 	// what the target's Plan publishes.
-	ctx.Count(u.meter, sim.DescriptorPayload(1+u.states[target.Slot].count))
+	ctx.Count(sim.DescriptorPayload(1 + u.states[target.Slot].count))
 	ctx.Route(target.Slot)
 }
 
@@ -282,7 +250,7 @@ func (u *UO2) Absorb(ctx *sim.Ctx) {
 	t := &u.states[slot]
 	now := ctx.Round()
 	pl := &u.plans[slot]
-	if pl.kind == uo2Timeout {
+	if pl.timeout {
 		// Suspect the contact: push its birth into the past so dead
 		// contacts expire quickly while contacts behind a lossy link
 		// survive (a fresher descriptor restores them).

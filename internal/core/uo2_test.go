@@ -20,22 +20,19 @@ func TestUO2EntrySizeof(t *testing.T) {
 	}
 }
 
-// TestUO2RestoreRejectsContactWithoutNode feeds RestoreState a row flagged
+// TestUO2RestoreRejectsContactWithoutNode feeds RestoreSlot a row flagged
 // valid whose descriptor carries view.InvalidNode: the table marks empty
 // rows with that ID, so such a row would be counted yet read as empty.
 func TestUO2RestoreRejectsContactWithoutNode(t *testing.T) {
-	e, _, u := buildUO2(t, 1, 2, 2, 20)
+	_, _, u := buildUO2(t, 1, 2, 2, 20)
 	var buf bytes.Buffer
 	w := snap.NewWriter(&buf)
-	w.Len(e.Size())
-	for slot := 0; slot < e.Size(); slot++ {
-		w.Len(1)
-		w.Bool(true)
-		snap.WriteDescriptor(w, view.Descriptor{ID: view.InvalidNode})
-		w.Int(0)
-	}
-	if err := u.RestoreState(e, snap.NewReader(&buf)); err == nil {
-		t.Fatal("RestoreState accepted a valid row with no node ID")
+	w.Len(1)
+	w.Bool(true)
+	snap.WriteDescriptor(w, view.Descriptor{ID: view.InvalidNode})
+	w.Int(0)
+	if err := u.RestoreSlot(snap.NewReader(&buf), 0); err == nil {
+		t.Fatal("RestoreSlot accepted a valid row with no node ID")
 	}
 }
 

@@ -55,9 +55,9 @@
 // count and each record's slot and route lane (the slot its Plan routed
 // to, or -1), Engine.DecodePlans range-checks every slot and lane and sets
 // the lanes — and a protocol's sim.PlanCodec owns only each record's body
-// (its kind and the fields Absorb reads). A malformed record fails the
-// import with an error wrapping sim.ErrBadPlan; both ends import through
-// one helper, importShards.
+// (the fields Absorb reads). A malformed record fails the import with an
+// error wrapping sim.ErrBadPlan; both ends import through one helper,
+// importShards.
 //
 // The full connection lifecycle:
 //

@@ -18,7 +18,7 @@ type Conn = io.ReadWriteCloser
 // wireVersion is the barrier-protocol version, independent of the snapshot
 // format version (which snap.Header checks underneath). Bump it for any
 // change to the frame sequence or payload layouts.
-const wireVersion = 4
+const wireVersion = 5
 
 // Frame kinds of the barrier protocol, in lifecycle order.
 const (

@@ -15,8 +15,6 @@
 package peersampling
 
 import (
-	"fmt"
-
 	"sosf/internal/arena"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
@@ -75,8 +73,7 @@ type cyclonPlan struct {
 // with the engine before any other layer, then treat it as the candidate
 // source for the upper layers.
 type Protocol struct {
-	opts  Options
-	meter int
+	opts Options
 	// states holds the per-slot partial views as dense struct-of-arrays
 	// state (headers and entries in contiguous arena-backed arrays).
 	states view.Table
@@ -86,30 +83,25 @@ type Protocol struct {
 
 var (
 	_ sim.Protocol    = (*Protocol)(nil)
-	_ sim.MeterAware  = (*Protocol)(nil)
 	_ sim.Snapshotter = (*Protocol)(nil)
 )
 
 // New creates a peer-sampling protocol with the given options.
 func New(opts Options) *Protocol {
-	return &Protocol{opts: opts.withDefaults(), meter: -1}
+	return &Protocol{opts: opts.withDefaults()}
 }
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return "rps" }
 
-// SetMeterIndex implements sim.MeterAware.
-func (p *Protocol) SetMeterIndex(i int) { p.meter = i }
-
 // View returns the partial view of the node at slot. The returned view is
 // live protocol state: callers must treat it as read-only.
 func (p *Protocol) View(slot int) *view.View { return p.states.At(slot) }
 
-// ensureSlot grows the per-slot storage (plan records, state table) to
-// cover slot. It draws no randomness, so both InitNode and the restore
-// path share it.
-func (p *Protocol) ensureSlot(slot int) {
-	for len(p.plans) <= slot {
+// Resize implements sim.Protocol: it sizes the per-slot storage (plan
+// records, state table) to n slots.
+func (p *Protocol) Resize(n int) {
+	for len(p.plans) < n {
 		// Plan payloads are bounded by the shuffle length, so both
 		// buffers are carved from a chunked arena up front — one
 		// allocation per few hundred slots instead of two lazy ones per
@@ -119,14 +111,14 @@ func (p *Protocol) ensureSlot(slot int) {
 			reply: arena.Carve(&p.arena, p.opts.Gossip),
 		})
 	}
-	p.states.Grow(slot + 1)
+	p.plans = p.plans[:n]
+	p.states.Resize(n)
 }
 
 // InitNode implements sim.Protocol: it allocates the node's view and seeds
 // it from the simulated bootstrap service (a few uniformly random alive
 // nodes), which is how a fresh node would join a deployed system.
 func (p *Protocol) InitNode(e *sim.Engine, slot int) {
-	p.ensureSlot(slot)
 	v := p.states.Init(slot, p.opts.ViewSize)
 	for i := 0; i < p.opts.Bootstrap; i++ {
 		n := e.RandomAlive(slot)
@@ -137,33 +129,16 @@ func (p *Protocol) InitNode(e *sim.Engine, slot int) {
 	}
 }
 
-// SnapshotState implements sim.Snapshotter: the only inter-round state is
-// the per-slot partial view (plans and routing live inside one round).
-func (p *Protocol) SnapshotState(w *snap.Writer) {
-	w.Len(p.states.Len())
-	for slot := 0; slot < p.states.Len(); slot++ {
-		snap.WriteView(w, p.states.At(slot))
-	}
+// SnapshotSlot implements sim.Snapshotter: the only inter-round state is
+// the slot's partial view (plans and routing live inside one round).
+func (p *Protocol) SnapshotSlot(w *snap.Writer, slot int) {
+	snap.WriteView(w, p.states.At(slot))
 }
 
-// RestoreState implements sim.Snapshotter.
-func (p *Protocol) RestoreState(e *sim.Engine, r *snap.Reader) error {
-	n := r.Len()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != e.Size() {
-		return fmt.Errorf("peersampling: snapshot covers %d slots, engine has %d", n, e.Size())
-	}
-	if n > 0 {
-		p.ensureSlot(n - 1)
-	}
-	p.states.Truncate(n)
-	p.plans = p.plans[:n]
-	for slot := 0; slot < n; slot++ {
-		snap.ReadViewInto(r, &p.states, slot)
-	}
-	return r.Err()
+// RestoreSlot implements sim.Snapshotter.
+func (p *Protocol) RestoreSlot(r *snap.Reader, slot int) error {
+	snap.ReadViewInto(r, &p.states, slot)
+	return nil
 }
 
 // Refresh implements sim.Protocol: age the view.
@@ -219,7 +194,7 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 	if target == nil || !target.Alive || !ctx.Deliver(target.Slot) {
 		// Timeout: the request bytes are spent, the entry stays purged.
 		pl.kind = planTimeout
-		ctx.Count(p.meter, sim.DescriptorPayload(len(pl.send)))
+		ctx.Count(sim.DescriptorPayload(len(pl.send)))
 		return
 	}
 
@@ -231,8 +206,8 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 	// Route and meter here at the end of Plan: bytes land in the worker's
 	// meter shard, the routing in the sender's lane, and the engine merges
 	// lanes per destination shard in the Deliver phase.
-	ctx.Count(p.meter, sim.DescriptorPayload(len(pl.send)))
-	ctx.Count(p.meter, sim.DescriptorPayload(len(pl.reply)))
+	ctx.Count(sim.DescriptorPayload(len(pl.send)))
+	ctx.Count(sim.DescriptorPayload(len(pl.reply)))
 	ctx.Route(target.Slot)
 }
 

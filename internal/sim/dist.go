@@ -47,11 +47,12 @@ import (
 // PlanCodec is implemented by the protocols that route exchanges; the
 // engine keeps a route table for each, and a distributed round shards
 // their Plan phase across processes. EncodePlan writes the body of one
-// slot's plan record: its kind and the fields that kind's Absorb reads.
+// slot's plan record: the fields that its own and its partners' Absorb
+// read.
 // DecodePlan reads one body back into the slot's plan record. DecodePlan
 // may index its per-slot records by slot unchecked: the frame passes only
-// slots below Size(), and every such slot has been through InitNode or
-// RestoreState, which grow the records to cover it.
+// slots below Size(), and the engine's Resize calls size the records to
+// cover every such slot.
 type PlanCodec interface {
 	EncodePlan(w *snap.Writer, slot int)
 	DecodePlan(r *snap.Reader, slot int) error
@@ -163,7 +164,7 @@ func sliceSlots(slots []int, lo, hi int) []int {
 // PlanBytes returns the bytes protocol pi metered into the per-worker
 // shards since the last round barrier — during a distributed round, the
 // local shard's Plan-phase count for pi, because Plan is the only metered
-// phase and each protocol meters only its own index. Called by the shard
+// phase and Ctx.Count meters the running protocol. Called by the shard
 // exchange to export the local meter delta.
 func (e *Engine) PlanBytes(pi int) int64 {
 	var sum int64

@@ -24,8 +24,9 @@
 //  2. Plan — parallel over alive slots. Compute the slot's gossip exchange
 //     (partner choice, payloads, delivery outcome) into protocol-owned
 //     per-slot plan records, meter the bytes put on the wire via Ctx.Count
-//     (a per-worker shard), and route the exchange with Ctx.Route (a
-//     sender-owned lane in the engine's route table).
+//     (which meters the running protocol, in a per-worker shard), and
+//     route the exchange with Ctx.Route (a sender-owned lane in the
+//     engine's route table).
 //  3. Deliver — parallel over destination shards, engine-driven. The
 //     engine splits the slot space into contiguous target ranges, one per
 //     worker, and merges the protocol's route lanes into per-target
@@ -58,12 +59,15 @@
 //
 // Protocols store per-node state in dense slot-indexed storage; the engine
 // guarantees slots are dense and stable for the lifetime of a run (dead
-// nodes keep their slot). The hot state is struct-of-arrays throughout:
-// the engine's node table is one contiguous []Node; per-slot view headers
-// live in view.Table's dense array with their descriptor entries carved
-// from a shared chunked arena (internal/arena); plan payloads and record
-// tables are likewise carved via arena.Carve. A million-node population is a
-// handful of large arrays that phases stream through in slot order, not
-// millions of scattered heap objects — which is also what keeps the
-// garbage collector out of steady-state rounds entirely (0 allocs/round).
+// nodes keep their slot), and it sizes every protocol's per-slot tables
+// itself, serially, through Protocol.Resize: in AddNodes and, to the
+// restored node count, in RestoreState. The hot state is struct-of-arrays
+// throughout: the engine's node table is one contiguous []Node; per-slot
+// view headers live in view.Table's dense array with their descriptor
+// entries carved from a shared chunked arena (internal/arena); plan
+// payloads and record tables are likewise carved via arena.Carve. A
+// million-node population is a handful of large arrays that phases stream
+// through in slot order, not millions of scattered heap objects — which is
+// also what keeps the garbage collector out of steady-state rounds
+// entirely (0 allocs/round).
 package sim

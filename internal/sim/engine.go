@@ -11,17 +11,23 @@ import (
 )
 
 // Protocol is one layer of the per-node gossip stack. The engine calls
-// InitNode when a node joins (or re-joins after a reconfiguration) and then
-// drives each round as phases per protocol, in registration order — see the
-// package documentation for the five-phase round contract. The Deliver
-// phase is engine-driven (the per-destination-shard inbox merge): a
-// protocol routes exchanges if and only if it implements PlanCodec, and it
-// then meters at Plan time via Ctx.Count, routes with Ctx.Route, and reads
-// what it received in Absorb through Ctx.Target, FirstSender and
-// NextSender.
+// Resize whenever the node table grows or is restored, InitNode when a
+// node joins (or re-joins after a reconfiguration), and then drives each
+// round as phases per protocol, in registration order — see the package
+// documentation for the five-phase round contract. The Deliver phase is
+// engine-driven (the per-destination-shard inbox merge): a protocol routes
+// exchanges if and only if it implements PlanCodec, and it then routes
+// with Ctx.Route in Plan and reads what it received in Absorb through
+// Ctx.Target, FirstSender and NextSender. Ctx.Count meters the protocol
+// whose phase is running.
 type Protocol interface {
 	// Name identifies the protocol in bandwidth reports and traces.
 	Name() string
+	// Resize sets the protocol's per-slot tables to cover exactly n
+	// slots, keeping the storage of the slots below n. The engine calls
+	// it serially, from AddNodes and RestoreState, before any InitNode or
+	// RestoreSlot of the new slots; it must draw no randomness.
+	Resize(n int)
 	// InitNode prepares per-node state for the node occupying slot.
 	InitNode(e *Engine, slot int)
 	// Refresh runs the slot's local state maintenance (phase 1).
@@ -161,8 +167,9 @@ type Ctx struct {
 	slot int
 	rng  Stream
 	pad  Pad
-	// box is the route table of the protocol whose phase is running (nil
-	// when it routes nothing).
+	// pi is the index of the protocol whose phase is running, and box its
+	// route table (nil when it routes nothing).
+	pi  int
 	box *inbox
 	// counts is the worker's per-protocol meter shard: Plan-time byte
 	// counts accumulate here race-free and fold into the shared Meter at
@@ -192,16 +199,11 @@ func (c *Ctx) Rand() *Stream { return &c.rng }
 // Pad returns the worker's scratch pad.
 func (c *Ctx) Pad() *Pad { return &c.pad }
 
-// Count adds bytes to the given protocol's bandwidth for this round,
+// Count adds bytes to the running protocol's bandwidth for this round,
 // accumulated in the worker's meter shard and folded into the shared Meter
-// at the round barrier. Negative protocol indices (unmetered protocols)
-// are ignored. This is the only way phase code may meter: the shared Meter
-// itself is not safe to touch from a parallel phase.
-func (c *Ctx) Count(protocol, bytes int) {
-	if protocol >= 0 {
-		c.counts[protocol] += int64(bytes)
-	}
-}
+// at the round barrier. This is the only way phase code may meter: the
+// shared Meter itself is not safe to touch from a parallel phase.
+func (c *Ctx) Count(bytes int) { c.counts[c.pi] += int64(bytes) }
 
 // Route sends the slot's exchange of this round to target: the engine's
 // Deliver phase puts the slot on target's receive list. Call from Plan of
@@ -239,32 +241,42 @@ func (c *Ctx) Deliver(to int) bool {
 // RandomAlive returns a uniformly random alive node other than exclude
 // (pass a negative slot to exclude nothing), or nil if none exists — the
 // phase-context twin of Engine.RandomAlive, drawing from the slot's stream.
-// The low-liveness fallback scans the node table directly rather than
-// going through the engine's alive-slot cache: a lazy cache rebuild would
-// mutate the very backing array other workers' shards alias if a hook
-// killed a node mid-round.
 func (c *Ctx) RandomAlive(exclude int) *Node {
-	e := c.e
-	if len(e.nodes) == 0 {
+	return randomAlive(c.e.nodes, exclude, &c.rng, &c.scratch)
+}
+
+// intner is the one draw randomAlive makes: *rand.Rand for the engine's
+// serial source, *Stream for a phase's per-slot stream.
+type intner interface{ Intn(n int) int }
+
+// randomAlive draws up to 16 uniform slots and returns the first alive one
+// other than exclude; when all 16 miss (a mostly dead population) it picks
+// uniformly among the alive slots, ascending, minus exclude, collected into
+// scratch. The fallback scans the node table directly rather than going
+// through the engine's alive-slot cache: a lazy cache rebuild would mutate
+// the very backing array other workers' shards alias if a hook killed a
+// node mid-round.
+func randomAlive(nodes []Node, exclude int, rng intner, scratch *[]int) *Node {
+	if len(nodes) == 0 {
 		return nil
 	}
 	for tries := 0; tries < 16; tries++ {
-		n := &e.nodes[c.rng.Intn(len(e.nodes))]
+		n := &nodes[rng.Intn(len(nodes))]
 		if n.Alive && n.Slot != exclude {
 			return n
 		}
 	}
-	candidates := c.scratch[:0]
-	for i := range e.nodes {
-		if e.nodes[i].Alive && i != exclude {
+	candidates := (*scratch)[:0]
+	for i := range nodes {
+		if nodes[i].Alive && i != exclude {
 			candidates = append(candidates, i)
 		}
 	}
-	c.scratch = candidates
+	*scratch = candidates
 	if len(candidates) == 0 {
 		return nil
 	}
-	return &e.nodes[candidates[c.rng.Intn(len(candidates))]]
+	return &nodes[candidates[rng.Intn(len(candidates))]]
 }
 
 // Rand exposes the engine's serial random source. It drives everything that
@@ -304,12 +316,6 @@ func (e *Engine) SetWorkers(n int) {
 // Workers returns the configured worker count.
 func (e *Engine) Workers() int { return e.workers }
 
-// MeterAware is implemented by protocols that meter their own bandwidth;
-// Register hands them their meter index.
-type MeterAware interface {
-	SetMeterIndex(int)
-}
-
 // Register appends a protocol to the stack. Protocols step in registration
 // order within each round, mirroring a PeerSim cycle-driven protocol stack
 // (every protocol's phases complete before the next protocol starts). A
@@ -322,10 +328,7 @@ func (e *Engine) Register(p Protocol) int {
 		box = &inbox{}
 	}
 	e.inboxes = append(e.inboxes, box)
-	idx := e.meter.AddProtocol(p.Name())
-	if ma, ok := p.(MeterAware); ok {
-		ma.SetMeterIndex(idx)
-	}
+	e.meter.AddProtocol(p.Name())
 	return len(e.protocols) - 1
 }
 
@@ -350,15 +353,17 @@ func (e *Engine) AddNodes(n int) []int {
 		e.slotOfID = append(e.slotOfID, slot)
 		slots = append(slots, slot)
 	}
-	e.growInboxes()
+	e.sizeSlots()
 	e.aliveOK = false
 	return slots
 }
 
-// growInboxes extends every route table to cover the node table.
-func (e *Engine) growInboxes() {
-	for _, b := range e.inboxes {
-		if b != nil {
+// sizeSlots sizes every protocol's per-slot tables to the node table and
+// extends every route table to cover it.
+func (e *Engine) sizeSlots() {
+	for pi, p := range e.protocols {
+		p.Resize(len(e.nodes))
+		if b := e.inboxes[pi]; b != nil {
 			b.grow(len(e.nodes))
 		}
 	}
@@ -438,26 +443,7 @@ func (e *Engine) AliveCount() int { return len(e.alive()) }
 // and inter-round injection only, never from a parallel phase (which has
 // Ctx.RandomAlive).
 func (e *Engine) RandomAlive(exclude int) *Node {
-	if len(e.nodes) == 0 {
-		return nil
-	}
-	for tries := 0; tries < 16; tries++ {
-		n := &e.nodes[e.rng.Intn(len(e.nodes))]
-		if n.Alive && n.Slot != exclude {
-			return n
-		}
-	}
-	candidates := e.randScratch[:0]
-	for _, s := range e.alive() {
-		if s != exclude {
-			candidates = append(candidates, s)
-		}
-	}
-	e.randScratch = candidates
-	if len(candidates) == 0 {
-		return nil
-	}
-	return &e.nodes[candidates[e.rng.Intn(len(candidates))]]
+	return randomAlive(e.nodes, exclude, e.rng, &e.randScratch)
 }
 
 // Kill marks the node at slot dead. Dead nodes stop stepping and refuse
@@ -542,13 +528,14 @@ const (
 // phaseJob is one shard of a parallel phase, handed to a pool worker. The
 // job carries everything the worker needs so parked workers hold no engine
 // reference (which would keep a finalized engine alive forever). A job is
-// either a phase shard (p non-nil: run alive[lo:hi] through one protocol
-// phase, with box as the protocol's route table) or a Deliver merge shard
-// (p nil: link the planned exchanges in box of the alive senders whose
-// target falls in [lo, hi)).
+// either a phase shard (p non-nil: run alive[lo:hi] through phase of
+// protocol pi, with box as its route table) or a Deliver merge shard (p
+// nil: link the planned exchanges in box of the alive senders whose target
+// falls in [lo, hi)).
 type phaseJob struct {
 	ctx   *Ctx
 	p     Protocol
+	pi    int
 	box   *inbox
 	salt  uint64
 	phase int
@@ -565,7 +552,7 @@ func (j *phaseJob) run() {
 		j.box.merge(j.ctx.e.nodes, j.alive, j.lo, j.hi)
 		return
 	}
-	j.ctx.box = j.box
+	j.ctx.pi, j.ctx.box = j.pi, j.box
 	runShard(j.ctx, j.p, j.salt, j.phase, j.alive[j.lo:j.hi])
 }
 
@@ -670,7 +657,7 @@ func (e *Engine) ensurePool() {
 // streams are salted by (protocol, phase).
 func (e *Engine) runPhase(pi, phase int, slots []int) {
 	salt := uint64(pi)*phaseCount + uint64(phase)
-	e.fanOut(phaseJob{p: e.protocols[pi], box: e.inboxes[pi], salt: salt, phase: phase, alive: slots}, len(slots))
+	e.fanOut(phaseJob{p: e.protocols[pi], pi: pi, box: e.inboxes[pi], salt: salt, phase: phase, alive: slots}, len(slots))
 }
 
 // deliver runs protocol pi's Deliver phase: merge the exchanges routed

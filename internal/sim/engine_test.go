@@ -9,9 +9,9 @@ import (
 )
 
 // countingProtocol records how many times each slot stepped (one step ==
-// one Plan phase call; the counter storage is pre-grown in InitNode and
-// each bump writes only the slot's own cell, so the protocol stays
-// race-free at any worker count).
+// one Plan phase call; the counter storage is sized by Resize and each
+// bump writes only the slot's own cell, so the protocol stays race-free
+// at any worker count).
 type countingProtocol struct {
 	name  string
 	inits []int
@@ -20,13 +20,15 @@ type countingProtocol struct {
 
 func (c *countingProtocol) Name() string { return c.name }
 
-func (c *countingProtocol) InitNode(e *Engine, slot int) {
-	for len(c.inits) <= slot {
+func (c *countingProtocol) Resize(n int) {
+	for len(c.inits) < n {
 		c.inits = append(c.inits, 0)
 		c.steps = append(c.steps, 0)
 	}
-	c.inits[slot]++
+	c.inits, c.steps = c.inits[:n], c.steps[:n]
 }
+
+func (c *countingProtocol) InitNode(e *Engine, slot int) { c.inits[slot]++ }
 
 func (c *countingProtocol) Refresh(ctx *Ctx) {}
 
@@ -210,6 +212,48 @@ func TestMeterHistory(t *testing.T) {
 	}
 }
 
+// meterProbe counts a fixed number of bytes for every slot in each of its
+// Refresh, Plan and Absorb phases.
+type meterProbe struct{ bytes int }
+
+func (p *meterProbe) Name() string                 { return fmt.Sprintf("meter%d", p.bytes) }
+func (p *meterProbe) Resize(n int)                 {}
+func (p *meterProbe) InitNode(e *Engine, slot int) {}
+func (p *meterProbe) Refresh(ctx *Ctx)             { ctx.Count(p.bytes) }
+func (p *meterProbe) Plan(ctx *Ctx)                { ctx.Count(p.bytes) }
+func (p *meterProbe) Absorb(ctx *Ctx)              { ctx.Count(p.bytes) }
+
+// TestCountMetersRunningProtocol registers two probes that count
+// different amounts: at any worker count, each meter column must hold
+// exactly its own protocol's bytes, because Count meters the protocol
+// whose phase is running.
+func TestCountMetersRunningProtocol(t *testing.T) {
+	const size, rounds = 512, 3
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(9)
+			e.SetWorkers(workers)
+			probes := []*meterProbe{{bytes: 3}, {bytes: 1000}}
+			for _, p := range probes {
+				e.Register(p)
+			}
+			for _, s := range e.AddNodes(size) {
+				e.InitNode(s)
+			}
+			if _, err := e.Run(rounds); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < rounds; r++ {
+				for pi, p := range probes {
+					if got, want := e.Meter().RoundTotal(r, pi), int64(3*p.bytes*size); got != want {
+						t.Fatalf("round %d: %s metered %d bytes, want %d", r, p.Name(), got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestWireSizes(t *testing.T) {
 	if got := DescriptorPayload(0); got != HeaderBytes {
 		t.Fatalf("empty payload = %d, want header only (%d)", got, HeaderBytes)
@@ -377,13 +421,15 @@ type flipRouter struct {
 }
 
 func (p *flipRouter) Name() string { return "flip" }
-func (p *flipRouter) InitNode(e *Engine, slot int) {
-	for len(p.targets) <= slot {
+func (p *flipRouter) Resize(n int) {
+	for len(p.targets) < n {
 		p.targets = append(p.targets, 0)
 		p.senders = append(p.senders, nil)
 	}
+	p.targets, p.senders = p.targets[:n], p.senders[:n]
 }
-func (p *flipRouter) Refresh(ctx *Ctx) {}
+func (p *flipRouter) InitNode(e *Engine, slot int) {}
+func (p *flipRouter) Refresh(ctx *Ctx)             {}
 func (p *flipRouter) Plan(ctx *Ctx) {
 	if ctx.Round()%2 == 0 {
 		ctx.Route((ctx.Slot() + 1) % ctx.Engine().Size())

@@ -11,6 +11,7 @@ import (
 	"sosf/internal/sim"
 	"sosf/internal/snap"
 	"sosf/internal/spec"
+	"sosf/internal/view"
 )
 
 // codecCase is one sharded protocol of a built system: its protocol
@@ -119,6 +120,40 @@ func firstDelivered(t *testing.T, c codecCase) int {
 	return -1
 }
 
+// badBody returns a record body the codec named name must reject on its
+// own, after the frame has accepted slot and lane: an unknown plan kind
+// for the kind-tagged overlay codecs, a timeout flag that is no bool for
+// UO2, and a record count past the reader's bound for PortSelect. It also
+// returns what the error must say.
+func badBody(name string) (body []byte, want string) {
+	var buf bytes.Buffer
+	w := snap.NewWriter(&buf)
+	switch name {
+	case "uo2":
+		buf.WriteByte(2)
+		want = "invalid bool byte"
+	case "portselect":
+		w.Uvarint(1 << 40)
+		want = "sanity bound"
+	default:
+		w.Int(1 << 20)
+		want = "unknown plan kind"
+	}
+	buf.Write(make([]byte, 8))
+	return buf.Bytes(), want
+}
+
+// uo2Timeout turns the UO2 record body good (a swap that did not time
+// out) into a timed-out one: the flag set, the same published table, and
+// the suspected partner after it.
+func uo2Timeout(good []byte) []byte {
+	var buf bytes.Buffer
+	buf.WriteByte(1)
+	buf.Write(good[1:])
+	snap.WriteDescriptor(snap.NewWriter(&buf), view.Descriptor{ID: 7, Profile: view.Profile{Comp: 1}})
+	return buf.Bytes()
+}
+
 // TestPlanFrameRoundTrip decodes every codec's captured frame into a
 // replica whose plans and lanes have moved on a round, and requires the
 // frame to re-encode byte for byte and every lane to match the one the
@@ -170,9 +205,7 @@ func TestDecodePlansRejectsMalformed(t *testing.T) {
 			i := firstDelivered(t, c)
 			slot, target := c.slots[i], c.lanes[i]
 			good := encodePlans(e, c.pi, []int{slot})[len(record(slot, target, nil)):]
-			var kind bytes.Buffer
-			snap.NewWriter(&kind).Int(1 << 20)
-			kind.Write(make([]byte, 8))
+			body, want := badBody(c.name)
 			type badFrame struct {
 				name, want string
 				frame      []byte
@@ -182,11 +215,20 @@ func TestDecodePlansRejectsMalformed(t *testing.T) {
 				{"slot = size", "out of range", record(size, target, good)},
 				{"lane -2", "out of range", record(slot, -2, good)},
 				{"lane = size", "out of range", record(slot, size, good)},
-				{"unknown kind", "unknown plan kind", record(slot, -1, kind.Bytes())},
+				{"bad body", want, record(slot, -1, body)},
 			}
 			three := encodePlans(e, c.pi, c.slots[:3])
 			for cut := 0; cut < len(three); cut++ {
 				bad = append(bad, badFrame{fmt.Sprintf("truncated at %d of %d", cut, len(three)), "", three[:cut]})
+			}
+			if c.name == "uo2" {
+				timeout := record(slot, -1, uo2Timeout(good))
+				if err := decode(e, c, timeout); err != nil {
+					t.Fatalf("timed-out record: %v", err)
+				}
+				for cut := len(record(slot, -1, good)); cut < len(timeout); cut++ {
+					bad = append(bad, badFrame{fmt.Sprintf("timed-out record cut at %d of %d", cut, len(timeout)), "", timeout[:cut]})
+				}
 			}
 			for _, tc := range bad {
 				err := decode(e, c, tc.frame)
@@ -211,6 +253,13 @@ func FuzzDecodePlans(f *testing.F) {
 	for i, c := range cases {
 		f.Add(uint8(i), c.frame)
 		f.Add(uint8(i), encodePlans(e, c.pi, c.slots[:4]))
+		slot := c.slots[0]
+		good := encodePlans(e, c.pi, []int{slot})[len(record(slot, c.lanes[0], nil)):]
+		body, _ := badBody(c.name)
+		f.Add(uint8(i), record(slot, -1, body))
+		if c.name == "uo2" {
+			f.Add(uint8(i), record(slot, -1, uo2Timeout(good)))
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, frame []byte) {
 		c := cases[int(which)%len(cases)]

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -15,24 +16,31 @@ import (
 // into a snapshot and rebuild it later, such that a restored run replays
 // the uninterrupted one byte for byte.
 //
-// SnapshotState and RestoreState are called between rounds only, so plan
-// records, route lanes, and scratch pads — state that lives strictly inside one
-// round — are never serialized. RestoreState must rebuild per-slot storage
-// for exactly the engine's (already restored) population without drawing
-// from any random source: the engine's serial RNG is part of the snapshot,
-// and a stray draw during restore would desynchronize every round that
-// follows.
+// The engine owns the slot frame of each protocol's body: it writes the
+// slot count, then calls SnapshotSlot for every slot in ascending order.
+// On restore it sizes the protocol's tables to the restored node table
+// with Resize, checks the body's count against that table (a mismatch
+// fails with ErrSlotCount), and calls RestoreSlot for every slot in the
+// same order. Both are called between rounds only, so plan records, route
+// lanes, and scratch pads — state that lives strictly inside one round —
+// are never serialized. RestoreSlot must draw from no random source: the
+// engine's serial RNG is part of the snapshot, and a stray draw during
+// restore would desynchronize every round that follows. It may leave a
+// read error in r for the engine to report.
 //
 // Engine.Snapshot fails if a registered protocol does not implement
 // Snapshotter — a partial snapshot could not honor the resume-equivalence
 // contract, so there is no silent skip.
 type Snapshotter interface {
-	// SnapshotState serializes the protocol's complete inter-round state.
-	SnapshotState(w *snap.Writer)
-	// RestoreState rebuilds the protocol's state from a snapshot taken by
-	// SnapshotState, against the engine's already-restored population.
-	RestoreState(e *Engine, r *snap.Reader) error
+	// SnapshotSlot serializes the slot's complete inter-round state.
+	SnapshotSlot(w *snap.Writer, slot int)
+	// RestoreSlot rebuilds the slot's state from what SnapshotSlot wrote.
+	RestoreSlot(r *snap.Reader, slot int) error
 }
+
+// ErrSlotCount is wrapped by the error RestoreState returns when a
+// protocol body's slot count differs from the restored node table.
+var ErrSlotCount = errors.New("sim: slot count mismatch")
 
 // countedSource wraps the engine's serial random source and counts every
 // draw. The count is what makes the source snapshottable: math/rand's
@@ -160,7 +168,10 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 	for _, p := range e.protocols {
 		body.Reset()
 		bw := snap.NewWriter(&body)
-		p.(Snapshotter).SnapshotState(bw)
+		bw.Len(len(e.nodes))
+		for slot := range e.nodes {
+			p.(Snapshotter).SnapshotSlot(bw, slot)
+		}
 		if err := bw.Err(); err != nil {
 			return err
 		}
@@ -262,7 +273,7 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 	e.slotOfID = slotOfID
 	e.partition = partition
 	e.aliveOK = false
-	e.growInboxes()
+	e.sizeSlots()
 
 	if err := e.meter.restore(r); err != nil {
 		return err
@@ -284,16 +295,35 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		if name != p.Name() {
 			return fmt.Errorf("snap: protocol %d is %q in the snapshot but %q in the engine", i, name, p.Name())
 		}
-		br := snap.NewReader(bytes.NewReader(body))
-		if err := p.(Snapshotter).RestoreState(e, br); err != nil {
-			return fmt.Errorf("snap: protocol %q: %w", name, err)
-		}
-		br.ExpectEOF()
-		if err := br.Err(); err != nil {
+		if err := e.restoreBody(p, body); err != nil {
 			return fmt.Errorf("snap: protocol %q: %w", name, err)
 		}
 	}
 	return r.Err()
+}
+
+// restoreBody restores protocol p from its snapshot body: the slot count,
+// which must equal the restored node table's, then one record per slot.
+func (e *Engine) restoreBody(p Protocol, body []byte) error {
+	br := snap.NewReader(bytes.NewReader(body))
+	n := br.Len()
+	if err := br.Err(); err != nil {
+		return err
+	}
+	if n != len(e.nodes) {
+		return fmt.Errorf("%w: snapshot covers %d slots, engine has %d", ErrSlotCount, n, len(e.nodes))
+	}
+	s := p.(Snapshotter)
+	for slot := 0; slot < n; slot++ {
+		if err := s.RestoreSlot(br, slot); err != nil {
+			return err
+		}
+		if err := br.Err(); err != nil {
+			return err
+		}
+	}
+	br.ExpectEOF()
+	return br.Err()
 }
 
 // snapshot serializes the meter: protocol names (validated on restore),

@@ -46,12 +46,14 @@ type snapProbe struct {
 }
 
 func (p *snapProbe) Name() string { return "probe" }
-func (p *snapProbe) InitNode(e *Engine, slot int) {
-	for len(p.marks) <= slot {
+func (p *snapProbe) Resize(n int) {
+	for len(p.marks) < n {
 		p.marks = append(p.marks, 0)
 	}
+	p.marks = p.marks[:n]
 }
-func (p *snapProbe) Refresh(ctx *Ctx) {}
+func (p *snapProbe) InitNode(e *Engine, slot int) {}
+func (p *snapProbe) Refresh(ctx *Ctx)             {}
 func (p *snapProbe) Plan(ctx *Ctx) {
 	p.marks[ctx.Slot()] = p.marks[ctx.Slot()]*31 + ctx.Rand().Uint64()
 }
@@ -59,23 +61,11 @@ func (p *snapProbe) Absorb(ctx *Ctx)                           {}
 func (p *snapProbe) EncodePlan(w *snap.Writer, slot int)       {}
 func (p *snapProbe) DecodePlan(r *snap.Reader, slot int) error { return nil }
 
-func (p *snapProbe) SnapshotState(w *snap.Writer) {
-	w.Len(len(p.marks))
-	for _, m := range p.marks {
-		w.U64(m)
-	}
-}
+func (p *snapProbe) SnapshotSlot(w *snap.Writer, slot int) { w.U64(p.marks[slot]) }
 
-func (p *snapProbe) RestoreState(e *Engine, r *snap.Reader) error {
-	n := r.Len()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	p.marks = p.marks[:0]
-	for i := 0; i < n; i++ {
-		p.marks = append(p.marks, r.U64())
-	}
-	return r.Err()
+func (p *snapProbe) RestoreSlot(r *snap.Reader, slot int) error {
+	p.marks[slot] = r.U64()
+	return nil
 }
 
 func buildProbeEngine(t *testing.T, seed int64) (*Engine, *snapProbe) {
@@ -170,6 +160,7 @@ func TestEngineSnapshotRestoreEquivalence(t *testing.T) {
 type plainProbe struct{}
 
 func (plainProbe) Name() string          { return "plain" }
+func (plainProbe) Resize(int)            {}
 func (plainProbe) InitNode(*Engine, int) {}
 func (plainProbe) Refresh(*Ctx)          {}
 func (plainProbe) Plan(*Ctx)             {}

@@ -190,19 +190,21 @@ func TestInboxMergeSkipsDeadAndRerouted(t *testing.T) {
 // meter history (which hashes the whole exchange pattern) must match
 // across worker counts.
 type probeProtocol struct {
-	meterIdx int
-	picks    []int // per-slot planned target
-	sums     []uint64
+	picks []int // per-slot planned target
+	sums  []uint64
 }
 
 func (p *probeProtocol) Name() string { return "probe" }
 
-func (p *probeProtocol) InitNode(e *Engine, slot int) {
-	for len(p.picks) <= slot {
+func (p *probeProtocol) Resize(n int) {
+	for len(p.picks) < n {
 		p.picks = append(p.picks, -1)
 		p.sums = append(p.sums, 0)
 	}
+	p.picks, p.sums = p.picks[:n], p.sums[:n]
 }
+
+func (p *probeProtocol) InitNode(e *Engine, slot int) {}
 
 func (p *probeProtocol) Refresh(ctx *Ctx) {}
 
@@ -211,7 +213,7 @@ func (p *probeProtocol) Plan(ctx *Ctx) {
 	p.picks[slot] = -1
 	if n := ctx.RandomAlive(slot); n != nil && ctx.Deliver(n.Slot) {
 		p.picks[slot] = n.Slot
-		ctx.Count(0, slot+1)
+		ctx.Count(slot + 1)
 		ctx.Route(n.Slot)
 	}
 }

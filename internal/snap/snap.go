@@ -370,8 +370,8 @@ func WriteView(w *Writer, v *view.View) {
 }
 
 // ReadView decodes a view written by WriteView. Entry storage is sized by
-// the entries that arrive, not the declared capacity: a corrupt capacity
-// must not reserve memory, and a view that is not full grows on demand.
+// the entries that arrive, not the declared capacity or entry count: a
+// corrupt count must not reserve memory, and a view grows on demand.
 func ReadView(r *Reader) *view.View {
 	capacity := r.Len()
 	n := r.Len()
@@ -382,7 +382,7 @@ func ReadView(r *Reader) *view.View {
 		r.failf("view holds %d entries over capacity %d", n, capacity)
 		return nil
 	}
-	v := view.New(n)
+	v := view.New(min(n, 64)) // grown as entries arrive
 	v.SetCap(capacity)
 	for i := 0; i < n; i++ {
 		d := ReadDescriptor(r)
@@ -411,7 +411,7 @@ func ReadViewInto(r *Reader, t *view.Table, slot int) {
 		r.failf("view holds %d entries over capacity %d", n, capacity)
 		return
 	}
-	v := t.Init(slot, n)
+	v := t.Init(slot, min(n, 64)) // grown as entries arrive
 	v.SetCap(capacity)
 	for i := 0; i < n; i++ {
 		d := ReadDescriptor(r)

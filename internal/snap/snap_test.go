@@ -203,7 +203,7 @@ func TestReadViewAllocatesOnlyWhatArrives(t *testing.T) {
 	input := buf.Bytes()
 
 	var table view.Table
-	table.Grow(1)
+	table.Resize(1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	standalone := ReadView(NewReader(bytes.NewReader(input)))
@@ -221,5 +221,37 @@ func TestReadViewAllocatesOnlyWhatArrives(t *testing.T) {
 	const bound = 64 << 10
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
 		t.Fatalf("a %d-byte view declaring capacity %d allocated %d bytes, want <= %d", len(input), maxChunk, grew, bound)
+	}
+}
+
+// TestReadViewRejectsEntryCountPastData decodes a view that declares the
+// largest legal entry count and holds one entry: both decoders must fail
+// as corrupt after allocating for the entries that arrived (and, for the
+// table, one arena block of 64-entry rows), not for the declared count.
+func TestReadViewRejectsEntryCountPastData(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Len(maxChunk) // capacity
+	w.Len(maxChunk) // entries
+	WriteDescriptor(w, view.Descriptor{ID: 5})
+	input := buf.Bytes()
+
+	var table view.Table
+	table.Resize(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	standalone := NewReader(bytes.NewReader(input))
+	ReadView(standalone)
+	into := NewReader(bytes.NewReader(input))
+	ReadViewInto(into, &table, 0)
+	runtime.ReadMemStats(&after)
+	for _, r := range []*Reader{standalone, into} {
+		if !errors.Is(r.Err(), ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", r.Err())
+		}
+	}
+	const bound = 2 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+		t.Fatalf("a %d-byte view declaring %d entries allocated %d bytes, want <= %d", len(input), maxChunk, grew, bound)
 	}
 }

@@ -15,7 +15,6 @@ package vicinity
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -96,7 +95,6 @@ type Protocol struct {
 	// free local candidates, read in place: the runtime's component core
 	// protocol feeds off the same-component overlay (UO1) this way.
 	feeds []*Protocol
-	meter int
 	// states holds the per-slot overlay views as dense struct-of-arrays
 	// state (headers and entries in contiguous arena-backed arrays).
 	states view.Table
@@ -106,7 +104,6 @@ type Protocol struct {
 
 var (
 	_ sim.Protocol    = (*Protocol)(nil)
-	_ sim.MeterAware  = (*Protocol)(nil)
 	_ sim.Snapshotter = (*Protocol)(nil)
 )
 
@@ -120,7 +117,6 @@ func New(name string, ranker Ranker, rps *peersampling.Protocol, opts Options, f
 		opts:   opts.withDefaults(),
 		rps:    rps,
 		feeds:  feeds,
-		meter:  -1,
 	}
 }
 
@@ -136,17 +132,13 @@ func (p *Protocol) sourceView(slot int) *view.View {
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return p.name }
 
-// SetMeterIndex implements sim.MeterAware.
-func (p *Protocol) SetMeterIndex(i int) { p.meter = i }
-
 // View returns the overlay view of the node at slot (treat as read-only).
 func (p *Protocol) View(slot int) *view.View { return p.states.At(slot) }
 
-// ensureSlot grows the per-slot storage (plan records, state table) to
-// cover slot, without touching any view. Shared by InitNode and the
-// restore path (which must not draw randomness or consult profiles).
-func (p *Protocol) ensureSlot(slot int) {
-	for len(p.plans) <= slot {
+// Resize implements sim.Protocol: it sizes the per-slot storage (plan
+// records, state table) to n slots, without touching any view.
+func (p *Protocol) Resize(n int) {
+	for len(p.plans) < n {
 		// Both payloads are bounded by the gossip budget; carving them
 		// from a chunked arena makes population setup two allocations
 		// per few hundred slots instead of two per slot.
@@ -155,43 +147,26 @@ func (p *Protocol) ensureSlot(slot int) {
 			reply: arena.Carve(&p.arena, p.opts.Gossip),
 		})
 	}
-	p.states.Grow(slot + 1)
+	p.plans = p.plans[:n]
+	p.states.Resize(n)
 }
 
 // InitNode implements sim.Protocol.
 func (p *Protocol) InitNode(e *sim.Engine, slot int) {
-	p.ensureSlot(slot)
 	p.states.Init(slot, p.ranker.Capacity(e.Node(slot).Profile))
 }
 
-// SnapshotState implements sim.Snapshotter: the inter-round state is the
-// per-slot overlay view (capacities included — they are re-derived from the
+// SnapshotSlot implements sim.Snapshotter: the inter-round state is the
+// slot's overlay view (capacity included — it is re-derived from the
 // ranker on the next Refresh anyway, but the view's entry order is state).
-func (p *Protocol) SnapshotState(w *snap.Writer) {
-	w.Len(p.states.Len())
-	for slot := 0; slot < p.states.Len(); slot++ {
-		snap.WriteView(w, p.states.At(slot))
-	}
+func (p *Protocol) SnapshotSlot(w *snap.Writer, slot int) {
+	snap.WriteView(w, p.states.At(slot))
 }
 
-// RestoreState implements sim.Snapshotter.
-func (p *Protocol) RestoreState(e *sim.Engine, r *snap.Reader) error {
-	n := r.Len()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != e.Size() {
-		return fmt.Errorf("vicinity %s: snapshot covers %d slots, engine has %d", p.name, n, e.Size())
-	}
-	if n > 0 {
-		p.ensureSlot(n - 1)
-	}
-	p.states.Truncate(n)
-	p.plans = p.plans[:n]
-	for slot := 0; slot < n; slot++ {
-		snap.ReadViewInto(r, &p.states, slot)
-	}
-	return r.Err()
+// RestoreSlot implements sim.Snapshotter.
+func (p *Protocol) RestoreSlot(r *snap.Reader, slot int) error {
+	snap.ReadViewInto(r, &p.states, slot)
+	return nil
 }
 
 // Refresh implements sim.Protocol: per-slot view maintenance plus the free
@@ -246,7 +221,7 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 		// loss must not empty views, but dead peers accumulate penalties
 		// (they keep being selected as the oldest entry) and age out.
 		pl.kind = planTimeout
-		ctx.Count(p.meter, sim.DescriptorPayload(len(pl.send)))
+		ctx.Count(sim.DescriptorPayload(len(pl.send)))
 		return
 	}
 
@@ -257,8 +232,8 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 
 	// Meter into the worker's shard and route via the sender's lane; the
 	// engine's Deliver phase merges lanes per destination shard.
-	ctx.Count(p.meter, sim.DescriptorPayload(len(pl.send)))
-	ctx.Count(p.meter, sim.DescriptorPayload(len(pl.reply)))
+	ctx.Count(sim.DescriptorPayload(len(pl.send)))
+	ctx.Count(sim.DescriptorPayload(len(pl.reply)))
 	ctx.Route(target.Slot)
 }
 

@@ -7,11 +7,10 @@ import "sosf/internal/arena"
 // their descriptor entries are carved back-to-back from a shared chunked
 // arena, so a population's views are a few large arrays the round phases
 // stream through in slot order — not one heap object per node. The zero
-// value is an empty table ready for Grow.
+// value is an empty table ready for Resize.
 //
-// Tables are not safe for concurrent structural mutation; Grow and Init
-// run from InitNode (between rounds), while phases only touch the views of
-// their own slots.
+// Tables are not safe for concurrent structural mutation; Resize and Init
+// run between rounds, while phases only touch the views of their own slots.
 type Table struct {
 	views []View
 	arena []Descriptor
@@ -20,26 +19,20 @@ type Table struct {
 // Len returns the number of slots the table covers.
 func (t *Table) Len() int { return len(t.views) }
 
-// Grow extends the table with empty, zero-capacity views to cover n slots.
-// Each covered slot still needs an Init before use.
-func (t *Table) Grow(n int) {
+// Resize sets the table to cover exactly n slots: new slots get empty,
+// zero-capacity views (each still needs an Init before use), and the
+// views beyond n are dropped (restore paths shrink back to the
+// snapshotted population).
+func (t *Table) Resize(n int) {
 	for len(t.views) < n {
 		t.views = append(t.views, View{})
 	}
-}
-
-// Truncate drops the views beyond n slots (restore paths shrink back to
-// the snapshotted population). Their carved entry storage stays in the
-// arena and is reused if the slots are re-grown.
-func (t *Table) Truncate(n int) {
-	if n < len(t.views) {
-		t.views = t.views[:n]
-	}
+	t.views = t.views[:n]
 }
 
 // At returns the view at slot. The pointer aims into the dense header
-// array: it is stable until the next Grow, so phases may use it freely but
-// nothing should retain it across node joins.
+// array: it is stable until the next Resize, so phases may use it freely
+// but nothing should retain it across node joins.
 func (t *Table) At(slot int) *View { return &t.views[slot] }
 
 // Init (re)initializes slot's view as empty with the given capacity
