@@ -56,7 +56,8 @@
 //	-workers N       round-sharding for jobs that don't set their own
 //	                 (output identical for any value)
 //
-// Flags for fuzz (it takes no file argument):
+// Flags for fuzz (it takes no file argument; -runs, -horizon, -within and
+// -bandwidth must be positive):
 //
 //	-seed N        campaign master seed (default 1); the same seed always
 //	               reproduces the same runs and the same reproducer bytes
@@ -65,8 +66,9 @@
 //	-within N      rounds the system gets to re-converge after the last
 //	               fault (default 40)
 //	-bandwidth B   per-node per-round byte ceiling (default 12288)
-//	-pop-floor F   require the population to stay above F of its initial
-//	               size — deliberately strict, for seeding failures
+//	-pop-floor F   require the population to stay above F (0 ≤ F < 1) of
+//	               its initial size — deliberately strict, for seeding
+//	               failures
 //	-no-repair     sample kill blasts without replacement joins or the
 //	               trailing rebalance (these timelines must reconverge on
 //	               the runtime's self-healing alone)
@@ -337,6 +339,24 @@ func fuzz(args []string) error {
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("fuzz: unexpected argument %q (the campaign generates its own topologies)", fs.Arg(0))
+	}
+	// campaign.Config reads 0 as "default"; on the command line a
+	// non-positive budget is a mistake, not a request for the default.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"runs", float64(*runs)},
+		{"horizon", float64(*horizon)},
+		{"within", float64(*within)},
+		{"bandwidth", *bandwidth},
+	} {
+		if !(f.v > 0) { // also refuses NaN
+			return fmt.Errorf("fuzz: -%s must be > 0, got %v", f.name, f.v)
+		}
+	}
+	if !(*popFloor >= 0 && *popFloor < 1) {
+		return fmt.Errorf("fuzz: -pop-floor must be in [0, 1), got %v", *popFloor)
 	}
 	roundWorkers, err := workerCount(*workers)
 	if err != nil {

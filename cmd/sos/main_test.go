@@ -92,6 +92,15 @@ func TestUsageErrors(t *testing.T) {
 		{"run"},
 		{"run", testTopo, "extra"},
 		{"run", "/does/not/exist.sos"},
+		{"fuzz", "-runs", "0"},
+		{"fuzz", "-runs", "-3"},
+		{"fuzz", "-horizon", "0"},
+		{"fuzz", "-within", "0"},
+		{"fuzz", "-bandwidth", "0"},
+		{"fuzz", "-bandwidth", "NaN"},
+		{"fuzz", "-pop-floor", "-0.1"},
+		{"fuzz", "-pop-floor", "1"},
+		{"fuzz", "-pop-floor", "NaN"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -348,9 +357,9 @@ topology self {
 	}
 }
 
-// TestFuzzCleanCampaign is the CLI face of the CI campaign smoke: a small
-// fixed-seed matrix with the default invariants finds nothing and exits
-// zero.
+// TestFuzzCleanCampaign is the CLI face of campaign.TestCampaignCleanByDefault:
+// a small fixed-seed matrix with the default invariants finds nothing and
+// exits zero.
 func TestFuzzCleanCampaign(t *testing.T) {
 	out, err := capture(t, func() error { return run([]string{"fuzz", "-seed", "1", "-runs", "3"}) })
 	if err != nil {

@@ -47,3 +47,46 @@ func TestCorpusReplaysByteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestCorpusRegenerates reruns the campaign that distilled the committed
+// corpus — generate-corpus.sh's `sos fuzz -seed 3 -runs 3 -pop-floor 0.95`
+// — and requires exactly the committed file set, byte for byte: the
+// shrinker must still distill the same reproducers, down to the "accepted
+// steps over candidate runs" header lines.
+func TestCorpusRegenerates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a three-run campaign with shrinking")
+	}
+	findings, err := campaign.New(campaign.Config{Seed: 3, Runs: 3, PopulationFloor: 0.95}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for i := range findings {
+		if _, _, err := findings[i].Write(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ins, _ := filepath.Glob(filepath.Join("testdata", "corpus", "*.in"))
+	outs, _ := filepath.Glob(filepath.Join("testdata", "corpus", "*.out"))
+	want := append(ins, outs...)
+	got, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if len(got) != len(want) {
+		t.Errorf("campaign wrote %d corpus files, %d are committed", len(got), len(want))
+	}
+	for _, path := range want {
+		name := filepath.Base(path)
+		wantBytes, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBytes, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Errorf("campaign no longer writes %s: %v", name, err)
+			continue
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Errorf("regenerated %s differs from the committed file — regenerate the corpus with testdata/corpus/generate-corpus.sh if the change is intentional", name)
+		}
+	}
+}

@@ -67,9 +67,6 @@ type Config struct {
 	// (snapshot at mid-run, restore into a fresh system, require the
 	// resumed event stream to be byte-identical).
 	SkipResumeCheck bool
-	// SnapshotEvery is the cadence of the in-memory checkpoints the
-	// shrinker resumes candidate runs from (default 10 rounds).
-	SnapshotEvery int
 	// Workers shards each simulation round with sosf.RunSpec's rule: 0 or
 	// 1 runs serially, a negative value selects GOMAXPROCS. Results are
 	// byte-identical at any value; this only changes the wall clock.
@@ -111,9 +108,6 @@ func New(cfg Config) *Campaign {
 	if cfg.BandwidthCeiling <= 0 {
 		cfg.BandwidthCeiling = 12288
 	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 10
-	}
 	invs := []Invariant{
 		Reconverge{Within: cfg.ReconvergeWithin},
 		OrphanTail{},
@@ -146,8 +140,8 @@ type Finding struct {
 	RunID
 	// CampaignSeed is the campaign master seed the finding derives from.
 	CampaignSeed int64
-	// Violation is the invariant failure, re-confirmed on the minimal
-	// reproducer.
+	// Violation is the invariant failure as the minimal reproducer's own
+	// run reported it.
 	Violation Violation
 	// Source is the minimal reproducer (dsl.Emit output).
 	Source string
@@ -185,7 +179,7 @@ func (c *Campaign) runOne(idx int) (Finding, bool, error) {
 	if err != nil {
 		return Finding{}, false, err
 	}
-	run, err := c.execute(topo, execOpts{checkResume: !c.cfg.SkipResumeCheck, snapEvery: c.cfg.SnapshotEvery})
+	run, err := c.execute(topo, !c.cfg.SkipResumeCheck)
 	if err != nil {
 		return Finding{}, false, err
 	}
@@ -198,31 +192,20 @@ func (c *Campaign) runOne(idx int) (Finding, bool, error) {
 	}
 	c.logf("run %d/%d %s pop=%d seed=%d: VIOLATION %s; shrinking",
 		idx+1, c.cfg.Runs, id.Topology, id.Population, id.Seed, v)
-	sh := newShrinker(c, v, topo, run)
-	minTopo, _, _ := sh.minimize()
-	// Re-confirm on a clean full run of the emitted source: the committed
-	// reproducer must be exactly what was tested, with no checkpoint
-	// acceleration in the loop.
-	final, err := c.execute(minTopo, execOpts{checkResume: sh.resumeMode})
-	if err != nil {
-		return Finding{}, false, fmt.Errorf("re-running minimal reproducer: %w", err)
-	}
-	fv := c.checkNamed(final, v.Invariant)
-	if fv == nil {
-		return Finding{}, false, fmt.Errorf("minimal reproducer no longer violates %q (shrinker accepted a checkpoint-accelerated run a full run disagrees with)", v.Invariant)
-	}
+	sh := newShrinker(c, v, run)
+	minRun, minViol := sh.minimize()
 	var golden bytes.Buffer
-	if _, err := Replay(final.Source, &golden); err != nil {
+	if _, err := Replay(minRun.Source, &golden); err != nil {
 		return Finding{}, false, fmt.Errorf("replaying minimal reproducer: %w", err)
 	}
 	c.logf("  minimized to %d event(s), %d nodes, %d rounds (%d accepted steps, %d candidate runs)",
-		len(minTopo.Scenario), minTopo.Option("nodes", 0), minTopo.Option("rounds", 0),
+		len(minRun.Spec.Scenario), minRun.InitialNodes, minRun.Rounds,
 		sh.steps, sh.tried)
 	return Finding{
 		RunID:         id,
 		CampaignSeed:  c.cfg.Seed,
-		Violation:     *fv,
-		Source:        final.Source,
+		Violation:     *minViol,
+		Source:        minRun.Source,
 		Events:        golden.Bytes(),
 		ShrinkSteps:   sh.steps,
 		CandidateRuns: sh.tried,
@@ -310,33 +293,16 @@ type Run struct {
 	// Resume is the resume-equivalence violation, when that check ran and
 	// the resumed stream diverged.
 	Resume *Violation
-	snaps  []prefixSnap
-}
-
-// prefixSnap is an in-memory checkpoint of a run at a round boundary.
-type prefixSnap struct {
-	round int
-	data  []byte
-}
-
-type execOpts struct {
-	// checkResume runs the mid-run snapshot/restore equivalence check.
-	checkResume bool
-	// snapEvery captures in-memory checkpoints at this cadence (0 = none).
-	snapEvery int
-	// prefix, when set, resumes the run from this checkpoint of prefixRun
-	// instead of round 0; the skipped rounds' events are spliced in from
-	// prefixRun (they are identical by determinism).
-	prefix    *prefixSnap
-	prefixRun *Run
 }
 
 // execute emits the spec to DSL source and runs that source through the
-// public sosf API — so every result, including a shrunk reproducer, is the
-// behavior of exactly the bytes that would be committed. The run executes
-// the spec's full `option rounds` budget (never stopping at convergence)
-// with the spec's own seed and population.
-func (c *Campaign) execute(topo *spec.Topology, eo execOpts) (*Run, error) {
+// public sosf API from round 0 — so every result, including a shrunk
+// reproducer, is the behavior of exactly the bytes that would be
+// committed. The run executes the spec's full `option rounds` budget (never
+// stopping at convergence) with the spec's own seed and population. With
+// checkResume set it also checkpoints at mid-run and runs the
+// resume-equivalence check.
+func (c *Campaign) execute(topo *spec.Topology, checkResume bool) (*Run, error) {
 	src, err := dsl.Emit(topo)
 	if err != nil {
 		return nil, err
@@ -357,44 +323,28 @@ func (c *Campaign) execute(topo *spec.Topology, eo execOpts) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := 0
-	if eo.prefix != nil {
-		if err := sys.Restore(bytes.NewReader(eo.prefix.data)); err != nil {
-			return nil, fmt.Errorf("campaign: prefix restore at round %d: %w", eo.prefix.round, err)
-		}
-		start = eo.prefix.round
-		r.Events = append(r.Events, eo.prefixRun.Events[:start]...)
-		r.Lines = append(r.Lines, eo.prefixRun.Lines[:start]...)
-	}
 	mid := rounds / 2
-	var midSnap []byte
-	for round := start; round < rounds; round++ {
-		if _, err := sys.Step(1); err != nil {
+	// A one-round run has no mid-run boundary to checkpoint at.
+	checkResume = checkResume && mid > 0
+	if _, err := sys.Step(mid); err != nil {
+		return nil, err
+	}
+	var midSnap bytes.Buffer
+	if checkResume {
+		if err := sys.Snapshot(&midSnap); err != nil {
 			return nil, err
 		}
-		done := round + 1
-		if eo.checkResume && done == mid {
-			var buf bytes.Buffer
-			if err := sys.Snapshot(&buf); err != nil {
-				return nil, err
-			}
-			midSnap = buf.Bytes()
-		}
-		if eo.snapEvery > 0 && done%eo.snapEvery == 0 && done < rounds {
-			var buf bytes.Buffer
-			if err := sys.Snapshot(&buf); err != nil {
-				return nil, err
-			}
-			r.snaps = append(r.snaps, prefixSnap{round: done, data: buf.Bytes()})
-		}
+	}
+	if _, err := sys.Step(rounds - mid); err != nil {
+		return nil, err
 	}
 	if len(r.Events) != rounds {
 		return nil, fmt.Errorf("campaign: executed %d rounds but captured %d events", rounds, len(r.Events))
 	}
 	r.Report = sys.Report()
 	r.Sys = sys
-	if midSnap != nil {
-		if err := c.resumeCheck(r, mid, midSnap); err != nil {
+	if checkResume {
+		if err := c.resumeCheck(r, mid, midSnap.Bytes()); err != nil {
 			return nil, err
 		}
 	}

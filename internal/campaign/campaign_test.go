@@ -13,10 +13,12 @@ import (
 	"sosf/internal/spec"
 )
 
-// TestCampaignCleanByDefault is the contract behind the CI campaign smoke:
-// with the default invariant set, the fixed-seed matrix finds nothing. It
-// also exercises the resume-equivalence check on every run (a divergence
-// would surface as a resume-equivalence finding).
+// TestCampaignCleanByDefault is the zero-violation gate of the generative
+// campaign: `sos fuzz -seed 1 -runs 6` (the flag defaults give exactly this
+// Config) over the built-in seed × topology × population matrix finds
+// nothing with the default invariant set. It also exercises the
+// resume-equivalence check on every run (a divergence would surface as a
+// resume-equivalence finding).
 func TestCampaignCleanByDefault(t *testing.T) {
 	findings, err := New(Config{Seed: 1, Runs: 6}).Run()
 	if err != nil {
@@ -79,10 +81,12 @@ func TestSeededFindingByteIdentical(t *testing.T) {
 	}
 }
 
-// TestNoRepairHealsClean pins the tentpole from the campaign's side:
-// the very timelines that exposed the index-hole gap are clean once the
-// runtime's self-healing is left on — bare faults reconverge without a
-// trailing reconfiguration.
+// TestNoRepairHealsClean is the self-healing gate, `sos fuzz -seed 1
+// -runs 6 -no-repair`: the very timelines that exposed the index-hole gap
+// are clean once the runtime's self-healing is left on — bare kill/churn
+// timelines reconverge on index re-densification alone, without a
+// trailing reconfiguration. (That they stay stuck without it is
+// internal/core's TestDisabledHealingStaysStuck.)
 func TestNoRepairHealsClean(t *testing.T) {
 	findings, err := New(Config{Seed: 1, Runs: 6, NoRepair: true}).Run()
 	if err != nil {
@@ -284,7 +288,7 @@ func TestWorkersRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := c.execute(topo, execOpts{})
+		r, err := c.execute(topo, false)
 		if err != nil {
 			t.Fatal(err)
 		}

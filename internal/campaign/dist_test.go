@@ -9,10 +9,10 @@ import (
 )
 
 // TestGeneratedRunsShardEquivalent points the shard-equivalence checker at
-// generated cases instead of hand-written fixtures: the six runs of the CI
-// campaign smoke (`sos fuzz -seed 1 -runs 6`: join, kill, kill-component,
-// churn, partition, loss and reconfigure timelines on 64 and 128 nodes)
-// must stream byte-identically through a 3-shard dist run.
+// generated cases instead of hand-written fixtures: the six runs of
+// TestCampaignCleanByDefault (`sos fuzz -seed 1 -runs 6`: join, kill,
+// kill-component, churn, partition, loss and reconfigure timelines on 64
+// and 128 nodes) must stream byte-identically through a 3-shard dist run.
 func TestGeneratedRunsShardEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six 100-round runs, each twice")
@@ -23,7 +23,7 @@ func TestGeneratedRunsShardEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := c.execute(topo, execOpts{})
+		r, err := c.execute(topo, false)
 		if err != nil {
 			t.Fatalf("run %d: %v", idx, err)
 		}

@@ -19,16 +19,15 @@
 // When an invariant fires, the campaign minimizes automatically: it drops
 // timeline events, narrows fault windows, halves magnitudes, bisects the
 // round budget down to the earliest failing horizon, and shrinks the
-// population — greedily, to a fixpoint, re-running every candidate from
-// its emitted DSL source so the reproducer is exactly what was tested.
-// Candidates that share an unchanged prefix with the current best resume
-// from in-memory checkpoints (the PR 5 snapshot machinery) instead of
-// replaying from round 0. Everything derives from the campaign seed, so
-// the same seed always distills the same reproducer, byte for byte.
+// population — greedily, to a fixpoint, running every candidate from
+// round 0 of its emitted DSL source, so the reproducer is exactly what was
+// tested. Everything derives from the campaign seed, so the same seed
+// always distills the same reproducer, byte for byte.
 //
 // Findings are committed under testdata/corpus as .in/.out pairs: the
 // minimal .sos source (self-contained — it embeds its own nodes, seed,
 // and rounds options) and the golden JSONL event stream its replay must
 // reproduce. corpus_test.go replays every pair in CI through the same
-// Replay entry point the campaign used to write them.
+// Replay entry point the campaign used to write them, and reruns the
+// corpus campaign to require the committed files byte for byte.
 package campaign

@@ -10,18 +10,13 @@ import (
 // validated, emitted to DSL source, and re-executed; an edit is kept only
 // if the original invariant still fires. All decisions are deterministic,
 // so the same campaign seed always distills the same reproducer, byte for
-// byte.
-//
-// Candidates that leave a prefix of the current best timeline untouched
-// resume from the best run's nearest in-memory checkpoint instead of
-// replaying from round 0 — the PR 5 snapshot machinery doing double duty
-// as the shrinker's accelerator. The skipped rounds' events are spliced
-// from the best run (identical by determinism), so invariants always see
-// a full event stream.
+// byte. Every candidate runs from round 0 of its own emitted source, so
+// the best run and its violation are the finding: the reproducer is
+// exactly what was tested.
 type shrinker struct {
 	c          *Campaign
 	invariant  string
-	resumeMode bool // shrinking a resume-equivalence divergence: every candidate re-runs the resume check, never a prefix
+	resumeMode bool // shrinking a resume-equivalence divergence: every candidate re-runs the resume check
 	best       *spec.Topology
 	bestRun    *Run
 	bestViol   *Violation
@@ -29,12 +24,12 @@ type shrinker struct {
 	tried      int // candidate executions
 }
 
-func newShrinker(c *Campaign, v *Violation, topo *spec.Topology, run *Run) *shrinker {
+func newShrinker(c *Campaign, v *Violation, run *Run) *shrinker {
 	return &shrinker{
 		c:          c,
 		invariant:  v.Invariant,
 		resumeMode: v.Invariant == InvResume,
-		best:       topo,
+		best:       run.Spec,
 		bestRun:    run,
 		bestViol:   v,
 	}
@@ -44,7 +39,7 @@ func newShrinker(c *Campaign, v *Violation, topo *spec.Topology, run *Run) *shri
 // narrow windows, reduce magnitudes, bisect the round budget down to the
 // earliest failing horizon, and halve the population — in that order,
 // cheapest structural wins first.
-func (s *shrinker) minimize() (*spec.Topology, *Run, *Violation) {
+func (s *shrinker) minimize() (*Run, *Violation) {
 	for {
 		changed := s.dropEvents()
 		changed = s.narrowWindows() || changed
@@ -52,7 +47,7 @@ func (s *shrinker) minimize() (*spec.Topology, *Run, *Violation) {
 		changed = s.bisectRounds() || changed
 		changed = s.shrinkPopulation() || changed
 		if !changed {
-			return s.best, s.bestRun, s.bestViol
+			return s.bestRun, s.bestViol
 		}
 	}
 }
@@ -65,9 +60,8 @@ func (s *shrinker) dropEvents() bool {
 	changed := false
 	for i := 0; i < len(s.best.Scenario); {
 		cand := cloneSpec(s.best)
-		dropped := cand.Scenario[i]
 		cand.Scenario = append(cand.Scenario[:i], cand.Scenario[i+1:]...)
-		if s.accept(cand, dropped.From) {
+		if s.accept(cand) {
 			changed = true
 		} else {
 			i++
@@ -88,10 +82,7 @@ func (s *shrinker) narrowWindows() bool {
 			}
 			cand := cloneSpec(s.best)
 			cand.Scenario[i].To = ev.From + (ev.To-ev.From)/2
-			// The candidate diverges where its window now ends early (a
-			// stateful window restores there; a pulse stops one round
-			// later), so checkpoints before the new end stay reusable.
-			if !s.accept(cand, cand.Scenario[i].To) {
+			if !s.accept(cand) {
 				break
 			}
 			changed = true
@@ -103,7 +94,7 @@ func (s *shrinker) narrowWindows() bool {
 			}
 			cand := cloneSpec(s.best)
 			cand.Scenario[i].From = ev.To - (ev.To-ev.From)/2
-			if !s.accept(cand, ev.From) {
+			if !s.accept(cand) {
 				break
 			}
 			changed = true
@@ -119,12 +110,11 @@ func (s *shrinker) reduceMagnitudes() bool {
 	changed := false
 	for i := 0; i < len(s.best.Scenario); i++ {
 		for {
-			from := s.best.Scenario[i].From
 			cand := cloneSpec(s.best)
 			if !reduceEvent(&cand.Scenario[i]) {
 				break
 			}
-			if !s.accept(cand, from) {
+			if !s.accept(cand) {
 				break
 			}
 			changed = true
@@ -163,9 +153,8 @@ func reduceEvent(ev *spec.ScenarioEvent) bool {
 }
 
 // bisectRounds binary-searches the smallest round budget that still
-// exhibits the violation — the "find the earliest failing window" step,
-// with each probe resuming from the nearest reusable checkpoint rather
-// than replaying from round 0. Budgets that would strand an event beyond
+// exhibits the violation — the "find the earliest failing window" step.
+// Budgets that would strand an event beyond
 // the horizon fail validation and count as non-failing, which steers the
 // search correctly without special cases.
 func (s *shrinker) bisectRounds() bool {
@@ -175,7 +164,7 @@ func (s *shrinker) bisectRounds() bool {
 		mid := (lo + hi) / 2
 		cand := cloneSpec(s.best)
 		cand.SetOption("rounds", int64(mid))
-		if s.accept(cand, mid) {
+		if s.accept(cand) {
 			hi = mid
 			changed = true
 		} else {
@@ -204,9 +193,7 @@ func (s *shrinker) shrinkPopulation() bool {
 		}
 		cand := cloneSpec(s.best)
 		cand.SetOption("nodes", int64(next))
-		// A different boot population diverges from round 0: no
-		// checkpoint of the old best is reusable.
-		if !s.accept(cand, 0) {
+		if !s.accept(cand) {
 			break
 		}
 		changed = true
@@ -215,19 +202,13 @@ func (s *shrinker) shrinkPopulation() bool {
 }
 
 // accept executes the candidate and, if the target invariant still fires,
-// installs it as the new best. firstAffected is the first round at which
-// the candidate's behavior can differ from the current best's; checkpoints
-// strictly before it may seed the candidate run.
-func (s *shrinker) accept(cand *spec.Topology, firstAffected int) bool {
+// installs it as the new best.
+func (s *shrinker) accept(cand *spec.Topology) bool {
 	if err := cand.Validate(); err != nil {
 		return false
 	}
 	s.tried++
-	eo := execOpts{checkResume: s.resumeMode, snapEvery: s.c.cfg.SnapshotEvery}
-	if !s.resumeMode {
-		eo.prefix, eo.prefixRun = s.reusableSnap(cand, firstAffected)
-	}
-	run, err := s.c.execute(cand, eo)
+	run, err := s.c.execute(cand, s.resumeMode)
 	if err != nil {
 		return false
 	}
@@ -235,65 +216,9 @@ func (s *shrinker) accept(cand *spec.Topology, firstAffected int) bool {
 	if v == nil {
 		return false
 	}
-	// Checkpoints of the old best taken before the divergence stay valid
-	// for the new best (identical prefix); keep them ahead of whatever the
-	// candidate run captured live, preserving ascending round order.
-	if int(cand.Option("nodes", 0)) == int(s.best.Option("nodes", 0)) {
-		var keep []prefixSnap
-		for _, sn := range s.bestRun.snaps {
-			if sn.round < firstAffected && sn.round < run.Rounds {
-				keep = append(keep, sn)
-			}
-		}
-		run.snaps = append(keep, run.snaps...)
-	}
 	s.best, s.bestRun, s.bestViol = cand, run, v
 	s.steps++
 	return true
-}
-
-// reusableSnap picks the latest checkpoint of the best run a candidate
-// diverging at firstAffected can legally resume from. Beyond preceding the
-// divergence, the checkpoint must predate any loss window's opening: the
-// timeline's saved-loss bookkeeping is keyed by event index, which the
-// candidate's edit may have shifted. A candidate with no timeline at all
-// never resumes (its system has no scenario binding to restore into).
-func (s *shrinker) reusableSnap(cand *spec.Topology, firstAffected int) (*prefixSnap, *Run) {
-	if firstAffected <= 0 || len(cand.Scenario) == 0 {
-		return nil, nil
-	}
-	if int(cand.Option("nodes", 0)) != int(s.best.Option("nodes", 0)) {
-		return nil, nil
-	}
-	candRounds := int(cand.Option("rounds", 0))
-	var pick *prefixSnap
-	for i := range s.bestRun.snaps {
-		sn := &s.bestRun.snaps[i]
-		if sn.round >= firstAffected || sn.round >= candRounds {
-			continue
-		}
-		if lossOpenedBy(s.best.Scenario, sn.round) {
-			continue
-		}
-		if pick == nil || sn.round > pick.round {
-			pick = sn
-		}
-	}
-	if pick == nil {
-		return nil, nil
-	}
-	return pick, s.bestRun
-}
-
-// lossOpenedBy reports whether any loss event has opened by the given
-// round (inclusive).
-func lossOpenedBy(events []spec.ScenarioEvent, round int) bool {
-	for _, ev := range events {
-		if ev.Kind == spec.ScenLoss && ev.From <= round {
-			return true
-		}
-	}
-	return false
 }
 
 // cloneSpec deep-copies everything the shrinker mutates. Reconfigure

@@ -59,24 +59,6 @@ func TestShrinkDistillsMinimalReproducer(t *testing.T) {
 	}
 }
 
-// TestShrinkPrefixAccelerationAgrees reruns a minimization with checkpoint
-// acceleration disabled (SnapshotEvery beyond every round budget, so no
-// checkpoint is ever captured) and requires the identical reproducer: the
-// snapshot fast path must never change what the shrinker decides.
-func TestShrinkPrefixAccelerationAgrees(t *testing.T) {
-	cfg := Config{Seed: 3, Runs: 1, Populations: []int{64}, PopulationFloor: 0.95}
-	fast, _ := shrinkOne(t, cfg)
-	slow := cfg
-	slow.SnapshotEvery = 1 << 20
-	full, _ := shrinkOne(t, slow)
-	if fast.Source != full.Source {
-		t.Errorf("checkpoint-accelerated shrink disagrees with full re-execution:\n--- accelerated\n%s\n--- full\n%s", fast.Source, full.Source)
-	}
-	if string(fast.Events) != string(full.Events) {
-		t.Errorf("golden streams differ between accelerated and full shrink")
-	}
-}
-
 // TestReduceEvent covers the magnitude ladder per event kind.
 func TestReduceEvent(t *testing.T) {
 	kill := spec.ScenarioEvent{Kind: spec.ScenKill, Fraction: 0.08}
@@ -143,27 +125,6 @@ topology t {
 	}
 	if base.Links[0].A.Port == "zzz" {
 		t.Error("link edit leaked into the original")
-	}
-}
-
-// TestLossWindowBlocksCheckpointReuse pins the index-keyed saved-loss
-// rule: once a loss window has opened, checkpoints at or after its start
-// must not seed candidates whose event indices may have shifted.
-func TestLossWindowBlocksCheckpointReuse(t *testing.T) {
-	events := []spec.ScenarioEvent{
-		{From: 10, To: 14, Kind: spec.ScenLoss, Fraction: 0.2},
-		{From: 30, To: 30, Kind: spec.ScenKill, Fraction: 0.1},
-	}
-	if lossOpenedBy(events, 9) {
-		t.Error("no loss window open at round 9")
-	}
-	for _, round := range []int{10, 14, 20} {
-		if !lossOpenedBy(events, round) {
-			t.Errorf("loss window opened at 10, round %d must block reuse", round)
-		}
-	}
-	if lossOpenedBy(events[1:], 50) {
-		t.Error("kill events must not block checkpoint reuse")
 	}
 }
 

@@ -93,7 +93,9 @@ type Protocol struct {
 	rps    *peersampling.Protocol
 	// feeds are stacked overlays whose views this overlay folds in as
 	// free local candidates, read in place: the runtime's component core
-	// protocol feeds off the same-component overlay (UO1) this way.
+	// protocol feeds off the same-component overlay (UO1) this way. A feed
+	// is registered on the same engine, which sizes it before any InitNode,
+	// so its view covers every slot.
 	feeds []*Protocol
 	// states holds the per-slot overlay views as dense struct-of-arrays
 	// state (headers and entries in contiguous arena-backed arrays).
@@ -118,15 +120,6 @@ func New(name string, ranker Ranker, rps *peersampling.Protocol, opts Options, f
 		rps:    rps,
 		feeds:  feeds,
 	}
-}
-
-// sourceView returns the overlay's view at slot as a candidate feed for
-// stacked overlays, or nil when the slot is not covered yet.
-func (p *Protocol) sourceView(slot int) *view.View {
-	if slot >= p.states.Len() {
-		return nil
-	}
-	return p.states.At(slot)
 }
 
 // Name implements sim.Protocol.
@@ -192,7 +185,7 @@ func (p *Protocol) Refresh(ctx *sim.Ctx) {
 		p.purge(self.Profile, v)
 	}
 	for _, f := range p.feeds {
-		p.applyView(ctx.Pad(), self, v, f.sourceView(slot))
+		p.applyView(ctx.Pad(), self, v, f.View(slot))
 	}
 }
 
@@ -298,9 +291,7 @@ func (p *Protocol) selectFor(ctx *sim.Ctx, slot int, owner view.Profile, ownerID
 		m.AddView(p.rps.View(slot))
 	}
 	for _, f := range p.feeds {
-		if sv := f.sourceView(slot); sv != nil {
-			m.AddView(sv)
-		}
+		m.AddView(f.View(slot))
 	}
 	pool := m.Result()
 	keys := p.rankPool(pad, owner, pool, math.MaxUint16)
@@ -334,15 +325,12 @@ func (p *Protocol) apply(pad *sim.Pad, n *sim.Node, v *view.View, incoming []vie
 }
 
 // applyView is apply for candidates that live in another layer's view, read
-// in place. A nil inView still re-filters and re-ranks the view, like apply
-// with an empty incoming buffer.
+// in place.
 func (p *Protocol) applyView(pad *sim.Pad, n *sim.Node, v *view.View, inView *view.View) {
 	m := &pad.Merger
 	m.Begin(n.ID)
 	m.AddView(v)
-	if inView != nil {
-		m.AddView(inView)
-	}
+	m.AddView(inView)
 	p.applyMerged(pad, n, v)
 }
 

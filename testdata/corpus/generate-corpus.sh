@@ -7,7 +7,10 @@
 # Every entry derives from a fixed campaign seed, so regenerating is a
 # no-op diff unless runtime behavior actually changed. If a diff shows up,
 # either the change is intentional (commit the regenerated corpus with it)
-# or determinism broke (fix that instead).
+# or determinism broke (fix that instead). TestCorpusRegenerates
+# (corpus_test.go) reruns the pop-floor campaign below on every full
+# `go test ./...` and fails on any such diff, so it names the drift before
+# this script is needed.
 #
 # The corpus has been regenerated exactly once, when the runtime gained
 # self-healing index re-densification: round events grew a "heals" field
