@@ -38,7 +38,7 @@ func TestCyclonRoundAllocationFree(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			eng := sim.New(1)
 			eng.SetWorkers(workers)
-			rps := peersampling.New(peersampling.Options{})
+			rps := peersampling.New()
 			eng.Register(rps)
 			for _, slot := range eng.AddNodes(1000) {
 				eng.InitNode(slot)

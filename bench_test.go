@@ -21,13 +21,13 @@ import (
 // benchOpts returns harness options sized for benchmarking. Parallelism
 // is left at its default (GOMAXPROCS), matching how sosbench runs.
 func benchOpts(seed int64) eval.Options {
-	return eval.Options{Runs: 1, Seed: seed, MaxRounds: 120}
+	return eval.Options{Runs: 1, Seed: seed}
 }
 
 // cmpOpts returns options for the sequential-vs-parallel benchmark pairs:
 // enough repetitions per point that the grid has real width to fan out.
 func cmpOpts(seed int64, parallelism int) eval.Options {
-	return eval.Options{Runs: 4, Seed: seed, MaxRounds: 120, Parallelism: parallelism}
+	return eval.Options{Runs: 4, Seed: seed, Parallelism: parallelism}
 }
 
 // BenchmarkFig2Sequential / BenchmarkFig2Parallel regenerate Figure 2's

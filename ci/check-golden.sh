@@ -7,9 +7,12 @@ set -euo pipefail
 . "$(dirname "$0")/need-multicore.sh"
 
 GOLDEN=testdata/golden/playdemo.events.jsonl
+SOS=/tmp/sos-golden
 
-go run ./cmd/sos play -events jsonl -seed 1 testdata/playdemo.sos > /tmp/events.jsonl
+go build -o "$SOS" ./cmd/sos
+
+"$SOS" play -events jsonl -seed 1 testdata/playdemo.sos > /tmp/events.jsonl
 test "$(wc -l < /tmp/events.jsonl)" -eq 150
 cmp /tmp/events.jsonl "$GOLDEN"
-go run ./cmd/sos play -events jsonl -seed 1 -workers 4 testdata/playdemo.sos > /tmp/events-w4.jsonl
+"$SOS" play -events jsonl -seed 1 -workers 4 testdata/playdemo.sos > /tmp/events-w4.jsonl
 cmp /tmp/events-w4.jsonl "$GOLDEN"

@@ -10,15 +10,18 @@ set -euo pipefail
 
 GOLDEN=testdata/golden/playdemo.events.jsonl
 CK_SHA256="$(cat testdata/golden/playdemo.r75.sosnap.sha256)"
+SOS=/tmp/sos-resume
+
+go build -o "$SOS" ./cmd/sos
 
 for w in 1 4; do
   echo "== workers=$w"
-  go run ./cmd/sos snapshot -rounds 75 -snap "/tmp/ck-w$w.sosnap" \
+  "$SOS" snapshot -rounds 75 -snap "/tmp/ck-w$w.sosnap" \
     -events jsonl -seed 1 -workers "$w" testdata/playdemo.sos > "/tmp/resume-head-w$w.jsonl"
   test "$(wc -l < "/tmp/resume-head-w$w.jsonl")" -eq 75
   got="$(sha256sum "/tmp/ck-w$w.sosnap" | cut -d' ' -f1)"
   test "$got" = "$CK_SHA256" || { echo "round-75 checkpoint sha256 $got, want $CK_SHA256" >&2; exit 1; }
-  go run ./cmd/sos resume -snap "/tmp/ck-w$w.sosnap" -rounds 150 \
+  "$SOS" resume -snap "/tmp/ck-w$w.sosnap" -rounds 150 \
     -events jsonl -seed 1 -workers "$w" testdata/playdemo.sos > "/tmp/resume-tail-w$w.jsonl"
   test "$(wc -l < "/tmp/resume-tail-w$w.jsonl")" -eq 75
   cat "/tmp/resume-head-w$w.jsonl" "/tmp/resume-tail-w$w.jsonl" \

@@ -116,7 +116,7 @@ func New(nodes, segments int, seed int64) (*System, error) {
 		ranker: monoRanker{segments: segments, segSize: segSize},
 		nodes:  nodes,
 	}
-	s.rps = peersampling.New(peersampling.Options{})
+	s.rps = peersampling.New()
 	s.eng.Register(s.rps)
 	s.overlay = vicinity.New("monolithic", s.ranker, s.rps, vicinity.Options{})
 	s.eng.Register(s.overlay)

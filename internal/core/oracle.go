@@ -79,7 +79,7 @@ func (m Metrics) AllConverged() bool {
 type Oracle struct {
 	sys *System
 
-	members [][]*sim.Node // compMembers scratch, reused per Measure
+	members [][]*sim.Node // Members scratch, reused per Measure
 	slots   []int         // alive-slot scratch
 	sorter  memberSorter
 
@@ -114,10 +114,12 @@ func (o *Oracle) targetEdges(c view.ComponentID, n int) [][2]int {
 	return el.edges
 }
 
-// compMembers returns the alive, current-epoch members of every component,
-// sorted by (Index, ID) — the dense-rank order shapes are defined over.
-// The returned slices are oracle-owned scratch, valid until the next call.
-func (o *Oracle) compMembers() [][]*sim.Node {
+// Members returns the alive, current-epoch members of every component,
+// indexed by component and sorted by (Index, ID) — the dense-rank order
+// shapes are defined over. The returned slices are oracle-owned scratch,
+// valid until the next call of Members, Measure, StuckComponents or
+// RealizedGraph.
+func (o *Oracle) Members() [][]*sim.Node {
 	s := o.sys
 	ncomps := s.alloc.Components()
 	if cap(o.members) < ncomps {
@@ -178,7 +180,7 @@ func (o *Oracle) Winner(members []*sim.Node, comp view.ComponentID, port int32) 
 
 // Measure computes the five accuracy fractions for the current round.
 func (o *Oracle) Measure() Metrics {
-	members := o.compMembers()
+	members := o.Members()
 	m := Metrics{Round: o.sys.eng.Round()}
 	m.Fraction[SubElementary] = o.elementary(members)
 	m.Fraction[SubUO1] = o.uo1(members)
@@ -193,25 +195,35 @@ func (o *Oracle) Measure() Metrics {
 // paper defines the realized system as "the union of these different
 // overlays", and for a component both layers connect its members.
 func (o *Oracle) elementary(members [][]*sim.Node) float64 {
-	s := o.sys
 	total, ok := 0, 0
 	for c, ms := range members {
-		if len(ms) < 2 {
-			continue
-		}
-		for _, e := range o.targetEdges(view.ComponentID(c), len(ms)) {
-			u, v := ms[e[0]], ms[e[1]]
-			total++
-			if s.core.View(u.Slot).Contains(v.ID) || s.core.View(v.Slot).Contains(u.ID) ||
-				s.uo1.View(u.Slot).Contains(v.ID) || s.uo1.View(v.Slot).Contains(u.ID) {
-				ok++
-			}
-		}
+		realized, edges := o.realized(view.ComponentID(c), ms)
+		ok += realized
+		total += edges
 	}
 	if total == 0 {
 		return 1
 	}
 	return float64(ok) / float64(total)
+}
+
+// realized counts the target shape edges of component c, whose members are
+// ms, and how many of them are realized: either endpoint holds the other
+// in its core or UO1 view.
+func (o *Oracle) realized(c view.ComponentID, ms []*sim.Node) (ok, total int) {
+	if len(ms) < 2 {
+		return 0, 0
+	}
+	s := o.sys
+	for _, e := range o.targetEdges(c, len(ms)) {
+		u, v := ms[e[0]], ms[e[1]]
+		total++
+		if s.core.View(u.Slot).Contains(v.ID) || s.core.View(v.Slot).Contains(u.ID) ||
+			s.uo1.View(u.Slot).Contains(v.ID) || s.uo1.View(v.Slot).Contains(u.ID) {
+			ok++
+		}
+	}
+	return ok, total
 }
 
 // uo1 is the fraction of nodes that have gathered a full same-component
@@ -337,24 +349,10 @@ func (o *Oracle) portConnect(members [][]*sim.Node) float64 {
 // tooling (the fuzz campaign's Reconverge violation detail) uses it to say
 // *which* component failed to re-form instead of just the global fraction.
 func (o *Oracle) StuckComponents() []string {
-	s := o.sys
-	members := o.compMembers()
 	var out []string
-	for c, ms := range members {
-		if len(ms) < 2 {
-			continue
-		}
-		realized := true
-		for _, e := range o.targetEdges(view.ComponentID(c), len(ms)) {
-			u, v := ms[e[0]], ms[e[1]]
-			if !s.core.View(u.Slot).Contains(v.ID) && !s.core.View(v.Slot).Contains(u.ID) &&
-				!s.uo1.View(u.Slot).Contains(v.ID) && !s.uo1.View(v.Slot).Contains(u.ID) {
-				realized = false
-				break
-			}
-		}
-		if !realized {
-			out = append(out, s.alloc.Topology().Components[c].Name)
+	for c, ms := range o.Members() {
+		if ok, total := o.realized(view.ComponentID(c), ms); ok < total {
+			out = append(out, o.sys.alloc.Topology().Components[c].Name)
 		}
 	}
 	return out
@@ -375,7 +373,7 @@ func (o *Oracle) RealizedGraph() *graph.Graph {
 			}
 		}
 	}
-	members := o.compMembers()
+	members := o.Members()
 	sides := s.alloc.Sides()
 	for si := 0; si+1 < len(sides); si += 2 {
 		a, b := sides[si], sides[si+1]

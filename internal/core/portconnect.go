@@ -31,7 +31,6 @@ type PortConnect struct {
 	ports *PortSelect
 	uo2   *UO2
 	rps   *peersampling.Protocol
-	ttl   int
 
 	// states holds the per-slot belief tables as dense struct-of-arrays
 	// state: headers in one contiguous slice, belief rows carved from a
@@ -56,9 +55,9 @@ var (
 // NewPortConnect creates the port-connection protocol. uo2 may be nil (the
 // ablation experiment disables it; resolution then falls back to the
 // peer-sampling service and gets much slower — which is the point of the
-// ablation). ttl bounds how long a remote manager belief is kept.
-func NewPortConnect(alloc *Allocator, ports *PortSelect, uo2 *UO2, rps *peersampling.Protocol, ttl int) *PortConnect {
-	return &PortConnect{alloc: alloc, ports: ports, uo2: uo2, rps: rps, ttl: ttl}
+// ablation). A remote manager belief is kept for portTTL rounds.
+func NewPortConnect(alloc *Allocator, ports *PortSelect, uo2 *UO2, rps *peersampling.Protocol) *PortConnect {
+	return &PortConnect{alloc: alloc, ports: ports, uo2: uo2, rps: rps}
 }
 
 // Name implements sim.Protocol.
@@ -175,7 +174,7 @@ func (p *PortConnect) Plan(ctx *sim.Ctx) {
 			continue
 		}
 		r := &st.remotes[pos]
-		if r.Valid() && now-r.Stamp > p.ttl {
+		if r.Valid() && now-r.Stamp > portTTL {
 			*r = invalidRecord()
 		}
 		p.resolve(ctx, slot, self, side, r)
@@ -213,7 +212,7 @@ func (p *PortConnect) resolve(ctx *sim.Ctx, slot int, self *sim.Node, side LinkS
 		return
 	}
 	answer := p.ports.Belief(target.Slot, side.RemotePort)
-	if !answer.Valid() || ctx.Round()-answer.Stamp > p.ttl {
+	if !answer.Valid() || ctx.Round()-answer.Stamp > portTTL {
 		return
 	}
 	ctx.Count(sim.PortRecordPayload(1))

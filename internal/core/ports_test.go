@@ -52,14 +52,14 @@ func TestBetterTotalOrder(t *testing.T) {
 }
 
 func TestMergeRecordsRules(t *testing.T) {
-	const now, ttl = 50, 20
+	const now = 50
 	better := PortRecord{Score: 1, ID: 10, Stamp: 45}
 	worse := PortRecord{Score: 9, ID: 20, Stamp: 49}
 	stale := PortRecord{Score: 0, ID: 30, Stamp: 10} // best score but expired
 
 	dst := []PortRecord{worse, invalidRecord(), better}
 	src := []PortRecord{better, stale, PortRecord{Score: 1, ID: 10, Stamp: 48}}
-	mergeRecords(dst, src, now, ttl)
+	mergeRecords(dst, src, now)
 
 	if dst[0] != better {
 		t.Fatalf("slot 0: better claim should win, got %v", dst[0])
@@ -75,7 +75,7 @@ func TestMergeRecordsRules(t *testing.T) {
 func TestMergeRecordsLengthMismatch(t *testing.T) {
 	dst := []PortRecord{invalidRecord(), invalidRecord()}
 	src := []PortRecord{{Score: 1, ID: 1, Stamp: 1}}
-	mergeRecords(dst, src, 1, 20) // must not panic
+	mergeRecords(dst, src, 1) // must not panic
 	if !dst[0].Valid() || dst[1].Valid() {
 		t.Fatalf("mismatched merge: %v", dst)
 	}
@@ -110,10 +110,10 @@ func TestBeliefOutOfRange(t *testing.T) {
 	if _, err := s.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Ports().Belief(0, 99); got.Valid() {
+	if got := s.ports.Belief(0, 99); got.Valid() {
 		t.Fatalf("out-of-range port should be invalid, got %v", got)
 	}
-	if got := s.Conns().Remote(0, 99); got.Valid() {
+	if got := s.conns.Remote(0, 99); got.Valid() {
 		t.Fatalf("out-of-range side should be invalid, got %v", got)
 	}
 }
@@ -132,7 +132,7 @@ func TestPortSelectConvergesToOracleWinner(t *testing.T) {
 	}
 	// The elected manager is deterministic: lowest election score of the
 	// alive membership, independent of gossip order.
-	members := s.Oracle().compMembers()
+	members := s.Oracle().Members()
 	for c, ms := range members {
 		for port := int32(0); port < 2; port++ {
 			w1, _ := s.Oracle().Winner(ms, view.ComponentID(c), port)

@@ -56,7 +56,6 @@ type PortSelect struct {
 	alloc *Allocator
 	uo1   *vicinity.Protocol
 	core  *vicinity.Protocol
-	ttl   int
 
 	// states holds the per-slot election state as dense struct-of-arrays
 	// state: headers in one contiguous slice, record rows carved from the
@@ -83,10 +82,16 @@ var (
 	_ sim.Snapshotter = (*PortSelect)(nil)
 )
 
-// NewPortSelect creates the port-selection protocol. ttl bounds manager
-// failover latency in rounds.
-func NewPortSelect(alloc *Allocator, uo1, core *vicinity.Protocol, ttl int) *PortSelect {
-	return &PortSelect{alloc: alloc, uo1: uo1, core: core, ttl: ttl}
+// portTTL bounds port-manager failover latency in rounds: a port record, or
+// a remote manager belief, whose stamp is older than this is dropped. It
+// must comfortably exceed the gossip staleness tail (a record's stamp is
+// only as fresh as the exchange chain that delivered it), or live managers
+// flicker out between refreshes.
+const portTTL = 20
+
+// NewPortSelect creates the port-selection protocol.
+func NewPortSelect(alloc *Allocator, uo1, core *vicinity.Protocol) *PortSelect {
+	return &PortSelect{alloc: alloc, uo1: uo1, core: core}
 }
 
 // Name implements sim.Protocol.
@@ -224,7 +229,7 @@ func (p *PortSelect) Refresh(ctx *sim.Ctx) {
 	now := ctx.Round()
 	for i := range st.records {
 		r := &st.records[i]
-		if r.Valid() && now-r.Stamp > p.ttl {
+		if r.Valid() && now-r.Stamp > portTTL {
 			*r = invalidRecord()
 		}
 		mine := PortRecord{
@@ -287,10 +292,10 @@ func (p *PortSelect) Absorb(ctx *sim.Ctx) {
 	st := &p.states[ctx.Slot()]
 	now := ctx.Round()
 	if target := ctx.Target(); target >= 0 {
-		mergeRecords(st.records, p.published[target], now, p.ttl)
+		mergeRecords(st.records, p.published[target], now)
 	}
 	for sender := ctx.FirstSender(); sender >= 0; sender = ctx.NextSender(sender) {
-		mergeRecords(st.records, p.published[sender], now, p.ttl)
+		mergeRecords(st.records, p.published[sender], now)
 	}
 }
 
@@ -298,9 +303,9 @@ func (p *PortSelect) Absorb(ctx *sim.Ctx) {
 // the freshest stamp. Records that are already expired are never adopted —
 // otherwise an obsolete claim can keep circulating as a wave, each holder
 // expiring it locally while re-infecting peers that already had.
-func mergeRecords(dst, src []PortRecord, now, ttl int) {
+func mergeRecords(dst, src []PortRecord, now int) {
 	for i := range dst {
-		if i >= len(src) || !src[i].Valid() || now-src[i].Stamp > ttl {
+		if i >= len(src) || !src[i].Valid() || now-src[i].Stamp > portTTL {
 			continue
 		}
 		switch {

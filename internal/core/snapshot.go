@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"sosf/internal/peersampling"
 	"sosf/internal/snap"
 	"sosf/internal/spec"
 )
@@ -22,27 +21,19 @@ const systemSnapKind = "system2"
 // them against the restoring system's configuration: resuming under
 // different knobs would silently diverge from the uninterrupted run.
 type snapConfig struct {
-	RPS           peersampling.Options `json:"rps"`
-	UO1Capacity   int                  `json:"uo1_capacity"`
-	OverlayGossip int                  `json:"overlay_gossip"`
-	OverlayMaxAge int                  `json:"overlay_max_age"`
-	UO2MaxAge     int                  `json:"uo2_max_age"`
-	PortTTL       int                  `json:"port_ttl"`
-	DisableUO2    bool                 `json:"disable_uo2"`
-	PureGreedy    bool                 `json:"pure_greedy"`
-	NoHeal        bool                 `json:"no_heal"`
-	Nodes         int                  `json:"nodes"`
-	Seed          int64                `json:"seed"`
+	UO1Capacity   int   `json:"uo1_capacity"`
+	OverlayGossip int   `json:"overlay_gossip"`
+	DisableUO2    bool  `json:"disable_uo2"`
+	PureGreedy    bool  `json:"pure_greedy"`
+	NoHeal        bool  `json:"no_heal"`
+	Nodes         int   `json:"nodes"`
+	Seed          int64 `json:"seed"`
 }
 
 func snapConfigOf(cfg Config) snapConfig {
 	return snapConfig{
-		RPS:           cfg.RPS,
 		UO1Capacity:   cfg.UO1Capacity,
 		OverlayGossip: cfg.OverlayGossip,
-		OverlayMaxAge: cfg.OverlayMaxAge,
-		UO2MaxAge:     cfg.UO2MaxAge,
-		PortTTL:       cfg.PortTTL,
 		DisableUO2:    cfg.DisableUO2,
 		PureGreedy:    cfg.PureGreedy,
 		NoHeal:        cfg.DisableHealing,

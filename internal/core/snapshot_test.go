@@ -158,7 +158,8 @@ func TestSystemSnapshotAfterReconfigure(t *testing.T) {
 }
 
 // TestRestoreRejectsMismatchedKnobs: resuming under different protocol
-// parameters would silently diverge, so it must be refused.
+// parameters would silently diverge, so every knob the snapshot's
+// configuration section compares must refuse the restore on its own.
 func TestRestoreRejectsMismatchedKnobs(t *testing.T) {
 	ref := snapSystem(t, 1, 1)
 	if _, err := ref.Run(3); err != nil {
@@ -169,19 +170,29 @@ func TestRestoreRejectsMismatchedKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other, err := NewSystem(Config{
-		Topology:    snapTopo(),
-		Nodes:       80,
-		Seed:        1,
-		UO1Capacity: 12, // differs from the snapshot's default 8
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Restore(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("restore under different UO1Capacity succeeded")
-	} else if !strings.Contains(err.Error(), "configuration") {
-		t.Fatalf("err = %v, want configuration mismatch", err)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"UO1Capacity", func(c *Config) { c.UO1Capacity = 12 }},    // default 8
+		{"OverlayGossip", func(c *Config) { c.OverlayGossip = 7 }}, // default 5
+		{"DisableUO2", func(c *Config) { c.DisableUO2 = true }},
+		{"PureGreedy", func(c *Config) { c.PureGreedy = true }},
+		{"DisableHealing", func(c *Config) { c.DisableHealing = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Topology: snapTopo(), Nodes: 80, Seed: 1}
+			tc.set(&cfg)
+			other, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := other.Restore(bytes.NewReader(buf.Bytes())); err == nil {
+				t.Fatalf("restore under a different %s succeeded", tc.name)
+			} else if !strings.Contains(err.Error(), "configuration") {
+				t.Fatalf("err = %v, want configuration mismatch", err)
+			}
+		})
 	}
 }
 

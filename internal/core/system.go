@@ -27,26 +27,11 @@ type Config struct {
 	// how fast a round executes.
 	Workers int
 
-	// RPS configures the peer-sampling layer.
-	RPS peersampling.Options
 	// UO1Capacity is the same-component view size (default 8).
 	UO1Capacity int
 	// OverlayGossip is the per-exchange descriptor budget of the Vicinity
 	// instances (default 5).
 	OverlayGossip int
-	// OverlayMaxAge bounds descriptor staleness in overlay views. The
-	// default is 30: large enough that entries of dense shapes (whose
-	// refresh gaps stretch with component size) do not flicker out, small
-	// enough that dead nodes — which additionally accumulate
-	// failed-contact penalties — purge quickly.
-	OverlayMaxAge int
-	// UO2MaxAge bounds staleness of distant-component contacts
-	// (default 20 rounds).
-	UO2MaxAge int
-	// PortTTL bounds port-manager failover latency. It must comfortably
-	// exceed the gossip staleness tail (a record's stamp is only as fresh
-	// as the exchange chain that delivered it), so the default is 20.
-	PortTTL int
 	// LossRate is the probability that any exchange is lost in transit.
 	LossRate float64
 
@@ -72,17 +57,15 @@ func (c Config) withDefaults() Config {
 	if c.OverlayGossip <= 0 {
 		c.OverlayGossip = 5
 	}
-	if c.OverlayMaxAge <= 0 {
-		c.OverlayMaxAge = 30
-	}
-	if c.UO2MaxAge <= 0 {
-		c.UO2MaxAge = 20
-	}
-	if c.PortTTL <= 0 {
-		c.PortTTL = 20
-	}
 	return c
 }
+
+// overlayMaxAge bounds descriptor staleness in the UO1 and core overlay
+// views: large enough that entries of dense shapes (whose refresh gaps
+// stretch with component size) do not flicker out, small enough that dead
+// nodes — which additionally accumulate failed-contact penalties — purge
+// quickly.
+const overlayMaxAge = 30
 
 // System wires the full runtime stack of the paper's Figure 1 into a
 // simulation engine: peer sampling at the bottom, then UO1 and UO2, the
@@ -140,19 +123,19 @@ func NewSystem(cfg Config) (*System, error) {
 
 	overlayOpts := vicinity.Options{
 		Gossip:       cfg.OverlayGossip,
-		MaxAge:       cfg.OverlayMaxAge,
+		MaxAge:       overlayMaxAge,
 		NoRandomFeed: cfg.PureGreedy,
 	}
-	s.rps = peersampling.New(cfg.RPS)
+	s.rps = peersampling.New()
 	s.uo1 = vicinity.New("uo1", uo1Ranker{alloc: alloc, capacity: cfg.UO1Capacity}, s.rps, overlayOpts)
 	if !cfg.DisableUO2 {
-		s.uo2 = NewUO2(alloc, s.rps, cfg.UO2MaxAge)
+		s.uo2 = NewUO2(alloc, s.rps)
 	}
 	// The core protocol feeds off UO1: same-component candidates flow in
 	// for free, which is exactly why the runtime builds UO1 at all.
 	s.core = vicinity.New("core", coreRanker{alloc: alloc}, s.rps, overlayOpts, s.uo1)
-	s.ports = NewPortSelect(alloc, s.uo1, s.core, cfg.PortTTL)
-	s.conns = NewPortConnect(alloc, s.ports, s.uo2, s.rps, cfg.PortTTL)
+	s.ports = NewPortSelect(alloc, s.uo1, s.core)
+	s.conns = NewPortConnect(alloc, s.ports, s.uo2, s.rps)
 
 	baseline := []sim.Protocol{s.rps, s.core}
 	overhead := []sim.Protocol{s.uo1, s.ports, s.conns}
@@ -200,18 +183,6 @@ func (s *System) Oracle() *Oracle { return s.oracle }
 
 // RPS exposes the peer-sampling layer.
 func (s *System) RPS() *peersampling.Protocol { return s.rps }
-
-// UO2 exposes the distant-component overlay (nil when disabled).
-func (s *System) UO2() *UO2 { return s.uo2 }
-
-// Ports exposes the port-selection protocol.
-func (s *System) Ports() *PortSelect { return s.ports }
-
-// Conns exposes the port-connection protocol.
-func (s *System) Conns() *PortConnect { return s.conns }
-
-// Config returns the effective (defaulted) configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // Run executes up to maxRounds rounds (stopping early if an observer asks).
 func (s *System) Run(maxRounds int) (int, error) { return s.eng.Run(maxRounds) }

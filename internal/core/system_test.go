@@ -129,7 +129,7 @@ func TestPortManagersAgree(t *testing.T) {
 	if _, err := s.Run(80); err != nil {
 		t.Fatal(err)
 	}
-	members := s.Oracle().compMembers()
+	members := s.Oracle().Members()
 	for c, ms := range members {
 		comp := view.ComponentID(c)
 		for port := int32(0); port < s.Allocator().Ports(comp); port++ {
@@ -138,7 +138,7 @@ func TestPortManagersAgree(t *testing.T) {
 				t.Fatalf("component %d has no members", c)
 			}
 			for _, n := range ms {
-				if got := s.Ports().Belief(n.Slot, port).ID; got != winner.ID {
+				if got := s.ports.Belief(n.Slot, port).ID; got != winner.ID {
 					t.Fatalf("comp %d port %d: node %d believes %d, winner %d",
 						c, port, n.ID, got, winner.ID)
 				}
@@ -154,13 +154,13 @@ func TestManagerFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill the manager of component 0, port 0.
-	members := s.Oracle().compMembers()
+	members := s.Oracle().Members()
 	mgr, _ := s.Oracle().Winner(members[0], 0, 0)
 	s.Engine().Kill(mgr.Slot)
 	s.Allocator().NoteLeave(mgr)
 
 	tr2 := NewTracker(s, false)
-	if _, err := s.Run(3 * s.Config().PortTTL); err != nil {
+	if _, err := s.Run(3 * portTTL); err != nil {
 		t.Fatal(err)
 	}
 	final := tr2.Last
@@ -172,7 +172,7 @@ func TestManagerFailover(t *testing.T) {
 		t.Fatalf("links did not re-establish after manager death: %f",
 			final.Fraction[SubPortConnect])
 	}
-	newMembers := s.Oracle().compMembers()
+	newMembers := s.Oracle().Members()
 	newMgr, _ := s.Oracle().Winner(newMembers[0], 0, 0)
 	if newMgr.ID == mgr.ID {
 		t.Fatal("oracle winner should change after manager death")
@@ -315,7 +315,7 @@ func TestDisableUO2Ablation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.UO2() != nil {
+	if s.uo2 != nil {
 		t.Fatal("UO2 should be nil when disabled")
 	}
 	tr := NewTracker(s, true)

@@ -26,9 +26,8 @@ import (
 // points of a round can ping-pong forever without growing, keeping dead
 // contacts immortal; a birth round is monotone.
 type UO2 struct {
-	alloc  *Allocator
-	rps    *peersampling.Protocol
-	maxAge int
+	alloc *Allocator
+	rps   *peersampling.Protocol
 	// states holds the per-slot contact tables as dense struct-of-arrays
 	// state: headers in one contiguous slice, entry rows carved from a
 	// shared arena.
@@ -97,10 +96,13 @@ var (
 	_ sim.Snapshotter = (*UO2)(nil)
 )
 
-// NewUO2 creates the distant-component overlay. maxAge bounds how long a
-// dead contact can linger.
-func NewUO2(alloc *Allocator, rps *peersampling.Protocol, maxAge int) *UO2 {
-	return &UO2{alloc: alloc, rps: rps, maxAge: maxAge}
+// uo2MaxAge bounds, in rounds, how long a distant-component contact that is
+// not refreshed (a dead one) can linger in a table.
+const uo2MaxAge = 20
+
+// NewUO2 creates the distant-component overlay.
+func NewUO2(alloc *Allocator, rps *peersampling.Protocol) *UO2 {
+	return &UO2{alloc: alloc, rps: rps}
 }
 
 // Name implements sim.Protocol.
@@ -165,19 +167,6 @@ func (u *UO2) RestoreSlot(r *snap.Reader, slot int) error {
 		st.entries = append(st.entries, row)
 	}
 	return nil
-}
-
-// Contacts returns the node's current foreign-component contact table as a
-// deterministic (component-sorted) slice.
-func (u *UO2) Contacts(slot int) []view.Descriptor {
-	t := &u.states[slot]
-	out := make([]view.Descriptor, 0, t.count)
-	for ci := range t.entries {
-		if t.entries[ci].valid() {
-			out = append(out, t.entries[ci].d)
-		}
-	}
-	return out
 }
 
 // Contact returns the node's contact inside the given component, if any.
@@ -256,7 +245,7 @@ func (u *UO2) Absorb(ctx *sim.Ctx) {
 		// survive (a fresher descriptor restores them).
 		if c := pl.partner.Profile.Comp; c >= 0 && int(c) < len(t.entries) {
 			if entry := &t.entries[c]; entry.valid() && entry.d.ID == pl.partner.ID {
-				entry.born -= u.maxAge/4 + 1
+				entry.born -= uo2MaxAge/4 + 1
 			}
 		}
 	}
@@ -281,7 +270,7 @@ func (u *UO2) prune(self *sim.Node, t *uo2State, now int) {
 			continue
 		}
 		c := view.ComponentID(ci)
-		if now-entry.born > u.maxAge || entry.d.Profile.Epoch != epoch ||
+		if now-entry.born > uo2MaxAge || entry.d.Profile.Epoch != epoch ||
 			entry.d.Profile.Comp != c || int(c) >= u.alloc.Components() ||
 			c == self.Profile.Comp {
 			*entry = emptyEntry
@@ -297,7 +286,7 @@ func (u *UO2) offer(self *sim.Node, t *uo2State, d view.Descriptor, now int) {
 	born := now - int(d.Age)
 	if d.ID == self.ID || d.ID == view.InvalidNode || d.Profile.Comp == self.Profile.Comp ||
 		d.Profile.Comp < 0 || int(d.Profile.Comp) >= u.alloc.Components() ||
-		d.Profile.Epoch != u.alloc.Epoch() || now-born > u.maxAge {
+		d.Profile.Epoch != u.alloc.Epoch() || now-born > uo2MaxAge {
 		return
 	}
 	t.ensure(int(d.Profile.Comp) + 1)

@@ -24,7 +24,7 @@ func TestUO2EntrySizeof(t *testing.T) {
 // valid whose descriptor carries view.InvalidNode: the table marks empty
 // rows with that ID, so such a row would be counted yet read as empty.
 func TestUO2RestoreRejectsContactWithoutNode(t *testing.T) {
-	_, _, u := buildUO2(t, 1, 2, 2, 20)
+	_, _, u := buildUO2(t, 1, 2, 2)
 	var buf bytes.Buffer
 	w := snap.NewWriter(&buf)
 	w.Len(1)
@@ -38,16 +38,16 @@ func TestUO2RestoreRejectsContactWithoutNode(t *testing.T) {
 
 // buildUO2 wires an engine with peer sampling + UO2 only, over an
 // allocator with k ring components.
-func buildUO2(t *testing.T, seed int64, nodes, comps, maxAge int) (*sim.Engine, *Allocator, *UO2) {
+func buildUO2(t *testing.T, seed int64, nodes, comps int) (*sim.Engine, *Allocator, *UO2) {
 	t.Helper()
 	alloc, err := NewAllocator(ringsTopo(comps))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := sim.New(seed)
-	rps := peersampling.New(peersampling.Options{})
+	rps := peersampling.New()
 	e.Register(rps)
-	u := NewUO2(alloc, rps, maxAge)
+	u := NewUO2(alloc, rps)
 	e.Register(u)
 	slots := e.AddNodes(nodes)
 	for _, s := range slots {
@@ -61,7 +61,7 @@ func buildUO2(t *testing.T, seed int64, nodes, comps, maxAge int) (*sim.Engine, 
 }
 
 func TestUO2FullCoverage(t *testing.T) {
-	e, _, u := buildUO2(t, 1, 300, 6, 20)
+	e, _, u := buildUO2(t, 1, 300, 6)
 	if _, err := e.Run(15); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,11 @@ func TestUO2FullCoverage(t *testing.T) {
 		// Every contact must actually belong to the component it is
 		// filed under, and never to the node's own component.
 		self := e.Node(slot)
-		for _, d := range u.Contacts(slot) {
+		for _, row := range u.states[slot].entries {
+			if !row.valid() {
+				continue
+			}
+			d := row.d
 			if d.Profile.Comp == self.Profile.Comp {
 				t.Fatalf("slot %d keeps a same-component contact", slot)
 			}
@@ -84,7 +88,7 @@ func TestUO2FullCoverage(t *testing.T) {
 }
 
 func TestUO2ContactLookup(t *testing.T) {
-	e, _, u := buildUO2(t, 2, 200, 4, 20)
+	e, _, u := buildUO2(t, 2, 200, 4)
 	if _, err := e.Run(15); err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +112,18 @@ func TestUO2ContactLookup(t *testing.T) {
 }
 
 func TestUO2DeadContactsExpire(t *testing.T) {
-	e, _, u := buildUO2(t, 3, 200, 4, 10)
+	e, _, u := buildUO2(t, 3, 200, 4)
 	if _, err := e.Run(15); err != nil {
 		t.Fatal(err)
 	}
 	// Kill every member of component 0; all contacts into it must decay
-	// within maxAge (+ a small spread margin).
+	// within uo2MaxAge (+ a small spread margin).
 	for _, slot := range e.AliveSlots() {
 		if e.Node(slot).Profile.Comp == 0 {
 			e.Kill(slot)
 		}
 	}
-	if _, err := e.Run(25); err != nil {
+	if _, err := e.Run(uo2MaxAge + 15); err != nil {
 		t.Fatal(err)
 	}
 	for _, slot := range e.AliveSlots() {
@@ -130,7 +134,7 @@ func TestUO2DeadContactsExpire(t *testing.T) {
 }
 
 func TestUO2StaleEpochPurged(t *testing.T) {
-	e, alloc, u := buildUO2(t, 4, 200, 4, 20)
+	e, alloc, u := buildUO2(t, 4, 200, 4)
 	if _, err := e.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +146,8 @@ func TestUO2StaleEpochPurged(t *testing.T) {
 	}
 	epoch := alloc.Epoch()
 	for _, slot := range e.AliveSlots() {
-		for _, d := range u.Contacts(slot) {
-			if d.Profile.Epoch != epoch {
+		for _, row := range u.states[slot].entries {
+			if d := row.d; row.valid() && d.Profile.Epoch != epoch {
 				t.Fatalf("slot %d keeps epoch-%d contact after reconfiguration", slot, d.Profile.Epoch)
 			}
 		}
@@ -161,7 +165,7 @@ func TestUO2StaleEpochPurged(t *testing.T) {
 }
 
 func TestUO2BandwidthMetered(t *testing.T) {
-	e, _, _ := buildUO2(t, 5, 100, 3, 20)
+	e, _, _ := buildUO2(t, 5, 100, 3)
 	if _, err := e.Run(5); err != nil {
 		t.Fatal(err)
 	}

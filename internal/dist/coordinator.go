@@ -138,9 +138,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // System returns the coordinator's replica (for reports and snapshots).
 func (c *Coordinator) System() *sosf.System { return c.sys }
 
-// TotalRounds returns the resolved absolute target round of the run.
-func (c *Coordinator) TotalRounds() int { return c.hello.TotalRounds }
-
 // Run drives the whole run over the given worker connections, one per
 // shard: handshake, round loop with one exchange per sharded protocol per
 // round, and the final SnapPath checkpoint. On any error the remaining

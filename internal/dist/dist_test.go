@@ -65,7 +65,7 @@ func serialReference(t *testing.T, cfg Config) (stream, snapshot []byte) {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	sys := c.System()
-	if _, err := sys.Step(c.TotalRounds() - sys.Round()); err != nil {
+	if _, err := sys.Step(c.hello.TotalRounds - sys.Round()); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
 	return buf.Bytes(), snapshotOf(t, sys)

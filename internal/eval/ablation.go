@@ -30,11 +30,11 @@ func AblationUO2(o Options) (*Figure, error) {
 		pi, variant := p/2, p%2
 		cfg := o.config(topos[pi], nodes, seedFor(o.Seed, 800+pi, run))
 		cfg.DisableUO2 = variant == 1
-		res, err := RunOnce(cfg, o.MaxRounds, true)
+		res, err := RunOnce(cfg, roundCap, true)
 		if err != nil {
 			return 0, fmt.Errorf("ablation-uo2 comps=%d: %w", compSweep[pi], err)
 		}
-		return convergedOrCap(res, core.SubPortConnect, o.MaxRounds), nil
+		return convergedOrCap(res, core.SubPortConnect, roundCap), nil
 	})
 	if err != nil {
 		return nil, err
@@ -58,7 +58,7 @@ func AblationUO2(o Options) (*Figure, error) {
 		Series: []*metrics.Series{with, without},
 		Notes: []string{
 			describeScale(o, "%d nodes; ring-of-rings", nodes),
-			fmt.Sprintf("runs that never converge are capped at %d rounds", o.MaxRounds),
+			fmt.Sprintf("runs that never converge are capped at %d rounds", roundCap),
 		},
 	}, nil
 }
@@ -79,11 +79,11 @@ func AblationRandomness(o Options) (*Figure, error) {
 		pi, variant := p/2, p%2
 		cfg := o.config(topo, nodesSweep[pi], seedFor(o.Seed, 900+pi, run))
 		cfg.PureGreedy = variant == 1
-		res, err := RunOnce(cfg, o.MaxRounds, true)
+		res, err := RunOnce(cfg, roundCap, true)
 		if err != nil {
 			return 0, fmt.Errorf("ablation-randomness n=%d: %w", nodesSweep[pi], err)
 		}
-		return convergedOrCap(res, core.SubElementary, o.MaxRounds), nil
+		return convergedOrCap(res, core.SubElementary, roundCap), nil
 	})
 	if err != nil {
 		return nil, err
@@ -108,7 +108,7 @@ func AblationRandomness(o Options) (*Figure, error) {
 		Series: []*metrics.Series{randomized, greedy},
 		Notes: []string{
 			describeScale(o, "ring-of-rings, %d components", comps),
-			fmt.Sprintf("runs that never converge are capped at %d rounds", o.MaxRounds),
+			fmt.Sprintf("runs that never converge are capped at %d rounds", roundCap),
 		},
 	}, nil
 }
@@ -128,7 +128,7 @@ func AblationGossip(o Options) (*Figure, error) {
 	grid, err := runGrid(o, len(sweep), func(pi, run int) (*RunResult, error) {
 		cfg := o.config(topo, nodes, seedFor(o.Seed, 1000+pi, run))
 		cfg.OverlayGossip = sweep[pi]
-		res, err := RunOnce(cfg, o.MaxRounds, true)
+		res, err := RunOnce(cfg, roundCap, true)
 		if err != nil {
 			return nil, fmt.Errorf("ablation-gossip g=%d: %w", sweep[pi], err)
 		}
@@ -142,7 +142,7 @@ func AblationGossip(o Options) (*Figure, error) {
 	for pi, g := range sweep {
 		var accR, accB metrics.Accumulator
 		for _, res := range grid[pi] {
-			accR.Add(convergedOrCap(res, core.SubElementary, o.MaxRounds))
+			accR.Add(convergedOrCap(res, core.SubElementary, roundCap))
 			var sum float64
 			for r := range res.BaselinePerNode {
 				sum += res.BaselinePerNode[r] + res.OverheadPerNode[r]
@@ -179,7 +179,7 @@ func AblationViewSize(o Options) (*Figure, error) {
 	grid, err := runGrid(o, len(sweep), func(pi, run int) (*RunResult, error) {
 		cfg := o.config(topo, nodes, seedFor(o.Seed, 1100+pi, run))
 		cfg.UO1Capacity = sweep[pi]
-		res, err := RunOnce(cfg, o.MaxRounds, true)
+		res, err := RunOnce(cfg, roundCap, true)
 		if err != nil {
 			return nil, fmt.Errorf("ablation-viewsize k=%d: %w", sweep[pi], err)
 		}
@@ -193,8 +193,8 @@ func AblationViewSize(o Options) (*Figure, error) {
 	for pi, k := range sweep {
 		var accE, accP metrics.Accumulator
 		for _, res := range grid[pi] {
-			accE.Add(convergedOrCap(res, core.SubElementary, o.MaxRounds))
-			accP.Add(convergedOrCap(res, core.SubPortSelect, o.MaxRounds))
+			accE.Add(convergedOrCap(res, core.SubElementary, roundCap))
+			accP.Add(convergedOrCap(res, core.SubPortSelect, roundCap))
 		}
 		elem.Append(float64(k), metrics.Summarize(&accE))
 		ports.Append(float64(k), metrics.Summarize(&accP))

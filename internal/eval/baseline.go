@@ -40,7 +40,7 @@ func Baseline(o Options) (*Result, error) {
 			return out, fmt.Errorf("baseline composed run=%d: %w", run, err)
 		}
 		tracker := core.NewTracker(sys, true)
-		executed, err := sys.Run(o.MaxRounds)
+		executed, err := sys.Run(roundCap)
 		if err != nil {
 			return out, err
 		}
@@ -69,7 +69,7 @@ func Baseline(o Options) (*Result, error) {
 		if o.RoundWorkers != 0 {
 			mono.Engine().SetWorkers(o.RoundWorkers)
 		}
-		rounds, err := mono.RoundsToConverge(o.MaxRounds)
+		rounds, err := mono.RoundsToConverge(roundCap)
 		if err != nil {
 			return out, err
 		}

@@ -11,7 +11,7 @@ import (
 
 // fast returns harness options sized for unit tests.
 func fast() Options {
-	return Options{Runs: 1, Seed: 42, MaxRounds: 120}
+	return Options{Runs: 1, Seed: 42}
 }
 
 func TestCanonicalTopologiesCompile(t *testing.T) {
@@ -107,7 +107,7 @@ func TestFig2Small(t *testing.T) {
 	// with node count — 32x more nodes must cost far less than 32x the
 	// rounds, and the largest size must still converge.
 	first, last := elem.Points[0].Mean, elem.Points[elem.Len()-1].Mean
-	if last >= float64(fast().MaxRounds) {
+	if last >= float64(roundCap) {
 		t.Fatalf("largest size did not converge: %f", last)
 	}
 	if last > first*6 {

@@ -34,7 +34,7 @@ func Gallery(o Options) (*Result, error) {
 			return galleryRun{}, fmt.Errorf("gallery %s: %w", entries[gi].Name, err)
 		}
 		tracker := core.NewTracker(sys, true)
-		executed, err := sys.Run(o.MaxRounds)
+		executed, err := sys.Run(roundCap)
 		if err != nil {
 			return galleryRun{}, fmt.Errorf("gallery %s: %w", entries[gi].Name, err)
 		}
@@ -133,7 +133,7 @@ func Reconfig(o Options) (*Result, error) {
 		nodes = 4800
 	}
 	const switchRound = 40
-	phase2 := o.MaxRounds
+	phase2 := roundCap
 
 	before := MustTopology(RingOfRingsDSL(3))
 	after := MustTopology(RingOfRingsDSL(4))
@@ -337,15 +337,15 @@ func Catastrophe(o Options) (*Result, error) {
 			return catastropheRun{}, fmt.Errorf("catastrophe f=%f run=%d: %w", f, run, err)
 		}
 		tracker := core.NewTracker(sys, true)
-		if _, err := sys.Run(o.MaxRounds); err != nil {
+		if _, err := sys.Run(roundCap); err != nil {
 			return catastropheRun{}, err
 		}
 		sys.Kill(f)
 		out := catastropheRun{
 			after: sys.Oracle().Measure().Fraction[core.SubElementary],
 		}
-		recovered := o.MaxRounds
-		for r := 0; r < o.MaxRounds; r++ {
+		recovered := roundCap
+		for r := 0; r < roundCap; r++ {
 			if _, err := sys.Run(1); err != nil {
 				return catastropheRun{}, err
 			}

@@ -21,7 +21,7 @@ func Fig2(o Options) (*Figure, error) {
 	topo := MustTopology(RingOfRingsDSL(components))
 
 	grid, err := runGrid(o, len(nodesSweep), func(pi, run int) (*RunResult, error) {
-		res, err := RunOnce(o.config(topo, nodesSweep[pi], seedFor(o.Seed, pi, run)), o.MaxRounds, true)
+		res, err := RunOnce(o.config(topo, nodesSweep[pi], seedFor(o.Seed, pi, run)), roundCap, true)
 		if err != nil {
 			return nil, fmt.Errorf("fig2 n=%d run=%d: %w", nodesSweep[pi], run, err)
 		}
@@ -35,7 +35,7 @@ func Fig2(o Options) (*Figure, error) {
 		var accs [core.NumSubs]metrics.Accumulator
 		for _, res := range grid[pi] {
 			for _, sub := range core.Subs() {
-				accs[sub].Add(convergedOrCap(res, sub, o.MaxRounds))
+				accs[sub].Add(convergedOrCap(res, sub, roundCap))
 			}
 		}
 		for _, sub := range core.Subs() {
@@ -72,7 +72,7 @@ func Fig3(o Options) (*Figure, error) {
 		topos[pi] = MustTopology(RingOfRingsDSL(comps))
 	}
 	grid, err := runGrid(o, len(compSweep), func(pi, run int) (*RunResult, error) {
-		res, err := RunOnce(o.config(topos[pi], nodes, seedFor(o.Seed, 100+pi, run)), o.MaxRounds, true)
+		res, err := RunOnce(o.config(topos[pi], nodes, seedFor(o.Seed, 100+pi, run)), roundCap, true)
 		if err != nil {
 			return nil, fmt.Errorf("fig3 comps=%d run=%d: %w", compSweep[pi], run, err)
 		}
@@ -86,7 +86,7 @@ func Fig3(o Options) (*Figure, error) {
 		var accs [core.NumSubs]metrics.Accumulator
 		for _, res := range grid[pi] {
 			for _, sub := range core.Subs() {
-				accs[sub].Add(convergedOrCap(res, sub, o.MaxRounds))
+				accs[sub].Add(convergedOrCap(res, sub, roundCap))
 			}
 		}
 		for _, sub := range core.Subs() {

@@ -46,9 +46,9 @@ func TestParallelFiguresDeterministic(t *testing.T) {
 		// schedule out of order without the test crawling: curves cells
 		// are cheap (3 runs), fig4 cells are uniform (2 runs), churn
 		// fans across its 5 rate points even with 1 run each.
-		{"curves", Curves, Options{Runs: 3, Seed: 42, MaxRounds: 120}},
-		{"fig4", Fig4, Options{Runs: 2, Seed: 42, MaxRounds: 120}},
-		{"churn", Churn, Options{Runs: 1, Seed: 42, MaxRounds: 120}},
+		{"curves", Curves, Options{Runs: 3, Seed: 42}},
+		{"fig4", Fig4, Options{Runs: 2, Seed: 42}},
+		{"churn", Churn, Options{Runs: 1, Seed: 42}},
 	}
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -68,7 +68,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig2 sweep is slow")
 	}
-	seq, par := seqAndPar(t, Fig2, Options{Runs: 1, Seed: 7, MaxRounds: 120})
+	seq, par := seqAndPar(t, Fig2, Options{Runs: 1, Seed: 7})
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("fig2: parallel output differs from sequential\nseq: %+v\npar: %+v", seq, par)
 	}
@@ -80,7 +80,7 @@ func TestParallelTablesDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gallery is slow")
 	}
-	seq, par := seqAndPar(t, Gallery, Options{Runs: 1, Seed: 11, MaxRounds: 120})
+	seq, par := seqAndPar(t, Gallery, Options{Runs: 1, Seed: 11})
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("gallery: parallel output differs from sequential\nseq: %+v\npar: %+v", seq, par)
 	}
@@ -91,7 +91,7 @@ func TestParallelTablesDeterministic(t *testing.T) {
 // concurrent engine owns its observer chain, so per-run round counts and
 // convergence marks must match the sequential run for run.
 func TestParallelEarlyStopObservers(t *testing.T) {
-	o := Options{Runs: 4, Seed: 9, MaxRounds: 120}
+	o := Options{Runs: 4, Seed: 9}
 	o = o.withDefaults()
 	topo := MustTopology(RingOfRingsDSL(3))
 	cell := func(run int) (*RunResult, error) {
@@ -99,7 +99,7 @@ func TestParallelEarlyStopObservers(t *testing.T) {
 			Topology: topo,
 			Nodes:    200,
 			Seed:     seedFor(o.Seed, 0, run),
-		}, o.MaxRounds, true)
+		}, roundCap, true)
 	}
 
 	oSeq := o
@@ -123,7 +123,7 @@ func TestParallelEarlyStopObservers(t *testing.T) {
 			t.Fatalf("run %d: convergence marks differ: %v vs %v",
 				run, seq[run].ConvergedAt, par[run].ConvergedAt)
 		}
-		if seq[run].Rounds >= o.MaxRounds {
+		if seq[run].Rounds >= roundCap {
 			t.Fatalf("run %d: never stopped early (%d rounds); test is vacuous", run, seq[run].Rounds)
 		}
 	}

@@ -24,8 +24,6 @@ type Options struct {
 	// nodes, 25 runs). Without it, drivers use laptop-friendly scales
 	// that preserve every trend.
 	Full bool
-	// MaxRounds caps each run (default 150).
-	MaxRounds int
 	// RoundWorkers shards each simulation round across this many workers
 	// (counter-based per-node RNG streams keep the results byte-identical
 	// for every value; see sim.Engine.SetWorkers). 0 — the default — keeps
@@ -45,6 +43,10 @@ type Options struct {
 	Parallelism int
 }
 
+// roundCap caps each run of the harness; the drivers report a run that has
+// not converged by then as capped at this many rounds.
+const roundCap = 150
+
 // config is the one place an experiment's simulations take their worker count
 // from: topology, population and seed vary per cell, RoundWorkers does not.
 func (o Options) config(topo *spec.Topology, nodes int, seed int64) core.Config {
@@ -58,9 +60,6 @@ func (o Options) withDefaults() Options {
 		} else {
 			o.Runs = 5
 		}
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 150
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

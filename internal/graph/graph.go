@@ -1,6 +1,7 @@
-// Package graph provides lightweight undirected-graph analysis used by the
-// experiment harness and the test suite to characterize realized overlay
-// topologies: connectivity, path lengths, degrees, and clustering.
+// Package graph provides lightweight undirected-graph analysis of realized
+// overlay topologies: the facade and the experiment harness check
+// connectivity over the alive nodes and render the edges, and the test
+// suite also checks degrees and diameters.
 //
 // Graphs are built over dense vertex indices (the engine's node slots).
 package graph
@@ -99,35 +100,6 @@ func (g *Graph) Connected() bool {
 	return g.ConnectedOver(all)
 }
 
-// Components returns the connected components as sorted vertex lists,
-// ordered by smallest contained vertex.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, len(g.adj))
-	var comps [][]int
-	for start := range g.adj {
-		if seen[start] {
-			continue
-		}
-		var comp []int
-		queue := []int{start}
-		seen[start] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // BFSDepths returns the shortest-path distance (in hops) from src to every
 // vertex; unreachable vertices get -1.
 func (g *Graph) BFSDepths(src int) []int {
@@ -168,52 +140,6 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return max
-}
-
-// AvgPathLength returns the mean shortest-path length over all ordered
-// reachable pairs, or 0 if there are none.
-func (g *Graph) AvgPathLength() float64 {
-	var sum, count int64
-	for u := range g.adj {
-		for v, d := range g.BFSDepths(u) {
-			if v != u && d > 0 {
-				sum += int64(d)
-				count++
-			}
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(sum) / float64(count)
-}
-
-// ClusteringCoefficient returns the mean local clustering coefficient over
-// vertices with degree >= 2.
-func (g *Graph) ClusteringCoefficient() float64 {
-	var sum float64
-	count := 0
-	for u := range g.adj {
-		deg := len(g.adj[u])
-		if deg < 2 {
-			continue
-		}
-		links := 0
-		neigh := g.Neighbors(u)
-		for i := 0; i < len(neigh); i++ {
-			for j := i + 1; j < len(neigh); j++ {
-				if g.HasEdge(neigh[i], neigh[j]) {
-					links++
-				}
-			}
-		}
-		sum += 2 * float64(links) / float64(deg*(deg-1))
-		count++
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
 }
 
 // DegreeStats returns min, max and mean vertex degree.

@@ -21,33 +21,18 @@ import (
 	"sosf/internal/view"
 )
 
-// Options configure the protocol. Zero fields take defaults.
-type Options struct {
-	// ViewSize is the partial-view capacity (default 16).
-	ViewSize int
-	// Gossip is the shuffle length: how many descriptors each side sends
-	// (default 8, clamped to ViewSize).
-	Gossip int
-	// Bootstrap is how many random existing nodes a joining node learns
-	// from the (simulated) bootstrap service (default 5).
-	Bootstrap int
-}
-
-func (o Options) withDefaults() Options {
-	if o.ViewSize <= 0 {
-		o.ViewSize = 16
-	}
-	if o.Gossip <= 0 {
-		o.Gossip = 8
-	}
-	if o.Gossip > o.ViewSize {
-		o.Gossip = o.ViewSize
-	}
-	if o.Bootstrap <= 0 {
-		o.Bootstrap = 5
-	}
-	return o
-}
+// Protocol constants. No caller tunes the sampling layer: the upper layers
+// only need it to be a connected, continuously reshuffled random graph.
+const (
+	// viewSize is the partial-view capacity.
+	viewSize = 16
+	// gossip is the shuffle length: how many descriptors each side sends.
+	// It may not exceed viewSize.
+	gossip = 8
+	// bootstrap is how many random existing nodes a joining node learns
+	// from the (simulated) bootstrap service.
+	bootstrap = 5
+)
 
 // plan kinds: what the node's planned turn amounts to.
 const (
@@ -73,7 +58,6 @@ type cyclonPlan struct {
 // with the engine before any other layer, then treat it as the candidate
 // source for the upper layers.
 type Protocol struct {
-	opts Options
 	// states holds the per-slot partial views as dense struct-of-arrays
 	// state (headers and entries in contiguous arena-backed arrays).
 	states view.Table
@@ -86,10 +70,8 @@ var (
 	_ sim.Snapshotter = (*Protocol)(nil)
 )
 
-// New creates a peer-sampling protocol with the given options.
-func New(opts Options) *Protocol {
-	return &Protocol{opts: opts.withDefaults()}
-}
+// New creates a peer-sampling protocol.
+func New() *Protocol { return &Protocol{} }
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string { return "rps" }
@@ -107,8 +89,8 @@ func (p *Protocol) Resize(n int) {
 		// allocation per few hundred slots instead of two lazy ones per
 		// slot on its first exchange.
 		p.plans = append(p.plans, cyclonPlan{
-			send:  arena.Carve(&p.arena, p.opts.Gossip),
-			reply: arena.Carve(&p.arena, p.opts.Gossip),
+			send:  arena.Carve(&p.arena, gossip),
+			reply: arena.Carve(&p.arena, gossip),
 		})
 	}
 	p.plans = p.plans[:n]
@@ -119,8 +101,8 @@ func (p *Protocol) Resize(n int) {
 // it from the simulated bootstrap service (a few uniformly random alive
 // nodes), which is how a fresh node would join a deployed system.
 func (p *Protocol) InitNode(e *sim.Engine, slot int) {
-	v := p.states.Init(slot, p.opts.ViewSize)
-	for i := 0; i < p.opts.Bootstrap; i++ {
+	v := p.states.Init(slot, viewSize)
+	for i := 0; i < bootstrap; i++ {
 		n := e.RandomAlive(slot)
 		if n == nil {
 			break
@@ -184,7 +166,7 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 	}
 	pad.Same = pool
 
-	sample := view.SampleInto(ctx.Rand(), pool, p.opts.Gossip-1, pad.Sample[:0], &pad.Sampler)
+	sample := view.SampleInto(ctx.Rand(), pool, gossip-1, pad.Sample[:0], &pad.Sampler)
 	pad.Sample = sample
 	send := append(pl.send[:0], self.Descriptor())
 	send = append(send, sample...)
@@ -201,7 +183,7 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 	// Passive side: the partner answers with a random sample of its own
 	// (still frozen) view. All draws come from the active node's stream.
 	pl.kind = planDelivered
-	pl.reply = p.states.At(target.Slot).RandomSampleInto(ctx.Rand(), p.opts.Gossip, pl.reply[:0], &pad.Sampler)
+	pl.reply = p.states.At(target.Slot).RandomSampleInto(ctx.Rand(), gossip, pl.reply[:0], &pad.Sampler)
 
 	// Route and meter here at the end of Plan: bytes land in the worker's
 	// meter shard, the routing in the sender's lane, and the engine merges

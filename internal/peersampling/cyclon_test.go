@@ -8,10 +8,10 @@ import (
 	"sosf/internal/view"
 )
 
-func buildNetwork(t *testing.T, seed int64, n int, opts Options) (*sim.Engine, *Protocol) {
+func buildNetwork(t *testing.T, seed int64, n int) (*sim.Engine, *Protocol) {
 	t.Helper()
 	e := sim.New(seed)
-	p := New(opts)
+	p := New()
 	e.Register(p)
 	for _, s := range e.AddNodes(n) {
 		e.InitNode(s)
@@ -35,16 +35,16 @@ func overlayGraph(e *sim.Engine, p *Protocol) *graph.Graph {
 }
 
 func TestViewsFillAndStayBounded(t *testing.T) {
-	e, p := buildNetwork(t, 1, 200, Options{ViewSize: 8, Gossip: 4})
+	e, p := buildNetwork(t, 1, 200)
 	if _, err := e.Run(30); err != nil {
 		t.Fatal(err)
 	}
 	for slot := 0; slot < e.Size(); slot++ {
 		v := p.View(slot)
-		if v.Len() > 8 {
+		if v.Len() > viewSize {
 			t.Fatalf("slot %d view size %d exceeds capacity", slot, v.Len())
 		}
-		if v.Len() < 6 {
+		if v.Len() < viewSize*3/4 {
 			t.Fatalf("slot %d view only has %d entries after 30 rounds", slot, v.Len())
 		}
 		if v.Contains(e.Node(slot).ID) {
@@ -54,7 +54,7 @@ func TestViewsFillAndStayBounded(t *testing.T) {
 }
 
 func TestOverlayStaysConnected(t *testing.T) {
-	e, p := buildNetwork(t, 2, 300, Options{})
+	e, p := buildNetwork(t, 2, 300)
 	if _, err := e.Run(40); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestOverlayStaysConnected(t *testing.T) {
 }
 
 func TestInDegreeBalanced(t *testing.T) {
-	e, p := buildNetwork(t, 3, 400, Options{ViewSize: 12, Gossip: 6})
+	e, p := buildNetwork(t, 3, 400)
 	if _, err := e.Run(50); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestInDegreeBalanced(t *testing.T) {
 			zero++
 		}
 	}
-	// A healthy Cyclon network concentrates in-degrees around ViewSize;
+	// A healthy Cyclon network concentrates in-degrees around viewSize;
 	// (almost) nobody should be orphaned, nobody should be a hotspot. The
 	// bulk-synchronous rounds plan every exchange against the round-start
 	// views, so two shuffles landing on one partner occasionally hand out
@@ -93,13 +93,13 @@ func TestInDegreeBalanced(t *testing.T) {
 	if zero > len(indeg)/100 {
 		t.Fatalf("%d of %d nodes have in-degree 0 (allowed: <= 1%%)", zero, len(indeg))
 	}
-	if max > 12*5 {
-		t.Fatalf("in-degree hotspot: max %d, view size 12", max)
+	if max > viewSize*5 {
+		t.Fatalf("in-degree hotspot: max %d, view size %d", max, viewSize)
 	}
 }
 
 func TestChurnPurgesDeadNodes(t *testing.T) {
-	e, p := buildNetwork(t, 4, 200, Options{ViewSize: 8, Gossip: 4})
+	e, p := buildNetwork(t, 4, 200)
 	if _, err := e.Run(20); err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +132,14 @@ func TestChurnPurgesDeadNodes(t *testing.T) {
 }
 
 func TestRejoinAfterIsolation(t *testing.T) {
-	e, p := buildNetwork(t, 5, 50, Options{ViewSize: 4, Gossip: 2})
+	e, p := buildNetwork(t, 5, 50)
 	if _, err := e.Run(10); err != nil {
 		t.Fatal(err)
 	}
 	// Forcefully isolate node 0.
-	p.View(0).Clear()
+	for v := p.View(0); v.Len() > 0; {
+		v.RemoveAt(0)
+	}
 	if _, err := e.Run(5); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestRejoinAfterIsolation(t *testing.T) {
 }
 
 func TestSelfDescriptorsPropagateFreshProfiles(t *testing.T) {
-	e, p := buildNetwork(t, 6, 100, Options{})
+	e, p := buildNetwork(t, 6, 100)
 	if _, err := e.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestSelfDescriptorsPropagateFreshProfiles(t *testing.T) {
 }
 
 func TestBandwidthMetered(t *testing.T) {
-	e, p := buildNetwork(t, 7, 100, Options{ViewSize: 8, Gossip: 4})
+	e, p := buildNetwork(t, 7, 100)
 	if _, err := e.Run(5); err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +187,8 @@ func TestBandwidthMetered(t *testing.T) {
 	if m.Rounds() != 5 {
 		t.Fatalf("meter rounds = %d, want 5", m.Rounds())
 	}
-	// Every exchange is at most (header + 4 descriptors) twice.
-	perRound := sim.DescriptorPayload(4) * 2 * 100
+	// Every exchange is at most (header + gossip descriptors) twice.
+	perRound := sim.DescriptorPayload(gossip) * 2 * 100
 	for r := 0; r < 5; r++ {
 		got := m.RoundTotal(r, 0)
 		if got <= 0 || got > int64(perRound) {
@@ -197,7 +199,7 @@ func TestBandwidthMetered(t *testing.T) {
 }
 
 func TestMessageLossDoesNotBreakOverlay(t *testing.T) {
-	e, p := buildNetwork(t, 8, 200, Options{})
+	e, p := buildNetwork(t, 8, 200)
 	e.SetLossRate(0.3)
 	if _, err := e.Run(40); err != nil {
 		t.Fatal(err)
@@ -213,16 +215,5 @@ func TestMessageLossDoesNotBreakOverlay(t *testing.T) {
 	}
 	if !overlayGraph(e, p).Connected() {
 		t.Fatal("overlay should survive 30% message loss")
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.ViewSize != 16 || o.Gossip != 8 || o.Bootstrap != 5 {
-		t.Fatalf("defaults = %+v", o)
-	}
-	o = Options{ViewSize: 4, Gossip: 100}.withDefaults()
-	if o.Gossip != 4 {
-		t.Fatalf("gossip should clamp to view size, got %d", o.Gossip)
 	}
 }

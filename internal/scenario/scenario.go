@@ -40,9 +40,6 @@ func New(events []spec.ScenarioEvent) *Timeline {
 	return &Timeline{events: events}
 }
 
-// Empty reports whether the timeline schedules nothing.
-func (t *Timeline) Empty() bool { return t == nil || len(t.events) == 0 }
-
 // Horizon returns the last round any event touches (0 for an empty
 // timeline) — the minimum number of rounds a run must execute to play the
 // whole timeline.

@@ -34,14 +34,14 @@ func newSystem(t *testing.T, seed int64) *core.System {
 
 func TestHorizonAndEmpty(t *testing.T) {
 	var nilTL *Timeline
-	if !nilTL.Empty() || nilTL.Horizon() != 0 {
+	if nilTL.Horizon() != 0 {
 		t.Fatal("nil timeline must be empty with horizon 0")
 	}
 	tl := New([]spec.ScenarioEvent{
 		{From: 10, To: 20, Kind: spec.ScenLoss, Fraction: 0.1},
 		{From: 35, To: 35, Kind: spec.ScenKill, Fraction: 0.5},
 	})
-	if tl.Empty() {
+	if len(tl.events) != 2 {
 		t.Fatal("timeline with events is not empty")
 	}
 	if tl.Horizon() != 35 {

@@ -292,13 +292,13 @@ func TestEvictionRestoreMidStream(t *testing.T) {
 		t.Errorf("post-hoc replay diverges from standalone play (%d vs %d bytes)", len(replay), want.Len())
 	}
 
-	if n := srv.Stats().Get(metricEvictions); n < 1 {
+	if n := srv.stats.Get(metricEvictions); n < 1 {
 		t.Errorf("evictions_total = %g, want >= 1", n)
 	}
-	if n := srv.Stats().Get(metricRestores); n < 1 {
+	if n := srv.stats.Get(metricRestores); n < 1 {
 		t.Errorf("restores_total = %g, want >= 1", n)
 	}
-	if n := srv.Stats().Get(metricRestoreSecCnt); n < 1 {
+	if n := srv.stats.Get(metricRestoreSecCnt); n < 1 {
 		t.Errorf("restore_seconds_count = %g, want >= 1", n)
 	}
 }

@@ -106,9 +106,6 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Stats exposes the server's registry (tests read it).
-func (s *Server) Stats() *Registry { return s.stats }
-
 // tickLRU advances the eviction clock; each lifecycle access stamps its job.
 func (s *Server) tickLRU() int64 { return s.lruClock.Add(1) }
 

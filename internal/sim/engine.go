@@ -285,9 +285,6 @@ func randomAlive(nodes []Node, exclude int, rng intner, scratch *[]int) *Node {
 // draws from Ctx.Rand instead).
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Seed returns the seed the engine was created with.
-func (e *Engine) Seed() int64 { return e.seed }
-
 // Round returns the index of the round currently executing (or, between
 // rounds, the number of completed rounds).
 func (e *Engine) Round() int { return e.round }
@@ -392,12 +389,6 @@ func (e *Engine) Lookup(id view.NodeID) *Node {
 		return nil
 	}
 	return &e.nodes[e.slotOfID[id]]
-}
-
-// IsAlive reports whether the node with the given ID exists and is alive.
-func (e *Engine) IsAlive(id view.NodeID) bool {
-	n := e.Lookup(id)
-	return n != nil && n.Alive
 }
 
 // alive returns the cached alive-slot list (slot order), rebuilding it into

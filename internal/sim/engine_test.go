@@ -120,12 +120,9 @@ func TestLookup(t *testing.T) {
 	if e.Lookup(view.NodeID(999)) != nil {
 		t.Fatal("Lookup of unknown ID should return nil")
 	}
-	if !e.IsAlive(id) {
-		t.Fatal("node 1 should be alive")
-	}
 	e.Kill(1)
-	if e.IsAlive(id) {
-		t.Fatal("killed node should not be alive")
+	if n := e.Lookup(id); n == nil || n.Alive {
+		t.Fatalf("Lookup(%d) after Kill = %v, want the dead node", id, n)
 	}
 }
 
@@ -189,11 +186,11 @@ func TestMeterHistory(t *testing.T) {
 	m := NewMeter()
 	a := m.AddProtocol("a")
 	b := m.AddProtocol("b")
-	m.Count(a, 10)
-	m.Count(b, 5)
-	m.Count(a, 1)
+	m.current[a] += 10
+	m.current[b] += 5
+	m.current[a] += 1
 	m.EndRound()
-	m.Count(b, 7)
+	m.current[b] += 7
 	m.EndRound()
 	if m.Rounds() != 2 {
 		t.Fatalf("Rounds = %d, want 2", m.Rounds())
@@ -207,8 +204,8 @@ func TestMeterHistory(t *testing.T) {
 	if got := m.RoundSum(1, a); got != 0 {
 		t.Fatalf("round 1 proto a = %d, want 0", got)
 	}
-	if got := m.Total(b); got != 12 {
-		t.Fatalf("total proto b = %d, want 12", got)
+	if got := m.RoundSum(1); got != 7 {
+		t.Fatalf("round 1 sum = %d, want 7", got)
 	}
 }
 

@@ -37,11 +37,6 @@ func (m *Meter) Names() []string {
 	return out
 }
 
-// Count adds bytes to the given protocol for the current round.
-func (m *Meter) Count(protocol int, bytes int) {
-	m.current[protocol] += int64(bytes)
-}
-
 // EndRound snapshots the current round's totals into the history and resets
 // the per-round counters.
 func (m *Meter) EndRound() {
@@ -96,15 +91,6 @@ func (m *Meter) RoundSum(r int, protocols ...int) int64 {
 	var sum int64
 	for _, p := range protocols {
 		sum += m.history[r][p]
-	}
-	return sum
-}
-
-// Total returns all bytes spent by protocol p across the whole run.
-func (m *Meter) Total(p int) int64 {
-	var sum int64
-	for _, row := range m.history {
-		sum += row[p]
 	}
 	return sum
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"sosf/internal/snap"
@@ -28,7 +27,7 @@ import (
 // restore would desynchronize every round that follows. It may leave a
 // read error in r for the engine to report.
 //
-// Engine.Snapshot fails if a registered protocol does not implement
+// SnapshotState fails if a registered protocol does not implement
 // Snapshotter — a partial snapshot could not honor the resume-equivalence
 // contract, so there is no silent skip.
 type Snapshotter interface {
@@ -88,11 +87,7 @@ func (s *countedSource) skip(n uint64) {
 	s.n = n
 }
 
-// engineSnapKind tags engine-level snapshots; core.System wraps the same
-// body in its own "system" container.
-const engineSnapKind = "engine"
-
-// maxSerialDraws bounds the serial-RNG draw count Restore will replay
+// maxSerialDraws bounds the serial-RNG draw count RestoreState will replay
 // (2^44 ≈ 1.8e13 draws — hours of fast-forward, far past any plausible
 // run: between-round draws scale with churn and partition activity, not
 // raw rounds). Every other field of the format fails fast on corruption;
@@ -100,38 +95,15 @@ const engineSnapKind = "engine"
 // for centuries instead of returning an error.
 const maxSerialDraws = 1 << 44
 
-// Snapshot serializes the engine's complete state — round counter, node
-// table, partition and loss state, serial-RNG position, bandwidth history,
-// and every protocol's per-slot state — such that Restore followed by M
-// rounds replays rounds N+1..N+M of the uninterrupted run byte for byte,
-// at any worker count. Call it between rounds only (mid-phase state is
-// deliberately not serializable).
-func (e *Engine) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w)
-	sw.Header(engineSnapKind)
-	if err := e.SnapshotState(sw); err != nil {
-		return err
-	}
-	return sw.Err()
-}
-
-// Restore rebuilds the engine from a Snapshot stream. The engine must
-// carry the same registered protocol stack (same names, same order) as the
-// one snapshotted; everything else — population, round, RNG position — is
-// replaced by the snapshot's state. Worker configuration is untouched:
-// resuming with a different worker count yields the same results.
-func (e *Engine) Restore(r io.Reader) error {
-	sr := snap.NewReader(r)
-	sr.Header(engineSnapKind)
-	if err := e.RestoreState(sr); err != nil {
-		return err
-	}
-	return sr.Err()
-}
-
-// SnapshotState writes the engine body without a container header, for
-// embedding in higher-level snapshots (core.System). It fails up front if
-// any registered protocol cannot checkpoint itself.
+// SnapshotState serializes the engine's complete state — round counter,
+// node table, partition and loss state, serial-RNG position, bandwidth
+// history, and every protocol's per-slot state — such that RestoreState
+// followed by M rounds replays rounds N+1..N+M of the uninterrupted run
+// byte for byte, at any worker count. It writes no container header: the
+// caller (core.System) owns the stream's header and embeds this body.
+// Call it between rounds only (mid-phase state is deliberately not
+// serializable). It fails up front if any registered protocol cannot
+// checkpoint itself.
 func (e *Engine) SnapshotState(w *snap.Writer) error {
 	for _, p := range e.protocols {
 		if _, ok := p.(Snapshotter); !ok {
@@ -181,7 +153,12 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 	return w.Err()
 }
 
-// RestoreState reads the engine body written by SnapshotState.
+// RestoreState reads the engine body written by SnapshotState. The engine
+// must carry the same registered protocol stack (same names, same order)
+// as the one snapshotted; everything else — population, round, RNG
+// position — is replaced by the snapshot's state. Worker configuration is
+// untouched: resuming with a different worker count yields the same
+// results.
 func (e *Engine) RestoreState(r *snap.Reader) error {
 	for _, p := range e.protocols {
 		if _, ok := p.(Snapshotter); !ok {

@@ -38,6 +38,21 @@ func TestCountedSourceReplay(t *testing.T) {
 	}
 }
 
+// snapshotState checkpoints e's engine body into memory.
+func snapshotState(e *Engine) ([]byte, error) {
+	var buf bytes.Buffer
+	w := snap.NewWriter(&buf)
+	if err := e.SnapshotState(w); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), w.Err()
+}
+
+// restoreState restores e from an engine body written by SnapshotState.
+func restoreState(e *Engine, body []byte) error {
+	return e.RestoreState(snap.NewReader(bytes.NewReader(body)))
+}
+
 // snapProbe is a minimal routing protocol with per-slot state and random
 // draws in every phase, to exercise engine snapshot/restore without the
 // full stack.
@@ -110,18 +125,17 @@ func TestEngineSnapshotRestoreEquivalence(t *testing.T) {
 	ref, refProbe := buildProbeEngine(t, 99)
 	runChaos(t, ref, 20)
 
-	var buf bytes.Buffer
-	if err := ref.Snapshot(&buf); err != nil {
+	snapBytes, err := snapshotState(ref)
+	if err != nil {
 		t.Fatal(err)
 	}
-	snapBytes := append([]byte(nil), buf.Bytes()...)
 	runChaos(t, ref, 15)
 
 	// Restored run: a *differently seeded* fresh engine (restore must
 	// replace everything, including the seed) continuing the same 15.
 	cont, contProbe := buildProbeEngine(t, 7)
 	runChaos(t, cont, 3) // arbitrary pre-restore state, wiped by Restore
-	if err := cont.Restore(bytes.NewReader(snapBytes)); err != nil {
+	if err := restoreState(cont, snapBytes); err != nil {
 		t.Fatal(err)
 	}
 	if cont.Round() != 20 {
@@ -170,8 +184,7 @@ func TestSnapshotRequiresSnapshotter(t *testing.T) {
 	e := New(1)
 	e.Register(plainProbe{})
 	e.AddNodes(4)
-	var buf bytes.Buffer
-	err := e.Snapshot(&buf)
+	_, err := snapshotState(e)
 	if err == nil || !strings.Contains(err.Error(), "plain") {
 		t.Fatalf("err = %v, want Snapshotter complaint naming the protocol", err)
 	}
@@ -184,7 +197,6 @@ func TestRestoreRejectsAbsurdDrawCount(t *testing.T) {
 	// population) but whose draw count is far past the replay bound.
 	var buf bytes.Buffer
 	w := snap.NewWriter(&buf)
-	w.Header("engine")
 	w.I64(1)           // seed
 	w.Uvarint(1 << 50) // draws: absurd
 	w.Int(1)           // round
@@ -197,7 +209,7 @@ func TestRestoreRejectsAbsurdDrawCount(t *testing.T) {
 
 	e := New(1)
 	e.Register(&snapProbe{})
-	err := e.Restore(bytes.NewReader(buf.Bytes()))
+	err := restoreState(e, buf.Bytes())
 	if err == nil || !strings.Contains(err.Error(), "replay bound") {
 		t.Fatalf("err = %v, want draw-count bound rejection", err)
 	}
@@ -210,7 +222,6 @@ func TestRestoreRejectsAbsurdDrawCount(t *testing.T) {
 func TestRestoreAllocatesOnlyWhatArrives(t *testing.T) {
 	const huge = 1 << 20
 	prefix := func(w *snap.Writer, nodes int) {
-		w.Header("engine")
 		w.I64(1)               // seed
 		w.Uvarint(0)           // draws
 		w.Int(1)               // round
@@ -248,7 +259,7 @@ func TestRestoreAllocatesOnlyWhatArrives(t *testing.T) {
 		e.Register(&snapProbe{})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := e.Restore(bytes.NewReader(buf.Bytes()))
+		err := restoreState(e, buf.Bytes())
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, snap.ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", tc.name, err)
@@ -266,15 +277,15 @@ func TestRestoreAllocatesOnlyWhatArrives(t *testing.T) {
 func TestRestoreRejectsMismatchedStack(t *testing.T) {
 	e, _ := buildProbeEngine(t, 1)
 	runChaos(t, e, 5)
-	var buf bytes.Buffer
-	if err := e.Snapshot(&buf); err != nil {
+	body, err := snapshotState(e)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	other := New(1)
 	other.Register(&snapProbe{})
 	other.Register(&snapProbe{})
-	if err := other.Restore(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := restoreState(other, body); err == nil {
 		t.Fatal("restore into a two-protocol engine succeeded")
 	}
 }
@@ -286,8 +297,8 @@ func TestMeterSnapshotRoundTrip(t *testing.T) {
 	m.AddProtocol("a")
 	m.AddProtocol("b")
 	for r := 0; r < 10; r++ {
-		m.Count(0, r*3+1)
-		m.Count(1, r*5+2)
+		m.current[0] += int64(r*3 + 1)
+		m.current[1] += int64(r*5 + 2)
 		m.EndRound()
 	}
 

@@ -2,8 +2,8 @@
 // framework's deterministic checkpoint/restore subsystem.
 //
 // A snapshot is a little-endian binary stream: an 8-byte magic, a format
-// version, a kind tag (so an engine-level snapshot cannot be restored as a
-// full-system one), and then a sequence of primitive fields written and
+// version, a kind tag (so a stream written for one restorer cannot be
+// misread by another), and then a sequence of primitive fields written and
 // read in lockstep by the two sides of the codec. Both Writer and Reader
 // carry a sticky error, so serialization code reads as straight-line field
 // lists with a single error check at the end — the same style as
@@ -33,7 +33,7 @@ const magic = "SOSFSNAP"
 
 // Version is the current snapshot format version. Bump it for any change
 // to the byte layout; Reader.Header rejects versions it does not know.
-const Version = 2
+const Version = 3
 
 // maxChunk bounds a single length-prefixed byte field (64 MiB). Snapshots
 // of very large populations split state across many fields, so a larger
@@ -369,38 +369,11 @@ func WriteView(w *Writer, v *view.View) {
 	}
 }
 
-// ReadView decodes a view written by WriteView. Entry storage is sized by
-// the entries that arrive, not the declared capacity or entry count: a
-// corrupt count must not reserve memory, and a view grows on demand.
-func ReadView(r *Reader) *view.View {
-	capacity := r.Len()
-	n := r.Len()
-	if r.err != nil {
-		return nil
-	}
-	if n > capacity {
-		r.failf("view holds %d entries over capacity %d", n, capacity)
-		return nil
-	}
-	v := view.New(min(n, 64)) // grown as entries arrive
-	v.SetCap(capacity)
-	for i := 0; i < n; i++ {
-		d := ReadDescriptor(r)
-		if r.err != nil {
-			return nil
-		}
-		if !v.Add(d) {
-			r.failf("duplicate or unplaceable view entry for node %d", d.ID)
-			return nil
-		}
-	}
-	return v
-}
-
 // ReadViewInto decodes a view written by WriteView into the table's slot,
-// carving entry storage from the table's arena instead of allocating a
-// standalone view — the restore path of the struct-of-arrays protocol
-// state. Byte layout, validation and sizing are identical to ReadView.
+// carving entry storage from the table's arena — the restore path of the
+// struct-of-arrays protocol state. Entry storage is sized by the entries
+// that arrive, not the declared capacity or entry count: a corrupt count
+// must not reserve memory, and a view grows on demand.
 func ReadViewInto(r *Reader, t *view.Table, slot int) {
 	capacity := r.Len()
 	n := r.Len()

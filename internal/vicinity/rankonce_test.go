@@ -105,12 +105,13 @@ func TestApplyMatchesReference(t *testing.T) {
 		v.ReplaceAll(randomPool(rng, n.Profile, rng.Intn(capacity+1), maxAge))
 		incoming := randomPool(rng, n.Profile, rng.Intn(30), maxAge)
 
-		want := referenceRanked(p.ranker, n.Profile, view.MergeBuffers(n.ID, v.Entries(), incoming), maxAge)
+		var m view.Merger
+		want := referenceRanked(p.ranker, n.Profile, view.MergeInto(&m, n.ID, v.AppendEntries(nil), incoming), maxAge)
 		if len(want) > capacity {
 			want = want[:capacity]
 		}
 		p.apply(&pad, n, v, incoming)
-		got := v.Entries()
+		got := v.AppendEntries(nil)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: view holds %d entries, reference %d", trial, len(got), len(want))
 		}

@@ -41,11 +41,6 @@ type Options struct {
 	// Gossip is how many descriptors each side contributes to an exchange
 	// (default 5).
 	Gossip int
-	// RandomContact is the probability of gossiping with a uniformly
-	// random peer (from the sampling service) instead of the oldest view
-	// entry — Vicinity's ingredient for escaping local minima and
-	// discovering far-away regions of the gradient (default 0.2).
-	RandomContact float64
 	// MaxAge evicts descriptors not refreshed for this many rounds,
 	// bounding how long dead nodes linger (default 20).
 	MaxAge int
@@ -59,14 +54,17 @@ func (o Options) withDefaults() Options {
 	if o.Gossip <= 0 {
 		o.Gossip = 5
 	}
-	if o.RandomContact <= 0 {
-		o.RandomContact = 0.2
-	}
 	if o.MaxAge <= 0 {
 		o.MaxAge = 20
 	}
 	return o
 }
+
+// randomContact is the probability of gossiping with a uniformly random
+// peer (from the sampling service) instead of the oldest view entry —
+// Vicinity's ingredient for escaping local minima and discovering far-away
+// regions of the gradient.
+const randomContact = 0.2
 
 // plan kinds.
 const (
@@ -256,7 +254,7 @@ func (p *Protocol) pickPartner(ctx *sim.Ctx, slot int, v *view.View) (view.Descr
 	rng := ctx.Rand()
 	useRandom := false
 	if !p.opts.NoRandomFeed && p.rps != nil {
-		if v.Len() == 0 || rng.Float64() < p.opts.RandomContact {
+		if v.Len() == 0 || rng.Float64() < randomContact {
 			useRandom = true
 		}
 	}

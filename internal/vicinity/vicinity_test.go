@@ -32,7 +32,7 @@ func (r ringRanker) Capacity(view.Profile) int { return r.capacity }
 func buildRing(t *testing.T, seed int64, n int, opts Options) (*sim.Engine, *Protocol) {
 	t.Helper()
 	e := sim.New(seed)
-	rps := peersampling.New(peersampling.Options{})
+	rps := peersampling.New()
 	e.Register(rps)
 	p := New("ring", ringRanker{capacity: 6}, rps, opts)
 	e.Register(p)
@@ -116,7 +116,7 @@ func TestViewsRespectCapacityAndRanking(t *testing.T) {
 			t.Fatalf("slot %d view %d exceeds capacity 6", slot, v.Len())
 		}
 		owner := e.Node(slot).Profile
-		for _, d := range v.Entries() {
+		for _, d := range v.AppendEntries(nil) {
 			if (ringRanker{}).Rank(owner, d.Profile) == view.RankInf {
 				t.Fatalf("slot %d kept an unrankable entry", slot)
 			}
@@ -147,7 +147,7 @@ func TestChurnRecovery(t *testing.T) {
 			continue
 		}
 		for _, id := range p.View(slot).IDs() {
-			if !e.IsAlive(id) {
+			if peer := e.Lookup(id); peer == nil || !peer.Alive {
 				stale++
 			}
 		}
@@ -171,7 +171,7 @@ func TestStaleEpochEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for slot := 0; slot < n; slot++ {
-		for _, d := range p.View(slot).Entries() {
+		for _, d := range p.View(slot).AppendEntries(nil) {
 			if d.Profile.Epoch != 1 {
 				t.Fatalf("slot %d still holds epoch-%d entry", slot, d.Profile.Epoch)
 			}
@@ -186,7 +186,7 @@ func TestCapacityDifferentiation(t *testing.T) {
 	// Capacity is re-read from the ranker every step, so profile changes
 	// (role differentiation) take effect.
 	e := sim.New(5)
-	rps := peersampling.New(peersampling.Options{})
+	rps := peersampling.New()
 	e.Register(rps)
 	p := New("x", ringRanker{capacity: 3}, rps, Options{})
 	e.Register(p)

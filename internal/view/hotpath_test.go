@@ -1,10 +1,10 @@
 package view
 
-// Tests pinning the edge cases the scratch-buffer refactor must preserve:
-// the RandomSample guards, draw-for-draw equivalence of the *Into APIs with
-// their copying wrappers, ForceAdd/Penalize boundary behavior, and the
-// MergeInto ≡ MergeBuffers ≡ map-based reference property on random inputs,
-// and the Merger's table growth and generation wrap-around.
+// Tests pinning the edge cases the scratch-buffer code must preserve: the
+// sampling guards, draw-for-draw equivalence of RandomSampleInto with
+// math/rand, Penalize boundary behavior, the MergeInto ≡ map-based
+// reference property on random inputs, and the Merger's table growth and
+// generation wrap-around.
 
 import (
 	"math/rand"
@@ -23,28 +23,28 @@ func TestRandomSampleGuards(t *testing.T) {
 	// not consume randomness.
 	before := rng.Int63()
 	rng = rand.New(rand.NewSource(1))
-	if got := v.RandomSample(rng, -1); got != nil {
-		t.Fatalf("RandomSample(-1) = %v, want nil", got)
+	var s Sampler
+	if got := v.RandomSampleInto(rng, -1, nil, &s); got != nil {
+		t.Fatalf("RandomSampleInto(-1) = %v, want nil", got)
 	}
-	if got := v.RandomSample(rng, 0); got != nil {
-		t.Fatalf("RandomSample(0) = %v, want nil", got)
+	if got := v.RandomSampleInto(rng, 0, nil, &s); got != nil {
+		t.Fatalf("RandomSampleInto(0) = %v, want nil", got)
 	}
 	if after := rng.Int63(); after != before {
 		t.Fatal("n <= 0 must not consume random draws")
 	}
 
 	empty := New(4)
-	if got := empty.RandomSample(rng, 3); got != nil {
-		t.Fatalf("RandomSample on empty view = %v, want nil", got)
-	}
-	if got := empty.RandomSampleInto(rng, 3, nil, &Sampler{}); got != nil {
+	if got := empty.RandomSampleInto(rng, 3, nil, &s); got != nil {
 		t.Fatalf("RandomSampleInto on empty view = %v, want nil dst", got)
 	}
 }
 
-// TestRandomSampleIntoEquivalence checks the two sampling APIs are
-// interchangeable draw-for-draw: same output, same post-call RNG state, for
-// partial samples, exact-size samples, and oversized requests.
+// TestRandomSampleIntoEquivalence checks RandomSampleInto against
+// math/rand draw-for-draw — a Shuffle of the whole view when n covers it,
+// the first n of a Perm otherwise — with the same output and the same
+// post-call RNG state, for partial, exact-size and oversized requests: a
+// seeded run's samples depend on it.
 func TestRandomSampleIntoEquivalence(t *testing.T) {
 	for _, n := range []int{1, 3, 9, 10, 25} {
 		v := New(10)
@@ -54,7 +54,15 @@ func TestRandomSampleIntoEquivalence(t *testing.T) {
 		rngA := rand.New(rand.NewSource(42))
 		rngB := rand.New(rand.NewSource(42))
 		var s Sampler
-		a := v.RandomSample(rngA, n)
+		var a []Descriptor
+		if n >= v.Len() {
+			a = v.AppendEntries(nil)
+			rngA.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+		} else {
+			for _, p := range rngA.Perm(v.Len())[:n] {
+				a = append(a, v.At(p))
+			}
+		}
 		b := v.RandomSampleInto(rngB, n, nil, &s)
 		if len(a) != len(b) {
 			t.Fatalf("n=%d: len %d vs %d", n, len(a), len(b))
@@ -89,30 +97,6 @@ func TestRandomSampleIntoAppends(t *testing.T) {
 	w.Add(desc(51, 0))
 	if got := w.RandomSampleInto(rng, 1, dst[:0], &s); len(got) != 1 {
 		t.Fatalf("sampler reuse across views failed: %v", got)
-	}
-}
-
-func TestForceAddOldestTieBreaking(t *testing.T) {
-	// Three entries at the same (maximal) age: the eviction must hit the
-	// lowest position — the tie-break oldestIndex documents.
-	v := New(3)
-	v.Add(desc(10, 5))
-	v.Add(desc(11, 5))
-	v.Add(desc(12, 5))
-	v.ForceAdd(desc(13, 0))
-	if v.Contains(10) {
-		t.Fatal("tie on age must evict the lowest position (id 10)")
-	}
-	if !v.Contains(11) || !v.Contains(12) || !v.Contains(13) {
-		t.Fatal("ids 11, 12, 13 should be present")
-	}
-	// A duplicate ID never evicts: the fresher copy replaces in place.
-	v.ForceAdd(desc(11, 0))
-	if v.Len() != 3 {
-		t.Fatalf("Len() = %d, want 3 (duplicate must replace, not evict)", v.Len())
-	}
-	if got := v.At(v.IndexOf(11)).Age; got != 0 {
-		t.Fatalf("age of refreshed duplicate = %d, want 0", got)
 	}
 }
 
@@ -181,7 +165,7 @@ func TestReplaceAllTruncatesToCapacity(t *testing.T) {
 	v.Add(desc(1, 0))
 	v.ReplaceAll([]Descriptor{desc(7, 1), desc(8, 2), desc(9, 3)})
 	if v.Len() != 2 || v.At(0).ID != 7 || v.At(1).ID != 8 {
-		t.Fatalf("ReplaceAll kept %v", v.Entries())
+		t.Fatalf("ReplaceAll kept %v", v.entries)
 	}
 	v.ReplaceAll(nil)
 	if v.Len() != 0 {
@@ -196,7 +180,7 @@ func TestReplaceRankedGathersInKeyOrder(t *testing.T) {
 	v.Add(desc(1, 0))
 	v.ReplaceRanked(pool, keys)
 	if v.Len() != 2 || v.At(0) != pool[2] || v.At(1) != pool[0] {
-		t.Fatalf("ReplaceRanked kept %v, want the first two keys' entries", v.Entries())
+		t.Fatalf("ReplaceRanked kept %v, want the first two keys' entries", v.entries)
 	}
 	v.ReplaceRanked(pool, nil)
 	if v.Len() != 0 {
@@ -233,9 +217,8 @@ func quickBuffers(ids []int8, ages []uint16, epochs []uint8, cuts []uint8) [][]D
 }
 
 // referenceMerge is the map-based merge the Merger's open-addressed table
-// replaced, kept here as the test oracle (MergeBuffers wraps MergeInto, so
-// comparing those two would compare the code with itself): drop self and
-// InvalidNode, first occurrence fixes the position, freshest copy wins.
+// replaced, kept here as the test oracle: drop self and InvalidNode, first
+// occurrence fixes the position, freshest copy wins.
 func referenceMerge(self NodeID, buffers ...[]Descriptor) []Descriptor {
 	var out []Descriptor
 	pos := map[NodeID]int{}
@@ -255,17 +238,15 @@ func referenceMerge(self NodeID, buffers ...[]Descriptor) []Descriptor {
 	return out
 }
 
-// Property: MergeInto through a (reused) Merger, and the copying
-// MergeBuffers wrapper, produce exactly what the map-based reference
-// produces, buffer for buffer, on random inputs.
-func TestMergeIntoEquivalentToMergeBuffers(t *testing.T) {
+// Property: MergeInto through a (reused) Merger produces exactly what the
+// map-based reference produces, buffer for buffer, on random inputs.
+func TestMergeIntoMatchesReference(t *testing.T) {
 	var shared Merger // deliberately reused across every check
 	f := func(ids []int8, ages []uint16, epochs []uint8, cuts []uint8, selfRaw int8) bool {
 		buffers := quickBuffers(ids, ages, epochs, cuts)
 		self := NodeID(selfRaw)
 		want := referenceMerge(self, buffers...)
-		return slices.Equal(MergeInto(&shared, self, buffers...), want) &&
-			slices.Equal(MergeBuffers(self, buffers...), want)
+		return slices.Equal(MergeInto(&shared, self, buffers...), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -293,7 +274,7 @@ func starHubPool(self NodeID) (hub *View, incoming []Descriptor) {
 func TestMergerGrowsPastInitialTable(t *testing.T) {
 	const self = NodeID(1000 + 7*3)
 	hub, incoming := starHubPool(self)
-	want := referenceMerge(self, hub.Entries(), incoming)
+	want := referenceMerge(self, hub.entries, incoming)
 	if len(want) != 599+20 {
 		t.Fatalf("reference merge has %d entries, want 619", len(want))
 	}

@@ -1,9 +1,6 @@
 package view
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Rand is the minimal random-source interface view selection draws from.
 // Both *math/rand.Rand and the simulation engine's counter-based per-node
@@ -55,11 +52,6 @@ func (v *View) SetCap(capacity int) {
 // At returns the descriptor at position i. It panics if i is out of range,
 // mirroring slice semantics.
 func (v *View) At(i int) Descriptor { return v.entries[i] }
-
-// Entries returns a copy of the current descriptors.
-func (v *View) Entries() []Descriptor {
-	return v.AppendEntries(make([]Descriptor, 0, len(v.entries)))
-}
 
 // AppendEntries appends the current descriptors to dst and returns the
 // extended slice. Passing a reused scratch buffer (dst[:0]) makes the read
@@ -122,22 +114,6 @@ func (v *View) Upsert(d Descriptor) (changed, held bool) {
 	return true, true
 }
 
-// ForceAdd inserts d, evicting the oldest entry if the view is full. A
-// descriptor for the same node is replaced by the fresher of the two.
-func (v *View) ForceAdd(d Descriptor) {
-	if i := v.IndexOf(d.ID); i >= 0 {
-		if d.Fresher(v.entries[i]) {
-			v.entries[i] = d
-		}
-		return
-	}
-	if len(v.entries) < v.capacity {
-		v.entries = append(v.entries, d)
-		return
-	}
-	v.entries[v.oldestIndex()] = d
-}
-
 // Remove deletes the descriptor for id, reporting whether it was present.
 func (v *View) Remove(id NodeID) bool {
 	i := v.IndexOf(id)
@@ -154,9 +130,6 @@ func (v *View) RemoveAt(i int) {
 	v.entries[i] = v.entries[last]
 	v.entries = v.entries[:last]
 }
-
-// Clear drops all entries, keeping capacity.
-func (v *View) Clear() { v.entries = v.entries[:0] }
 
 // AgeAll increments the age of every descriptor (saturating).
 func (v *View) AgeAll() {
@@ -191,18 +164,12 @@ func (v *View) Oldest() (d Descriptor, idx int, ok bool) {
 	if len(v.entries) == 0 {
 		return Descriptor{}, -1, false
 	}
-	idx = v.oldestIndex()
-	return v.entries[idx], idx, true
-}
-
-func (v *View) oldestIndex() int {
-	best := 0
 	for i := 1; i < len(v.entries); i++ {
-		if v.entries[i].Age > v.entries[best].Age {
-			best = i
+		if v.entries[i].Age > v.entries[idx].Age {
+			idx = i
 		}
 	}
-	return best
+	return v.entries[idx], idx, true
 }
 
 // Random returns a uniformly random descriptor. ok is false for an empty
@@ -212,19 +179,6 @@ func (v *View) Random(rng Rand) (Descriptor, bool) {
 		return Descriptor{}, false
 	}
 	return v.entries[rng.Intn(len(v.entries))], true
-}
-
-// RandomSample returns up to n distinct descriptors chosen uniformly at
-// random, in random order. n <= 0 returns nil without consuming randomness.
-func (v *View) RandomSample(rng Rand, n int) []Descriptor {
-	if n <= 0 || len(v.entries) == 0 {
-		return nil
-	}
-	if n > len(v.entries) {
-		n = len(v.entries)
-	}
-	var s Sampler
-	return v.RandomSampleInto(rng, n, make([]Descriptor, 0, n), &s)
 }
 
 // Sampler is reusable scratch for RandomSampleInto: it holds the permutation
@@ -237,10 +191,8 @@ type Sampler struct {
 
 // RandomSampleInto appends up to n distinct descriptors chosen uniformly at
 // random, in random order, to dst and returns the extended slice. It draws
-// from rng exactly like RandomSample (math/rand Shuffle when n covers the
-// view, a Perm-equivalent otherwise), so the two are interchangeable without
-// perturbing a seeded run. n <= 0 appends nothing and consumes no
-// randomness.
+// from rng like math/rand (Shuffle when n covers the view, a Perm-equivalent
+// otherwise). n <= 0 appends nothing and consumes no randomness.
 func (v *View) RandomSampleInto(rng Rand, n int, dst []Descriptor, s *Sampler) []Descriptor {
 	return SampleInto(rng, v.entries, n, dst, s)
 }
@@ -295,17 +247,6 @@ func (v *View) Filter(keep func(Descriptor) bool) {
 	v.entries = kept
 }
 
-// SortByAge orders entries from youngest to oldest (stable on input order
-// for equal ages is not guaranteed; ties broken by node ID for determinism).
-func (v *View) SortByAge() {
-	sort.Slice(v.entries, func(i, j int) bool {
-		if v.entries[i].Age != v.entries[j].Age {
-			return v.entries[i].Age < v.entries[j].Age
-		}
-		return v.entries[i].ID < v.entries[j].ID
-	})
-}
-
 // ReplaceAll replaces the view's contents with ds, truncated to the view's
 // capacity. Callers are expected to pass deduplicated, owner-free buffers
 // (e.g. a Merger result); ReplaceAll performs no checks of its own.
@@ -339,21 +280,6 @@ func (v *View) ReplaceRanked(pool []Descriptor, keys []RankKey) {
 	for _, k := range keys {
 		v.entries = append(v.entries, pool[k.Idx])
 	}
-}
-
-// Merge folds the given descriptors into a deduplicated buffer together
-// with the current entries, then keeps the `capacity` freshest, preferring
-// existing entries on ties. self is excluded.
-func (v *View) Merge(self NodeID, incoming []Descriptor) {
-	buf := MergeBuffers(self, v.entries, incoming)
-	// Keep youngest first.
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].Age != buf[j].Age {
-			return buf[i].Age < buf[j].Age
-		}
-		return buf[i].ID < buf[j].ID
-	})
-	v.ReplaceAll(buf)
 }
 
 // Merger is the reusable scratch state behind descriptor-buffer merging: a
@@ -407,7 +333,7 @@ func (m *Merger) AddSlice(ds []Descriptor) {
 }
 
 // AddView folds a view's entries into the merge without copying them out
-// first — the allocation-free equivalent of AddSlice(v.Entries()).
+// first.
 func (m *Merger) AddView(v *View) {
 	for i := range v.entries {
 		m.add(&v.entries[i])
@@ -461,22 +387,13 @@ func (m *Merger) grow() {
 func (m *Merger) Result() []Descriptor { return m.out }
 
 // MergeInto merges descriptor buffers through dst's reusable scratch,
-// returning dst.Result(). It is the allocation-free equivalent of
-// MergeBuffers: same output, same order, no per-call map or slice.
+// dropping self and keeping the freshest descriptor per node ID, and
+// returns dst.Result(). The result order is deterministic: it follows first
+// occurrence in the concatenated input.
 func MergeInto(dst *Merger, self NodeID, buffers ...[]Descriptor) []Descriptor {
 	dst.Begin(self)
 	for _, b := range buffers {
 		dst.AddSlice(b)
 	}
 	return dst.Result()
-}
-
-// MergeBuffers combines descriptor slices, dropping self and keeping the
-// freshest descriptor per node ID. The result order is deterministic: it
-// follows first occurrence in the concatenated input. It is a thin copying
-// wrapper over MergeInto; hot paths reuse a Merger instead.
-func MergeBuffers(self NodeID, buffers ...[]Descriptor) []Descriptor {
-	var m Merger
-	out := MergeInto(&m, self, buffers...)
-	return out
 }

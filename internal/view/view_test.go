@@ -2,6 +2,7 @@ package view
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -72,19 +73,6 @@ func TestFresherPrefersNewerEpoch(t *testing.T) {
 	}
 }
 
-func TestForceAddEvictsOldest(t *testing.T) {
-	v := New(2)
-	v.Add(desc(1, 9))
-	v.Add(desc(2, 1))
-	v.ForceAdd(desc(3, 0))
-	if v.Contains(1) {
-		t.Fatal("oldest entry (id 1) should have been evicted")
-	}
-	if !v.Contains(2) || !v.Contains(3) {
-		t.Fatal("ids 2 and 3 should be present")
-	}
-}
-
 func TestRemove(t *testing.T) {
 	v := New(4)
 	v.Add(desc(1, 0))
@@ -121,6 +109,11 @@ func TestOldest(t *testing.T) {
 	if !ok || d.ID != 2 {
 		t.Fatalf("Oldest() = %v, want id 2", d)
 	}
+	// A tie on age goes to the lowest position.
+	v.Add(desc(4, 7))
+	if d, i, _ := v.Oldest(); d.ID != 2 || i != 1 {
+		t.Fatalf("Oldest() on a tie = %v at %d, want id 2 at 1", d, i)
+	}
 }
 
 func TestFilter(t *testing.T) {
@@ -140,21 +133,13 @@ func TestFilter(t *testing.T) {
 }
 
 func TestMergeKeepsFreshest(t *testing.T) {
-	v := New(3)
-	v.Add(desc(1, 8))
-	v.Add(desc(2, 1))
-	v.Merge(99, []Descriptor{desc(1, 2), desc(3, 0), desc(4, 9), desc(99, 0)})
-	if v.Len() != 3 {
-		t.Fatalf("Len() = %d, want capacity 3", v.Len())
-	}
-	if v.Contains(99) {
-		t.Fatal("merge must never admit self")
-	}
-	if i := v.IndexOf(1); i < 0 || v.At(i).Age != 2 {
-		t.Fatal("merge should keep the fresher copy of id 1")
-	}
-	if v.Contains(4) {
-		t.Fatal("oldest candidate (id 4, age 9) should have been dropped")
+	var m Merger
+	got := MergeInto(&m, 99,
+		[]Descriptor{desc(1, 8), desc(2, 1)},
+		[]Descriptor{desc(1, 2), desc(3, 0), desc(99, 0), desc(2, 4)})
+	want := []Descriptor{desc(1, 2), desc(2, 1), desc(3, 0)}
+	if !slices.Equal(got, want) {
+		t.Fatalf("MergeInto = %v, want %v (freshest copy, first position, no self)", got, want)
 	}
 }
 
@@ -164,7 +149,8 @@ func TestRandomSample(t *testing.T) {
 	for i := NodeID(0); i < 10; i++ {
 		v.Add(desc(i, 0))
 	}
-	s := v.RandomSample(rng, 4)
+	var sampler Sampler
+	s := v.RandomSampleInto(rng, 4, nil, &sampler)
 	if len(s) != 4 {
 		t.Fatalf("len(sample) = %d, want 4", len(s))
 	}
@@ -175,7 +161,7 @@ func TestRandomSample(t *testing.T) {
 		}
 		seen[d.ID] = true
 	}
-	if got := v.RandomSample(rng, 50); len(got) != 10 {
+	if got := v.RandomSampleInto(rng, 50, nil, &sampler); len(got) != 10 {
 		t.Fatalf("oversized sample should return all %d entries, got %d", 10, len(got))
 	}
 }
@@ -191,9 +177,11 @@ func TestSetCapTruncates(t *testing.T) {
 	}
 }
 
-// Property: merging arbitrary buffers never produces duplicates, never
-// includes self, and never exceeds capacity.
+// Property: merging arbitrary buffers into a view the way the overlays do
+// (MergeInto, then ReplaceAll) never produces duplicates, never includes
+// self, and never exceeds capacity.
 func TestMergeProperties(t *testing.T) {
+	var m Merger
 	f := func(ids []int16, ages []uint16, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
 		v := New(capacity)
@@ -206,7 +194,7 @@ func TestMergeProperties(t *testing.T) {
 			incoming = append(incoming, desc(NodeID(id), age))
 		}
 		const self = NodeID(7)
-		v.Merge(self, incoming)
+		v.ReplaceAll(MergeInto(&m, self, v.entries, incoming))
 		if v.Len() > capacity {
 			return false
 		}
@@ -216,40 +204,6 @@ func TestMergeProperties(t *testing.T) {
 				return false
 			}
 			seen[id] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: MergeBuffers output always holds the freshest descriptor per ID
-// across all input buffers.
-func TestMergeBuffersFreshest(t *testing.T) {
-	f := func(agesA, agesB []uint16) bool {
-		a := make([]Descriptor, len(agesA))
-		for i, age := range agesA {
-			a[i] = desc(NodeID(i%5), age)
-		}
-		b := make([]Descriptor, len(agesB))
-		for i, age := range agesB {
-			b[i] = desc(NodeID(i%5), age)
-		}
-		out := MergeBuffers(InvalidNode, a, b)
-		best := map[NodeID]uint16{}
-		for _, d := range append(append([]Descriptor{}, a...), b...) {
-			if cur, ok := best[d.ID]; !ok || d.Age < cur {
-				best[d.ID] = d.Age
-			}
-		}
-		if len(out) != len(best) {
-			return false
-		}
-		for _, d := range out {
-			if d.Age != best[d.ID] {
-				return false
-			}
 		}
 		return true
 	}
@@ -270,20 +224,5 @@ func TestAddIdempotentSize(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSortByAge(t *testing.T) {
-	v := New(5)
-	v.Add(desc(3, 9))
-	v.Add(desc(1, 2))
-	v.Add(desc(2, 2))
-	v.SortByAge()
-	ids := v.IDs()
-	want := []NodeID{1, 2, 3}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("order = %v, want %v", ids, want)
-		}
 	}
 }

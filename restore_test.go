@@ -3,7 +3,12 @@ package sosf
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"sosf/internal/snap"
 )
 
 // snapshotBytes checkpoints sys into memory.
@@ -78,6 +83,53 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("the checkpoint of an accepted stream does not restore: %v", err)
 		}
 	})
+}
+
+// TestFuzzRestoreCorpusCurrent holds the committed FuzzRestore regression
+// inputs to the current snapshot header. An input whose magic, format
+// version or kind a build no longer reads dies in Reader.Header and tests
+// nothing past it, so a format bump must re-stamp the corpus.
+func TestFuzzRestoreCorpusCurrent(t *testing.T) {
+	fresh := snap.NewReader(bytes.NewReader(snapshotBytes(t, tinySystem(t))))
+	fresh.U64() // magic
+	fresh.U16() // version
+	kind := fresh.String()
+	if err := fresh.Err(); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob("testdata/fuzz/FuzzRestore/*")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed FuzzRestore inputs (%v)", err)
+	}
+	for _, path := range paths {
+		data := readFuzzBytes(t, path)
+		r := snap.NewReader(bytes.NewReader(data))
+		r.Header(kind)
+		if err := r.Err(); err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		t.Logf("%s: %v", filepath.Base(path), fuzzTarget(t).Restore(bytes.NewReader(data)))
+	}
+}
+
+// readFuzzBytes reads the one []byte value of a "go test fuzz v1" file.
+func readFuzzBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, body, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(body, "[]byte(")
+	if !ok || head != "go test fuzz v1" {
+		t.Fatalf("%s: not a one-[]byte fuzz input", path)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(data)
 }
 
 // fuzzTarget builds a fresh ringpair system to restore into, configured

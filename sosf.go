@@ -396,15 +396,12 @@ func ManagerPorts(managers map[string]int64) []string {
 // "component.port". Ports of empty components are omitted.
 func (s *System) Managers() map[string]int64 {
 	topo := s.sys.Allocator().Topology()
+	oracle := s.sys.Oracle()
 	out := make(map[string]int64)
-	for ci := range topo.Components {
+	for ci, members := range oracle.Members() {
 		comp := view.ComponentID(ci)
-		members := membersOf(s.sys, comp)
-		if len(members) == 0 {
-			continue
-		}
 		for pi, port := range topo.Components[ci].Ports {
-			if mgr, ok := s.sys.Oracle().Winner(members, comp, int32(pi)); ok {
+			if mgr, ok := oracle.Winner(members, comp, int32(pi)); ok {
 				out[topo.Components[ci].Name+"."+port] = int64(mgr.ID)
 			}
 		}
@@ -504,13 +501,9 @@ func (s *System) DOT() string {
 		"#fdb462", "#b3de69", "#fccde5", "#d9d9d9", "#bc80bd",
 	}
 	managers := make(map[int]bool)
-	for si := range s.sys.Allocator().Sides() {
-		side := s.sys.Allocator().Sides()[si]
-		members := membersOf(s.sys, side.Comp)
-		if len(members) == 0 {
-			continue
-		}
-		if mgr, ok := oracle.Winner(members, side.Comp, side.Port); ok {
+	members := oracle.Members()
+	for _, side := range s.sys.Allocator().Sides() {
+		if mgr, ok := oracle.Winner(members[side.Comp], side.Comp, side.Port); ok {
 			managers[mgr.Slot] = true
 		}
 	}
@@ -551,25 +544,4 @@ func (s *System) DOT() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// membersOf lists alive current-epoch members of a component sorted by
-// index (the oracle's dense-rank order).
-func membersOf(sys *core.System, comp view.ComponentID) []*sim.Node {
-	eng := sys.Engine()
-	epoch := sys.Allocator().Epoch()
-	var out []*sim.Node
-	for _, slot := range eng.AliveSlots() {
-		n := eng.Node(slot)
-		if n.Profile.Comp == comp && n.Profile.Epoch == epoch {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Profile.Index != out[j].Profile.Index {
-			return out[i].Profile.Index < out[j].Profile.Index
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
