@@ -72,7 +72,6 @@
 //	-no-repair     sample kill blasts without replacement joins or the
 //	               trailing rebalance (these timelines must reconverge on
 //	               the runtime's self-healing alone)
-//	-no-resume     skip the per-run resume-equivalence check
 //	-corpus DIR    write each finding as a NAME.in/NAME.out reproducer
 //	               pair under DIR (see testdata/corpus)
 //	-workers N     shard each simulated round (results identical)
@@ -331,7 +330,6 @@ func fuzz(args []string) error {
 	bandwidth := fs.Float64("bandwidth", 12288, "per-node per-round byte ceiling")
 	popFloor := fs.Float64("pop-floor", 0, "population floor as a fraction of the initial size (0 = off; strict values seed failures)")
 	noRepair := fs.Bool("no-repair", false, "sample kills without replacement joins or the trailing rebalance")
-	noResume := fs.Bool("no-resume", false, "skip the per-run resume-equivalence check")
 	corpusDir := fs.String("corpus", "", "write each finding as a NAME.in/NAME.out pair under this directory")
 	workers := fs.Int("workers", 1, "workers sharding each round (0 = GOMAXPROCS; results identical for any value)")
 	if err := fs.Parse(args); err != nil {
@@ -370,7 +368,6 @@ func fuzz(args []string) error {
 		BandwidthCeiling: *bandwidth,
 		PopulationFloor:  *popFloor,
 		NoRepair:         *noRepair,
-		SkipResumeCheck:  *noResume,
 		Workers:          roundWorkers,
 		Log:              os.Stderr,
 	}).Run()

@@ -11,14 +11,6 @@ import (
 	"sosf/internal/spec"
 )
 
-// Source is one base topology of the campaign matrix: a named piece of DSL
-// source carrying components and links only — the campaign injects the
-// population, seed, round budget, and fault timeline per run.
-type Source struct {
-	Name string
-	Src  string
-}
-
 // Config parameterizes a campaign. The zero value of every field selects a
 // default sized for a CI smoke run; see New.
 type Config struct {
@@ -27,14 +19,10 @@ type Config struct {
 	// campaign seed reproduces the whole campaign — including the exact
 	// bytes of any emitted reproducer.
 	Seed int64
-	// Runs is the number of generated runs (default 8). Run i uses
-	// topology i mod len(Topologies) and population (i / len(Topologies))
-	// mod len(Populations), cycling through the matrix.
+	// Runs is the number of generated runs (default 8). Run i uses base
+	// topology i mod len(topologies) and population (i / len(topologies))
+	// mod len(populations), cycling through the matrix.
 	Runs int
-	// Topologies is the base topology matrix (default DefaultTopologies).
-	Topologies []Source
-	// Populations is the population axis of the matrix (default 64, 128).
-	Populations []int
 	// Horizon is the last round a sampled fault may touch (default 60).
 	Horizon int
 	// ReconvergeWithin is the Reconverge invariant's budget: every run
@@ -42,11 +30,9 @@ type Config struct {
 	// fault (default 40). Each run simulates Horizon + ReconvergeWithin
 	// rounds.
 	ReconvergeWithin int
-	// MaxEvents caps the number of fault events per timeline (default 4).
-	MaxEvents int
 	// BandwidthCeiling is the BandwidthCeiling invariant's limit in bytes
 	// per node per round (default 12288 — flash-join and rebalance rounds
-	// legitimately spike to ~7.3 KB/node at the default populations;
+	// legitimately spike to ~7.3 KB/node at the campaign's populations;
 	// steady-state rounds stay under 2 KB/node).
 	BandwidthCeiling float64
 	// PopulationFloor, when positive, adds the PopulationFloor invariant:
@@ -63,16 +49,10 @@ type Config struct {
 	// re-densify), so a NoRepair campaign is expected to run clean — it is
 	// the positive gate on that layer.
 	NoRepair bool
-	// SkipResumeCheck disables the per-run resume-equivalence check
-	// (snapshot at mid-run, restore into a fresh system, require the
-	// resumed event stream to be byte-identical).
-	SkipResumeCheck bool
 	// Workers shards each simulation round with sosf.RunSpec's rule: 0 or
 	// 1 runs serially, a negative value selects GOMAXPROCS. Results are
 	// byte-identical at any value; this only changes the wall clock.
 	Workers int
-	// Invariants appends extra invariants after the default set.
-	Invariants []Invariant
 	// Log, when set, receives one progress line per run.
 	Log io.Writer
 }
@@ -85,25 +65,16 @@ type Campaign struct {
 
 // New applies defaults and assembles the invariant set: Reconverge,
 // OrphanTail, and BandwidthCeiling always run; PopulationFloor joins when
-// configured; Config.Invariants run last.
+// configured.
 func New(cfg Config) *Campaign {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 8
-	}
-	if len(cfg.Topologies) == 0 {
-		cfg.Topologies = DefaultTopologies()
-	}
-	if len(cfg.Populations) == 0 {
-		cfg.Populations = []int{64, 128}
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 60
 	}
 	if cfg.ReconvergeWithin <= 0 {
 		cfg.ReconvergeWithin = 40
-	}
-	if cfg.MaxEvents <= 0 {
-		cfg.MaxEvents = 4
 	}
 	if cfg.BandwidthCeiling <= 0 {
 		cfg.BandwidthCeiling = 12288
@@ -116,7 +87,6 @@ func New(cfg Config) *Campaign {
 	if cfg.PopulationFloor > 0 {
 		invs = append(invs, PopulationFloor{MinFraction: cfg.PopulationFloor})
 	}
-	invs = append(invs, cfg.Invariants...)
 	return &Campaign{cfg: cfg, invariants: invs}
 }
 
@@ -179,7 +149,7 @@ func (c *Campaign) runOne(idx int) (Finding, bool, error) {
 	if err != nil {
 		return Finding{}, false, err
 	}
-	run, err := c.execute(topo, !c.cfg.SkipResumeCheck)
+	run, err := c.execute(topo, true)
 	if err != nil {
 		return Finding{}, false, err
 	}
@@ -214,9 +184,9 @@ func (c *Campaign) runOne(idx int) (Finding, bool, error) {
 
 // runID derives run idx's matrix cell and seed from the campaign seed.
 func (c *Campaign) runID(idx int) RunID {
-	t := c.cfg.Topologies[idx%len(c.cfg.Topologies)]
-	pop := c.cfg.Populations[(idx/len(c.cfg.Topologies))%len(c.cfg.Populations)]
-	return RunID{Index: idx, Topology: t.Name, Population: pop, Seed: deriveSeed(c.cfg.Seed, uint64(idx))}
+	t := topologies[idx%len(topologies)]
+	pop := populations[(idx/len(topologies))%len(populations)]
+	return RunID{Index: idx, Topology: t.name, Population: pop, Seed: deriveSeed(c.cfg.Seed, uint64(idx))}
 }
 
 // buildRun assembles the run's spec: the base topology with the matrix
@@ -224,17 +194,17 @@ func (c *Campaign) runID(idx int) RunID {
 // of Horizon + ReconvergeWithin so the Reconverge invariant is always
 // judgeable.
 func (c *Campaign) buildRun(id RunID) (*spec.Topology, error) {
-	base := c.cfg.Topologies[id.Index%len(c.cfg.Topologies)]
-	topo, err := dsl.ParseTopology(base.Src)
+	base := topologies[id.Index%len(topologies)]
+	topo, err := dsl.ParseTopology(base.src)
 	if err != nil {
-		return nil, fmt.Errorf("base topology %q: %w", base.Name, err)
+		return nil, fmt.Errorf("base topology %q: %w", base.name, err)
 	}
 	topo.SetOption("nodes", int64(id.Population))
 	topo.SetOption("seed", id.Seed)
 	topo.SetOption("rounds", int64(c.cfg.Horizon+c.cfg.ReconvergeWithin))
 	topo.Scenario = generateTimeline(timelineRand(id.Seed), topo, c.cfg, id.Population)
 	if err := topo.Validate(); err != nil {
-		return nil, fmt.Errorf("generated run %d (%s): %w", id.Index, base.Name, err)
+		return nil, fmt.Errorf("generated run %d (%s): %w", id.Index, base.name, err)
 	}
 	return topo, nil
 }

@@ -35,7 +35,7 @@ func TestCampaignCleanByDefault(t *testing.T) {
 // exact same bytes — source and golden event stream — on every rerun of
 // the same campaign seed.
 func TestSeededFindingByteIdentical(t *testing.T) {
-	cfg := Config{Seed: 1, Runs: 3, Populations: []int{48}, PopulationFloor: 0.9}
+	cfg := Config{Seed: 1, Runs: 3, PopulationFloor: 0.9}
 	run := func() []Finding {
 		t.Helper()
 		fs, err := New(cfg).Run()
@@ -283,7 +283,7 @@ func TestWorkersRule(t *testing.T) {
 		{-1, runtime.GOMAXPROCS(0)},
 		{0, 1},
 	} {
-		c := New(Config{Seed: 1, Runs: 1, Populations: []int{48}, Workers: tc.workers})
+		c := New(Config{Seed: 1, Runs: 1, Workers: tc.workers})
 		topo, err := c.buildRun(c.runID(0))
 		if err != nil {
 			t.Fatal(err)

@@ -1,9 +1,10 @@
 // Package campaign is the deterministic generative fuzzing campaign
 // behind `sos fuzz`: it samples randomized fault timelines — churn bursts,
 // loss storms, cascading partitions, flash-join crowds, kill blasts, and
-// mid-run reconfigurations — over a seed × topology × population matrix,
-// executes each cell through the public sosf API, and checks a pluggable
-// invariant set:
+// mid-run reconfigurations — over a seed × topology × population matrix
+// (three base topologies, populations 64 and 128, at most four fault events
+// a timeline), executes each cell through the public sosf API, and checks
+// a fixed invariant set:
 //
 //   - Reconverge: every layer back at accuracy 1.0 within N rounds of the
 //     last fault (the paper's self-assembly promise).

@@ -8,32 +8,37 @@ import (
 	"sosf/internal/spec"
 )
 
-// DefaultTopologies is the built-in base matrix: three small composites
-// that together exercise every elementary shape family the runtime links
-// across components (rings, a star core over a grid mesh, a tree feeding a
-// line).
-func DefaultTopologies() []Source {
-	return []Source{
-		{Name: "ringpair", Src: `
+// maxEvents caps the fault events of one sampled timeline.
+const maxEvents = 4
+
+// populations is the population axis of the campaign matrix.
+var populations = [...]int{64, 128}
+
+// topologies is the base topology axis: three small composites that
+// together exercise every elementary shape family the runtime links across
+// components (rings, a star core over a grid mesh, a tree feeding a line).
+// Each is DSL source carrying components and links only — the campaign
+// injects the population, seed, round budget, and fault timeline per run.
+var topologies = [...]struct{ name, src string }{
+	{name: "ringpair", src: `
 topology ringpair {
     component left ring { weight 1 port head port tail }
     component right ring { weight 1 port head port tail }
     link left.head right.tail
     link right.head left.tail
 }`},
-		{Name: "starmesh", Src: `
+	{name: "starmesh", src: `
 topology starmesh {
     component core star { param hubs 2 weight 1 port up }
     component mesh grid { param width 4 weight 2 port in }
     link core.up mesh.in
 }`},
-		{Name: "treeline", Src: `
+	{name: "treeline", src: `
 topology treeline {
     component canopy tree { param arity 2 weight 1 port crown }
     component chain line { weight 1 port head }
     link canopy.crown chain.head
 }`},
-	}
 }
 
 // timelineRand builds the deterministic generator stream for one run's
@@ -54,7 +59,7 @@ func timelineRand(runSeed int64) *rand.Rand {
 // seeded-failure knobs (PopulationFloor, NoRepair, a tightened ceiling)
 // move the bar.
 func generateTimeline(rng *rand.Rand, topo *spec.Topology, cfg Config, pop int) []spec.ScenarioEvent {
-	n := 1 + rng.Intn(cfg.MaxEvents)
+	n := 1 + rng.Intn(maxEvents)
 	if maxLanes := cfg.Horizon / 4; n > maxLanes {
 		// Every lane needs room for a small window plus slack.
 		n = maxLanes

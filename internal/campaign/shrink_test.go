@@ -33,7 +33,7 @@ func shrinkOne(t *testing.T, cfg Config) (Finding, *spec.Topology) {
 // round, and a population at the shrinker's floor.
 func TestShrinkDistillsMinimalReproducer(t *testing.T) {
 	f, topo := shrinkOne(t, Config{
-		Seed: 3, Runs: 1, Populations: []int{64}, PopulationFloor: 0.95,
+		Seed: 3, Runs: 1, PopulationFloor: 0.95,
 	})
 	if f.Violation.Invariant != InvPopulationFloor {
 		t.Fatalf("want a population-floor finding, got %s", f.Violation)

@@ -30,7 +30,7 @@ type Config struct {
 	// UO1Capacity is the same-component view size (default 8).
 	UO1Capacity int
 	// OverlayGossip is the per-exchange descriptor budget of the Vicinity
-	// instances (default 5).
+	// instances (default vicinity.DefaultGossip).
 	OverlayGossip int
 	// LossRate is the probability that any exchange is lost in transit.
 	LossRate float64
@@ -55,7 +55,7 @@ func (c Config) withDefaults() Config {
 		c.UO1Capacity = 8
 	}
 	if c.OverlayGossip <= 0 {
-		c.OverlayGossip = 5
+		c.OverlayGossip = vicinity.DefaultGossip
 	}
 	return c
 }
@@ -257,14 +257,21 @@ func (s *System) KillComponent(name string) int {
 	return killed
 }
 
-// ChurnObserver returns an observer that, after every round, replaces
-// rate × population with fresh joins, wired through the allocator.
+// Churn kills fraction f of the alive population (Kill) and replaces every
+// killed node with a fresh join (AddNodes), returning how many it replaced.
+func (s *System) Churn(f float64) int {
+	killed := s.Kill(f)
+	if len(killed) > 0 {
+		s.AddNodes(len(killed))
+	}
+	return len(killed)
+}
+
+// ChurnObserver returns an observer that churns rate × population after
+// every round.
 func (s *System) ChurnObserver(rate float64) sim.Observer {
 	return sim.ObserverFunc(func(*sim.Engine) bool {
-		killed := s.Kill(rate)
-		if len(killed) > 0 {
-			s.AddNodes(len(killed))
-		}
+		s.Churn(rate)
 		return false
 	})
 }

@@ -205,7 +205,8 @@ func (p *parser) parseScenarioEvent() (*ScenarioEventStmt, error) {
 		return ev, nil
 	case "snapshot":
 		// `snapshot "checkpoints/ck-%d.snap"` — the path is a string
-		// literal; a %d verb is replaced by the round number at write time.
+		// literal; every literal %d in it is replaced by the round number at
+		// write time.
 		ev.Kind = "snapshot"
 		path, err := p.expect(TokString)
 		if err != nil {

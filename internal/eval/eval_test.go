@@ -100,13 +100,13 @@ func TestFig2Small(t *testing.T) {
 	if elem.Name != core.SubElementary.String() {
 		t.Fatalf("first series = %q", elem.Name)
 	}
-	if elem.Len() < 6 {
-		t.Fatalf("sweep points = %d", elem.Len())
+	if len(elem.X) < 6 {
+		t.Fatalf("sweep points = %d", len(elem.X))
 	}
 	// The paper's headline trend: convergence grows slowly (log-like)
 	// with node count — 32x more nodes must cost far less than 32x the
 	// rounds, and the largest size must still converge.
-	first, last := elem.Points[0].Mean, elem.Points[elem.Len()-1].Mean
+	first, last := elem.Points[0].Mean, elem.Points[len(elem.X)-1].Mean
 	if last >= float64(roundCap) {
 		t.Fatalf("largest size did not converge: %f", last)
 	}
@@ -131,12 +131,12 @@ func TestFig4Small(t *testing.T) {
 		t.Fatalf("series = %d, want 2 (baseline, overhead)", len(fig.Series))
 	}
 	base, over := fig.Series[0], fig.Series[1]
-	if base.Len() != 20 || over.Len() != 20 {
-		t.Fatalf("rounds = %d/%d, want 20", base.Len(), over.Len())
+	if len(base.X) != 20 || len(over.X) != 20 {
+		t.Fatalf("rounds = %d/%d, want 20", len(base.X), len(over.X))
 	}
 	// Paper: both series are small (the figure's axis tops at 1000 bytes)
 	// and of the same order of magnitude.
-	for i := 0; i < base.Len(); i++ {
+	for i := 0; i < len(base.X); i++ {
 		if base.Points[i].Mean <= 0 || over.Points[i].Mean <= 0 {
 			t.Fatalf("round %d: non-positive bandwidth", i)
 		}
@@ -187,7 +187,7 @@ func TestCurvesSmall(t *testing.T) {
 	}
 	// Curves end fully converged for every sub-procedure.
 	for _, s := range fig.Series {
-		finalP := s.Points[s.Len()-1]
+		finalP := s.Points[len(s.X)-1]
 		if finalP.Mean < 0.99 {
 			t.Fatalf("%s final accuracy %f", s.Name, finalP.Mean)
 		}
@@ -213,7 +213,7 @@ func TestReconfigSmall(t *testing.T) {
 	// Accuracy must dip right after the switch (round 41) and recover to
 	// 1.0 by the end.
 	atSwitch := elem.Points[41].Mean
-	final := elem.Points[elem.Len()-1].Mean
+	final := elem.Points[len(elem.X)-1].Mean
 	if atSwitch > 0.9 {
 		t.Fatalf("no visible dip after reconfiguration: %f", atSwitch)
 	}

@@ -1,7 +1,6 @@
-// Package graph provides lightweight undirected-graph analysis of realized
-// overlay topologies: the facade and the experiment harness check
-// connectivity over the alive nodes and render the edges, and the test
-// suite also checks degrees and diameters.
+// Package graph holds realized overlay topologies as undirected graphs:
+// the facade and the experiment harness check connectivity over the alive
+// nodes (ConnectedOver), count the edges and render them (Neighbors).
 //
 // Graphs are built over dense vertex indices (the engine's node slots).
 package graph
@@ -37,15 +36,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[u][v] = struct{}{}
 	g.adj[v][u] = struct{}{}
 }
-
-// HasEdge reports whether the undirected edge (u, v) exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.adj[u][v]
-	return ok
-}
-
-// Degree returns the degree of vertex u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
 // Neighbors returns the sorted neighbor list of u.
 func (g *Graph) Neighbors(u int) []int {
@@ -89,77 +79,6 @@ func (g *Graph) ConnectedOver(vertices []int) bool {
 		}
 	}
 	return len(seen) == len(vertices)
-}
-
-// Connected reports whether the whole graph is connected.
-func (g *Graph) Connected() bool {
-	all := make([]int, len(g.adj))
-	for i := range all {
-		all[i] = i
-	}
-	return g.ConnectedOver(all)
-}
-
-// BFSDepths returns the shortest-path distance (in hops) from src to every
-// vertex; unreachable vertices get -1.
-func (g *Graph) BFSDepths(src int) []int {
-	dist := make([]int, len(g.adj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := range g.adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// Diameter returns the longest shortest path in the graph; -1 if the graph
-// is disconnected or empty. O(V·E) — intended for small test graphs.
-func (g *Graph) Diameter() int {
-	if len(g.adj) == 0 {
-		return -1
-	}
-	max := 0
-	for u := range g.adj {
-		for _, d := range g.BFSDepths(u) {
-			if d < 0 {
-				return -1
-			}
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
-// DegreeStats returns min, max and mean vertex degree.
-func (g *Graph) DegreeStats() (min, max int, mean float64) {
-	if len(g.adj) == 0 {
-		return 0, 0, 0
-	}
-	min = len(g.adj[0])
-	var sum int
-	for _, s := range g.adj {
-		d := len(s)
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-		sum += d
-	}
-	return min, max, float64(sum) / float64(len(g.adj))
 }
 
 // String summarizes the graph.

@@ -36,9 +36,6 @@ func (s *Series) Reserve(n int) {
 	}
 }
 
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
 // YMax returns the largest mean in the series (0 when empty).
 func (s *Series) YMax() float64 {
 	max := 0.0

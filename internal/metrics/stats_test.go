@@ -131,8 +131,8 @@ func TestSeries(t *testing.T) {
 	s.Name = "uo1"
 	s.Append(100, Summary{Mean: 8})
 	s.Append(200, Summary{Mean: 10})
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s.X) != 2 {
+		t.Fatalf("Len = %d, want 2", len(s.X))
 	}
 	if s.YMax() != 10 {
 		t.Fatalf("YMax = %f, want 10", s.YMax())

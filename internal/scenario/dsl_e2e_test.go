@@ -46,7 +46,7 @@ func bindAndRun(t *testing.T, topo *spec.Topology, rounds int) (partitioned []bo
 		if err := b.Err(); err != nil {
 			t.Fatal(err)
 		}
-		partitioned = append(partitioned, sys.Engine().Partitioned())
+		partitioned = append(partitioned, split(sys.Engine()))
 	}
 	return partitioned, b
 }

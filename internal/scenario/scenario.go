@@ -129,11 +129,8 @@ func (b *Bound) tick(t int) {
 			}
 		case spec.ScenChurn:
 			if ev.From <= t && t <= ev.To {
-				killed := b.sys.Kill(ev.Fraction)
-				if len(killed) > 0 {
-					b.sys.AddNodes(len(killed))
-				}
-				b.note("churn %g: %d nodes", ev.Fraction, len(killed))
+				n := b.sys.Churn(ev.Fraction)
+				b.note("churn %g: %d nodes", ev.Fraction, n)
 			}
 		case spec.ScenLoss:
 			if t == ev.From {

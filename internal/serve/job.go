@@ -298,13 +298,6 @@ func (j *Job) evict() (bool, error) {
 	return true, nil
 }
 
-// resident reports whether the job currently holds an in-memory system.
-func (j *Job) resident() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.sys != nil
-}
-
 // shutdown force-parks the job for server close / delete: the runner is
 // cancelled and joined, nothing else changes.
 func (j *Job) shutdown() {

@@ -7,9 +7,6 @@ type Ring struct{}
 
 var _ Shape = Ring{}
 
-// Name implements Shape.
-func (Ring) Name() string { return "ring" }
-
 // Neighbors implements Shape.
 func (Ring) Neighbors(i, n int) []int {
 	switch {
@@ -36,9 +33,6 @@ type Line struct{}
 
 var _ Shape = Line{}
 
-// Name implements Shape.
-func (Line) Name() string { return "line" }
-
 // Neighbors implements Shape.
 func (Line) Neighbors(i, n int) []int {
 	var out []int
@@ -63,9 +57,6 @@ func (Line) Capacity(view.Profile) int { return 2 + slack }
 type Clique struct{}
 
 var _ Shape = Clique{}
-
-// Name implements Shape.
-func (Clique) Name() string { return "clique" }
 
 // Neighbors implements Shape.
 func (Clique) Neighbors(i, n int) []int {
@@ -109,9 +100,6 @@ type Star struct {
 }
 
 var _ Shape = Star{}
-
-// Name implements Shape.
-func (Star) Name() string { return "star" }
 
 // hubCount clamps the hub count to the component size.
 func (s Star) hubCount(n int) int {

@@ -14,9 +14,6 @@ type Grid struct {
 
 var _ Shape = Grid{}
 
-// Name implements Shape.
-func (Grid) Name() string { return "grid" }
-
 // Neighbors implements Shape.
 func (g Grid) Neighbors(i, n int) []int {
 	w := int(g.Width)
@@ -61,9 +58,6 @@ type Torus struct {
 }
 
 var _ Shape = Torus{}
-
-// Name implements Shape.
-func (Torus) Name() string { return "torus" }
 
 // rows returns the number of (possibly ragged) rows for n members.
 func (t Torus) rows(n int) int {
@@ -174,9 +168,6 @@ func (t Torus) Capacity(view.Profile) int {
 type Hypercube struct{}
 
 var _ Shape = Hypercube{}
-
-// Name implements Shape.
-func (Hypercube) Name() string { return "hypercube" }
 
 // Neighbors implements Shape.
 func (Hypercube) Neighbors(i, n int) []int {

@@ -26,8 +26,6 @@ import (
 
 // Shape describes one elementary topology.
 type Shape interface {
-	// Name returns the registry name of the shape (e.g. "ring").
-	Name() string
 	// Neighbors returns the target neighbor indices of member i in a
 	// component of n members. Implementations may return asymmetric
 	// per-node lists; TargetEdges takes the union.

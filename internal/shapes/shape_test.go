@@ -1,6 +1,8 @@
 package shapes
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -18,6 +20,75 @@ func allShapes() []Shape {
 
 func profile(i, n int) view.Profile {
 	return view.Profile{Index: int32(i), Size: int32(n)}
+}
+
+// The graph oracles below read only Neighbors and ConnectedOver.
+
+func degree(g *graph.Graph, u int) int { return len(g.Neighbors(u)) }
+
+// degreeRange returns the smallest and largest vertex degree.
+func degreeRange(g *graph.Graph) (min, max int) {
+	min = degree(g, 0)
+	for u := 0; u < g.N(); u++ {
+		d := degree(g, u)
+		if d < min {
+			min = d
+		}
+		if d > max {
+			max = d
+		}
+	}
+	return min, max
+}
+
+func hasEdge(g *graph.Graph, u, v int) bool {
+	ns := g.Neighbors(u)
+	i := sort.SearchInts(ns, v)
+	return i < len(ns) && ns[i] == v
+}
+
+func connected(g *graph.Graph) bool {
+	all := make([]int, g.N())
+	for i := range all {
+		all[i] = i
+	}
+	return g.ConnectedOver(all)
+}
+
+// eccentricity is the largest hop distance from src (BFS), or -1 when
+// some vertex is unreachable from it.
+func eccentricity(g *graph.Graph, src int) int {
+	dist := map[int]int{src: 0}
+	far := 0
+	for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		for _, v := range g.Neighbors(u) {
+			if _, seen := dist[v]; !seen {
+				dist[v] = dist[u] + 1
+				far = dist[v]
+				queue = append(queue, v)
+			}
+		}
+	}
+	if len(dist) < g.N() {
+		return -1
+	}
+	return far
+}
+
+// diameter is the largest eccentricity, or -1 when g is disconnected.
+func diameter(g *graph.Graph) int {
+	max := 0
+	for u := 0; u < g.N(); u++ {
+		e := eccentricity(g, u)
+		if e < 0 {
+			return -1
+		}
+		if e > max {
+			max = e
+		}
+	}
+	return max
 }
 
 // Property: for every shape, neighbors are in range, never self, and never
@@ -54,8 +125,8 @@ func TestTargetConnected(t *testing.T) {
 			for _, e := range TargetEdges(s, n) {
 				g.AddEdge(e[0], e[1])
 			}
-			if !g.Connected() {
-				t.Fatalf("%s target disconnected at n=%d", s.Name(), n)
+			if !connected(g) {
+				t.Fatalf("%T target disconnected at n=%d", s, n)
 			}
 		}
 	}
@@ -124,8 +195,8 @@ func TestGradientMatchesTarget(t *testing.T) {
 				}
 			}
 			if maxT >= minN {
-				t.Fatalf("%s n=%d i=%d: target max rank %f >= non-target min %f",
-					tc.shape.Name(), tc.n, i, maxT, minN)
+				t.Fatalf("%T n=%d i=%d: target max rank %f >= non-target min %f",
+					tc.shape, tc.n, i, maxT, minN)
 			}
 		}
 	}
@@ -161,7 +232,7 @@ func TestRingDegreeTwo(t *testing.T) {
 		for _, e := range TargetEdges(Ring{}, n) {
 			g.AddEdge(e[0], e[1])
 		}
-		min, max, _ := g.DegreeStats()
+		min, max := degreeRange(g)
 		if min != 2 || max != 2 {
 			t.Fatalf("ring n=%d degrees (%d, %d), want 2-regular", n, min, max)
 		}
@@ -173,14 +244,14 @@ func TestLineEndpoints(t *testing.T) {
 	for _, e := range TargetEdges(Line{}, 7) {
 		g.AddEdge(e[0], e[1])
 	}
-	if g.Degree(0) != 1 || g.Degree(6) != 1 {
+	if degree(g, 0) != 1 || degree(g, 6) != 1 {
 		t.Fatal("line endpoints should have degree 1")
 	}
-	if g.Degree(3) != 2 {
+	if degree(g, 3) != 2 {
 		t.Fatal("line interior should have degree 2")
 	}
-	if g.Diameter() != 6 {
-		t.Fatalf("line-7 diameter = %d, want 6", g.Diameter())
+	if diameter(g) != 6 {
+		t.Fatalf("line-7 diameter = %d, want 6", diameter(g))
 	}
 }
 
@@ -198,16 +269,16 @@ func TestStarTopology(t *testing.T) {
 	for _, e := range TargetEdges(Star{Hubs: 1}, n) {
 		g.AddEdge(e[0], e[1])
 	}
-	if g.Degree(0) != n-1 {
-		t.Fatalf("hub degree = %d, want %d", g.Degree(0), n-1)
+	if degree(g, 0) != n-1 {
+		t.Fatalf("hub degree = %d, want %d", degree(g, 0), n-1)
 	}
 	for i := 1; i < n; i++ {
-		if g.Degree(i) != 1 {
-			t.Fatalf("leaf %d degree = %d, want 1", i, g.Degree(i))
+		if degree(g, i) != 1 {
+			t.Fatalf("leaf %d degree = %d, want 1", i, degree(g, i))
 		}
 	}
-	if g.Diameter() != 2 {
-		t.Fatalf("star diameter = %d, want 2", g.Diameter())
+	if diameter(g) != 2 {
+		t.Fatalf("star diameter = %d, want 2", diameter(g))
 	}
 }
 
@@ -218,13 +289,13 @@ func TestMultiHubStar(t *testing.T) {
 		g.AddEdge(e[0], e[1])
 	}
 	for i := 0; i < h; i++ {
-		if g.Degree(i) != n-1 {
-			t.Fatalf("hub %d degree = %d, want %d", i, g.Degree(i), n-1)
+		if degree(g, i) != n-1 {
+			t.Fatalf("hub %d degree = %d, want %d", i, degree(g, i), n-1)
 		}
 	}
 	for i := h; i < n; i++ {
-		if g.Degree(i) != h {
-			t.Fatalf("leaf %d degree = %d, want %d", i, g.Degree(i), h)
+		if degree(g, i) != h {
+			t.Fatalf("leaf %d degree = %d, want %d", i, degree(g, i), h)
 		}
 	}
 }
@@ -250,12 +321,12 @@ func TestTreeStructure(t *testing.T) {
 	if g.EdgeCount() != n-1 {
 		t.Fatalf("tree edges = %d, want %d", g.EdgeCount(), n-1)
 	}
-	if g.Degree(0) != 2 {
-		t.Fatalf("root degree = %d, want 2", g.Degree(0))
+	if degree(g, 0) != 2 {
+		t.Fatalf("root degree = %d, want 2", degree(g, 0))
 	}
 	for i := 3; i < 7; i++ {
-		if g.Degree(i) != 1 {
-			t.Fatalf("leaf %d degree = %d, want 1", i, g.Degree(i))
+		if degree(g, i) != 1 {
+			t.Fatalf("leaf %d degree = %d, want 1", i, degree(g, i))
 		}
 	}
 }
@@ -284,11 +355,11 @@ func TestGridExact(t *testing.T) {
 		g.AddEdge(e[0], e[1])
 	}
 	// 3x4 grid: corner degree 2, edge degree 3, interior degree 4.
-	if g.Degree(0) != 2 || g.Degree(3) != 2 || g.Degree(8) != 2 || g.Degree(11) != 2 {
+	if degree(g, 0) != 2 || degree(g, 3) != 2 || degree(g, 8) != 2 || degree(g, 11) != 2 {
 		t.Fatal("grid corners should have degree 2")
 	}
-	if g.Degree(5) != 4 {
-		t.Fatalf("grid interior degree = %d, want 4", g.Degree(5))
+	if degree(g, 5) != 4 {
+		t.Fatalf("grid interior degree = %d, want 4", degree(g, 5))
 	}
 }
 
@@ -299,11 +370,11 @@ func TestGridRagged(t *testing.T) {
 	for _, e := range edges {
 		g.AddEdge(e[0], e[1])
 	}
-	if !g.Connected() {
+	if !connected(g) {
 		t.Fatal("ragged grid must stay connected")
 	}
-	if g.Degree(9) != 2 { // (1,2): left 8, up 5
-		t.Fatalf("ragged cell degree = %d, want 2", g.Degree(9))
+	if degree(g, 9) != 2 { // (1,2): left 8, up 5
+		t.Fatalf("ragged cell degree = %d, want 2", degree(g, 9))
 	}
 }
 
@@ -313,14 +384,14 @@ func TestTorusWraparound(t *testing.T) {
 	for _, e := range TargetEdges(Torus{Width: 4}, 16) {
 		g.AddEdge(e[0], e[1])
 	}
-	min, max, _ := g.DegreeStats()
+	min, max := degreeRange(g)
 	if min != 4 || max != 4 {
 		t.Fatalf("torus degrees (%d, %d), want 4-regular", min, max)
 	}
-	if !g.HasEdge(0, 3) {
+	if !hasEdge(g, 0, 3) {
 		t.Fatal("row wraparound edge (0,3) missing")
 	}
-	if !g.HasEdge(0, 12) {
+	if !hasEdge(g, 0, 12) {
 		t.Fatal("column wraparound edge (0,12) missing")
 	}
 }
@@ -375,7 +446,7 @@ func TestTorusRaggedConnected(t *testing.T) {
 		for _, e := range TargetEdges(Torus{Width: 4}, n) {
 			g.AddEdge(e[0], e[1])
 		}
-		if !g.Connected() {
+		if !connected(g) {
 			t.Fatalf("ragged torus n=%d disconnected", n)
 		}
 	}
@@ -386,12 +457,12 @@ func TestHypercube(t *testing.T) {
 	for _, e := range TargetEdges(Hypercube{}, 8) {
 		g.AddEdge(e[0], e[1])
 	}
-	min, max, _ := g.DegreeStats()
+	min, max := degreeRange(g)
 	if min != 3 || max != 3 {
 		t.Fatalf("cube degrees (%d, %d), want 3-regular", min, max)
 	}
-	if g.Diameter() != 3 {
-		t.Fatalf("cube diameter = %d, want 3", g.Diameter())
+	if diameter(g) != 3 {
+		t.Fatalf("cube diameter = %d, want 3", diameter(g))
 	}
 	if got := (Hypercube{}).Rank(profile(0, 8), profile(7, 8)); got != 3 {
 		t.Fatalf("Hamming(0,7) = %f, want 3", got)
@@ -399,6 +470,10 @@ func TestHypercube(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
+	want := map[string]Shape{
+		"clique": Clique{}, "grid": Grid{}, "hypercube": Hypercube{}, "line": Line{},
+		"ring": Ring{}, "star": Star{}, "torus": Torus{}, "tree": Tree{},
+	}
 	for _, name := range Names() {
 		params := map[string]int64{}
 		if name == "grid" || name == "torus" {
@@ -408,8 +483,8 @@ func TestRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%q) failed: %v", name, err)
 		}
-		if s.Name() != name {
-			t.Fatalf("New(%q).Name() = %q", name, s.Name())
+		if got, want := fmt.Sprintf("%T", s), fmt.Sprintf("%T", want[name]); got != want {
+			t.Fatalf("New(%q) built a %s, want a %s", name, got, want)
 		}
 	}
 }

@@ -11,9 +11,6 @@ type Tree struct {
 
 var _ Shape = Tree{}
 
-// Name implements Shape.
-func (Tree) Name() string { return "tree" }
-
 // Neighbors implements Shape.
 func (t Tree) Neighbors(i, n int) []int {
 	a := int(t.Arity)

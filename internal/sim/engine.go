@@ -487,9 +487,6 @@ func (e *Engine) Partition(groups int) {
 // Heal removes a network partition: every pair of nodes can exchange again.
 func (e *Engine) Heal() { e.partition = nil }
 
-// Partitioned reports whether a partition is in effect.
-func (e *Engine) Partitioned() bool { return e.partition != nil }
-
 // SameSide reports whether two slots can reach each other under the current
 // partition. Nodes that joined after the split carry no group and are
 // reachable from everywhere (they model fresh nodes with full connectivity).

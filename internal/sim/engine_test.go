@@ -289,8 +289,8 @@ func TestPartitionBlocksCrossGroupExchanges(t *testing.T) {
 	e := New(11)
 	e.AddNodes(10)
 	e.Partition(2)
-	if !e.Partitioned() {
-		t.Fatal("Partitioned() = false after Partition(2)")
+	if e.partition == nil {
+		t.Fatal("no partition after Partition(2)")
 	}
 	sides := make(map[bool]int)
 	for a := 0; a < 10; a++ {
@@ -313,8 +313,8 @@ func TestPartitionBlocksCrossGroupExchanges(t *testing.T) {
 		}
 	}
 	e.Heal()
-	if e.Partitioned() {
-		t.Fatal("Partitioned() = true after Heal")
+	if e.partition != nil {
+		t.Fatal("partition left after Heal")
 	}
 	for a := 0; a < 10; a++ {
 		for b := 0; b < 10; b++ {
@@ -367,7 +367,7 @@ func TestPartitionFewerThanTwoGroupsHeals(t *testing.T) {
 	e.AddNodes(4)
 	e.Partition(2)
 	e.Partition(1)
-	if e.Partitioned() {
+	if e.partition != nil {
 		t.Fatal("Partition(1) must heal")
 	}
 }

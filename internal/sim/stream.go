@@ -45,9 +45,6 @@ func (s *Stream) Uint64() uint64 {
 	return mix64(s.state)
 }
 
-// Int63 returns a uniformly random int64 in [0, 2^63).
-func (s *Stream) Int63() int64 { return int64(s.Uint64() >> 1) }
-
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0,
 // mirroring math/rand. Power-of-two moduli take the fast mask path; other
 // moduli use rejection sampling, so the result is exactly uniform.

@@ -165,7 +165,9 @@ func TestExpectEOFRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestViewRoundTrip(t *testing.T) {
-	v := view.New(8)
+	var src view.Table
+	src.Resize(1)
+	v := src.Init(0, 8)
 	v.Add(view.Descriptor{ID: 3, Age: 2, Profile: view.Profile{Comp: 1, Index: 4, Size: 9, Key: 77, Epoch: 2}})
 	v.Add(view.Descriptor{ID: 9, Age: 0})
 	v.Add(view.Descriptor{ID: 1, Age: 65535})

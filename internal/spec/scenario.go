@@ -37,8 +37,9 @@ type ScenarioEvent struct {
 	Count int
 	// Component names the kill-component target.
 	Component string
-	// Path is the checkpoint destination of a snapshot action; a "%d" verb
-	// in it is replaced by the round number at write time.
+	// Path is the checkpoint destination of a snapshot action. Every
+	// literal "%d" in it is replaced by the round number at write time; no
+	// other character is interpreted (the path is not a format string).
 	Path string
 	// Reconfigure is the target topology of a reconfigure action.
 	Reconfigure *Topology

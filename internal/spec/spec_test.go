@@ -3,6 +3,8 @@ package spec
 import (
 	"strings"
 	"testing"
+
+	"sosf/internal/shapes"
 )
 
 // ringPair builds a minimal valid two-component topology.
@@ -113,8 +115,8 @@ func TestNewShapeFromComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name() != "grid" {
-		t.Fatalf("shape name = %q", s.Name())
+	if g, ok := s.(shapes.Grid); !ok || g.Width != 5 {
+		t.Fatalf("shape = %#v, want a width-5 grid", s)
 	}
 }
 

@@ -99,10 +99,14 @@ func TestApplyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	p := New("ring", ringRanker{capacity: capacity}, nil, Options{MaxAge: maxAge, NoRandomFeed: true})
 	var pad sim.Pad
+	var table view.Table
+	table.Resize(1)
 	for trial := 0; trial < 1000; trial++ {
 		n := &sim.Node{ID: view.NodeID(rng.Intn(40)), Profile: view.Profile{Index: int32(rng.Intn(16)), Size: 16, Epoch: 3}}
-		v := view.New(capacity)
-		v.ReplaceAll(randomPool(rng, n.Profile, rng.Intn(capacity+1), maxAge))
+		v := table.Init(0, capacity)
+		for _, d := range randomPool(rng, n.Profile, rng.Intn(capacity+1), maxAge) {
+			v.Add(d) // distinct IDs, at most capacity of them: Add keeps all
+		}
 		incoming := randomPool(rng, n.Profile, rng.Intn(30), maxAge)
 
 		var m view.Merger

@@ -36,10 +36,15 @@ type Ranker interface {
 	Capacity(owner view.Profile) int
 }
 
+// DefaultGossip is how many descriptors each side contributes to an
+// exchange unless configured otherwise; the runtime's OverlayGossip and the
+// monolithic baseline both default to it.
+const DefaultGossip = 5
+
 // Options configure a vicinity instance. Zero fields take defaults.
 type Options struct {
 	// Gossip is how many descriptors each side contributes to an exchange
-	// (default 5).
+	// (default DefaultGossip).
 	Gossip int
 	// MaxAge evicts descriptors not refreshed for this many rounds,
 	// bounding how long dead nodes linger (default 20).
@@ -52,7 +57,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Gossip <= 0 {
-		o.Gossip = 5
+		o.Gossip = DefaultGossip
 	}
 	if o.MaxAge <= 0 {
 		o.MaxAge = 20

@@ -15,7 +15,7 @@ import (
 
 func TestRandomSampleGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	v := New(4)
+	v := newView(4)
 	v.Add(desc(1, 0))
 	v.Add(desc(2, 0))
 
@@ -34,7 +34,7 @@ func TestRandomSampleGuards(t *testing.T) {
 		t.Fatal("n <= 0 must not consume random draws")
 	}
 
-	empty := New(4)
+	empty := newView(4)
 	if got := empty.RandomSampleInto(rng, 3, nil, &s); got != nil {
 		t.Fatalf("RandomSampleInto on empty view = %v, want nil dst", got)
 	}
@@ -47,7 +47,7 @@ func TestRandomSampleGuards(t *testing.T) {
 // seeded run's samples depend on it.
 func TestRandomSampleIntoEquivalence(t *testing.T) {
 	for _, n := range []int{1, 3, 9, 10, 25} {
-		v := New(10)
+		v := newView(10)
 		for i := NodeID(0); i < 10; i++ {
 			v.Add(desc(i, uint16(i)))
 		}
@@ -82,7 +82,7 @@ func TestRandomSampleIntoEquivalence(t *testing.T) {
 // is preserved and the scratch sampler can be shared across views.
 func TestRandomSampleIntoAppends(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	v := New(8)
+	v := newView(8)
 	for i := NodeID(0); i < 8; i++ {
 		v.Add(desc(i, 0))
 	}
@@ -92,7 +92,7 @@ func TestRandomSampleIntoAppends(t *testing.T) {
 	if len(dst) != 4 || dst[0] != desc(99, 1) {
 		t.Fatalf("dst prefix not preserved: %v", dst)
 	}
-	w := New(4)
+	w := newView(4)
 	w.Add(desc(50, 0))
 	w.Add(desc(51, 0))
 	if got := w.RandomSampleInto(rng, 1, dst[:0], &s); len(got) != 1 {
@@ -101,7 +101,7 @@ func TestRandomSampleIntoAppends(t *testing.T) {
 }
 
 func TestPenalizeSaturates(t *testing.T) {
-	v := New(2)
+	v := newView(2)
 	v.Add(desc(1, ^uint16(0)-3))
 	if !v.Penalize(1, 10) {
 		t.Fatal("Penalize on a present ID must report true")
@@ -120,7 +120,7 @@ func TestPenalizeSaturates(t *testing.T) {
 }
 
 func TestSetCapClampsToOne(t *testing.T) {
-	v := New(4)
+	v := newView(4)
 	v.Add(desc(1, 0))
 	v.Add(desc(2, 0))
 	v.SetCap(-3)
@@ -130,8 +130,8 @@ func TestSetCapClampsToOne(t *testing.T) {
 }
 
 func TestUpsertMatchesAddPlusContains(t *testing.T) {
-	reference := New(2)
-	probe := New(2)
+	reference := newView(2)
+	probe := newView(2)
 	ds := []Descriptor{
 		desc(1, 4), desc(2, 2), desc(1, 1), desc(1, 9), desc(3, 0), desc(2, 5),
 	}
@@ -147,7 +147,7 @@ func TestUpsertMatchesAddPlusContains(t *testing.T) {
 }
 
 func TestAppendEntriesAndIDs(t *testing.T) {
-	v := New(3)
+	v := newView(3)
 	v.Add(desc(4, 1))
 	v.Add(desc(5, 2))
 	entries := v.AppendEntries([]Descriptor{desc(9, 9)})
@@ -160,23 +160,10 @@ func TestAppendEntriesAndIDs(t *testing.T) {
 	}
 }
 
-func TestReplaceAllTruncatesToCapacity(t *testing.T) {
-	v := New(2)
-	v.Add(desc(1, 0))
-	v.ReplaceAll([]Descriptor{desc(7, 1), desc(8, 2), desc(9, 3)})
-	if v.Len() != 2 || v.At(0).ID != 7 || v.At(1).ID != 8 {
-		t.Fatalf("ReplaceAll kept %v", v.entries)
-	}
-	v.ReplaceAll(nil)
-	if v.Len() != 0 {
-		t.Fatalf("ReplaceAll(nil) left %d entries", v.Len())
-	}
-}
-
 func TestReplaceRankedGathersInKeyOrder(t *testing.T) {
 	pool := []Descriptor{desc(7, 1), desc(8, 2), desc(9, 3), desc(6, 4)}
 	keys := []RankKey{{Idx: 2}, {Idx: 0}, {Idx: 3}}
-	v := New(2)
+	v := newView(2)
 	v.Add(desc(1, 0))
 	v.ReplaceRanked(pool, keys)
 	if v.Len() != 2 || v.At(0) != pool[2] || v.At(1) != pool[0] {
@@ -257,7 +244,7 @@ func TestMergeIntoMatchesReference(t *testing.T) {
 // view plus a gossip buffer that half overlaps it with fresher copies and
 // carries the two IDs a merge must drop.
 func starHubPool(self NodeID) (hub *View, incoming []Descriptor) {
-	hub = New(600)
+	hub = newView(600)
 	for i := 0; i < 600; i++ {
 		hub.Add(desc(NodeID(1000+7*i), uint16(i%9+1)))
 	}

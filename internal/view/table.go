@@ -16,9 +16,6 @@ type Table struct {
 	arena []Descriptor
 }
 
-// Len returns the number of slots the table covers.
-func (t *Table) Len() int { return len(t.views) }
-
 // Resize sets the table to cover exactly n slots: new slots get empty,
 // zero-capacity views (each still needs an Init before use), and the
 // views beyond n are dropped (restore paths shrink back to the

@@ -12,23 +12,12 @@ type Rand interface {
 }
 
 // View is a bounded partial view: an ordered collection of descriptors with
-// unique node IDs, bounded by a capacity. The zero value is unusable; create
-// views with New. Views are not safe for concurrent use — the simulation
-// engine is single-threaded by design (determinism).
+// unique node IDs, bounded by a capacity. The zero value is unusable; views
+// are carved by a Table (Init). Views are not safe for concurrent use — the
+// simulation engine is single-threaded by design (determinism).
 type View struct {
 	capacity int
 	entries  []Descriptor
-}
-
-// New returns an empty view bounded to the given capacity (min 1).
-func New(capacity int) *View {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &View{
-		capacity: capacity,
-		entries:  make([]Descriptor, 0, capacity),
-	}
 }
 
 // Len returns the number of descriptors currently held.
@@ -247,16 +236,6 @@ func (v *View) Filter(keep func(Descriptor) bool) {
 	v.entries = kept
 }
 
-// ReplaceAll replaces the view's contents with ds, truncated to the view's
-// capacity. Callers are expected to pass deduplicated, owner-free buffers
-// (e.g. a Merger result); ReplaceAll performs no checks of its own.
-func (v *View) ReplaceAll(ds []Descriptor) {
-	if len(ds) > v.capacity {
-		ds = ds[:v.capacity]
-	}
-	v.entries = append(v.entries[:0], ds...)
-}
-
 // RankKey is the compact sort key of one ranked candidate: the rank its
 // owner gave it, the age and ID that break rank ties, and its position in
 // the candidate pool it was ranked from. Overlays rank a pool once into a
@@ -270,8 +249,8 @@ type RankKey struct {
 }
 
 // ReplaceRanked replaces the view's contents with pool[k.Idx] for the first
-// `capacity` keys, in key order. Like ReplaceAll it performs no checks of
-// its own; pool must not alias the view's storage.
+// `capacity` keys, in key order. It performs no checks of its own; pool
+// must not alias the view's storage.
 func (v *View) ReplaceRanked(pool []Descriptor, keys []RankKey) {
 	if len(keys) > v.capacity {
 		keys = keys[:v.capacity]

@@ -25,15 +25,23 @@ func TestDescriptorSizeof(t *testing.T) {
 	}
 }
 
-func TestNewClampsCapacity(t *testing.T) {
-	v := New(0)
+// newView returns an empty view of the given capacity carved from a
+// one-slot Table, the way protocols get theirs.
+func newView(capacity int) *View {
+	var t Table
+	t.Resize(1)
+	return t.Init(0, capacity)
+}
+
+func TestInitClampsCapacity(t *testing.T) {
+	v := newView(0)
 	if v.Cap() != 1 {
 		t.Fatalf("Cap() = %d, want 1", v.Cap())
 	}
 }
 
 func TestAddRespectsCapacity(t *testing.T) {
-	v := New(2)
+	v := newView(2)
 	if !v.Add(desc(1, 0)) || !v.Add(desc(2, 0)) {
 		t.Fatal("first two adds should succeed")
 	}
@@ -46,7 +54,7 @@ func TestAddRespectsCapacity(t *testing.T) {
 }
 
 func TestAddKeepsFresher(t *testing.T) {
-	v := New(4)
+	v := newView(4)
 	v.Add(desc(1, 5))
 	if v.Add(desc(1, 9)) {
 		t.Fatal("older duplicate must not replace fresher entry")
@@ -74,7 +82,7 @@ func TestFresherPrefersNewerEpoch(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	v := New(4)
+	v := newView(4)
 	v.Add(desc(1, 0))
 	v.Add(desc(2, 0))
 	if !v.Remove(1) {
@@ -89,7 +97,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestAgeAllSaturates(t *testing.T) {
-	v := New(2)
+	v := newView(2)
 	v.Add(desc(1, ^uint16(0)))
 	v.AgeAll()
 	if got := v.At(0).Age; got != ^uint16(0) {
@@ -98,7 +106,7 @@ func TestAgeAllSaturates(t *testing.T) {
 }
 
 func TestOldest(t *testing.T) {
-	v := New(4)
+	v := newView(4)
 	if _, _, ok := v.Oldest(); ok {
 		t.Fatal("empty view has no oldest")
 	}
@@ -117,7 +125,7 @@ func TestOldest(t *testing.T) {
 }
 
 func TestFilter(t *testing.T) {
-	v := New(8)
+	v := newView(8)
 	for i := NodeID(0); i < 6; i++ {
 		v.Add(desc(i, 0))
 	}
@@ -145,7 +153,7 @@ func TestMergeKeepsFreshest(t *testing.T) {
 
 func TestRandomSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	v := New(10)
+	v := newView(10)
 	for i := NodeID(0); i < 10; i++ {
 		v.Add(desc(i, 0))
 	}
@@ -167,7 +175,7 @@ func TestRandomSample(t *testing.T) {
 }
 
 func TestSetCapTruncates(t *testing.T) {
-	v := New(5)
+	v := newView(5)
 	for i := NodeID(0); i < 5; i++ {
 		v.Add(desc(i, 0))
 	}
@@ -178,13 +186,13 @@ func TestSetCapTruncates(t *testing.T) {
 }
 
 // Property: merging arbitrary buffers into a view the way the overlays do
-// (MergeInto, then ReplaceAll) never produces duplicates, never includes
-// self, and never exceeds capacity.
+// (MergeInto, then ReplaceRanked over the merged pool) never produces
+// duplicates, never includes self, and never exceeds capacity.
 func TestMergeProperties(t *testing.T) {
 	var m Merger
 	f := func(ids []int16, ages []uint16, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
-		v := New(capacity)
+		v := newView(capacity)
 		incoming := make([]Descriptor, 0, len(ids))
 		for i, id := range ids {
 			var age uint16
@@ -194,7 +202,12 @@ func TestMergeProperties(t *testing.T) {
 			incoming = append(incoming, desc(NodeID(id), age))
 		}
 		const self = NodeID(7)
-		v.ReplaceAll(MergeInto(&m, self, v.entries, incoming))
+		pool := MergeInto(&m, self, v.entries, incoming)
+		keys := make([]RankKey, len(pool))
+		for i := range keys {
+			keys[i].Idx = int32(i)
+		}
+		v.ReplaceRanked(pool, keys)
 		if v.Len() > capacity {
 			return false
 		}
@@ -216,7 +229,7 @@ func TestMergeProperties(t *testing.T) {
 // never grows the view.
 func TestAddIdempotentSize(t *testing.T) {
 	f := func(id int16, age uint16) bool {
-		v := New(4)
+		v := newView(4)
 		v.Add(desc(NodeID(id), age))
 		n := v.Len()
 		v.Add(desc(NodeID(id), age))

@@ -158,9 +158,9 @@ func WithScenario(sc Scenario) Option {
 }
 
 // WithSnapshotEvery writes a checkpoint of the full run state to path after
-// every n-th completed round. A "%d" verb in path is replaced by the round
-// number (keep every checkpoint); without one the same file is rolled
-// (always the latest). The checkpoint is written after all of the round's
+// every n-th completed round. Every literal "%d" in path is replaced by the
+// round number (keep every checkpoint), and no other character is
+// interpreted; without one the same file is rolled (always the latest). The checkpoint is written after all of the round's
 // observers — scenario actions, churn, convergence tracking, event
 // emission — so restoring it resumes exactly where the next round would
 // have started. A failed write stops the run; the error surfaces from Step.

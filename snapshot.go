@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"sosf/internal/core"
@@ -46,7 +47,7 @@ func (s *System) Snapshot(w io.Writer) error {
 // WriteSnapshot writes Snapshot to a file, atomically and durably: the
 // stream lands in a temp file next to path, is fsynced, and is renamed over
 // path only once fully on disk. Rolling checkpoints (WithSnapshotEvery
-// without a "%d" verb) depend on this — a crash or full disk mid-write must
+// without a "%d" in the path) depend on this — a crash or full disk mid-write must
 // not destroy the previous good checkpoint, which is exactly the file a
 // crashed run recovers from. Every failure path removes the temp file, so a
 // full disk or read-only directory never litters the checkpoint directory
@@ -121,14 +122,13 @@ func (s *System) Restore(r io.Reader) error {
 // restore, the round the snapshot was taken at.
 func (s *System) Round() int { return s.sys.Engine().Round() }
 
-// snapshotPath expands the "%d" verb (if any) in a checkpoint path template
+// snapshotPath replaces every literal "%d" in a checkpoint path template
 // with the round number, so periodic snapshots can keep every checkpoint
-// ("ck-%d.snap") or roll a single one ("latest.snap").
+// ("ck-%d.snap") or roll a single one ("latest.snap"). No other character
+// is interpreted: the template may come from DSL source, so it is never a
+// format string.
 func snapshotPath(template string, round int) string {
-	if strings.Contains(template, "%d") {
-		return fmt.Sprintf(template, round)
-	}
-	return template
+	return strings.ReplaceAll(template, "%d", strconv.Itoa(round))
 }
 
 // snapshotObserver implements WithSnapshotEvery: after every `every`-th

@@ -180,3 +180,53 @@ func TestStepContextCancelStopsAtRoundBoundary(t *testing.T) {
 		t.Fatalf("interrupted+resumed run diverged from uninterrupted run:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestSnapshotPathSubstitutesOnlyRoundVerb: a checkpoint path, which may
+// come from DSL source, is not a format string. Every literal "%d" becomes
+// the round number and every other "%" stays as written.
+func TestSnapshotPathSubstitutesOnlyRoundVerb(t *testing.T) {
+	for _, tc := range []struct {
+		template string
+		round    int
+		want     string
+	}{
+		{"ck-%d-%s.sosnap", 5, "ck-5-%s.sosnap"},
+		{"100%-%d.sosnap", 6, "100%-6.sosnap"},
+		{"100%done.sosnap", 6, "1006one.sosnap"}, // a literal %d, wherever it stands
+		{"%d/%d.sosnap", 7, "7/7.sosnap"},
+		{"latest.sosnap", 8, "latest.sosnap"},
+		{"100%.sosnap", 9, "100%.sosnap"},
+	} {
+		if got := snapshotPath(tc.template, tc.round); got != tc.want {
+			t.Errorf("snapshotPath(%q, %d) = %q, want %q", tc.template, tc.round, got, tc.want)
+		}
+	}
+}
+
+// TestDSLSnapshotPathKeepsPercent drives the same rule through a scenario's
+// snapshot directives: the files land under the literal names.
+func TestDSLSnapshotPathKeepsPercent(t *testing.T) {
+	dir := filepath.ToSlash(t.TempDir())
+	src := `topology ck {
+    nodes 40
+    component a ring { port p }
+    component b ring { port q }
+    link a.p b.q
+    scenario {
+        at 5 snapshot "` + dir + `/ck-%d-%s.sosnap"
+        at 6 snapshot "` + dir + `/100%-%d.sosnap"
+    }
+}`
+	sys, err := New(src, WithRunToEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Step(6); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ck-5-%s.sosnap", "100%-6.sosnap"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("snapshot directive did not write %q: %v", name, err)
+		}
+	}
+}
