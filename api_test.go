@@ -142,29 +142,25 @@ func TestReconfigureSourceRejectsBadSource(t *testing.T) {
 var threeSrc = strings.Replace(pairSrc, "link left.out right.in",
 	"component mid ring { weight 1 port a port b }\n link left.out mid.a\n link mid.b right.in", 1)
 
-func demoScenario() Scenario {
-	return Scenario{
-		During(5, 8, Loss(0.2)),
-		At(10, Kill(0.25)),
-		At(15, Join(30)),
-		At(20, Reconfigure(threeSrc)),
-		During(30, 33, Churn(0.02)),
-		At(36, Partition(2)),
-		At(38, Heal()),
-		At(40, KillComponent("mid")),
-	}
-}
+// demoSrc is pairSrc carrying a timeline that reaches every action kind
+// except snapshot; the reconfigure target is threeSrc's body.
+var demoSrc = withScenario(pairSrc,
+	"during 5 8 loss 0.2",
+	"at 10 kill 0.25",
+	"at 15 join 30",
+	"at 20 reconfigure {"+threeSrc[strings.Index(threeSrc, "{")+1:strings.LastIndex(threeSrc, "}")]+"}",
+	"during 30 33 churn 0.02",
+	"at 36 partition 2",
+	"at 38 heal",
+	"at 40 kill component mid",
+)
 
 // playRun executes the demo scenario and returns the JSONL event stream
 // plus the final report.
 func playRun(t *testing.T) (string, *Report) {
 	t.Helper()
 	var buf bytes.Buffer
-	sys, err := New(pairSrc,
-		WithSeed(21),
-		WithScenario(demoScenario()),
-		WithEvents(JSONLSink(&buf)),
-	)
+	sys, err := New(demoSrc, WithSeed(21), WithEvents(JSONLSink(&buf)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,23 +238,23 @@ func TestScenarioEventStream(t *testing.T) {
 }
 
 func TestScenarioValidationAtNew(t *testing.T) {
-	cases := []Scenario{
-		{At(5, Kill(1.5))},
-		{At(-1, Kill(0.5))},
-		{During(9, 3, Loss(0.1))},
-		{At(5, Reconfigure("topology broken {"))},
-		{At(5, KillComponent("ghost"))},
-		{At(5, Action{})},
+	cases := []string{
+		"at 5 kill 1.5",
+		"at -1 kill 0.5",
+		"during 9 3 loss 0.1",
+		"at 5 reconfigure { component c blob }",
+		"at 5 kill component ghost",
+		"at 5 explode",
 	}
-	for i, sc := range cases {
-		if _, err := New(pairSrc, WithScenario(sc)); err == nil {
-			t.Fatalf("case %d: invalid scenario accepted", i)
+	for i, line := range cases {
+		if _, err := New(withScenario(pairSrc, line)); err == nil {
+			t.Fatalf("case %d (%s): invalid scenario accepted", i, line)
 		}
 	}
 }
 
 func TestScenarioHorizonAndRunToEnd(t *testing.T) {
-	sys, err := New(pairSrc, WithSeed(5), WithScenario(Scenario{At(42, Kill(0.1))}))
+	sys, err := New(withScenario(pairSrc, "at 42 kill 0.1"), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,28 +299,12 @@ func TestCSVSink(t *testing.T) {
 	}
 }
 
-// TestDSLAndAPIScenariosCompose: a DSL-embedded timeline and a
-// WithScenario timeline both run.
-func TestDSLAndAPIScenariosCompose(t *testing.T) {
-	src := strings.Replace(pairSrc, "nodes 120",
-		"nodes 120\n    scenario { at 5 join 10 }", 1)
-	sys, err := New(src, WithSeed(7), WithScenario(Scenario{At(8, Join(5))}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Step(10); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Report().Nodes; got != 135 {
-		t.Fatalf("population = %d, want 120+10+5", got)
-	}
-}
-
 // TestRunPlaysWholeTimeline: without an explicit WithRounds, Run must
 // extend past the default 150-round cap to the scenario horizon so no
 // scheduled action is silently truncated.
 func TestRunPlaysWholeTimeline(t *testing.T) {
-	rep, err := Run(pairSrc, WithSeed(13), WithScenario(Scenario{At(200, Kill(0.5))}))
+	src := withScenario(pairSrc, "at 200 kill 0.5")
+	rep, err := Run(src, WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +315,7 @@ func TestRunPlaysWholeTimeline(t *testing.T) {
 		t.Fatalf("the kill at the horizon never fired: %d nodes", rep.Nodes)
 	}
 	// An explicit WithRounds still wins over the horizon.
-	capped, err := Run(pairSrc, WithSeed(13), WithRounds(50),
-		WithScenario(Scenario{At(200, Kill(0.5))}))
+	capped, err := Run(src, WithSeed(13), WithRounds(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,26 +327,26 @@ func TestRunPlaysWholeTimeline(t *testing.T) {
 // TestOverlappingStatefulWindowsRejected: loss/partition windows save and
 // restore state, so overlapping same-state events must fail validation.
 func TestOverlappingStatefulWindowsRejected(t *testing.T) {
-	bad := []Scenario{
-		{During(10, 20, Loss(0.5)), During(15, 30, Loss(0.2))},
-		{During(10, 20, Loss(0.5)), During(20, 30, Loss(0.2))}, // shared boundary
-		{During(10, 20, Loss(0.5)), At(15, Loss(0.2))},
-		{During(10, 20, Partition(2)), At(15, Partition(3))},
-		{During(10, 20, Partition(2)), At(15, Heal())},
+	bad := [][]string{
+		{"during 10 20 loss 0.5", "during 15 30 loss 0.2"},
+		{"during 10 20 loss 0.5", "during 20 30 loss 0.2"}, // shared boundary
+		{"during 10 20 loss 0.5", "at 15 loss 0.2"},
+		{"during 10 20 partition 2", "at 15 partition 3"},
+		{"during 10 20 partition 2", "at 15 heal"},
 	}
-	for i, sc := range bad {
-		if _, err := New(pairSrc, WithScenario(sc)); err == nil {
+	for i, lines := range bad {
+		if _, err := New(withScenario(pairSrc, lines...)); err == nil {
 			t.Fatalf("case %d: overlapping windows accepted", i)
 		}
 	}
-	good := []Scenario{
-		{During(10, 20, Loss(0.5)), During(25, 30, Loss(0.2))},
-		{At(5, Loss(0.1)), During(20, 30, Loss(0.5))}, // point before the window
-		{At(10, Partition(2)), At(20, Heal())},
-		{During(10, 20, Loss(0.5)), During(10, 20, Partition(2))}, // different state
+	good := [][]string{
+		{"during 10 20 loss 0.5", "during 25 30 loss 0.2"},
+		{"at 5 loss 0.1", "during 20 30 loss 0.5"}, // point before the window
+		{"at 10 partition 2", "at 20 heal"},
+		{"during 10 20 loss 0.5", "during 10 20 partition 2"}, // different state
 	}
-	for i, sc := range good {
-		if _, err := New(pairSrc, WithScenario(sc)); err != nil {
+	for i, lines := range good {
+		if _, err := New(withScenario(pairSrc, lines...)); err != nil {
 			t.Fatalf("case %d: legal timeline rejected: %v", i, err)
 		}
 	}

@@ -54,19 +54,23 @@
 // # Scenario scripting
 //
 // Whole experiments — churn bursts, loss windows, partitions, targeted
-// failures, live topology changes — are declarative Scenario values
-// scheduled onto the simulation's per-round hook:
+// failures, live topology changes — are a `scenario { ... }` block in the
+// DSL source, scheduled onto the simulation's per-round hook. The .sos
+// file thus carries its own fault script, and every tool that rebuilds a
+// run from its source (`sos play`, `sos resume`, `sos serve`, `sos dist`)
+// replays it:
 //
-//	script := sosf.Scenario{
-//	    sosf.During(10, 20, sosf.Loss(0.3)),
-//	    sosf.At(30, sosf.Kill(0.5)),
-//	    sosf.At(45, sosf.Reconfigure(newSrc)),
+//	topology demo {
+//	    ...
+//	    scenario {
+//	        during 10 20 loss 0.3
+//	        at 30 kill 0.5
+//	        at 45 reconfigure { ... }
+//	    }
 //	}
-//	sys, _ := sosf.New(src, sosf.WithScenario(script))
 //
-// The same timeline can travel inside the DSL source as a
-// `scenario { ... }` block, so a .sos file carries its own fault script
-// (see `sos play`).
+// A source with a timeline runs to its end instead of stopping at the
+// first convergence.
 //
 // # Streaming round events
 //

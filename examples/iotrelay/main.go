@@ -7,8 +7,8 @@
 // mid-run and then re-composes the same clusters around an unrelated
 // third-party system — a city mesh modeled as a torus — which takes over
 // carrying the link between the clusters. The clusters themselves never
-// change shape, and the whole failure story is one declarative value
-// instead of a hand-rolled driver loop.
+// change shape, and the whole failure story is a `scenario` block in the
+// topology's own source instead of a hand-rolled driver loop.
 //
 //	go run ./examples/iotrelay
 package main
@@ -22,7 +22,11 @@ import (
 	"sosf"
 )
 
-const withBackbone = `
+// relay composes two sensor clusters through a dedicated relay backbone.
+// Its timeline: at round 40 a power cut takes out the whole relay line; at
+// round 45 the operator's scripted response re-composes both clusters
+// around a city mesh.
+const relay = `
 topology sensors_with_backbone {
     nodes 480
 
@@ -42,31 +46,31 @@ topology sensors_with_backbone {
 
     link east.out backbone.left
     link west.out backbone.right
-}`
 
-const viaCityMesh = `
-topology sensors_via_city_mesh {
-    nodes 480
+    scenario {
+        at 40 kill component backbone
+        at 45 reconfigure {
+            component east clique {
+                weight 1
+                port out
+            }
+            component west clique {
+                weight 1
+                port out
+            }
+            # The third-party system: a city-scale mesh that exists for its
+            # own purposes; the clusters merely borrow it as a relay.
+            component mesh torus {
+                param width 8
+                weight 4
+                port uplink_east
+                port uplink_west
+            }
 
-    component east clique {
-        weight 1
-        port out
+            link east.out mesh.uplink_east
+            link west.out mesh.uplink_west
+        }
     }
-    component west clique {
-        weight 1
-        port out
-    }
-    # The third-party system: a city-scale mesh that exists for its own
-    # purposes; the clusters merely borrow it as a relay.
-    component mesh torus {
-        param width 8
-        weight 4
-        port uplink_east
-        port uplink_west
-    }
-
-    link east.out mesh.uplink_east
-    link west.out mesh.uplink_west
 }`
 
 func main() {
@@ -79,17 +83,7 @@ func main() {
 // run executes the example, narrating to w. Extra options are applied
 // last, which is how the smoke test injects a tiny population.
 func run(w io.Writer, extra ...sosf.Option) error {
-	// Round 40: power cut across the relay line. Round 45: the operator's
-	// scripted response — re-compose both clusters around the city mesh.
-	script := sosf.Scenario{
-		sosf.At(40, sosf.KillComponent("backbone")),
-		sosf.At(45, sosf.Reconfigure(viaCityMesh)),
-	}
-	opts := append([]sosf.Option{
-		sosf.WithSeed(21),
-		sosf.WithScenario(script),
-	}, extra...)
-	sys, err := sosf.New(withBackbone, opts...)
+	sys, err := sosf.New(relay, append([]sosf.Option{sosf.WithSeed(21)}, extra...)...)
 	if err != nil {
 		return err
 	}

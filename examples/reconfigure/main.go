@@ -6,8 +6,8 @@
 // system keeps running.
 //
 // Where this example once hand-rolled a driver loop around Step and
-// ReconfigureSource, the whole experiment is now one Scenario value plus a
-// round-event subscription that narrates it.
+// ReconfigureSource, the whole experiment is now a `scenario` block in the
+// topology's own source plus a round-event subscription that narrates it.
 //
 //	go run ./examples/reconfigure
 package main
@@ -21,10 +21,11 @@ import (
 	"sosf"
 )
 
-// ringsOf builds the ring-of-k-rings source; the shape parameter lets the
-// last component be swapped for a different elementary shape.
+// ringsOf builds the components and links of a ring of k rings; the shape
+// parameter lets the last component be swapped for a different elementary
+// shape.
 func ringsOf(k int, lastShape string) string {
-	src := fmt.Sprintf("topology rings_%d {\n    nodes 600\n", k)
+	src := ""
 	for i := 0; i < k; i++ {
 		shape := "ring"
 		if i == k-1 {
@@ -40,7 +41,23 @@ func ringsOf(k int, lastShape string) string {
 	for i := 0; i < k; i++ {
 		src += fmt.Sprintf("    link seg%d.head seg%d.tail\n", i, (i+1)%k)
 	}
-	return src + "}\n"
+	return src
+}
+
+// source is the whole experiment, declaratively: three rings that scale
+// out to four at round 60 and swap the last segment's shape at round 120.
+func source() string {
+	return fmt.Sprintf(`topology rings_3 {
+    nodes 600
+%s
+    scenario {
+        at 60 reconfigure {
+%s        }
+        at 120 reconfigure {
+%s        }
+    }
+}
+`, ringsOf(3, "ring"), ringsOf(4, "ring"), ringsOf(4, "star"))
 }
 
 func main() {
@@ -53,17 +70,7 @@ func main() {
 // run executes the example, narrating to w. Extra options are applied
 // last, which is how the smoke test injects a tiny population.
 func run(w io.Writer, extra ...sosf.Option) error {
-	// The whole experiment, declaratively: scale out to four rings at
-	// round 60, swap the last segment's shape at round 120.
-	script := sosf.Scenario{
-		sosf.At(60, sosf.Reconfigure(ringsOf(4, "ring"))),
-		sosf.At(120, sosf.Reconfigure(ringsOf(4, "star"))),
-	}
-	opts := append([]sosf.Option{
-		sosf.WithSeed(3),
-		sosf.WithScenario(script),
-	}, extra...)
-	sys, err := sosf.New(ringsOf(3, "ring"), opts...)
+	sys, err := sosf.New(source(), append([]sosf.Option{sosf.WithSeed(3)}, extra...)...)
 	if err != nil {
 		return err
 	}

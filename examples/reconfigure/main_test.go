@@ -20,7 +20,7 @@ func TestReconfigureSmoke(t *testing.T) {
 	if !strings.Contains(out, "all layers converged") {
 		t.Fatalf("reconfigure never converged:\n%s", out)
 	}
-	if !strings.Contains(out, `final state: "rings_4"`) || !strings.Contains(out, "converged=true") {
+	if !strings.Contains(out, `final state: "rings_3@120"`) || !strings.Contains(out, "converged=true") {
 		t.Fatalf("final state is not the converged four-ring topology:\n%s", out)
 	}
 }

@@ -51,15 +51,17 @@ const (
 	healRounds    = healKillRound + 40 // the campaign's ReconvergeWithin budget
 )
 
-// healScenario is the bare fault: half the population dies at round 25 and
-// nothing replaces it.
-func healScenario() Scenario { return Scenario{At(healKillRound, Kill(0.5))} }
+// healScenario adds the bare fault to src: half the population dies at
+// round 25 and nothing replaces it.
+func healScenario(src string) string {
+	return withScenario(src, fmt.Sprintf("at %d kill 0.5", healKillRound))
+}
 
 // runHeal runs one bare-kill timeline and returns the decoded events.
 func runHeal(t *testing.T, src string, opts ...Option) []RoundEvent {
 	t.Helper()
-	base := []Option{WithSeed(5), WithRounds(healRounds), WithScenario(healScenario()), WithRunToEnd()}
-	sys, err := New(src, append(base, opts...)...)
+	base := []Option{WithSeed(5), WithRounds(healRounds), WithRunToEnd()}
+	sys, err := New(healScenario(src), append(base, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +123,8 @@ func TestHealOptionRejected(t *testing.T) {
 func TestWorkerCountInvariantHeal(t *testing.T) {
 	for _, sh := range healShapes {
 		t.Run(sh.name, func(t *testing.T) {
-			assertWorkerInvariant(t, healSource(sh.clause),
-				WithSeed(5), WithRounds(healRounds), WithScenario(healScenario()))
+			assertWorkerInvariant(t, healScenario(healSource(sh.clause)),
+				WithSeed(5), WithRounds(healRounds))
 		})
 	}
 }
@@ -133,10 +135,10 @@ func TestWorkerCountInvariantHeal(t *testing.T) {
 // uninterrupted run. Heal state (the heals counter, the compacted index
 // space) must therefore round-trip exactly through the snapshot codec.
 func TestResumeEquivalenceMidHeal(t *testing.T) {
-	src := healSource(healShapes[0].clause)
+	src := healScenario(healSource(healShapes[0].clause))
 	opts := func(extra ...Option) []Option {
 		return append([]Option{
-			WithSeed(5), WithRounds(healRounds), WithScenario(healScenario()), WithRunToEnd(),
+			WithSeed(5), WithRounds(healRounds), WithRunToEnd(),
 		}, extra...)
 	}
 	split := healKillRound + 3 // the kill and its heal are behind us, reconvergence is not

@@ -62,11 +62,9 @@ func (h *hello) spec(threads int) sosf.RunSpec {
 // buildReplica constructs and (for resumed runs) restores one replica from
 // a hello — the identical path on the coordinator and every worker.
 func buildReplica(h *hello, threads int) (*sosf.System, error) {
-	var extra []sosf.Option
-	if h.RunToEnd {
-		extra = append(extra, sosf.WithRunToEnd())
-	}
-	sys, err := sosf.New(h.Source, h.spec(threads).Options(extra...)...)
+	// Distributed runs are play-like: the stream only makes sense run to
+	// the end, and a convergence stop would have to be coordinated.
+	sys, err := sosf.New(h.Source, h.spec(threads).Options(sosf.WithRunToEnd())...)
 	if err != nil {
 		return nil, err
 	}
@@ -100,11 +98,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		Nodes:   cfg.Nodes,
 		Loss:    cfg.Loss,
 		Churn:   cfg.Churn,
-		// Distributed runs are play-like: the stream only makes sense run
-		// to the end, and a convergence stop would have to be coordinated.
-		RunToEnd: true,
-		Shards:   cfg.Shards,
-		Source:   cfg.Source,
+		Shards:  cfg.Shards,
+		Source:  cfg.Source,
 	}
 	if cfg.ResumePath != "" {
 		blob, err := os.ReadFile(cfg.ResumePath)

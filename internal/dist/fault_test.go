@@ -95,7 +95,7 @@ func TestWorkerSurfacesTruncatedFrame(t *testing.T) {
 // TestWorkerSurfacesChecksumMismatch flips one payload bit in an otherwise
 // valid hello frame.
 func TestWorkerSurfacesChecksumMismatch(t *testing.T) {
-	h := &hello{Source: testSource, Shards: 1, TotalRounds: 3, RunToEnd: true}
+	h := &hello{Source: testSource, Shards: 1, TotalRounds: 3}
 	var frame bytes.Buffer
 	if err := snap.WriteFrame(&frame, fkHello, encodeHello(h)); err != nil {
 		t.Fatal(err)

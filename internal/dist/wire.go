@@ -18,7 +18,7 @@ type Conn = io.ReadWriteCloser
 // wireVersion is the barrier-protocol version, independent of the snapshot
 // format version (which snap.Header checks underneath). Bump it for any
 // change to the frame sequence or payload layouts.
-const wireVersion = 5
+const wireVersion = 6
 
 // Frame kinds of the barrier protocol, in lifecycle order.
 const (
@@ -58,7 +58,6 @@ type hello struct {
 	Nodes       int
 	Loss        float64
 	Churn       float64
-	RunToEnd    bool
 	Shard       int
 	Shards      int
 	StartRound  int
@@ -83,7 +82,6 @@ func (h *hello) digest() uint64 {
 	sw.Int(h.Nodes)
 	sw.F64(h.Loss)
 	sw.F64(h.Churn)
-	sw.Bool(h.RunToEnd)
 	sw.Int(h.Shards)
 	sw.Int(h.StartRound)
 	sw.Int(h.TotalRounds)
@@ -100,7 +98,6 @@ func encodeHello(h *hello) []byte {
 	w.Int(h.Nodes)
 	w.F64(h.Loss)
 	w.F64(h.Churn)
-	w.Bool(h.RunToEnd)
 	w.Int(h.Shard)
 	w.Int(h.Shards)
 	w.Int(h.StartRound)
@@ -125,7 +122,6 @@ func decodeHello(p []byte) (*hello, uint64, error) {
 		Nodes:       r.Int(),
 		Loss:        r.F64(),
 		Churn:       r.F64(),
-		RunToEnd:    r.Bool(),
 		Shard:       r.Int(),
 		Shards:      r.Int(),
 		StartRound:  r.Int(),

@@ -2,12 +2,12 @@
 // against a running system.
 //
 // A timeline is a list of spec.ScenarioEvent values — produced by the DSL's
-// `scenario { ... }` block or by the public sosf.Scenario API — replayed by
-// a per-round observer. Time is measured in completed rounds: an event with
-// From == 0 fires when the timeline is bound (before the first round); an
-// event with From == r fires after round r completes. Because every action
-// draws its randomness from the engine's seeded source, a (seed, topology,
-// timeline) triple fully determines a run.
+// `scenario { ... }` block — replayed by a per-round observer. Time is
+// measured in completed rounds: an event with From == 0 fires when the
+// timeline is bound (before the first round); an event with From == r
+// fires after round r completes. Because every action draws its
+// randomness from the engine's seeded source, a (seed, topology, timeline)
+// triple fully determines a run.
 //
 // Action semantics by kind:
 //
@@ -35,7 +35,7 @@ type Timeline struct {
 }
 
 // New builds a timeline from already-validated events (spec.Topology's
-// Validate/ValidateScenario is the gate).
+// Validate is the gate).
 func New(events []spec.ScenarioEvent) *Timeline {
 	return &Timeline{events: events}
 }

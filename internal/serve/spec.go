@@ -86,9 +86,6 @@ func parseJobSpec(body []byte) (string, sosf.RunSpec, error) {
 		if err := js.Topology.Validate(); err != nil {
 			return "", rs, err
 		}
-		if err := js.Topology.ValidateScenario(); err != nil {
-			return "", rs, err
-		}
 		// Normalize to canonical DSL: Emit is the identity under the
 		// compiler, so the emitted source IS the submitted topology.
 		src, err := dsl.Emit(js.Topology)

@@ -72,15 +72,14 @@ func (ev ScenarioEvent) String() string {
 	}
 }
 
-// ValidateScenario checks the topology's scenario events: known kinds,
+// validateScenario checks the topology's scenario events: known kinds,
 // sane windows, fractions in range, valid reconfiguration targets, and —
 // when the topology configures a horizon via `option rounds` — that no
 // event is scheduled beyond it. An event past the horizon would silently
 // never fire on a bounded run; rejecting it at parse time turns a quiet
-// no-op into a loud authoring error. Topology.Validate calls it;
-// embedders that splice extra events in after parsing (e.g. a
-// programmatic scenario API) should call it again.
-func (t *Topology) ValidateScenario() error {
+// no-op into a loud authoring error. Topology.Validate ends with it, so a
+// validated topology always carries a valid timeline.
+func (t *Topology) validateScenario() error {
 	horizon := t.Option("rounds", 0)
 	for i, ev := range t.Scenario {
 		if err := t.validateEvent(ev); err != nil {

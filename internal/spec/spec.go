@@ -184,7 +184,7 @@ func (t *Topology) Validate() error {
 		}
 		links[key] = true
 	}
-	return t.ValidateScenario()
+	return t.validateScenario()
 }
 
 // canonicalLink normalizes a link so (a,b) and (b,a) collide.

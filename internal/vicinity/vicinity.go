@@ -268,15 +268,10 @@ func (p *Protocol) pickPartner(ctx *sim.Ctx, slot int, v *view.View) (view.Descr
 			return d, true
 		}
 	}
-	if d, _, ok := v.Oldest(); ok {
-		return d, true
-	}
-	if p.rps != nil && !p.opts.NoRandomFeed {
-		if d, ok := p.rps.View(slot).Random(rng); ok {
-			return d, true
-		}
-	}
-	return view.Descriptor{}, false
+	// An empty overlay view already tried the sampling view above (when it
+	// has one), so a failed Oldest means there is no partner to pick.
+	d, _, ok := v.Oldest()
+	return d, ok
 }
 
 // selectFor builds, in dst, the gossip payload a node sends to a peer: its

@@ -31,11 +31,9 @@ type config struct {
 	seed        int64
 	seedSet     bool
 	runToEnd    bool
-	runToEndSet bool
 	workers     int
 	lossRate    float64
 	churnRate   float64
-	scenario    Scenario
 	events      []func(RoundEvent)
 	restorePath string
 	snapEvery   int
@@ -103,7 +101,7 @@ func WithSeed(seed int64) Option {
 // WithRunToEnd keeps the simulation running after every layer converged
 // (by default runs stop at convergence).
 func WithRunToEnd() Option {
-	return optionFunc(func(c *config) { c.runToEnd, c.runToEndSet = true, true })
+	return optionFunc(func(c *config) { c.runToEnd = true })
 }
 
 // WithWorkers shards each simulation round across n workers. Randomness is
@@ -147,14 +145,6 @@ func WithChurn(rate float64) Option {
 		}
 		c.churnRate = rate
 	})
-}
-
-// WithScenario schedules a declarative fault/reconfiguration timeline (see
-// Scenario). It composes with a `scenario { ... }` block in the DSL source:
-// both timelines run. A system carrying a scenario defaults to run-to-end
-// so the whole timeline plays out; bound the run with WithRounds.
-func WithScenario(sc Scenario) Option {
-	return optionFunc(func(c *config) { c.scenario = append(c.scenario, sc...) })
 }
 
 // WithSnapshotEvery writes a checkpoint of the full run state to path after

@@ -195,3 +195,51 @@ func TestScenarioSnapshotDirective(t *testing.T) {
 		t.Fatal("resume from a DSL-scheduled snapshot diverged from the uninterrupted tail")
 	}
 }
+
+// TestBranchFromScenarioFreeCheckpoint pins the branching pattern: a warm
+// checkpoint taken by a run with no timeline, restored into a source whose
+// `scenario` block fires after the checkpoint round, replays the same
+// stream as one uninterrupted run of that source.
+func TestBranchFromScenarioFreeCheckpoint(t *testing.T) {
+	const split, rounds = 30, 60
+	ckpt := filepath.Join(t.TempDir(), "warm.sosnap")
+	warm, err := New(pairSrc, WithSeed(9), WithRunToEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Step(split); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.WriteSnapshot(ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	branchSrc := withScenario(pairSrc, "at 40 kill 0.3")
+	whole, err := New(branchSrc, WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full bytes.Buffer
+	whole.Subscribe(JSONLSink(&full))
+	if _, err := whole.Step(rounds); err != nil {
+		t.Fatal(err)
+	}
+	branch, err := New(branchSrc, WithSeed(9), WithRestoreFrom(ckpt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tail bytes.Buffer
+	branch.Subscribe(JSONLSink(&tail))
+	if _, err := branch.Step(rounds - split); err != nil {
+		t.Fatal(err)
+	}
+
+	fullLines := bytes.Split(full.Bytes(), []byte("\n"))
+	if !bytes.Contains(fullLines[40-1], []byte(`"kill 0.3: `)) {
+		t.Fatalf("round 40 does not carry the scheduled kill: %s", fullLines[40-1])
+	}
+	wantTail := bytes.Join(fullLines[split:], []byte("\n"))
+	if !bytes.Equal(tail.Bytes(), wantTail) {
+		t.Fatal("branch from a scenario-free checkpoint diverged from the uninterrupted run of its source")
+	}
+}

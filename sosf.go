@@ -119,8 +119,8 @@ func Run(src string, opts ...Option) (*Report, error) {
 }
 
 // System is a live simulated deployment that can be stepped, reconfigured,
-// damaged interactively or by a scripted Scenario, and observed through a
-// streaming round-event interface — what the examples build on.
+// damaged interactively or by its source's `scenario` block, and observed
+// through a streaming round-event interface — what the examples build on.
 type System struct {
 	cfg        *config
 	sys        *core.System
@@ -156,18 +156,6 @@ func New(src string, opts ...Option) (*System, error) {
 		// the caller nor the file says anything.
 		cfg.seed = topo.Option("seed", cfg.seed)
 	}
-	if len(cfg.scenario) > 0 {
-		// A programmatic scenario composes with (runs alongside) any
-		// timeline embedded in the DSL source.
-		events, err := cfg.scenario.compile()
-		if err != nil {
-			return nil, err
-		}
-		topo.Scenario = append(topo.Scenario, events...)
-		if err := topo.ValidateScenario(); err != nil {
-			return nil, err
-		}
-	}
 	sys, err := core.NewSystem(core.Config{
 		Topology: topo,
 		Nodes:    cfg.nodes,
@@ -191,11 +179,9 @@ func New(src string, opts ...Option) (*System, error) {
 			return nil, err
 		}
 		s.bound, s.horizon = bound, tl.Horizon()
-		if !cfg.runToEndSet {
-			// A timeline implies playing it out; stopping at the first
-			// convergence would silently skip every later event.
-			cfg.runToEnd = true
-		}
+		// A timeline implies playing it out; stopping at the first
+		// convergence would silently skip every later event.
+		cfg.runToEnd = true
 	}
 	if cfg.churnRate > 0 {
 		sys.Engine().Observe(sys.ChurnObserver(cfg.churnRate))

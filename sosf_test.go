@@ -19,6 +19,14 @@ topology pair {
     nodes 120
 }`
 
+// withScenario splices a `scenario { ... }` block holding the given event
+// lines in front of src's closing brace, after every other statement, so
+// the events run in the order given.
+func withScenario(src string, lines ...string) string {
+	end := strings.LastIndex(src, "}")
+	return src[:end] + "    scenario {\n        " + strings.Join(lines, "\n        ") + "\n    }\n" + src[end:]
+}
+
 func TestValidate(t *testing.T) {
 	if err := Validate(pairSrc); err != nil {
 		t.Fatalf("valid source rejected: %v", err)

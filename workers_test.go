@@ -96,23 +96,22 @@ func TestWorkerCountInvariantScenario(t *testing.T) {
 // golden scenario does not cover: continuous churn with a network
 // partition splitting and healing mid-run, over a second topology.
 func TestWorkerCountInvariantPartitionChurn(t *testing.T) {
-	src, err := os.ReadFile("testdata/ringpair.sos")
+	ringpair, err := os.ReadFile("testdata/ringpair.sos")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := Scenario{
-		During(5, 60, Churn(0.02)),
-		During(20, 40, Partition(2)),
-		At(50, Kill(0.2)),
-	}
+	src := withScenario(string(ringpair),
+		"during 5 60 churn 0.02",
+		"during 20 40 partition 2",
+		"at 50 kill 0.2",
+	)
 	seeds := []int64{3, 11}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			assertWorkerInvariant(t, string(src),
-				WithSeed(seed), WithRounds(80), WithLoss(0.05), WithScenario(sc))
+			assertWorkerInvariant(t, src, WithSeed(seed), WithRounds(80), WithLoss(0.05))
 		})
 	}
 }
