@@ -54,10 +54,26 @@ func (r monoRanker) boundary(aSeg, aPos, bSeg, bPos int) bool {
 	return bPos == r.segSize-1 && aPos == 0 && aSeg == (bSeg+1)%r.segments
 }
 
-// Rank implements vicinity.Ranker.
-func (r monoRanker) Rank(owner, cand view.Profile) float64 {
+// Rank implements vicinity.Ranker: the owner's coordinates are split once
+// per pool.
+func (r monoRanker) Rank(owner view.Profile, pool []view.Descriptor, maxAge int, keys []view.RankKey) []view.RankKey {
 	oSeg, oPos := r.coords(owner.Index)
-	cSeg, cPos := r.coords(cand.Index)
+	for i := range pool {
+		d := &pool[i]
+		if int(d.Age) > maxAge {
+			continue
+		}
+		if rank := r.rank(oSeg, oPos, d.Profile.Index); rank < view.RankInf {
+			keys = append(keys, view.RankKey{Rank: rank, ID: d.ID, Age: d.Age, Idx: int32(i)})
+		}
+	}
+	return keys
+}
+
+// rank is the distance from the owner at (oSeg, oPos) to the candidate
+// with global index cand.
+func (r monoRanker) rank(oSeg, oPos int, cand int32) float64 {
+	cSeg, cPos := r.coords(cand)
 	if oSeg == cSeg {
 		d := oPos - cPos
 		if d < 0 {

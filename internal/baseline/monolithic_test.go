@@ -15,31 +15,41 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// rankOne ranks a single fresh candidate through the pool method,
+// returning view.RankInf when the ranker rejects it.
+func rankOne(r monoRanker, owner, cand view.Profile) float64 {
+	keys := r.Rank(owner, []view.Descriptor{{ID: 1, Profile: cand}}, 0, nil)
+	if len(keys) == 0 {
+		return view.RankInf
+	}
+	return keys[0].Rank
+}
+
 func TestRankerGeometry(t *testing.T) {
 	r := monoRanker{segments: 4, segSize: 10}
 	// Within segment 0: positions 3 and 5 are at cyclic distance 2.
-	if got := r.Rank(profile(3), profile(5)); got != 2 {
+	if got := rankOne(r, profile(3), profile(5)); got != 2 {
 		t.Fatalf("intra-segment rank = %f, want 2", got)
 	}
 	// Wraparound inside a segment: positions 0 and 9 are adjacent.
-	if got := r.Rank(profile(0), profile(9)); got != 1 {
+	if got := rankOne(r, profile(0), profile(9)); got != 1 {
 		t.Fatalf("wraparound rank = %f, want 1", got)
 	}
 	// Designated boundary pair: head of segment 0 (index 9) and tail of
 	// segment 1 (index 10).
-	if got := r.Rank(profile(9), profile(10)); got != 0 {
+	if got := rankOne(r, profile(9), profile(10)); got != 0 {
 		t.Fatalf("boundary rank = %f, want 0", got)
 	}
-	if got := r.Rank(profile(10), profile(9)); got != 0 {
+	if got := rankOne(r, profile(10), profile(9)); got != 0 {
 		t.Fatal("boundary rank must be symmetric")
 	}
 	// Wraparound boundary: head of segment 3 (index 39) and tail of
 	// segment 0 (index 0).
-	if got := r.Rank(profile(39), profile(0)); got != 0 {
+	if got := rankOne(r, profile(39), profile(0)); got != 0 {
 		t.Fatalf("wraparound boundary rank = %f, want 0", got)
 	}
 	// Arbitrary cross-segment pairs are rejected.
-	if got := r.Rank(profile(3), profile(25)); got != view.RankInf {
+	if got := rankOne(r, profile(3), profile(25)); got != view.RankInf {
 		t.Fatalf("cross-segment rank = %f, want RankInf", got)
 	}
 }

@@ -301,18 +301,45 @@ func (a *Allocator) FlushRanks() {
 // measured target structure even while deaths have left index holes.
 // Identity when healing is disabled or the profile is from a stale epoch.
 func (a *Allocator) Dense(p view.Profile) view.Profile {
-	if a.noHeal || p.Epoch != a.epoch || p.Comp < 0 || int(p.Comp) >= len(a.ranks) {
+	if p.Epoch != a.epoch || p.Comp < 0 || int(p.Comp) >= len(a.ranks) {
 		return p
 	}
-	if t := a.ranks[p.Comp]; int(p.Index) >= 0 && int(p.Index) < len(t) {
-		p.Index = t[p.Index]
+	return a.denseOf(p.Comp).apply(p)
+}
+
+// denseMap is Dense bound to one component of the current epoch, so a
+// ranker resolves the component's table once per pool and translates each
+// candidate inline.
+type denseMap struct {
+	on     bool
+	ranks  []int32
+	vacant int32
+	size   int32
+}
+
+// denseOf binds Dense to component c, which must be valid in the current
+// epoch.
+func (a *Allocator) denseOf(c view.ComponentID) denseMap {
+	if a.noHeal {
+		return denseMap{}
+	}
+	return denseMap{on: true, ranks: a.ranks[c], vacant: int32(len(a.freeIndex[c])), size: a.sizes[c]}
+}
+
+// apply is Dense for a current-epoch profile of the bound component.
+func (m denseMap) apply(p view.Profile) view.Profile {
+	if !m.on {
+		return p
+	}
+	if int(p.Index) >= 0 && int(p.Index) < len(m.ranks) {
+		p.Index = m.ranks[p.Index]
 	} else if p.Index > 0 {
 		// Beyond the table (a join the table predates, before the next
 		// flush): every tracked vacancy sits below this index.
-		p.Index -= int32(len(a.freeIndex[p.Comp]))
+		p.Index -= m.vacant
 	}
-	if s := a.sizes[p.Comp]; s > 0 {
-		p.Size = s
+	if m.size > 0 {
+		p.Size = m.size
 	}
 	return p
 }

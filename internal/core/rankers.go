@@ -23,14 +23,23 @@ type uo1Ranker struct {
 var _ vicinity.Ranker = uo1Ranker{}
 
 // Rank implements vicinity.Ranker.
-func (r uo1Ranker) Rank(owner, cand view.Profile) float64 {
-	if cand.Epoch != r.alloc.Epoch() || owner.Epoch != r.alloc.Epoch() {
-		return view.RankInf
+func (r uo1Ranker) Rank(owner view.Profile, pool []view.Descriptor, maxAge int, keys []view.RankKey) []view.RankKey {
+	epoch := r.alloc.Epoch()
+	if owner.Epoch != epoch {
+		return keys
 	}
-	if cand.Comp == owner.Comp {
-		return mix01(owner.Key, cand.Key)
+	for i := range pool {
+		d := &pool[i]
+		if int(d.Age) > maxAge || d.Profile.Epoch != epoch {
+			continue
+		}
+		rank := mix01(owner.Key, d.Profile.Key)
+		if d.Profile.Comp != owner.Comp {
+			rank += foreignPenalty
+		}
+		keys = append(keys, view.RankKey{Rank: rank, ID: d.ID, Age: d.Age, Idx: int32(i)})
 	}
-	return foreignPenalty + mix01(owner.Key, cand.Key)
+	return keys
 }
 
 // Capacity implements vicinity.Ranker.
@@ -56,13 +65,28 @@ type coreRanker struct {
 
 var _ vicinity.Ranker = coreRanker{}
 
-// Rank implements vicinity.Ranker.
-func (r coreRanker) Rank(owner, cand view.Profile) float64 {
-	if owner.Comp < 0 || cand.Comp != owner.Comp ||
-		cand.Epoch != r.alloc.Epoch() || owner.Epoch != r.alloc.Epoch() {
-		return view.RankInf
+// Rank implements vicinity.Ranker. The owner's shape, dense profile and
+// component's Dense table are resolved once per pool; each candidate of
+// the owner's component and epoch is translated through that table and
+// ranked by the shape.
+func (r coreRanker) Rank(owner view.Profile, pool []view.Descriptor, maxAge int, keys []view.RankKey) []view.RankKey {
+	epoch := r.alloc.Epoch()
+	if owner.Comp < 0 || owner.Epoch != epoch {
+		return keys
 	}
-	return r.alloc.Shape(owner.Comp).Rank(r.alloc.Dense(owner), r.alloc.Dense(cand))
+	shape := r.alloc.Shape(owner.Comp)
+	dense := r.alloc.denseOf(owner.Comp)
+	o := dense.apply(owner)
+	for i := range pool {
+		d := &pool[i]
+		if int(d.Age) > maxAge || d.Profile.Comp != owner.Comp || d.Profile.Epoch != epoch {
+			continue
+		}
+		if rank := shape.Rank(o, dense.apply(d.Profile)); rank < view.RankInf {
+			keys = append(keys, view.RankKey{Rank: rank, ID: d.ID, Age: d.Age, Idx: int32(i)})
+		}
+	}
+	return keys
 }
 
 // Capacity implements vicinity.Ranker.

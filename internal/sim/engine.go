@@ -146,8 +146,8 @@ type Pad struct {
 	// members of a remote component).
 	Same []view.Descriptor
 	// Keys is for ranked candidate selection: an overlay ranks a merged
-	// pool once into one compact key per rankable candidate, sorts the
-	// keys, and gathers only the descriptors it keeps.
+	// pool once into one compact key per rankable candidate, selects the
+	// best keys, and gathers only the descriptors it keeps.
 	Keys []view.RankKey
 	// IDs is for node-ID work lists (e.g. Cyclon's replaceable set).
 	IDs []view.NodeID

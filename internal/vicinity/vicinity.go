@@ -14,7 +14,6 @@
 package vicinity
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -25,14 +24,22 @@ import (
 	"sosf/internal/view"
 )
 
-// Ranker orders candidate peers for a given owner. Lower ranks are better;
+// Ranker ranks candidate peers for their owner. Lower ranks are better;
 // view.RankInf rejects the candidate outright (it will never be kept nor
 // forwarded to the owner).
+//
+// Rank ranks a whole candidate pool for one owner in one call, so a ranker
+// resolves what depends on the owner alone (its epoch check, its shape, its
+// dense profile) once per pool rather than once per candidate. It appends to
+// keys, in pool order, one key for each candidate that is no older than
+// maxAge and that the owner ranks below view.RankInf: the rank, the
+// candidate's ID and age, and its index in pool. It returns the extended
+// slice and must not retain pool or keys.
 //
 // Capacity returns the owner's view capacity, enabling per-role
 // differentiation (a star hub keeps many more neighbors than a leaf).
 type Ranker interface {
-	Rank(owner, candidate view.Profile) float64
+	Rank(owner view.Profile, pool []view.Descriptor, maxAge int, keys []view.RankKey) []view.RankKey
 	Capacity(owner view.Profile) int
 }
 
@@ -185,7 +192,7 @@ func (p *Protocol) Refresh(ctx *sim.Ctx) {
 	if !p.opts.NoRandomFeed && p.rps != nil {
 		p.applyView(ctx.Pad(), self, v, p.rps.View(slot))
 	} else {
-		p.purge(self.Profile, v)
+		p.purge(ctx.Pad(), self, v)
 	}
 	for _, f := range p.feeds {
 		p.applyView(ctx.Pad(), self, v, f.View(slot))
@@ -293,21 +300,27 @@ func (p *Protocol) selectFor(ctx *sim.Ctx, slot int, owner view.Profile, ownerID
 	}
 	pool := m.Result()
 	keys := p.rankPool(pad, owner, pool, math.MaxUint16)
-	out := append(dst, self.Descriptor())
-	for _, k := range keys {
-		if len(out) >= p.opts.Gossip {
-			break
-		}
+	return p.payload(append(dst, self.Descriptor()), pool, keys, ctx.Rand())
+}
+
+// payload appends to out, which holds the sender's own descriptor, the
+// pool entries of the best Gossip-1 keys, best first; keys is reordered.
+//
+// Payload diversity: once views saturate, every peer would keep sending
+// the owner the same top-ranked candidates, and pairs outside that set
+// could only meet through the sampling service — a long geometric tail for
+// dense shapes like cliques. So when keys are left past the top, the last
+// slot goes to a uniformly random one of them: the j-th best of the rest,
+// for a j drawn from the rest's length alone.
+func (p *Protocol) payload(out, pool []view.Descriptor, keys []view.RankKey, rng view.Rand) []view.Descriptor {
+	top := p.opts.Gossip - 1
+	selectTop(keys, top)
+	for _, k := range keys[:min(top, len(keys))] {
 		out = append(out, pool[k.Idx])
 	}
-	// Payload diversity: once views saturate, every peer would keep
-	// sending the owner the same top-ranked candidates, and pairs outside
-	// that set could only meet through the sampling service — a long
-	// geometric tail for dense shapes like cliques. Reserving one slot
-	// for a uniformly random rankable candidate closes that tail.
-	if !p.opts.NoRandomFeed && len(keys) >= len(out) {
-		spare := keys[len(out)-1:]
-		out[len(out)-1] = pool[spare[ctx.Rand().Intn(len(spare))].Idx]
+	if !p.opts.NoRandomFeed && len(keys) > top {
+		rest := keys[top:]
+		out[len(out)-1] = pool[nth(rest, rng.Intn(len(rest))).Idx]
 	}
 	return out
 }
@@ -337,48 +350,71 @@ func (p *Protocol) applyView(pad *sim.Pad, n *sim.Node, v *view.View, inView *vi
 // nor are unrankable.
 func (p *Protocol) applyMerged(pad *sim.Pad, n *sim.Node, v *view.View) {
 	pool := pad.Merger.Result()
-	v.ReplaceRanked(pool, p.rankPool(pad, n.Profile, pool, p.opts.MaxAge))
+	keys := p.rankPool(pad, n.Profile, pool, p.opts.MaxAge)
+	selectTop(keys, v.Cap())
+	v.ReplaceRanked(pool, keys)
 }
 
 // purge drops entries that aged out or became unrankable (stale epoch,
-// foreign component after a reconfiguration).
-func (p *Protocol) purge(owner view.Profile, v *view.View) {
-	v.Filter(func(d view.Descriptor) bool {
-		return int(d.Age) <= p.opts.MaxAge && p.ranker.Rank(owner, d.Profile) < view.RankInf
-	})
+// foreign component after a reconfiguration), keeping the rest in view
+// order: the keys come back in pool order and are gathered unselected.
+func (p *Protocol) purge(pad *sim.Pad, n *sim.Node, v *view.View) {
+	m := &pad.Merger
+	m.Begin(n.ID)
+	m.AddView(v)
+	pool := m.Result()
+	v.ReplaceRanked(pool, p.rankPool(pad, n.Profile, pool, p.opts.MaxAge))
 }
 
-// rankPool ranks every candidate of pool for owner exactly once and returns
-// the keys of those the owner can rank and that are no older than maxAge,
-// best first. The keys live on the worker pad and index into pool, so the
-// caller gathers only the descriptors it keeps.
+// rankPool ranks pool for owner with one ranker call and returns the keys
+// of the candidates the owner can rank and that are no older than maxAge,
+// in pool order. The keys live on the worker pad and index into pool, so
+// the caller selects among them and gathers only the descriptors it keeps.
 func (p *Protocol) rankPool(pad *sim.Pad, owner view.Profile, pool []view.Descriptor, maxAge int) []view.RankKey {
-	keys := pad.Keys[:0]
-	for i, d := range pool {
-		if int(d.Age) > maxAge {
-			continue
-		}
-		if r := p.ranker.Rank(owner, d.Profile); r < view.RankInf {
-			keys = append(keys, view.RankKey{Rank: r, ID: d.ID, Age: d.Age, Idx: int32(i)})
-		}
-	}
-	pad.Keys = keys
-	slices.SortFunc(keys, byRank)
-	return keys
+	pad.Keys = p.ranker.Rank(owner, pool, maxAge, pad.Keys[:0])
+	return pad.Keys
 }
 
-// byRank orders keys by (rank, age, id). IDs are unique within a pool, so
-// this is a total order and the sorted result does not depend on the
-// sorting algorithm.
-func byRank(a, b view.RankKey) int {
-	if a.Rank != b.Rank {
-		if a.Rank < b.Rank {
-			return -1
+// sortAbove is the prefix length above which selectTop falls back to the
+// generic sort: insertion costs O(len(keys)·k), which would go quadratic
+// for a clique or star hub whose capacity is its whole component.
+const sortAbove = 32
+
+// selectTop reorders keys so that keys[:k] hold the k best keys in
+// view.RankKey order and keys[k:] the rest, in no particular order. Callers
+// read only a prefix — capacity entries, or the gossip budget — so the rest
+// is never sorted.
+func selectTop(keys []view.RankKey, k int) {
+	k = min(k, len(keys))
+	if k <= 0 {
+		return
+	}
+	if k > sortAbove {
+		slices.SortFunc(keys, view.RankKey.Compare)
+		return
+	}
+	for i := 1; i < len(keys); i++ {
+		x := keys[i]
+		j := min(i, k)
+		if j == k {
+			// The prefix is full: x enters only by displacing its worst
+			// key, which moves to x's old place in the rest.
+			if x.Compare(keys[k-1]) >= 0 {
+				continue
+			}
+			keys[i] = keys[k-1]
+			j = k - 1
 		}
-		return 1
+		for ; j > 0 && x.Compare(keys[j-1]) < 0; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = x
 	}
-	if a.Age != b.Age {
-		return int(a.Age) - int(b.Age)
-	}
-	return cmp.Compare(a.ID, b.ID)
+}
+
+// nth returns the key at position j of keys sorted in view.RankKey order
+// (nth-element), reordering keys.
+func nth(keys []view.RankKey, j int) view.RankKey {
+	selectTop(keys, j+1)
+	return keys[j]
 }

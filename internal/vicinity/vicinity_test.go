@@ -12,7 +12,23 @@ import (
 // stand-in for the shapes package.
 type ringRanker struct{ capacity int }
 
-func (r ringRanker) Rank(owner, cand view.Profile) float64 {
+func (r ringRanker) Rank(owner view.Profile, pool []view.Descriptor, maxAge int, keys []view.RankKey) []view.RankKey {
+	for i, d := range pool {
+		if int(d.Age) > maxAge {
+			continue
+		}
+		if rank := ringDist(owner, d.Profile); rank < view.RankInf {
+			keys = append(keys, view.RankKey{Rank: rank, ID: d.ID, Age: d.Age, Idx: int32(i)})
+		}
+	}
+	return keys
+}
+
+func (r ringRanker) Capacity(view.Profile) int { return r.capacity }
+
+// ringDist is ringRanker's per-pair rank: the cyclic distance between the
+// two indices, or view.RankInf across epochs.
+func ringDist(owner, cand view.Profile) float64 {
 	if cand.Epoch != owner.Epoch {
 		return view.RankInf
 	}
@@ -26,8 +42,6 @@ func (r ringRanker) Rank(owner, cand view.Profile) float64 {
 	}
 	return float64(d)
 }
-
-func (r ringRanker) Capacity(view.Profile) int { return r.capacity }
 
 func buildRing(t *testing.T, seed int64, n int, opts Options) (*sim.Engine, *Protocol) {
 	t.Helper()
@@ -117,7 +131,7 @@ func TestViewsRespectCapacityAndRanking(t *testing.T) {
 		}
 		owner := e.Node(slot).Profile
 		for _, d := range v.AppendEntries(nil) {
-			if (ringRanker{}).Rank(owner, d.Profile) == view.RankInf {
+			if ringDist(owner, d.Profile) == view.RankInf {
 				t.Fatalf("slot %d kept an unrankable entry", slot)
 			}
 			if d.ID == e.Node(slot).ID {

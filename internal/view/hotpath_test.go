@@ -175,6 +175,32 @@ func TestReplaceRankedGathersInKeyOrder(t *testing.T) {
 	}
 }
 
+// TestRankKeyCompareOrder pins the key order: rank first, then the younger
+// entry, then the lower ID; the pool position never takes part.
+func TestRankKeyCompareOrder(t *testing.T) {
+	ordered := []RankKey{
+		{Rank: 0.5, Age: 9, ID: 9, Idx: 0},
+		{Rank: 1, Age: 0, ID: 7, Idx: 5},
+		{Rank: 1, Age: 2, ID: 3, Idx: 1},
+		{Rank: 1, Age: 2, ID: 4, Idx: 0},
+		{Rank: RankInf - 1, Age: 0, ID: 0, Idx: 2},
+	}
+	for i, a := range ordered {
+		for j, b := range ordered {
+			got, want := a.Compare(b), 0
+			switch {
+			case i < j:
+				want = -1
+			case i > j:
+				want = 1
+			}
+			if (got < 0) != (want < 0) || (got > 0) != (want > 0) {
+				t.Fatalf("%+v.Compare(%+v) = %d, want sign %d", a, b, got, want)
+			}
+		}
+	}
+}
+
 // quickBuffers derives a deterministic set of descriptor buffers from
 // fuzz-style raw inputs: IDs collide often (int8 domain) so the
 // freshest-wins dedup paths are exercised heavily.

@@ -219,33 +219,38 @@ func SampleInto(rng Rand, src []Descriptor, n int, dst []Descriptor, s *Sampler)
 	return dst
 }
 
-// Filter removes every descriptor for which keep returns false.
-func (v *View) Filter(keep func(Descriptor) bool) {
-	kept := v.entries[:0]
-	for _, d := range v.entries {
-		if keep(d) {
-			kept = append(kept, d)
-		}
-	}
-	// Zero the tail so dropped descriptors do not linger in the backing
-	// array (defensive; descriptors hold no pointers but stale data is
-	// confusing in debuggers).
-	for i := len(kept); i < len(v.entries); i++ {
-		v.entries[i] = Descriptor{}
-	}
-	v.entries = kept
-}
-
 // RankKey is the compact sort key of one ranked candidate: the rank its
 // owner gave it, the age and ID that break rank ties, and its position in
 // the candidate pool it was ranked from. Overlays rank a pool once into a
-// scratch []RankKey, sort the keys instead of the (twice as large)
+// scratch []RankKey, select the best keys instead of moving the (larger)
 // descriptors, and gather only the entries they keep.
 type RankKey struct {
 	Rank float64
 	ID   NodeID
 	Age  uint16
 	Idx  int32
+}
+
+// Compare orders keys by (Rank, Age, ID), best first. IDs are unique within
+// a pool, so this is a total order: every algorithm that sorts or selects
+// by it keeps the same keys in the same order.
+func (k RankKey) Compare(o RankKey) int {
+	if k.Rank != o.Rank {
+		if k.Rank < o.Rank {
+			return -1
+		}
+		return 1
+	}
+	if k.Age != o.Age {
+		return int(k.Age) - int(o.Age)
+	}
+	if k.ID != o.ID {
+		if k.ID < o.ID {
+			return -1
+		}
+		return 1
+	}
+	return 0
 }
 
 // ReplaceRanked replaces the view's contents with pool[k.Idx] for the first

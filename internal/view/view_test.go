@@ -124,22 +124,6 @@ func TestOldest(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	v := newView(8)
-	for i := NodeID(0); i < 6; i++ {
-		v.Add(desc(i, 0))
-	}
-	v.Filter(func(d Descriptor) bool { return d.ID%2 == 0 })
-	if v.Len() != 3 {
-		t.Fatalf("Len() = %d, want 3", v.Len())
-	}
-	for _, id := range v.IDs() {
-		if id%2 != 0 {
-			t.Fatalf("id %d should have been filtered out", id)
-		}
-	}
-}
-
 func TestMergeKeepsFreshest(t *testing.T) {
 	var m Merger
 	got := MergeInto(&m, 99,
