@@ -42,6 +42,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -61,16 +62,19 @@ func main() {
 
 func run() error {
 	all := flag.Bool("all", false, "run every experiment")
-	fig2 := flag.Bool("fig2", false, "Figure 2: convergence vs. nodes")
-	fig3 := flag.Bool("fig3", false, "Figure 3: convergence vs. components")
-	fig4 := flag.Bool("fig4", false, "Figure 4: bandwidth baseline vs. overhead")
-	gallery := flag.Bool("gallery", false, "experiment (i): topology gallery")
-	curves := flag.Bool("curves", false, "experiment (ii): accuracy over time")
-	reconfig := flag.Bool("reconfig", false, "experiment (iii): live reconfiguration")
-	churn := flag.Bool("churn", false, "extension: continuous churn")
-	catastrophe := flag.Bool("catastrophe", false, "extension: catastrophic failures")
-	ablations := flag.Bool("ablations", false, "design-choice ablations")
-	baselineCmp := flag.Bool("baseline", false, "composed runtime vs. monolithic overlay")
+	// selected maps each driver group to the flag that selects it.
+	selected := map[string]*bool{
+		"fig2":        flag.Bool("fig2", false, "Figure 2: convergence vs. nodes"),
+		"fig3":        flag.Bool("fig3", false, "Figure 3: convergence vs. components"),
+		"fig4":        flag.Bool("fig4", false, "Figure 4: bandwidth baseline vs. overhead"),
+		"gallery":     flag.Bool("gallery", false, "experiment (i): topology gallery"),
+		"curves":      flag.Bool("curves", false, "experiment (ii): accuracy over time"),
+		"reconfig":    flag.Bool("reconfig", false, "experiment (iii): live reconfiguration"),
+		"churn":       flag.Bool("churn", false, "extension: continuous churn"),
+		"catastrophe": flag.Bool("catastrophe", false, "extension: catastrophic failures"),
+		"ablations":   flag.Bool("ablations", false, "design-choice ablations"),
+		"baseline":    flag.Bool("baseline", false, "composed runtime vs. monolithic overlay"),
+	}
 	full := flag.Bool("full", false, "paper-scale runs (slow)")
 	runs := flag.Int("runs", 0, "repetitions per data point")
 	seed := flag.Int64("seed", 1, "base random seed")
@@ -124,48 +128,17 @@ func run() error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	w := &writer{dir: *out}
+	w := &writer{out: os.Stdout, dir: *out}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			return err
 		}
 	}
 
-	// Every driver is presented uniformly as a Result producer so timing
-	// and output treat figures and tables alike.
-	wrap := func(f func(eval.Options) (*eval.Figure, error)) func(eval.Options) (*eval.Result, error) {
-		return func(o eval.Options) (*eval.Result, error) {
-			fig, err := f(o)
-			if err != nil {
-				return nil, err
-			}
-			return &eval.Result{Figures: []*eval.Figure{fig}}, nil
-		}
-	}
-	drivers := []struct {
-		name    string
-		enabled bool
-		run     func(eval.Options) (*eval.Result, error)
-	}{
-		{"fig2", *all || *fig2, wrap(eval.Fig2)},
-		{"fig3", *all || *fig3, wrap(eval.Fig3)},
-		{"fig4", *all || *fig4, wrap(eval.Fig4)},
-		{"curves", *all || *curves, wrap(eval.Curves)},
-		{"churn", *all || *churn, wrap(eval.Churn)},
-		{"ablation-uo2", *all || *ablations, wrap(eval.AblationUO2)},
-		{"ablation-randomness", *all || *ablations, wrap(eval.AblationRandomness)},
-		{"ablation-gossip", *all || *ablations, wrap(eval.AblationGossip)},
-		{"ablation-viewsize", *all || *ablations, wrap(eval.AblationViewSize)},
-		{"gallery", *all || *gallery, eval.Gallery},
-		{"reconfig", *all || *reconfig, eval.Reconfig},
-		{"catastrophe", *all || *catastrophe, eval.Catastrophe},
-		{"baseline", *all || *baselineCmp, eval.Baseline},
-	}
-
 	any := false
 	start := time.Now()
 	for _, d := range drivers {
-		if !d.enabled {
+		if !*all && !*selected[d.group] {
 			continue
 		}
 		any = true
@@ -175,15 +148,8 @@ func run() error {
 			return err
 		}
 		elapsed := time.Since(t0)
-		for _, fig := range res.Figures {
-			if err := w.figure(fig); err != nil {
-				return err
-			}
-		}
-		for _, tbl := range res.Tables {
-			if err := w.table(tbl); err != nil {
-				return err
-			}
+		if err := w.result(res); err != nil {
+			return err
 		}
 		fmt.Printf("[%s: %v]\n\n", d.name, elapsed.Round(time.Millisecond))
 	}
@@ -194,6 +160,39 @@ func run() error {
 	fmt.Printf("total wall-clock %v (parallelism %d)\n",
 		time.Since(start).Round(time.Millisecond), workers)
 	return nil
+}
+
+// wrap presents a figure driver as a Result producer, so timing and
+// output treat figures and tables alike.
+func wrap(f func(eval.Options) (*eval.Figure, error)) func(eval.Options) (*eval.Result, error) {
+	return func(o eval.Options) (*eval.Result, error) {
+		fig, err := f(o)
+		if err != nil {
+			return nil, err
+		}
+		return &eval.Result{Figures: []*eval.Figure{fig}}, nil
+	}
+}
+
+// drivers lists every experiment in output order, each with the group
+// (flag) that selects it.
+var drivers = []struct {
+	name, group string
+	run         func(eval.Options) (*eval.Result, error)
+}{
+	{"fig2", "fig2", wrap(eval.Fig2)},
+	{"fig3", "fig3", wrap(eval.Fig3)},
+	{"fig4", "fig4", wrap(eval.Fig4)},
+	{"curves", "curves", wrap(eval.Curves)},
+	{"churn", "churn", wrap(eval.Churn)},
+	{"ablation-uo2", "ablations", wrap(eval.AblationUO2)},
+	{"ablation-randomness", "ablations", wrap(eval.AblationRandomness)},
+	{"ablation-gossip", "ablations", wrap(eval.AblationGossip)},
+	{"ablation-viewsize", "ablations", wrap(eval.AblationViewSize)},
+	{"gallery", "gallery", eval.Gallery},
+	{"reconfig", "reconfig", eval.Reconfig},
+	{"catastrophe", "catastrophe", eval.Catastrophe},
+	{"baseline", "baseline", eval.Baseline},
 }
 
 // workerCount turns the -workers flag into eval.Options.RoundWorkers' rule
@@ -209,21 +208,37 @@ func workerCount(n int) (int, error) {
 	return n, nil
 }
 
-// writer renders results to stdout and, optionally, to files.
+// writer renders results to out and, optionally, to files in dir.
 type writer struct {
+	out io.Writer
 	dir string
 }
 
-func (w *writer) figure(f *eval.Figure) error {
-	fmt.Printf("== %s ==\n", f.Title)
-	for _, n := range f.Notes {
-		fmt.Printf("   (%s)\n", n)
+// result renders every figure, then every table, of one driver's result.
+func (w *writer) result(res *eval.Result) error {
+	for _, fig := range res.Figures {
+		if err := w.figure(fig); err != nil {
+			return err
+		}
 	}
-	fmt.Println()
-	fmt.Print(f.Table().String())
-	fmt.Println()
-	fmt.Print(plot.ASCII(f.Title, f.XLabel, f.LogX, f.Series...))
-	fmt.Println()
+	for _, tbl := range res.Tables {
+		if err := w.table(tbl); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (w *writer) figure(f *eval.Figure) error {
+	fmt.Fprintf(w.out, "== %s ==\n", f.Title)
+	for _, n := range f.Notes {
+		fmt.Fprintf(w.out, "   (%s)\n", n)
+	}
+	fmt.Fprintln(w.out)
+	fmt.Fprint(w.out, f.Table().String())
+	fmt.Fprintln(w.out)
+	fmt.Fprint(w.out, plot.ASCII(f.Title, f.XLabel, f.LogX, f.Series...))
+	fmt.Fprintln(w.out)
 	if w.dir == "" {
 		return nil
 	}
@@ -236,13 +251,13 @@ func (w *writer) figure(f *eval.Figure) error {
 }
 
 func (w *writer) table(t *eval.TableResult) error {
-	fmt.Printf("== %s ==\n", t.Title)
+	fmt.Fprintf(w.out, "== %s ==\n", t.Title)
 	for _, n := range t.Notes {
-		fmt.Printf("   (%s)\n", n)
+		fmt.Fprintf(w.out, "   (%s)\n", n)
 	}
-	fmt.Println()
-	fmt.Print(t.Table.String())
-	fmt.Println()
+	fmt.Fprintln(w.out)
+	fmt.Fprint(w.out, t.Table.String())
+	fmt.Fprintln(w.out)
 	if w.dir == "" {
 		return nil
 	}

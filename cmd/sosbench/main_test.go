@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,19 +29,8 @@ func sampleFigure() *eval.Figure {
 
 func TestWriterFigureFiles(t *testing.T) {
 	dir := t.TempDir()
-	w := &writer{dir: dir}
-
-	// Silence the stdout rendering for the test.
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	err = w.figure(sampleFigure())
-	os.Stdout = old
-	devnull.Close()
-	if err != nil {
+	w := &writer{out: io.Discard, dir: dir}
+	if err := w.figure(sampleFigure()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,20 +52,10 @@ func TestWriterFigureFiles(t *testing.T) {
 
 func TestWriterTableFiles(t *testing.T) {
 	dir := t.TempDir()
-	w := &writer{dir: dir}
+	w := &writer{out: io.Discard, dir: dir}
 	tbl := metrics.NewTable("a", "b")
 	tbl.AddRow("1", "2")
-
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	err = w.table(&eval.TableResult{ID: "t", Title: "T", Table: tbl})
-	os.Stdout = old
-	devnull.Close()
-	if err != nil {
+	if err := w.table(&eval.TableResult{ID: "t", Title: "T", Table: tbl}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,4 +80,41 @@ func TestWorkerCount(t *testing.T) {
 	if _, err := workerCount(-1); err == nil {
 		t.Error("workerCount(-1) accepted a negative -workers")
 	}
+}
+
+// TestGoldenOutput renders every driver at two runs per point and seed 1
+// through the writer sosbench prints with, and requires the bytes of
+// testdata/golden/sosbench.runs2.txt: the stdout of `sosbench -all -runs 2`
+// without its timing lines. Output does not depend on the pool size or
+// the round workers, so the test keeps their defaults.
+func TestGoldenOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every experiment (~10 s on 2 vCPU)")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "sosbench.runs2.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	w := &writer{out: &got}
+	for _, d := range drivers {
+		res, err := d.run(eval.Options{Runs: 2, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if err := w.result(res); err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString("\n") // the blank line after each driver's timing line
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("output differs from the golden file at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("output has %d lines, the golden file %d", len(gl), len(wl))
 }
