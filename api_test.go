@@ -160,10 +160,11 @@ var demoSrc = withScenario(pairSrc,
 func playRun(t *testing.T) (string, *Report) {
 	t.Helper()
 	var buf bytes.Buffer
-	sys, err := New(demoSrc, WithSeed(21), WithEvents(JSONLSink(&buf)))
+	sys, err := New(demoSrc, WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Subscribe(JSONLSink(&buf))
 	if _, err := sys.Step(50); err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +278,11 @@ func TestScenarioHorizonAndRunToEnd(t *testing.T) {
 
 func TestCSVSink(t *testing.T) {
 	var buf bytes.Buffer
-	sys, err := New(pairSrc, WithSeed(6), WithRunToEnd(), WithEvents(CSVSink(&buf)))
+	sys, err := New(pairSrc, WithSeed(6), WithRunToEnd())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Subscribe(CSVSink(&buf))
 	if _, err := sys.Step(3); err != nil {
 		t.Fatal(err)
 	}

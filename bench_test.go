@@ -30,13 +30,24 @@ func cmpOpts(seed int64, parallelism int) eval.Options {
 	return eval.Options{Runs: 4, Seed: seed, Parallelism: parallelism}
 }
 
+// evalDriver returns the Run of the eval driver named id.
+func evalDriver(b *testing.B, id string) func(eval.Options) (*eval.Result, error) {
+	for _, d := range eval.Drivers {
+		if d.ID == id {
+			return d.Run
+		}
+	}
+	b.Fatalf("no eval driver %q", id)
+	return nil
+}
+
 // BenchmarkFig2Sequential / BenchmarkFig2Parallel regenerate Figure 2's
 // sweep with a pool of one and with a GOMAXPROCS-wide worker pool. The outputs are byte-identical (see TestParallelSweepDeterministic);
 // on an N-core machine the parallel variant's wall clock is the speedup
 // headline of eval.Options.Parallelism.
 func BenchmarkFig2Sequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Fig2(cmpOpts(int64(i)+1, 1)); err != nil {
+		if _, err := evalDriver(b, "fig2")(cmpOpts(int64(i)+1, 1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +55,7 @@ func BenchmarkFig2Sequential(b *testing.B) {
 
 func BenchmarkFig2Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Fig2(cmpOpts(int64(i)+1, 0)); err != nil {
+		if _, err := evalDriver(b, "fig2")(cmpOpts(int64(i)+1, 0)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +66,7 @@ func BenchmarkFig2Parallel(b *testing.B) {
 // its parallel speedup approaches min(Runs, cores) with no sweep skew.
 func BenchmarkFig4Sequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Fig4(cmpOpts(int64(i)+1, 1)); err != nil {
+		if _, err := evalDriver(b, "fig4")(cmpOpts(int64(i)+1, 1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +74,7 @@ func BenchmarkFig4Sequential(b *testing.B) {
 
 func BenchmarkFig4Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Fig4(cmpOpts(int64(i)+1, 0)); err != nil {
+		if _, err := evalDriver(b, "fig4")(cmpOpts(int64(i)+1, 0)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,11 +84,11 @@ func BenchmarkFig4Parallel(b *testing.B) {
 // vs. population size, 20 components, log sweep).
 func BenchmarkFig2ConvergenceVsNodes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := eval.Fig2(benchOpts(int64(i) + 1))
+		res, err := evalDriver(b, "fig2")(benchOpts(int64(i) + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(fig.Series) != 5 {
+		if len(res.Figures[0].Series) != 5 {
 			b.Fatal("missing series")
 		}
 	}
@@ -87,11 +98,11 @@ func BenchmarkFig2ConvergenceVsNodes(b *testing.B) {
 // converge vs. number of components at fixed population).
 func BenchmarkFig3ConvergenceVsComponents(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := eval.Fig3(benchOpts(int64(i) + 1))
+		res, err := evalDriver(b, "fig3")(benchOpts(int64(i) + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(fig.Series) != 5 {
+		if len(res.Figures[0].Series) != 5 {
 			b.Fatal("missing series")
 		}
 	}
@@ -101,11 +112,11 @@ func BenchmarkFig3ConvergenceVsComponents(b *testing.B) {
 // overhead bandwidth per round).
 func BenchmarkFig4Bandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := eval.Fig4(benchOpts(int64(i) + 1))
+		res, err := evalDriver(b, "fig4")(benchOpts(int64(i) + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(fig.Series) != 2 {
+		if len(res.Figures[0].Series) != 2 {
 			b.Fatal("missing series")
 		}
 	}
@@ -165,7 +176,7 @@ func BenchmarkCatastrophe(b *testing.B) {
 // and without the distant-component overlay).
 func BenchmarkAblationUO2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.AblationUO2(benchOpts(int64(i) + 1)); err != nil {
+		if _, err := evalDriver(b, "ablation-uo2")(benchOpts(int64(i) + 1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,7 +186,7 @@ func BenchmarkAblationUO2(b *testing.B) {
 // (full protocol vs. pure greedy T-Man).
 func BenchmarkAblationRandomness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.AblationRandomness(benchOpts(int64(i) + 1)); err != nil {
+		if _, err := evalDriver(b, "ablation-randomness")(benchOpts(int64(i) + 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,5 +1,6 @@
 // Command sosbench regenerates every table and figure of the paper's
-// evaluation (plus the extension experiments documented in DESIGN.md).
+// evaluation (plus the extension experiments listed in the README section
+// "Regenerating the paper's evaluation").
 //
 // Usage:
 //
@@ -13,7 +14,7 @@
 //
 //	-full        paper-scale runs (25 600 nodes, 25 repetitions; slow)
 //	-runs N      repetitions per data point (default 5; 25 with -full)
-//	-seed N      base random seed (default 1)
+//	-seed N      base random seed (default 1; 0 is a seed too)
 //	-parallel N  worker goroutines fanning independent runs
 //	             (default GOMAXPROCS; 1 = sequential; output is
 //	             byte-identical either way)
@@ -62,7 +63,7 @@ func main() {
 
 func run() error {
 	all := flag.Bool("all", false, "run every experiment")
-	// selected maps each driver group to the flag that selects it.
+	// selected maps each eval.Driver group to the flag that selects it.
 	selected := map[string]*bool{
 		"fig2":        flag.Bool("fig2", false, "Figure 2: convergence vs. nodes"),
 		"fig3":        flag.Bool("fig3", false, "Figure 3: convergence vs. components"),
@@ -137,13 +138,13 @@ func run() error {
 
 	any := false
 	start := time.Now()
-	for _, d := range drivers {
-		if !*all && !*selected[d.group] {
+	for _, d := range eval.Drivers {
+		if !*all && !*selected[d.Group] {
 			continue
 		}
 		any = true
 		t0 := time.Now()
-		res, err := d.run(o)
+		res, err := d.Run(o)
 		if err != nil {
 			return err
 		}
@@ -151,7 +152,7 @@ func run() error {
 		if err := w.result(res); err != nil {
 			return err
 		}
-		fmt.Printf("[%s: %v]\n\n", d.name, elapsed.Round(time.Millisecond))
+		fmt.Printf("[%s: %v]\n\n", d.ID, elapsed.Round(time.Millisecond))
 	}
 	if !any {
 		flag.Usage()
@@ -160,39 +161,6 @@ func run() error {
 	fmt.Printf("total wall-clock %v (parallelism %d)\n",
 		time.Since(start).Round(time.Millisecond), workers)
 	return nil
-}
-
-// wrap presents a figure driver as a Result producer, so timing and
-// output treat figures and tables alike.
-func wrap(f func(eval.Options) (*eval.Figure, error)) func(eval.Options) (*eval.Result, error) {
-	return func(o eval.Options) (*eval.Result, error) {
-		fig, err := f(o)
-		if err != nil {
-			return nil, err
-		}
-		return &eval.Result{Figures: []*eval.Figure{fig}}, nil
-	}
-}
-
-// drivers lists every experiment in output order, each with the group
-// (flag) that selects it.
-var drivers = []struct {
-	name, group string
-	run         func(eval.Options) (*eval.Result, error)
-}{
-	{"fig2", "fig2", wrap(eval.Fig2)},
-	{"fig3", "fig3", wrap(eval.Fig3)},
-	{"fig4", "fig4", wrap(eval.Fig4)},
-	{"curves", "curves", wrap(eval.Curves)},
-	{"churn", "churn", wrap(eval.Churn)},
-	{"ablation-uo2", "ablations", wrap(eval.AblationUO2)},
-	{"ablation-randomness", "ablations", wrap(eval.AblationRandomness)},
-	{"ablation-gossip", "ablations", wrap(eval.AblationGossip)},
-	{"ablation-viewsize", "ablations", wrap(eval.AblationViewSize)},
-	{"gallery", "gallery", eval.Gallery},
-	{"reconfig", "reconfig", eval.Reconfig},
-	{"catastrophe", "catastrophe", eval.Catastrophe},
-	{"baseline", "baseline", eval.Baseline},
 }
 
 // workerCount turns the -workers flag into eval.Options.RoundWorkers' rule

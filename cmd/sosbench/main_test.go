@@ -97,10 +97,10 @@ func TestGoldenOutput(t *testing.T) {
 	}
 	var got bytes.Buffer
 	w := &writer{out: &got}
-	for _, d := range drivers {
-		res, err := d.run(eval.Options{Runs: 2, Seed: 1})
+	for _, d := range eval.Drivers {
+		res, err := d.Run(eval.Options{Runs: 2, Seed: 1})
 		if err != nil {
-			t.Fatalf("%s: %v", d.name, err)
+			t.Fatalf("%s: %v", d.ID, err)
 		}
 		if err := w.result(res); err != nil {
 			t.Fatal(err)

@@ -288,11 +288,11 @@ func (c *Campaign) execute(topo *spec.Topology, checkResume bool) (*Run, error) 
 		InitialNodes: int(topo.Option("nodes", 0)),
 		LastFault:    lastFaultRound(topo.Scenario),
 	}
-	sys, err := sosf.New(src, sosf.RunSpec{Workers: c.cfg.Workers}.Options(
-		sosf.WithRunToEnd(), sosf.WithEvents(collectInto(&r.Events, &r.Lines)))...)
+	sys, err := sosf.New(src, sosf.RunSpec{Workers: c.cfg.Workers}.Options(sosf.WithRunToEnd())...)
 	if err != nil {
 		return nil, err
 	}
+	sys.Subscribe(collectInto(&r.Events, &r.Lines))
 	mid := rounds / 2
 	// A one-round run has no mid-run boundary to checkpoint at.
 	checkResume = checkResume && mid > 0
@@ -328,11 +328,11 @@ func (c *Campaign) execute(topo *spec.Topology, checkResume bool) (*Run, error) 
 func (c *Campaign) resumeCheck(r *Run, mid int, snap []byte) error {
 	var events []sosf.RoundEvent
 	var lines [][]byte
-	sys, err := sosf.New(r.Source, sosf.RunSpec{Workers: c.cfg.Workers}.Options(
-		sosf.WithRunToEnd(), sosf.WithEvents(collectInto(&events, &lines)))...)
+	sys, err := sosf.New(r.Source, sosf.RunSpec{Workers: c.cfg.Workers}.Options(sosf.WithRunToEnd())...)
 	if err != nil {
 		return err
 	}
+	sys.Subscribe(collectInto(&events, &lines))
 	if err := sys.Restore(bytes.NewReader(snap)); err != nil {
 		return err
 	}

@@ -89,10 +89,11 @@ func TestFig2Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig2 sweep is slow")
 	}
-	fig, err := Fig2(fast())
+	res, err := runSweep("fig2")(fast())
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig := res.Figures[0]
 	if len(fig.Series) != 5 {
 		t.Fatalf("series = %d, want 5", len(fig.Series))
 	}
@@ -123,10 +124,11 @@ func TestFig4Small(t *testing.T) {
 		t.Skip("fig4 is slow")
 	}
 	o := fast()
-	fig, err := Fig4(o)
+	res, err := Fig4(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig := res.Figures[0]
 	if len(fig.Series) != 2 {
 		t.Fatalf("series = %d, want 2 (baseline, overhead)", len(fig.Series))
 	}
@@ -178,10 +180,11 @@ func TestCurvesSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("curves is slow")
 	}
-	fig, err := Curves(fast())
+	res, err := Curves(fast())
 	if err != nil {
 		t.Fatal(err)
 	}
+	fig := res.Figures[0]
 	if len(fig.Series) != 5 {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
@@ -243,5 +246,35 @@ func TestFigureTable(t *testing.T) {
 	out := fig.Table().String()
 	if !strings.Contains(out, "nodes") || !strings.Contains(out, "8.00") {
 		t.Fatalf("figure table:\n%s", out)
+	}
+}
+
+// TestSweepTableRows checks every row of the sweep table against the
+// driver list and its own variants: each row is one driver, and each
+// column reads a variant the row runs.
+func TestSweepTableRows(t *testing.T) {
+	ids := map[string]int{}
+	for _, d := range Drivers {
+		ids[d.ID]++
+	}
+	for id, s := range sweeps {
+		if ids[id] != 1 {
+			t.Errorf("%s: %d drivers, want 1", id, ids[id])
+		}
+		for _, sc := range []scale{s.reduced, s.full} {
+			if len(sc.xs) == 0 {
+				t.Errorf("%s: a scale has no points", id)
+			}
+		}
+		for _, col := range s.columns {
+			if col.variant < 0 || col.variant >= len(s.variants) {
+				t.Errorf("%s: column %q reads variant %d of %d", id, col.name, col.variant, len(s.variants))
+			}
+		}
+	}
+	for id, n := range ids {
+		if n != 1 {
+			t.Errorf("driver ID %s listed %d times", id, n)
+		}
 	}
 }

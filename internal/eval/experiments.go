@@ -82,7 +82,7 @@ func Gallery(o Options) (*Result, error) {
 
 // Curves runs experiment (ii): the per-round accuracy of every
 // sub-procedure while a ring-of-rings self-assembles from nothing.
-func Curves(o Options) (*Figure, error) {
+func Curves(o Options) (*Result, error) {
 	o = o.withDefaults()
 	nodes, comps, rounds := 800, 8, 40
 	if o.Full {
@@ -112,14 +112,14 @@ func Curves(o Options) (*Figure, error) {
 			series[sub].Append(float64(r+1), s)
 		}
 	}
-	return &Figure{
+	return &Result{Figures: []*Figure{{
 		ID:     "curves",
 		Title:  fmt.Sprintf("Exp (ii): sub-procedure accuracy over time (ring of %d rings)", comps),
 		XLabel: "Round",
 		YLabel: "accuracy (fraction converged)",
 		Series: series[:],
 		Notes:  []string{describeScale(o, "%d nodes, %d components", nodes, comps)},
-	}, nil
+	}}}, nil
 }
 
 // Reconfig runs experiment (iii): the system converges as a ring of 3
@@ -238,7 +238,7 @@ func Reconfig(o Options) (*Result, error) {
 // Churn measures steady-state accuracy under continuous node churn, an
 // extension beyond the paper's static runs (its protocols are built for
 // exactly this, per the self-organizing overlay literature it builds on).
-func Churn(o Options) (*Figure, error) {
+func Churn(o Options) (*Result, error) {
 	o = o.withDefaults()
 	nodes, comps, warm, window := 600, 4, 40, 30
 	if o.Full {
@@ -301,7 +301,7 @@ func Churn(o Options) (*Figure, error) {
 		uo1.Append(x, metrics.Summarize(&accU))
 		ports.Append(x, metrics.Summarize(&accP))
 	}
-	return &Figure{
+	return &Result{Figures: []*Figure{{
 		ID:     "churn",
 		Title:  "Extension: steady-state accuracy under continuous churn",
 		XLabel: "churn (% of nodes replaced per round)",
@@ -311,7 +311,7 @@ func Churn(o Options) (*Figure, error) {
 			describeScale(o, "%d nodes, %d components; accuracy averaged over rounds %d..%d",
 				nodes, comps, warm, warm+window),
 		},
-	}, nil
+	}}}, nil
 }
 
 // Catastrophe measures recovery from massive simultaneous failures (the

@@ -39,7 +39,7 @@ func TestParallelFiguresDeterministic(t *testing.T) {
 	}
 	drivers := []struct {
 		name string
-		run  func(Options) (*Figure, error)
+		run  func(Options) (*Result, error)
 		opts Options
 	}{
 		// Runs are sized per driver so every grid still has width to
@@ -68,7 +68,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig2 sweep is slow")
 	}
-	seq, par := seqAndPar(t, Fig2, Options{Runs: 1, Seed: 7})
+	seq, par := seqAndPar(t, runSweep("fig2"), Options{Runs: 1, Seed: 7})
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("fig2: parallel output differs from sequential\nseq: %+v\npar: %+v", seq, par)
 	}
@@ -207,5 +207,13 @@ func TestOptionsParallelismDefault(t *testing.T) {
 	}
 	if got := (Options{Parallelism: 3}).withDefaults().Parallelism; got != 3 {
 		t.Fatalf("Parallelism 3 rewritten to %d", got)
+	}
+}
+
+// TestOptionsSeedZeroKept: 0 is a seed like any other, not a request for
+// the default.
+func TestOptionsSeedZeroKept(t *testing.T) {
+	if got := (Options{Seed: 0}).withDefaults().Seed; got != 0 {
+		t.Fatalf("Seed 0 rewritten to %d", got)
 	}
 }

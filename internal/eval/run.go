@@ -17,8 +17,8 @@ type Options struct {
 	// Runs is the number of independent repetitions per data point
 	// (default 5; the paper uses 25, enabled by Full).
 	Runs int
-	// Seed is the base seed; run r of a driver uses Seed + r (and sweeps
-	// fold their point index in).
+	// Seed is the base seed, 0 included; run r of a driver uses Seed + r
+	// (and sweeps fold their point index in).
 	Seed int64
 	// Full switches every driver to the paper's exact scales (25 600
 	// nodes, 25 runs). Without it, drivers use laptop-friendly scales
@@ -47,8 +47,9 @@ type Options struct {
 // not converged by then as capped at this many rounds.
 const roundCap = 150
 
-// config is the one place an experiment's simulations take their worker count
-// from: topology, population and seed vary per cell, RoundWorkers does not.
+// config is a hand-written driver's cell configuration: topology,
+// population and seed vary per cell, RoundWorkers does not. A sweep row
+// sets the same seed and workers on its point's configuration.
 func (o Options) config(topo *spec.Topology, nodes int, seed int64) core.Config {
 	return core.Config{Topology: topo, Nodes: nodes, Seed: seed, Workers: o.RoundWorkers}
 }
@@ -60,9 +61,6 @@ func (o Options) withDefaults() Options {
 		} else {
 			o.Runs = 5
 		}
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -248,16 +246,6 @@ func collect(sys *core.System, rec *recorder, rounds int) *RunResult {
 		res.OverheadPerNode = append(res.OverheadPerNode, float64(over)/n)
 	}
 	return res
-}
-
-// convergedOrCap returns the convergence round, or the cap when the run
-// never converged (so aggregates stay defined; the cap is also recorded in
-// figure notes by the drivers).
-func convergedOrCap(r *RunResult, sub core.Sub, cap int) float64 {
-	if c := r.ConvergedAt[sub]; c >= 0 {
-		return float64(c)
-	}
-	return float64(cap)
 }
 
 // subSeries allocates one series per sub-procedure, indexed by Sub,

@@ -1,8 +1,10 @@
 // Package eval contains one driver per figure and experiment of the
 // paper's evaluation (Section 4), plus the extension experiments listed in
-// DESIGN.md. Every driver is deterministic given (Options.Seed, scale) and
-// aggregates over Options.Runs independent runs with 90% confidence
-// intervals — the paper's methodology (25 runs, 90% CIs).
+// the README section "Regenerating the paper's evaluation"; Drivers lists
+// them all. Figures 2 and 3 and the ablations are rows of one sweep table
+// run by one function. Every driver is deterministic given (Options.Seed,
+// scale) and aggregates over Options.Runs independent runs with 90%
+// confidence intervals — the paper's methodology (25 runs, 90% CIs).
 //
 // Because a (seed, configuration) pair fully determines a simulation run
 // (see internal/sim), the (sweep point, run) grid behind every figure is

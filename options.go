@@ -34,7 +34,6 @@ type config struct {
 	workers     int
 	lossRate    float64
 	churnRate   float64
-	events      []func(RoundEvent)
 	restorePath string
 	snapEvery   int
 	snapPath    string
@@ -181,16 +180,5 @@ func WithRestoreFrom(path string) Option {
 			return
 		}
 		c.restorePath = path
-	})
-}
-
-// WithEvents subscribes fn to the per-round event stream at construction
-// time, equivalent to calling System.Subscribe before the first Step. See
-// RoundEvent for what is emitted.
-func WithEvents(fn func(RoundEvent)) Option {
-	return optionFunc(func(c *config) {
-		if fn != nil {
-			c.events = append(c.events, fn)
-		}
 	})
 }

@@ -166,8 +166,7 @@ func New(src string, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, sys: sys, events: cfg.events,
-		fileRounds: int(topo.Option("rounds", 0))}
+	s := &System{cfg: cfg, sys: sys, fileRounds: int(topo.Option("rounds", 0))}
 
 	// Observer order mirrors a round's narrative: scripted actions fire
 	// first, churn replaces nodes, the tracker measures the post-action
