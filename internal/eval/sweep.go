@@ -95,7 +95,7 @@ var sweeps = map[string]sweep{
 		reduced:  scale{xs: []int{100, 200, 400, 800, 1600, 3200}},
 		full:     scale{xs: []int{100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600}},
 		seedBase: 0,
-		point:    ringsOfXNodes(20),
+		point:    xNodes(20),
 		variants: fullStack,
 		columns:  subColumns(),
 		caption: func(s scale) (string, string) {
@@ -149,7 +149,7 @@ var sweeps = map[string]sweep{
 		reduced:  scale{xs: []int{100, 200, 400, 800}},
 		full:     scale{xs: []int{100, 200, 400, 800, 1600, 3200}},
 		seedBase: 900,
-		point:    ringsOfXNodes(4),
+		point:    xNodes(4),
 		variants: []variant{{}, {pureGreedy: true}},
 		columns: []column{
 			{"with random feed", 0, convergence(core.SubElementary)},
@@ -269,8 +269,8 @@ func xRings(x, nodes int) core.Config {
 	return core.Config{Topology: MustTopology(RingOfRingsDSL(x)), Nodes: nodes}
 }
 
-// ringsOfXNodes returns the point of comps rings of x nodes in all.
-func ringsOfXNodes(comps int) func(x, _ int) core.Config {
+// xNodes returns the point of comps rings of x nodes in all.
+func xNodes(comps int) func(x, _ int) core.Config {
 	return func(x, _ int) core.Config {
 		return core.Config{Topology: MustTopology(RingOfRingsDSL(comps)), Nodes: x}
 	}
