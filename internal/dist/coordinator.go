@@ -84,6 +84,9 @@ type Coordinator struct {
 	hello hello // template; Shard is stamped per worker
 	sys   *sosf.System
 	conns []Conn
+	// buf is where a barrier's aggregate is assembled from the workers'
+	// plans frames; every barrier of the run reuses it.
+	buf []byte
 }
 
 // NewCoordinator builds the coordinator's replica (restoring ResumePath if
@@ -209,25 +212,29 @@ func (c *Coordinator) handshake(i int, conn Conn) error {
 // exchange is the coordinator's side of one barrier: collect every
 // worker's plan records (sequential reads — a dead worker surfaces here,
 // within the barrier), broadcast the aggregate, then import all shards
-// into the local replica. The coordinator's own shard is empty, so it
-// encodes nothing and imports everything.
+// into the local replica. Each plans frame is read straight behind the
+// aggregate assembled so far and spliced into it in place, so the records
+// are not copied out of the buffer they arrive in. The coordinator's own
+// shard is empty, so it encodes nothing and imports everything.
 func (c *Coordinator) exchange(pi int, _ sim.PlanCodec, _ []int) error {
 	round := c.sys.Round()
 	n := len(c.conns)
-	msgs := make([]plansMsg, n)
+	agg := appendAggregateHead(c.buf[:0], round, pi, n)
 	for i, conn := range c.conns {
-		kind, payload, err := snap.ReadFrame(conn, 0)
+		start := len(agg)
+		kind, out, err := snap.AppendFrame(agg, conn, 0)
+		c.buf = out
 		if err != nil {
 			return fmt.Errorf("%w: shard %d/%d at round %d barrier %d: %v", ErrWorkerDead, i, n, round, pi, err)
 		}
 		if kind == fkFault {
-			return fmt.Errorf("shard %d/%d at round %d: %w", i, n, round, faultError(payload))
+			return fmt.Errorf("shard %d/%d at round %d: %w", i, n, round, faultError(out[start:]))
 		}
 		if kind != fkPlans {
 			return fmt.Errorf("%w: shard %d sent frame kind %d at round %d barrier %d, want plans",
 				ErrProtocol, i, kind, round, pi)
 		}
-		m, err := decodePlans(payload)
+		m, err := decodePlans(out[start:])
 		if err != nil {
 			return err
 		}
@@ -235,15 +242,18 @@ func (c *Coordinator) exchange(pi int, _ sim.PlanCodec, _ []int) error {
 			return fmt.Errorf("%w: shard %d sent plans for round %d protocol %d shard %d, want round %d protocol %d shard %d",
 				ErrProtocol, i, m.Round, m.PI, m.Shard, round, pi, i)
 		}
-		msgs[i] = *m
+		agg = spliceShard(out, start, m)
 	}
-	agg := encodeAggregate(round, pi, msgs)
 	for i, conn := range c.conns {
 		if err := snap.WriteFrame(conn, fkAggregate, agg); err != nil {
 			return fmt.Errorf("%w: shard %d/%d at round %d barrier %d: %v", ErrWorkerDead, i, n, round, pi, err)
 		}
 	}
-	return importShards(c.sys.Engine(), round, pi, msgs, -1)
+	_, _, shards, err := decodeAggregate(agg)
+	if err != nil {
+		return err
+	}
+	return importShards(c.sys.Engine(), round, pi, shards, -1)
 }
 
 // importShards decodes every shard's plan records except own's (-1 imports

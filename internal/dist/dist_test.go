@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"sosf"
+	"sosf/internal/snap"
 )
 
 // testSource is a small two-component system with a fault/loss/reconfigure
@@ -265,5 +267,57 @@ func TestThreadsRule(t *testing.T) {
 		if got := c.System().Engine().Workers(); got != tc.want {
 			t.Errorf("Threads %d: replica runs %d workers, want %d", tc.threads, got, tc.want)
 		}
+	}
+}
+
+// TestAggregateSplicedInPlace assembles an aggregate the way the
+// coordinator does — plans payloads read behind the head and spliced in
+// place — and requires every shard's meter and records back from it, and a
+// cut aggregate to fail as corrupt instead of reading past its end.
+func TestAggregateSplicedInPlace(t *testing.T) {
+	plans := func(round, pi, shard int, meter int64, records []byte) []byte {
+		var buf bytes.Buffer
+		w := snap.NewWriter(&buf)
+		w.Header("dist-plans")
+		w.Int(round)
+		w.Int(pi)
+		w.Int(shard)
+		w.Varint(meter)
+		buf.Write(records)
+		return buf.Bytes()
+	}
+	want := []plansMsg{
+		{Records: bytes.Repeat([]byte{7}, 300), Meter: -5},
+		{Records: nil, Meter: 1 << 40},
+		{Records: []byte("tail"), Meter: 0},
+	}
+	agg := appendAggregateHead(nil, 3, 1, len(want))
+	for i, w := range want {
+		start := len(agg)
+		agg = append(agg, plans(3, 1, i, w.Meter, w.Records)...)
+		m, err := decodePlans(agg[start:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Shard != i || m.Meter != w.Meter || !bytes.Equal(m.Records, w.Records) {
+			t.Fatalf("shard %d decoded as %+v", i, m)
+		}
+		agg = spliceShard(agg, start, m)
+	}
+	round, pi, got, err := decodeAggregate(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if round != 3 || pi != 1 || len(got) != len(want) {
+		t.Fatalf("aggregate for round %d protocol %d over %d shards", round, pi, len(got))
+	}
+	for i := range want {
+		if got[i].Meter != want[i].Meter || !bytes.Equal(got[i].Records, want[i].Records) {
+			t.Errorf("shard %d: meter %d records %q, want meter %d records %q",
+				i, got[i].Meter, got[i].Records, want[i].Meter, want[i].Records)
+		}
+	}
+	if _, _, _, err := decodeAggregate(agg[:len(agg)-1]); !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("cut aggregate: err %v, want snap.ErrCorrupt", err)
 	}
 }

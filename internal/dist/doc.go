@@ -47,9 +47,14 @@
 // frame is length-prefixed and CRC-32C checksummed (internal/snap), so a
 // flipped bit fails loudly instead of desynchronizing the stream.
 //
-// An fkPlans frame's Records field is the shard's plan-record frame,
+// An fkPlans payload is Int(round) Int(pi) Int(shard) Varint(meter)
+// followed by the shard's plan-record frame, which fills the rest of it,
 //
 //	Len(records) { Int(slot) Int(lane) body }*
+//
+// An fkAggregate payload is Int(round) Int(pi) Len(N) and then, per shard,
+// Varint(meter) Uvarint(bytes) and that shard's plan-record frame. Each end
+// reuses one buffer for the whole run and reads records in place.
 //
 // The engine owns that framing — Engine.EncodePlans writes the record
 // count and each record's slot and route lane (the slot its Plan routed

@@ -2,11 +2,13 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 
+	"sosf/internal/sim"
 	"sosf/internal/snap"
 )
 
@@ -18,7 +20,7 @@ type Conn = io.ReadWriteCloser
 // wireVersion is the barrier-protocol version, independent of the snapshot
 // format version (which snap.Header checks underneath). Bump it for any
 // change to the frame sequence or payload layouts.
-const wireVersion = 6
+const wireVersion = 7
 
 // Frame kinds of the barrier protocol, in lifecycle order.
 const (
@@ -51,7 +53,7 @@ var (
 // hello is the coordinator's opening message: everything a worker needs to
 // build a replica indistinguishable from the coordinator's own — source,
 // behavior configuration, shard assignment, round window, and (resumed
-// runs) the checkpoint blob to restore.
+// runs) the checkpoint blob to restore, sent as the rest of the payload.
 type hello struct {
 	Seed        int64
 	SeedSet     bool
@@ -104,14 +106,15 @@ func encodeHello(h *hello) []byte {
 	w.Int(h.TotalRounds)
 	w.String(h.Source)
 	w.U64(h.digest())
-	writeBlob(w, h.Snapshot)
+	buf.Write(h.Snapshot)
 	return buf.Bytes()
 }
 
 // decodeHello parses a hello payload, returning the message and the digest
 // the coordinator computed (for the worker's own verification).
 func decodeHello(p []byte) (*hello, uint64, error) {
-	r := snap.NewReader(bytes.NewReader(p))
+	src := bytes.NewReader(p)
+	r := snap.NewReader(src)
 	r.Header("dist-hello")
 	if v := r.U16(); r.Err() == nil && v != wireVersion {
 		return nil, 0, fmt.Errorf("%w: coordinator speaks v%d, this build v%d", ErrVersionMismatch, v, wireVersion)
@@ -129,11 +132,10 @@ func decodeHello(p []byte) (*hello, uint64, error) {
 		Source:      r.String(),
 	}
 	digest := r.U64()
-	h.Snapshot = readBlob(r)
-	r.ExpectEOF()
 	if err := r.Err(); err != nil {
 		return nil, 0, err
 	}
+	h.Snapshot = p[len(p)-src.Len():]
 	return h, digest, nil
 }
 
@@ -161,7 +163,8 @@ func decodeAck(p []byte) (digest uint64, shard int, err error) {
 
 // plansMsg is one worker's contribution to one barrier: the encoded plan
 // records of its shard for protocol pi, plus the Plan-phase meter delta
-// those plans put on the simulated wire.
+// those plans put on the simulated wire. Decoded, Records is a window into
+// the frame payload it came in, valid until that buffer is reused.
 type plansMsg struct {
 	Round   int
 	PI      int
@@ -170,53 +173,78 @@ type plansMsg struct {
 	Meter   int64
 }
 
-func encodePlans(m *plansMsg) []byte {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	w.Header("dist-plans")
-	w.Int(m.Round)
-	w.Int(m.PI)
-	w.Int(m.Shard)
-	writeBlob(w, m.Records)
-	w.Varint(m.Meter)
-	return buf.Bytes()
+// appendWriter is an io.Writer that appends to a byte slice, so a buffer
+// reused across barriers keeps its capacity.
+type appendWriter struct{ b []byte }
+
+func (a *appendWriter) Write(p []byte) (int, error) {
+	a.b = append(a.b, p...)
+	return len(p), nil
 }
 
-func decodePlans(p []byte) (*plansMsg, error) {
-	r := snap.NewReader(bytes.NewReader(p))
+// appendPlans appends a worker's fkPlans payload to dst: the barrier's
+// fields and meter delta, then the engine's plan-record frame for the
+// shard's slots as the rest of the payload, so the records are encoded
+// once, in place.
+func appendPlans(dst []byte, eng *sim.Engine, round, pi, shard int, slots []int) ([]byte, error) {
+	out := appendWriter{dst}
+	w := snap.NewWriter(&out)
+	w.Header("dist-plans")
+	w.Int(round)
+	w.Int(pi)
+	w.Int(shard)
+	w.Varint(eng.PlanBytes(pi))
+	eng.EncodePlans(pi, w, slots)
+	return out.b, w.Err()
+}
+
+func decodePlans(p []byte) (plansMsg, error) {
+	src := bytes.NewReader(p)
+	r := snap.NewReader(src)
 	r.Header("dist-plans")
-	m := &plansMsg{
+	m := plansMsg{
 		Round: r.Int(),
 		PI:    r.Int(),
 		Shard: r.Int(),
+		Meter: r.Varint(),
 	}
-	m.Records = readBlob(r)
-	m.Meter = r.Varint()
-	r.ExpectEOF()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return plansMsg{}, err
 	}
+	m.Records = p[len(p)-src.Len():]
 	return m, nil
 }
 
-// encodeAggregate bundles every shard's (records, meter) pair for one
-// barrier. Receivers skip their own shard — they planned it themselves.
-func encodeAggregate(round, pi int, shards []plansMsg) []byte {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
+// appendAggregateHead starts an fkAggregate payload for n shards; each
+// shard's entry is then spliced in behind it by spliceShard.
+func appendAggregateHead(dst []byte, round, pi, n int) []byte {
+	out := appendWriter{dst}
+	w := snap.NewWriter(&out)
 	w.Header("dist-agg")
 	w.Int(round)
 	w.Int(pi)
-	w.Len(len(shards))
-	for i := range shards {
-		writeBlob(w, shards[i].Records)
-		w.Varint(shards[i].Meter)
-	}
-	return buf.Bytes()
+	w.Len(n)
+	return out.b
 }
 
+// spliceShard turns the fkPlans payload m was decoded from, p[start:], into
+// the aggregate's entry for that shard in place and cuts p behind it: the
+// entry's meter and record length overwrite the plans fields (a 21-byte
+// header among them, so always longer) and the records move down after.
+func spliceShard(p []byte, start int, m plansMsg) []byte {
+	var head [2 * binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(binary.AppendVarint(head[:0], m.Meter), uint64(len(m.Records)))
+	n := copy(p[start:], h)
+	n += copy(p[start+n:], p[len(p)-len(m.Records):])
+	return p[:start+n]
+}
+
+// decodeAggregate reads every shard's (meter, records) entry of an
+// fkAggregate payload. Receivers skip their own shard — they planned it
+// themselves.
 func decodeAggregate(p []byte) (round, pi int, shards []plansMsg, err error) {
-	r := snap.NewReader(bytes.NewReader(p))
+	src := bytes.NewReader(p)
+	r := snap.NewReader(src)
 	r.Header("dist-agg")
 	round = r.Int()
 	pi = r.Int()
@@ -225,46 +253,21 @@ func decodeAggregate(p []byte) (round, pi int, shards []plansMsg, err error) {
 		return 0, 0, nil, err
 	}
 	shards = make([]plansMsg, n)
-	for i := 0; i < n; i++ {
-		shards[i].Records = readBlob(r)
+	for i := range shards {
 		shards[i].Meter = r.Varint()
+		size := r.Uvarint()
 		if err := r.Err(); err != nil {
 			return 0, 0, nil, err
 		}
+		if size > uint64(src.Len()) {
+			return 0, 0, nil, fmt.Errorf("%w: shard %d records claim %d bytes, %d left", snap.ErrCorrupt, i, size, src.Len())
+		}
+		off := len(p) - src.Len()
+		shards[i].Records = p[off : off+int(size)]
+		src.Seek(int64(size), io.SeekCurrent)
 	}
 	r.ExpectEOF()
 	return round, pi, shards, r.Err()
-}
-
-// blobChunk splits large byte fields across snap's per-field sanity bound
-// (64 MiB): a resumed run's snapshot blob or a huge shard's plan records
-// must not be rejected by the codec that moves them.
-const blobChunk = 32 << 20
-
-// writeBlob writes an arbitrarily large byte blob as a chunk sequence.
-func writeBlob(w *snap.Writer, p []byte) {
-	n := (len(p) + blobChunk - 1) / blobChunk
-	w.Len(n)
-	for len(p) > blobChunk {
-		w.Bytes(p[:blobChunk])
-		p = p[blobChunk:]
-	}
-	if n > 0 {
-		w.Bytes(p)
-	}
-}
-
-// readBlob reads a writeBlob chunk sequence back into one slice.
-func readBlob(r *snap.Reader) []byte {
-	n := r.Len()
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	out := r.Bytes()
-	for i := 1; i < n && r.Err() == nil; i++ {
-		out = append(out, r.Bytes()...)
-	}
-	return out
 }
 
 // faultError turns a received fkFault payload into the named error.

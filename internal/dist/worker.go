@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"fmt"
 
 	"sosf"
@@ -23,6 +22,9 @@ type workerRun struct {
 	conn Conn
 	sys  *sosf.System
 	h    *hello
+	// buf holds a barrier's outgoing plans, then its incoming aggregate;
+	// every barrier of the run reuses it.
+	buf []byte
 }
 
 // RunWorker executes one worker over an established coordinator
@@ -107,17 +109,15 @@ func workerHandshake(conn Conn, threads int, localSource string) (*workerRun, er
 func (w *workerRun) exchange(pi int, _ sim.PlanCodec, shard []int) error {
 	eng := w.sys.Engine()
 	round := w.sys.Round()
-	var buf bytes.Buffer
-	sw := snap.NewWriter(&buf)
-	eng.EncodePlans(pi, sw, shard)
-	if err := sw.Err(); err != nil {
+	plans, err := appendPlans(w.buf[:0], eng, round, pi, w.h.Shard, shard)
+	if err != nil {
 		return err
 	}
-	m := plansMsg{Round: round, PI: pi, Shard: w.h.Shard, Records: buf.Bytes(), Meter: eng.PlanBytes(pi)}
-	if err := snap.WriteFrame(w.conn, fkPlans, encodePlans(&m)); err != nil {
+	if err := snap.WriteFrame(w.conn, fkPlans, plans); err != nil {
 		return fmt.Errorf("dist: sending plans at round %d barrier %d: %w", round, pi, err)
 	}
-	kind, payload, err := snap.ReadFrame(w.conn, 0)
+	kind, payload, err := snap.AppendFrame(plans[:0], w.conn, 0)
+	w.buf = payload
 	if err != nil {
 		return fmt.Errorf("dist: awaiting aggregate at round %d barrier %d: %w", round, pi, err)
 	}

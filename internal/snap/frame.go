@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"sosf/internal/view"
 )
@@ -68,33 +69,43 @@ func WriteFrame(w io.Writer, kind uint8, payload []byte) error {
 // (<= 0 selects MaxFrame). A cleanly closed stream returns io.EOF before
 // the first header byte; anything torn mid-frame is ErrFrameTruncated.
 func ReadFrame(r io.Reader, limit int) (kind uint8, payload []byte, err error) {
+	return AppendFrame(nil, r, limit)
+}
+
+// AppendFrame reads one frame like ReadFrame and appends its payload to
+// dst, growing dst only when its capacity falls short; the payload is
+// out[len(dst):]. A caller that reads one frame per barrier into the [:0]
+// of the previous result keeps a single buffer for the whole run. On error
+// out is dst, unextended.
+func AppendFrame(dst []byte, r io.Reader, limit int) (kind uint8, out []byte, err error) {
 	if limit <= 0 {
 		limit = MaxFrame
 	}
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.EOF {
-			return 0, nil, io.EOF
+			return 0, dst, io.EOF
 		}
-		return 0, nil, fmt.Errorf("%w: %v", ErrFrameTruncated, err)
+		return 0, dst, fmt.Errorf("%w: %v", ErrFrameTruncated, err)
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrFrameTruncated, err)
+		return 0, dst, fmt.Errorf("%w: %v", ErrFrameTruncated, err)
 	}
 	kind = hdr[0]
 	n := binary.LittleEndian.Uint32(hdr[1:5])
 	sum := binary.LittleEndian.Uint32(hdr[5:9])
 	if int64(n) > int64(limit) {
-		return 0, nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooBig, n, limit)
+		return 0, dst, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooBig, n, limit)
 	}
-	payload = make([]byte, n)
+	out = slices.Grow(dst, int(n))[:len(dst)+int(n)]
+	payload := out[len(dst):]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrFrameTruncated, err)
+		return 0, dst, fmt.Errorf("%w: %v", ErrFrameTruncated, err)
 	}
 	if got := crc32.Checksum(payload, castagnoli); got != sum {
-		return 0, nil, fmt.Errorf("%w: got %#x, header says %#x", ErrFrameChecksum, got, sum)
+		return 0, dst, fmt.Errorf("%w: got %#x, header says %#x", ErrFrameChecksum, got, sum)
 	}
-	return kind, payload, nil
+	return kind, out, nil
 }
 
 // WriteDescriptors encodes a descriptor slice (length-prefixed), the plan

@@ -253,3 +253,36 @@ func TestReadViewRejectsEntryCountPastData(t *testing.T) {
 		t.Fatalf("a %d-byte view declaring %d entries allocated %d bytes, want <= %d", len(input), maxChunk, grew, bound)
 	}
 }
+
+// TestAppendFrameKeepsPrefixAndBuffer: a frame read with AppendFrame lands
+// behind what dst already holds, reuses dst's array when it is big enough,
+// and leaves dst as it was when the frame is bad.
+func TestAppendFrameKeepsPrefixAndBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	for _, p := range []string{"first", "second"} {
+		if err := WriteFrame(&stream, 3, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := append(make([]byte, 0, 64), "head:"...)
+	kind, out, err := AppendFrame(dst, &stream, 0)
+	if err != nil || kind != 3 || string(out) != "head:first" {
+		t.Fatalf("AppendFrame = %d, %q, %v", kind, out, err)
+	}
+	if &out[0] != &dst[:1][0] {
+		t.Fatal("AppendFrame reallocated a buffer that had room")
+	}
+	if _, out, err = AppendFrame(out[:0], &stream, 0); err != nil || string(out) != "second" {
+		t.Fatalf("second frame: %q, %v", out, err)
+	}
+
+	var bad bytes.Buffer
+	if err := WriteFrame(&bad, 3, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	raw := bad.Bytes()
+	raw[len(raw)-1] ^= 1
+	if _, out, err := AppendFrame([]byte("head:"), &bad, 0); !errors.Is(err, ErrFrameChecksum) || string(out) != "head:" {
+		t.Fatalf("flipped bit: %q, %v; want dst back and ErrFrameChecksum", out, err)
+	}
+}
