@@ -34,10 +34,11 @@
 // and gated by the repository benchmark instead (`bash bench/run.sh`, see
 // bench/README.md and ci/check-bench.sh).
 //
-// Each experiment prints an aligned table and an ASCII chart, plus its
-// wall-clock time; with -out it also writes gnuplot-ready .dat files and
-// standalone .svg charts. A final summary line reports the total wall
-// clock and the parallelism used.
+// Each experiment prints an aligned table and an ASCII chart on stdout,
+// and its wall-clock time on stderr; with -out it also writes
+// gnuplot-ready .dat files and standalone .svg charts. A final summary line
+// on stderr reports the total wall clock and the parallelism used, so
+// stdout depends only on the flags and the seed.
 package main
 
 import (
@@ -152,13 +153,14 @@ func run() error {
 		if err := w.result(res); err != nil {
 			return err
 		}
-		fmt.Printf("[%s: %v]\n\n", d.ID, elapsed.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s: %v]\n", d.ID, elapsed.Round(time.Millisecond))
+		fmt.Println()
 	}
 	if !any {
 		flag.Usage()
 		return fmt.Errorf("no experiment selected (try -all)")
 	}
-	fmt.Printf("total wall-clock %v (parallelism %d)\n",
+	fmt.Fprintf(os.Stderr, "total wall-clock %v (parallelism %d)\n",
 		time.Since(start).Round(time.Millisecond), workers)
 	return nil
 }

@@ -85,7 +85,7 @@ func TestWorkerCount(t *testing.T) {
 // TestGoldenOutput renders every driver at two runs per point and seed 1
 // through the writer sosbench prints with, and requires the bytes of
 // testdata/golden/sosbench.runs2.txt: the stdout of `sosbench -all -runs 2`
-// without its timing lines. Output does not depend on the pool size or
+// (its timing lines go to stderr). Output does not depend on the pool size or
 // the round workers, so the test keeps their defaults.
 func TestGoldenOutput(t *testing.T) {
 	if testing.Short() {
@@ -105,7 +105,7 @@ func TestGoldenOutput(t *testing.T) {
 		if err := w.result(res); err != nil {
 			t.Fatal(err)
 		}
-		got.WriteString("\n") // the blank line after each driver's timing line
+		got.WriteString("\n") // the blank line that ends each driver's output
 	}
 	if bytes.Equal(got.Bytes(), want) {
 		return

@@ -198,11 +198,7 @@ func TestPortConnectFirstSyncParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace = append(trace, traceRounds(t, sys, 8)...)
-		var snapshot bytes.Buffer
-		if err := sys.Snapshot(&snapshot); err != nil {
-			t.Fatal(err)
-		}
-		return trace, snapshot.Bytes()
+		return trace, checkpoint(t, sys)
 	}
 	serial, serialSnap := run(1)
 	pooled, pooledSnap := run(4)

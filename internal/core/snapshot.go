@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"sosf/internal/snap"
 	"sosf/internal/spec"
@@ -55,9 +54,9 @@ func (c snapConfig) behaviorEqual(o snapConfig) bool {
 // *active* topology (which differs from the boot topology after a
 // Reconfigure), allocator bookkeeping, and the complete engine state — so
 // that Restore on a compatible system resumes the run byte-identically.
-// Call it between rounds only.
-func (s *System) Snapshot(w io.Writer) error {
-	sw := snap.NewWriter(w)
+// Call it between rounds only. The caller owns sw: it may write more
+// fields behind the snapshot, and it flushes sw.
+func (s *System) Snapshot(sw *snap.Writer) error {
 	sw.Header(systemSnapKind)
 
 	cfgJSON, err := json.Marshal(snapConfigOf(s.cfg))
@@ -89,9 +88,9 @@ func (s *System) Snapshot(w io.Writer) error {
 // (protocol knobs, UO2 ablation); population, topology, epoch, RNG position
 // and all per-node protocol state are replaced by the snapshot's. Worker
 // configuration is untouched — resuming at a different worker count yields
-// the same results.
-func (s *System) Restore(r io.Reader) error {
-	sr := snap.NewReader(r)
+// the same results. sr is left at the first byte behind the snapshot, so
+// the caller can read on from the same Reader.
+func (s *System) Restore(sr *snap.Reader) error {
 	sr.Header(systemSnapKind)
 	cfgJSON := sr.Bytes()
 	topoJSON := sr.Bytes()

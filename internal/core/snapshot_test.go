@@ -82,17 +82,14 @@ func TestSystemSnapshotResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := ref.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snapBytes := append([]byte(nil), buf.Bytes()...)
+	buf := checkpoint(t, ref)
+	snapBytes := buf
 	want := traceRounds(t, ref, 15)
 
 	// Restore into a freshly booted system (different seed: the snapshot
 	// is authoritative for all randomness).
 	cont := snapSystem(t, 7, 1)
-	if err := cont.Restore(bytes.NewReader(snapBytes)); err != nil {
+	if err := cont.Restore(snap.NewBytesReader(snapBytes)); err != nil {
 		t.Fatal(err)
 	}
 	if got := cont.Engine().Round(); got != 25 {
@@ -105,7 +102,7 @@ func TestSystemSnapshotResumeEquivalence(t *testing.T) {
 	// The same bytes into a system sharded across 4 workers — the worker
 	// count must stay invisible across a restore.
 	warm := snapSystem(t, 7, 4)
-	if err := warm.Restore(bytes.NewReader(snapBytes)); err != nil {
+	if err := warm.Restore(snap.NewBytesReader(snapBytes)); err != nil {
 		t.Fatal(err)
 	}
 	if got := traceRounds(t, warm, 15); !equalTrace(got, want) {
@@ -136,14 +133,11 @@ func TestSystemSnapshotAfterReconfigure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := ref.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := checkpoint(t, ref)
 	want := traceRounds(t, ref, 10)
 
 	cont := snapSystem(t, 3, 1)
-	if err := cont.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := cont.Restore(snap.NewBytesReader(buf)); err != nil {
 		t.Fatal(err)
 	}
 	if got := cont.Allocator().Topology().Name; got != "snaptest2" {
@@ -165,10 +159,7 @@ func TestRestoreRejectsMismatchedKnobs(t *testing.T) {
 	if _, err := ref.Run(3); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ref.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := checkpoint(t, ref)
 
 	for _, tc := range []struct {
 		name string
@@ -187,7 +178,7 @@ func TestRestoreRejectsMismatchedKnobs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := other.Restore(bytes.NewReader(buf.Bytes())); err == nil {
+			if err := other.Restore(snap.NewBytesReader(buf)); err == nil {
 				t.Fatalf("restore under a different %s succeeded", tc.name)
 			} else if !strings.Contains(err.Error(), "configuration") {
 				t.Fatalf("err = %v, want configuration mismatch", err)
@@ -204,10 +195,7 @@ func TestRestoreRejectsProtocolSlotCount(t *testing.T) {
 	if _, err := ref.Run(3); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ref.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := checkpoint(t, ref)
 	size := ref.Engine().Size()
 	if size >= 128 {
 		t.Fatalf("%d slots: the count must be one varint byte for the in-place edit", size)
@@ -216,16 +204,16 @@ func TestRestoreRejectsProtocolSlotCount(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// The body is the last field named name: its byte length, then
 			// the slot count as its first field.
-			var field bytes.Buffer
-			snap.NewWriter(&field).String(name)
-			cp := bytes.Clone(buf.Bytes())
-			at := bytes.LastIndex(cp, field.Bytes()) + field.Len()
+			var field snap.Writer
+			field.String(name)
+			cp := bytes.Clone(buf)
+			at := bytes.LastIndex(cp, field.Encoded()) + len(field.Encoded())
 			_, n := binary.Uvarint(cp[at:])
 			if n <= 0 || cp[at+n] != byte(size) {
 				t.Fatalf("no %d-slot body after the last %q", size, name)
 			}
 			cp[at+n]--
-			err := snapSystem(t, 1, 1).Restore(bytes.NewReader(cp))
+			err := snapSystem(t, 1, 1).Restore(snap.NewBytesReader(cp))
 			if !errors.Is(err, sim.ErrSlotCount) || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
 				t.Fatalf("err = %v, want sim.ErrSlotCount naming %q", err, name)
 			}
@@ -239,14 +227,11 @@ func TestRestoreRejectsProtocolSlotCount(t *testing.T) {
 func TestRestoreRejectsNextIndexPastSlots(t *testing.T) {
 	ref := snapSystem(t, 1, 1)
 	ref.alloc.nextIndex[0] = 1 << 26
-	var buf bytes.Buffer
-	if err := ref.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := checkpoint(t, ref)
 	sys := snapSystem(t, 1, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := sys.Restore(bytes.NewReader(buf.Bytes()))
+	err := sys.Restore(snap.NewBytesReader(buf))
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "next index") {
 		t.Fatalf("err = %v, want the next-index rejection", err)
@@ -255,6 +240,16 @@ func TestRestoreRejectsNextIndexPastSlots(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
 		t.Fatalf("restore allocated %d bytes, want <= %d", grew, bound)
 	}
+}
+
+// checkpoint snapshots sys into memory.
+func checkpoint(t *testing.T, sys *System) []byte {
+	t.Helper()
+	var w snap.Writer
+	if err := sys.Snapshot(&w); err != nil {
+		t.Fatal(err)
+	}
+	return w.Encoded()
 }
 
 func equalTrace(a, b []string) bool {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 	"unsafe"
 
@@ -25,13 +24,12 @@ func TestUO2EntrySizeof(t *testing.T) {
 // rows with that ID, so such a row would be counted yet read as empty.
 func TestUO2RestoreRejectsContactWithoutNode(t *testing.T) {
 	_, _, u := buildUO2(t, 1, 2, 2)
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
+	var w snap.Writer
 	w.Len(1)
 	w.Bool(true)
-	snap.WriteDescriptor(w, view.Descriptor{ID: view.InvalidNode})
+	snap.WriteDescriptor(&w, view.Descriptor{ID: view.InvalidNode})
 	w.Int(0)
-	if err := u.RestoreSlot(snap.NewReader(&buf), 0); err == nil {
+	if err := u.RestoreSlot(snap.NewBytesReader(w.Encoded()), 0); err == nil {
 		t.Fatal("RestoreSlot accepted a valid row with no node ID")
 	}
 }

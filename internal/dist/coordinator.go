@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"time"
 
 	"sosf"
 	"sosf/internal/sim"
@@ -84,9 +85,12 @@ type Coordinator struct {
 	hello hello // template; Shard is stamped per worker
 	sys   *sosf.System
 	conns []Conn
-	// buf is where a barrier's aggregate is assembled from the workers'
-	// plans frames; every barrier of the run reuses it.
-	buf []byte
+	// Every barrier of the run reuses these: buf is where the aggregate is
+	// assembled from the workers' plans frames, and shards and dec decode
+	// it.
+	buf    []byte
+	shards []plansMsg
+	dec    snap.Reader
 }
 
 // NewCoordinator builds the coordinator's replica (restoring ResumePath if
@@ -136,16 +140,38 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // System returns the coordinator's replica (for reports and snapshots).
 func (c *Coordinator) System() *sosf.System { return c.sys }
 
+// faultWait bounds how long an aborting coordinator waits for its fault
+// reports to be read before it closes the connections. A worker that is
+// itself blocked writing (its next plans frame, or its own fault) never
+// reads the report; closing the connection is what unblocks it.
+const faultWait = time.Second
+
 // Run drives the whole run over the given worker connections, one per
 // shard: handshake, round loop with one exchange per sharded protocol per
-// round, and the final SnapPath checkpoint. On any error the remaining
-// workers are told (best-effort fkFault) and every connection is closed, so
-// a single dead peer fails the run within one barrier instead of hanging
-// it. Run closes the connections in every case.
+// round, and the final SnapPath checkpoint. On any error the workers are
+// told (a best-effort fkFault to each at once, for at most faultWait) and
+// every connection is closed, so a single dead or broken peer fails the
+// run within one barrier instead of hanging it. Run closes the connections
+// in every case.
 func (c *Coordinator) Run(conns []Conn) error {
 	abort := func(err error) error {
+		sent := make(chan struct{}, len(conns))
 		for _, conn := range conns {
-			sendFault(conn, err)
+			go func() {
+				sendFault(conn, err)
+				sent <- struct{}{}
+			}()
+		}
+		deadline := time.After(faultWait)
+	wait:
+		for range conns {
+			select {
+			case <-sent:
+			case <-deadline:
+				break wait
+			}
+		}
+		for _, conn := range conns {
 			conn.Close()
 		}
 		return err
@@ -249,22 +275,24 @@ func (c *Coordinator) exchange(pi int, _ sim.PlanCodec, _ []int) error {
 			return fmt.Errorf("%w: shard %d/%d at round %d barrier %d: %v", ErrWorkerDead, i, n, round, pi, err)
 		}
 	}
-	_, _, shards, err := decodeAggregate(agg)
+	_, _, shards, err := decodeAggregate(agg, c.shards)
+	c.shards = shards
 	if err != nil {
 		return err
 	}
-	return importShards(c.sys.Engine(), round, pi, shards, -1)
+	return importShards(c.sys.Engine(), &c.dec, round, pi, shards, -1)
 }
 
 // importShards decodes every shard's plan records except own's (-1 imports
-// them all) into eng and credits their Plan-phase meter deltas — the
-// import half of a barrier, identical on the coordinator and every worker.
-func importShards(eng *sim.Engine, round, pi int, shards []plansMsg, own int) error {
+// them all) into eng through r, and credits their Plan-phase meter deltas
+// — the import half of a barrier, identical on the coordinator and every
+// worker.
+func importShards(eng *sim.Engine, r *snap.Reader, round, pi int, shards []plansMsg, own int) error {
 	for i := range shards {
 		if i == own {
 			continue
 		}
-		r := snap.NewReader(bytes.NewReader(shards[i].Records))
+		r.Reset(shards[i].Records)
 		if err := eng.DecodePlans(pi, r); err != nil {
 			return fmt.Errorf("dist: importing shard %d round %d protocol %d: %w", i, round, pi, err)
 		}

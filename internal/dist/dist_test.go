@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sosf"
+	"sosf/internal/sim"
 	"sosf/internal/snap"
 )
 
@@ -276,15 +277,13 @@ func TestThreadsRule(t *testing.T) {
 // cut aggregate to fail as corrupt instead of reading past its end.
 func TestAggregateSplicedInPlace(t *testing.T) {
 	plans := func(round, pi, shard int, meter int64, records []byte) []byte {
-		var buf bytes.Buffer
-		w := snap.NewWriter(&buf)
+		var w snap.Writer
 		w.Header("dist-plans")
 		w.Int(round)
 		w.Int(pi)
 		w.Int(shard)
 		w.Varint(meter)
-		buf.Write(records)
-		return buf.Bytes()
+		return append(w.Encoded(), records...)
 	}
 	want := []plansMsg{
 		{Records: bytes.Repeat([]byte{7}, 300), Meter: -5},
@@ -304,7 +303,7 @@ func TestAggregateSplicedInPlace(t *testing.T) {
 		}
 		agg = spliceShard(agg, start, m)
 	}
-	round, pi, got, err := decodeAggregate(agg)
+	round, pi, got, err := decodeAggregate(agg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +316,100 @@ func TestAggregateSplicedInPlace(t *testing.T) {
 				i, got[i].Meter, got[i].Records, want[i].Meter, want[i].Records)
 		}
 	}
-	if _, _, _, err := decodeAggregate(agg[:len(agg)-1]); !errors.Is(err, snap.ErrCorrupt) {
+	if _, _, _, err := decodeAggregate(agg[:len(agg)-1], nil); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("cut aggregate: err %v, want snap.ErrCorrupt", err)
+	}
+}
+
+// TestTruncatedPlansAreCorrupt cuts a real plans payload of every routing
+// protocol at every byte: decoding it and importing its records must fail
+// as snap.ErrCorrupt, never panic.
+func TestTruncatedPlansAreCorrupt(t *testing.T) {
+	sys, err := buildReplica(&hello{Source: testSource, Shards: 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sys.Engine()
+	round := sys.Round()
+	payloads := map[int][]byte{}
+	_, err = sys.DistRound(0, sys.Size(), func(pi int, _ sim.PlanCodec, shard []int) error {
+		var w snap.Writer
+		appendPlans(&w, eng, round, pi, 0, shard[:min(len(shard), 8)])
+		payloads[pi] = w.Encoded()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(payloads) == 0 {
+		t.Fatal("no routing protocol reached its barrier")
+	}
+	var r snap.Reader
+	for pi, p := range payloads {
+		for cut := 0; cut <= len(p); cut++ {
+			m, err := decodePlans(p[:cut])
+			if err == nil {
+				err = importShards(eng, &r, round, pi, []plansMsg{m}, -1)
+			}
+			if cut == len(p) {
+				if err != nil {
+					t.Fatalf("protocol %d: the whole payload: %v", pi, err)
+				}
+			} else if !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("protocol %d: payload cut at %d of %d: err = %v, want snap.ErrCorrupt", pi, cut, len(p), err)
+			}
+		}
+	}
+}
+
+// TestBarrierPayloadsAllocationFree runs a barrier's payload path for
+// every routing protocol — plans encoded into a reused buffer, decoded,
+// spliced into an aggregate, and the aggregate decoded and imported
+// through a reused Reader — and requires it warm to allocate nothing.
+func TestBarrierPayloadsAllocationFree(t *testing.T) {
+	sys, err := buildReplica(&hello{Source: testSource, Shards: 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sys.Engine()
+	round := sys.Round()
+	var (
+		w           snap.Writer
+		r           snap.Reader
+		shards      []plansMsg
+		plans, agg  []byte
+		barrierErr  error
+		protocolsIn int
+	)
+	_, err = sys.DistRound(0, sys.Size(), func(pi int, _ sim.PlanCodec, shard []int) error {
+		protocolsIn++
+		allocs := testing.AllocsPerRun(10, func() {
+			w.Reset(plans[:0])
+			appendPlans(&w, eng, round, pi, 0, shard)
+			plans = w.Encoded()
+			m, err := decodePlans(plans)
+			if err != nil {
+				barrierErr = err
+				return
+			}
+			agg = appendAggregateHead(agg[:0], round, pi, 1)
+			start := len(agg)
+			agg = spliceShard(append(agg, plans...), start, m)
+			if _, _, shards, err = decodeAggregate(agg, shards); err != nil {
+				barrierErr = err
+				return
+			}
+			barrierErr = importShards(eng, &r, round, pi, shards, -1)
+		})
+		if allocs != 0 {
+			t.Errorf("protocol %d: a warm barrier's payloads cost %v allocs, want 0", pi, allocs)
+		}
+		return barrierErr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if protocolsIn == 0 {
+		t.Fatal("no routing protocol reached its barrier")
 	}
 }

@@ -54,7 +54,10 @@
 //
 // An fkAggregate payload is Int(round) Int(pi) Len(N) and then, per shard,
 // Varint(meter) Uvarint(bytes) and that shard's plan-record frame. Each end
-// reuses one buffer for the whole run and reads records in place.
+// reuses one buffer for the whole run: a worker encodes its plans into it
+// through one reused snap.Writer, and every end decodes each shard's
+// records from it in place through one reused snap.Reader, so a warm
+// barrier's payloads cost no allocation.
 //
 // The engine owns that framing — Engine.EncodePlans writes the record
 // count and each record's slot and route lane (the slot its Plan routed
@@ -70,6 +73,13 @@
 //	RUNNING   --fkPlans/fkAggregate cycles, one per barrier--> RUNNING
 //	RUNNING   --round loop exhausted (replicated stop decision)--> DONE
 //	any state --fkFault / read error--> FAILED (named error, run aborted)
+//
+// An end that fails tells its peer with a best-effort fkFault before it
+// closes the connection. Both ends of a pipe can fail the same barrier and
+// write their faults at once (a corrupt shard fails every importer), so
+// the coordinator sends its faults concurrently and closes every
+// connection after at most faultWait: the close is what unblocks a worker
+// stuck writing to it, and each end still returns its own named error.
 //
 // There is no end-of-run message: the stop decision (round budget,
 // scenario horizon) is computed by the replicated observers, so every

@@ -9,10 +9,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
+	"sosf/internal/sim"
 	"sosf/internal/snap"
 )
 
@@ -39,11 +41,10 @@ func within(t *testing.T, what string, fn func() error) error {
 func TestWorkerRejectsVersionMismatch(t *testing.T) {
 	co, wk := net.Pipe()
 	go func() {
-		var buf bytes.Buffer
-		w := snap.NewWriter(&buf)
+		var w snap.Writer
 		w.Header("dist-hello")
 		w.U16(wireVersion + 1)
-		_ = snap.WriteFrame(co, fkHello, buf.Bytes())
+		_ = snap.WriteFrame(co, fkHello, w.Encoded())
 		// Drain the worker's fault report so its write can complete.
 		_, _, _ = snap.ReadFrame(co, 0)
 		co.Close()
@@ -173,4 +174,87 @@ func TestCoordinatorRejectsStaleAck(t *testing.T) {
 	if !errors.Is(coordErr, ErrTopologyMismatch) {
 		t.Fatalf("coordinator error = %v, want ErrTopologyMismatch", coordErr)
 	}
+}
+
+// TestCorruptPlansFailEveryEnd has shard 1 of 2 send a plans frame whose
+// fields are valid and whose records are corrupt. The coordinator relays
+// it in the aggregate, then fails to import it, and so does the worker of
+// shard 0 — each writing its fault report to the other over a pipe that
+// neither reads. Every end must still return a named error, well within
+// faultTimeout.
+func TestCorruptPlansFailEveryEnd(t *testing.T) {
+	c, err := NewCoordinator(Config{Source: testSource, Shards: 2, Rounds: 10, RoundsSet: true, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co0, wk0 := net.Pipe()
+	co1, wk1 := net.Pipe()
+	worker := make(chan error, 1)
+	go func() { worker <- RunWorker(wk0, 1, "") }()
+	corrupt := make(chan error, 1)
+	go func() { corrupt <- corruptPlansWorker(wk1) }()
+
+	start := time.Now()
+	coordErr := within(t, "coordinator run", func() error { return c.Run([]Conn{co0, co1}) })
+	workerErr := within(t, "worker of shard 0", func() error { return <-worker })
+	corruptErr := within(t, "corrupt worker", func() error { return <-corrupt })
+	if !errors.Is(coordErr, sim.ErrBadPlan) || !errors.Is(coordErr, snap.ErrCorrupt) {
+		t.Errorf("coordinator error = %v, want ErrBadPlan wrapping snap.ErrCorrupt", coordErr)
+	}
+	if !errors.Is(workerErr, sim.ErrBadPlan) && !errors.Is(workerErr, ErrPeerFault) {
+		t.Errorf("worker error = %v, want ErrBadPlan or ErrPeerFault", workerErr)
+	}
+	if !errors.Is(corruptErr, ErrPeerFault) {
+		t.Errorf("corrupt worker error = %v, want the coordinator's fault report", corruptErr)
+	}
+	if took := time.Since(start); took > faultWait+faultTimeout/4 {
+		t.Errorf("the run took %v to fail", took)
+	}
+}
+
+// corruptPlansWorker handshakes and builds its replica like a real worker
+// of shard 1, then answers the first barrier with records that claim three
+// records and hold none. It returns the error the next frame brings.
+func corruptPlansWorker(conn Conn) error {
+	defer conn.Close()
+	kind, payload, err := snap.ReadFrame(conn, 0)
+	if err != nil || kind != fkHello {
+		return fmt.Errorf("hello: kind %d, %v", kind, err)
+	}
+	h, digest, err := decodeHello(payload)
+	if err != nil {
+		return err
+	}
+	sys, err := buildReplica(h, 1)
+	if err != nil {
+		return err
+	}
+	if err := snap.WriteFrame(conn, fkHelloAck, encodeAck(digest, h.Shard)); err != nil {
+		return err
+	}
+	lo, hi := shardRange(sys.Size(), h.Shard, h.Shards)
+	_, err = sys.DistRound(lo, hi, func(pi int, _ sim.PlanCodec, _ []int) error {
+		var w snap.Writer
+		w.Header("dist-plans")
+		w.Int(sys.Round())
+		w.Int(pi)
+		w.Int(h.Shard)
+		w.Varint(0)
+		w.Len(3)
+		if err := snap.WriteFrame(conn, fkPlans, w.Encoded()); err != nil {
+			return err
+		}
+		if kind, _, err := snap.ReadFrame(conn, 0); err != nil || kind != fkAggregate {
+			return fmt.Errorf("aggregate: kind %d, %v", kind, err)
+		}
+		kind, payload, err := snap.ReadFrame(conn, 0)
+		if err != nil {
+			return err
+		}
+		if kind == fkFault {
+			return faultError(payload)
+		}
+		return fmt.Errorf("frame kind %d after a corrupt barrier", kind)
+	})
+	return err
 }

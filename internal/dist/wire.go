@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,23 +75,23 @@ type hello struct {
 // assignment and the snapshot blob stay out — they vary per worker and per
 // resume without changing which run this is.
 func (h *hello) digest() uint64 {
+	var w snap.Writer
+	w.String(h.Source)
+	w.I64(h.Seed)
+	w.Bool(h.SeedSet)
+	w.Int(h.Nodes)
+	w.F64(h.Loss)
+	w.F64(h.Churn)
+	w.Int(h.Shards)
+	w.Int(h.StartRound)
+	w.Int(h.TotalRounds)
 	f := fnv.New64a()
-	sw := snap.NewWriter(f)
-	sw.String(h.Source)
-	sw.I64(h.Seed)
-	sw.Bool(h.SeedSet)
-	sw.Int(h.Nodes)
-	sw.F64(h.Loss)
-	sw.F64(h.Churn)
-	sw.Int(h.Shards)
-	sw.Int(h.StartRound)
-	sw.Int(h.TotalRounds)
+	f.Write(w.Encoded())
 	return f.Sum64()
 }
 
 func encodeHello(h *hello) []byte {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
+	var w snap.Writer
 	w.Header("dist-hello")
 	w.U16(wireVersion)
 	w.I64(h.Seed)
@@ -106,15 +105,13 @@ func encodeHello(h *hello) []byte {
 	w.Int(h.TotalRounds)
 	w.String(h.Source)
 	w.U64(h.digest())
-	buf.Write(h.Snapshot)
-	return buf.Bytes()
+	return append(w.Encoded(), h.Snapshot...)
 }
 
 // decodeHello parses a hello payload, returning the message and the digest
 // the coordinator computed (for the worker's own verification).
 func decodeHello(p []byte) (*hello, uint64, error) {
-	src := bytes.NewReader(p)
-	r := snap.NewReader(src)
+	r := snap.NewBytesReader(p)
 	r.Header("dist-hello")
 	if v := r.U16(); r.Err() == nil && v != wireVersion {
 		return nil, 0, fmt.Errorf("%w: coordinator speaks v%d, this build v%d", ErrVersionMismatch, v, wireVersion)
@@ -135,22 +132,21 @@ func decodeHello(p []byte) (*hello, uint64, error) {
 	if err := r.Err(); err != nil {
 		return nil, 0, err
 	}
-	h.Snapshot = p[len(p)-src.Len():]
+	h.Snapshot = p[r.Offset():]
 	return h, digest, nil
 }
 
 func encodeAck(digest uint64, shard int) []byte {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
+	var w snap.Writer
 	w.Header("dist-ack")
 	w.U16(wireVersion)
 	w.U64(digest)
 	w.Int(shard)
-	return buf.Bytes()
+	return w.Encoded()
 }
 
 func decodeAck(p []byte) (digest uint64, shard int, err error) {
-	r := snap.NewReader(bytes.NewReader(p))
+	r := snap.NewBytesReader(p)
 	r.Header("dist-ack")
 	if v := r.U16(); r.Err() == nil && v != wireVersion {
 		return 0, 0, fmt.Errorf("%w: worker speaks v%d, this build v%d", ErrVersionMismatch, v, wireVersion)
@@ -173,34 +169,21 @@ type plansMsg struct {
 	Meter   int64
 }
 
-// appendWriter is an io.Writer that appends to a byte slice, so a buffer
-// reused across barriers keeps its capacity.
-type appendWriter struct{ b []byte }
-
-func (a *appendWriter) Write(p []byte) (int, error) {
-	a.b = append(a.b, p...)
-	return len(p), nil
-}
-
-// appendPlans appends a worker's fkPlans payload to dst: the barrier's
+// appendPlans appends a worker's fkPlans payload to w: the barrier's
 // fields and meter delta, then the engine's plan-record frame for the
 // shard's slots as the rest of the payload, so the records are encoded
 // once, in place.
-func appendPlans(dst []byte, eng *sim.Engine, round, pi, shard int, slots []int) ([]byte, error) {
-	out := appendWriter{dst}
-	w := snap.NewWriter(&out)
+func appendPlans(w *snap.Writer, eng *sim.Engine, round, pi, shard int, slots []int) {
 	w.Header("dist-plans")
 	w.Int(round)
 	w.Int(pi)
 	w.Int(shard)
 	w.Varint(eng.PlanBytes(pi))
 	eng.EncodePlans(pi, w, slots)
-	return out.b, w.Err()
 }
 
 func decodePlans(p []byte) (plansMsg, error) {
-	src := bytes.NewReader(p)
-	r := snap.NewReader(src)
+	r := snap.NewBytesReader(p)
 	r.Header("dist-plans")
 	m := plansMsg{
 		Round: r.Int(),
@@ -211,20 +194,20 @@ func decodePlans(p []byte) (plansMsg, error) {
 	if err := r.Err(); err != nil {
 		return plansMsg{}, err
 	}
-	m.Records = p[len(p)-src.Len():]
+	m.Records = p[r.Offset():]
 	return m, nil
 }
 
 // appendAggregateHead starts an fkAggregate payload for n shards; each
 // shard's entry is then spliced in behind it by spliceShard.
 func appendAggregateHead(dst []byte, round, pi, n int) []byte {
-	out := appendWriter{dst}
-	w := snap.NewWriter(&out)
+	var w snap.Writer
+	w.Reset(dst)
 	w.Header("dist-agg")
 	w.Int(round)
 	w.Int(pi)
 	w.Len(n)
-	return out.b
+	return w.Encoded()
 }
 
 // spliceShard turns the fkPlans payload m was decoded from, p[start:], into
@@ -240,11 +223,10 @@ func spliceShard(p []byte, start int, m plansMsg) []byte {
 }
 
 // decodeAggregate reads every shard's (meter, records) entry of an
-// fkAggregate payload. Receivers skip their own shard — they planned it
-// themselves.
-func decodeAggregate(p []byte) (round, pi int, shards []plansMsg, err error) {
-	src := bytes.NewReader(p)
-	r := snap.NewReader(src)
+// fkAggregate payload into shards[:0]. Each entry's records are a window
+// into p. Receivers skip their own shard — they planned it themselves.
+func decodeAggregate(p []byte, shards []plansMsg) (round, pi int, _ []plansMsg, err error) {
+	r := snap.NewBytesReader(p)
 	r.Header("dist-agg")
 	round = r.Int()
 	pi = r.Int()
@@ -252,19 +234,21 @@ func decodeAggregate(p []byte) (round, pi int, shards []plansMsg, err error) {
 	if err := r.Err(); err != nil {
 		return 0, 0, nil, err
 	}
-	shards = make([]plansMsg, n)
-	for i := range shards {
-		shards[i].Meter = r.Varint()
+	// The list grows as entries arrive: a corrupt count reserves nothing.
+	shards = shards[:0]
+	for i := 0; i < n; i++ {
+		meter := r.Varint()
 		size := r.Uvarint()
 		if err := r.Err(); err != nil {
 			return 0, 0, nil, err
 		}
-		if size > uint64(src.Len()) {
-			return 0, 0, nil, fmt.Errorf("%w: shard %d records claim %d bytes, %d left", snap.ErrCorrupt, i, size, src.Len())
+		rest := p[r.Offset():]
+		if size > uint64(len(rest)) {
+			return 0, 0, nil, fmt.Errorf("%w: shard %d records claim %d bytes, %d left", snap.ErrCorrupt, i, size, len(rest))
 		}
-		off := len(p) - src.Len()
-		shards[i].Records = p[off : off+int(size)]
-		src.Seek(int64(size), io.SeekCurrent)
+		shards = append(shards, plansMsg{Meter: meter, Records: rest[:size]})
+		p = rest[size:]
+		r.Reset(p)
 	}
 	r.ExpectEOF()
 	return round, pi, shards, r.Err()

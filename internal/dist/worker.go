@@ -22,9 +22,13 @@ type workerRun struct {
 	conn Conn
 	sys  *sosf.System
 	h    *hello
-	// buf holds a barrier's outgoing plans, then its incoming aggregate;
-	// every barrier of the run reuses it.
-	buf []byte
+	// Every barrier of the run reuses these: buf holds the outgoing plans
+	// (encoded by enc), then the incoming aggregate (decoded into shards
+	// and by dec).
+	buf    []byte
+	enc    snap.Writer
+	shards []plansMsg
+	dec    snap.Reader
 }
 
 // RunWorker executes one worker over an established coordinator
@@ -109,10 +113,9 @@ func workerHandshake(conn Conn, threads int, localSource string) (*workerRun, er
 func (w *workerRun) exchange(pi int, _ sim.PlanCodec, shard []int) error {
 	eng := w.sys.Engine()
 	round := w.sys.Round()
-	plans, err := appendPlans(w.buf[:0], eng, round, pi, w.h.Shard, shard)
-	if err != nil {
-		return err
-	}
+	w.enc.Reset(w.buf[:0])
+	appendPlans(&w.enc, eng, round, pi, w.h.Shard, shard)
+	plans := w.enc.Encoded()
 	if err := snap.WriteFrame(w.conn, fkPlans, plans); err != nil {
 		return fmt.Errorf("dist: sending plans at round %d barrier %d: %w", round, pi, err)
 	}
@@ -127,7 +130,8 @@ func (w *workerRun) exchange(pi int, _ sim.PlanCodec, shard []int) error {
 	if kind != fkAggregate {
 		return fmt.Errorf("%w: frame kind %d at round %d barrier %d, want aggregate", ErrProtocol, kind, round, pi)
 	}
-	aggRound, aggPI, shards, err := decodeAggregate(payload)
+	aggRound, aggPI, shards, err := decodeAggregate(payload, w.shards)
+	w.shards = shards
 	if err != nil {
 		return err
 	}
@@ -135,5 +139,5 @@ func (w *workerRun) exchange(pi int, _ sim.PlanCodec, shard []int) error {
 		return fmt.Errorf("%w: aggregate for round %d protocol %d over %d shards, want round %d protocol %d over %d",
 			ErrProtocol, aggRound, aggPI, len(shards), round, pi, w.h.Shards)
 	}
-	return importShards(eng, round, pi, shards, w.h.Shard)
+	return importShards(eng, &w.dec, round, pi, shards, w.h.Shard)
 }

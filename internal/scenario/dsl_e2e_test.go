@@ -7,13 +7,13 @@ package scenario
 // engine-level partition tests in workers_test.go never exercise.
 
 import (
-	"bytes"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sosf/internal/core"
 	"sosf/internal/dsl"
+	"sosf/internal/snap"
 	"sosf/internal/spec"
 )
 
@@ -150,8 +150,8 @@ func TestDSLSnapshotDirectiveEndToEnd(t *testing.T) {
 	var got []string
 	b.OnSnapshot = func(round int, p string) error {
 		got = append(got, p)
-		var buf bytes.Buffer
-		return sys.Snapshot(&buf)
+		var w snap.Writer
+		return sys.Snapshot(&w)
 	}
 	if _, err := sys.Run(5); err != nil {
 		t.Fatal(err)

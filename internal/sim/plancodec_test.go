@@ -29,7 +29,10 @@ type codecCase struct {
 // planSystem builds a 64-node ring of four rings, runs two rounds, and
 // captures every codec's frame during a third, sharded round whose one
 // shard is the whole alive population.
-func planSystem(tb testing.TB) (*sim.Engine, []codecCase) {
+func planSystem(tb testing.TB) (*sim.Engine, []codecCase) { return planSystemOf(tb, 64) }
+
+// planSystemOf is planSystem over the given number of nodes.
+func planSystemOf(tb testing.TB, nodes int) (*sim.Engine, []codecCase) {
 	tb.Helper()
 	const rings = 4
 	topo := &spec.Topology{Name: "ring-of-rings"}
@@ -43,7 +46,7 @@ func planSystem(tb testing.TB) (*sim.Engine, []codecCase) {
 			B: spec.PortRef{Component: fmt.Sprintf("r%d", (i+1)%rings), Port: "tail"},
 		})
 	}
-	sys, err := core.NewSystem(core.Config{Topology: topo, Nodes: 64, Seed: 3})
+	sys, err := core.NewSystem(core.Config{Topology: topo, Nodes: nodes, Seed: 3})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -75,25 +78,23 @@ func planSystem(tb testing.TB) (*sim.Engine, []codecCase) {
 }
 
 func encodePlans(e *sim.Engine, pi int, slots []int) []byte {
-	var buf bytes.Buffer
-	e.EncodePlans(pi, snap.NewWriter(&buf), slots)
-	return buf.Bytes()
+	var w snap.Writer
+	e.EncodePlans(pi, &w, slots)
+	return w.Encoded()
 }
 
 func decode(e *sim.Engine, c codecCase, frame []byte) error {
-	return e.DecodePlans(c.pi, snap.NewReader(bytes.NewReader(frame)))
+	return e.DecodePlans(c.pi, snap.NewBytesReader(frame))
 }
 
 // record frames one record: a count of 1, the slot, the lane, then body
 // verbatim.
 func record(slot, lane int, body []byte) []byte {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
+	var w snap.Writer
 	w.Len(1)
 	w.Int(slot)
 	w.Int(lane)
-	buf.Write(body)
-	return buf.Bytes()
+	return append(w.Encoded(), body...)
 }
 
 // checkLanes fails if any lane of c's route table points outside the slot
@@ -126,11 +127,10 @@ func firstDelivered(t *testing.T, c codecCase) int {
 // UO2, and a record count past the reader's bound for PortSelect. It also
 // returns what the error must say.
 func badBody(name string) (body []byte, want string) {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
+	var w snap.Writer
 	switch name {
 	case "uo2":
-		buf.WriteByte(2)
+		w.Reset([]byte{2})
 		want = "invalid bool byte"
 	case "portselect":
 		w.Uvarint(1 << 40)
@@ -139,19 +139,17 @@ func badBody(name string) (body []byte, want string) {
 		w.Int(1 << 20)
 		want = "unknown plan kind"
 	}
-	buf.Write(make([]byte, 8))
-	return buf.Bytes(), want
+	return append(w.Encoded(), make([]byte, 8)...), want
 }
 
 // uo2Timeout turns the UO2 record body good (a swap that did not time
 // out) into a timed-out one: the flag set, the same published table, and
 // the suspected partner after it.
 func uo2Timeout(good []byte) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(1)
-	buf.Write(good[1:])
-	snap.WriteDescriptor(snap.NewWriter(&buf), view.Descriptor{ID: 7, Profile: view.Profile{Comp: 1}})
-	return buf.Bytes()
+	var w snap.Writer
+	w.Reset(append([]byte{1}, good[1:]...))
+	snap.WriteDescriptor(&w, view.Descriptor{ID: 7, Profile: view.Profile{Comp: 1}})
+	return w.Encoded()
 }
 
 // TestPlanFrameRoundTrip decodes every codec's captured frame into a
@@ -268,4 +266,87 @@ func FuzzDecodePlans(f *testing.F) {
 		}
 		checkLanes(t, e, c)
 	})
+}
+
+// shardSlots is the shard size of the allocation guard and the codec
+// benchmarks.
+const shardSlots = 2000
+
+// TestPlanCodecAllocationFree: once warm, encoding and decoding the
+// plan-record frame of a 2 000-slot shard allocates nothing, for every
+// routing protocol — a dist barrier moves its records through reused
+// buffers only.
+func TestPlanCodecAllocationFree(t *testing.T) {
+	e, cases := planSystemOf(t, shardSlots)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if len(c.slots) != shardSlots {
+				t.Fatalf("shard of %d slots, want %d", len(c.slots), shardSlots)
+			}
+			var w snap.Writer
+			e.EncodePlans(c.pi, &w, c.slots)
+			if !bytes.Equal(w.Encoded(), c.frame) {
+				t.Fatal("the warm-up encoding differs from the captured frame")
+			}
+			encode := testing.AllocsPerRun(20, func() {
+				w.Reset(w.Encoded()[:0])
+				e.EncodePlans(c.pi, &w, c.slots)
+			})
+			var r snap.Reader
+			var err error
+			decode := testing.AllocsPerRun(20, func() {
+				r.Reset(c.frame)
+				err = e.DecodePlans(c.pi, &r)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if encode != 0 || decode != 0 {
+				t.Fatalf("warm %d-slot frame: %v allocs to encode, %v to decode, want 0 and 0", shardSlots, encode, decode)
+			}
+		})
+	}
+}
+
+// BenchmarkEncodePlans encodes every routing protocol's plan-record frame
+// of a 2 000-slot shard into a reused buffer: one op is one round of a
+// dist worker's encoding.
+func BenchmarkEncodePlans(b *testing.B) {
+	e, cases := planSystemOf(b, shardSlots)
+	var w snap.Writer
+	size := 0
+	for _, c := range cases {
+		size += len(c.frame)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cases {
+			w.Reset(w.Encoded()[:0])
+			e.EncodePlans(c.pi, &w, c.slots)
+		}
+	}
+}
+
+// BenchmarkDecodePlans decodes every routing protocol's plan-record frame
+// of a 2 000-slot shard: one op is one round of importing a remote shard.
+func BenchmarkDecodePlans(b *testing.B) {
+	e, cases := planSystemOf(b, shardSlots)
+	var r snap.Reader
+	size := 0
+	for _, c := range cases {
+		size += len(c.frame)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cases {
+			r.Reset(c.frame)
+			if err := e.DecodePlans(c.pi, &r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

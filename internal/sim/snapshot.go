@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -135,20 +134,18 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 
 	e.meter.snapshot(w)
 
+	// A body's length prefix comes before its slots, so each body is
+	// encoded whole into one window reused across protocols.
 	w.Len(len(e.protocols))
-	var body bytes.Buffer
+	var body snap.Writer
 	for _, p := range e.protocols {
-		body.Reset()
-		bw := snap.NewWriter(&body)
-		bw.Len(len(e.nodes))
+		body.Reset(body.Encoded()[:0])
+		body.Len(len(e.nodes))
 		for slot := range e.nodes {
-			p.(Snapshotter).SnapshotSlot(bw, slot)
-		}
-		if err := bw.Err(); err != nil {
-			return err
+			p.(Snapshotter).SnapshotSlot(&body, slot)
 		}
 		w.String(p.Name())
-		w.Bytes(body.Bytes())
+		w.Bytes(body.Encoded())
 	}
 	return w.Err()
 }
@@ -265,26 +262,28 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 	}
 	for i, p := range e.protocols {
 		name := r.String()
-		body := r.Bytes()
+		size := r.Len()
 		if err := r.Err(); err != nil {
 			return err
 		}
 		if name != p.Name() {
 			return fmt.Errorf("snap: protocol %d is %q in the snapshot but %q in the engine", i, name, p.Name())
 		}
-		if err := e.restoreBody(p, body); err != nil {
+		if err := e.restoreBody(p, r, size); err != nil {
 			return fmt.Errorf("snap: protocol %q: %w", name, err)
 		}
 	}
 	return r.Err()
 }
 
-// restoreBody restores protocol p from its snapshot body: the slot count,
-// which must equal the restored node table's, then one record per slot.
-func (e *Engine) restoreBody(p Protocol, body []byte) error {
-	br := snap.NewReader(bytes.NewReader(body))
-	n := br.Len()
-	if err := br.Err(); err != nil {
+// restoreBody restores protocol p from its size-byte snapshot body, read
+// in place from r: the slot count, which must equal the restored node
+// table's, then one record per slot, which must end exactly at the body's
+// end.
+func (e *Engine) restoreBody(p Protocol, r *snap.Reader, size int) error {
+	start := r.Offset()
+	n := r.Len()
+	if err := r.Err(); err != nil {
 		return err
 	}
 	if n != len(e.nodes) {
@@ -292,15 +291,17 @@ func (e *Engine) restoreBody(p Protocol, body []byte) error {
 	}
 	s := p.(Snapshotter)
 	for slot := 0; slot < n; slot++ {
-		if err := s.RestoreSlot(br, slot); err != nil {
+		if err := s.RestoreSlot(r, slot); err != nil {
 			return err
 		}
-		if err := br.Err(); err != nil {
+		if err := r.Err(); err != nil {
 			return err
 		}
 	}
-	br.ExpectEOF()
-	return br.Err()
+	if got := r.Offset() - start; got != size {
+		return fmt.Errorf("%w: the slots take %d bytes of a %d-byte body", snap.ErrCorrupt, got, size)
+	}
+	return nil
 }
 
 // snapshot serializes the meter: protocol names (validated on restore),

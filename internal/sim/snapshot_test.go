@@ -40,17 +40,16 @@ func TestCountedSourceReplay(t *testing.T) {
 
 // snapshotState checkpoints e's engine body into memory.
 func snapshotState(e *Engine) ([]byte, error) {
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	if err := e.SnapshotState(w); err != nil {
+	var w snap.Writer
+	if err := e.SnapshotState(&w); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), w.Err()
+	return w.Encoded(), nil
 }
 
 // restoreState restores e from an engine body written by SnapshotState.
 func restoreState(e *Engine, body []byte) error {
-	return e.RestoreState(snap.NewReader(bytes.NewReader(body)))
+	return e.RestoreState(snap.NewBytesReader(body))
 }
 
 // snapProbe is a minimal routing protocol with per-slot state and random
@@ -195,21 +194,17 @@ func TestSnapshotRequiresSnapshotter(t *testing.T) {
 func TestRestoreRejectsAbsurdDrawCount(t *testing.T) {
 	// Hand-build a stream whose fixed prefix is self-consistent (an empty
 	// population) but whose draw count is far past the replay bound.
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
+	var w snap.Writer
 	w.I64(1)           // seed
 	w.Uvarint(1 << 50) // draws: absurd
 	w.Int(1)           // round
 	w.Varint(0)        // nextID
 	w.F64(0)           // loss rate
 	w.Len(0)           // node count
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
 
 	e := New(1)
 	e.Register(&snapProbe{})
-	err := restoreState(e, buf.Bytes())
+	err := restoreState(e, w.Encoded())
 	if err == nil || !strings.Contains(err.Error(), "replay bound") {
 		t.Fatalf("err = %v, want draw-count bound rejection", err)
 	}
@@ -249,17 +244,13 @@ func TestRestoreAllocatesOnlyWhatArrives(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		var buf bytes.Buffer
-		w := snap.NewWriter(&buf)
-		tc.write(w)
-		if err := w.Err(); err != nil {
-			t.Fatal(err)
-		}
+		var w snap.Writer
+		tc.write(&w)
 		e := New(1)
 		e.Register(&snapProbe{})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := restoreState(e, buf.Bytes())
+		err := restoreState(e, w.Encoded())
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, snap.ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", tc.name, err)
@@ -267,7 +258,7 @@ func TestRestoreAllocatesOnlyWhatArrives(t *testing.T) {
 		const bound = 64 << 10
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
 			t.Fatalf("%s: a %d-byte body declaring %d records allocated %d bytes, want <= %d",
-				tc.name, buf.Len(), huge, grew, bound)
+				tc.name, len(w.Encoded()), huge, grew, bound)
 		}
 	}
 }
@@ -302,17 +293,13 @@ func TestMeterSnapshotRoundTrip(t *testing.T) {
 		m.EndRound()
 	}
 
-	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	m.snapshot(w)
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
+	var w snap.Writer
+	m.snapshot(&w)
 
 	n := NewMeter()
 	n.AddProtocol("a")
 	n.AddProtocol("b")
-	r := snap.NewReader(&buf)
+	r := snap.NewReader(bytes.NewReader(w.Encoded()))
 	if err := n.restore(r); err != nil {
 		t.Fatal(err)
 	}
@@ -325,5 +312,48 @@ func TestMeterSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("round %d protocol %d: %d != %d", round, p, n.RoundTotal(round, p), m.RoundTotal(round, p))
 			}
 		}
+	}
+}
+
+// TestRestoreRejectsBodyLengthMismatch restores a checkpoint whose one
+// protocol body declares a byte more and a byte less than its slots take:
+// both must fail as corrupt, since the slots are decoded in place from the
+// stream and only the declared length delimits them.
+func TestRestoreRejectsBodyLengthMismatch(t *testing.T) {
+	e, _ := buildProbeEngine(t, 1)
+	runChaos(t, e, 5)
+	state, err := snapshotState(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The probe's body closes the stream: a slot count, then one U64 a
+	// slot, behind its length prefix.
+	var count snap.Writer
+	count.Len(e.Size())
+	size := len(count.Encoded()) + 8*e.Size()
+	var prefix snap.Writer
+	prefix.Len(size)
+	head := state[:len(state)-size-len(prefix.Encoded())]
+	body := state[len(state)-size:]
+	for _, tc := range []struct {
+		name string
+		size int
+		body []byte
+	}{
+		{"a trailing byte", size + 1, append(bytes.Clone(body), 0)},
+		{"a byte short", size - 1, body},
+	} {
+		var w snap.Writer
+		w.Reset(bytes.Clone(head))
+		w.Len(tc.size)
+		other := New(1)
+		other.Register(&snapProbe{})
+		err := restoreState(other, append(w.Encoded(), tc.body...))
+		if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "body") {
+			t.Fatalf("%s: err = %v, want ErrCorrupt naming the body", tc.name, err)
+		}
+	}
+	if err := restoreState(e, state); err != nil {
+		t.Fatalf("the unedited checkpoint: %v", err)
 	}
 }

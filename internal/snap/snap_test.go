@@ -2,17 +2,20 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"sosf/internal/view"
 )
 
-func TestPrimitiveRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+// writeFields writes one of every Writer field.
+func writeFields(w *Writer) {
 	w.Header("test")
 	w.U16(0xbeef)
 	w.U32(0xdeadbeef)
@@ -22,16 +25,20 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	w.Bool(true)
 	w.Bool(false)
 	w.Uvarint(1 << 40)
+	w.Uvarint(math.MaxUint64)
 	w.Varint(-(1 << 40))
+	w.Varint(math.MinInt64)
 	w.Int(-7)
 	w.Len(3)
 	w.Bytes([]byte{1, 2, 3})
 	w.String("hello")
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
+	w.Bytes(nil)
+}
 
-	r := NewReader(&buf)
+// readFields reads back what writeFields wrote, up to the end of the
+// input.
+func readFields(t *testing.T, r *Reader) {
+	t.Helper()
 	r.Header("test")
 	if got := r.U16(); got != 0xbeef {
 		t.Fatalf("U16 = %#x", got)
@@ -54,8 +61,14 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	if got := r.Uvarint(); got != 1<<40 {
 		t.Fatalf("Uvarint = %d", got)
 	}
+	if got := r.Uvarint(); got != math.MaxUint64 {
+		t.Fatalf("Uvarint = %d, want MaxUint64", got)
+	}
 	if got := r.Varint(); got != -(1 << 40) {
 		t.Fatalf("Varint = %d", got)
+	}
+	if got := r.Varint(); got != math.MinInt64 {
+		t.Fatalf("Varint = %d, want MinInt64", got)
 	}
 	if got := r.Int(); got != -7 {
 		t.Fatalf("Int = %d", got)
@@ -69,17 +82,131 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	if got := r.String(); got != "hello" {
 		t.Fatalf("String = %q", got)
 	}
+	if got := r.Bytes(); len(got) != 0 {
+		t.Fatalf("empty Bytes = %v", got)
+	}
 	r.ExpectEOF()
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// sources returns a Reader over input for each way a Reader gets its
+// window: the slice itself, and io.Readers that return one byte and a
+// whole chunk per Read.
+func sources(input []byte) map[string]*Reader {
+	return map[string]*Reader{
+		"bytes":    NewBytesReader(input),
+		"one byte": NewReader(iotest.OneByteReader(bytes.NewReader(input))),
+		"chunked":  NewReader(bytes.NewReader(input)),
+	}
+}
+
+// TestPrimitiveRoundTrip round-trips every Writer field through every
+// Reader source, and through a Writer that flushes to an io.Writer.
+func TestPrimitiveRoundTrip(t *testing.T) {
+	var w Writer
+	writeFields(&w)
+	var sunk bytes.Buffer
+	sw := NewWriter(&sunk)
+	writeFields(sw)
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sunk.Bytes(), w.Encoded()) {
+		t.Fatal("a flushing Writer encoded other bytes than a buffering one")
+	}
+	for name, r := range sources(w.Encoded()) {
+		t.Run(name, func(t *testing.T) { readFields(t, r) })
+	}
+}
+
+// TestRefillInsideEveryField puts the boundary of the Reader's first
+// refill chunk at every byte of the field list, varints included: each
+// field must decode the same across it.
+func TestRefillInsideEveryField(t *testing.T) {
+	var fields Writer
+	writeFields(&fields)
+	n := len(fields.Encoded())
+	for cut := 1; cut < n; cut++ {
+		// The pad field's prefix and bytes end cut bytes before chunk.
+		pad := chunk - cut - len(binary.AppendUvarint(nil, uint64(chunk)))
+		var w Writer
+		w.Bytes(make([]byte, pad))
+		if got := len(w.Encoded()); got != chunk-cut {
+			t.Fatalf("pad ends at %d, want %d", got, chunk-cut)
+		}
+		writeFields(&w)
+		r := NewReader(bytes.NewReader(w.Encoded()))
+		if got := r.Bytes(); len(got) != pad {
+			t.Fatalf("pad = %d bytes, want %d", len(got), pad)
+		}
+		readFields(t, r)
+	}
+}
+
+// TestFlushesInChunks: a Writer with a sink holds at most a chunk (plus
+// one field) before it writes, and hands large fields straight through.
+func TestFlushesInChunks(t *testing.T) {
+	var sunk bytes.Buffer
+	w := NewWriter(&sunk)
+	for i := 0; i < 3*chunk; i++ {
+		w.Uvarint(uint64(i))
+		if len(w.Encoded()) > chunk {
+			t.Fatalf("window holds %d bytes, want <= %d", len(w.Encoded()), chunk)
+		}
+	}
+	if sunk.Len() == 0 {
+		t.Fatal("nothing flushed before Flush")
+	}
+	big := make([]byte, 2*chunk)
+	w.Bytes(big)
+	if len(w.Encoded()) != 0 {
+		t.Fatalf("window holds %d bytes after a large field", len(w.Encoded()))
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewBytesReader(sunk.Bytes())
+	for i := 0; i < 3*chunk; i++ {
+		if got := r.Uvarint(); got != uint64(i) {
+			t.Fatalf("field %d = %d", i, got)
+		}
+	}
+	if got := r.Bytes(); len(got) != len(big) {
+		t.Fatalf("large field = %d bytes, want %d", len(got), len(big))
+	}
+	r.ExpectEOF()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriterKeepsSinkError: a failed sink stops the Writer, and its window
+// does not grow with what is written after.
+func TestWriterKeepsSinkError(t *testing.T) {
+	w := NewWriter(failWriter{})
+	for i := 0; i < 4*chunk; i++ {
+		w.U64(uint64(i))
+	}
+	if err := w.Flush(); !errors.Is(err, errSink) {
+		t.Fatalf("Flush = %v, want the sink's error", err)
+	}
+	if len(w.Encoded()) != 0 {
+		t.Fatalf("failed writer holds %d bytes", len(w.Encoded()))
+	}
+}
+
+var errSink = errors.New("sink failed")
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errSink }
+
 func TestHeaderRejectsWrongKind(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var w Writer
 	w.Header("other")
-	r := NewReader(&buf)
+	r := NewBytesReader(w.Encoded())
 	r.Header("system")
 	if err := r.Err(); err == nil || !strings.Contains(err.Error(), `"other"`) {
 		t.Fatalf("err = %v, want kind mismatch", err)
@@ -94,73 +221,171 @@ func TestHeaderRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestTruncatedStreamIsCorrupt cuts the field list at every byte: from
+// every source, decoding must fail as corrupt, without a panic.
 func TestTruncatedStreamIsCorrupt(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Header("test")
-	w.U64(7)
-	data := buf.Bytes()[:buf.Len()-3]
-	r := NewReader(bytes.NewReader(data))
-	r.Header("test")
-	_ = r.U64()
-	if r.Err() == nil {
-		t.Fatal("truncated stream decoded without error")
+	var w Writer
+	writeFields(&w)
+	full := w.Encoded()
+	for cut := 0; cut < len(full); cut++ {
+		for name, r := range sources(full[:cut]) {
+			r.Header("test")
+			r.U16()
+			r.U32()
+			r.U64()
+			r.I64()
+			r.F64()
+			r.Bool()
+			r.Bool()
+			r.Uvarint()
+			r.Uvarint()
+			r.Varint()
+			r.Varint()
+			r.Int()
+			r.Len()
+			r.Bytes()
+			_ = r.String()
+			r.Bytes()
+			if err := r.Err(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: cut at %d of %d: err = %v, want ErrCorrupt", name, cut, len(full), err)
+			}
+		}
+	}
+}
+
+// TestVarintOverflowIsCorrupt: ten continuation bytes and an eleventh are
+// no 64-bit varint.
+func TestVarintOverflowIsCorrupt(t *testing.T) {
+	input := append(bytes.Repeat([]byte{0xff}, 10), 1)
+	for name, r := range sources(input) {
+		r.Uvarint()
+		if err := r.Err(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "overflows") {
+			t.Fatalf("%s: err = %v, want an overflow as ErrCorrupt", name, err)
+		}
 	}
 }
 
 // TestBytesAllocatesOnlyWhatArrives feeds Bytes a field that declares the
-// largest legal length but carries five bytes: it must fail as corrupt
-// after allocating about one read chunk, not the declared 64 MiB.
+// largest legal length but carries five bytes: from every source it must
+// fail as corrupt after allocating about one read chunk, not the declared
+// 64 MiB.
 func TestBytesAllocatesOnlyWhatArrives(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var w Writer
 	w.Len(maxChunk)
-	w.write([]byte("short"))
-	input := buf.Bytes()
+	input := append(w.Encoded(), "short"...)
 	if len(input) > 10 {
 		t.Fatalf("input is %d bytes, want at most 10", len(input))
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r := NewReader(bytes.NewReader(input))
-	got := r.Bytes()
-	runtime.ReadMemStats(&after)
-	if got != nil {
-		t.Fatalf("Bytes = %d bytes, want nil", len(got))
-	}
-	if err := r.Err(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-	const bound = 4 * readChunk
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
-		t.Fatalf("a %d-byte input allocated %d bytes, want <= %d", len(input), grew, bound)
+	for name, r := range sources(input) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := r.Bytes()
+		runtime.ReadMemStats(&after)
+		if got != nil {
+			t.Fatalf("%s: Bytes = %d bytes, want nil", name, len(got))
+		}
+		if err := r.Err(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		const bound = 4 * chunk
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+			t.Fatalf("%s: a %d-byte input allocated %d bytes, want <= %d", name, len(input), grew, bound)
+		}
 	}
 }
 
 // TestBytesSpanningChunks round-trips a field several read chunks long.
 func TestBytesSpanningChunks(t *testing.T) {
-	want := make([]byte, 3*readChunk+17)
+	want := make([]byte, 3*chunk+17)
 	for i := range want {
 		want[i] = byte(i * 7)
 	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var w Writer
 	w.Bytes(want)
-	r := NewReader(&buf)
-	if got := r.Bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("Bytes returned %d bytes, want the %d written", len(got), len(want))
-	}
-	r.ExpectEOF()
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
+	for name, r := range sources(w.Encoded()) {
+		if got := r.Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Bytes returned %d bytes, want the %d written", name, len(got), len(want))
+		}
+		r.ExpectEOF()
+		if err := r.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
 func TestExpectEOFRejectsTrailingBytes(t *testing.T) {
-	r := NewReader(strings.NewReader("x"))
-	r.ExpectEOF()
-	if r.Err() == nil {
-		t.Fatal("trailing byte not rejected")
+	for name, r := range sources([]byte("x")) {
+		r.ExpectEOF()
+		if r.Err() == nil {
+			t.Fatalf("%s: trailing byte not rejected", name)
+		}
+	}
+}
+
+// TestOffsetCountsDecodedBytes: Offset is the input position of the next
+// field, across refills.
+func TestOffsetCountsDecodedBytes(t *testing.T) {
+	var w Writer
+	for i := 0; i < chunk; i++ {
+		w.Uvarint(uint64(i))
+	}
+	var ends []int
+	for name, r := range sources(w.Encoded()) {
+		for i := 0; i < chunk; i++ {
+			r.Uvarint()
+			if i%1000 == 0 || i == chunk-1 {
+				ends = append(ends, r.Offset())
+			}
+		}
+		if got := r.Offset(); got != len(w.Encoded()) {
+			t.Fatalf("%s: Offset = %d at the end of a %d-byte input", name, got, len(w.Encoded()))
+		}
+	}
+	third := len(ends) / 3
+	if !slices.Equal(ends[:third], ends[third:2*third]) || !slices.Equal(ends[:third], ends[2*third:]) {
+		t.Fatal("sources disagree on field offsets")
+	}
+}
+
+// TestFieldsAllocationFree: a warm Writer and a Reset Reader move a
+// header and every fixed-size field without allocating, and the Writer
+// moves strings too.
+func TestFieldsAllocationFree(t *testing.T) {
+	var w Writer
+	var r Reader
+	allocs := testing.AllocsPerRun(100, func() {
+		w.Reset(w.Encoded()[:0])
+		w.Header("test")
+		for i := 0; i < 64; i++ {
+			w.U16(uint16(i))
+			w.U32(uint32(i))
+			w.U64(uint64(i))
+			w.Bool(i%2 == 0)
+			w.Uvarint(uint64(i) << 30)
+			w.Int(-i)
+			WriteDescriptor(&w, view.Descriptor{ID: view.NodeID(i)})
+		}
+		w.String("trailer")
+		r.Reset(w.Encoded())
+		r.Header("test")
+		for i := 0; i < 64; i++ {
+			r.U16()
+			r.U32()
+			r.U64()
+			r.Bool()
+			r.Uvarint()
+			r.Int()
+			ReadDescriptor(&r)
+		}
+		r.Len()
+		r.take(len("trailer"))
+		r.ExpectEOF()
+	})
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm field round trip: %v allocs, want 0", allocs)
 	}
 }
 
@@ -172,15 +397,14 @@ func TestViewRoundTrip(t *testing.T) {
 	v.Add(view.Descriptor{ID: 9, Age: 0})
 	v.Add(view.Descriptor{ID: 1, Age: 65535})
 
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	WriteView(w, v)
+	var w Writer
+	WriteView(&w, v)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
 	var table view.Table
 	table.Resize(1)
-	r := NewReader(&buf)
+	r := NewBytesReader(w.Encoded())
 	ReadViewInto(r, &table, 0)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
@@ -200,18 +424,17 @@ func TestViewRoundTrip(t *testing.T) {
 // largest legal capacity and holds one entry: storage must be sized by the
 // entry, with the capacity kept as the view's growth limit.
 func TestReadViewAllocatesOnlyWhatArrives(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var w Writer
 	w.Len(maxChunk) // capacity
 	w.Len(1)        // entries
-	WriteDescriptor(w, view.Descriptor{ID: 5})
-	input := buf.Bytes()
+	WriteDescriptor(&w, view.Descriptor{ID: 5})
+	input := w.Encoded()
 
 	var table view.Table
 	table.Resize(1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	r := NewReader(bytes.NewReader(input))
+	r := NewBytesReader(input)
 	ReadViewInto(r, &table, 0)
 	runtime.ReadMemStats(&after)
 	if err := r.Err(); err != nil {
@@ -231,18 +454,17 @@ func TestReadViewAllocatesOnlyWhatArrives(t *testing.T) {
 // corrupt after allocating for the entries that arrived (and one arena
 // block of 64-entry rows), not for the declared count.
 func TestReadViewRejectsEntryCountPastData(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	var w Writer
 	w.Len(maxChunk) // capacity
 	w.Len(maxChunk) // entries
-	WriteDescriptor(w, view.Descriptor{ID: 5})
-	input := buf.Bytes()
+	WriteDescriptor(&w, view.Descriptor{ID: 5})
+	input := w.Encoded()
 
 	var table view.Table
 	table.Resize(1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	r := NewReader(bytes.NewReader(input))
+	r := NewBytesReader(input)
 	ReadViewInto(r, &table, 0)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(r.Err(), ErrCorrupt) {

@@ -2,11 +2,14 @@ package sosf
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"sosf/internal/snap"
 )
@@ -83,6 +86,35 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("the checkpoint of an accepted stream does not restore: %v", err)
 		}
 	})
+}
+
+// TestTruncatedCheckpointIsCorrupt cuts a checkpoint at every byte: each
+// prefix must fail to restore as snap.ErrCorrupt, without a panic, when
+// read through a chunked stream and one byte per Read alike.
+func TestTruncatedCheckpointIsCorrupt(t *testing.T) {
+	src, err := os.ReadFile("testdata/ringpair.sos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *System {
+		sys, err := New(string(src), WithNodes(12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := build()
+	if _, err := sys.Step(3); err != nil {
+		t.Fatal(err)
+	}
+	data := snapshotBytes(t, sys)
+	for cut := 0; cut < len(data); cut++ {
+		for _, r := range []io.Reader{bytes.NewReader(data[:cut]), iotest.OneByteReader(bytes.NewReader(data[:cut]))} {
+			if err := build().Restore(r); !errors.Is(err, snap.ErrCorrupt) {
+				t.Fatalf("checkpoint cut at %d of %d bytes: err = %v, want snap.ErrCorrupt", cut, len(data), err)
+			}
+		}
+	}
 }
 
 // TestFuzzRestoreCorpusCurrent holds the committed FuzzRestore regression

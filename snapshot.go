@@ -25,14 +25,14 @@ import (
 // mid-round). The format is versioned; see the README's "Checkpoint &
 // resume" section for the compatibility policy.
 func (s *System) Snapshot(w io.Writer) error {
-	if err := s.sys.Snapshot(w); err != nil {
+	sw := snap.NewWriter(w)
+	if err := s.sys.Snapshot(sw); err != nil {
 		return err
 	}
 	// The sosf trailer rides behind the core snapshot in the same stream:
 	// the first-converged round of every sub-procedure (so resumed reports
 	// carry the same converged_at rounds) and the scenario timeline's
 	// window bookkeeping.
-	sw := snap.NewWriter(w)
 	sw.String("sosf-trailer")
 	for _, round := range s.tracker.FirstDone {
 		sw.Int(round)
@@ -41,7 +41,7 @@ func (s *System) Snapshot(w io.Writer) error {
 	if s.bound != nil {
 		s.bound.SnapshotState(sw)
 	}
-	return sw.Err()
+	return sw.Flush()
 }
 
 // WriteSnapshot writes Snapshot to a file, atomically and durably: the
@@ -84,15 +84,19 @@ func (s *System) WriteSnapshot(path string) error {
 // system must have been built from the same DSL source and behavior
 // configuration (protocol knobs are verified; topology follows the
 // snapshot, which matters after mid-run reconfigurations). Typically used
-// through WithRestoreFrom rather than called directly.
+// through WithRestoreFrom rather than called directly. Restore reads r in
+// chunks, so it may read past the end of the snapshot.
 func (s *System) Restore(r io.Reader) error {
-	if err := s.sys.Restore(r); err != nil {
+	// One Reader carries the stream from the core snapshot into the sosf
+	// trailer behind it: a second Reader would miss the bytes the first
+	// one read ahead.
+	sr := snap.NewReader(r)
+	if err := s.sys.Restore(sr); err != nil {
 		return err
 	}
 	// Heals performed before the checkpoint were already reported by the
 	// original run's event stream; only post-resume deltas are emitted.
 	s.healsSeen = s.sys.Allocator().HealsTotal()
-	sr := snap.NewReader(r)
 	if tag := sr.String(); sr.Err() == nil && tag != "sosf-trailer" {
 		return fmt.Errorf("sosf: snapshot trailer is %q, want \"sosf-trailer\"", tag)
 	}

@@ -6,6 +6,7 @@ package sosf
 // that file is exactly what a crashed run recovers from.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -227,6 +228,61 @@ func TestDSLSnapshotPathKeepsPercent(t *testing.T) {
 	for _, name := range []string{"ck-5-%s.sosnap", "100%-6.sosnap"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("snapshot directive did not write %q: %v", name, err)
+		}
+	}
+}
+
+// checkpointNodes is the population of the checkpoint benchmarks.
+const checkpointNodes = 10_000
+
+// checkpointSystem is a 10 000-node ringpair run five rounds in, and its
+// checkpoint.
+func checkpointSystem(b *testing.B) (*System, []byte) {
+	b.Helper()
+	src, err := os.ReadFile("testdata/ringpair.sos")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := New(string(src), WithNodes(checkpointNodes), WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.Step(5); err != nil {
+		b.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := sys.Snapshot(&blob); err != nil {
+		b.Fatal(err)
+	}
+	return sys, blob.Bytes()
+}
+
+// BenchmarkCheckpointWrite writes the checkpoint of a 10 000-node run into
+// a reused in-memory buffer.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	sys, blob := checkpointSystem(b)
+	var buf bytes.Buffer
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := sys.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckpointRestore restores the checkpoint of a 10 000-node run
+// from memory.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	sys, blob := checkpointSystem(b)
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.Restore(bytes.NewReader(blob)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

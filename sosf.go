@@ -1,7 +1,6 @@
 package sosf
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -205,13 +204,15 @@ func New(src string, opts ...Option) (*System, error) {
 		sys.Engine().Observe(s.snapshotObserver(cfg.snapEvery, cfg.snapPath))
 	}
 	if cfg.restorePath != "" {
-		// Buffer the checkpoint so the layered readers (core body, sosf
-		// trailer) decode from an in-memory stream.
-		data, err := os.ReadFile(cfg.restorePath)
+		// Restore reads the file in chunks; the checkpoint is never held
+		// in memory whole.
+		f, err := os.Open(cfg.restorePath)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.Restore(bytes.NewReader(data)); err != nil {
+		err = s.Restore(f)
+		f.Close()
+		if err != nil {
 			return nil, fmt.Errorf("sosf: restore from %s: %w", cfg.restorePath, err)
 		}
 	}
