@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -224,6 +225,10 @@ func TestMillionNodeRound(t *testing.T) {
 		t.Skipf("insufficient memory: a %d-node round needs ~%.2f GB (10 000-node live heap per node × %d × headroom %.1f), MemAvailable is %.2f GB",
 			nodes, float64(need)/1e9, nodes, millionNodeHeadroom, float64(avail)/1e9)
 	}
+	// The collection below sets the heap goal to twice the million-node live
+	// heap, more than the box holds. Collect once the system is unreachable,
+	// so the tests after this one do not grow the heap toward that goal.
+	t.Cleanup(debug.FreeOSMemory)
 	sys := roundSystem(t, nodes, runtime.GOMAXPROCS(0))
 	if _, err := sys.Run(1); err != nil {
 		t.Fatal(err)

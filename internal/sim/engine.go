@@ -106,14 +106,22 @@ type Engine struct {
 	// pool's goroutines park on jobs between phases so a steady-state
 	// round spawns nothing and allocates nothing. poolSize counts
 	// goroutines actually started (they are never stopped while the
-	// engine lives; a finalizer closes jobs so they exit when the engine
-	// is collected).
+	// engine lives; closer's finalizer closes jobs so they exit when the
+	// engine is collected).
 	workers  int
 	ctxs     []Ctx
 	jobs     chan phaseJob
 	done     chan struct{}
+	closer   *poolCloser
 	poolSize int
 }
+
+// poolCloser carries the finalizer that closes an engine's jobs channel.
+// Only the engine points at it, so it becomes unreachable with the engine.
+// The finalizer cannot sit on the Engine itself: the runtime never
+// finalizes an object reachable from itself, and every worker context
+// points back at its engine.
+type poolCloser struct{ jobs chan phaseJob }
 
 // ErrNoProtocols is returned by Run when the engine has no protocol stack.
 var ErrNoProtocols = errors.New("sim: engine has no registered protocols")
@@ -632,8 +640,8 @@ func (e *Engine) ensurePool() {
 	if e.jobs == nil {
 		e.jobs = make(chan phaseJob, 64)
 		e.done = make(chan struct{}, 64)
-		jobs := e.jobs
-		runtime.SetFinalizer(e, func(*Engine) { close(jobs) })
+		e.closer = &poolCloser{jobs: e.jobs}
+		runtime.SetFinalizer(e.closer, func(c *poolCloser) { close(c.jobs) })
 	}
 	for ; e.poolSize < e.workers; e.poolSize++ {
 		go poolWorker(e.jobs)

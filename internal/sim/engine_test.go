@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"sosf/internal/snap"
 	"sosf/internal/view"
@@ -249,6 +251,40 @@ func TestCountMetersRunningProtocol(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAbandonedEnginePoolExits drops a parallel engine after a round: its
+// pool goroutines must exit and its memory be collected. The worker
+// contexts point back at the engine, so a finalizer on the engine itself
+// never ran and every abandoned engine kept its pool and its nodes.
+func TestAbandonedEnginePoolExits(t *testing.T) {
+	settle := func() {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	settle()
+	base := runtime.NumGoroutine()
+	func() {
+		e := New(9)
+		e.SetWorkers(4)
+		e.Register(&meterProbe{bytes: 1})
+		for _, s := range e.AddNodes(512) {
+			e.InitNode(s)
+		}
+		if _, err := e.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n < base+4 {
+			t.Fatalf("%d goroutines with a 4-worker pool running, want >= %d", n, base+4)
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		settle()
+		if runtime.NumGoroutine() <= base {
+			return
+		}
+	}
+	t.Fatalf("%d goroutines after the engine was dropped, want <= %d", runtime.NumGoroutine(), base)
 }
 
 func TestWireSizes(t *testing.T) {
