@@ -4,7 +4,9 @@
 # same frozen golden fixture the uninterrupted run is held to — serially
 # and with rounds sharded across 4 workers. A checkpoint cycle must be
 # invisible, and the round-75 checkpoint itself must hash to the pinned
-# golden sha256 at both worker counts.
+# golden sha256 at both worker counts. A last lap checks that a DSL
+# `snapshot` action writes the checkpoint `sos snapshot` writes for its
+# round, even when it is listed before a same-round kill.
 set -euo pipefail
 . "$(dirname "$0")/need-multicore.sh"
 
@@ -26,4 +28,21 @@ for w in 1 4; do
   test "$(wc -l < "/tmp/resume-tail-w$w.jsonl")" -eq 75
   cat "/tmp/resume-head-w$w.jsonl" "/tmp/resume-tail-w$w.jsonl" \
     | cmp - "$GOLDEN"
+done
+
+# The DSL action runs after the whole of round 30 has ended (the kill listed
+# after it, the measurement, the event), so its checkpoint equals the one
+# `sos snapshot -rounds 30` writes after stepping the same copy.
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+awk -v path="$TMP/dsl30.sosnap" \
+  '/at blast kill 0.3/ { print "        at blast snapshot \"" path "\"" } { print }' \
+  testdata/playdemo.sos > "$TMP/dsl.sos"
+grep -q 'at blast snapshot' "$TMP/dsl.sos"
+for w in 1 4; do
+  echo "== DSL snapshot, workers=$w"
+  rm -f "$TMP/dsl30.sosnap"
+  "$SOS" snapshot -rounds 30 -snap "$TMP/ref30-w$w.sosnap" \
+    -seed 1 -workers "$w" "$TMP/dsl.sos" > /dev/null
+  cmp "$TMP/dsl30.sosnap" "$TMP/ref30-w$w.sosnap"
 done

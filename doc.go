@@ -98,7 +98,9 @@
 //
 // WithSnapshotEvery(n, path) checkpoints periodically from inside the run;
 // a `snapshot at <round> "path"` directive inside a DSL scenario block does
-// the same from the timeline. One warm state can seed many continuations
+// the same from the timeline. Both are written once the round has ended
+// (its actions, churn, measurement and event), so each equals WriteSnapshot
+// after Step to that round. One warm state can seed many continuations
 // (different scenarios, different worker counts), which makes long runs
 // branchable and regressions bisectable by round.
 //

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -52,20 +53,21 @@ func (s *System) Subscribe(fn func(RoundEvent)) {
 	}
 }
 
-// emit is the engine observer feeding subscribers. It is registered last
-// (after the scenario and the convergence tracker), so events describe the
-// post-action state of the round.
-func (s *System) emit(e *sim.Engine) bool {
+// emit feeds subscribers the round's event. endRound runs it after the
+// scenario and the convergence tracker, so events describe the post-action
+// state of the round; fired lists the scenario actions the round applied.
+func (s *System) emit(e *sim.Engine, fired []string) {
 	if len(s.events) == 0 {
-		return false
+		return
 	}
-	// The tracker, registered before emit, measured this round already.
+	// The tracker, run before emit, measured this round already.
 	m := s.tracker.Last
 	ev := RoundEvent{
 		Round:     e.Round(),
 		Nodes:     e.AliveCount(),
 		Converged: m.AllConverged(),
 		Accuracy:  make(map[string]float64, 5),
+		Actions:   slices.Clone(fired),
 	}
 	for _, sub := range core.Subs() {
 		ev.Accuracy[sub.String()] = m.Fraction[sub]
@@ -79,13 +81,9 @@ func (s *System) emit(e *sim.Engine) bool {
 		ev.Heals = int(total - s.healsSeen)
 		s.healsSeen = total
 	}
-	if s.bound != nil && len(s.bound.Fired()) > 0 {
-		ev.Actions = append([]string(nil), s.bound.Fired()...)
-	}
 	for _, fn := range s.events {
 		fn(ev)
 	}
-	return false
 }
 
 // JSONLSink returns an event subscriber that streams one JSON object per

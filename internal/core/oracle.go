@@ -406,11 +406,12 @@ type Tracker struct {
 
 var _ sim.Observer = (*Tracker)(nil)
 
-// NewTracker attaches a fresh tracker to the system's engine.
+// NewTracker builds a fresh tracker over the system's oracle. It measures
+// nothing until its caller runs it after each round: registered as an
+// engine observer, or called from the caller's own one.
 func NewTracker(s *System, stopWhenDone bool) *Tracker {
 	t := &Tracker{Oracle: s.Oracle(), StopWhenDone: stopWhenDone}
 	t.Reset()
-	s.Engine().Observe(t)
 	return t
 }
 

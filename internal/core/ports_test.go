@@ -123,7 +123,7 @@ func TestPortSelectConvergesToOracleWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(s, true)
+	tr := track(s, true)
 	if _, err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSameComponentLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(s, true)
+	tr := track(s, true)
 	if _, err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}

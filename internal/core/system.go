@@ -267,15 +267,6 @@ func (s *System) Churn(f float64) int {
 	return len(killed)
 }
 
-// ChurnObserver returns an observer that churns rate × population after
-// every round.
-func (s *System) ChurnObserver(rate float64) sim.Observer {
-	return sim.ObserverFunc(func(*sim.Engine) bool {
-		s.Churn(rate)
-		return false
-	})
-}
-
 // BandwidthByClass returns the bytes spent in the given round by the
 // baseline class (peer sampling + the core shape protocol — the cost of
 // running the elementary topologies alone) and by the runtime-overhead

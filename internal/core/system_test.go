@@ -18,6 +18,13 @@ func newRingOfRings(t *testing.T, rings, nodes int, seed int64) *System {
 	return s
 }
 
+// track builds a tracker and registers it on s's engine.
+func track(s *System, stopWhenDone bool) *Tracker {
+	tr := NewTracker(s, stopWhenDone)
+	s.Engine().Observe(tr)
+	return tr
+}
+
 // trackedRun is a tracker plus the metrics of every round it measured,
 // for tests that inspect more than the latest round.
 type trackedRun struct {
@@ -27,7 +34,7 @@ type trackedRun struct {
 
 // trackHistory attaches a tracker to s and records its measurements.
 func trackHistory(s *System, stopWhenDone bool) *trackedRun {
-	tr := &trackedRun{Tracker: NewTracker(s, stopWhenDone)}
+	tr := &trackedRun{Tracker: track(s, stopWhenDone)}
 	s.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
 		tr.History = append(tr.History, tr.Last)
 		return false
@@ -59,7 +66,7 @@ func TestNewSystemValidation(t *testing.T) {
 
 func TestRingOfRingsConverges(t *testing.T) {
 	s := newRingOfRings(t, 3, 240, 1)
-	tr := NewTracker(s, true)
+	tr := track(s, true)
 	rounds, err := s.Run(80)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +132,7 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestPortManagersAgree(t *testing.T) {
 	s := newRingOfRings(t, 4, 200, 3)
-	NewTracker(s, true)
+	track(s, true)
 	if _, err := s.Run(80); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +156,7 @@ func TestPortManagersAgree(t *testing.T) {
 
 func TestManagerFailover(t *testing.T) {
 	s := newRingOfRings(t, 2, 100, 4)
-	NewTracker(s, true)
+	track(s, true)
 	if _, err := s.Run(80); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +166,7 @@ func TestManagerFailover(t *testing.T) {
 	s.Engine().Kill(mgr.Slot)
 	s.Allocator().NoteLeave(mgr)
 
-	tr2 := NewTracker(s, false)
+	tr2 := track(s, false)
 	if _, err := s.Run(3 * portTTL); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +188,7 @@ func TestManagerFailover(t *testing.T) {
 
 func TestReconfigureRingCountReconverges(t *testing.T) {
 	s := newRingOfRings(t, 3, 240, 5)
-	NewTracker(s, true)
+	track(s, true)
 	if _, err := s.Run(80); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +198,7 @@ func TestReconfigureRingCountReconverges(t *testing.T) {
 	if s.Allocator().Epoch() != 1 {
 		t.Fatalf("epoch = %d, want 1", s.Allocator().Epoch())
 	}
-	tr := NewTracker(s, true)
+	tr := track(s, true)
 	rounds, err := s.Run(100)
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +220,10 @@ func TestReconfigureRejectsInvalid(t *testing.T) {
 
 func TestChurnSteadyState(t *testing.T) {
 	s := newRingOfRings(t, 2, 200, 7)
-	s.Engine().Observe(s.ChurnObserver(0.01))
+	s.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
+		s.Churn(0.01)
+		return false
+	}))
 	tr := trackHistory(s, false)
 	if _, err := s.Run(60); err != nil {
 		t.Fatal(err)
@@ -256,7 +266,7 @@ func TestChurnSteadyState(t *testing.T) {
 
 func TestCatastrophicFailureRecovery(t *testing.T) {
 	s := newRingOfRings(t, 2, 200, 8)
-	NewTracker(s, true)
+	track(s, true)
 	if _, err := s.Run(80); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +278,7 @@ func TestCatastrophicFailureRecovery(t *testing.T) {
 	// the rings around the holes (ring gradients tolerate index gaps).
 	// Greedy k-nearest can leave the odd cross-hole edge unrealized, so
 	// this phase demands near-perfect, not perfect, accuracy.
-	tr := NewTracker(s, true)
+	tr := track(s, true)
 	if _, err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +297,7 @@ func TestCatastrophicFailureRecovery(t *testing.T) {
 	if err := s.Reconfigure(ringsTopo(2)); err != nil {
 		t.Fatal(err)
 	}
-	tr2 := NewTracker(s, true)
+	tr2 := track(s, true)
 	if _, err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +328,7 @@ func TestDisableUO2Ablation(t *testing.T) {
 	if s.uo2 != nil {
 		t.Fatal("UO2 should be nil when disabled")
 	}
-	tr := NewTracker(s, true)
+	tr := track(s, true)
 	if _, err := s.Run(120); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +342,7 @@ func TestDisableUO2Ablation(t *testing.T) {
 
 func TestTrackerReset(t *testing.T) {
 	s := newRingOfRings(t, 2, 80, 11)
-	tr := NewTracker(s, true)
+	tr := track(s, true)
 	rounds, err := s.Run(80)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +364,7 @@ func TestMessageLossStillConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(s, true)
+	tr := track(s, true)
 	if _, err := s.Run(150); err != nil {
 		t.Fatal(err)
 	}

@@ -568,6 +568,11 @@ func TestSnapshotDirectiveErrors(t *testing.T) {
 			`topology t { nodes 50 component a ring {} scenario { during 5 9 snapshot "x" } }`,
 			"point event",
 		},
+		{
+			"round 0",
+			`topology t { nodes 50 component a ring {} scenario { at 0 snapshot "x" } }`,
+			"round 0 holds nothing",
+		},
 	}
 	for _, tc := range cases {
 		if _, err := ParseTopology(tc.src); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -40,6 +40,7 @@ func Baseline(o Options) (*Result, error) {
 			return out, fmt.Errorf("baseline composed run=%d: %w", run, err)
 		}
 		tracker := core.NewTracker(sys, true)
+		sys.Engine().Observe(tracker)
 		executed, err := sys.Run(roundCap)
 		if err != nil {
 			return out, err

@@ -6,7 +6,7 @@ import (
 
 	"sosf/internal/core"
 	"sosf/internal/metrics"
-	"sosf/internal/scenario"
+	"sosf/internal/sim"
 	"sosf/internal/spec"
 )
 
@@ -34,6 +34,7 @@ func Gallery(o Options) (*Result, error) {
 			return galleryRun{}, fmt.Errorf("gallery %s: %w", entries[gi].Name, err)
 		}
 		tracker := core.NewTracker(sys, true)
+		sys.Engine().Observe(tracker)
 		executed, err := sys.Run(roundCap)
 		if err != nil {
 			return galleryRun{}, fmt.Errorf("gallery %s: %w", entries[gi].Name, err)
@@ -142,29 +143,19 @@ func Reconfig(o Options) (*Result, error) {
 		reconverged bool
 		reconvAt    float64
 	}
-	// The switch is a declarative one-event timeline; the tracker is
-	// registered first so round switchRound is still measured pre-switch,
-	// exactly like the old imperative driver.
-	timeline := scenario.New([]spec.ScenarioEvent{{
-		From: switchRound, To: switchRound,
-		Kind:        spec.ScenReconfigure,
-		Reconfigure: after,
-	}})
 	results, err := runRuns(o, func(run int) (reconfigRun, error) {
 		sys, err := core.NewSystem(o.config(before, nodes, seedFor(o.Seed, 500, run)))
 		if err != nil {
 			return reconfigRun{}, fmt.Errorf("reconfig run=%d: %w", run, err)
 		}
 		rec := newRecorder(sys, false, switchRound+phase2)
-		bound, err := timeline.Bind(sys)
-		if err != nil {
-			return reconfigRun{}, fmt.Errorf("reconfig run=%d: %w", run, err)
-		}
 		if _, err := sys.Run(switchRound); err != nil {
 			return reconfigRun{}, err
 		}
-		if err := bound.Err(); err != nil {
-			return reconfigRun{}, err
+		// The switch follows round switchRound's measurement, so that
+		// round still shows the old shape.
+		if err := sys.Reconfigure(after); err != nil {
+			return reconfigRun{}, fmt.Errorf("reconfig run=%d: %w", run, err)
 		}
 		// Re-convergence is measured from the switch; reset the marks but
 		// keep recording the full curves.
@@ -247,17 +238,6 @@ func Churn(o Options) (*Result, error) {
 	topo := MustTopology(RingOfRingsDSL(comps))
 	rates := []float64{0.001, 0.005, 0.01, 0.02, 0.05}
 
-	// Continuous churn is a one-event scenario window covering the whole
-	// run (From 1 mirrors the legacy ChurnObserver, which first fired
-	// after round 1).
-	timelines := make([]*scenario.Timeline, len(rates))
-	for pi, rate := range rates {
-		timelines[pi] = scenario.New([]spec.ScenarioEvent{{
-			From: 1, To: warm + window,
-			Kind:     spec.ScenChurn,
-			Fraction: rate,
-		}})
-	}
 	type churnRun struct {
 		e, u, p []float64
 	}
@@ -266,9 +246,13 @@ func Churn(o Options) (*Result, error) {
 		if err != nil {
 			return churnRun{}, fmt.Errorf("churn rate=%f run=%d: %w", rates[pi], run, err)
 		}
-		if _, err := timelines[pi].Bind(sys); err != nil {
-			return churnRun{}, fmt.Errorf("churn rate=%f run=%d: %w", rates[pi], run, err)
-		}
+		// Continuous churn replaces a fraction of the population after
+		// every round, the first time after round 1, as sosf.WithChurn
+		// does; the recorder measures the post-churn state.
+		sys.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
+			sys.Churn(rates[pi])
+			return false
+		}))
 		rec := newRecorder(sys, false, warm+window)
 		if _, err := sys.Run(warm + window); err != nil {
 			return churnRun{}, err
@@ -337,6 +321,7 @@ func Catastrophe(o Options) (*Result, error) {
 			return catastropheRun{}, fmt.Errorf("catastrophe f=%f run=%d: %w", f, run, err)
 		}
 		tracker := core.NewTracker(sys, true)
+		sys.Engine().Observe(tracker)
 		if _, err := sys.Run(roundCap); err != nil {
 			return catastropheRun{}, err
 		}

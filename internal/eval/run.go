@@ -185,7 +185,7 @@ type recorder struct {
 	history []core.Metrics
 }
 
-// newRecorder attaches a tracker to sys and, right behind it, an observer
+// newRecorder registers a tracker on sys and, right behind it, an observer
 // that appends the tracker's latest metrics to the history. The history is
 // pre-sized for rounds rounds.
 func newRecorder(sys *core.System, stopWhenDone bool, rounds int) *recorder {
@@ -193,6 +193,7 @@ func newRecorder(sys *core.System, stopWhenDone bool, rounds int) *recorder {
 		tracker: core.NewTracker(sys, stopWhenDone),
 		history: make([]core.Metrics, 0, rounds),
 	}
+	sys.Engine().Observe(r.tracker)
 	sys.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
 		r.history = append(r.history, r.tracker.Last)
 		return false

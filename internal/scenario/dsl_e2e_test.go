@@ -7,13 +7,14 @@ package scenario
 // engine-level partition tests in workers_test.go never exercise.
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sosf/internal/core"
 	"sosf/internal/dsl"
-	"sosf/internal/snap"
+	"sosf/internal/sim"
 	"sosf/internal/spec"
 )
 
@@ -35,10 +36,7 @@ func bindAndRun(t *testing.T, topo *spec.Topology, rounds int) (partitioned []bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err = New(topo.Scenario).Bind(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, _ = play(t, sys, New(topo.Scenario))
 	for i := 0; i < rounds; i++ {
 		if _, err := sys.Run(1); err != nil {
 			t.Fatal(err)
@@ -122,8 +120,10 @@ func TestDSLPartitionOverlapRejected(t *testing.T) {
 	}
 }
 
-// TestDSLSnapshotDirectiveEndToEnd: the `snapshot` action parses, compiles,
-// and fires through the bound timeline's sink.
+// TestDSLSnapshotDirectiveEndToEnd: the `snapshot` action parses,
+// compiles, and is reported by exactly the tick of its round. The scenario
+// package writes nothing and never fails on it: the checkpoint is the
+// embedder's to write.
 func TestDSLSnapshotDirectiveEndToEnd(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.sosnap")
 	topo := parseScenario(t, `topology ck {
@@ -143,51 +143,28 @@ func TestDSLSnapshotDirectiveEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(topo.Scenario).Bind(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	b.OnSnapshot = func(round int, p string) error {
-		got = append(got, p)
-		var w snap.Writer
-		return sys.Snapshot(&w)
-	}
+	b, last := play(t, sys, New(topo.Scenario))
+	var due [][]string
+	sys.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
+		due = append(due, append([]string(nil), last.Snapshots...))
+		return false
+	}))
 	if _, err := sys.Run(5); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0] != path {
-		t.Fatalf("snapshot sink calls = %v, want exactly one with the DSL path", got)
+	for i, paths := range due {
+		want := 0
+		if i+1 == 3 {
+			want = 1
+		}
+		if len(paths) != want || (want == 1 && paths[0] != path) {
+			t.Fatalf("round %d reported snapshots %v, want %d with the DSL path", i+1, paths, want)
+		}
 	}
-}
-
-// TestDSLSnapshotWithoutSinkErrors: a scheduled snapshot with no sink must
-// stop the run with an error, never skip silently.
-func TestDSLSnapshotWithoutSinkErrors(t *testing.T) {
-	topo := parseScenario(t, `topology nosink {
-	    nodes 80
-	    component a ring { port p }
-	    component b ring { port q }
-	    link a.p b.q
-	    scenario {
-	        at 2 snapshot "unused.sosnap"
-	    }
-	}`)
-	sys, err := core.NewSystem(core.Config{Topology: topo, Nodes: 80, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(topo.Scenario).Bind(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Err(); err == nil || !strings.Contains(err.Error(), "no snapshot sink") {
-		t.Fatalf("err = %v, want no-sink error", err)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("the scenario package wrote the checkpoint (stat err = %v)", err)
 	}
 }

@@ -2,9 +2,9 @@
 // against a running system.
 //
 // A timeline is a list of spec.ScenarioEvent values — produced by the DSL's
-// `scenario { ... }` block — replayed by a per-round observer. Time is
-// measured in completed rounds: an event with From == 0 fires when the
-// timeline is bound (before the first round); an event with From == r
+// `scenario { ... }` block — that its embedder ticks after every round.
+// Time is measured in completed rounds: an event with From == 0 fires when
+// the timeline is bound (before the first round); an event with From == r
 // fires after round r completes. Because every action draws its
 // randomness from the engine's seeded source, a (seed, topology, timeline)
 // triple fully determines a run.
@@ -17,6 +17,14 @@
 //     restored at To (when To > From); a point event changes state
 //     permanently.
 //   - reconfigure, heal, and snapshot fire once, at From.
+//
+// A tick applies every due action and reports what its embedder must act
+// on (Report): a reconfiguration, after which the embedder restarts its
+// convergence clock, and the due snapshots, whose checkpoints the embedder
+// writes. The package writes no file and calls nothing back. The sosf
+// System takes every checkpoint after its round's actions, churn,
+// convergence measurement and event, so it holds the state
+// `sos snapshot -rounds R` writes.
 package scenario
 
 import (
@@ -24,7 +32,6 @@ import (
 	"sort"
 
 	"sosf/internal/core"
-	"sosf/internal/sim"
 	"sosf/internal/snap"
 	"sosf/internal/spec"
 )
@@ -56,58 +63,50 @@ func (t *Timeline) Horizon() int {
 	return h
 }
 
-// Bind attaches the timeline to a live system: it registers a per-round
-// observer on the system's engine and immediately applies round-0 actions.
-// Bind returns an error if a round-0 reconfiguration fails. Each Bind
-// creates independent window state, so one timeline can drive many systems.
+// Bind attaches the timeline to a live system and immediately applies its
+// round-0 actions; Bind returns an error if one of them fails. Their
+// report asks nothing of the embedder: validation refuses a round-0
+// snapshot, and no convergence clock runs before the first round. The
+// embedder then calls Tick after every round. Each Bind creates
+// independent window state, so one timeline can drive many systems.
 func (t *Timeline) Bind(sys *core.System) (*Bound, error) {
 	b := &Bound{sys: sys, events: t.events, savedLoss: make(map[int]float64)}
-	sys.Engine().Observe(b)
-	b.tick(0)
+	b.Tick(0)
 	return b, b.err
 }
 
-// Bound is a timeline bound to one system. It implements sim.Observer.
+// Bound is a timeline bound to one system.
 type Bound struct {
-	// OnReconfigure, when set, runs after every successful scheduled
-	// reconfiguration — embedders hook convergence-tracker resets here.
-	OnReconfigure func()
-	// OnSnapshot, when set, writes a checkpoint for a scheduled `snapshot`
-	// action. The embedding layer owns the sink so the checkpoint captures
-	// its full state (engine, allocator, tracker, and this timeline's own
-	// window bookkeeping), not just what the scenario package can see. A
-	// scheduled snapshot with no sink is a runtime error, never a silent
-	// skip.
-	OnSnapshot func(round int, path string) error
-
 	sys       *core.System
 	events    []spec.ScenarioEvent
 	savedLoss map[int]float64 // event index -> loss rate to restore at To
-	fired     []string
+	report    Report
 	err       error
 }
 
-var _ sim.Observer = (*Bound)(nil)
-
-// AfterRound implements sim.Observer: it fires every event due at the
-// completed-round count and stops the run on a scenario runtime error
-// (surfaced via Err).
-func (b *Bound) AfterRound(e *sim.Engine) bool {
-	b.fired = b.fired[:0]
-	b.tick(e.Round())
-	return b.err != nil
+// Report is what one tick did. Its slices are reused by the next tick;
+// callers that keep them must copy.
+type Report struct {
+	// Fired describes the applied actions in timeline order (empty when
+	// the round was quiet).
+	Fired []string
+	// Reconfigured reports a successful scheduled reconfiguration.
+	Reconfigured bool
+	// Snapshots lists the path templates of the `snapshot` actions due
+	// this round, in timeline order. The tick writes nothing: the
+	// embedder owns the checkpoint, which must also carry its own state.
+	Snapshots []string
 }
-
-// Fired returns descriptions of the actions applied at the most recent
-// tick, in timeline order (empty when the round was quiet). The slice is
-// reused every round; callers that keep it must copy.
-func (b *Bound) Fired() []string { return b.fired }
 
 // Err returns the first runtime error a fired action produced (a failed
 // reconfiguration), or nil.
 func (b *Bound) Err() error { return b.err }
 
-func (b *Bound) tick(t int) {
+// Tick applies every action due at completed-round count t, in timeline
+// order, and reports what it did. A failing action records the error
+// (Err) and ends the tick.
+func (b *Bound) Tick(t int) Report {
+	b.report = Report{Fired: b.report.Fired[:0], Snapshots: b.report.Snapshots[:0]}
 	eng := b.sys.Engine()
 	for i := range b.events {
 		ev := &b.events[i]
@@ -158,33 +157,25 @@ func (b *Bound) tick(t int) {
 			}
 		case spec.ScenSnapshot:
 			if t == ev.From {
-				if b.OnSnapshot == nil {
-					b.err = fmt.Errorf("scenario: snapshot at round %d: no snapshot sink bound", t)
-					return
-				}
-				if err := b.OnSnapshot(t, ev.Path); err != nil {
-					b.err = fmt.Errorf("scenario: snapshot at round %d: %w", t, err)
-					return
-				}
+				b.report.Snapshots = append(b.report.Snapshots, ev.Path)
 				b.note("snapshot %s", ev.Path)
 			}
 		case spec.ScenReconfigure:
 			if t == ev.From {
 				if err := b.sys.Reconfigure(ev.Reconfigure); err != nil {
 					b.err = fmt.Errorf("scenario: reconfigure at round %d: %w", t, err)
-					return
+					return b.report
 				}
 				b.note("reconfigure %s", ev.Reconfigure.Name)
-				if b.OnReconfigure != nil {
-					b.OnReconfigure()
-				}
+				b.report.Reconfigured = true
 			}
 		}
 	}
+	return b.report
 }
 
 func (b *Bound) note(format string, args ...any) {
-	b.fired = append(b.fired, fmt.Sprintf(format, args...))
+	b.report.Fired = append(b.report.Fired, fmt.Sprintf(format, args...))
 }
 
 // SnapshotState serializes the timeline's window bookkeeping — the saved

@@ -33,6 +33,22 @@ func newSystem(t *testing.T, seed int64) *core.System {
 	return sys
 }
 
+// play binds tl to sys and ticks the Bound after every round, as an
+// embedder does, keeping the latest tick's report in *last.
+func play(t *testing.T, sys *core.System, tl *Timeline) (b *Bound, last *Report) {
+	t.Helper()
+	b, err := tl.Bind(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last = new(Report)
+	sys.Engine().Observe(sim.ObserverFunc(func(e *sim.Engine) bool {
+		*last = b.Tick(e.Round())
+		return b.Err() != nil
+	}))
+	return b, last
+}
+
 // split reports whether some pair of slots cannot reach each other, which
 // is what a partition in effect means.
 func split(e *sim.Engine) bool {
@@ -66,18 +82,15 @@ func TestHorizonAndEmpty(t *testing.T) {
 func TestKillPulseFiresOnce(t *testing.T) {
 	sys := newSystem(t, 1)
 	tl := New([]spec.ScenarioEvent{{From: 3, To: 3, Kind: spec.ScenKill, Fraction: 0.5}})
-	bound, err := tl.Bind(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, last := play(t, sys, tl)
 	if _, err := sys.Run(2); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.Engine().AliveCount(); got != 100 {
 		t.Fatalf("alive before the blast = %d", got)
 	}
-	if len(bound.Fired()) != 0 {
-		t.Fatalf("quiet round fired %v", bound.Fired())
+	if len(last.Fired) != 0 {
+		t.Fatalf("quiet round fired %v", last.Fired)
 	}
 	if _, err := sys.Run(1); err != nil {
 		t.Fatal(err)
@@ -85,7 +98,7 @@ func TestKillPulseFiresOnce(t *testing.T) {
 	if got := sys.Engine().AliveCount(); got != 50 {
 		t.Fatalf("alive after the blast = %d, want 50", got)
 	}
-	if fired := bound.Fired(); len(fired) != 1 || !strings.Contains(fired[0], "kill 0.5") {
+	if fired := last.Fired; len(fired) != 1 || !strings.Contains(fired[0], "kill 0.5") {
 		t.Fatalf("fired = %v", fired)
 	}
 	if _, err := sys.Run(3); err != nil {
@@ -99,24 +112,22 @@ func TestKillPulseFiresOnce(t *testing.T) {
 func TestBootActionAppliesAtBind(t *testing.T) {
 	sys := newSystem(t, 2)
 	tl := New([]spec.ScenarioEvent{{From: 0, To: 0, Kind: spec.ScenJoin, Count: 20}})
-	bound, err := tl.Bind(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, last := play(t, sys, tl)
 	if got := sys.Engine().AliveCount(); got != 120 {
 		t.Fatalf("boot join: alive = %d, want 120", got)
 	}
-	if fired := bound.Fired(); len(fired) != 1 || fired[0] != "join 20" {
-		t.Fatalf("fired = %v", fired)
+	if _, err := sys.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Engine().AliveCount(); got != 120 || len(last.Fired) != 0 {
+		t.Fatalf("boot join must not re-fire: alive = %d, fired = %v", got, last.Fired)
 	}
 }
 
 func TestChurnWindowKeepsPopulation(t *testing.T) {
 	sys := newSystem(t, 3)
 	tl := New([]spec.ScenarioEvent{{From: 1, To: 5, Kind: spec.ScenChurn, Fraction: 0.1}})
-	if _, err := tl.Bind(sys); err != nil {
-		t.Fatal(err)
-	}
+	play(t, sys, tl)
 	if _, err := sys.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +144,7 @@ func TestLossWindowSetsAndRestores(t *testing.T) {
 	sys := newSystem(t, 4)
 	sys.Engine().SetLossRate(0.05)
 	tl := New([]spec.ScenarioEvent{{From: 2, To: 4, Kind: spec.ScenLoss, Fraction: 0.5}})
-	if _, err := tl.Bind(sys); err != nil {
-		t.Fatal(err)
-	}
+	play(t, sys, tl)
 	if got := sys.Engine().LossRate(); got != 0.05 {
 		t.Fatalf("loss before window = %g", got)
 	}
@@ -156,9 +165,7 @@ func TestLossWindowSetsAndRestores(t *testing.T) {
 func TestPermanentLossPoint(t *testing.T) {
 	sys := newSystem(t, 5)
 	tl := New([]spec.ScenarioEvent{{From: 1, To: 1, Kind: spec.ScenLoss, Fraction: 0.3}})
-	if _, err := tl.Bind(sys); err != nil {
-		t.Fatal(err)
-	}
+	play(t, sys, tl)
 	if _, err := sys.Run(5); err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +177,7 @@ func TestPermanentLossPoint(t *testing.T) {
 func TestPartitionWindowHealsItself(t *testing.T) {
 	sys := newSystem(t, 6)
 	tl := New([]spec.ScenarioEvent{{From: 1, To: 3, Kind: spec.ScenPartition, Count: 2}})
-	if _, err := tl.Bind(sys); err != nil {
-		t.Fatal(err)
-	}
+	play(t, sys, tl)
 	if _, err := sys.Run(1); err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +199,7 @@ func TestKillComponentAndHeal(t *testing.T) {
 		{From: 2, To: 2, Kind: spec.ScenHeal},
 		{From: 3, To: 3, Kind: spec.ScenKillComponent, Component: "b"},
 	})
-	bound, err := tl.Bind(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, last := play(t, sys, tl)
 	if _, err := sys.Run(2); err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +213,12 @@ func TestKillComponentAndHeal(t *testing.T) {
 	if got := sys.Engine().AliveCount(); got < 35 || got > 65 {
 		t.Fatalf("killing component b must fail roughly half the population: %d alive", got)
 	}
-	if fired := bound.Fired(); len(fired) != 1 || !strings.Contains(fired[0], "kill component b") {
+	if fired := last.Fired; len(fired) != 1 || !strings.Contains(fired[0], "kill component b") {
 		t.Fatalf("fired = %v", fired)
 	}
 }
 
-func TestReconfigureFiresAndHooks(t *testing.T) {
+func TestReconfigureFiresAndReports(t *testing.T) {
 	sys := newSystem(t, 8)
 	after := twoRings()
 	after.Name = "after"
@@ -224,17 +226,19 @@ func TestReconfigureFiresAndHooks(t *testing.T) {
 		Name: "c", Shape: "ring", Weight: 1,
 	})
 	tl := New([]spec.ScenarioEvent{{From: 2, To: 2, Kind: spec.ScenReconfigure, Reconfigure: after}})
-	bound, err := tl.Bind(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hooked := 0
-	bound.OnReconfigure = func() { hooked++ }
+	bound, last := play(t, sys, tl)
+	reported := 0
+	sys.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
+		if last.Reconfigured {
+			reported++
+		}
+		return false
+	}))
 	if _, err := sys.Run(4); err != nil {
 		t.Fatal(err)
 	}
-	if hooked != 1 {
-		t.Fatalf("OnReconfigure ran %d times, want 1", hooked)
+	if reported != 1 {
+		t.Fatalf("%d ticks reported a reconfiguration, want 1", reported)
 	}
 	if got := sys.Allocator().Topology().Name; got != "after" {
 		t.Fatalf("topology after reconfigure = %q", got)
@@ -253,10 +257,7 @@ func TestReconfigureErrorStopsRun(t *testing.T) {
 		Components: []spec.Component{{Name: "c", Shape: "blob", Weight: 1}},
 	}
 	tl := New([]spec.ScenarioEvent{{From: 2, To: 2, Kind: spec.ScenReconfigure, Reconfigure: bad}})
-	bound, err := tl.Bind(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bound, _ := play(t, sys, tl)
 	executed, err := sys.Run(10)
 	if err != nil {
 		t.Fatal(err)
@@ -272,12 +273,8 @@ func TestReconfigureErrorStopsRun(t *testing.T) {
 func TestSharedTimelineIndependentBindings(t *testing.T) {
 	tl := New([]spec.ScenarioEvent{{From: 1, To: 3, Kind: spec.ScenLoss, Fraction: 0.4}})
 	s1, s2 := newSystem(t, 10), newSystem(t, 11)
-	if _, err := tl.Bind(s1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tl.Bind(s2); err != nil {
-		t.Fatal(err)
-	}
+	play(t, s1, tl)
+	play(t, s2, tl)
 	if _, err := s1.Run(1); err != nil {
 		t.Fatal(err)
 	}

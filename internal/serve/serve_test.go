@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"sosf"
+	"sosf/internal/dsl"
 )
 
 func readFixture(t *testing.T, rel string) []byte {
@@ -451,6 +452,32 @@ func TestLifecycleAndErrors(t *testing.T) {
 		t.Errorf("bad spec = %d, want 400", code)
 	} else if apiErr["error"] == "" {
 		t.Errorf("bad spec: no error message in body")
+	}
+
+	// So is a timeline that would write a checkpoint, in the raw DSL and
+	// the topology JSON forms alike, and no file appears where it points.
+	outside := filepath.Join(t.TempDir(), "outside.sosnap")
+	snapSrc := withSnapshotAction(outside)
+	topo, err := dsl.ParseTopology(snapSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asTopology, _ := json.Marshal(JobSpec{Topology: topo})
+	for _, body := range [][]byte{[]byte(snapSrc), asTopology} {
+		apiErr = nil
+		if code := do(t, "POST", ts.URL+"/jobs?start=1", body, &apiErr); code != http.StatusBadRequest {
+			t.Errorf("snapshot action = %d, want 400", code)
+		}
+		if !strings.Contains(apiErr["error"], ErrSnapshotAction.Error()) {
+			t.Errorf("snapshot action: error body %q does not name %q", apiErr["error"], ErrSnapshotAction)
+		}
+	}
+	var jobs []Status
+	if code := do(t, "GET", ts.URL+"/jobs", nil, &jobs); code != http.StatusOK || len(jobs) != 0 {
+		t.Errorf("GET /jobs = %d with %d jobs, want 200 with none", code, len(jobs))
+	}
+	if _, err := os.Stat(outside); !os.IsNotExist(err) {
+		t.Errorf("a refused job wrote %s (stat err = %v)", outside, err)
 	}
 
 	// A pending job reports budget 0 and does not run.

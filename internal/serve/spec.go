@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"sosf"
@@ -39,8 +40,15 @@ type JobSpec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
+// ErrSnapshotAction refuses a job whose timeline carries a `snapshot`
+// action: the action writes a file wherever its path points, and a
+// submitted spec must not choose files on the server. Checkpoints the
+// server needs (eviction) it writes under Config.Dir itself.
+var ErrSnapshotAction = errors.New("serve: job timelines must not carry snapshot actions")
+
 // parseJobSpec turns a POST /jobs body — raw .sos DSL or a JSON JobSpec —
-// into the job's name and its validated run description. The description
+// into the job's name and its validated run description; a timeline with a
+// `snapshot` action is refused (ErrSnapshotAction). The description
 // is retained for the job's whole life: an eviction restore must rebuild
 // with byte-identical options. Workers stays 0 when the spec leaves it to
 // the server's default, which Submit fills in.
@@ -50,54 +58,51 @@ func parseJobSpec(body []byte) (string, sosf.RunSpec, error) {
 	if len(trimmed) == 0 {
 		return "", rs, fmt.Errorf("empty job spec")
 	}
-	if trimmed[0] != '{' {
-		// Raw DSL: validate now so submission (not start) reports the
-		// syntax error, and name the job after its topology.
-		topo, err := dsl.ParseTopologyBytes(trimmed)
-		if err != nil {
-			return "", rs, err
+	// Raw DSL is a spec that sets only its source, kept verbatim.
+	js := JobSpec{Source: string(trimmed)}
+	if trimmed[0] == '{' {
+		js = JobSpec{}
+		dec := json.NewDecoder(bytes.NewReader(trimmed))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&js); err != nil {
+			return "", rs, fmt.Errorf("job spec JSON: %w", err)
 		}
-		rs.Source = string(trimmed)
-		return topo.Name, rs, nil
+		if js.Source != "" && js.Topology != nil {
+			return "", rs, fmt.Errorf("job spec sets both source and topology; pick one")
+		}
 	}
-
-	var js JobSpec
-	dec := json.NewDecoder(bytes.NewReader(trimmed))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&js); err != nil {
-		return "", rs, fmt.Errorf("job spec JSON: %w", err)
-	}
-	if js.Source != "" && js.Topology != nil {
-		return "", rs, fmt.Errorf("job spec sets both source and topology; pick one")
-	}
-	name := js.Name
 	rs = sosf.RunSpec{Nodes: js.Nodes, Rounds: js.Rounds, Seed: js.Seed, Workers: js.Workers}
+	topo := js.Topology
 	switch {
 	case js.Source != "":
-		topo, err := dsl.ParseTopologyBytes([]byte(js.Source))
-		if err != nil {
+		// Validate now so submission (not start) reports the syntax error.
+		var err error
+		if topo, err = dsl.ParseTopologyBytes([]byte(js.Source)); err != nil {
 			return "", rs, err
 		}
 		rs.Source = js.Source
-		if name == "" {
-			name = topo.Name
-		}
-	case js.Topology != nil:
-		if err := js.Topology.Validate(); err != nil {
+	case topo != nil:
+		if err := topo.Validate(); err != nil {
 			return "", rs, err
 		}
 		// Normalize to canonical DSL: Emit is the identity under the
 		// compiler, so the emitted source IS the submitted topology.
-		src, err := dsl.Emit(js.Topology)
+		src, err := dsl.Emit(topo)
 		if err != nil {
 			return "", rs, fmt.Errorf("job spec topology has no DSL form: %w", err)
 		}
 		rs.Source = src
-		if name == "" {
-			name = js.Topology.Name
-		}
 	default:
 		return "", rs, fmt.Errorf("job spec needs source (inline .sos DSL) or topology")
+	}
+	for _, ev := range topo.Scenario {
+		if ev.Kind == spec.ScenSnapshot {
+			return "", rs, fmt.Errorf("%w (%s)", ErrSnapshotAction, ev)
+		}
+	}
+	name := js.Name
+	if name == "" {
+		name = topo.Name
 	}
 	// The wire's workers takes WithWorkers' range (>= 0), not the spec's.
 	if err := rs.Check(sosf.WithWorkers(js.Workers)); err != nil {

@@ -19,6 +19,13 @@ const specTestDSL = `topology demo {
     link a.p b.p
 }`
 
+// withSnapshotAction returns specTestDSL with a timeline whose one action
+// writes a checkpoint to path.
+func withSnapshotAction(path string) string {
+	return strings.Replace(specTestDSL, "link a.p b.p",
+		"link a.p b.p\n    scenario { at 2 snapshot \""+path+"\" }", 1)
+}
+
 func TestParseJobSpecRawDSL(t *testing.T) {
 	name, rs, err := parseJobSpec([]byte(specTestDSL))
 	if err != nil {
@@ -88,6 +95,13 @@ func TestParseJobSpecRejects(t *testing.T) {
 	negRounds, _ := json.Marshal(JobSpec{Source: specTestDSL, Rounds: &neg})
 	negNodes, _ := json.Marshal(JobSpec{Source: specTestDSL, Nodes: -5})
 	negWorkers, _ := json.Marshal(JobSpec{Source: specTestDSL, Workers: -2})
+	snapDSL := withSnapshotAction("elsewhere.sosnap")
+	snapTopo, err := dsl.ParseTopology(snapDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapSource, _ := json.Marshal(JobSpec{Source: snapDSL})
+	snapTopology, _ := json.Marshal(JobSpec{Topology: snapTopo})
 	cases := []struct {
 		name, body, wantErr string
 	}{
@@ -100,6 +114,9 @@ func TestParseJobSpecRejects(t *testing.T) {
 		{"negative nodes", string(negNodes), "nodes must be >= 0"},
 		{"negative rounds", string(negRounds), "rounds must be >= 0"},
 		{"negative workers", string(negWorkers), "workers must be >= 0"},
+		{"snapshot action, raw DSL", snapDSL, ErrSnapshotAction.Error()},
+		{"snapshot action, JSON source", string(snapSource), ErrSnapshotAction.Error()},
+		{"snapshot action, JSON topology", string(snapTopology), ErrSnapshotAction.Error()},
 	}
 	for _, tc := range cases {
 		_, _, err := parseJobSpec([]byte(tc.body))

@@ -166,6 +166,9 @@ func (t *Topology) validateEvent(ev ScenarioEvent) error {
 		if ev.To != ev.From {
 			return fmt.Errorf("snapshot is a point event; use `at`, not a window")
 		}
+		if ev.From == 0 {
+			return fmt.Errorf("snapshot at round 0 holds nothing that the source and seed do not; schedule it at round 1 or later")
+		}
 	case ScenReconfigure:
 		if ev.Reconfigure == nil {
 			return fmt.Errorf("reconfigure needs a target topology")

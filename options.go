@@ -149,10 +149,12 @@ func WithChurn(rate float64) Option {
 // WithSnapshotEvery writes a checkpoint of the full run state to path after
 // every n-th completed round. Every literal "%d" in path is replaced by the
 // round number (keep every checkpoint), and no other character is
-// interpreted; without one the same file is rolled (always the latest). The checkpoint is written after all of the round's
-// observers — scenario actions, churn, convergence tracking, event
-// emission — so restoring it resumes exactly where the next round would
-// have started. A failed write stops the run; the error surfaces from Step.
+// interpreted; without one the same file is rolled (always the latest).
+// The checkpoint is taken after the round's scenario actions, churn,
+// convergence measurement and event, and after the round's scheduled
+// `snapshot` actions: it is the state `sos snapshot -rounds R` writes, and
+// restoring it resumes exactly where the next round would have started.
+// A failed write stops the run; the error surfaces from Step.
 func WithSnapshotEvery(n int, path string) Option {
 	return optionFunc(func(c *config) {
 		if n < 1 {

@@ -11,6 +11,7 @@ package sosf
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -149,50 +150,109 @@ func TestSnapshotEvery(t *testing.T) {
 }
 
 // TestScenarioSnapshotDirective: a `snapshot at R "path"` action in the DSL
-// writes a checkpoint that resumes byte-identically.
+// writes its checkpoint after the whole of round R has ended — the round's
+// other actions, churn, measurement and event — so, whatever the action's
+// place in the timeline:
+//   - the resumed tail equals the uninterrupted stream,
+//   - the resumed report carries the uninterrupted converged_at rounds,
+//   - the checkpoint is byte-identical to WriteSnapshot after Step(R) of
+//     the same source.
 func TestScenarioSnapshotDirective(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "dsl.sosnap")
-	src := `topology snapdemo {
-	    nodes 120
-	    component a ring { port p }
-	    component b ring { port q }
-	    link a.p b.q
-	    scenario {
-	        during 10 20 loss 0.1
-	        at 15 snapshot "` + ckpt + `"
-	        at 30 kill 0.2
-	    }
-	}`
+	const rounds = 60
+	cases := []struct {
+		name string
+		// scenario holds the timeline's lines; %s is the checkpoint path.
+		scenario string
+		at       int
+		opts     []Option
+	}{
+		{
+			// The restored run must restore the pre-window rate at round
+			// 20 (the Bound's window state).
+			name:     "inside a loss window",
+			scenario: "during 10 20 loss 0.1\nat 15 snapshot \"%s\"\nat 30 kill 0.2",
+			at:       15,
+		},
+		{
+			name:     "listed before a same-round kill",
+			scenario: "at 15 snapshot \"%s\"\nat 15 kill 0.2",
+			at:       15,
+		},
+		{
+			name:     "under churn",
+			scenario: "at 15 snapshot \"%s\"",
+			at:       15,
+			opts:     []Option{WithChurn(0.02)},
+		},
+		{
+			// Round 4 is where Elementary Topology first converges.
+			name:     "at the first convergence",
+			scenario: "at 4 snapshot \"%s\"",
+			at:       4,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "dsl.sosnap")
+			src := `topology snapdemo {
+			    nodes 120
+			    component a ring { port p }
+			    component b ring { port q }
+			    link a.p b.q
+			    scenario {
+			        ` + fmt.Sprintf(tc.scenario, ckpt) + `
+			    }
+			}`
+			build := func(extra ...Option) *System {
+				t.Helper()
+				opts := append([]Option{WithSeed(5), WithRounds(rounds), WithRunToEnd()}, tc.opts...)
+				sys, err := New(src, append(opts, extra...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
 
-	sys, err := New(src, WithSeed(5), WithRounds(60), WithRunToEnd())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var full bytes.Buffer
-	sys.Subscribe(JSONLSink(&full))
-	if _, err := sys.Step(60); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("scheduled snapshot missing: %v", err)
-	}
+			whole := build()
+			var full bytes.Buffer
+			whole.Subscribe(JSONLSink(&full))
+			if _, err := whole.Step(rounds); err != nil {
+				t.Fatal(err)
+			}
+			scheduled, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatalf("scheduled snapshot missing: %v", err)
+			}
 
-	// The snapshot fired at round 15, inside the loss window: the restored
-	// run must restore the pre-window rate at round 20 (Bound state).
-	resumed, err := New(src, WithSeed(5), WithRounds(60), WithRunToEnd(), WithRestoreFrom(ckpt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tail bytes.Buffer
-	resumed.Subscribe(JSONLSink(&tail))
-	if _, err := resumed.Step(60 - 15); err != nil {
-		t.Fatal(err)
-	}
-	fullLines := bytes.Split(full.Bytes(), []byte("\n"))
-	wantTail := bytes.Join(fullLines[15:], []byte("\n"))
-	if !bytes.Equal(tail.Bytes(), wantTail) {
-		t.Fatal("resume from a DSL-scheduled snapshot diverged from the uninterrupted tail")
+			resumed := build(WithRestoreFrom(ckpt))
+			var tail bytes.Buffer
+			resumed.Subscribe(JSONLSink(&tail))
+			if _, err := resumed.Step(rounds - tc.at); err != nil {
+				t.Fatal(err)
+			}
+			fullLines := bytes.Split(full.Bytes(), []byte("\n"))
+			if want := bytes.Join(fullLines[tc.at:], []byte("\n")); !bytes.Equal(tail.Bytes(), want) {
+				t.Error("resume from a DSL-scheduled snapshot diverged from the uninterrupted tail")
+			}
+			for i, sub := range whole.Report().Subs {
+				if got := resumed.Report().Subs[i].ConvergedAt; got != sub.ConvergedAt {
+					t.Errorf("%s converged_at: %d resumed, %d uninterrupted", sub.Name, got, sub.ConvergedAt)
+				}
+			}
+
+			stepped := build()
+			if _, err := stepped.Step(tc.at); err != nil {
+				t.Fatal(err)
+			}
+			var after bytes.Buffer
+			if err := stepped.Snapshot(&after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(scheduled, after.Bytes()) {
+				t.Errorf("scheduled checkpoint (%d B) differs from WriteSnapshot after Step(%d) (%d B)",
+					len(scheduled), tc.at, after.Len())
+			}
+		})
 	}
 }
 

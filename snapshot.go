@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"sosf/internal/core"
-	"sosf/internal/sim"
 	"sosf/internal/snap"
 )
 
@@ -133,22 +132,4 @@ func (s *System) Round() int { return s.sys.Engine().Round() }
 // format string.
 func snapshotPath(template string, round int) string {
 	return strings.ReplaceAll(template, "%d", strconv.Itoa(round))
-}
-
-// snapshotObserver implements WithSnapshotEvery: after every `every`-th
-// round it writes a checkpoint. It runs after all other observers (scenario
-// actions, churn, tracker, event emitters), so the checkpoint captures
-// exactly the state the next round starts from. A write failure stops the
-// run and surfaces from Step.
-func (s *System) snapshotObserver(every int, path string) sim.Observer {
-	return sim.ObserverFunc(func(e *sim.Engine) bool {
-		if e.Round()%every != 0 {
-			return false
-		}
-		if err := s.WriteSnapshot(snapshotPath(path, e.Round())); err != nil {
-			s.snapErr = err
-			return true
-		}
-		return false
-	})
 }

@@ -232,6 +232,37 @@ func TestDSLSnapshotPathKeepsPercent(t *testing.T) {
 	}
 }
 
+// TestDSLSnapshotWriteFailureStopsRun: a scheduled `snapshot` action whose
+// checkpoint cannot be written stops the run at its round with the write
+// error, never skipping silently, and no later checkpoint is written.
+func TestDSLSnapshotWriteFailureStopsRun(t *testing.T) {
+	dir := filepath.ToSlash(t.TempDir())
+	src := `topology ck {
+    nodes 40
+    component a ring { port p }
+    component b ring { port q }
+    link a.p b.q
+    scenario {
+        at 2 snapshot "` + dir + `/no/such/dir/ck.sosnap"
+        at 4 snapshot "` + dir + `/later.sosnap"
+    }
+}`
+	sys, err := New(src, WithRunToEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	executed, err := sys.Step(10)
+	if !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Step error = %v, want the failed checkpoint write", err)
+	}
+	if executed != 2 {
+		t.Fatalf("run stopped after %d rounds, want 2 (the failing snapshot action)", executed)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "later.sosnap")); !os.IsNotExist(err) {
+		t.Fatalf("a checkpoint after the failed one was written (stat err = %v)", err)
+	}
+}
+
 // checkpointNodes is the population of the checkpoint benchmarks.
 const checkpointNodes = 10_000
 

@@ -128,7 +128,7 @@ type System struct {
 	horizon    int
 	fileRounds int // the source's `option rounds` (0 when absent)
 	events     []func(RoundEvent)
-	snapErr    error // first periodic-snapshot write failure, surfaced by Step
+	err        error // the first failure of a round's end, surfaced by Step
 	// healsSeen is the allocator heal count already reported through the
 	// event stream; emit publishes the per-round delta and Restore re-syncs
 	// it so a resumed run reports the same heals as the uninterrupted one.
@@ -166,10 +166,6 @@ func New(src string, opts ...Option) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, sys: sys, fileRounds: int(topo.Option("rounds", 0))}
-
-	// Observer order mirrors a round's narrative: scripted actions fire
-	// first, churn replaces nodes, the tracker measures the post-action
-	// state, and the event emitter reports what the tracker saw.
 	if len(topo.Scenario) > 0 {
 		tl := scenario.New(topo.Scenario)
 		bound, err := tl.Bind(sys)
@@ -181,28 +177,8 @@ func New(src string, opts ...Option) (*System, error) {
 		// convergence would silently skip every later event.
 		cfg.runToEnd = true
 	}
-	if cfg.churnRate > 0 {
-		sys.Engine().Observe(sys.ChurnObserver(cfg.churnRate))
-	}
 	s.tracker = core.NewTracker(sys, !cfg.runToEnd)
-	if s.bound != nil {
-		// A scheduled reconfiguration restarts the convergence clock,
-		// exactly like an interactive ReconfigureSource.
-		s.bound.OnReconfigure = s.tracker.Reset
-	}
-	sys.Engine().Observe(sim.ObserverFunc(s.emit))
-	if s.bound != nil {
-		// Scheduled `snapshot` actions write the full sosf-level
-		// checkpoint (engine + allocator + tracker + timeline windows).
-		s.bound.OnSnapshot = func(round int, path string) error {
-			return s.WriteSnapshot(snapshotPath(path, round))
-		}
-	}
-	if cfg.snapEvery > 0 {
-		// Registered last: the checkpoint must capture the post-observer
-		// state of the round, including everything emitted above.
-		sys.Engine().Observe(s.snapshotObserver(cfg.snapEvery, cfg.snapPath))
-	}
+	sys.Engine().Observe(sim.ObserverFunc(s.endRound))
 	if cfg.restorePath != "" {
 		// Restore reads the file in chunks; the checkpoint is never held
 		// in memory whole.
@@ -226,6 +202,51 @@ func (s *System) Step(n int) (int, error) {
 	return s.StepContext(context.Background(), n)
 }
 
+// endRound is the System's one engine observer, so a round ends in one
+// place and in one order: the scenario's due actions fire, churn replaces
+// nodes, the tracker measures the post-action state, and the round event
+// reports what the tracker saw. The round's checkpoints come last — the
+// scheduled `snapshot` actions in timeline order, then WithSnapshotEvery's
+// — so each holds the state the next round starts from, which is what
+// `sos snapshot -rounds R` writes. The round's first failure, an action's
+// and then a checkpoint write's, stops the run and surfaces from Step and
+// DistRound.
+func (s *System) endRound(e *sim.Engine) bool {
+	round := e.Round()
+	var rep scenario.Report
+	if s.bound != nil {
+		rep = s.bound.Tick(round)
+		if rep.Reconfigured {
+			// A scheduled reconfiguration restarts the convergence clock,
+			// exactly like an interactive ReconfigureSource.
+			s.tracker.Reset()
+		}
+		if s.err == nil {
+			s.err = s.bound.Err()
+		}
+	}
+	if s.cfg.churnRate > 0 {
+		s.sys.Churn(s.cfg.churnRate)
+	}
+	stop := s.tracker.AfterRound(e)
+	s.emit(e, rep.Fired)
+	for _, path := range rep.Snapshots {
+		s.checkpoint(path, round)
+	}
+	if s.cfg.snapEvery > 0 && round%s.cfg.snapEvery == 0 {
+		s.checkpoint(s.cfg.snapPath, round)
+	}
+	return stop || s.err != nil
+}
+
+// checkpoint writes the checkpoint a path template names for the round,
+// unless the round has already failed.
+func (s *System) checkpoint(template string, round int) {
+	if s.err == nil {
+		s.err = s.WriteSnapshot(snapshotPath(template, round))
+	}
+}
+
 // StepContext is Step with cooperative cancellation: the context is checked
 // at every round boundary, never mid-round, so a cancelled system is always
 // left in a state that can be snapshotted (WriteSnapshot) or stepped again.
@@ -235,23 +256,10 @@ func (s *System) Step(n int) (int, error) {
 // mid-round death.
 func (s *System) StepContext(ctx context.Context, n int) (int, error) {
 	executed, err := s.sys.RunContext(ctx, n)
-	if rerr := s.roundErr(); rerr != nil {
-		return executed, rerr
+	if s.err != nil {
+		return executed, s.err
 	}
 	return executed, err
-}
-
-// roundErr reports the first failure an observer recorded during the
-// rounds just run: a scenario action's error, then a periodic snapshot's.
-// Step and DistRound both surface it, so a distributed loop observes the
-// same failures a serial run would.
-func (s *System) roundErr() error {
-	if s.bound != nil {
-		if err := s.bound.Err(); err != nil {
-			return err
-		}
-	}
-	return s.snapErr
 }
 
 // Engine returns the underlying round engine. sim is an internal package,
@@ -268,15 +276,15 @@ func (s *System) Size() int { return s.sys.Engine().Size() }
 // DistRound executes one round with the Plan phase of the exchange-routing
 // protocols restricted to the alive slots in [lo, hi), invoking exch at
 // each such protocol's Deliver barrier — the distributed sibling of Step.
-// It performs Step's end-of-round bookkeeping (scenario errors, periodic
-// snapshot failures), so coordinator and worker loops built on it observe
-// the same failures a serial run would.
+// It ends the round as Step does and returns the same first failure
+// (endRound), so coordinator and worker loops built on it observe the
+// failures a serial run would.
 func (s *System) DistRound(lo, hi int, exch sim.ShardExchange) (stop bool, err error) {
 	stop, err = s.sys.Engine().RunRoundSharded(lo, hi, exch)
 	if err != nil {
 		return stop, err
 	}
-	return stop, s.roundErr()
+	return stop, s.err
 }
 
 // RoundBudget resolves the run's round budget: an explicit WithRounds wins,
