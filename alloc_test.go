@@ -95,7 +95,7 @@ func TestFullStackRoundAllocationFree(t *testing.T) {
 }
 
 // TestFacadeStepAllocationBound carries the guard across the public facade,
-// where the per-round observers live: tracker → Oracle.Measure, the event
+// where the round-end hook lives: tracker → Oracle.Measure, the event
 // emitter and a subscriber. A steady-state Step(1) may allocate only the
 // RoundEvent's Accuracy map (2 objects on go1.24) and nothing that scales
 // with the population — the count must be identical at 1 000 and 4 000

@@ -11,7 +11,6 @@ package core
 import (
 	"sosf/internal/sim"
 	"sosf/internal/snap"
-	"sosf/internal/view"
 )
 
 var (
@@ -52,18 +51,4 @@ func (p *PortSelect) EncodePlan(w *snap.Writer, slot int) {
 func (p *PortSelect) DecodePlan(r *snap.Reader, slot int) error {
 	p.published[slot] = readRecordsInto(r, p.published[slot][:0])
 	return nil
-}
-
-// readRecordsInto decodes a writeRecords slice appending into dst — the
-// reuse-friendly sibling of readRecords for the per-slot plan buffers.
-func readRecordsInto(r *snap.Reader, dst []PortRecord) []PortRecord {
-	n := r.Len()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		dst = append(dst, PortRecord{
-			Score: r.U64(),
-			ID:    view.NodeID(r.Varint()),
-			Stamp: r.Int(),
-		})
-	}
-	return dst
 }

@@ -389,14 +389,13 @@ func (o *Oracle) RealizedGraph() *graph.Graph {
 	return g
 }
 
-// Tracker observes a run, keeping the latest round's metrics and the
-// first round at which each sub-procedure converged. With StopWhenDone it
-// halts the engine once every sub-procedure has converged. Observers
-// registered after it read this round's metrics from Last instead of
+// Tracker measures a run, keeping the latest round's metrics and the first
+// round at which each sub-procedure converged. It only measures: the
+// engine owner's round-end hook calls Update after each round and states
+// its own stop rule, reading this round's metrics from Last instead of
 // measuring again.
 type Tracker struct {
-	Oracle       *Oracle
-	StopWhenDone bool
+	Oracle *Oracle
 	// Last is the most recently measured round.
 	Last Metrics
 	// FirstDone is the first round each sub-procedure converged, indexed
@@ -404,26 +403,23 @@ type Tracker struct {
 	FirstDone [NumSubs]int
 }
 
-var _ sim.Observer = (*Tracker)(nil)
-
 // NewTracker builds a fresh tracker over the system's oracle. It measures
-// nothing until its caller runs it after each round: registered as an
-// engine observer, or called from the caller's own one.
-func NewTracker(s *System, stopWhenDone bool) *Tracker {
-	t := &Tracker{Oracle: s.Oracle(), StopWhenDone: stopWhenDone}
+// nothing until its caller's round-end hook calls Update.
+func NewTracker(s *System) *Tracker {
+	t := &Tracker{Oracle: s.Oracle()}
 	t.Reset()
 	return t
 }
 
-// AfterRound implements sim.Observer.
-func (t *Tracker) AfterRound(e *sim.Engine) bool {
+// Update measures the round just ended into Last and marks the
+// sub-procedures that converged for the first time.
+func (t *Tracker) Update() {
 	t.Last = t.Oracle.Measure()
 	for s, round := range t.FirstDone {
 		if round < 0 && t.Last.Converged(Sub(s)) {
 			t.FirstDone[s] = t.Last.Round
 		}
 	}
-	return t.StopWhenDone && t.Last.AllConverged()
 }
 
 // ConvergenceRound returns the first round the sub-procedure converged,

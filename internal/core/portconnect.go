@@ -102,8 +102,8 @@ func (p *PortConnect) SnapshotSlot(w *snap.Writer, slot int) {
 func (p *PortConnect) RestoreSlot(r *snap.Reader, slot int) error {
 	epoch := r.U32()
 	comp := view.ComponentID(r.Varint())
-	remotes, err := readRecords(r)
-	if err != nil {
+	remotes := readRecordsInto(r, nil)
+	if err := r.Err(); err != nil {
 		return err
 	}
 	p.states[slot] = connState{epoch: epoch, comp: comp, remotes: remotes}

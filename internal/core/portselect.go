@@ -145,8 +145,8 @@ func (p *PortSelect) SnapshotSlot(w *snap.Writer, slot int) {
 func (p *PortSelect) RestoreSlot(r *snap.Reader, slot int) error {
 	epoch := r.U32()
 	comp := view.ComponentID(r.Varint())
-	records, err := readRecords(r)
-	if err != nil {
+	records := readRecordsInto(r, nil)
+	if err := r.Err(); err != nil {
 		return err
 	}
 	if cap(p.published[slot]) < len(records) {
@@ -166,25 +166,20 @@ func writeRecords(w *snap.Writer, records []PortRecord) {
 	}
 }
 
-// readRecords decodes a PortRecord slice written by writeRecords.
-func readRecords(r *snap.Reader) ([]PortRecord, error) {
+// readRecordsInto decodes a writeRecords slice appending into dst: the
+// per-slot plan buffers reuse theirs, and a restore passes nil so storage
+// grows only as records arrive (a corrupt count reserves nothing). A
+// failed read stops the loop; the caller checks r.Err().
+func readRecordsInto(r *snap.Reader, dst []PortRecord) []PortRecord {
 	n := r.Len()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	records := make([]PortRecord, 0, min(n, 64)) // grown as records arrive
-	for i := 0; i < n; i++ {
-		rec := PortRecord{
+	for i := 0; i < n && r.Err() == nil; i++ {
+		dst = append(dst, PortRecord{
 			Score: r.U64(),
 			ID:    view.NodeID(r.Varint()),
 			Stamp: r.Int(),
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		records = append(records, rec)
+		})
 	}
-	return records, nil
+	return dst
 }
 
 // Belief returns the node's current best-known record for the given port

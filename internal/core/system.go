@@ -184,7 +184,8 @@ func (s *System) Oracle() *Oracle { return s.oracle }
 // RPS exposes the peer-sampling layer.
 func (s *System) RPS() *peersampling.Protocol { return s.rps }
 
-// Run executes up to maxRounds rounds (stopping early if an observer asks).
+// Run executes up to maxRounds rounds (stopping early if the engine's
+// round-end hook asks).
 func (s *System) Run(maxRounds int) (int, error) { return s.eng.Run(maxRounds) }
 
 // RunContext executes up to maxRounds rounds, checking the context at every

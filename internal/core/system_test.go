@@ -18,10 +18,14 @@ func newRingOfRings(t *testing.T, rings, nodes int, seed int64) *System {
 	return s
 }
 
-// track builds a tracker and registers it on s's engine.
+// track builds a tracker and makes it s's round end, stopping the run at
+// convergence when stopWhenDone is set.
 func track(s *System, stopWhenDone bool) *Tracker {
-	tr := NewTracker(s, stopWhenDone)
-	s.Engine().Observe(tr)
+	tr := NewTracker(s)
+	s.Engine().SetRoundEnd(func(*sim.Engine) bool {
+		tr.Update()
+		return stopWhenDone && tr.Last.AllConverged()
+	})
 	return tr
 }
 
@@ -32,13 +36,19 @@ type trackedRun struct {
 	History []Metrics
 }
 
-// trackHistory attaches a tracker to s and records its measurements.
-func trackHistory(s *System, stopWhenDone bool) *trackedRun {
-	tr := &trackedRun{Tracker: track(s, stopWhenDone)}
-	s.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
+// trackHistory makes s's round end churn at the given rate (none at 0),
+// then measure and record the round, stopping at convergence when
+// stopWhenDone is set.
+func trackHistory(s *System, stopWhenDone bool, churn float64) *trackedRun {
+	tr := &trackedRun{Tracker: NewTracker(s)}
+	s.Engine().SetRoundEnd(func(*sim.Engine) bool {
+		if churn > 0 {
+			s.Churn(churn)
+		}
+		tr.Update()
 		tr.History = append(tr.History, tr.Last)
-		return false
-	}))
+		return stopWhenDone && tr.Last.AllConverged()
+	})
 	return tr
 }
 
@@ -93,7 +103,7 @@ func TestRingOfRingsConverges(t *testing.T) {
 func TestMetricsMonotoneEnough(t *testing.T) {
 	// Accuracy curves are stochastic but must rise from ~0 to 1.
 	s := newRingOfRings(t, 3, 150, 2)
-	tr := trackHistory(s, true)
+	tr := trackHistory(s, true, 0)
 	if _, err := s.Run(80); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +124,7 @@ func TestMetricsMonotoneEnough(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() []Metrics {
 		s := newRingOfRings(t, 3, 120, 99)
-		tr := trackHistory(s, false)
+		tr := trackHistory(s, false, 0)
 		if _, err := s.Run(15); err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +176,7 @@ func TestManagerFailover(t *testing.T) {
 	s.Engine().Kill(mgr.Slot)
 	s.Allocator().NoteLeave(mgr)
 
-	tr2 := track(s, false)
+	tr2 := track(s, true)
 	if _, err := s.Run(3 * portTTL); err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +230,7 @@ func TestReconfigureRejectsInvalid(t *testing.T) {
 
 func TestChurnSteadyState(t *testing.T) {
 	s := newRingOfRings(t, 2, 200, 7)
-	s.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
-		s.Churn(0.01)
-		return false
-	}))
-	tr := trackHistory(s, false)
+	tr := trackHistory(s, false, 0.01)
 	if _, err := s.Run(60); err != nil {
 		t.Fatal(err)
 	}

@@ -186,14 +186,8 @@ func (c *Coordinator) Run(conns []Conn) error {
 		}
 	}
 	for r := c.hello.StartRound; r < c.hello.TotalRounds; r++ {
-		stop, err := c.sys.DistRound(0, 0, c.exchange)
-		if err != nil {
+		if _, err := c.sys.DistRound(0, 0, c.exchange); err != nil {
 			return abort(err)
-		}
-		if stop {
-			// The stop decision is computed by replicated observers, so
-			// every worker leaves its loop at this same round on its own.
-			break
 		}
 	}
 	for _, conn := range conns {

@@ -71,7 +71,7 @@
 //
 //	CONNECTED --fkHello--> HANDSHAKING --fkHelloAck--> RUNNING
 //	RUNNING   --fkPlans/fkAggregate cycles, one per barrier--> RUNNING
-//	RUNNING   --round loop exhausted (replicated stop decision)--> DONE
+//	RUNNING   --round loop reaches the hello's TotalRounds--> DONE
 //	any state --fkFault / read error--> FAILED (named error, run aborted)
 //
 // An end that fails tells its peer with a best-effort fkFault before it
@@ -81,9 +81,11 @@
 // connection after at most faultWait: the close is what unblocks a worker
 // stuck writing to it, and each end still returns its own named error.
 //
-// There is no end-of-run message: the stop decision (round budget,
-// scenario horizon) is computed by the replicated observers, so every
-// replica leaves the loop at the same round on its own.
+// There is no end-of-run message: every replica runs its loop to the
+// hello's TotalRounds (the rounds target or the source's budget, extended
+// to the scenario horizon). Replicas are built WithRunToEnd, so no round
+// stops the run at convergence; a round end that fails makes DistRound
+// return the failure, which aborts the run like any other fault.
 //
 // # Determinism
 //
@@ -93,7 +95,7 @@
 // the same exchange no matter which replica runs it; the Deliver merge
 // scans senders in ascending slot order no matter which lanes were pushed
 // locally and which were imported; and the serial RNG only advances in the
-// between-round observers, which every replica runs against identical
+// System's round-end hook, which every replica runs against identical
 // state. Plan-phase meter deltas ride the barrier frames, so bandwidth
 // accounting stays global on every replica and snapshots match bit for bit.
 //

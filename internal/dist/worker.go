@@ -52,13 +52,9 @@ func RunWorker(conn Conn, threads int, localSource string) error {
 	n, k := w.h.Shards, w.h.Shard
 	for r := w.h.StartRound; r < w.h.TotalRounds; r++ {
 		lo, hi := shardRange(w.sys.Size(), k, n)
-		stop, err := w.sys.DistRound(lo, hi, w.exchange)
-		if err != nil {
+		if _, err := w.sys.DistRound(lo, hi, w.exchange); err != nil {
 			sendFault(conn, err)
 			return err
-		}
-		if stop {
-			break
 		}
 	}
 	return nil

@@ -31,13 +31,6 @@ func Compile(file *File) (*spec.Topology, error) {
 	return c.topo, nil
 }
 
-// ParseTopologyBytes is ParseTopology for raw source bytes — the entry
-// point for callers that receive DSL over the wire (HTTP request bodies,
-// file uploads) and have no business building an intermediate string first.
-func ParseTopologyBytes(src []byte) (*spec.Topology, error) {
-	return ParseTopology(string(src))
-}
-
 // ParseTopology parses, compiles and validates DSL source in one call.
 func ParseTopology(src string) (*spec.Topology, error) {
 	file, err := Parse(src)

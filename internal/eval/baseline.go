@@ -6,6 +6,7 @@ import (
 	"sosf/internal/baseline"
 	"sosf/internal/core"
 	"sosf/internal/metrics"
+	"sosf/internal/sim"
 )
 
 // Baseline compares the composed runtime against the monolithic
@@ -39,8 +40,11 @@ func Baseline(o Options) (*Result, error) {
 		if err != nil {
 			return out, fmt.Errorf("baseline composed run=%d: %w", run, err)
 		}
-		tracker := core.NewTracker(sys, true)
-		sys.Engine().Observe(tracker)
+		// The run stops at convergence, but not while it heals.
+		healing := false
+		sys.Engine().SetRoundEnd(func(*sim.Engine) bool {
+			return !healing && sys.Oracle().Measure().AllConverged()
+		})
 		executed, err := sys.Run(roundCap)
 		if err != nil {
 			return out, err
@@ -54,7 +58,7 @@ func Baseline(o Options) (*Result, error) {
 		}
 		out.composedBytes = bytes / float64(meterRounds) / float64(nodes)
 		sys.Kill(blast)
-		tracker.StopWhenDone = false
+		healing = true
 		if _, err := sys.Run(healRounds); err != nil {
 			return out, err
 		}

@@ -33,8 +33,11 @@ func Gallery(o Options) (*Result, error) {
 		if err != nil {
 			return galleryRun{}, fmt.Errorf("gallery %s: %w", entries[gi].Name, err)
 		}
-		tracker := core.NewTracker(sys, true)
-		sys.Engine().Observe(tracker)
+		tracker := core.NewTracker(sys)
+		sys.Engine().SetRoundEnd(func(*sim.Engine) bool {
+			tracker.Update()
+			return tracker.Last.AllConverged()
+		})
 		executed, err := sys.Run(roundCap)
 		if err != nil {
 			return galleryRun{}, fmt.Errorf("gallery %s: %w", entries[gi].Name, err)
@@ -148,7 +151,14 @@ func Reconfig(o Options) (*Result, error) {
 		if err != nil {
 			return reconfigRun{}, fmt.Errorf("reconfig run=%d: %w", run, err)
 		}
-		rec := newRecorder(sys, false, switchRound+phase2)
+		// The curves are recorded throughout; the run stops at
+		// re-convergence, once the topology has been switched.
+		rec := newRecorder(sys, switchRound+phase2)
+		switched := false
+		sys.Engine().SetRoundEnd(func(*sim.Engine) bool {
+			rec.record()
+			return switched && rec.tracker.Last.AllConverged()
+		})
 		if _, err := sys.Run(switchRound); err != nil {
 			return reconfigRun{}, err
 		}
@@ -160,7 +170,7 @@ func Reconfig(o Options) (*Result, error) {
 		// Re-convergence is measured from the switch; reset the marks but
 		// keep recording the full curves.
 		rec.tracker.Reset()
-		rec.tracker.StopWhenDone = true
+		switched = true
 		reconvAt, err := sys.Run(phase2)
 		if err != nil {
 			return reconfigRun{}, err
@@ -249,11 +259,12 @@ func Churn(o Options) (*Result, error) {
 		// Continuous churn replaces a fraction of the population after
 		// every round, the first time after round 1, as sosf.WithChurn
 		// does; the recorder measures the post-churn state.
-		sys.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
+		rec := newRecorder(sys, warm+window)
+		sys.Engine().SetRoundEnd(func(*sim.Engine) bool {
 			sys.Churn(rates[pi])
+			rec.record()
 			return false
-		}))
-		rec := newRecorder(sys, false, warm+window)
+		})
 		if _, err := sys.Run(warm + window); err != nil {
 			return churnRun{}, err
 		}
@@ -320,8 +331,17 @@ func Catastrophe(o Options) (*Result, error) {
 		if err != nil {
 			return catastropheRun{}, fmt.Errorf("catastrophe f=%f run=%d: %w", f, run, err)
 		}
-		tracker := core.NewTracker(sys, true)
-		sys.Engine().Observe(tracker)
+		// The run stops at convergence, then, after the blast, once the
+		// shape has healed to 0.95.
+		tracker := core.NewTracker(sys)
+		healing := false
+		sys.Engine().SetRoundEnd(func(*sim.Engine) bool {
+			tracker.Update()
+			if healing {
+				return tracker.Last.Fraction[core.SubElementary] >= 0.95
+			}
+			return tracker.Last.AllConverged()
+		})
 		if _, err := sys.Run(roundCap); err != nil {
 			return catastropheRun{}, err
 		}
@@ -329,15 +349,10 @@ func Catastrophe(o Options) (*Result, error) {
 		out := catastropheRun{
 			after: sys.Oracle().Measure().Fraction[core.SubElementary],
 		}
-		recovered := roundCap
-		for r := 0; r < roundCap; r++ {
-			if _, err := sys.Run(1); err != nil {
-				return catastropheRun{}, err
-			}
-			if tracker.Last.Fraction[core.SubElementary] >= 0.95 {
-				recovered = r + 1
-				break
-			}
+		healing = true
+		recovered, err := sys.Run(roundCap)
+		if err != nil {
+			return catastropheRun{}, err
 		}
 		out.healRounds = float64(recovered)
 		out.healed = tracker.Last.Fraction[core.SubElementary]

@@ -86,9 +86,9 @@ func TestParallelTablesDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelEarlyStopObservers asserts that early-stop observers
-// (StopWhenDone trackers) behave identically under parallelism: each
-// concurrent engine owns its observer chain, so per-run round counts and
+// TestParallelEarlyStopObservers asserts that early-stop round-end hooks
+// (RunOnce's stop at convergence) behave identically under parallelism:
+// each concurrent engine owns its hook, so per-run round counts and
 // convergence marks must match the sequential run for run.
 func TestParallelEarlyStopObservers(t *testing.T) {
 	o := Options{Runs: 4, Seed: 9}

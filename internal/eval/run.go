@@ -179,26 +179,26 @@ type RunResult struct {
 }
 
 // recorder is a convergence tracker plus the metrics of every round it
-// measured: the per-round accuracy curves the figures plot.
+// measured: the per-round accuracy curves the figures plot. Its owner's
+// round-end hook calls record.
 type recorder struct {
 	tracker *core.Tracker
 	history []core.Metrics
 }
 
-// newRecorder registers a tracker on sys and, right behind it, an observer
-// that appends the tracker's latest metrics to the history. The history is
-// pre-sized for rounds rounds.
-func newRecorder(sys *core.System, stopWhenDone bool, rounds int) *recorder {
-	r := &recorder{
-		tracker: core.NewTracker(sys, stopWhenDone),
+// newRecorder builds a recorder over sys with its history pre-sized for
+// rounds rounds.
+func newRecorder(sys *core.System, rounds int) *recorder {
+	return &recorder{
+		tracker: core.NewTracker(sys),
 		history: make([]core.Metrics, 0, rounds),
 	}
-	sys.Engine().Observe(r.tracker)
-	sys.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
-		r.history = append(r.history, r.tracker.Last)
-		return false
-	}))
-	return r
+}
+
+// record measures the round just ended and appends it to the history.
+func (r *recorder) record() {
+	r.tracker.Update()
+	r.history = append(r.history, r.tracker.Last)
 }
 
 // RunOnce builds a system from cfg and runs it for at most maxRounds,
@@ -211,7 +211,11 @@ func RunOnce(cfg core.Config, maxRounds int, stopWhenDone bool) (*RunResult, err
 	if err != nil {
 		return nil, err
 	}
-	rec := newRecorder(sys, stopWhenDone, maxRounds)
+	rec := newRecorder(sys, maxRounds)
+	sys.Engine().SetRoundEnd(func(*sim.Engine) bool {
+		rec.record()
+		return stopWhenDone && rec.tracker.Last.AllConverged()
+	})
 	sys.Engine().Meter().Reserve(maxRounds)
 	rounds, err := sys.Run(maxRounds)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	"sosf/internal/core"
 	"sosf/internal/dsl"
-	"sosf/internal/sim"
 	"sosf/internal/spec"
 )
 
@@ -143,12 +142,10 @@ func TestDSLSnapshotDirectiveEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, last := play(t, sys, New(topo.Scenario))
 	var due [][]string
-	sys.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
-		due = append(due, append([]string(nil), last.Snapshots...))
-		return false
-	}))
+	b := playEach(t, sys, New(topo.Scenario), func(r Report) {
+		due = append(due, append([]string(nil), r.Snapshots...))
+	})
 	if _, err := sys.Run(5); err != nil {
 		t.Fatal(err)
 	}

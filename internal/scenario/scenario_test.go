@@ -37,16 +37,24 @@ func newSystem(t *testing.T, seed int64) *core.System {
 // embedder does, keeping the latest tick's report in *last.
 func play(t *testing.T, sys *core.System, tl *Timeline) (b *Bound, last *Report) {
 	t.Helper()
+	last = new(Report)
+	b = playEach(t, sys, tl, func(r Report) { *last = r })
+	return b, last
+}
+
+// playEach binds tl to sys and makes ticking the Bound sys's round end,
+// handing each tick's report to each; a timeline failure stops the run.
+func playEach(t *testing.T, sys *core.System, tl *Timeline, each func(Report)) *Bound {
+	t.Helper()
 	b, err := tl.Bind(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last = new(Report)
-	sys.Engine().Observe(sim.ObserverFunc(func(e *sim.Engine) bool {
-		*last = b.Tick(e.Round())
+	sys.Engine().SetRoundEnd(func(e *sim.Engine) bool {
+		each(b.Tick(e.Round()))
 		return b.Err() != nil
-	}))
-	return b, last
+	})
+	return b
 }
 
 // split reports whether some pair of slots cannot reach each other, which
@@ -226,14 +234,12 @@ func TestReconfigureFiresAndReports(t *testing.T) {
 		Name: "c", Shape: "ring", Weight: 1,
 	})
 	tl := New([]spec.ScenarioEvent{{From: 2, To: 2, Kind: spec.ScenReconfigure, Reconfigure: after}})
-	bound, last := play(t, sys, tl)
 	reported := 0
-	sys.Engine().Observe(sim.ObserverFunc(func(*sim.Engine) bool {
-		if last.Reconfigured {
+	bound := playEach(t, sys, tl, func(r Report) {
+		if r.Reconfigured {
 			reported++
 		}
-		return false
-	}))
+	})
 	if _, err := sys.Run(4); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func FuzzParseJobSpec(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	topo, err := dsl.ParseTopologyBytes(src)
+	topo, err := dsl.ParseTopology(string(src))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -47,11 +47,13 @@ type JobSpec struct {
 var ErrSnapshotAction = errors.New("serve: job timelines must not carry snapshot actions")
 
 // parseJobSpec turns a POST /jobs body — raw .sos DSL or a JSON JobSpec —
-// into the job's name and its validated run description; a timeline with a
-// `snapshot` action is refused (ErrSnapshotAction). The description
-// is retained for the job's whole life: an eviction restore must rebuild
-// with byte-identical options. Workers stays 0 when the spec leaves it to
-// the server's default, which Submit fills in.
+// into the job's name and its validated run description. It refuses what
+// sosf.New would refuse of the source (a syntax error, `option heal`:
+// sosf.ErrHealOptionRemoved) and a timeline with a `snapshot` action
+// (ErrSnapshotAction). The description is retained for the job's whole
+// life: an eviction restore must rebuild with byte-identical options.
+// Workers stays 0 when the spec leaves it to the server's default, which
+// Submit fills in.
 func parseJobSpec(body []byte) (string, sosf.RunSpec, error) {
 	var rs sosf.RunSpec
 	trimmed := bytes.TrimSpace(body)
@@ -72,28 +74,28 @@ func parseJobSpec(body []byte) (string, sosf.RunSpec, error) {
 		}
 	}
 	rs = sosf.RunSpec{Nodes: js.Nodes, Rounds: js.Rounds, Seed: js.Seed, Workers: js.Workers}
-	topo := js.Topology
 	switch {
 	case js.Source != "":
-		// Validate now so submission (not start) reports the syntax error.
-		var err error
-		if topo, err = dsl.ParseTopologyBytes([]byte(js.Source)); err != nil {
-			return "", rs, err
-		}
 		rs.Source = js.Source
-	case topo != nil:
-		if err := topo.Validate(); err != nil {
+	case js.Topology != nil:
+		if err := js.Topology.Validate(); err != nil {
 			return "", rs, err
 		}
 		// Normalize to canonical DSL: Emit is the identity under the
 		// compiler, so the emitted source IS the submitted topology.
-		src, err := dsl.Emit(topo)
+		src, err := dsl.Emit(js.Topology)
 		if err != nil {
 			return "", rs, fmt.Errorf("job spec topology has no DSL form: %w", err)
 		}
 		rs.Source = src
 	default:
 		return "", rs, fmt.Errorf("job spec needs source (inline .sos DSL) or topology")
+	}
+	// Compile now, with New's checks, so submission (not start) reports
+	// what would fail the run.
+	topo, err := sosf.ParseSource(rs.Source)
+	if err != nil {
+		return "", rs, err
 	}
 	for _, ev := range topo.Scenario {
 		if ev.Kind == spec.ScenSnapshot {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sosf"
 	"sosf/internal/dsl"
 )
 
@@ -102,6 +103,13 @@ func TestParseJobSpecRejects(t *testing.T) {
 	}
 	snapSource, _ := json.Marshal(JobSpec{Source: snapDSL})
 	snapTopology, _ := json.Marshal(JobSpec{Topology: snapTopo})
+	healDSL := strings.Replace(specTestDSL, "nodes 40", "nodes 40\n    option heal 1", 1)
+	healTopo, err := dsl.ParseTopology(healDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	healSource, _ := json.Marshal(JobSpec{Source: healDSL})
+	healTopology, _ := json.Marshal(JobSpec{Topology: healTopo})
 	cases := []struct {
 		name, body, wantErr string
 	}{
@@ -117,6 +125,9 @@ func TestParseJobSpecRejects(t *testing.T) {
 		{"snapshot action, raw DSL", snapDSL, ErrSnapshotAction.Error()},
 		{"snapshot action, JSON source", string(snapSource), ErrSnapshotAction.Error()},
 		{"snapshot action, JSON topology", string(snapTopology), ErrSnapshotAction.Error()},
+		{"option heal, raw DSL", healDSL, sosf.ErrHealOptionRemoved.Error()},
+		{"option heal, JSON source", string(healSource), sosf.ErrHealOptionRemoved.Error()},
+		{"option heal, JSON topology", string(healTopology), sosf.ErrHealOptionRemoved.Error()},
 	}
 	for _, tc := range cases {
 		_, _, err := parseJobSpec([]byte(tc.body))

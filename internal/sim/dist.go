@@ -16,7 +16,7 @@ package sim
 // engine-driven Deliver merge scans senders in ascending slot order no
 // matter which lanes were routed locally and which were imported. The
 // serial RNG only moves between rounds, where every process replays the
-// identical observer sequence against identical state.
+// identical round-end hook against identical state.
 //
 // A protocol routes exchanges if and only if it implements PlanCodec, and
 // exactly those protocols are sharded. The others mutate only their own
@@ -123,8 +123,10 @@ type ShardExchange func(pi int, codec PlanCodec, shard []int) error
 // each such protocol's Deliver barrier. All other phases (and the Plan of
 // protocols that route nothing) run over the whole alive population, so
 // the caller must hold state identical to every other participant's. A nil
-// exch runs a plain full round. On error the round is abandoned
-// mid-flight and the engine must not be stepped again.
+// exch runs a plain full round. The round barrier folds the meters and
+// calls the round-end hook (SetRoundEnd) once; its stop is returned. On
+// error the round is abandoned mid-flight, the hook is not called, and the
+// engine must not be stepped again.
 func (e *Engine) RunRoundSharded(lo, hi int, exch ShardExchange) (stop bool, err error) {
 	alive := e.alive()
 	e.ensureCtxs()
@@ -145,10 +147,8 @@ func (e *Engine) RunRoundSharded(lo, hi int, exch ShardExchange) (stop bool, err
 	e.foldMeters()
 	e.meter.EndRound()
 	e.round++
-	for _, o := range e.observers {
-		if o.AfterRound(e) {
-			stop = true
-		}
+	if e.roundEnd != nil {
+		stop = e.roundEnd(e)
 	}
 	return stop, nil
 }

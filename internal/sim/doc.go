@@ -4,11 +4,12 @@
 //
 // The engine owns a population of nodes, a stack of protocols, a round
 // scheduler, churn and failure injection, per-protocol bandwidth metering,
-// and per-round observers. All in-round randomness flows from counter-based
-// per-node streams keyed by (seed, node, round, protocol, phase), so a
-// (seed, configuration) pair fully determines a run — for *any* worker
-// count. Setup-time randomness (bootstrap contacts, churn, partitions)
-// flows from a single seeded source consumed serially between rounds.
+// and the one round-end hook its owner sets (Engine.SetRoundEnd). All
+// in-round randomness flows from counter-based per-node streams keyed by
+// (seed, node, round, protocol, phase), so a (seed, configuration) pair
+// fully determines a run — for *any* worker count. Setup-time randomness
+// (bootstrap contacts, churn, partitions) flows from a single seeded source
+// consumed serially between rounds.
 //
 // # The five-phase round
 //
@@ -40,7 +41,8 @@
 //  5. Round barrier — serial, O(workers × protocols). Fold the per-worker
 //     meter shards into the shared Meter (int64 addition, so totals are
 //     exact and order-independent), snapshot the round's bandwidth, and
-//     run observers.
+//     call the owner's round-end hook once; its return value is the run's
+//     stop rule.
 //
 // Phase rules: a Refresh or Absorb may mutate the protocol's state for
 // ctx.Slot() only, and may read other protocols' state for ctx.Slot()

@@ -38,18 +38,6 @@ type Protocol interface {
 	Absorb(ctx *Ctx)
 }
 
-// Observer is invoked after every completed round; returning stop=true ends
-// the run early (used by convergence-driven experiments).
-type Observer interface {
-	AfterRound(e *Engine) (stop bool)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(e *Engine) bool
-
-// AfterRound implements Observer.
-func (f ObserverFunc) AfterRound(e *Engine) bool { return f(e) }
-
 // Node is one simulated process. Slot is its dense index in the engine;
 // ID is its globally unique, never-reused identity. Profile is assigned by
 // the runtime's role allocator and carried inside gossip descriptors.
@@ -84,8 +72,10 @@ type Engine struct {
 	// inboxes[pi] is protocol pi's route table (nil for protocols that
 	// route nothing); the engine grows it with the node table, resets a
 	// slot's entry in Refresh and merges it in the Deliver phase.
-	inboxes   []*inbox
-	observers []Observer
+	inboxes []*inbox
+	// roundEnd is the owner's round-end hook (see SetRoundEnd); nil ends
+	// every round without stopping.
+	roundEnd  func(e *Engine) (stop bool)
 	meter     *Meter
 	round     int
 	nextID    view.NodeID
@@ -337,8 +327,11 @@ func (e *Engine) Register(p Protocol) int {
 	return len(e.protocols) - 1
 }
 
-// Observe appends a per-round observer.
-func (e *Engine) Observe(o Observer) { e.observers = append(e.observers, o) }
+// SetRoundEnd sets the func the round barrier calls after every completed
+// round, replacing any earlier one. It is the engine owner's one place to
+// act between rounds (churn, measurement, events) and to state its stop
+// rule: returning stop=true ends Run early.
+func (e *Engine) SetRoundEnd(f func(e *Engine) (stop bool)) { e.roundEnd = f }
 
 // AddNodes creates n fresh nodes, returning their slots. The caller is
 // expected to assign profiles (via the allocator) before initializing
@@ -705,15 +698,15 @@ func (e *Engine) fanOut(job phaseJob, n int) {
 // order, the parallel Refresh and Plan phases, the parallel per-destination
 // Deliver merge, and the parallel Absorb phase; then the round barrier
 // folds the per-worker meter shards, snapshots the round's bandwidth, and
-// runs observers. The result is byte-identical for every worker count. It
-// reports whether any observer requested a stop.
+// calls the round-end hook (SetRoundEnd). The result is byte-identical for
+// every worker count. It reports whether the hook requested a stop.
 func (e *Engine) RunRound() (stop bool) {
 	stop, _ = e.RunRoundSharded(0, len(e.nodes), nil)
 	return stop
 }
 
-// Run executes up to maxRounds rounds, stopping early if an observer asks
-// to. It returns the number of rounds executed in this call.
+// Run executes up to maxRounds rounds, stopping early if the round-end
+// hook asks to. It returns the number of rounds executed in this call.
 func (e *Engine) Run(maxRounds int) (int, error) {
 	return e.RunContext(context.Background(), maxRounds)
 }

@@ -89,7 +89,7 @@ func TestDeadNodesDoNotStep(t *testing.T) {
 
 func TestObserverStopsRun(t *testing.T) {
 	e, _ := newTestEngine(t, 4)
-	e.Observe(ObserverFunc(func(e *Engine) bool { return e.Round() >= 2 }))
+	e.SetRoundEnd(func(e *Engine) bool { return e.Round() >= 2 })
 	rounds, err := e.Run(10)
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +151,10 @@ func TestDeterminism(t *testing.T) {
 			e.InitNode(s)
 		}
 		var order []int
-		e.Observe(ObserverFunc(func(e *Engine) bool {
+		e.SetRoundEnd(func(e *Engine) bool {
 			order = append(order, e.KillFraction(0.02)...)
 			return false
-		}))
+		})
 		if _, err := e.Run(20); err != nil {
 			t.Fatal(err)
 		}

@@ -10,14 +10,14 @@ func TestRunContextCancelStopsAtRoundBoundary(t *testing.T) {
 	e, p := newTestEngine(t, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 
-	// Cancel from inside round 3's observer: the round must complete (no
-	// mid-round abort) and the engine must stop before round 4 begins.
-	e.Observe(ObserverFunc(func(e *Engine) bool {
+	// Cancel from inside round 3's round-end hook: the round must complete
+	// (no mid-round abort) and the engine must stop before round 4 begins.
+	e.SetRoundEnd(func(e *Engine) bool {
 		if e.Round() == 3 {
 			cancel()
 		}
 		return false
-	}))
+	})
 	executed, err := e.RunContext(ctx, 10)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

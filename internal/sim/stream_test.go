@@ -241,7 +241,7 @@ func TestEngineWorkerCountInvariant(t *testing.T) {
 		for _, s := range e.AddNodes(500) {
 			e.InitNode(s)
 		}
-		e.Observe(ObserverFunc(func(e *Engine) bool {
+		e.SetRoundEnd(func(e *Engine) bool {
 			if e.Round() == 10 {
 				e.Partition(3)
 			}
@@ -253,7 +253,7 @@ func TestEngineWorkerCountInvariant(t *testing.T) {
 				e.InitNode(s)
 			}
 			return false
-		}))
+		})
 		if _, err := e.Run(30); err != nil {
 			t.Fatal(err)
 		}

@@ -113,8 +113,10 @@ func TestWriteSnapshotMissingDir(t *testing.T) {
 }
 
 // TestSnapshotEveryWriteFailureStopsRun pins the WithSnapshotEvery error
-// contract on a real failing path: the periodic checkpoint observer stops
-// the run and the write error surfaces from Step.
+// contract on a real failing path: the periodic checkpoint write stops
+// the run, the write error surfaces from Step, and the System stays
+// stopped: every later Step and DistRound returns that error at once,
+// with no round, no scenario action and no event.
 func TestSnapshotEveryWriteFailureStopsRun(t *testing.T) {
 	src, err := os.ReadFile("testdata/ringpair.sos")
 	if err != nil {
@@ -126,12 +128,25 @@ func TestSnapshotEveryWriteFailureStopsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	executed, err := sys.Step(10)
-	if err == nil {
-		t.Fatal("Step with a failing periodic checkpoint succeeded, want error")
+	events := 0
+	sys.Subscribe(func(RoundEvent) { events++ })
+	executed, first := sys.Step(10)
+	if !errors.Is(first, os.ErrNotExist) {
+		t.Fatalf("Step error = %v, want the failed checkpoint write", first)
 	}
 	if executed != 2 {
 		t.Fatalf("run stopped after %d rounds, want 2 (the first failing checkpoint)", executed)
+	}
+	for i := 0; i < 2; i++ {
+		if executed, err := sys.Step(10); executed != 0 || err != first {
+			t.Fatalf("Step #%d after the failure = (%d, %v), want (0, %v)", i+2, executed, err, first)
+		}
+	}
+	if _, err := sys.DistRound(0, sys.Size(), nil); err != first {
+		t.Fatalf("DistRound after the failure returned %v, want %v", err, first)
+	}
+	if sys.Round() != 2 || events != 2 {
+		t.Fatalf("failed system at round %d after %d events, want round 2 and 2 events", sys.Round(), events)
 	}
 }
 

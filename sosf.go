@@ -74,7 +74,7 @@ func (r *Report) String() string {
 
 // Validate parses and validates DSL source without running anything.
 func Validate(src string) error {
-	_, err := parseSource(src)
+	_, err := ParseSource(src)
 	return err
 }
 
@@ -83,8 +83,11 @@ func Validate(src string) error {
 // healing on would silently simulate something other than what it pinned.
 var ErrHealOptionRemoved = errors.New("sosf: option heal was removed; self-healing is always on")
 
-// parseSource compiles the DSL source a run is built from.
-func parseSource(src string) (*spec.Topology, error) {
+// ParseSource compiles the DSL source a run is built from, with the checks
+// New applies (ErrHealOptionRemoved). spec is an internal package, so this
+// is an intra-module affordance: it is how `sos serve` refuses a job spec
+// at submission that New would refuse at start.
+func ParseSource(src string) (*spec.Topology, error) {
 	topo, err := dsl.ParseTopology(src)
 	if err != nil {
 		return nil, err
@@ -144,7 +147,7 @@ func New(src string, opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	topo, err := parseSource(src)
+	topo, err := ParseSource(src)
 	if err != nil {
 		return nil, err
 	}
@@ -177,8 +180,8 @@ func New(src string, opts ...Option) (*System, error) {
 		// convergence would silently skip every later event.
 		cfg.runToEnd = true
 	}
-	s.tracker = core.NewTracker(sys, !cfg.runToEnd)
-	sys.Engine().Observe(sim.ObserverFunc(s.endRound))
+	s.tracker = core.NewTracker(sys)
+	sys.Engine().SetRoundEnd(s.endRound)
 	if cfg.restorePath != "" {
 		// Restore reads the file in chunks; the checkpoint is never held
 		// in memory whole.
@@ -202,15 +205,15 @@ func (s *System) Step(n int) (int, error) {
 	return s.StepContext(context.Background(), n)
 }
 
-// endRound is the System's one engine observer, so a round ends in one
+// endRound is the System's engine round-end hook, so a round ends in one
 // place and in one order: the scenario's due actions fire, churn replaces
 // nodes, the tracker measures the post-action state, and the round event
 // reports what the tracker saw. The round's checkpoints come last — the
 // scheduled `snapshot` actions in timeline order, then WithSnapshotEvery's
 // — so each holds the state the next round starts from, which is what
-// `sos snapshot -rounds R` writes. The round's first failure, an action's
-// and then a checkpoint write's, stops the run and surfaces from Step and
-// DistRound.
+// `sos snapshot -rounds R` writes. The run stops at convergence unless it
+// runs to the end, and on the round's first failure, an action's and then
+// a checkpoint write's, which surfaces from Step and DistRound.
 func (s *System) endRound(e *sim.Engine) bool {
 	round := e.Round()
 	var rep scenario.Report
@@ -228,7 +231,7 @@ func (s *System) endRound(e *sim.Engine) bool {
 	if s.cfg.churnRate > 0 {
 		s.sys.Churn(s.cfg.churnRate)
 	}
-	stop := s.tracker.AfterRound(e)
+	s.tracker.Update()
 	s.emit(e, rep.Fired)
 	for _, path := range rep.Snapshots {
 		s.checkpoint(path, round)
@@ -236,7 +239,7 @@ func (s *System) endRound(e *sim.Engine) bool {
 	if s.cfg.snapEvery > 0 && round%s.cfg.snapEvery == 0 {
 		s.checkpoint(s.cfg.snapPath, round)
 	}
-	return stop || s.err != nil
+	return (!s.cfg.runToEnd && s.tracker.Last.AllConverged()) || s.err != nil
 }
 
 // checkpoint writes the checkpoint a path template names for the round,
@@ -253,8 +256,12 @@ func (s *System) checkpoint(template string, round int) {
 // A cancelled call returns the rounds it executed together with ctx.Err();
 // this is what `sos serve` uses to pause and stop jobs cleanly, and what
 // turns a SIGINT in `sos play` into a final checkpoint instead of a
-// mid-round death.
+// mid-round death. A System whose round end has failed stays stopped:
+// every later call returns that failure without running a round.
 func (s *System) StepContext(ctx context.Context, n int) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
 	executed, err := s.sys.RunContext(ctx, n)
 	if s.err != nil {
 		return executed, s.err
@@ -278,8 +285,12 @@ func (s *System) Size() int { return s.sys.Engine().Size() }
 // each such protocol's Deliver barrier — the distributed sibling of Step.
 // It ends the round as Step does and returns the same first failure
 // (endRound), so coordinator and worker loops built on it observe the
-// failures a serial run would.
+// failures a serial run would; after a failure it runs nothing and returns
+// that failure again.
 func (s *System) DistRound(lo, hi int, exch sim.ShardExchange) (stop bool, err error) {
+	if s.err != nil {
+		return true, s.err
+	}
 	stop, err = s.sys.Engine().RunRoundSharded(lo, hi, exch)
 	if err != nil {
 		return stop, err
