@@ -3,8 +3,8 @@ package sosf
 // Allocation-regression guard for the gossip hot path: a steady-state
 // round must not touch the heap — at any worker count. Protocol phases run
 // entirely on per-worker scratch pads (sim.Pad), per-slot retained plan
-// records, the engine's intrusive route tables, the alive-slot cache, and
-// the meter's arena; the worker pool parks its goroutines between phases
+// records, the engine's plan region and intrusive route tables, the
+// alive-slot cache, and the meter's arena; the worker pool parks its goroutines between phases
 // instead of respawning them. Once buffers have grown to their working size
 // the only way a round allocates is a regression — which this test turns
 // into a failure instead of a slow creep across PRs.
@@ -65,8 +65,8 @@ func TestCyclonRoundAllocationFree(t *testing.T) {
 // TestFullStackRoundAllocationFree bounds the whole runtime stack (peer
 // sampling, UO1, UO2, core overlay, port selection, port connection): a
 // steady-state round over 1 000 nodes performs zero heap allocations at
-// every worker count — every phase runs on worker pads, plan records, and
-// retained tables.
+// every worker count — every phase runs on worker pads, plan records, the
+// plan region, and retained tables.
 func TestFullStackRoundAllocationFree(t *testing.T) {
 	for _, workers := range allocWorkerCounts {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -135,13 +135,58 @@ func TestFacadeStepAllocationBound(t *testing.T) {
 	}
 }
 
+// TestReconfigureStepAllocationBound holds a reconfigured system to
+// TestFacadeStepAllocationBound's per-round bound: after a Reconfigure from
+// 4 rings to more and two warm rounds, a Step(1) may allocate no more than
+// a steady-state one. UO2's published table grows with the component
+// count, and the engine re-derives the plan region's width every round, so
+// the table stays in the region instead of spilling into a heap copy per
+// slot and round. At 8 rings the table (9 descriptors) still fits the
+// width Cyclon's 16 set; at 20 (21 descriptors) the region must widen.
+// The warm rounds are for UO2's contact tables, carved one row per old
+// component: each grows once per slot as its node learns new components,
+// and at 20 rings some learn their last ones in the second round.
+func TestReconfigureStepAllocationBound(t *testing.T) {
+	const maxAllocs = 2 // TestFacadeStepAllocationBound's
+	for _, rings := range []int{8, 20} {
+		t.Run(fmt.Sprintf("rings=%d", rings), func(t *testing.T) {
+			sys, err := New(eval.RingOfRingsDSL(4), WithNodes(1000), WithSeed(1), WithWorkers(1), WithRunToEnd())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Subscribe(func(RoundEvent) {})
+			if _, err := sys.Step(30); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.ReconfigureSource(eval.RingOfRingsDSL(rings)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Step(2); err != nil {
+				t.Fatal(err)
+			}
+			const rounds = 20
+			sys.Engine().Meter().Reserve(rounds + 1)
+			avg := testing.AllocsPerRun(rounds, func() {
+				if _, err := sys.Step(1); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("allocs/round after a 4 → %d ring reconfiguration: %v", rings, avg)
+			if avg > maxAllocs {
+				t.Fatalf("Step(1) after a 4 → %d ring reconfiguration allocates %v objects/round, want <= %d", rings, avg, maxAllocs)
+			}
+		})
+	}
+}
+
 // bytesPerNodeBound caps the live heap one node of BenchmarkRound's
-// ring of 20 rings may hold at 10 000 nodes after 16 rounds: views, plan
-// buffers, contact and election tables, the engine's route tables and node
-// table, divided by the population. It measures 5 475 B on amd64 with
-// go1.24; the README's "Struct-of-arrays hot state" section breaks it down
-// by structure.
-const bytesPerNodeBound = 6000
+// ring of 20 rings may hold at 10 000 nodes after 16 rounds: views, the
+// engine's plan region, plan records, contact and election tables, the
+// engine's route tables and node table, divided by the population. It
+// measures 3 766 B on amd64 with go1.24, and the bound is that plus 10 %;
+// the README's "Struct-of-arrays hot state" section breaks it down by
+// structure.
+const bytesPerNodeBound = 4150
 
 // liveBytesPerNode builds BenchmarkRound's ring of 20 rings at the given
 // population on one worker, steps it the given rounds, and returns the live
@@ -181,7 +226,10 @@ func TestBytesPerNodeBound(t *testing.T) {
 // two rounds measured 1.21× the live heap at 100 000 nodes and 1.14× at
 // 200 000, and at 1 000 000 nodes 5.82 GB, 1.06× the 10 000-node estimate
 // (5 514 B × 10⁶; go1.24, 2 vCPU / 8 GB). 1.1 covers that with room for
-// the rest of the box, without skipping a box that runs the round.
+// the rest of the box, without skipping a box that runs the round. With
+// the shared plan region the estimate is 3 766 B × 10⁶, and the build and
+// two rounds peaked at 3.86 GB RSS, 1.02× it (one measured round: 13.6 s
+// at 2 workers; same box).
 const millionNodeHeadroom = 1.1
 
 // memAvailable returns the kernel's MemAvailable estimate in bytes, or

@@ -1,9 +1,11 @@
 // Package arena provides chunked slice arenas: many small fixed-capacity
 // buffers carved back-to-back out of a few large allocations. It is the
-// backing store for the engine's struct-of-arrays hot state — per-slot view
-// entries, plan payloads, and record tables all live in arena blocks, so a
-// population's working set is a handful of contiguous arrays instead of one
-// heap object per node.
+// backing store for the protocols' struct-of-arrays hot state — per-slot
+// view entries and record tables (UO2's contact rows, port-election
+// records) live in arena blocks, so a population's working set is a
+// handful of contiguous arrays instead of one heap object per node. Plan
+// payloads do not: they live in the engine's one plan region per slot
+// (sim.Ctx.PlanRegion), shared by every routing protocol.
 package arena
 
 // Block is how many carved buffers one arena block holds (times the

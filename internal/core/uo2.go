@@ -34,7 +34,6 @@ type UO2 struct {
 	states     []uo2State
 	entryArena []uo2Entry
 	plans      []uo2Plan
-	arena      []view.Descriptor
 }
 
 // uo2State is one node's contact table, dense by component ID: component
@@ -61,17 +60,17 @@ var emptyEntry = uo2Entry{d: view.Descriptor{ID: view.InvalidNode}}
 // valid reports whether the row holds a contact.
 func (e *uo2Entry) valid() bool { return e.d.ID != view.InvalidNode }
 
-// uo2Plan is one node's planned table swap for the current round. send is
-// the node's own serialized table, published by every alive slot's Plan
-// whether or not it starts a swap: it is both what the node pushes to its
-// partner and the reply any initiator that picked this node reads in
-// Absorb, once the Plan barrier has frozen it. The buffer is retained per
-// slot so steady-state planning allocates nothing. A delivered swap is
+// uo2Plan is one node's planned table swap for the current round. The
+// node's own serialized table is published, into the slot's plan region
+// (sim.Ctx.PlanRegion), by every alive slot's Plan whether or not it starts
+// a swap: it is both what the node pushes to its partner and the reply any
+// initiator that picked this node reads in Absorb, once the Plan barrier
+// has frozen it; the record keeps its length, nsend. A delivered swap is
 // recorded by its route lane alone; the plan records only a timed-out one.
 type uo2Plan struct {
-	timeout bool
 	partner view.Descriptor // the timed-out partner, whole: Absorb needs its component
-	send    []view.Descriptor
+	nsend   int32
+	timeout bool
 }
 
 // ensure grows the table to cover at least n components. It never shrinks:
@@ -112,17 +111,20 @@ func (u *UO2) Name() string { return "uo2" }
 // without resetting any table.
 func (u *UO2) Resize(n int) {
 	for len(u.states) < n {
-		// A published table carries at most one descriptor per component
-		// plus the sender's own; carve that capacity up front (a
+		// The contact table is carved one row per component (a
 		// reconfigure that adds components falls back to a private heap
-		// copy). The contact table itself is carved one row per component.
-		width := u.alloc.Components() + 1
-		u.plans = append(u.plans, uo2Plan{send: arena.Carve(&u.arena, width)})
-		u.states = append(u.states, uo2State{entries: arena.Carve(&u.entryArena, width-1)})
+		// copy).
+		u.plans = append(u.plans, uo2Plan{})
+		u.states = append(u.states, uo2State{entries: arena.Carve(&u.entryArena, u.alloc.Components())})
 	}
 	u.states = u.states[:n]
 	u.plans = u.plans[:n]
 }
+
+// PlanWidth implements sim.PlanCodec: a published table carries at most
+// one descriptor per component plus the sender's own. It grows when a
+// reconfiguration adds components, and the engine re-reads it every round.
+func (u *UO2) PlanWidth() int { return u.alloc.Components() + 1 }
 
 // InitNode implements sim.Protocol.
 func (u *UO2) InitNode(e *sim.Engine, slot int) {
@@ -207,7 +209,8 @@ func (u *UO2) Plan(ctx *sim.Ctx) {
 	t := &u.states[slot]
 	pl := &u.plans[slot]
 	pl.timeout = false
-	pl.send = u.tableToSend(ctx.Node(), t, ctx.Round(), pl.send[:0])
+	send := u.tableToSend(ctx.Node(), t, ctx.Round(), ctx.PlanRegion(slot)[:0])
+	pl.nsend = int32(len(send))
 
 	partner, ok := u.pickPartner(ctx, slot, t)
 	if !ok {
@@ -216,7 +219,7 @@ func (u *UO2) Plan(ctx *sim.Ctx) {
 
 	// Meter into the worker's shard and route via the sender's lane; the
 	// engine's Deliver phase merges lanes per destination shard.
-	ctx.Count(sim.DescriptorPayload(len(pl.send)))
+	ctx.Count(sim.DescriptorPayload(len(send)))
 	target := e.Lookup(partner.ID)
 	if target == nil || !target.Alive || !ctx.Deliver(target.Slot) {
 		pl.timeout, pl.partner = true, partner
@@ -250,12 +253,12 @@ func (u *UO2) Absorb(ctx *sim.Ctx) {
 		}
 	}
 	if target := ctx.Target(); target >= 0 {
-		for _, d := range u.plans[target].send {
+		for _, d := range ctx.PlanRegion(target)[:u.plans[target].nsend] {
 			u.offer(self, t, d, now)
 		}
 	}
 	for sender := ctx.FirstSender(); sender >= 0; sender = ctx.NextSender(sender) {
-		for _, d := range u.plans[sender].send {
+		for _, d := range ctx.PlanRegion(sender)[:u.plans[sender].nsend] {
 			u.offer(self, t, d, now)
 		}
 	}

@@ -19,6 +19,15 @@ func TestUO2EntrySizeof(t *testing.T) {
 	}
 }
 
+// TestUO2PlanSizeof pins a plan record at the timed-out partner, the
+// published table's length and the timeout flag: the table itself lives in
+// the engine's plan region, so a slice header here is a regression.
+func TestUO2PlanSizeof(t *testing.T) {
+	if got := unsafe.Sizeof(uo2Plan{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(uo2Plan{}) = %d, want 48", got)
+	}
+}
+
 // TestUO2RestoreRejectsContactWithoutNode feeds RestoreSlot a row flagged
 // valid whose descriptor carries view.InvalidNode: the table marks empty
 // rows with that ID, so such a row would be counted yet read as empty.

@@ -63,8 +63,13 @@
 // count and each record's slot and route lane (the slot its Plan routed
 // to, or -1), Engine.DecodePlans range-checks every slot and lane and sets
 // the lanes — and a protocol's sim.PlanCodec owns only each record's body
-// (the fields Absorb reads). A malformed record fails the import with an
-// error wrapping sim.ErrBadPlan; both ends import through one helper,
+// (the fields Absorb reads). An imported record's payloads land in the
+// engine's plan region of the slot they belong to, which the routing
+// protocols share: they stay valid only until the end of that protocol's
+// Absorb, so a barrier imports exactly the protocol it is for, between its
+// Plan and Deliver. A malformed record — a payload wider than the
+// protocol's PlanWidth among them — fails the import with an error
+// wrapping sim.ErrBadPlan; both ends import through one helper,
 // importShards.
 //
 // The full connection lifecycle:

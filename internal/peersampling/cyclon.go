@@ -15,7 +15,6 @@
 package peersampling
 
 import (
-	"sosf/internal/arena"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
 	"sosf/internal/view"
@@ -43,15 +42,15 @@ const (
 )
 
 // cyclonPlan is one node's planned shuffle for the current round, computed
-// in the parallel plan phase and consumed by Deliver/Absorb. The send and
-// reply buffers are retained per slot, so steady-state planning allocates
-// nothing.
+// in the parallel plan phase and consumed by Deliver/Absorb. Its two
+// payloads live in the slot's plan region (sim.Ctx.PlanRegion): what this
+// node sends (self first) in the first gossip descriptors, what the
+// partner answers with in the next gossip; the record keeps their lengths.
 type cyclonPlan struct {
-	kind    int
-	partner view.NodeID
-	boot    view.Descriptor
-	send    []view.Descriptor // what this node sends (self first)
-	reply   []view.Descriptor // what the partner answers with
+	boot          view.Descriptor
+	partner       view.NodeID
+	nsend, nreply uint8
+	kind          uint8
 }
 
 // Protocol is the peer-sampling service. Create it with New, register it
@@ -62,7 +61,6 @@ type Protocol struct {
 	// state (headers and entries in contiguous arena-backed arrays).
 	states view.Table
 	plans  []cyclonPlan // per engine slot
-	arena  []view.Descriptor
 }
 
 var (
@@ -84,17 +82,20 @@ func (p *Protocol) View(slot int) *view.View { return p.states.At(slot) }
 // records, state table) to n slots.
 func (p *Protocol) Resize(n int) {
 	for len(p.plans) < n {
-		// Plan payloads are bounded by the shuffle length, so both
-		// buffers are carved from a chunked arena up front — one
-		// allocation per few hundred slots instead of two lazy ones per
-		// slot on its first exchange.
-		p.plans = append(p.plans, cyclonPlan{
-			send:  arena.Carve(&p.arena, gossip),
-			reply: arena.Carve(&p.arena, gossip),
-		})
+		p.plans = append(p.plans, cyclonPlan{})
 	}
 	p.plans = p.plans[:n]
 	p.states.Resize(n)
+}
+
+// PlanWidth implements sim.PlanCodec: both payloads of a shuffle, each
+// bounded by the shuffle length.
+func (p *Protocol) PlanWidth() int { return 2 * gossip }
+
+// payloads returns the two payload windows of a slot's plan region: what
+// the slot sends (self first) and what its partner answers with.
+func payloads(region []view.Descriptor) (send, reply []view.Descriptor) {
+	return region[:gossip:gossip], region[gossip : 2*gossip : 2*gossip]
 }
 
 // InitNode implements sim.Protocol: it allocates the node's view and seeds
@@ -129,9 +130,9 @@ func (p *Protocol) Refresh(ctx *sim.Ctx) {
 }
 
 // Plan implements sim.Protocol: compute one active Cyclon shuffle against a
-// read-only snapshot of the overlay. Payloads and samples land in the
-// slot's retained plan record; intermediates live on the worker pad — a
-// steady-state plan performs zero heap allocations.
+// read-only snapshot of the overlay. Payloads land in the slot's plan
+// region, their lengths in its plan record; intermediates live on the
+// worker pad — a steady-state plan performs zero heap allocations.
 func (p *Protocol) Plan(ctx *sim.Ctx) {
 	slot := ctx.Slot()
 	self := ctx.Node()
@@ -168,28 +169,30 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 
 	sample := view.SampleInto(ctx.Rand(), pool, gossip-1, pad.Sample[:0], &pad.Sampler)
 	pad.Sample = sample
-	send := append(pl.send[:0], self.Descriptor())
+	sendBuf, replyBuf := payloads(ctx.PlanRegion(slot))
+	send := append(sendBuf[:0], self.Descriptor())
 	send = append(send, sample...)
-	pl.send = send
+	pl.nsend = uint8(len(send))
 
 	target := e.Lookup(partner.ID)
 	if target == nil || !target.Alive || !ctx.Deliver(target.Slot) {
 		// Timeout: the request bytes are spent, the entry stays purged.
 		pl.kind = planTimeout
-		ctx.Count(sim.DescriptorPayload(len(pl.send)))
+		ctx.Count(sim.DescriptorPayload(len(send)))
 		return
 	}
 
 	// Passive side: the partner answers with a random sample of its own
 	// (still frozen) view. All draws come from the active node's stream.
 	pl.kind = planDelivered
-	pl.reply = p.states.At(target.Slot).RandomSampleInto(ctx.Rand(), gossip, pl.reply[:0], &pad.Sampler)
+	reply := p.states.At(target.Slot).RandomSampleInto(ctx.Rand(), gossip, replyBuf[:0], &pad.Sampler)
+	pl.nreply = uint8(len(reply))
 
 	// Route and meter here at the end of Plan: bytes land in the worker's
 	// meter shard, the routing in the sender's lane, and the engine merges
 	// lanes per destination shard in the Deliver phase.
-	ctx.Count(sim.DescriptorPayload(len(pl.send)))
-	ctx.Count(sim.DescriptorPayload(len(pl.reply)))
+	ctx.Count(sim.DescriptorPayload(len(send)))
+	ctx.Count(sim.DescriptorPayload(len(reply)))
 	ctx.Route(target.Slot)
 }
 
@@ -208,12 +211,14 @@ func (p *Protocol) Absorb(ctx *sim.Ctx) {
 	case planTimeout:
 		v.Remove(pl.partner)
 	case planDelivered:
+		send, reply := payloads(ctx.PlanRegion(slot))
 		v.Remove(pl.partner)
-		mergeCyclon(v, self.ID, pl.reply, pl.send, &pad.IDs)
+		mergeCyclon(v, self.ID, reply[:pl.nreply], send[:pl.nsend], &pad.IDs)
 	}
 	for sender := ctx.FirstSender(); sender >= 0; sender = ctx.NextSender(sender) {
 		spl := &p.plans[sender]
-		mergeCyclon(v, self.ID, spl.send, spl.reply, &pad.IDs)
+		send, reply := payloads(ctx.PlanRegion(sender))
+		mergeCyclon(v, self.ID, send[:spl.nsend], reply[:spl.nreply], &pad.IDs)
 	}
 }
 

@@ -2,11 +2,21 @@ package peersampling
 
 import (
 	"testing"
+	"unsafe"
 
 	"sosf/internal/graph"
 	"sosf/internal/sim"
 	"sosf/internal/view"
 )
+
+// TestCyclonPlanSizeof pins a plan record at the bootstrap contact, the
+// partner, the two payload lengths and the kind: the payloads live in the
+// engine's plan region, so a slice header here is a regression.
+func TestCyclonPlanSizeof(t *testing.T) {
+	if got := unsafe.Sizeof(cyclonPlan{}); got != 56 {
+		t.Fatalf("unsafe.Sizeof(cyclonPlan{}) = %d, want 56", got)
+	}
+}
 
 func buildNetwork(t *testing.T, seed int64, n int) (*sim.Engine, *Protocol) {
 	t.Helper()

@@ -17,37 +17,40 @@ import (
 var _ sim.PlanCodec = (*Protocol)(nil)
 
 // EncodePlan implements sim.PlanCodec.
-func (p *Protocol) EncodePlan(w *snap.Writer, slot int) {
+func (p *Protocol) EncodePlan(w *snap.Writer, slot int, region []view.Descriptor) {
 	pl := &p.plans[slot]
-	w.Int(pl.kind)
+	w.Int(int(pl.kind))
 	switch pl.kind {
 	case planBoot:
 		snap.WriteDescriptor(w, pl.boot)
 	case planTimeout:
 		w.Varint(int64(pl.partner))
 	case planDelivered:
+		send, reply := payloads(region)
 		w.Varint(int64(pl.partner))
-		snap.WriteDescriptors(w, pl.send)
-		snap.WriteDescriptors(w, pl.reply)
+		snap.WriteDescriptors(w, send[:pl.nsend])
+		snap.WriteDescriptors(w, reply[:pl.nreply])
 	}
 }
 
 // DecodePlan implements sim.PlanCodec.
-func (p *Protocol) DecodePlan(r *snap.Reader, slot int) error {
+func (p *Protocol) DecodePlan(r *snap.Reader, slot int, region []view.Descriptor) error {
 	pl := &p.plans[slot]
-	pl.kind = r.Int()
-	switch pl.kind {
+	kind := r.Int()
+	switch kind {
 	case planNone:
 	case planBoot:
 		pl.boot = snap.ReadDescriptor(r)
 	case planTimeout:
 		pl.partner = view.NodeID(r.Varint())
 	case planDelivered:
+		send, reply := payloads(region)
 		pl.partner = view.NodeID(r.Varint())
-		pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
-		pl.reply = snap.ReadDescriptorsInto(r, pl.reply[:0])
+		pl.nsend = uint8(snap.ReadDescriptorsWithin(r, send))
+		pl.nreply = uint8(snap.ReadDescriptorsWithin(r, reply))
 	default:
-		return fmt.Errorf("peersampling: unknown plan kind %d", pl.kind)
+		return fmt.Errorf("peersampling: unknown plan kind %d", kind)
 	}
+	pl.kind = uint8(kind)
 	return nil
 }

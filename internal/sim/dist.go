@@ -5,8 +5,9 @@ package sim
 // only the Plan phase of the exchange-routing protocols: each process plans
 // the slots of its contiguous shard, the planned records cross the wire at
 // that protocol's Deliver barrier, and every process then imports the
-// remote shards' records — rebuilding plan records and setting their route
-// lanes — before running the (replicated) Deliver merge and Absorb phases
+// remote shards' records — rebuilding plan records, writing their payloads
+// into the remote slots' plan regions and setting their route lanes —
+// before running the (replicated) Deliver merge and Absorb phases
 // over the whole population.
 //
 // Byte-identity at any shard count falls out of the same discipline that
@@ -42,20 +43,31 @@ import (
 	"sort"
 
 	"sosf/internal/snap"
+	"sosf/internal/view"
 )
 
 // PlanCodec is implemented by the protocols that route exchanges; the
 // engine keeps a route table for each, and a distributed round shards
-// their Plan phase across processes. EncodePlan writes the body of one
-// slot's plan record: the fields that its own and its partners' Absorb
-// read.
-// DecodePlan reads one body back into the slot's plan record. DecodePlan
-// may index its per-slot records by slot unchecked: the frame passes only
-// slots below Size(), and the engine's Resize calls size the records to
-// cover every such slot.
+// their Plan phase across processes.
+//
+// PlanWidth is how many descriptors of a slot's plan region (see
+// Ctx.PlanRegion) the protocol's Plan writes at most. The engine re-reads
+// it at the start of every round and sizes the region to the largest
+// width, so a width may grow between rounds; a protocol that keeps its
+// payloads elsewhere declares 0.
+//
+// EncodePlan writes the body of one slot's plan record: the fields that
+// its own and its partners' Absorb read, payloads taken from region, the
+// slot's plan region. DecodePlan reads one body back into the slot's plan
+// record and its payloads into region, so an imported record is absorbed
+// exactly like a local one; it must reject a payload that does not fit the
+// protocol's PlanWidth. DecodePlan may index its per-slot records by slot
+// unchecked: the frame passes only slots below Size(), and the engine's
+// Resize calls size the records to cover every such slot.
 type PlanCodec interface {
-	EncodePlan(w *snap.Writer, slot int)
-	DecodePlan(r *snap.Reader, slot int) error
+	PlanWidth() int
+	EncodePlan(w *snap.Writer, slot int, region []view.Descriptor)
+	DecodePlan(r *snap.Reader, slot int, region []view.Descriptor) error
 }
 
 // ErrBadPlan is wrapped by every error DecodePlans returns for a malformed
@@ -71,7 +83,7 @@ func (e *Engine) EncodePlans(pi int, w *snap.Writer, slots []int) {
 	for _, slot := range slots {
 		w.Int(slot)
 		w.Int(int(box.planned[slot]))
-		codec.EncodePlan(w, slot)
+		codec.EncodePlan(w, slot, e.planRegion(slot))
 	}
 }
 
@@ -94,7 +106,7 @@ func (e *Engine) DecodePlans(pi int, r *snap.Reader) error {
 		if lane < -1 || lane >= size {
 			return fmt.Errorf("%w: slot %d lane %d out of range [-1,%d)", ErrBadPlan, slot, lane, size)
 		}
-		err := codec.DecodePlan(r, slot)
+		err := codec.DecodePlan(r, slot, e.planRegion(slot))
 		if err == nil {
 			err = r.Err()
 		}
@@ -130,6 +142,7 @@ type ShardExchange func(pi int, codec PlanCodec, shard []int) error
 func (e *Engine) RunRoundSharded(lo, hi int, exch ShardExchange) (stop bool, err error) {
 	alive := e.alive()
 	e.ensureCtxs()
+	e.sizePlans()
 	for pi, p := range e.protocols {
 		e.runPhase(pi, phaseRefresh, alive)
 		if codec, ok := p.(PlanCodec); ok && exch != nil {

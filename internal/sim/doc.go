@@ -23,11 +23,12 @@
 //     protocol (one that implements PlanCodec) the engine first clears the
 //     slot's route lane and receive list in its route table.
 //  2. Plan — parallel over alive slots. Compute the slot's gossip exchange
-//     (partner choice, payloads, delivery outcome) into protocol-owned
-//     per-slot plan records, meter the bytes put on the wire via Ctx.Count
-//     (which meters the running protocol, in a per-worker shard), and
-//     route the exchange with Ctx.Route (a sender-owned lane in the
-//     engine's route table).
+//     (partner choice, payloads, delivery outcome): payloads into the
+//     slot's plan region (Ctx.PlanRegion), their lengths and the scalar
+//     fields into protocol-owned per-slot plan records. Meter the bytes
+//     put on the wire via Ctx.Count (which meters the running protocol,
+//     in a per-worker shard), and route the exchange with Ctx.Route (a
+//     sender-owned lane in the engine's route table).
 //  3. Deliver — parallel over destination shards, engine-driven. The
 //     engine splits the slot space into contiguous target ranges, one per
 //     worker, and merges the protocol's route lanes into per-target
@@ -48,8 +49,21 @@
 // ctx.Slot() only, and may read other protocols' state for ctx.Slot()
 // only. A Plan must treat every view and table as read-only — other
 // workers are reading them too — but may write state no other slot's Plan
-// reads (its own plan record, its own route lane). Plan records of other
-// slots are frozen by Absorb time and safe to read.
+// reads (its own plan record, its own plan region, its own route lane).
+// Plan records and regions of other slots are frozen by Absorb time and
+// safe to read.
+//
+// # The plan region
+//
+// The engine owns one plan region per slot, as many descriptors wide as
+// the largest PlanCodec.PlanWidth of the registered routing protocols,
+// re-derived at the start of every round (a reconfiguration can widen a
+// protocol's bound). Protocols step one at a time, so the region is
+// shared: a routing protocol's payloads are valid from its Plan until the
+// end of its Absorb, and the next protocol's Plan reuses the storage. A
+// plan record therefore keeps payload lengths, never slices, and a
+// distributed round's DecodePlans writes imported payloads into the
+// regions of the slots they belong to.
 //
 // One caveat from metering at Plan time: if a hook kills a node between
 // Plan and Deliver (possible only from test hooks — nothing in the runtime
@@ -66,8 +80,9 @@
 // restored node count, in RestoreState. The hot state is struct-of-arrays
 // throughout: the engine's node table is one contiguous []Node; per-slot
 // view headers live in view.Table's dense array with their descriptor
-// entries carved from a shared chunked arena (internal/arena); plan
-// payloads and record tables are likewise carved via arena.Carve. A
+// entries carved from a shared chunked arena (internal/arena); record
+// tables are likewise carved via arena.Carve, and plan payloads live in
+// the engine's plan region, one protocol's worth per slot. A
 // million-node population is a handful of large arrays that phases stream
 // through in slot order, not millions of scattered heap objects — which is
 // also what keeps the garbage collector out of steady-state rounds

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 
 	"sosf/internal/view"
 )
@@ -18,8 +19,11 @@ import (
 // engine-driven (the per-destination-shard inbox merge): a protocol routes
 // exchanges if and only if it implements PlanCodec, and it then routes
 // with Ctx.Route in Plan and reads what it received in Absorb through
-// Ctx.Target, FirstSender and NextSender. Ctx.Count meters the protocol
-// whose phase is running.
+// Ctx.Target, FirstSender and NextSender. A routing protocol's Plan writes
+// its payloads into the slot's plan region (Ctx.PlanRegion), which the
+// engine lends to one protocol at a time: the payloads stay valid until
+// the end of that protocol's Absorb, and the next protocol's Plan reuses
+// the storage. Ctx.Count meters the protocol whose phase is running.
 type Protocol interface {
 	// Name identifies the protocol in bandwidth reports and traces.
 	Name() string
@@ -32,7 +36,8 @@ type Protocol interface {
 	InitNode(e *Engine, slot int)
 	// Refresh runs the slot's local state maintenance (phase 1).
 	Refresh(ctx *Ctx)
-	// Plan computes, meters, and routes the slot's exchange (phase 2).
+	// Plan computes, meters, and routes the slot's exchange (phase 2); a
+	// routing protocol writes its payloads into the slot's plan region.
 	Plan(ctx *Ctx)
 	// Absorb folds received payloads into the slot's state (phase 4).
 	Absorb(ctx *Ctx)
@@ -73,6 +78,13 @@ type Engine struct {
 	// route nothing); the engine grows it with the node table, resets a
 	// slot's entry in Refresh and merges it in the Deliver phase.
 	inboxes []*inbox
+	// plans is the plan region: planWidth descriptors per slot, slot s
+	// owning plans[s*planWidth:(s+1)*planWidth]. Every routing protocol
+	// writes its payloads here, one protocol at a time (see PlanRegion);
+	// planWidth is the largest PlanWidth any of them declares and only
+	// grows (sizePlans).
+	plans     []view.Descriptor
+	planWidth int
 	// roundEnd is the owner's round-end hook (see SetRoundEnd); nil ends
 	// every round without stopping.
 	roundEnd  func(e *Engine) (stop bool)
@@ -135,8 +147,9 @@ func New(seed int64) *Engine {
 // capacity is retained for the slot processed next.
 //
 // There is one pad per worker; a protocol must not hold pad buffers across
-// phase calls — anything that outlives the slot's turn belongs in the
-// protocol's per-slot plan records.
+// phase calls — payloads that outlive the slot's turn belong in its plan
+// region (Ctx.PlanRegion), everything else in the protocol's per-slot plan
+// records.
 type Pad struct {
 	// Sample is for intermediate descriptor selections (random samples).
 	Sample []view.Descriptor
@@ -222,6 +235,16 @@ func (c *Ctx) FirstSender() int { return int(c.box.head[c.slot]) }
 // NextSender returns the sender after the given one on this slot's
 // receive list, or -1 at the end.
 func (c *Ctx) NextSender(sender int) int { return int(c.box.next[sender]) }
+
+// PlanRegion returns the given slot's plan region: as many descriptors as
+// the largest PlanWidth of the registered routing protocols, shared by all
+// of them. A routing protocol's Plan writes its payloads into its own
+// slot's region, within the first PlanWidth descriptors it declares; its
+// Absorb reads them back, and its partners' and senders' payloads from
+// theirs. The payloads are valid from the protocol's Plan until the end of
+// its Absorb: the next protocol's Plan reuses the storage, so a plan
+// record keeps payload lengths, never the slices.
+func (c *Ctx) PlanRegion(slot int) []view.Descriptor { return c.e.planRegion(slot) }
 
 // Deliver decides whether one request/response exchange from the current
 // slot to the given slot goes through: the partition (if any) is consulted
@@ -357,7 +380,7 @@ func (e *Engine) AddNodes(n int) []int {
 }
 
 // sizeSlots sizes every protocol's per-slot tables to the node table and
-// extends every route table to cover it.
+// extends every route table and the plan region to cover it.
 func (e *Engine) sizeSlots() {
 	for pi, p := range e.protocols {
 		p.Resize(len(e.nodes))
@@ -365,6 +388,34 @@ func (e *Engine) sizeSlots() {
 			b.grow(len(e.nodes))
 		}
 	}
+	e.sizePlans()
+}
+
+// sizePlans sizes the plan region to the node table at the largest
+// PlanWidth the routing protocols declare now. A width can rise between
+// rounds (UO2's grows with the component count on a reconfiguration), so
+// every round re-derives it; a wider region is restrided from scratch,
+// which loses nothing, because no payload outlives its protocol's Absorb.
+func (e *Engine) sizePlans() {
+	width := e.planWidth
+	for _, p := range e.protocols {
+		if c, ok := p.(PlanCodec); ok {
+			width = max(width, c.PlanWidth())
+		}
+	}
+	if width > e.planWidth {
+		e.plans, e.planWidth = nil, width
+	}
+	if need := len(e.nodes) * width; len(e.plans) < need {
+		e.plans = slices.Grow(e.plans, need-len(e.plans))[:need]
+	}
+}
+
+// planRegion returns slot's plan region, capped at its width so an append
+// past it cannot reach the next slot's.
+func (e *Engine) planRegion(slot int) []view.Descriptor {
+	lo, hi := slot*e.planWidth, (slot+1)*e.planWidth
+	return e.plans[lo:hi:hi]
 }
 
 // InitNode runs every protocol's InitNode for the given slot. Call after

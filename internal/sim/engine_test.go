@@ -478,8 +478,11 @@ func (p *flipRouter) Absorb(ctx *Ctx) {
 		p.senders[slot] = append(p.senders[slot], s)
 	}
 }
-func (p *flipRouter) EncodePlan(w *snap.Writer, slot int)       {}
-func (p *flipRouter) DecodePlan(r *snap.Reader, slot int) error { return nil }
+func (p *flipRouter) PlanWidth() int                                                { return 0 }
+func (p *flipRouter) EncodePlan(w *snap.Writer, slot int, region []view.Descriptor) {}
+func (p *flipRouter) DecodePlan(r *snap.Reader, slot int, region []view.Descriptor) error {
+	return nil
+}
 
 // TestEngineResetsRoutesEachRound routes in one round and not in the next:
 // the second round must see no lane and no sender anywhere, which holds
@@ -508,6 +511,107 @@ func TestEngineResetsRoutesEachRound(t *testing.T) {
 			for slot := 0; slot < size; slot++ {
 				if p.targets[slot] != -1 || len(p.senders[slot]) != 0 {
 					t.Fatalf("silent round: slot %d saw lane %d senders %v, want none", slot, p.targets[slot], p.senders[slot])
+				}
+			}
+		})
+	}
+}
+
+// regionProbe is a toy routing protocol that fills its slot's plan region
+// with descriptors stamped by (round, slot, index, tag) and routes to the
+// slot tag+1 places to its right. Its Absorb checks that the payloads it
+// reads — its own, its target's and every sender's — still carry the
+// stamps their Plans wrote; prev, when set, is the probe registered just
+// before it, whose stamps its Plan must find in its own region first.
+type regionProbe struct {
+	tag, width int
+	prev       *regionProbe
+	lens       []int
+	bad        []int // per slot: payloads found overwritten
+	reused     []int // per slot: Plans that found prev's stamps
+}
+
+func regionStamp(tag, round, slot, i int) view.NodeID {
+	return view.NodeID(((round*100_000+slot)*64+i)*4 + tag)
+}
+
+func (p *regionProbe) Name() string { return fmt.Sprintf("region%d", p.tag) }
+func (p *regionProbe) Resize(n int) {
+	for len(p.lens) < n {
+		p.lens, p.bad, p.reused = append(p.lens, 0), append(p.bad, 0), append(p.reused, 0)
+	}
+}
+func (p *regionProbe) InitNode(e *Engine, slot int) {}
+func (p *regionProbe) Refresh(ctx *Ctx)             {}
+func (p *regionProbe) PlanWidth() int               { return p.width }
+func (p *regionProbe) Plan(ctx *Ctx) {
+	slot, round := ctx.Slot(), ctx.Round()
+	region := ctx.PlanRegion(slot)
+	if p.prev != nil && region[0].ID == regionStamp(p.prev.tag, round, slot, 0) {
+		p.reused[slot]++
+	}
+	n := 1 + (slot+round)%p.width
+	for i := 0; i < n; i++ {
+		region[i] = view.Descriptor{ID: regionStamp(p.tag, round, slot, i)}
+	}
+	p.lens[slot] = n
+	ctx.Route((slot + 1 + p.tag) % ctx.Engine().Size())
+}
+func (p *regionProbe) intact(ctx *Ctx, slot int) bool {
+	region := ctx.PlanRegion(slot)
+	for i := 0; i < p.lens[slot]; i++ {
+		if region[i].ID != regionStamp(p.tag, ctx.Round(), slot, i) {
+			return false
+		}
+	}
+	return true
+}
+func (p *regionProbe) Absorb(ctx *Ctx) {
+	slot := ctx.Slot()
+	if !p.intact(ctx, slot) || !p.intact(ctx, ctx.Target()) {
+		p.bad[slot]++
+	}
+	for s := ctx.FirstSender(); s >= 0; s = ctx.NextSender(s) {
+		if !p.intact(ctx, s) {
+			p.bad[slot]++
+		}
+	}
+}
+func (p *regionProbe) EncodePlan(w *snap.Writer, slot int, region []view.Descriptor) {}
+func (p *regionProbe) DecodePlan(r *snap.Reader, slot int, region []view.Descriptor) error {
+	return nil
+}
+
+// TestPlanRegionLifetime registers two routing protocols back to back,
+// sharing one plan region per slot at the wider one's width: every payload
+// a protocol's Plan writes must be intact through its Absorb — its own,
+// its target's and its senders' — while the second protocol's Plan must
+// find the first's stamps in its region, proving the storage is reused.
+// Worker counts 1 and 4 shard every phase, so the race detector sees the
+// reuse too.
+func TestPlanRegionLifetime(t *testing.T) {
+	const size, rounds = 512, 3
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(9)
+			e.SetWorkers(workers)
+			a := &regionProbe{tag: 1, width: 3}
+			b := &regionProbe{tag: 2, width: 7, prev: a}
+			e.Register(a)
+			e.Register(b)
+			for _, s := range e.AddNodes(size) {
+				e.InitNode(s)
+			}
+			if _, err := e.Run(rounds); err != nil {
+				t.Fatal(err)
+			}
+			for slot := 0; slot < size; slot++ {
+				if a.bad[slot]+b.bad[slot] != 0 {
+					t.Fatalf("slot %d found %d of protocol a's and %d of b's payloads overwritten before its Absorb",
+						slot, a.bad[slot], b.bad[slot])
+				}
+				if b.reused[slot] != rounds {
+					t.Fatalf("slot %d: b's Plan found a's payload in its region in %d of %d rounds", slot, b.reused[slot], rounds)
 				}
 			}
 		})

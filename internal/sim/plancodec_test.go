@@ -142,6 +142,30 @@ func badBody(name string) (body []byte, want string) {
 	return append(w.Encoded(), make([]byte, 8)...), want
 }
 
+// oversizeBody returns a record body the descriptor codec named name must
+// reject because its first payload holds more descriptors than any plan
+// region of the test system is wide — a delivered exchange for the
+// kind-tagged overlay codecs (kind 3 for rps, 2 for uo1 and core), a
+// published table for UO2 — or nil for PortSelect, whose records are not
+// descriptors. It also returns what the error must say.
+func oversizeBody(name string) (body []byte, want string) {
+	var w snap.Writer
+	switch name {
+	case "portselect":
+		return nil, ""
+	case "uo2":
+		w.Bool(false)
+	case "rps":
+		w.Int(3)
+		w.Varint(7)
+	default:
+		w.Int(2)
+		w.Varint(7)
+	}
+	snap.WriteDescriptors(&w, make([]view.Descriptor, 64))
+	return w.Encoded(), "descriptor window"
+}
+
 // uo2Timeout turns the UO2 record body good (a swap that did not time
 // out) into a timed-out one: the flag set, the same published table, and
 // the suspected partner after it.
@@ -215,6 +239,9 @@ func TestDecodePlansRejectsMalformed(t *testing.T) {
 				{"lane = size", "out of range", record(slot, size, good)},
 				{"bad body", want, record(slot, -1, body)},
 			}
+			if body, want := oversizeBody(c.name); body != nil {
+				bad = append(bad, badFrame{"payload wider than the plan region", want, record(slot, target, body)})
+			}
 			three := encodePlans(e, c.pi, c.slots[:3])
 			for cut := 0; cut < len(three); cut++ {
 				bad = append(bad, badFrame{fmt.Sprintf("truncated at %d of %d", cut, len(three)), "", three[:cut]})
@@ -275,13 +302,19 @@ const shardSlots = 2000
 // TestPlanCodecAllocationFree: once warm, encoding and decoding the
 // plan-record frame of a 2 000-slot shard allocates nothing, for every
 // routing protocol — a dist barrier moves its records through reused
-// buffers only.
+// buffers only. The routing protocols share one plan region per slot, and
+// the protocols after c have reused it since c's frame was captured, so
+// each case first decodes its captured frame: the re-encoding must then
+// give the captured bytes back.
 func TestPlanCodecAllocationFree(t *testing.T) {
 	e, cases := planSystemOf(t, shardSlots)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if len(c.slots) != shardSlots {
 				t.Fatalf("shard of %d slots, want %d", len(c.slots), shardSlots)
+			}
+			if err := decode(e, c, c.frame); err != nil {
+				t.Fatal(err)
 			}
 			var w snap.Writer
 			e.EncodePlans(c.pi, &w, c.slots)

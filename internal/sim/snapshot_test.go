@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sosf/internal/snap"
+	"sosf/internal/view"
 )
 
 // TestCountedSourceReplay is the foundation of serial-RNG restore: after an
@@ -71,9 +72,12 @@ func (p *snapProbe) Refresh(ctx *Ctx)             {}
 func (p *snapProbe) Plan(ctx *Ctx) {
 	p.marks[ctx.Slot()] = p.marks[ctx.Slot()]*31 + ctx.Rand().Uint64()
 }
-func (p *snapProbe) Absorb(ctx *Ctx)                           {}
-func (p *snapProbe) EncodePlan(w *snap.Writer, slot int)       {}
-func (p *snapProbe) DecodePlan(r *snap.Reader, slot int) error { return nil }
+func (p *snapProbe) Absorb(ctx *Ctx)                                               {}
+func (p *snapProbe) PlanWidth() int                                                { return 0 }
+func (p *snapProbe) EncodePlan(w *snap.Writer, slot int, region []view.Descriptor) {}
+func (p *snapProbe) DecodePlan(r *snap.Reader, slot int, region []view.Descriptor) error {
+	return nil
+}
 
 func (p *snapProbe) SnapshotSlot(w *snap.Writer, slot int) { w.U64(p.marks[slot]) }
 

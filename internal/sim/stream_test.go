@@ -218,10 +218,13 @@ func (p *probeProtocol) Plan(ctx *Ctx) {
 	}
 }
 
-// EncodePlan and DecodePlan make the probe a routing protocol; the route
-// lane is its whole plan, and the frame carries that.
-func (p *probeProtocol) EncodePlan(w *snap.Writer, slot int)       {}
-func (p *probeProtocol) DecodePlan(r *snap.Reader, slot int) error { return nil }
+// PlanWidth, EncodePlan and DecodePlan make the probe a routing protocol;
+// the route lane is its whole plan, and the frame carries that.
+func (p *probeProtocol) PlanWidth() int                                                { return 0 }
+func (p *probeProtocol) EncodePlan(w *snap.Writer, slot int, region []view.Descriptor) {}
+func (p *probeProtocol) DecodePlan(r *snap.Reader, slot int, region []view.Descriptor) error {
+	return nil
+}
 
 func (p *probeProtocol) Absorb(ctx *Ctx) {
 	slot := ctx.Slot()

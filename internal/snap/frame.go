@@ -117,13 +117,23 @@ func WriteDescriptors(w *Writer, ds []view.Descriptor) {
 	}
 }
 
-// ReadDescriptorsInto decodes a slice written by WriteDescriptors, appending
-// into dst (pass a [:0] prefix to reuse its capacity). On a corrupt stream
-// the reader's sticky error is set and the partial slice is returned.
-func ReadDescriptorsInto(r *Reader, dst []view.Descriptor) []view.Descriptor {
+// ReadDescriptorsWithin decodes a slice written by WriteDescriptors into
+// the leading elements of dst, a fixed window such as a plan payload's,
+// and returns how many it read. A slice longer than dst fails the reader
+// before anything is read, so a corrupt count can neither overrun the
+// window nor claim memory; on a corrupt stream the reader's sticky error
+// is set and the count read so far is returned.
+func ReadDescriptorsWithin(r *Reader, dst []view.Descriptor) int {
 	n := r.Len()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		dst = append(dst, ReadDescriptor(r))
+	if r.err == nil && n > len(dst) {
+		r.failf("%d descriptors exceed the %d-descriptor window", n, len(dst))
 	}
-	return dst
+	for i := 0; i < n; i++ {
+		d := ReadDescriptor(r)
+		if r.err != nil {
+			return i
+		}
+		dst[i] = d
+	}
+	return n
 }

@@ -476,6 +476,41 @@ func TestReadViewRejectsEntryCountPastData(t *testing.T) {
 	}
 }
 
+// TestReadDescriptorsWithinWindow: a descriptor slice decodes into the
+// leading elements of a window that fits it, leaving the rest untouched;
+// one descriptor too many fails the reader before any element is written,
+// and a cut stream fails it with the descriptors read so far.
+func TestReadDescriptorsWithinWindow(t *testing.T) {
+	ds := []view.Descriptor{{ID: 3, Age: 1}, {ID: 9, Profile: view.Profile{Comp: 2}}}
+	var w Writer
+	WriteDescriptors(&w, ds)
+	input := w.Encoded()
+
+	marker := view.Descriptor{ID: 77}
+	window := []view.Descriptor{marker, marker, marker}
+	r := NewBytesReader(input)
+	if n := ReadDescriptorsWithin(r, window); n != 2 || r.Err() != nil {
+		t.Fatalf("read %d descriptors, err %v; want 2, nil", n, r.Err())
+	}
+	if !slices.Equal(window, append(slices.Clone(ds), marker)) {
+		t.Fatalf("window = %v, want %v then the untouched marker", window, ds)
+	}
+
+	small := []view.Descriptor{marker}
+	r = NewBytesReader(input)
+	if n := ReadDescriptorsWithin(r, small); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("2 descriptors into a 1-wide window: read %d, err %v; want 0, ErrCorrupt", n, r.Err())
+	}
+	if small[0] != marker {
+		t.Fatalf("a rejected slice wrote %v into the window", small[0])
+	}
+
+	r = NewBytesReader(input[:len(input)-1])
+	if n := ReadDescriptorsWithin(r, window); n != 1 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("cut stream: read %d, err %v; want 1, ErrCorrupt", n, r.Err())
+	}
+}
+
 // TestAppendFrameKeepsPrefixAndBuffer: a frame read with AppendFrame lands
 // behind what dst already holds, reuses dst's array when it is big enough,
 // and leaves dst as it was when the frame is bad.

@@ -16,33 +16,36 @@ import (
 var _ sim.PlanCodec = (*Protocol)(nil)
 
 // EncodePlan implements sim.PlanCodec.
-func (p *Protocol) EncodePlan(w *snap.Writer, slot int) {
+func (p *Protocol) EncodePlan(w *snap.Writer, slot int, region []view.Descriptor) {
 	pl := &p.plans[slot]
-	w.Int(pl.kind)
+	w.Int(int(pl.kind))
 	switch pl.kind {
 	case planTimeout:
 		w.Varint(int64(pl.partner))
 	case planDelivered:
+		send, reply := p.payloads(region)
 		w.Varint(int64(pl.partner))
-		snap.WriteDescriptors(w, pl.send)
-		snap.WriteDescriptors(w, pl.reply)
+		snap.WriteDescriptors(w, send[:pl.nsend])
+		snap.WriteDescriptors(w, reply[:pl.nreply])
 	}
 }
 
 // DecodePlan implements sim.PlanCodec.
-func (p *Protocol) DecodePlan(r *snap.Reader, slot int) error {
+func (p *Protocol) DecodePlan(r *snap.Reader, slot int, region []view.Descriptor) error {
 	pl := &p.plans[slot]
-	pl.kind = r.Int()
-	switch pl.kind {
+	kind := r.Int()
+	switch kind {
 	case planNone:
 	case planTimeout:
 		pl.partner = view.NodeID(r.Varint())
 	case planDelivered:
+		send, reply := p.payloads(region)
 		pl.partner = view.NodeID(r.Varint())
-		pl.send = snap.ReadDescriptorsInto(r, pl.send[:0])
-		pl.reply = snap.ReadDescriptorsInto(r, pl.reply[:0])
+		pl.nsend = int32(snap.ReadDescriptorsWithin(r, send))
+		pl.nreply = int32(snap.ReadDescriptorsWithin(r, reply))
 	default:
-		return fmt.Errorf("vicinity %s: unknown plan kind %d", p.name, pl.kind)
+		return fmt.Errorf("vicinity %s: unknown plan kind %d", p.name, kind)
 	}
+	pl.kind = uint8(kind)
 	return nil
 }

@@ -17,7 +17,6 @@ import (
 	"math"
 	"slices"
 
-	"sosf/internal/arena"
 	"sosf/internal/peersampling"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
@@ -86,13 +85,15 @@ const (
 )
 
 // vicinityPlan is one node's planned exchange, computed in the parallel
-// plan phase against frozen views and consumed by Deliver/Absorb. Buffers
-// are retained per slot so steady-state planning allocates nothing.
+// plan phase against frozen views and consumed by Deliver/Absorb. Its two
+// payloads live in the slot's plan region (sim.Ctx.PlanRegion): the payload
+// for the partner (self first) in the first Gossip descriptors, the
+// partner's payload for this node in the next Gossip; the record keeps
+// their lengths.
 type vicinityPlan struct {
-	kind    int
-	partner view.NodeID
-	send    []view.Descriptor // payload for the partner (self first)
-	reply   []view.Descriptor // partner's payload for this node
+	partner       view.NodeID
+	nsend, nreply int32
+	kind          uint8
 }
 
 // Protocol is one self-organizing overlay instance.
@@ -111,7 +112,6 @@ type Protocol struct {
 	// state (headers and entries in contiguous arena-backed arrays).
 	states view.Table
 	plans  []vicinityPlan
-	arena  []view.Descriptor
 }
 
 var (
@@ -142,16 +142,21 @@ func (p *Protocol) View(slot int) *view.View { return p.states.At(slot) }
 // records, state table) to n slots, without touching any view.
 func (p *Protocol) Resize(n int) {
 	for len(p.plans) < n {
-		// Both payloads are bounded by the gossip budget; carving them
-		// from a chunked arena makes population setup two allocations
-		// per few hundred slots instead of two per slot.
-		p.plans = append(p.plans, vicinityPlan{
-			send:  arena.Carve(&p.arena, p.opts.Gossip),
-			reply: arena.Carve(&p.arena, p.opts.Gossip),
-		})
+		p.plans = append(p.plans, vicinityPlan{})
 	}
 	p.plans = p.plans[:n]
 	p.states.Resize(n)
+}
+
+// PlanWidth implements sim.PlanCodec: both payloads of an exchange, each
+// bounded by the gossip budget.
+func (p *Protocol) PlanWidth() int { return 2 * p.opts.Gossip }
+
+// payloads returns the two payload windows of a slot's plan region: the
+// sender's (self first) and the reply's, each Gossip descriptors.
+func (p *Protocol) payloads(region []view.Descriptor) (send, reply []view.Descriptor) {
+	g := p.opts.Gossip
+	return region[:g:g], region[g : 2*g : 2*g]
 }
 
 // InitNode implements sim.Protocol.
@@ -201,8 +206,8 @@ func (p *Protocol) Refresh(ctx *sim.Ctx) {
 
 // Plan implements sim.Protocol: choose a partner and compute both payloads
 // of the exchange against the frozen post-refresh views. Payload selection
-// and ranking run on the worker pad; the results land in the slot's
-// retained plan record.
+// and ranking run on the worker pad; the payloads land in the slot's plan
+// region, their lengths in its plan record.
 func (p *Protocol) Plan(ctx *sim.Ctx) {
 	slot := ctx.Slot()
 	self := ctx.Node()
@@ -215,8 +220,10 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 	if !ok {
 		return
 	}
+	sendBuf, replyBuf := p.payloads(ctx.PlanRegion(slot))
 	pl.partner = partner.ID
-	pl.send = p.selectFor(ctx, slot, partner.Profile, partner.ID, pl.send[:0])
+	send := p.selectFor(ctx, slot, partner.Profile, partner.ID, sendBuf[:0])
+	pl.nsend = int32(len(send))
 
 	target := e.Lookup(partner.ID)
 	if target == nil || !target.Alive || !ctx.Deliver(target.Slot) {
@@ -224,19 +231,20 @@ func (p *Protocol) Plan(ctx *sim.Ctx) {
 		// loss must not empty views, but dead peers accumulate penalties
 		// (they keep being selected as the oldest entry) and age out.
 		pl.kind = planTimeout
-		ctx.Count(sim.DescriptorPayload(len(pl.send)))
+		ctx.Count(sim.DescriptorPayload(len(send)))
 		return
 	}
 
 	// Passive side replies with its best candidates for us, drawn from its
 	// frozen views with the active node's stream.
 	pl.kind = planDelivered
-	pl.reply = p.selectFor(ctx, target.Slot, self.Profile, self.ID, pl.reply[:0])
+	reply := p.selectFor(ctx, target.Slot, self.Profile, self.ID, replyBuf[:0])
+	pl.nreply = int32(len(reply))
 
 	// Meter into the worker's shard and route via the sender's lane; the
 	// engine's Deliver phase merges lanes per destination shard.
-	ctx.Count(sim.DescriptorPayload(len(pl.send)))
-	ctx.Count(sim.DescriptorPayload(len(pl.reply)))
+	ctx.Count(sim.DescriptorPayload(len(send)))
+	ctx.Count(sim.DescriptorPayload(len(reply)))
 	ctx.Route(target.Slot)
 }
 
@@ -253,10 +261,12 @@ func (p *Protocol) Absorb(ctx *sim.Ctx) {
 	case planTimeout:
 		v.Penalize(pl.partner, uint16(p.opts.MaxAge/4+1))
 	case planDelivered:
-		p.apply(pad, self, v, pl.reply)
+		_, reply := p.payloads(ctx.PlanRegion(slot))
+		p.apply(pad, self, v, reply[:pl.nreply])
 	}
 	for sender := ctx.FirstSender(); sender >= 0; sender = ctx.NextSender(sender) {
-		p.apply(pad, self, v, p.plans[sender].send)
+		send, _ := p.payloads(ctx.PlanRegion(sender))
+		p.apply(pad, self, v, send[:p.plans[sender].nsend])
 	}
 }
 

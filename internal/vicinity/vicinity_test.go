@@ -2,11 +2,21 @@ package vicinity
 
 import (
 	"testing"
+	"unsafe"
 
 	"sosf/internal/peersampling"
 	"sosf/internal/sim"
 	"sosf/internal/view"
 )
+
+// TestVicinityPlanSizeof pins a plan record at the partner, the two
+// payload lengths and the kind: the payloads live in the engine's plan
+// region, so a slice header here is a regression.
+func TestVicinityPlanSizeof(t *testing.T) {
+	if got := unsafe.Sizeof(vicinityPlan{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(vicinityPlan{}) = %d, want 24", got)
+	}
+}
 
 // ringRanker ranks by cyclic distance between dense indices — a minimal
 // stand-in for the shapes package.
