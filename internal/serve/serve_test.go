@@ -427,6 +427,87 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsExposition pins the whole /metrics body after one playdemo
+// run: family order, HELP and TYPE lines, series order, the `name 0` line
+// of a family with no series, and values past 1e6 in exponent form. Only
+// the two clock-derived values are masked.
+func TestMetricsExposition(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	st := submit(t, ts, readFixture(t, "testdata/playdemo.sos"), true)
+	waitDone(t, ts, st.ID)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	for i, line := range lines {
+		for _, clocked := range []string{"sosf_serve_uptime_seconds ", "sosf_serve_rounds_per_second "} {
+			if strings.HasPrefix(line, clocked) {
+				lines[i] = clocked + "<masked>\n"
+			}
+		}
+	}
+	want := `# HELP sosf_serve_evictions_total Paused jobs checkpointed to disk under the memory budget.
+# TYPE sosf_serve_evictions_total counter
+sosf_serve_evictions_total 0
+# HELP sosf_serve_heal_latency_rounds_count Number of heal latencies in the sum.
+# TYPE sosf_serve_heal_latency_rounds_count counter
+sosf_serve_heal_latency_rounds_count 3
+# HELP sosf_serve_heal_latency_rounds_sum Cumulative rounds from each heal to the next full convergence.
+# TYPE sosf_serve_heal_latency_rounds_sum counter
+sosf_serve_heal_latency_rounds_sum 46
+# HELP sosf_serve_heals_total Self-healing re-densify repairs across all jobs.
+# TYPE sosf_serve_heals_total counter
+sosf_serve_heals_total 3
+# HELP sosf_serve_jobs Jobs currently in each lifecycle state.
+# TYPE sosf_serve_jobs gauge
+sosf_serve_jobs{state="done"} 1
+sosf_serve_jobs{state="evicted"} 0
+sosf_serve_jobs{state="failed"} 0
+sosf_serve_jobs{state="paused"} 0
+sosf_serve_jobs{state="pending"} 0
+sosf_serve_jobs{state="running"} 0
+# HELP sosf_serve_jobs_submitted_total Total jobs ever submitted.
+# TYPE sosf_serve_jobs_submitted_total counter
+sosf_serve_jobs_submitted_total 1
+# HELP sosf_serve_protocol_bytes_total Total bytes sent per protocol across all jobs.
+# TYPE sosf_serve_protocol_bytes_total counter
+sosf_serve_protocol_bytes_total{protocol="core"} 6.870894e+06
+sosf_serve_protocol_bytes_total{protocol="portconnect"} 68652
+sosf_serve_protocol_bytes_total{protocol="portselect"} 2.705599e+06
+sosf_serve_protocol_bytes_total{protocol="rps"} 1.039777e+07
+sosf_serve_protocol_bytes_total{protocol="uo1"} 6.860021e+06
+sosf_serve_protocol_bytes_total{protocol="uo2"} 3.580139e+06
+# HELP sosf_serve_restore_seconds_count Number of restore timings in the sum.
+# TYPE sosf_serve_restore_seconds_count counter
+sosf_serve_restore_seconds_count 0
+# HELP sosf_serve_restore_seconds_sum Cumulative seconds spent restoring evicted jobs.
+# TYPE sosf_serve_restore_seconds_sum counter
+sosf_serve_restore_seconds_sum 0
+# HELP sosf_serve_restores_total Evicted jobs restored from their checkpoint.
+# TYPE sosf_serve_restores_total counter
+sosf_serve_restores_total 0
+# HELP sosf_serve_rounds_per_second Rounds executed per second of server uptime.
+# TYPE sosf_serve_rounds_per_second gauge
+sosf_serve_rounds_per_second <masked>
+# HELP sosf_serve_rounds_total Total simulation rounds executed across all jobs.
+# TYPE sosf_serve_rounds_total counter
+sosf_serve_rounds_total 150
+# HELP sosf_serve_uptime_seconds Seconds since the server started.
+# TYPE sosf_serve_uptime_seconds gauge
+sosf_serve_uptime_seconds <masked>
+`
+	if got := strings.Join(lines, ""); got != want {
+		t.Errorf("/metrics body mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestLifecycleAndErrors(t *testing.T) {
 	src := readFixture(t, "testdata/ringpair.sos")
 	_, ts := newTestServer(t, Config{})
