@@ -2,8 +2,9 @@
 # Serve smoke: boot `sos serve`, submit the playdemo scenario over HTTP,
 # collect its SSE event stream, and byte-compare against the same golden
 # fixture the play and resume gates use — the service layer must be
-# invisible in the stream. Then check /metrics exposes the run. (Load on the
-# service is the benchmark's serve_jobs workload; see ci/check-bench.sh.)
+# invisible in the stream. Then check /metrics exposes the run and all 13
+# metric families. (Load on the service is the benchmark's serve_jobs
+# workload; see ci/check-bench.sh.)
 set -euo pipefail
 
 ADDR="127.0.0.1:${SERVE_PORT:-18080}"
@@ -22,7 +23,9 @@ curl -sf -X POST "http://$ADDR/jobs/$ID/wait" > /dev/null
 curl -sfN "http://$ADDR/jobs/$ID/events" \
   | awk '/^event: end/{exit} sub(/^data: /, "")' > /tmp/serve-events.jsonl
 cmp /tmp/serve-events.jsonl testdata/golden/playdemo.events.jsonl
-curl -sf "http://$ADDR/metrics" | grep -q '^sosf_serve_rounds_total 150$'
-curl -sf "http://$ADDR/metrics" | grep -q '^sosf_serve_protocol_bytes_total{protocol='
+curl -sf "http://$ADDR/metrics" > /tmp/serve-metrics.txt
+grep -q '^sosf_serve_rounds_total 150$' /tmp/serve-metrics.txt
+grep -q '^sosf_serve_protocol_bytes_total{protocol=' /tmp/serve-metrics.txt
+test "$(grep -c '^# TYPE sosf_serve_' /tmp/serve-metrics.txt)" -eq 13
 kill -INT $SERVE_PID
 wait $SERVE_PID

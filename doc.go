@@ -104,13 +104,12 @@
 // (different scenarios, different worker counts), which makes long runs
 // branchable and regressions bisectable by round.
 //
-// Protocol implementations participate through the per-slot
-// sim.Snapshotter hook: a protocol serializes one slot's complete
-// inter-round state in SnapshotSlot and rebuilds it — without drawing
-// randomness — in RestoreSlot, while the engine frames the slots and
-// checks their count. Every protocol in the engine must implement the hook
-// for a snapshot to be taken; partial checkpoints are refused rather than
-// silently written. The counter-based per-node RNG streams are what make
+// Protocol implementations participate through the per-slot hook of
+// sim.Protocol: a protocol serializes one slot's complete inter-round
+// state in SnapshotSlot and rebuilds it — without drawing randomness — in
+// RestoreSlot, while the engine frames the slots and checks their count.
+// The hook is part of the interface, so a protocol that could not be
+// checkpointed does not compile. The counter-based per-node RNG streams are what make
 // the contract cheap: in-round randomness is keyed by
 // (seed, node, round, protocol, phase) and needs no serialization at all,
 // while the engine's serial source is captured as a (seed, draw count)

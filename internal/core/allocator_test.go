@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"sosf/internal/sim"
+	"sosf/internal/snap"
 	"sosf/internal/spec"
 	"sosf/internal/view"
 )
@@ -46,12 +47,14 @@ func newPopulation(t *testing.T, n int, seed int64) *sim.Engine {
 
 type nopProtocol struct{}
 
-func (*nopProtocol) Name() string                  { return "nop" }
-func (*nopProtocol) Resize(n int)                  {}
-func (*nopProtocol) InitNode(e *sim.Engine, s int) {}
-func (*nopProtocol) Refresh(ctx *sim.Ctx)          {}
-func (*nopProtocol) Plan(ctx *sim.Ctx)             {}
-func (*nopProtocol) Absorb(ctx *sim.Ctx)           {}
+func (*nopProtocol) Name() string                        { return "nop" }
+func (*nopProtocol) Resize(n int)                        {}
+func (*nopProtocol) InitNode(e *sim.Engine, s int)       {}
+func (*nopProtocol) Refresh(ctx *sim.Ctx)                {}
+func (*nopProtocol) Plan(ctx *sim.Ctx)                   {}
+func (*nopProtocol) Absorb(ctx *sim.Ctx)                 {}
+func (*nopProtocol) SnapshotSlot(*snap.Writer, int)      {}
+func (*nopProtocol) RestoreSlot(*snap.Reader, int) error { return nil }
 
 func TestAllocatorRejectsInvalidTopology(t *testing.T) {
 	if _, err := NewAllocator(&spec.Topology{}); err == nil {

@@ -47,10 +47,7 @@ type connState struct {
 	remotes []PortRecord // indexed by position in alloc.SidesOf(comp)
 }
 
-var (
-	_ sim.Protocol    = (*PortConnect)(nil)
-	_ sim.Snapshotter = (*PortConnect)(nil)
-)
+var _ sim.Protocol = (*PortConnect)(nil)
 
 // NewPortConnect creates the port-connection protocol. uo2 may be nil (the
 // ablation experiment disables it; resolution then falls back to the
@@ -89,7 +86,7 @@ func (p *PortConnect) InitNode(e *sim.Engine, slot int) {
 	st.remotes = st.remotes[:0]
 }
 
-// SnapshotSlot implements sim.Snapshotter: the slot's belief-table sync
+// SnapshotSlot implements sim.Protocol: the slot's belief-table sync
 // key (epoch, component) and its remote-manager beliefs per link side.
 func (p *PortConnect) SnapshotSlot(w *snap.Writer, slot int) {
 	st := &p.states[slot]
@@ -98,7 +95,7 @@ func (p *PortConnect) SnapshotSlot(w *snap.Writer, slot int) {
 	writeRecords(w, st.remotes)
 }
 
-// RestoreSlot implements sim.Snapshotter.
+// RestoreSlot implements sim.Protocol.
 func (p *PortConnect) RestoreSlot(r *snap.Reader, slot int) error {
 	epoch := r.U32()
 	comp := view.ComponentID(r.Varint())

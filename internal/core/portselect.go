@@ -77,10 +77,7 @@ type portState struct {
 	records []PortRecord // indexed by port
 }
 
-var (
-	_ sim.Protocol    = (*PortSelect)(nil)
-	_ sim.Snapshotter = (*PortSelect)(nil)
-)
+var _ sim.Protocol = (*PortSelect)(nil)
 
 // portTTL bounds port-manager failover latency in rounds: a port record, or
 // a remote manager belief, whose stamp is older than this is dropped. It
@@ -131,7 +128,7 @@ func (p *PortSelect) InitNode(e *sim.Engine, slot int) {
 	st.records = st.records[:0]
 }
 
-// SnapshotSlot implements sim.Snapshotter: the slot's election-state sync
+// SnapshotSlot implements sim.Protocol: the slot's election-state sync
 // key (epoch, component) and its per-port best-known records.
 func (p *PortSelect) SnapshotSlot(w *snap.Writer, slot int) {
 	st := &p.states[slot]
@@ -140,7 +137,7 @@ func (p *PortSelect) SnapshotSlot(w *snap.Writer, slot int) {
 	writeRecords(w, st.records)
 }
 
-// RestoreSlot implements sim.Snapshotter. The published row is carved to
+// RestoreSlot implements sim.Protocol. The published row is carved to
 // the restored record width, as InitNode carves it to the port count.
 func (p *PortSelect) RestoreSlot(r *snap.Reader, slot int) error {
 	epoch := r.U32()

@@ -90,10 +90,7 @@ func (t *uo2State) reset() {
 	t.count = 0
 }
 
-var (
-	_ sim.Protocol    = (*UO2)(nil)
-	_ sim.Snapshotter = (*UO2)(nil)
-)
+var _ sim.Protocol = (*UO2)(nil)
 
 // uo2MaxAge bounds, in rounds, how long a distant-component contact that is
 // not refreshed (a dead one) can linger in a table.
@@ -131,7 +128,7 @@ func (u *UO2) InitNode(e *sim.Engine, slot int) {
 	u.states[slot].reset()
 }
 
-// SnapshotSlot implements sim.Snapshotter: the slot's dense contact table
+// SnapshotSlot implements sim.Protocol: the slot's dense contact table
 // — valid flags, descriptors, and absolute birth rounds (which can go
 // negative under timeout suspicion, hence the signed encoding).
 func (u *UO2) SnapshotSlot(w *snap.Writer, slot int) {
@@ -147,7 +144,7 @@ func (u *UO2) SnapshotSlot(w *snap.Writer, slot int) {
 	}
 }
 
-// RestoreSlot implements sim.Snapshotter.
+// RestoreSlot implements sim.Protocol.
 func (u *UO2) RestoreSlot(r *snap.Reader, slot int) error {
 	width := r.Len()
 	// Rows are appended as they arrive, so a corrupt width costs nothing

@@ -63,10 +63,7 @@ type Protocol struct {
 	plans  []cyclonPlan // per engine slot
 }
 
-var (
-	_ sim.Protocol    = (*Protocol)(nil)
-	_ sim.Snapshotter = (*Protocol)(nil)
-)
+var _ sim.Protocol = (*Protocol)(nil)
 
 // New creates a peer-sampling protocol.
 func New() *Protocol { return &Protocol{} }
@@ -112,13 +109,13 @@ func (p *Protocol) InitNode(e *sim.Engine, slot int) {
 	}
 }
 
-// SnapshotSlot implements sim.Snapshotter: the only inter-round state is
+// SnapshotSlot implements sim.Protocol: the only inter-round state is
 // the slot's partial view (plans and routing live inside one round).
 func (p *Protocol) SnapshotSlot(w *snap.Writer, slot int) {
 	snap.WriteView(w, p.states.At(slot))
 }
 
-// RestoreSlot implements sim.Snapshotter.
+// RestoreSlot implements sim.Protocol.
 func (p *Protocol) RestoreSlot(r *snap.Reader, slot int) error {
 	snap.ReadViewInto(r, &p.states, slot)
 	return nil

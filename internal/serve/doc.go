@@ -2,7 +2,7 @@
 // simulation service: an HTTP API that manages many concurrent simulation
 // jobs, streams their per-round events live over SSE, evicts idle jobs to
 // checkpoints so paused long-horizon runs cost no memory, and exposes a
-// Prometheus-text /metrics endpoint backed by a central stats registry.
+// Prometheus-text /metrics endpoint.
 // It is the subsystem behind `sos serve`.
 //
 // # Jobs
@@ -52,10 +52,12 @@
 //
 // # Metrics
 //
-// The Registry is a small central stats registry in the spirit of
-// aistore's stats package: named counter/gauge families with labels,
-// rendered in Prometheus text exposition format. The server feeds it job
-// state counts, round throughput, per-protocol bandwidth (from the
-// engine's Meter via sosf.(*System).ProtocolBandwidth), eviction and
-// restore counters, and restore latency.
+// The server keeps one mutex-guarded struct of typed counters (metrics.go)
+// and renders it on every scrape: job state counts, round throughput,
+// per-protocol bandwidth (from the engine's Meter via
+// sosf.(*System).ProtocolBandwidth), self-healing repairs and their
+// heal-to-reconvergence latency, eviction and restore counters, and
+// restore latency. One function writes the 13 families in name order, so
+// the exposition is byte-stable: the family names are API, scraped by
+// name by ci/check-serve.sh and the benchmark's serve_jobs workload.
 package serve

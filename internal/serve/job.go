@@ -73,8 +73,8 @@ func (j *Job) setStateLocked(s State) {
 // buildLocked constructs the job's sosf.System from its retained spec —
 // fresh for a first start, from the eviction checkpoint when restore is
 // set — and wires the event sink: every round appends the canonical JSONL
-// line to the spool, advances the job's round and feeds the server's stats
-// registry.
+// line to the spool, advances the job's round and feeds the server's
+// metrics.
 func (j *Job) buildLocked(restore bool) error {
 	extra := []sosf.Option{sosf.WithRunToEnd()}
 	if restore {
@@ -169,10 +169,13 @@ func (j *Job) noteRound(ev sosf.RoundEvent) {
 		j.pendingHeals = append(j.pendingHeals, ev.Round)
 	}
 	if ev.Converged && len(j.pendingHeals) > 0 {
+		m := &j.srv.metrics
+		m.mu.Lock()
 		for _, hr := range j.pendingHeals {
-			j.srv.stats.Add(metricHealLatSum, float64(ev.Round-hr))
-			j.srv.stats.Add(metricHealLatCnt, 1)
+			m.healLatSum += int64(ev.Round - hr)
 		}
+		m.healLatCnt += int64(len(j.pendingHeals))
+		m.mu.Unlock()
 		j.pendingHeals = j.pendingHeals[:0]
 	}
 }

@@ -293,14 +293,14 @@ func TestEvictionRestoreMidStream(t *testing.T) {
 		t.Errorf("post-hoc replay diverges from standalone play (%d vs %d bytes)", len(replay), want.Len())
 	}
 
-	if n := srv.stats.Get(metricEvictions); n < 1 {
-		t.Errorf("evictions_total = %g, want >= 1", n)
+	srv.metrics.mu.Lock()
+	evictions, restores := srv.metrics.evictions, srv.metrics.restores
+	srv.metrics.mu.Unlock()
+	if evictions < 1 {
+		t.Errorf("evictions_total = %d, want >= 1", evictions)
 	}
-	if n := srv.stats.Get(metricRestores); n < 1 {
-		t.Errorf("restores_total = %g, want >= 1", n)
-	}
-	if n := srv.stats.Get(metricRestoreSecCnt); n < 1 {
-		t.Errorf("restore_seconds_count = %g, want >= 1", n)
+	if restores < 1 {
+		t.Errorf("restores_total = %d, want >= 1", restores)
 	}
 }
 
@@ -370,14 +370,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	series := promSeries(t, string(raw))
 
-	if got := series[metricRounds]; got != 150 {
-		t.Errorf("%s = %g, want 150 (one full playdemo run)", metricRounds, got)
+	if got := series["sosf_serve_rounds_total"]; got != 150 {
+		t.Errorf("%s = %g, want 150 (one full playdemo run)", "sosf_serve_rounds_total", got)
 	}
-	if got := series[metricSubmitted]; got != 1 {
-		t.Errorf("%s = %g, want 1", metricSubmitted, got)
+	if got := series["sosf_serve_jobs_submitted_total"]; got != 1 {
+		t.Errorf("%s = %g, want 1", "sosf_serve_jobs_submitted_total", got)
 	}
 	for _, state := range allStates {
-		key := fmt.Sprintf(`%s{state="%s"}`, metricJobs, state)
+		key := fmt.Sprintf(`%s{state="%s"}`, "sosf_serve_jobs", state)
 		want := 0.0
 		if state == StateDone {
 			want = 1
@@ -390,7 +390,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// and the protocol names must match the engine's meter.
 	protoSeen := 0
 	for name, v := range series {
-		if strings.HasPrefix(name, metricProtocolBytes+"{") {
+		if strings.HasPrefix(name, "sosf_serve_protocol_bytes_total"+"{") {
 			protoSeen++
 			if v <= 0 {
 				t.Errorf("%s = %g, want > 0", name, v)
@@ -398,32 +398,32 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	if protoSeen == 0 {
-		t.Errorf("no %s series exported", metricProtocolBytes)
+		t.Errorf("no %s series exported", "sosf_serve_protocol_bytes_total")
 	}
-	if got := series[metricUptime]; got <= 0 {
-		t.Errorf("%s = %g, want > 0", metricUptime, got)
+	if got := series["sosf_serve_uptime_seconds"]; got <= 0 {
+		t.Errorf("%s = %g, want > 0", "sosf_serve_uptime_seconds", got)
 	}
-	if got := series[metricRoundsPerSec]; got <= 0 {
-		t.Errorf("%s = %g, want > 0", metricRoundsPerSec, got)
+	if got := series["sosf_serve_rounds_per_second"]; got <= 0 {
+		t.Errorf("%s = %g, want > 0", "sosf_serve_rounds_per_second", got)
 	}
 	// The playdemo blast at round 30 is big enough to trip the runtime's
 	// self-healing re-densification, and the run converges afterwards, so
 	// both the heal counter and the heal-to-reconvergence latency summary
 	// must carry samples.
-	if got := series[metricHeals]; got < 1 {
-		t.Errorf("%s = %g, want >= 1 (the playdemo blast heals)", metricHeals, got)
+	if got := series["sosf_serve_heals_total"]; got < 1 {
+		t.Errorf("%s = %g, want >= 1 (the playdemo blast heals)", "sosf_serve_heals_total", got)
 	}
-	if got := series[metricHealLatCnt]; got < 1 {
-		t.Errorf("%s = %g, want >= 1", metricHealLatCnt, got)
+	if got := series["sosf_serve_heal_latency_rounds_count"]; got < 1 {
+		t.Errorf("%s = %g, want >= 1", "sosf_serve_heal_latency_rounds_count", got)
 	}
-	if cnt := series[metricHealLatCnt]; cnt > 0 {
-		if sum := series[metricHealLatSum]; sum < 0 || sum/cnt > 150 {
-			t.Errorf("%s/%s = %g/%g, want a sane mean latency in rounds", metricHealLatSum, metricHealLatCnt, sum, cnt)
+	if cnt := series["sosf_serve_heal_latency_rounds_count"]; cnt > 0 {
+		if sum := series["sosf_serve_heal_latency_rounds_sum"]; sum < 0 || sum/cnt > 150 {
+			t.Errorf("%s/%s = %g/%g, want a sane mean latency in rounds", "sosf_serve_heal_latency_rounds_sum", "sosf_serve_heal_latency_rounds_count", sum, cnt)
 		}
 	}
 	// Families with no series yet must still be present (scrape-stable).
-	if _, ok := series[metricEvictions]; !ok {
-		t.Errorf("untouched counter %s missing from scrape", metricEvictions)
+	if _, ok := series["sosf_serve_evictions_total"]; !ok {
+		t.Errorf("untouched counter %s missing from scrape", "sosf_serve_evictions_total")
 	}
 }
 

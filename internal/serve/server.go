@@ -16,27 +16,10 @@ import (
 	"sosf"
 )
 
-// Metric family names exported on /metrics. They are stable API: the CI
-// smoke test and the benchmark's serve_jobs workload scrape them by name.
-const (
-	metricJobs          = "sosf_serve_jobs"
-	metricSubmitted     = "sosf_serve_jobs_submitted_total"
-	metricRounds        = "sosf_serve_rounds_total"
-	metricRoundsPerSec  = "sosf_serve_rounds_per_second"
-	metricProtocolBytes = "sosf_serve_protocol_bytes_total"
-	metricEvictions     = "sosf_serve_evictions_total"
-	metricRestores      = "sosf_serve_restores_total"
-	metricRestoreSecSum = "sosf_serve_restore_seconds_sum"
-	metricRestoreSecCnt = "sosf_serve_restore_seconds_count"
-	metricHeals         = "sosf_serve_heals_total"
-	metricHealLatSum    = "sosf_serve_heal_latency_rounds_sum"
-	metricHealLatCnt    = "sosf_serve_heal_latency_rounds_count"
-	metricUptime        = "sosf_serve_uptime_seconds"
-)
-
-// allStates drives the jobs-by-state gauge: every state is always exported,
-// zero-valued series included, so dashboards never see vanishing series.
-var allStates = []State{StatePending, StateRunning, StatePaused, StateEvicted, StateDone, StateFailed}
+// allStates drives the jobs-by-state gauge, in label order: every state is
+// always exported, zero-valued series included, so dashboards never see
+// vanishing series.
+var allStates = []State{StateDone, StateEvicted, StateFailed, StatePaused, StatePending, StateRunning}
 
 // maxSpecBytes bounds a POST /jobs body; a topology larger than this is a
 // mistake, not a workload.
@@ -63,7 +46,7 @@ type Config struct {
 // the job lifecycle and the API surface.
 type Server struct {
 	cfg      Config // as given, Log defaulted
-	stats    *Registry
+	metrics  metrics
 	started  time.Time
 	lruClock atomic.Int64
 
@@ -73,7 +56,7 @@ type Server struct {
 	nextID int
 }
 
-// NewServer creates the job directory and registers the metric families.
+// NewServer creates the job directory.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("serve: Config.Dir is required")
@@ -84,53 +67,43 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Log == nil {
 		cfg.Log = log.New(io.Discard, "", 0)
 	}
-	s := &Server{
+	return &Server{
 		cfg:     cfg,
-		stats:   NewRegistry(),
+		metrics: metrics{protocolBytes: make(map[string]int64)},
 		started: time.Now(),
 		jobs:    make(map[string]*Job),
-	}
-	s.stats.Gauge(metricJobs, "Jobs currently in each lifecycle state.")
-	s.stats.Counter(metricSubmitted, "Total jobs ever submitted.")
-	s.stats.Counter(metricRounds, "Total simulation rounds executed across all jobs.")
-	s.stats.Gauge(metricRoundsPerSec, "Rounds executed per second of server uptime.")
-	s.stats.Counter(metricProtocolBytes, "Total bytes sent per protocol across all jobs.")
-	s.stats.Counter(metricEvictions, "Paused jobs checkpointed to disk under the memory budget.")
-	s.stats.Counter(metricRestores, "Evicted jobs restored from their checkpoint.")
-	s.stats.Counter(metricRestoreSecSum, "Cumulative seconds spent restoring evicted jobs.")
-	s.stats.Counter(metricRestoreSecCnt, "Number of restore timings in the sum.")
-	s.stats.Counter(metricHeals, "Self-healing re-densify repairs across all jobs.")
-	s.stats.Counter(metricHealLatSum, "Cumulative rounds from each heal to the next full convergence.")
-	s.stats.Counter(metricHealLatCnt, "Number of heal latencies in the sum.")
-	s.stats.Gauge(metricUptime, "Seconds since the server started.")
-	return s, nil
+	}, nil
 }
 
 // tickLRU advances the eviction clock; each lifecycle access stamps its job.
 func (s *Server) tickLRU() int64 { return s.lruClock.Add(1) }
 
-// noteRound feeds the stats registry from a job's event sink: one round
-// executed, this round's per-protocol bandwidth from the engine meter, and
-// any self-healing repairs (with their heal-to-reconvergence latency
-// tracked per job).
+// noteRound feeds /metrics from a job's event sink: one round executed,
+// this round's per-protocol bandwidth from the engine meter, and any
+// self-healing repairs (with their heal-to-reconvergence latency tracked
+// per job).
 func (s *Server) noteRound(j *Job, sys *sosf.System, names []string, ev sosf.RoundEvent) {
-	s.stats.Add(metricRounds, 1)
-	for p, b := range sys.ProtocolBandwidth(ev.Round - 1) {
+	bw := sys.ProtocolBandwidth(ev.Round - 1)
+	m := &s.metrics
+	m.mu.Lock()
+	m.rounds++
+	for p, b := range bw {
 		if b != 0 {
-			s.stats.Add(metricProtocolBytes, float64(b), "protocol", names[p])
+			m.protocolBytes[names[p]] += b
 		}
 	}
-	if ev.Heals > 0 {
-		s.stats.Add(metricHeals, float64(ev.Heals))
-	}
+	m.heals += int64(ev.Heals)
+	m.mu.Unlock()
 	j.noteRound(ev)
 }
 
 // noteRestore records a timed eviction restore.
 func (s *Server) noteRestore(d time.Duration) {
-	s.stats.Add(metricRestores, 1)
-	s.stats.Add(metricRestoreSecSum, d.Seconds())
-	s.stats.Add(metricRestoreSecCnt, 1)
+	m := &s.metrics
+	m.mu.Lock()
+	m.restores++
+	m.restoreSec += d.Seconds()
+	m.mu.Unlock()
 }
 
 // Submit registers a new pending job from a POST /jobs body.
@@ -164,7 +137,7 @@ func (s *Server) Submit(body []byte) (*Job, error) {
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.mu.Unlock()
-	s.stats.Add(metricSubmitted, 1)
+	s.metrics.add(&s.metrics.submitted, 1)
 	s.cfg.Log.Printf("serve: submitted %s (%s)", id, name)
 	return j, nil
 }
@@ -245,7 +218,7 @@ func (s *Server) maybeEvict() {
 		if !ok {
 			return // the victim moved on concurrently; re-counting would spin
 		}
-		s.stats.Add(metricEvictions, 1)
+		s.metrics.add(&s.metrics.evictions, 1)
 		s.cfg.Log.Printf("serve: evicted %s (resident %d > budget %d)", victim.id, resident, s.cfg.MaxResident)
 	}
 }
@@ -442,23 +415,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics refreshes the computed gauges and renders the registry.
+// handleMetrics counts the jobs in each state and renders the metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	counts := make(map[State]int, len(allStates))
+	jobs := make(map[State]int, len(allStates))
 	for _, j := range s.list() {
-		st := j.status()
-		counts[st.State]++
+		jobs[j.status().State]++
 	}
-	for _, st := range allStates {
-		s.stats.Set(metricJobs, float64(counts[st]), "state", string(st))
-	}
-	uptime := time.Since(s.started).Seconds()
-	s.stats.Set(metricUptime, uptime)
-	rps := 0.0
-	if uptime > 0 {
-		rps = s.stats.Get(metricRounds) / uptime
-	}
-	s.stats.Set(metricRoundsPerSec, rps)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.stats.WritePrometheus(w)
+	s.metrics.write(w, jobs, time.Since(s.started).Seconds())
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 
+	"sosf/internal/snap"
 	"sosf/internal/view"
 )
 
@@ -24,6 +25,20 @@ import (
 // engine lends to one protocol at a time: the payloads stay valid until
 // the end of that protocol's Absorb, and the next protocol's Plan reuses
 // the storage. Ctx.Count meters the protocol whose phase is running.
+//
+// SnapshotSlot and RestoreSlot are the checkpoint hook: they serialize and
+// rebuild one slot's complete inter-round state, such that a restored run
+// replays the uninterrupted one byte for byte. The engine owns the slot
+// frame of each protocol's body: it writes the slot count, then calls
+// SnapshotSlot for every slot in ascending order. On restore it sizes the
+// protocol's tables with Resize, checks the body's count against the
+// restored node table (a mismatch fails with ErrSlotCount), and calls
+// RestoreSlot for every slot in the same order. Both run between rounds
+// only, so plan records, route lanes and scratch pads, which live strictly
+// inside one round, are never serialized. RestoreSlot must draw no
+// randomness: the engine's serial RNG is part of the snapshot, and a stray
+// draw during restore would desynchronize every round that follows. It may
+// leave a read error in r for the engine to report.
 type Protocol interface {
 	// Name identifies the protocol in bandwidth reports and traces.
 	Name() string
@@ -41,6 +56,10 @@ type Protocol interface {
 	Plan(ctx *Ctx)
 	// Absorb folds received payloads into the slot's state (phase 4).
 	Absorb(ctx *Ctx)
+	// SnapshotSlot serializes the slot's complete inter-round state.
+	SnapshotSlot(w *snap.Writer, slot int)
+	// RestoreSlot rebuilds the slot's state from what SnapshotSlot wrote.
+	RestoreSlot(r *snap.Reader, slot int) error
 }
 
 // Node is one simulated process. Slot is its dense index in the engine;
@@ -102,6 +121,9 @@ type Engine struct {
 	aliveOK    bool
 	// randScratch backs RandomAlive's low-liveness fallback filter.
 	randScratch []int
+	// snapBody is SnapshotState's protocol-body window: empty until the
+	// first checkpoint, then as large as the largest body encoded.
+	snapBody snap.Writer
 
 	// Worker pool for the parallel phases. ctxs holds one execution
 	// context (scratch pad + stream slot + meter shard) per worker; the

@@ -15,6 +15,7 @@ import (
 // bump writes only the slot's own cell, so the protocol stays race-free
 // at any worker count).
 type countingProtocol struct {
+	noSnapshot
 	name  string
 	inits []int
 	steps []int
@@ -213,7 +214,10 @@ func TestMeterHistory(t *testing.T) {
 
 // meterProbe counts a fixed number of bytes for every slot in each of its
 // Refresh, Plan and Absorb phases.
-type meterProbe struct{ bytes int }
+type meterProbe struct {
+	noSnapshot
+	bytes int
+}
 
 func (p *meterProbe) Name() string                 { return fmt.Sprintf("meter%d", p.bytes) }
 func (p *meterProbe) Resize(n int)                 {}
@@ -449,6 +453,7 @@ func TestShardedDeliverAllocationFree(t *testing.T) {
 // rounds and routes nothing in odd rounds, recording what each slot's
 // Absorb sees: its own lane and its sender list.
 type flipRouter struct {
+	noSnapshot
 	targets []int
 	senders [][]int
 }
@@ -524,6 +529,7 @@ func TestEngineResetsRoutesEachRound(t *testing.T) {
 // stamps their Plans wrote; prev, when set, is the probe registered just
 // before it, whose stamps its Plan must find in its own region first.
 type regionProbe struct {
+	noSnapshot
 	tag, width int
 	prev       *regionProbe
 	lens       []int

@@ -9,33 +9,6 @@ import (
 	"sosf/internal/view"
 )
 
-// Snapshotter is the checkpoint/restore hook of the Protocol interface:
-// protocols that implement it can serialize their complete per-slot state
-// into a snapshot and rebuild it later, such that a restored run replays
-// the uninterrupted one byte for byte.
-//
-// The engine owns the slot frame of each protocol's body: it writes the
-// slot count, then calls SnapshotSlot for every slot in ascending order.
-// On restore it sizes the protocol's tables to the restored node table
-// with Resize, checks the body's count against that table (a mismatch
-// fails with ErrSlotCount), and calls RestoreSlot for every slot in the
-// same order. Both are called between rounds only, so plan records, route
-// lanes, and scratch pads — state that lives strictly inside one round —
-// are never serialized. RestoreSlot must draw from no random source: the
-// engine's serial RNG is part of the snapshot, and a stray draw during
-// restore would desynchronize every round that follows. It may leave a
-// read error in r for the engine to report.
-//
-// SnapshotState fails if a registered protocol does not implement
-// Snapshotter — a partial snapshot could not honor the resume-equivalence
-// contract, so there is no silent skip.
-type Snapshotter interface {
-	// SnapshotSlot serializes the slot's complete inter-round state.
-	SnapshotSlot(w *snap.Writer, slot int)
-	// RestoreSlot rebuilds the slot's state from what SnapshotSlot wrote.
-	RestoreSlot(r *snap.Reader, slot int) error
-}
-
 // ErrSlotCount is wrapped by the error RestoreState returns when a
 // protocol body's slot count differs from the restored node table.
 var ErrSlotCount = errors.New("sim: slot count mismatch")
@@ -101,14 +74,8 @@ const maxSerialDraws = 1 << 44
 // byte for byte, at any worker count. It writes no container header: the
 // caller (core.System) owns the stream's header and embeds this body.
 // Call it between rounds only (mid-phase state is deliberately not
-// serializable). It fails up front if any registered protocol cannot
-// checkpoint itself.
+// serializable).
 func (e *Engine) SnapshotState(w *snap.Writer) error {
-	for _, p := range e.protocols {
-		if _, ok := p.(Snapshotter); !ok {
-			return fmt.Errorf("sim: protocol %q does not implement Snapshotter", p.Name())
-		}
-	}
 	w.I64(e.seed)
 	w.Uvarint(e.src.n)
 	w.Int(e.round)
@@ -135,14 +102,15 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 	e.meter.snapshot(w)
 
 	// A body's length prefix comes before its slots, so each body is
-	// encoded whole into one window reused across protocols.
+	// encoded whole into one window, kept on the engine and reused across
+	// protocols and checkpoints.
 	w.Len(len(e.protocols))
-	var body snap.Writer
+	body := &e.snapBody
 	for _, p := range e.protocols {
 		body.Reset(body.Encoded()[:0])
 		body.Len(len(e.nodes))
 		for slot := range e.nodes {
-			p.(Snapshotter).SnapshotSlot(&body, slot)
+			p.SnapshotSlot(body, slot)
 		}
 		w.String(p.Name())
 		w.Bytes(body.Encoded())
@@ -157,12 +125,6 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 // untouched: resuming with a different worker count yields the same
 // results.
 func (e *Engine) RestoreState(r *snap.Reader) error {
-	for _, p := range e.protocols {
-		if _, ok := p.(Snapshotter); !ok {
-			return fmt.Errorf("sim: protocol %q does not implement Snapshotter", p.Name())
-		}
-	}
-
 	seed := r.I64()
 	draws := r.Uvarint()
 	round := r.Int()
@@ -289,9 +251,8 @@ func (e *Engine) restoreBody(p Protocol, r *snap.Reader, size int) error {
 	if n != len(e.nodes) {
 		return fmt.Errorf("%w: snapshot covers %d slots, engine has %d", ErrSlotCount, n, len(e.nodes))
 	}
-	s := p.(Snapshotter)
 	for slot := 0; slot < n; slot++ {
-		if err := s.RestoreSlot(r, slot); err != nil {
+		if err := p.RestoreSlot(r, slot); err != nil {
 			return err
 		}
 		if err := r.Err(); err != nil {

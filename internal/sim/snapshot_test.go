@@ -172,26 +172,12 @@ func TestEngineSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotRequiresSnapshotter: an engine with a plain protocol cannot
-// checkpoint — partial snapshots are refused loudly, never written quietly.
-type plainProbe struct{}
+// noSnapshot gives test probes that keep no inter-round state Protocol's
+// checkpoint hook, as no-ops.
+type noSnapshot struct{}
 
-func (plainProbe) Name() string          { return "plain" }
-func (plainProbe) Resize(int)            {}
-func (plainProbe) InitNode(*Engine, int) {}
-func (plainProbe) Refresh(*Ctx)          {}
-func (plainProbe) Plan(*Ctx)             {}
-func (plainProbe) Absorb(*Ctx)           {}
-
-func TestSnapshotRequiresSnapshotter(t *testing.T) {
-	e := New(1)
-	e.Register(plainProbe{})
-	e.AddNodes(4)
-	_, err := snapshotState(e)
-	if err == nil || !strings.Contains(err.Error(), "plain") {
-		t.Fatalf("err = %v, want Snapshotter complaint naming the protocol", err)
-	}
-}
+func (noSnapshot) SnapshotSlot(*snap.Writer, int)      {}
+func (noSnapshot) RestoreSlot(*snap.Reader, int) error { return nil }
 
 // TestRestoreRejectsAbsurdDrawCount: a corrupted draw count must produce
 // an error, not an effectively infinite fast-forward loop.

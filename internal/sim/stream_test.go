@@ -190,6 +190,7 @@ func TestInboxMergeSkipsDeadAndRerouted(t *testing.T) {
 // meter history (which hashes the whole exchange pattern) must match
 // across worker counts.
 type probeProtocol struct {
+	noSnapshot
 	picks []int // per-slot planned target
 	sums  []uint64
 }

@@ -28,8 +28,8 @@
 // trailer) must go through one *Reader, handed from decoder to decoder.
 //
 // The codec is deliberately dumb: it has no schema, no field tags, and no
-// skipping. Structure lives in the callers (sim.Engine, the protocol
-// Snapshotter implementations, core.System), which delimit variable parts
+// skipping. Structure lives in the callers (sim.Engine, the protocols'
+// SnapshotSlot/RestoreSlot methods, core.System), which delimit variable parts
 // with explicit counts and length-prefixed sections. What the codec does
 // own is versioning: Header/Expect reject foreign files, wrong kinds, and
 // future format versions with precise errors instead of garbage reads.

@@ -114,10 +114,7 @@ type Protocol struct {
 	plans  []vicinityPlan
 }
 
-var (
-	_ sim.Protocol    = (*Protocol)(nil)
-	_ sim.Snapshotter = (*Protocol)(nil)
-)
+var _ sim.Protocol = (*Protocol)(nil)
 
 // New creates an overlay named name, ranked by ranker, drawing random
 // candidates from rps (may be nil only if opts.NoRandomFeed is set) and,
@@ -164,14 +161,14 @@ func (p *Protocol) InitNode(e *sim.Engine, slot int) {
 	p.states.Init(slot, p.ranker.Capacity(e.Node(slot).Profile))
 }
 
-// SnapshotSlot implements sim.Snapshotter: the inter-round state is the
+// SnapshotSlot implements sim.Protocol: the inter-round state is the
 // slot's overlay view (capacity included — it is re-derived from the
 // ranker on the next Refresh anyway, but the view's entry order is state).
 func (p *Protocol) SnapshotSlot(w *snap.Writer, slot int) {
 	snap.WriteView(w, p.states.At(slot))
 }
 
-// RestoreSlot implements sim.Snapshotter.
+// RestoreSlot implements sim.Protocol.
 func (p *Protocol) RestoreSlot(r *snap.Reader, slot int) error {
 	snap.ReadViewInto(r, &p.states, slot)
 	return nil
