@@ -48,24 +48,16 @@ type Config struct {
 	ResumePath string
 }
 
-// spec is the run description a hello carries. The coordinator and every
-// worker build their replica from it through buildReplica, so a worker
-// cannot configure its system differently from the coordinator: that
-// shared constructor is the determinism contract's foundation.
-func (h *hello) spec(threads int) sosf.RunSpec {
-	rs := sosf.RunSpec{Source: h.Source, Nodes: h.Nodes, Churn: h.Churn, Loss: h.Loss, Workers: threads}
-	if h.SeedSet {
-		rs.Seed = &h.Seed
-	}
-	return rs
-}
-
 // buildReplica constructs and (for resumed runs) restores one replica from
-// a hello — the identical path on the coordinator and every worker.
+// a hello — the identical path on the coordinator and every worker, so a
+// worker cannot configure its system differently from the coordinator:
+// that shared constructor is the determinism contract's foundation.
 func buildReplica(h *hello, threads int) (*sosf.System, error) {
+	rs := h.Run
+	rs.Workers = threads
 	// Distributed runs are play-like: the stream only makes sense run to
 	// the end, and a convergence stop would have to be coordinated.
-	sys, err := sosf.New(h.Source, h.spec(threads).Options(sosf.WithRunToEnd())...)
+	sys, err := sosf.New(rs.Source, rs.Options(sosf.WithRunToEnd())...)
 	if err != nil {
 		return nil, err
 	}
@@ -100,13 +92,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("dist: need at least 1 shard, got %d", cfg.Shards)
 	}
 	h := hello{
-		Seed:    cfg.Seed,
-		SeedSet: cfg.SeedSet,
-		Nodes:   cfg.Nodes,
-		Loss:    cfg.Loss,
-		Churn:   cfg.Churn,
-		Shards:  cfg.Shards,
-		Source:  cfg.Source,
+		Run:    sosf.RunSpec{Source: cfg.Source, Nodes: cfg.Nodes, Churn: cfg.Churn, Loss: cfg.Loss},
+		Shards: cfg.Shards,
+	}
+	if cfg.SeedSet {
+		seed := cfg.Seed
+		h.Run.Seed = &seed
 	}
 	if cfg.ResumePath != "" {
 		blob, err := os.ReadFile(cfg.ResumePath)
@@ -147,12 +138,13 @@ func (c *Coordinator) System() *sosf.System { return c.sys }
 const faultWait = time.Second
 
 // Run drives the whole run over the given worker connections, one per
-// shard: handshake, round loop with one exchange per sharded protocol per
-// round, and the final SnapPath checkpoint. On any error the workers are
-// told (a best-effort fkFault to each at once, for at most faultWait) and
-// every connection is closed, so a single dead or broken peer fails the
-// run within one barrier instead of hanging it. Run closes the connections
-// in every case.
+// shard: handshake (every hello written before any ack is read, so the
+// workers build their replicas at once), round loop with one exchange per
+// sharded protocol per round, and the final SnapPath checkpoint. On any
+// error the workers are told (a best-effort fkFault to each at once, for
+// at most faultWait) and every connection is closed, so a single dead or
+// broken peer fails the run within one barrier instead of hanging it. Run
+// closes the connections in every case.
 func (c *Coordinator) Run(conns []Conn) error {
 	abort := func(err error) error {
 		sent := make(chan struct{}, len(conns))
@@ -181,7 +173,14 @@ func (c *Coordinator) Run(conns []Conn) error {
 	}
 	c.conns = conns
 	for i, conn := range conns {
-		if err := c.handshake(i, conn); err != nil {
+		h := c.hello
+		h.Shard = i
+		if err := snap.WriteFrame(conn, fkHello, encodeHello(&h)); err != nil {
+			return abort(fmt.Errorf("%w: shard %d/%d in handshake: %v", ErrWorkerDead, i, c.cfg.Shards, err))
+		}
+	}
+	for i, conn := range conns {
+		if err := c.awaitAck(i, conn); err != nil {
 			return abort(err)
 		}
 	}
@@ -201,14 +200,10 @@ func (c *Coordinator) Run(conns []Conn) error {
 	return nil
 }
 
-// handshake sends worker i its hello and verifies the ack.
-func (c *Coordinator) handshake(i int, conn Conn) error {
-	h := c.hello
-	h.Shard = i
-	if err := snap.WriteFrame(conn, fkHello, encodeHello(&h)); err != nil {
-		return fmt.Errorf("%w: shard %d/%d in handshake: %v", ErrWorkerDead, i, c.cfg.Shards, err)
-	}
-	kind, payload, err := snap.ReadFrame(conn, 0)
+// awaitAck reads worker i's answer to its hello: an ack naming its shard
+// once its replica is built, or the fault that stopped the build.
+func (c *Coordinator) awaitAck(i int, conn Conn) error {
+	kind, payload, err := snap.ReadFrame(conn)
 	if err != nil {
 		return fmt.Errorf("%w: shard %d/%d in handshake: %v", ErrWorkerDead, i, c.cfg.Shards, err)
 	}
@@ -218,13 +213,12 @@ func (c *Coordinator) handshake(i int, conn Conn) error {
 	if kind != fkHelloAck {
 		return fmt.Errorf("%w: shard %d sent frame kind %d in handshake, want ack", ErrProtocol, i, kind)
 	}
-	digest, shard, err := decodeAck(payload)
+	shard, err := decodeAck(payload)
 	if err != nil {
 		return err
 	}
-	if digest != c.hello.digest() || shard != i {
-		return fmt.Errorf("%w: shard %d acked digest %#x shard %d, want %#x shard %d",
-			ErrTopologyMismatch, i, digest, shard, c.hello.digest(), i)
+	if shard != i {
+		return fmt.Errorf("%w: shard %d acked shard %d", ErrProtocol, i, shard)
 	}
 	return nil
 }
@@ -242,7 +236,7 @@ func (c *Coordinator) exchange(pi int, _ sim.PlanCodec, _ []int) error {
 	agg := appendAggregateHead(c.buf[:0], round, pi, n)
 	for i, conn := range c.conns {
 		start := len(agg)
-		kind, out, err := snap.AppendFrame(agg, conn, 0)
+		kind, out, err := snap.AppendFrame(agg, conn)
 		c.buf = out
 		if err != nil {
 			return fmt.Errorf("%w: shard %d/%d at round %d barrier %d: %v", ErrWorkerDead, i, n, round, pi, err)

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -271,6 +272,32 @@ func TestThreadsRule(t *testing.T) {
 	}
 }
 
+// TestHelloRoundTrip: decodeHello returns every field encodeHello was
+// given, the seed's presence included, and the rest of the payload as the
+// checkpoint blob.
+func TestHelloRoundTrip(t *testing.T) {
+	seed := int64(-7)
+	zero := int64(0)
+	for _, want := range []hello{
+		{Run: sosf.RunSpec{Source: testSource}, Shards: 1, TotalRounds: 3},
+		{Run: sosf.RunSpec{Source: testSource, Seed: &zero}, Shards: 1},
+		{Run: sosf.RunSpec{Source: "x", Nodes: 40, Seed: &seed, Churn: 0.25, Loss: 0.125},
+			Shard: 2, Shards: 3, StartRound: 75, TotalRounds: 120, Snapshot: []byte("checkpoint blob")},
+	} {
+		got, err := decodeHello(encodeHello(&want))
+		if err != nil {
+			t.Fatalf("%+v: %v", want, err)
+		}
+		if !bytes.Equal(got.Snapshot, want.Snapshot) {
+			t.Errorf("snapshot %q, want %q", got.Snapshot, want.Snapshot)
+		}
+		got.Snapshot, want.Snapshot = nil, nil
+		if !reflect.DeepEqual(*got, want) {
+			t.Errorf("decoded %+v, want %+v", *got, want)
+		}
+	}
+}
+
 // TestAggregateSplicedInPlace assembles an aggregate the way the
 // coordinator does — plans payloads read behind the head and spliced in
 // place — and requires every shard's meter and records back from it, and a
@@ -325,7 +352,7 @@ func TestAggregateSplicedInPlace(t *testing.T) {
 // protocol at every byte: decoding it and importing its records must fail
 // as snap.ErrCorrupt, never panic.
 func TestTruncatedPlansAreCorrupt(t *testing.T) {
-	sys, err := buildReplica(&hello{Source: testSource, Shards: 1}, 1)
+	sys, err := buildReplica(&hello{Run: sosf.RunSpec{Source: testSource}, Shards: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +394,7 @@ func TestTruncatedPlansAreCorrupt(t *testing.T) {
 // spliced into an aggregate, and the aggregate decoded and imported
 // through a reused Reader — and requires it warm to allocate nothing.
 func TestBarrierPayloadsAllocationFree(t *testing.T) {
-	sys, err := buildReplica(&hello{Source: testSource, Shards: 1}, 1)
+	sys, err := buildReplica(&hello{Run: sosf.RunSpec{Source: testSource}, Shards: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

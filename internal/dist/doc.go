@@ -11,9 +11,9 @@
 //
 // # Topology
 //
-// Every replica is built from the same DSL source, seed, and behavior
-// configuration (the handshake ships all three, so workers cannot drift).
-// Worker k owns the contiguous slot shard
+// Every replica is built from the same run description, a sosf.RunSpec
+// (DSL source, population, seed, churn, loss), which the handshake ships,
+// so workers cannot drift. Worker k owns the contiguous slot shard
 //
 //	[k·size/N, (k+1)·size/N)
 //
@@ -78,6 +78,12 @@
 //	RUNNING   --fkPlans/fkAggregate cycles, one per barrier--> RUNNING
 //	RUNNING   --round loop reaches the hello's TotalRounds--> DONE
 //	any state --fkFault / read error--> FAILED (named error, run aborted)
+//
+// The handshake is one frame each way: the coordinator writes every
+// worker's fkHello before it reads the first ack, so the replicas build at
+// once, then reads the acks, which carry only the shard index, in shard
+// order; a worker whose build fails answers with an fkFault instead. Every
+// end is the same binary, so the hello carries no version or run digest.
 //
 // An end that fails tells its peer with a best-effort fkFault before it
 // closes the connection. Both ends of a pipe can fail the same barrier and

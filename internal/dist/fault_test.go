@@ -11,9 +11,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
+	"sosf"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
 )
@@ -32,26 +34,6 @@ func within(t *testing.T, what string, fn func() error) error {
 	case <-time.After(faultTimeout):
 		t.Fatalf("%s: still blocked after %v (protocol hang)", what, faultTimeout)
 		return nil
-	}
-}
-
-// TestWorkerRejectsVersionMismatch hand-crafts a hello from a future
-// protocol version; the worker must fail with ErrVersionMismatch and the
-// coordinator side must learn about it from the fault frame.
-func TestWorkerRejectsVersionMismatch(t *testing.T) {
-	co, wk := net.Pipe()
-	go func() {
-		var w snap.Writer
-		w.Header("dist-hello")
-		w.U16(wireVersion + 1)
-		_ = snap.WriteFrame(co, fkHello, w.Encoded())
-		// Drain the worker's fault report so its write can complete.
-		_, _, _ = snap.ReadFrame(co, 0)
-		co.Close()
-	}()
-	err := within(t, "worker handshake", func() error { return RunWorker(wk, 1, "") })
-	if !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("worker error = %v, want ErrVersionMismatch", err)
 	}
 }
 
@@ -96,7 +78,7 @@ func TestWorkerSurfacesTruncatedFrame(t *testing.T) {
 // TestWorkerSurfacesChecksumMismatch flips one payload bit in an otherwise
 // valid hello frame.
 func TestWorkerSurfacesChecksumMismatch(t *testing.T) {
-	h := &hello{Source: testSource, Shards: 1, TotalRounds: 3}
+	h := &hello{Run: sosf.RunSpec{Source: testSource}, Shards: 1, TotalRounds: 3}
 	var frame bytes.Buffer
 	if err := snap.WriteFrame(&frame, fkHello, encodeHello(h)); err != nil {
 		t.Fatal(err)
@@ -129,13 +111,8 @@ func TestCoordinatorSurvivesWorkerDeathMidRun(t *testing.T) {
 	go func() { surviving <- RunWorker(wk0, 1, "") }()
 	go func() {
 		// Shard 1 handshakes by the book, then dies before planning.
-		kind, payload, err := snap.ReadFrame(wk1, 0)
-		if err != nil || kind != fkHello {
-			wk1.Close()
-			return
-		}
-		if _, digest, err := decodeHello(payload); err == nil {
-			_ = snap.WriteFrame(wk1, fkHelloAck, encodeAck(digest, 1))
+		if kind, _, err := snap.ReadFrame(wk1); err == nil && kind == fkHello {
+			_ = snap.WriteFrame(wk1, fkHelloAck, encodeAck(1))
 		}
 		wk1.Close()
 	}()
@@ -152,28 +129,50 @@ func TestCoordinatorSurvivesWorkerDeathMidRun(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsStaleAck pins the handshake's digest check: a
-// worker acking a different run must be turned away.
-func TestCoordinatorRejectsStaleAck(t *testing.T) {
-	c, err := NewCoordinator(Config{Source: testSource, Shards: 1, Rounds: 3, RoundsSet: true, Threads: 1})
+// TestHellosPrecedeAcks has each worker's first write, its ack, wait until
+// every worker has reached it, that is until every hello has arrived. The
+// run finishes only if the coordinator writes all hellos before it awaits
+// the first ack, so the replicas build at once.
+func TestHellosPrecedeAcks(t *testing.T) {
+	const shards = 2
+	cfg := Config{Source: testSource, Shards: shards, Rounds: 5, RoundsSet: true, Threads: 1}
+	c, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, wk := net.Pipe()
-	go func() {
-		if kind, _, err := snap.ReadFrame(wk, 0); err != nil || kind != fkHello {
-			wk.Close()
-			return
-		}
-		_ = snap.WriteFrame(wk, fkHelloAck, encodeAck(0xdeadbeef, 0))
-		// Drain the coordinator's fault report so its abort can finish.
-		_, _, _ = snap.ReadFrame(wk, 0)
-		wk.Close()
-	}()
-	coordErr := within(t, "coordinator handshake", func() error { return c.Run([]Conn{co}) })
-	if !errors.Is(coordErr, ErrTopologyMismatch) {
-		t.Fatalf("coordinator error = %v, want ErrTopologyMismatch", coordErr)
+	var arrived sync.WaitGroup
+	arrived.Add(shards)
+	conns := make([]Conn, shards)
+	workerErrs := make(chan error, shards)
+	for i := range conns {
+		co, wk := net.Pipe()
+		conns[i] = co
+		go func() { workerErrs <- RunWorker(&ackGate{Conn: wk, arrived: &arrived}, 1, "") }()
 	}
+	if err := within(t, "coordinator run", func() error { return c.Run(conns) }); err != nil {
+		t.Fatal(err)
+	}
+	for range conns {
+		if err := within(t, "worker", func() error { return <-workerErrs }); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// ackGate holds a worker's first write until every worker of the run has
+// reached its own.
+type ackGate struct {
+	Conn
+	once    sync.Once
+	arrived *sync.WaitGroup
+}
+
+func (g *ackGate) Write(p []byte) (int, error) {
+	g.once.Do(func() {
+		g.arrived.Done()
+		g.arrived.Wait()
+	})
+	return g.Conn.Write(p)
 }
 
 // TestCorruptPlansFailEveryEnd has shard 1 of 2 send a plans frame whose
@@ -217,11 +216,11 @@ func TestCorruptPlansFailEveryEnd(t *testing.T) {
 // records and hold none. It returns the error the next frame brings.
 func corruptPlansWorker(conn Conn) error {
 	defer conn.Close()
-	kind, payload, err := snap.ReadFrame(conn, 0)
+	kind, payload, err := snap.ReadFrame(conn)
 	if err != nil || kind != fkHello {
 		return fmt.Errorf("hello: kind %d, %v", kind, err)
 	}
-	h, digest, err := decodeHello(payload)
+	h, err := decodeHello(payload)
 	if err != nil {
 		return err
 	}
@@ -229,7 +228,7 @@ func corruptPlansWorker(conn Conn) error {
 	if err != nil {
 		return err
 	}
-	if err := snap.WriteFrame(conn, fkHelloAck, encodeAck(digest, h.Shard)); err != nil {
+	if err := snap.WriteFrame(conn, fkHelloAck, encodeAck(h.Shard)); err != nil {
 		return err
 	}
 	lo, hi := shardRange(sys.Size(), h.Shard, h.Shards)
@@ -244,10 +243,10 @@ func corruptPlansWorker(conn Conn) error {
 		if err := snap.WriteFrame(conn, fkPlans, w.Encoded()); err != nil {
 			return err
 		}
-		if kind, _, err := snap.ReadFrame(conn, 0); err != nil || kind != fkAggregate {
+		if kind, _, err := snap.ReadFrame(conn); err != nil || kind != fkAggregate {
 			return fmt.Errorf("aggregate: kind %d, %v", kind, err)
 		}
-		kind, payload, err := snap.ReadFrame(conn, 0)
+		kind, payload, err := snap.ReadFrame(conn)
 		if err != nil {
 			return err
 		}

@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 
+	"sosf"
 	"sosf/internal/sim"
 	"sosf/internal/snap"
 )
@@ -16,15 +16,10 @@ import (
 // and the tests hand in the two ends of an in-process net.Pipe.
 type Conn = io.ReadWriteCloser
 
-// wireVersion is the barrier-protocol version, independent of the snapshot
-// format version (which snap.Header checks underneath). Bump it for any
-// change to the frame sequence or payload layouts.
-const wireVersion = 7
-
 // Frame kinds of the barrier protocol, in lifecycle order.
 const (
-	fkHello     = 1 // coordinator → worker: config, source, shard, snapshot
-	fkHelloAck  = 2 // worker → coordinator: version + digest echo
+	fkHello     = 1 // coordinator → worker: run, shard, round window, snapshot
+	fkHelloAck  = 2 // worker → coordinator: replica built, shard index
 	fkPlans     = 3 // worker → coordinator: one shard's plan records
 	fkAggregate = 4 // coordinator → workers: all shards' plan records
 	fkFault     = 5 // either direction: error text, run aborted
@@ -34,11 +29,9 @@ const (
 // integrity errors (snap.ErrFrameTruncated, snap.ErrFrameChecksum) bubble
 // up from the frame layer unchanged.
 var (
-	// ErrVersionMismatch marks a handshake between incompatible builds.
-	ErrVersionMismatch = errors.New("dist: protocol version mismatch")
-	// ErrTopologyMismatch marks a worker whose local DSL file disagrees
+	// ErrTopologyMismatch marks a worker whose local DSL source disagrees
 	// with the run the coordinator is sharding.
-	ErrTopologyMismatch = errors.New("dist: topology digest mismatch")
+	ErrTopologyMismatch = errors.New("dist: topology mismatch")
 	// ErrWorkerDead marks a worker connection that died mid-run; the wrap
 	// names the shard.
 	ErrWorkerDead = errors.New("dist: worker died")
@@ -50,111 +43,75 @@ var (
 )
 
 // hello is the coordinator's opening message: everything a worker needs to
-// build a replica indistinguishable from the coordinator's own — source,
-// behavior configuration, shard assignment, round window, and (resumed
-// runs) the checkpoint blob to restore, sent as the rest of the payload.
+// build a replica indistinguishable from the coordinator's own — the run,
+// shard assignment, round window, and (resumed runs) the checkpoint blob to
+// restore, sent as the rest of the payload.
 type hello struct {
-	Seed        int64
-	SeedSet     bool
-	Nodes       int
-	Loss        float64
-	Churn       float64
+	// Run is the run description every replica is built from. Its Rounds
+	// stays nil (the window below bounds the run) and its Workers is not
+	// sent: each end shards its own replica by its own thread count.
+	Run         sosf.RunSpec
 	Shard       int
 	Shards      int
 	StartRound  int
 	TotalRounds int
-	Source      string
 	Snapshot    []byte
-}
-
-// digest fingerprints the run a hello describes: the DSL source plus every
-// behavior field that shapes the simulation. A worker given a local DSL
-// file recomputes the digest with its own source to catch a file that
-// drifted from the coordinator's; the ack echoes it so the coordinator
-// verifies the worker agreed to this run and not a stale one. Shard
-// assignment and the snapshot blob stay out — they vary per worker and per
-// resume without changing which run this is.
-func (h *hello) digest() uint64 {
-	var w snap.Writer
-	w.String(h.Source)
-	w.I64(h.Seed)
-	w.Bool(h.SeedSet)
-	w.Int(h.Nodes)
-	w.F64(h.Loss)
-	w.F64(h.Churn)
-	w.Int(h.Shards)
-	w.Int(h.StartRound)
-	w.Int(h.TotalRounds)
-	f := fnv.New64a()
-	f.Write(w.Encoded())
-	return f.Sum64()
 }
 
 func encodeHello(h *hello) []byte {
 	var w snap.Writer
 	w.Header("dist-hello")
-	w.U16(wireVersion)
-	w.I64(h.Seed)
-	w.Bool(h.SeedSet)
-	w.Int(h.Nodes)
-	w.F64(h.Loss)
-	w.F64(h.Churn)
+	w.String(h.Run.Source)
+	w.Int(h.Run.Nodes)
+	w.Bool(h.Run.Seed != nil)
+	if h.Run.Seed != nil {
+		w.I64(*h.Run.Seed)
+	}
+	w.F64(h.Run.Churn)
+	w.F64(h.Run.Loss)
 	w.Int(h.Shard)
 	w.Int(h.Shards)
 	w.Int(h.StartRound)
 	w.Int(h.TotalRounds)
-	w.String(h.Source)
-	w.U64(h.digest())
 	return append(w.Encoded(), h.Snapshot...)
 }
 
-// decodeHello parses a hello payload, returning the message and the digest
-// the coordinator computed (for the worker's own verification).
-func decodeHello(p []byte) (*hello, uint64, error) {
+func decodeHello(p []byte) (*hello, error) {
 	r := snap.NewBytesReader(p)
 	r.Header("dist-hello")
-	if v := r.U16(); r.Err() == nil && v != wireVersion {
-		return nil, 0, fmt.Errorf("%w: coordinator speaks v%d, this build v%d", ErrVersionMismatch, v, wireVersion)
+	h := &hello{}
+	h.Run.Source = r.String()
+	h.Run.Nodes = r.Int()
+	if r.Bool() {
+		seed := r.I64()
+		h.Run.Seed = &seed
 	}
-	h := &hello{
-		Seed:        r.I64(),
-		SeedSet:     r.Bool(),
-		Nodes:       r.Int(),
-		Loss:        r.F64(),
-		Churn:       r.F64(),
-		Shard:       r.Int(),
-		Shards:      r.Int(),
-		StartRound:  r.Int(),
-		TotalRounds: r.Int(),
-		Source:      r.String(),
-	}
-	digest := r.U64()
+	h.Run.Churn = r.F64()
+	h.Run.Loss = r.F64()
+	h.Shard = r.Int()
+	h.Shards = r.Int()
+	h.StartRound = r.Int()
+	h.TotalRounds = r.Int()
 	if err := r.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	h.Snapshot = p[r.Offset():]
-	return h, digest, nil
+	return h, nil
 }
 
-func encodeAck(digest uint64, shard int) []byte {
+func encodeAck(shard int) []byte {
 	var w snap.Writer
 	w.Header("dist-ack")
-	w.U16(wireVersion)
-	w.U64(digest)
 	w.Int(shard)
 	return w.Encoded()
 }
 
-func decodeAck(p []byte) (digest uint64, shard int, err error) {
+func decodeAck(p []byte) (shard int, err error) {
 	r := snap.NewBytesReader(p)
 	r.Header("dist-ack")
-	if v := r.U16(); r.Err() == nil && v != wireVersion {
-		return 0, 0, fmt.Errorf("%w: worker speaks v%d, this build v%d", ErrVersionMismatch, v, wireVersion)
-	}
-	digest = r.U64()
 	shard = r.Int()
 	r.ExpectEOF()
-	return digest, shard, r.Err()
+	return shard, r.Err()
 }
 
 // plansMsg is one worker's contribution to one barrier: the encoded plan

@@ -63,7 +63,7 @@ func RunWorker(conn Conn, threads int, localSource string) error {
 // workerHandshake reads the hello, verifies it, builds the replica, and
 // acks.
 func workerHandshake(conn Conn, threads int, localSource string) (*workerRun, error) {
-	kind, payload, err := snap.ReadFrame(conn, 0)
+	kind, payload, err := snap.ReadFrame(conn)
 	if err != nil {
 		return nil, fmt.Errorf("dist: reading hello: %w", err)
 	}
@@ -73,18 +73,12 @@ func workerHandshake(conn Conn, threads int, localSource string) (*workerRun, er
 	if kind != fkHello {
 		return nil, fmt.Errorf("%w: opening frame kind %d, want hello", ErrProtocol, kind)
 	}
-	h, digest, err := decodeHello(payload)
+	h, err := decodeHello(payload)
 	if err != nil {
 		return nil, err
 	}
-	if got := h.digest(); got != digest {
-		return nil, fmt.Errorf("%w: hello digest %#x, recomputed %#x", ErrTopologyMismatch, digest, got)
-	}
-	if localSource != "" && localSource != h.Source {
-		local := *h
-		local.Source = localSource
-		return nil, fmt.Errorf("%w: local file digest %#x, coordinator runs %#x",
-			ErrTopologyMismatch, local.digest(), digest)
+	if localSource != "" && localSource != h.Run.Source {
+		return nil, fmt.Errorf("%w: the local source differs from the coordinator's", ErrTopologyMismatch)
 	}
 	if h.Shard < 0 || h.Shards < 1 || h.Shard >= h.Shards {
 		return nil, fmt.Errorf("%w: hello assigns shard %d/%d", ErrProtocol, h.Shard, h.Shards)
@@ -97,7 +91,7 @@ func workerHandshake(conn Conn, threads int, localSource string) (*workerRun, er
 		return nil, fmt.Errorf("%w: replica starts at round %d, hello says %d",
 			ErrProtocol, sys.Round(), h.StartRound)
 	}
-	if err := snap.WriteFrame(conn, fkHelloAck, encodeAck(digest, h.Shard)); err != nil {
+	if err := snap.WriteFrame(conn, fkHelloAck, encodeAck(h.Shard)); err != nil {
 		return nil, fmt.Errorf("dist: sending ack: %w", err)
 	}
 	return &workerRun{conn: conn, sys: sys, h: h}, nil
@@ -115,7 +109,7 @@ func (w *workerRun) exchange(pi int, _ sim.PlanCodec, shard []int) error {
 	if err := snap.WriteFrame(w.conn, fkPlans, plans); err != nil {
 		return fmt.Errorf("dist: sending plans at round %d barrier %d: %w", round, pi, err)
 	}
-	kind, payload, err := snap.AppendFrame(plans[:0], w.conn, 0)
+	kind, payload, err := snap.AppendFrame(plans[:0], w.conn)
 	w.buf = payload
 	if err != nil {
 		return fmt.Errorf("dist: awaiting aggregate at round %d barrier %d: %w", round, pi, err)

@@ -650,3 +650,31 @@ func TestDefaultWorkersGOMAXPROCS(t *testing.T) {
 		j.stop()
 	}
 }
+
+// TestNoteRoundAllocationFree: the metrics half of a job's event sink
+// reads the finished round's bandwidth from the engine meter in place, so a
+// warm round with no heals costs no allocation.
+func TestNoteRoundAllocationFree(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	rounds := 10
+	body, _ := json.Marshal(JobSpec{Source: specTestDSL, Rounds: &rounds})
+	j, err := srv.Submit(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	err = j.buildLocked(false)
+	sys := j.sys
+	j.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Step(3); err != nil {
+		t.Fatal(err)
+	}
+	names := sys.ProtocolNames()
+	ev := sosf.RoundEvent{Round: sys.Round()}
+	if allocs := testing.AllocsPerRun(100, func() { srv.noteRound(j, sys, names, ev) }); allocs != 0 {
+		t.Errorf("noteRound allocates %v times per round, want 0", allocs)
+	}
+}

@@ -83,13 +83,13 @@ func (s *Server) tickLRU() int64 { return s.lruClock.Add(1) }
 // self-healing repairs (with their heal-to-reconvergence latency tracked
 // per job).
 func (s *Server) noteRound(j *Job, sys *sosf.System, names []string, ev sosf.RoundEvent) {
-	bw := sys.ProtocolBandwidth(ev.Round - 1)
+	meter := sys.Engine().Meter()
 	m := &s.metrics
 	m.mu.Lock()
 	m.rounds++
-	for p, b := range bw {
-		if b != 0 {
-			m.protocolBytes[names[p]] += b
+	for p, name := range names {
+		if b := meter.RoundTotal(ev.Round-1, p); b != 0 {
+			m.protocolBytes[name] += b
 		}
 	}
 	m.heals += int64(ev.Heals)

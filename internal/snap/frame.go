@@ -36,15 +36,15 @@ var (
 	ErrFrameTruncated = errors.New("snap: truncated frame")
 	// ErrFrameChecksum marks a payload whose CRC does not match its header.
 	ErrFrameChecksum = errors.New("snap: frame checksum mismatch")
-	// ErrFrameTooBig marks a frame whose declared length exceeds the
-	// reader's limit (a desynchronized or hostile stream).
+	// ErrFrameTooBig marks a frame whose declared length exceeds MaxFrame
+	// (a desynchronized or hostile stream).
 	ErrFrameTooBig = errors.New("snap: frame exceeds size limit")
 )
 
 // frameHeaderSize is kind (1) + length (4) + crc (4).
 const frameHeaderSize = 9
 
-// MaxFrame is the default frame size limit: generous enough for the plan
+// MaxFrame is the frame size limit: generous enough for the plan
 // records of a million-slot shard, small enough to keep a corrupted length
 // field from provoking a giant allocation.
 const MaxFrame = 1 << 30
@@ -65,11 +65,11 @@ func WriteFrame(w io.Writer, kind uint8, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, enforcing the given payload size limit
-// (<= 0 selects MaxFrame). A cleanly closed stream returns io.EOF before
-// the first header byte; anything torn mid-frame is ErrFrameTruncated.
-func ReadFrame(r io.Reader, limit int) (kind uint8, payload []byte, err error) {
-	return AppendFrame(nil, r, limit)
+// ReadFrame reads one frame of at most MaxFrame payload bytes. A cleanly
+// closed stream returns io.EOF before the first header byte; anything torn
+// mid-frame is ErrFrameTruncated.
+func ReadFrame(r io.Reader) (kind uint8, payload []byte, err error) {
+	return AppendFrame(nil, r)
 }
 
 // AppendFrame reads one frame like ReadFrame and appends its payload to
@@ -77,10 +77,7 @@ func ReadFrame(r io.Reader, limit int) (kind uint8, payload []byte, err error) {
 // out[len(dst):]. A caller that reads one frame per barrier into the [:0]
 // of the previous result keeps a single buffer for the whole run. On error
 // out is dst, unextended.
-func AppendFrame(dst []byte, r io.Reader, limit int) (kind uint8, out []byte, err error) {
-	if limit <= 0 {
-		limit = MaxFrame
-	}
+func AppendFrame(dst []byte, r io.Reader) (kind uint8, out []byte, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.EOF {
@@ -94,8 +91,8 @@ func AppendFrame(dst []byte, r io.Reader, limit int) (kind uint8, out []byte, er
 	kind = hdr[0]
 	n := binary.LittleEndian.Uint32(hdr[1:5])
 	sum := binary.LittleEndian.Uint32(hdr[5:9])
-	if int64(n) > int64(limit) {
-		return 0, dst, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooBig, n, limit)
+	if n > MaxFrame {
+		return 0, dst, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooBig, n, MaxFrame)
 	}
 	out = slices.Grow(dst, int(n))[:len(dst)+int(n)]
 	payload := out[len(dst):]

@@ -522,14 +522,14 @@ func TestAppendFrameKeepsPrefixAndBuffer(t *testing.T) {
 		}
 	}
 	dst := append(make([]byte, 0, 64), "head:"...)
-	kind, out, err := AppendFrame(dst, &stream, 0)
+	kind, out, err := AppendFrame(dst, &stream)
 	if err != nil || kind != 3 || string(out) != "head:first" {
 		t.Fatalf("AppendFrame = %d, %q, %v", kind, out, err)
 	}
 	if &out[0] != &dst[:1][0] {
 		t.Fatal("AppendFrame reallocated a buffer that had room")
 	}
-	if _, out, err = AppendFrame(out[:0], &stream, 0); err != nil || string(out) != "second" {
+	if _, out, err = AppendFrame(out[:0], &stream); err != nil || string(out) != "second" {
 		t.Fatalf("second frame: %q, %v", out, err)
 	}
 
@@ -539,7 +539,35 @@ func TestAppendFrameKeepsPrefixAndBuffer(t *testing.T) {
 	}
 	raw := bad.Bytes()
 	raw[len(raw)-1] ^= 1
-	if _, out, err := AppendFrame([]byte("head:"), &bad, 0); !errors.Is(err, ErrFrameChecksum) || string(out) != "head:" {
+	if _, out, err := AppendFrame([]byte("head:"), &bad); !errors.Is(err, ErrFrameChecksum) || string(out) != "head:" {
 		t.Fatalf("flipped bit: %q, %v; want dst back and ErrFrameChecksum", out, err)
+	}
+}
+
+// TestFrameTooBigReadsNoPayload: a header that declares one byte more than
+// MaxFrame fails with ErrFrameTooBig before the payload is read or its
+// buffer allocated, so a corrupt length cannot claim a gigabyte.
+func TestFrameTooBigReadsNoPayload(t *testing.T) {
+	var hdr [frameHeaderSize]byte
+	hdr[0] = 3
+	binary.LittleEndian.PutUint32(hdr[1:5], MaxFrame+1)
+	const trailer = 16
+	stream := bytes.NewReader(append(hdr[:], make([]byte, trailer)...))
+	dst := make([]byte, 0, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, out, err := AppendFrame(dst, stream)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFrameTooBig) {
+		t.Fatalf("err = %v, want ErrFrameTooBig", err)
+	}
+	if stream.Len() != trailer {
+		t.Errorf("read %d bytes past the header", trailer-stream.Len())
+	}
+	if len(out) != 0 || cap(out) != cap(dst) {
+		t.Errorf("dst came back as len %d cap %d, want it as given", len(out), cap(out))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a rejected frame allocated %d bytes", grew)
 	}
 }
