@@ -112,8 +112,8 @@
 // checkpointed does not compile. The counter-based per-node RNG streams are what make
 // the contract cheap: in-round randomness is keyed by
 // (seed, node, round, protocol, phase) and needs no serialization at all,
-// while the engine's serial source is captured as a (seed, draw count)
-// pair and fast-forwarded on restore.
+// while the engine's serial source is captured as its last 607 draws and
+// a draw count, read back on restore without a replay.
 //
 // Everything underneath lives in internal packages: internal/core (the
 // runtime), internal/scenario (the timeline executor), internal/vicinity

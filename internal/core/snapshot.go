@@ -15,18 +15,17 @@ import (
 // are rejected instead of being misread.
 const systemSnapKind = "system2"
 
-// snapConfig is Config minus the Topology pointer, for JSON embedding in a
-// snapshot. Every field here changes protocol behavior, so Restore verifies
-// them against the restoring system's configuration: resuming under
-// different knobs would silently diverge from the uninterrupted run.
+// snapConfig is the behavior-defining knobs of Config, for JSON embedding
+// in a snapshot. Every field here changes protocol behavior, so Restore
+// requires them equal to the restoring system's: resuming under different
+// knobs would silently diverge from the uninterrupted run. Population and
+// seed are not knobs here: the restored engine state carries both.
 type snapConfig struct {
-	UO1Capacity   int   `json:"uo1_capacity"`
-	OverlayGossip int   `json:"overlay_gossip"`
-	DisableUO2    bool  `json:"disable_uo2"`
-	PureGreedy    bool  `json:"pure_greedy"`
-	NoHeal        bool  `json:"no_heal"`
-	Nodes         int   `json:"nodes"`
-	Seed          int64 `json:"seed"`
+	UO1Capacity   int  `json:"uo1_capacity"`
+	OverlayGossip int  `json:"overlay_gossip"`
+	DisableUO2    bool `json:"disable_uo2"`
+	PureGreedy    bool `json:"pure_greedy"`
+	NoHeal        bool `json:"no_heal"`
 }
 
 func snapConfigOf(cfg Config) snapConfig {
@@ -36,18 +35,7 @@ func snapConfigOf(cfg Config) snapConfig {
 		DisableUO2:    cfg.DisableUO2,
 		PureGreedy:    cfg.PureGreedy,
 		NoHeal:        cfg.DisableHealing,
-		Nodes:         cfg.Nodes,
-		Seed:          cfg.Seed,
 	}
-}
-
-// behaviorEqual compares the knobs that shape protocol behavior. Nodes and
-// Seed are informational (the restored engine state is authoritative for
-// both), so they are excluded.
-func (c snapConfig) behaviorEqual(o snapConfig) bool {
-	c.Nodes, o.Nodes = 0, 0
-	c.Seed, o.Seed = 0, 0
-	return c == o
 }
 
 // Snapshot serializes the full system — effective configuration, the
@@ -102,7 +90,7 @@ func (s *System) Restore(sr *snap.Reader) error {
 	if err := json.Unmarshal(cfgJSON, &snapCfg); err != nil {
 		return fmt.Errorf("core: restore config: %w", err)
 	}
-	if have := snapConfigOf(s.cfg); !have.behaviorEqual(snapCfg) {
+	if have := snapConfigOf(s.cfg); have != snapCfg {
 		return fmt.Errorf("core: snapshot was taken under different protocol configuration (snapshot %+v, system %+v)", snapCfg, have)
 	}
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -200,19 +199,29 @@ func TestRestoreRejectsProtocolSlotCount(t *testing.T) {
 	if size >= 128 {
 		t.Fatalf("%d slots: the count must be one varint byte for the in-place edit", size)
 	}
-	for _, name := range ref.Engine().Meter().Names() {
+	// The engine writes the stack's names once, then the meter's history
+	// rows, then one length-prefixed body per protocol in stack order, each
+	// opening with its slot count.
+	names := ref.Engine().Meter().Names()
+	var stack snap.Writer
+	stack.Len(len(names))
+	for _, name := range names {
+		stack.String(name)
+	}
+	at := bytes.Index(buf, stack.Encoded()) + len(stack.Encoded())
+	r := snap.NewBytesReader(buf[at:])
+	for range r.Len() * len(names) {
+		r.Varint()
+	}
+	for _, name := range names {
+		body := r.Bytes()
+		if err := r.Err(); err != nil || len(body) == 0 || body[0] != byte(size) {
+			t.Fatalf("no %d-slot %q body (%v)", size, name, err)
+		}
+		count := at + r.Offset() - len(body)
 		t.Run(name, func(t *testing.T) {
-			// The body is the last field named name: its byte length, then
-			// the slot count as its first field.
-			var field snap.Writer
-			field.String(name)
 			cp := bytes.Clone(buf)
-			at := bytes.LastIndex(cp, field.Encoded()) + len(field.Encoded())
-			_, n := binary.Uvarint(cp[at:])
-			if n <= 0 || cp[at+n] != byte(size) {
-				t.Fatalf("no %d-slot body after the last %q", size, name)
-			}
-			cp[at+n]--
+			cp[count]--
 			err := snapSystem(t, 1, 1).Restore(snap.NewBytesReader(cp))
 			if !errors.Is(err, sim.ErrSlotCount) || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
 				t.Fatalf("err = %v, want sim.ErrSlotCount naming %q", err, name)

@@ -74,7 +74,7 @@ func buildReplica(h *hello, threads int) (*sosf.System, error) {
 // is the only replica whose event stream and checkpoints are observed.
 type Coordinator struct {
 	cfg   Config
-	hello hello // template; Shard is stamped per worker
+	hello hello // template; Shard is stamped per worker, Snapshot dropped once sent
 	sys   *sosf.System
 	conns []Conn
 	// Every barrier of the run reuses these: buf is where the aggregate is
@@ -179,6 +179,8 @@ func (c *Coordinator) Run(conns []Conn) error {
 			return abort(fmt.Errorf("%w: shard %d/%d in handshake: %v", ErrWorkerDead, i, c.cfg.Shards, err))
 		}
 	}
+	// Every hello carried the checkpoint: the run no longer needs it.
+	c.hello.Snapshot = nil
 	for i, conn := range conns {
 		if err := c.awaitAck(i, conn); err != nil {
 			return abort(err)

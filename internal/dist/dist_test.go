@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"sosf"
@@ -179,6 +180,64 @@ func TestDistResumeEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(secondSnap, wantSnap) {
 		t.Error("final snapshot after resume diverges from uninterrupted run")
+	}
+}
+
+// TestResumedRunDropsCheckpoint resumes a 2-shard run the way RunLocal
+// does and checks that, once every replica has restored, neither end holds
+// the checkpoint blob: not the coordinator's hello template, and not a
+// worker's hello, whose blob is a window into the whole hello payload.
+func TestResumedRunDropsCheckpoint(t *testing.T) {
+	cfg := Config{
+		Source: testSource,
+		Seed:   7, SeedSet: true,
+		Rounds: 10, RoundsSet: true,
+		Threads:  1,
+		SnapPath: filepath.Join(t.TempDir(), "ck.sosnap"),
+	}
+	distRun(t, cfg, 2)
+	cfg.Rounds, cfg.ResumePath, cfg.SnapPath = 30, cfg.SnapPath, ""
+	cfg.Shards = 2
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.hello.Snapshot) == 0 {
+		t.Fatal("the coordinator holds no checkpoint to send")
+	}
+	conns := make([]Conn, cfg.Shards)
+	workers := make([]*workerRun, cfg.Shards)
+	errs := make([]error, cfg.Shards)
+	var wg sync.WaitGroup
+	for i := range conns {
+		co, wk := net.Pipe()
+		conns[i] = co
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer wk.Close()
+			if workers[i], errs[i] = workerHandshake(wk, 1, ""); errs[i] == nil {
+				errs[i] = workers[i].run()
+			}
+		}()
+	}
+	if err := c.Run(conns); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if c.System().Round() != 30 {
+		t.Fatalf("the resumed run ended at round %d, want 30", c.System().Round())
+	}
+	if c.hello.Snapshot != nil {
+		t.Errorf("the coordinator still holds the %d-byte checkpoint", len(c.hello.Snapshot))
+	}
+	for i, w := range workers {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
+		}
+		if w.h.Snapshot != nil {
+			t.Errorf("worker %d still holds the %d-byte checkpoint", i, len(w.h.Snapshot))
+		}
 	}
 }
 

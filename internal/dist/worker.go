@@ -49,11 +49,17 @@ func RunWorker(conn Conn, threads int, localSource string) error {
 		sendFault(conn, err)
 		return err
 	}
+	return w.run()
+}
+
+// run is the worker's round loop, planning its shard of every round of the
+// hello's window; a failed round is reported to the coordinator.
+func (w *workerRun) run() error {
 	n, k := w.h.Shards, w.h.Shard
 	for r := w.h.StartRound; r < w.h.TotalRounds; r++ {
 		lo, hi := shardRange(w.sys.Size(), k, n)
 		if _, err := w.sys.DistRound(lo, hi, w.exchange); err != nil {
-			sendFault(conn, err)
+			sendFault(w.conn, err)
 			return err
 		}
 	}
@@ -87,6 +93,9 @@ func workerHandshake(conn Conn, threads int, localSource string) (*workerRun, er
 	if err != nil {
 		return nil, err
 	}
+	// The replica is restored: drop the checkpoint, a window into the
+	// whole hello payload, which the run would otherwise keep alive.
+	h.Snapshot = nil
 	if sys.Round() != h.StartRound {
 		return nil, fmt.Errorf("%w: replica starts at round %d, hello says %d",
 			ErrProtocol, sys.Round(), h.StartRound)

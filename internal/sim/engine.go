@@ -62,9 +62,11 @@ type Protocol interface {
 	RestoreSlot(r *snap.Reader, slot int) error
 }
 
-// Node is one simulated process. Slot is its dense index in the engine;
-// ID is its globally unique, never-reused identity. Profile is assigned by
-// the runtime's role allocator and carried inside gossip descriptors.
+// Node is one simulated process. Slot is its dense index in the engine and
+// ID the identity its descriptors carry; the engine assigns both from the
+// same counter and never reuses a slot, so ID always equals Slot and a
+// checkpoint writes neither. Profile is assigned by the runtime's role
+// allocator and carried inside gossip descriptors.
 type Node struct {
 	Slot    int
 	ID      view.NodeID
@@ -81,17 +83,17 @@ func (n *Node) Descriptor() view.Descriptor {
 // Engine is the simulation kernel.
 type Engine struct {
 	rng *rand.Rand
-	// src is rng's underlying source, wrapped to count draws: the count is
-	// what lets Snapshot capture the serial RNG's position and Restore
-	// replay it against a fresh source (see snapshot.go).
-	src  *countedSource
+	// src is rng's underlying source, math/rand's generator held as its
+	// last 607 draws and a draw count: a checkpoint writes that state and
+	// restore reads it back, at a cost that does not depend on the count
+	// (see snapshot.go).
+	src  *serialSource
 	seed int64
 	// nodes is the dense node table — one contiguous array, not per-node
 	// heap objects, so phases stream it in slot order. Node pointers
 	// (Engine.Node, Lookup, RandomAlive) point into this array and are
 	// stable until the next AddNodes; don't hold them across joins.
 	nodes     []Node
-	slotOfID  []int // dense NodeID -> slot index (IDs are monotonic, never reused)
 	protocols []Protocol
 	// inboxes[pi] is protocol pi's route table (nil for protocols that
 	// route nothing); the engine grows it with the node table, resets a
@@ -109,7 +111,6 @@ type Engine struct {
 	roundEnd  func(e *Engine) (stop bool)
 	meter     *Meter
 	round     int
-	nextID    view.NodeID
 	lossRate  float64
 	partition []int // group per slot; nil when the network is whole
 
@@ -152,7 +153,7 @@ var ErrNoProtocols = errors.New("sim: engine has no registered protocols")
 
 // New creates an engine seeded with the given seed.
 func New(seed int64) *Engine {
-	src := newCountedSource(seed)
+	src := newSerialSource(seed)
 	return &Engine{
 		rng:     rand.New(src),
 		src:     src,
@@ -388,12 +389,10 @@ func (e *Engine) AddNodes(n int) []int {
 		slot := len(e.nodes)
 		e.nodes = append(e.nodes, Node{
 			Slot:   slot,
-			ID:     e.nextID,
+			ID:     view.NodeID(slot),
 			Alive:  true,
 			Joined: e.round,
 		})
-		e.nextID++
-		e.slotOfID = append(e.slotOfID, slot)
 		slots = append(slots, slot)
 	}
 	e.sizeSlots()
@@ -455,14 +454,13 @@ func (e *Engine) Node(slot int) *Node { return &e.nodes[slot] }
 // Size returns the total number of slots ever allocated (alive + dead).
 func (e *Engine) Size() int { return len(e.nodes) }
 
-// Lookup resolves a node ID to its node, or nil if unknown. IDs are dense
-// and monotonically assigned, so this is a bounds check plus two slice
-// loads — no hashing.
+// Lookup resolves a node ID to its node, or nil if unknown. A node's ID is
+// its slot, so this is a bounds check plus one index — no hashing.
 func (e *Engine) Lookup(id view.NodeID) *Node {
-	if id < 0 || int64(id) >= int64(len(e.slotOfID)) {
+	if id < 0 || int64(id) >= int64(len(e.nodes)) {
 		return nil
 	}
-	return &e.nodes[e.slotOfID[id]]
+	return &e.nodes[id]
 }
 
 // alive returns the cached alive-slot list (slot order), rebuilding it into

@@ -13,79 +13,69 @@ import (
 // protocol body's slot count differs from the restored node table.
 var ErrSlotCount = errors.New("sim: slot count mismatch")
 
-// countedSource wraps the engine's serial random source and counts every
-// draw. The count is what makes the source snapshottable: math/rand's
-// generator advances exactly one internal step per Int63/Uint64 call, so
-// (seed, draw count) fully determines its state, and restore replays the
-// count against a fresh source instead of capturing opaque internals.
-type countedSource struct {
-	src rand.Source64
+// serialSource is the engine's serial random source: math/rand's
+// generator, held as state a checkpoint can write. rand.NewSource is
+// additive lagged Fibonacci, each draw y[k] = y[k-607] + y[k-273] mod
+// 2^64, so its last 607 draws are its whole state. win[k%607] holds draw
+// k (before the first 607 draws are taken, the draws to come), and n
+// counts the draws so far; a checkpoint writes both and restore reads them
+// back.
+type serialSource struct {
+	win [607]uint64
 	n   uint64
 }
 
-// newCountedSource seeds a counted source. rand.NewSource's concrete
-// generator has implemented Source64 since Go 1.8; the engine relies on
-// that so rand.New takes the exact same Uint64 fast path it took before
-// the wrapper existed (falling back would change the draw sequence).
-func newCountedSource(seed int64) *countedSource {
-	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
+// newSerialSource seeds a serial source.
+func newSerialSource(seed int64) *serialSource {
+	s := &serialSource{}
+	s.Seed(seed)
+	return s
 }
 
-// Int63 implements rand.Source.
-func (s *countedSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-// Uint64 implements rand.Source64.
-func (s *countedSource) Uint64() uint64 {
-	s.n++
-	return s.src.Uint64()
-}
-
-// Seed implements rand.Source.
-func (s *countedSource) Seed(seed int64) {
-	s.src.Seed(seed)
+// Seed implements rand.Source: win takes the first 607 draws of
+// rand.NewSource(seed), whose generator has implemented Source64 since Go
+// 1.8.
+func (s *serialSource) Seed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := range s.win {
+		s.win[i] = src.Uint64()
+	}
 	s.n = 0
 }
 
-// skip advances the source by n draws (restore's fast-forward). Each draw
-// is a few integer operations, so replaying even millions of inter-round
-// draws costs milliseconds.
-func (s *countedSource) skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		s.src.Uint64()
+// Uint64 implements rand.Source64.
+func (s *serialSource) Uint64() uint64 {
+	i := s.n % 607
+	if s.n >= 607 {
+		s.win[i] += s.win[(s.n-273)%607]
 	}
-	s.n = n
+	s.n++
+	return s.win[i]
 }
 
-// maxSerialDraws bounds the serial-RNG draw count RestoreState will replay
-// (2^44 ≈ 1.8e13 draws — hours of fast-forward, far past any plausible
-// run: between-round draws scale with churn and partition activity, not
-// raw rounds). Every other field of the format fails fast on corruption;
-// without this bound, a corrupted count near 2^64 would make restore spin
-// for centuries instead of returning an error.
-const maxSerialDraws = 1 << 44
+// Int63 implements rand.Source, masking Uint64 exactly as math/rand does.
+func (s *serialSource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
 // SnapshotState serializes the engine's complete state — round counter,
-// node table, partition and loss state, serial-RNG position, bandwidth
-// history, and every protocol's per-slot state — such that RestoreState
-// followed by M rounds replays rounds N+1..N+M of the uninterrupted run
-// byte for byte, at any worker count. It writes no container header: the
-// caller (core.System) owns the stream's header and embeds this body.
-// Call it between rounds only (mid-phase state is deliberately not
-// serializable).
+// node table, partition and loss state, serial RNG, bandwidth history, and
+// every protocol's per-slot state — such that RestoreState followed by M
+// rounds replays rounds N+1..N+M of the uninterrupted run byte for byte,
+// at any worker count. A node's ID is its slot, so neither is written. It
+// writes no container header: the caller (core.System) owns the stream's
+// header and embeds this body. Call it between rounds only (mid-phase
+// state is deliberately not serializable).
 func (e *Engine) SnapshotState(w *snap.Writer) error {
 	w.I64(e.seed)
 	w.Uvarint(e.src.n)
+	for _, v := range e.src.win {
+		w.U64(v)
+	}
 	w.Int(e.round)
-	w.Varint(int64(e.nextID))
 	w.F64(e.lossRate)
 
 	w.Len(len(e.nodes))
 	for i := range e.nodes {
 		n := &e.nodes[i]
-		w.Varint(int64(n.ID))
 		w.Bool(n.Alive)
 		w.Int(n.Joined)
 		snap.WriteProfile(w, n.Profile)
@@ -99,12 +89,15 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 		}
 	}
 
+	w.Len(len(e.protocols))
+	for _, p := range e.protocols {
+		w.String(p.Name())
+	}
 	e.meter.snapshot(w)
 
 	// A body's length prefix comes before its slots, so each body is
 	// encoded whole into one window, kept on the engine and reused across
 	// protocols and checkpoints.
-	w.Len(len(e.protocols))
 	body := &e.snapBody
 	for _, p := range e.protocols {
 		body.Reset(body.Encoded()[:0])
@@ -112,7 +105,6 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 		for slot := range e.nodes {
 			p.SnapshotSlot(body, slot)
 		}
-		w.String(p.Name())
 		w.Bytes(body.Encoded())
 	}
 	return w.Err()
@@ -126,19 +118,18 @@ func (e *Engine) SnapshotState(w *snap.Writer) error {
 // results.
 func (e *Engine) RestoreState(r *snap.Reader) error {
 	seed := r.I64()
-	draws := r.Uvarint()
+	src := &serialSource{n: r.Uvarint()}
+	for i := range src.win {
+		src.win[i] = r.U64()
+	}
 	round := r.Int()
-	nextID := r.Varint()
 	lossRate := r.F64()
 	nodeCount := r.Len()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if round < 0 || nextID < 0 || nodeCount != int(nextID) {
-		return fmt.Errorf("snap: inconsistent engine state (round %d, %d nodes, next ID %d)", round, nodeCount, nextID)
-	}
-	if draws > maxSerialDraws {
-		return fmt.Errorf("snap: serial RNG draw count %d exceeds the %d replay bound (corrupt snapshot?)", draws, uint64(maxSerialDraws))
+	if round < 0 {
+		return fmt.Errorf("snap: negative round %d", round)
 	}
 
 	// The node table and partition grow as their records arrive: a few
@@ -146,34 +137,19 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 	// instead of reserving memory for the count.
 	var nodes []Node
 	for slot := 0; slot < nodeCount; slot++ {
-		id := r.Varint()
 		alive := r.Bool()
 		joined := r.Int()
 		profile := snap.ReadProfile(r)
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if id < 0 || id >= nextID {
-			return fmt.Errorf("snap: invalid node ID %d", id)
-		}
 		nodes = append(nodes, Node{
 			Slot:    slot,
-			ID:      view.NodeID(id),
+			ID:      view.NodeID(slot),
 			Alive:   alive,
 			Joined:  joined,
 			Profile: profile,
 		})
-	}
-	slotOfID := make([]int, nodeCount)
-	for i := range slotOfID {
-		slotOfID[i] = -1
-	}
-	for slot := range nodes {
-		id := nodes[slot].ID
-		if slotOfID[id] >= 0 {
-			return fmt.Errorf("snap: duplicate node ID %d", id)
-		}
-		slotOfID[id] = slot
 	}
 
 	var partition []int
@@ -191,29 +167,6 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 			partition = append(partition, g)
 		}
 	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-
-	// All fixed-size state decoded: commit, then restore the variable
-	// sections (meter, protocols) that validate against the stack.
-	src := newCountedSource(seed)
-	src.skip(draws)
-	e.seed = seed
-	e.src = src
-	e.rng = rand.New(src)
-	e.round = round
-	e.nextID = view.NodeID(nextID)
-	e.lossRate = lossRate
-	e.nodes = nodes
-	e.slotOfID = slotOfID
-	e.partition = partition
-	e.aliveOK = false
-	e.sizeSlots()
-
-	if err := e.meter.restore(r); err != nil {
-		return err
-	}
 
 	np := r.Len()
 	if err := r.Err(); err != nil {
@@ -223,16 +176,36 @@ func (e *Engine) RestoreState(r *snap.Reader) error {
 		return fmt.Errorf("snap: snapshot has %d protocols, engine has %d", np, len(e.protocols))
 	}
 	for i, p := range e.protocols {
-		name := r.String()
+		if name := r.String(); r.Err() == nil && name != p.Name() {
+			return fmt.Errorf("snap: protocol %d is %q in the snapshot but %q in the engine", i, name, p.Name())
+		}
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+
+	// All fixed-size state decoded and the stack checked: commit, then
+	// restore the variable sections (meter, protocol bodies).
+	e.seed = seed
+	e.src = src
+	e.rng = rand.New(src)
+	e.round = round
+	e.lossRate = lossRate
+	e.nodes = nodes
+	e.partition = partition
+	e.aliveOK = false
+	e.sizeSlots()
+
+	if err := e.meter.restore(r); err != nil {
+		return err
+	}
+	for _, p := range e.protocols {
 		size := r.Len()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if name != p.Name() {
-			return fmt.Errorf("snap: protocol %d is %q in the snapshot but %q in the engine", i, name, p.Name())
-		}
 		if err := e.restoreBody(p, r, size); err != nil {
-			return fmt.Errorf("snap: protocol %q: %w", name, err)
+			return fmt.Errorf("snap: protocol %q: %w", p.Name(), err)
 		}
 	}
 	return r.Err()
@@ -265,18 +238,11 @@ func (e *Engine) restoreBody(p Protocol, r *snap.Reader, size int) error {
 	return nil
 }
 
-// snapshot serializes the meter: protocol names (validated on restore),
-// in-flight round counters, and the full per-round history — the history
-// keeps resumed runs' bandwidth figures and reports identical to the
-// uninterrupted run's.
+// snapshot serializes the meter's per-round history, which keeps resumed
+// runs' bandwidth figures and reports identical to the uninterrupted
+// run's. The protocol names are the engine's to write, and the in-flight
+// counters are zero between rounds.
 func (m *Meter) snapshot(w *snap.Writer) {
-	w.Len(len(m.names))
-	for _, name := range m.names {
-		w.String(name)
-	}
-	for _, c := range m.current {
-		w.Varint(c)
-	}
 	w.Len(len(m.history))
 	for _, row := range m.history {
 		for _, v := range row {
@@ -285,24 +251,9 @@ func (m *Meter) snapshot(w *snap.Writer) {
 	}
 }
 
-// restore rebuilds the meter from snapshot, validating that the registered
-// protocol set matches.
+// restore rebuilds the meter's history from snapshot, one row per round as
+// wide as the registered protocol set.
 func (m *Meter) restore(r *snap.Reader) error {
-	n := r.Len()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(m.names) {
-		return fmt.Errorf("snap: meter has %d protocols, snapshot has %d", len(m.names), n)
-	}
-	for i, want := range m.names {
-		if got := r.String(); r.Err() == nil && got != want {
-			return fmt.Errorf("snap: meter protocol %d is %q in the snapshot but %q in the engine", i, got, want)
-		}
-	}
-	for i := range m.current {
-		m.current[i] = r.Varint()
-	}
 	rounds := r.Len()
 	if err := r.Err(); err != nil {
 		return err
@@ -310,7 +261,7 @@ func (m *Meter) restore(r *snap.Reader) error {
 	// The history grows as rows arrive, in the arena blocks a live run
 	// would use.
 	m.history, m.arena = nil, nil
-	row := make([]int64, len(m.names))
+	row := make([]int64, len(m.current))
 	for i := 0; i < rounds; i++ {
 		for j := range row {
 			row[j] = r.Varint()

@@ -50,7 +50,7 @@ const magic = "SOSFSNAP"
 
 // Version is the current snapshot format version. Bump it for any change
 // to the byte layout; Reader.Header rejects versions it does not know.
-const Version = 3
+const Version = 4
 
 // maxChunk bounds a single length-prefixed byte field (64 MiB). Snapshots
 // of very large populations split state across many fields, so a larger

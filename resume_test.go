@@ -10,11 +10,15 @@ package sosf
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -92,6 +96,38 @@ func TestResumeEquivalenceGolden(t *testing.T) {
 			t.Fatalf("workers %d→%d: resumed stream differs in length (got %d, want %d bytes)",
 				workers.snap, workers.resume, len(got), len(want))
 		}
+	}
+}
+
+// TestPlaydemoCheckpointPinned writes playdemo's round-75 checkpoint
+// serially and holds its sha256 to the hash ci/check-resume.sh and
+// ci/check-dist.sh compare, so a layout change made without a format
+// version bump fails in the plain test suite too. The checkpoint, restored
+// at 4 workers and written again at once, must come back byte for byte.
+func TestPlaydemoCheckpointPinned(t *testing.T) {
+	pinned, err := os.ReadFile("testdata/golden/playdemo.r75.sosnap.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := playdemoSystem(t, WithWorkers(1))
+	first.Subscribe(JSONLSink(io.Discard))
+	if _, err := first.Step(resumeSplit); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := snapshotBytes(t, first)
+	sum := sha256.Sum256(ckpt)
+	if got, want := hex.EncodeToString(sum[:]), strings.TrimSpace(string(pinned)); got != want {
+		t.Fatalf("round-%d checkpoint (%d B) has sha256 %s, want %s", resumeSplit, len(ckpt), got, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "ck.sosnap")
+	if err := os.WriteFile(path, ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	second := playdemoSystem(t, WithWorkers(4), WithRestoreFrom(path))
+	if again := snapshotBytes(t, second); !bytes.Equal(again, ckpt) {
+		t.Fatalf("restored at 4 workers and written again, the checkpoint is %d B and differs from the %d B it was restored from",
+			len(again), len(ckpt))
 	}
 }
 
